@@ -9,7 +9,7 @@ VETTOOL := bin/biscuitvet
 # dangerous kind.
 TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/...
 
-.PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healtest healbench benchsmoke benchgate bless-bench servebench tracesmoke telemetrysmoke clean
+.PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healtest benchsmoke benchgate bless-bench tracesmoke telemetrysmoke clean
 
 all: build
 
@@ -58,14 +58,6 @@ healtest:
 	$(GO) test -count=2 ./internal/health/...
 	$(GO) test -count=2 -run $(HEALRUN) $(HEALPKGS)
 
-# Heal bench (DESIGN.md "Self-healing"): the availability-vs-repair
-# curve — die failure time x rebuild pacing x migration on/off — as
-# BENCH_healcurve.json. Every field is simulated-time deterministic,
-# so benchgate compares it exactly against baselines/.
-healbench:
-	mkdir -p bench-out
-	$(GO) run ./cmd/biscuitbench -exp healcurve -json bench-out
-
 # Fault bench: the availability/latency-under-fault curve at reduced
 # size (3 sweep points, BENCH_faultcurve.json), traced; tracecheck then
 # validates every swept platform's export — async spans must balance
@@ -82,39 +74,28 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers
 
-# Serve bench (DESIGN.md "Array serving layer"): the multi-tenant
-# serving curve — per-tenant throughput and tail latency vs offered
-# load × device count × scheduling policy — as BENCH_servecurve.json,
-# plus one traced serving window: rerun with the same seed, compared
-# byte-for-byte, and validated by tracecheck. Every field of the curve
-# is simulated-time deterministic, so benchgate compares it exactly
-# against baselines/BENCH_servecurve.json.
+# Bench gate (DESIGN.md "The bench gate"): regenerate Table III, the
+# multi-tenant serving curve (per-tenant throughput and tail latency vs
+# offered load × device count × policy) and the self-healing curve (die
+# failure time × rebuild pacing × migration) in one biscuitbench run,
+# and compare them against the committed baselines/ JSON with
+# cmd/benchgate. Every field is simulated-time deterministic, so the
+# comparison is exact. One traced serving window rides along: rerun
+# with the same seed, compared byte-for-byte, validated by tracecheck.
+# Wall clock is not gated here; that is `go run ./benchmark`.
 SERVETRACE := -devices 2 -tenants 2 -sf 0.002 -rate 150 -window 200 -seed 7
 
-servebench:
+benchgate: benchsmoke
 	mkdir -p bench-out
-	$(GO) run ./cmd/biscuitbench -exp servecurve -json bench-out
+	$(GO) run ./cmd/biscuitbench -exp table3,servecurve,healcurve -json bench-out
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.trace.json > /dev/null
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.rerun.trace.json > /dev/null
 	cmp bench-out/serve.trace.json bench-out/serve.rerun.trace.json
 	$(GO) run ./cmd/tracecheck bench-out/serve.trace.json
+	$(GO) run ./cmd/benchgate baselines bench-out
 
-# Bench gate (DESIGN.md "Simulator performance"): regenerate the
-# simcore and table3 measurements and compare them against the
-# committed baselines/ JSON with cmd/benchgate. Deterministic fields
-# (op counts, final sim times, pop-order checksums, latency summaries)
-# must match exactly; allocs/op must not rise; wall-clock throughput
-# may drift within GATETOL. This is the CI tripwire that keeps the
-# zero-alloc DES core from regressing silently.
-GATETOL ?= 0.10
-
-benchgate: benchsmoke servebench healbench
-	mkdir -p bench-out
-	$(GO) run ./cmd/biscuitbench -exp simcore,table3 -json bench-out
-	$(GO) run ./cmd/benchgate -walltol $(GATETOL) baselines bench-out
-
-# bless-bench: accept the current bench-out measurements as the new
-# committed baselines (after an intended perf or schema change). Run
+# bless-bench: accept the current bench-out results as the new
+# committed baselines (after an intended model or schema change). Run
 # `make benchgate` first so bench-out is fresh, then commit baselines/.
 bless-bench:
 	$(GO) run ./cmd/benchgate -bless baselines bench-out

@@ -1,83 +1,77 @@
 // Command benchgate compares fresh biscuitbench -json output against
-// committed BENCH_*.json baselines and fails (exit 1) on regression —
-// the CI gate that keeps the simulator's performance and determinism
-// surfaces from eroding silently (`make benchgate`).
+// committed BENCH_*.json baselines and fails (exit 1) on any difference
+// — the CI gate that keeps the simulator's deterministic surface from
+// eroding silently (`make benchgate`).
 //
 // Usage:
 //
-//	benchgate [-walltol 0.10] [-machinetol 0.50] [-alloctol 0.01] [-v] <baselineDir> <freshDir>
+//	benchgate [-v] <baselineDir> <freshDir>
 //	benchgate -bless <baselineDir> <freshDir>    # re-bless: copy fresh over baselines
 //
 // Every BENCH_*.json in baselineDir must have a counterpart in
-// freshDir. The two JSON trees are walked together and each leaf is
-// judged by a rule chosen from the field's name (the policy DESIGN.md
-// "Simulator performance" documents):
-//
-//   - fields named *speedup* are machine-normalized wall ratios (both
-//     sides measured in the same process, so host noise cancels):
-//     higher is better, and fresh may fall at most walltol below base;
-//   - fields named *per_sec are raw wall-clock throughput and *wall
-//     raw wall-clock duration: higher resp. lower is better, within
-//     machinetol — a deliberately wide band, because raw wall figures
-//     depend on the host and its load, unlike the speedup ratios;
-//   - fields named *alloc* are allocation counts: fresh may never
-//     exceed base by more than alloctol (improvements are fine and are
-//     reported as a hint to re-bless);
-//   - everything else — simulated times, op counts, checksums, row
-//     digests, latency percentiles — is part of the deterministic
-//     surface and must match exactly. Structure drift (missing or
-//     extra fields, different array lengths) also fails: evolving the
-//     schema is a conscious re-bless, never an accident.
+// freshDir. The two JSON trees are walked together under one rule:
+// every leaf — simulated times, op counts, row and dispatch digests,
+// latency percentiles — must match exactly, and so must the structure
+// (missing or extra fields, different array lengths, changed types):
+// evolving the schema is a conscious re-bless, never an accident.
+// Nothing here reads the host clock; wall time is benchmark/'s job
+// (see benchmark/README.md).
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 func main() {
-	var (
-		wallTol    = flag.Float64("walltol", 0.10, "relative tolerance for machine-normalized speedup ratios")
-		machineTol = flag.Float64("machinetol", 0.50, "relative tolerance for raw wall-clock metrics (events/sec, durations)")
-		allocTol   = flag.Float64("alloctol", 0.01, "absolute tolerance for allocs-per-op fields")
-		verbose    = flag.Bool("v", false, "print every compared file and metric class")
-		bless      = flag.Bool("bless", false, "copy fresh files over the baselines instead of comparing")
-	)
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [-walltol f] [-machinetol f] [-alloctol f] [-v|-bless] <baselineDir> <freshDir>")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its inputs and outputs as parameters so the test can
+// drive the whole command; it returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	verbose := fs.Bool("v", false, "print every compared file")
+	bless := fs.Bool("bless", false, "copy fresh files over the baselines instead of comparing")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	baseDir, freshDir := flag.Arg(0), flag.Arg(1)
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: benchgate [-v|-bless] <baselineDir> <freshDir>")
+		return 2
+	}
+	baseDir, freshDir := fs.Arg(0), fs.Arg(1)
 
 	bases, err := filepath.Glob(filepath.Join(baseDir, "BENCH_*.json"))
 	if err != nil || len(bases) == 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: no BENCH_*.json baselines in %s\n", baseDir)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "benchgate: no BENCH_*.json baselines in %s\n", baseDir)
+		return 2
 	}
 	sort.Strings(bases)
 
-	g := &gate{wallTol: *wallTol, machineTol: *machineTol, allocTol: *allocTol}
+	var g gate
 	for _, basePath := range bases {
 		name := filepath.Base(basePath)
 		freshPath := filepath.Join(freshDir, name)
 		if *bless {
 			if err := copyFile(freshPath, basePath); err != nil {
-				fmt.Fprintf(os.Stderr, "benchgate: bless %s: %v\n", name, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "benchgate: bless %s: %v\n", name, err)
+				return 1
 			}
-			fmt.Printf("blessed %s <- %s\n", basePath, freshPath)
+			fmt.Fprintf(stdout, "blessed %s <- %s\n", basePath, freshPath)
 			continue
 		}
 		base, err := loadJSON(basePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "benchgate: %v\n", err)
+			return 2
 		}
 		fresh, err := loadJSON(freshPath)
 		if err != nil {
@@ -85,35 +79,28 @@ func main() {
 			continue
 		}
 		if *verbose {
-			fmt.Printf("comparing %s\n", name)
+			fmt.Fprintf(stdout, "comparing %s\n", name)
 		}
 		g.compare(name, "$", base, fresh)
 	}
 	if *bless {
-		return
+		return 0
 	}
 
 	if len(g.failures) > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d regression(s) vs committed baselines:\n", len(g.failures))
+		fmt.Fprintf(stderr, "benchgate: %d difference(s) vs committed baselines:\n", len(g.failures))
 		for _, f := range g.failures {
-			fmt.Fprintf(os.Stderr, "  FAIL %s\n", f)
+			fmt.Fprintf(stderr, "  FAIL %s\n", f)
 		}
-		fmt.Fprintln(os.Stderr, "if the change is intended, re-bless with `make bless-bench` and commit the new baselines")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "if the change is intended, re-bless with `make bless-bench` and commit the new baselines")
+		return 1
 	}
-	for _, n := range g.notes {
-		fmt.Printf("  note %s\n", n)
-	}
-	fmt.Printf("benchgate: %d baseline file(s) OK (walltol %.0f%%, machinetol %.0f%%, alloctol %.2g)\n",
-		len(bases), *wallTol*100, *machineTol*100, *allocTol)
+	fmt.Fprintf(stdout, "benchgate: %d baseline file(s) OK (exact)\n", len(bases))
+	return 0
 }
 
 type gate struct {
-	wallTol    float64
-	machineTol float64
-	allocTol   float64
-	failures   []string
-	notes      []string
+	failures []string
 }
 
 func (g *gate) failf(file, path, format string, args ...any) {
@@ -124,39 +111,9 @@ func (g *gate) failf(file, path, format string, args ...any) {
 	g.failures = append(g.failures, loc+": "+fmt.Sprintf(format, args...))
 }
 
-// metric classes, chosen by field name.
-const (
-	exact         = iota // deterministic surface: equality required
-	higherSpeedup        // machine-normalized ratio: fresh >= base*(1-walltol)
-	higherMachine        // raw wall throughput: fresh >= base*(1-machinetol)
-	lowerMachine         // raw wall duration: fresh <= base*(1+machinetol)
-	alloc                // allocation count: fresh <= base + alloctol
-)
-
-// classify maps a JSON field name to its regression rule.
-func classify(key string) int {
-	k := strings.ToLower(key)
-	switch {
-	case strings.Contains(k, "alloc"):
-		return alloc
-	case strings.Contains(k, "speedup"):
-		return higherSpeedup
-	case strings.Contains(k, "per_sec"):
-		return higherMachine
-	case strings.Contains(k, "wall"):
-		return lowerMachine
-	}
-	return exact
-}
-
-// compare walks base and fresh in lockstep. cls is inherited so that a
-// wall-classed object or array (e.g. a "speedup" list) applies the rule
-// to its numeric leaves.
+// compare walks base and fresh in lockstep and records every place the
+// two trees differ.
 func (g *gate) compare(file, path string, base, fresh any) {
-	g.compareClassed(file, path, base, fresh, exact)
-}
-
-func (g *gate) compareClassed(file, path string, base, fresh any, cls int) {
 	switch b := base.(type) {
 	case map[string]any:
 		f, ok := fresh.(map[string]any)
@@ -170,11 +127,7 @@ func (g *gate) compareClassed(file, path string, base, fresh any, cls int) {
 				g.failf(file, path+"."+k, "field present in baseline but missing from fresh output")
 				continue
 			}
-			kcls := cls
-			if c := classify(k); c != exact {
-				kcls = c
-			}
-			g.compareClassed(file, path+"."+k, b[k], fv, kcls)
+			g.compare(file, path+"."+k, b[k], fv)
 		}
 		for _, k := range sortedKeys(f) {
 			if _, ok := b[k]; !ok {
@@ -192,51 +145,13 @@ func (g *gate) compareClassed(file, path string, base, fresh any, cls int) {
 			return
 		}
 		for i := range b {
-			g.compareClassed(file, fmt.Sprintf("%s[%d]", path, i), b[i], f[i], cls)
-		}
-	case float64:
-		fv, ok := fresh.(float64)
-		if !ok {
-			g.failf(file, path, "baseline has a number, fresh has %T", fresh)
-			return
-		}
-		g.compareNumber(file, path, b, fv, cls)
-	default:
-		// strings, bools, nulls: always exact.
-		if base != fresh {
-			g.failf(file, path, "baseline %v != fresh %v (deterministic surface diverged)", base, fresh)
-		}
-	}
-}
-
-func (g *gate) compareNumber(file, path string, base, fresh float64, cls int) {
-	switch cls {
-	case higherSpeedup:
-		if fresh < base*(1-g.wallTol) {
-			g.failf(file, path, "speedup regressed: %.4g -> %.4g (>%.0f%% below baseline)",
-				base, fresh, g.wallTol*100)
-		}
-	case higherMachine:
-		if fresh < base*(1-g.machineTol) {
-			g.failf(file, path, "wall throughput regressed: %.4g -> %.4g (>%.0f%% below baseline)",
-				base, fresh, g.machineTol*100)
-		}
-	case lowerMachine:
-		if fresh > base*(1+g.machineTol) {
-			g.failf(file, path, "wall duration regressed: %.4g -> %.4g (>%.0f%% above baseline)",
-				base, fresh, g.machineTol*100)
-		}
-	case alloc:
-		if fresh > base+g.allocTol {
-			g.failf(file, path, "allocs/op regressed: %.4g -> %.4g (the steady-state core must stay allocation-free)",
-				base, fresh)
-		} else if fresh < base-g.allocTol {
-			g.notes = append(g.notes, fmt.Sprintf("%s %s: allocs improved %.4g -> %.4g (consider re-blessing)",
-				file, path, base, fresh))
+			g.compare(file, fmt.Sprintf("%s[%d]", path, i), b[i], f[i])
 		}
 	default:
+		// Leaves: numbers (kept as their literal text, so 64-bit
+		// sim times compare digit for digit), strings, bools, null.
 		if base != fresh {
-			g.failf(file, path, "deterministic value diverged: baseline %v != fresh %v", base, fresh)
+			g.failf(file, path, "baseline %v (%T) != fresh %v (%T)", base, base, fresh, fresh)
 		}
 	}
 }
@@ -255,8 +170,10 @@ func loadJSON(path string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
 	var v any
-	if err := json.Unmarshal(data, &v); err != nil {
+	if err := dec.Decode(&v); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return v, nil

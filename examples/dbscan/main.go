@@ -48,27 +48,10 @@ func main() {
 		for _, q := range queries {
 			fmt.Println(q.name)
 
-			// The Conv path drains through the row-at-a-time RowIterator
-			// adapter — what a REPL or client cursor would use on top of
-			// the batched executor.
 			exC := db.NewExec(h, d)
 			t0 := h.Now()
-			ri := db.NewRowIterator(exC.NewConvScan(data.Lineitem, q.pred))
-			if err := ri.Open(); err != nil {
-				log.Fatal(err)
-			}
-			var convRows []db.Row
-			for {
-				r, ok, err := ri.Next()
-				if err != nil {
-					log.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				convRows = append(convRows, r.Clone())
-			}
-			if err := ri.Close(); err != nil {
+			convRows, err := db.Collect(exC.NewConvScan(data.Lineitem, q.pred))
+			if err != nil {
 				log.Fatal(err)
 			}
 			exC.FlushCost()

@@ -4,10 +4,10 @@
 //
 // The repository has three families of borrowed memory:
 //
-//   - RowBatch rows: rows carved from a batch (RowBatch.Row, NewRow,
-//     RowIterator.Next) alias the batch's Value arena and are valid
-//     only until the next Reset — equivalently, the next NextBatch call
-//     on the producing operator.
+//   - RowBatch rows: rows carved from a batch (RowBatch.Row, NewRow)
+//     alias the batch's Value arena and are valid only until the next
+//     Reset — equivalently, the next NextBatch call on the producing
+//     operator.
 //   - Arena windows: mem.Block.Bytes and core.Context.Bytes return a
 //     window of the device arena, invalid after Free.
 //   - Streamed scan buffers: the data []byte handed to ScanFile /
@@ -88,11 +88,10 @@ func paramBit(i int) uint64 { return 1 << uint(paramShift+i) }
 // sourceSeeds are the known arena-returning functions; values describe
 // what the result aliases, for diagnostics.
 var sourceSeeds = map[string]string{
-	"biscuit/internal/db.RowBatch.Row":     "batch row",
-	"biscuit/internal/db.RowBatch.NewRow":  "batch row",
-	"biscuit/internal/db.RowIterator.Next": "batch row",
-	"biscuit/internal/mem.Block.Bytes":     "device arena window",
-	"biscuit/internal/core.Context.Bytes":  "device arena window",
+	"biscuit/internal/db.RowBatch.Row":    "batch row",
+	"biscuit/internal/db.RowBatch.NewRow": "batch row",
+	"biscuit/internal/mem.Block.Bytes":    "device arena window",
+	"biscuit/internal/core.Context.Bytes": "device arena window",
 }
 
 // borrowSeeds are the streaming-read functions whose sink callback
@@ -115,11 +114,10 @@ var sanctioned = map[string]bool{
 // ownerTypes implement the arenas themselves; their methods manipulate
 // backing stores by design and are exempt.
 var ownerTypes = map[string]bool{
-	"biscuit/internal/db.RowBatch":    true,
-	"biscuit/internal/db.RowIterator": true,
-	"biscuit/internal/db.Row":         true,
-	"biscuit/internal/mem.Arena":      true,
-	"biscuit/internal/mem.Block":      true,
+	"biscuit/internal/db.RowBatch": true,
+	"biscuit/internal/db.Row":      true,
+	"biscuit/internal/mem.Arena":   true,
+	"biscuit/internal/mem.Block":   true,
 }
 
 // sanitizers are the copy-out escape hatches: calling one of these on

@@ -39,19 +39,3 @@ func (b *RowBatch) Reset() { b.n = 0 }
 
 // Len is the live row count.
 func (b *RowBatch) Len() int { return b.n }
-
-// RowIterator adapts batch production to row-at-a-time pulls.
-type RowIterator struct {
-	b  *RowBatch
-	at int
-}
-
-// Next returns the next row; valid only until the following Next.
-func (ri *RowIterator) Next() (Row, bool, error) {
-	if ri.at >= ri.b.Len() {
-		return nil, false, nil
-	}
-	r := ri.b.Row(ri.at)
-	ri.at++
-	return r, true, nil
-}

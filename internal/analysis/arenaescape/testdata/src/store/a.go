@@ -43,17 +43,6 @@ func send(ch chan []byte, blk mem.Block) error {
 	return nil
 }
 
-// iterate shows taint flowing through a local and an iterator.
-func iterate(c *cache, ri *db.RowIterator) error {
-	for {
-		r, ok, err := ri.Next()
-		if err != nil || !ok {
-			return err
-		}
-		c.last = r // want `arena-backed value stored in field last`
-	}
-}
-
 // crossSource: the taint arrives through retain.First's source fact;
 // this package never sees retain's bodies.
 func crossSource(c *cache, b *db.RowBatch) {

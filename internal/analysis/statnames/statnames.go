@@ -7,7 +7,7 @@
 // greppable and stable; one "FTL-GCDebt" in a hot path silently forks
 // the namespace. The analyzer checks every constant-string key passed
 // to the name-taking methods of biscuit/internal/stats registries and
-// their Prefixed views. Prefix arguments (Prefixed) must be "" or
+// the Prefixed counter views. Prefix arguments (Prefixed) must be "" or
 // dotted segments each ending in "." ("ssd0.", "tenant.acme."), since
 // they concatenate with bare leaf names. Dynamically built names
 // (fmt.Sprintf, name+".suffix") are out of scope — the convention
@@ -32,19 +32,16 @@ const statsPath = "biscuit/internal/stats"
 // nameMethods maps receiver type -> methods whose first argument is a
 // metric name.
 var nameMethods = map[string]map[string]bool{
-	"Counters":           {"Add": true, "Get": true},
-	"Histograms":         {"Observe": true, "H": true, "Get": true},
-	"Gauges":             {"G": true, "Set": true, "Add": true, "Get": true},
-	"PrefixedCounters":   {"Add": true, "Get": true},
-	"PrefixedHistograms": {"Observe": true, "H": true, "Get": true},
-	"PrefixedGauges":     {"G": true, "Set": true, "Add": true, "Get": true},
+	"Counters":         {"Add": true, "Get": true},
+	"Histograms":       {"Observe": true, "H": true, "Get": true},
+	"Gauges":           {"G": true, "Set": true, "Add": true, "Get": true},
+	"PrefixedCounters": {"Add": true, "Get": true},
 }
 
 // prefixReceivers are the types whose Prefixed method takes a prefix
 // (dotted segments, trailing dot) rather than a leaf name.
 var prefixReceivers = map[string]bool{
-	"Counters": true, "Histograms": true, "Gauges": true,
-	"PrefixedCounters": true, "PrefixedGauges": true,
+	"Counters": true, "PrefixedCounters": true,
 }
 
 var (

@@ -12,12 +12,17 @@ import (
 	"biscuit/internal/stats"
 )
 
-// Config sizes the experiments. The paper's datasets (160 GiB TPC-H,
-// 7.8 GiB logs, 20 GiB graph) are scaled down so that discrete-event
-// simulation finishes in seconds; EXPERIMENTS.md records the scales and
-// why ratios survive scaling.
+// Config carries the sizes a caller actually chooses: the preset
+// (DefaultConfig or QuickConfig) and the few TPC-H knobs biscuitbench's
+// flags and the tests override. Everything else — sweep grids, corpus
+// sizes, windows — is a per-preset value owned by the experiment that
+// uses it (see each file's *Sizes function). The paper's datasets
+// (160 GiB TPC-H, 7.8 GiB logs, 20 GiB graph) are scaled down so that
+// discrete-event simulation finishes in seconds; EXPERIMENTS.md records
+// the scales and why ratios survive scaling.
 type Config struct {
-	// TPC-H scale factor for Fig. 8/9 and Fig. 10.
+	// Fig8SF is the TPC-H scale factor for Fig. 8/9, Fig10SF for
+	// Fig. 10.
 	Fig8SF  float64
 	Fig10SF float64
 	// JoinBufferRows is the MariaDB join-buffer size in rows for Fig. 10
@@ -25,102 +30,24 @@ type Config struct {
 	JoinBufferRows int
 	// Fig8Reps is the repetition count behind Fig. 8's error bars.
 	Fig8Reps int
-	// WeblogBytes sizes the Table V corpus.
-	WeblogBytes int64
-	// GraphNodes / Walks / Hops size the Table IV traversal.
-	GraphNodes, Walks, Hops int
-	// Loads is the background-thread sweep of Tables IV and V.
-	Loads []int
-	// FaultIntensities is the fault-curve sweep: multiples of the
-	// moderate background fault plan (0 = fault-free baseline).
-	FaultIntensities []float64
-	// FaultQueries is how many Q6 repetitions each fault-curve point
-	// issues; FaultSF sizes its TPC-H load. FaultWidths sweeps the RAIN
-	// stripe width (0 = the device default, Channels-1).
-	FaultQueries int
-	FaultSF      float64
-	FaultWidths  []int
-	// ServeSF / ServeWindow / ServeLoads / ServeDevices size the
-	// multi-tenant serving-curve grid: each device count is swept over
-	// both scheduling policies at each total offered load.
-	ServeSF      float64
-	ServeWindow  sim.Time
-	ServeLoads   []float64
-	ServeDevices []int
-	// HealSF / HealWindow / HealQPS size the self-healing curve;
-	// HealFracs are die-fail times as window fractions, HealRebuildNs
-	// the rebuild pacings swept (-1 = reconstruct-on-read only), and
-	// HealWeblogBytes the sharded web-log corpus the wlog tenant greps.
-	HealSF          float64
-	HealWindow      sim.Time
-	HealQPS         float64
-	HealFracs       []float64
-	HealRebuildNs   []int64
-	HealWeblogBytes int64
-	// Seed drives all generators.
-	Seed int64
+
+	// quick selects every experiment's reduced sizes.
+	quick bool
 }
+
+// seed drives all generators.
+const seed int64 = 1
 
 // DefaultConfig returns sizes that keep each experiment under roughly a
 // minute of wall time while leaving every table big enough to exercise
 // all 16 channels.
 func DefaultConfig() Config {
-	return Config{
-		Fig8SF:         0.02,
-		Fig10SF:        0.02,
-		JoinBufferRows: 512,
-		Fig8Reps:       10,
-		WeblogBytes:    24 << 20,
-		GraphNodes:     20000,
-		Walks:          50,
-		Hops:           60,
-		Loads:          []int{0, 6, 12, 18, 24},
-
-		FaultIntensities: []float64{0, 1, 4, 16},
-		FaultQueries:     12,
-		FaultSF:          0.004,
-		FaultWidths:      []int{0, 4},
-
-		ServeSF:      0.002,
-		ServeWindow:  250 * sim.Millisecond,
-		ServeLoads:   []float64{150, 700},
-		ServeDevices: []int{1, 2, 4},
-
-		HealSF:          0.002,
-		HealWindow:      250 * sim.Millisecond,
-		HealQPS:         300,
-		HealFracs:       []float64{0.2, 0.6},
-		HealRebuildNs:   []int64{-1, 500_000},
-		HealWeblogBytes: 2 << 20,
-
-		Seed: 1,
-	}
+	return Config{Fig8SF: 0.02, Fig10SF: 0.02, JoinBufferRows: 512, Fig8Reps: 10}
 }
 
 // QuickConfig returns much smaller sizes for unit tests.
 func QuickConfig() Config {
-	c := DefaultConfig()
-	c.Fig8SF = 0.004
-	c.Fig10SF = 0.004
-	c.Fig8Reps = 3
-	c.WeblogBytes = 4 << 20
-	c.GraphNodes = 2000
-	c.Walks = 10
-	c.Hops = 20
-	c.Loads = []int{0, 24}
-	c.FaultIntensities = []float64{0, 2, 16}
-	c.FaultQueries = 4
-	c.FaultSF = 0.002
-	c.FaultWidths = []int{0}
-	c.ServeWindow = 150 * sim.Millisecond
-	c.ServeLoads = []float64{300}
-	c.ServeDevices = []int{1, 2}
-	c.HealWindow = 150 * sim.Millisecond
-	c.HealQPS = 200
-	c.HealFracs = []float64{0.3}
-	c.HealRebuildNs = []int64{-1, 500_000}
-	c.HealWeblogBytes = 1 << 20
-	return c
+	return Config{Fig8SF: 0.004, Fig10SF: 0.004, JoinBufferRows: 512, Fig8Reps: 3, quick: true}
 }
 
 // OnSystem, when non-nil, is invoked on every platform an experiment

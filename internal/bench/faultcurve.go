@@ -31,7 +31,7 @@ import (
 // at 0.9 so the retry machinery still terminates) and add latent
 // sector errors. At intensity >= dieFailIntensity the campaign also
 // kills one die partway through the query phase.
-func faultPlanAt(seed int64, intensity float64) fault.Plan {
+func faultPlanAt(intensity float64) fault.Plan {
 	if intensity == 0 {
 		return fault.Plan{}
 	}
@@ -91,22 +91,36 @@ type FaultCurve struct {
 	Lat []stats.NamedSummary `json:"lat"`
 }
 
-// RunFaultCurve sweeps cfg.FaultIntensities at every RAIN stripe width
-// in cfg.FaultWidths: a narrower stripe pays more parity overhead but
-// shrinks each reconstruction's read fan-in, which the curve makes
-// measurable. Each point builds a fresh platform with the scaled
-// campaign, loads TPC-H at cfg.FaultSF, starts the patrol scrub, and
-// issues Q6 cfg.FaultQueries times.
-func RunFaultCurve(cfg Config) FaultCurve {
-	out := FaultCurve{SF: cfg.FaultSF}
-	widths := cfg.FaultWidths
-	if len(widths) == 0 {
-		widths = []int{0}
+// faultSizes is the fault-curve grid: intensities are multiples of the
+// moderate background fault plan (0 = fault-free baseline), widths the
+// RAIN stripe widths swept (0 = the device default, Channels-1), queries
+// the Q6 repetitions per point and sf the TPC-H load.
+type faultSizes struct {
+	intensities []float64
+	widths      []int
+	queries     int
+	sf          float64
+}
+
+func (c Config) faultSizes() faultSizes {
+	if c.quick {
+		return faultSizes{intensities: []float64{0, 2, 16}, widths: []int{0}, queries: 4, sf: 0.002}
 	}
+	return faultSizes{intensities: []float64{0, 1, 4, 16}, widths: []int{0, 4}, queries: 12, sf: 0.004}
+}
+
+// RunFaultCurve sweeps the intensities at every RAIN stripe width: a
+// narrower stripe pays more parity overhead but shrinks each
+// reconstruction's read fan-in, which the curve makes measurable. Each
+// point builds a fresh platform with the scaled campaign, loads TPC-H,
+// starts the patrol scrub, and issues Q6 sz.queries times.
+func RunFaultCurve(cfg Config) FaultCurve {
+	sz := cfg.faultSizes()
+	out := FaultCurve{SF: sz.sf}
 	var last *biscuit.System
-	for _, width := range widths {
-		for _, intensity := range cfg.FaultIntensities {
-			pt := runFaultPoint(cfg, intensity, width, &last)
+	for _, width := range sz.widths {
+		for _, intensity := range sz.intensities {
+			pt := runFaultPoint(sz, intensity, width, &last)
 			out.Points = append(out.Points, pt)
 		}
 	}
@@ -116,8 +130,8 @@ func RunFaultCurve(cfg Config) FaultCurve {
 	return out
 }
 
-func runFaultPoint(cfg Config, intensity float64, width int, last **biscuit.System) FaultCurvePoint {
-	plan := faultPlanAt(cfg.Seed, intensity)
+func runFaultPoint(sz faultSizes, intensity float64, width int, last **biscuit.System) FaultCurvePoint {
+	plan := faultPlanAt(intensity)
 	scfg := biscuit.DefaultConfig()
 	scfg.NAND.BlocksPerDie = 256
 	scfg.NAND.PagesPerBlock = 64
@@ -138,7 +152,7 @@ func runFaultPoint(cfg Config, intensity float64, width int, last **biscuit.Syst
 	var data *tpch.Data
 	sys.Run(func(h *biscuit.Host) {
 		var err error
-		data, err = tpch.Gen{SF: cfg.FaultSF}.Load(h, d, biscuit.SeededRand(cfg.Seed))
+		data, err = tpch.Gen{SF: sz.sf}.Load(h, d, biscuit.SeededRand(seed))
 		if err != nil {
 			panic(fmt.Sprintf("bench: faultcurve load at intensity %g: %v", intensity, err))
 		}
@@ -153,7 +167,7 @@ func runFaultPoint(cfg Config, intensity float64, width int, last **biscuit.Syst
 			plat.Inj.FailDie(1)
 			pt.DieFailed = true
 		}
-		for i := 0; i < cfg.FaultQueries; i++ {
+		for i := 0; i < sz.queries; i++ {
 			pt.Issued++
 			took, reran, err := runQ6Ladder(h, data)
 			if err != nil {

@@ -4,9 +4,10 @@ import "testing"
 
 func TestFaultCurveQuick(t *testing.T) {
 	cfg := QuickConfig()
+	sz := cfg.faultSizes()
 	fc := RunFaultCurve(cfg)
-	if len(fc.Points) != len(cfg.FaultIntensities) {
-		t.Fatalf("got %d points, want %d", len(fc.Points), len(cfg.FaultIntensities))
+	if len(fc.Points) != len(sz.intensities) {
+		t.Fatalf("got %d points, want %d", len(fc.Points), len(sz.intensities))
 	}
 	base := fc.Points[0]
 	if base.Intensity != 0 || base.Plan != "" {
@@ -16,8 +17,8 @@ func TestFaultCurveQuick(t *testing.T) {
 		t.Fatalf("fault-free point shows fault activity: %+v", base)
 	}
 	for i, pt := range fc.Points {
-		if pt.Issued != cfg.FaultQueries || pt.OK > pt.Issued {
-			t.Fatalf("point %d issued %d queries, want %d", i, pt.Issued, cfg.FaultQueries)
+		if pt.Issued != sz.queries || pt.OK > pt.Issued {
+			t.Fatalf("point %d issued %d queries, want %d", i, pt.Issued, sz.queries)
 		}
 		if pt.Availability == 0 {
 			t.Fatalf("point %d answered nothing — the ladder is broken: %+v", i, pt)

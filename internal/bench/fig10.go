@@ -46,7 +46,7 @@ func RunFig10(cfg Config) Fig10 {
 	var data *tpch.Data
 	sys.Run(func(h *biscuit.Host) {
 		var err error
-		data, err = tpch.Gen{SF: cfg.Fig10SF}.Load(h, d, biscuit.SeededRand(cfg.Seed))
+		data, err = tpch.Gen{SF: cfg.Fig10SF}.Load(h, d, biscuit.SeededRand(seed))
 		if err != nil {
 			panic(err)
 		}

@@ -105,12 +105,12 @@ func RunFig8(cfg Config) Fig8 {
 	var data *tpch.Data
 	sys.Run(func(h *biscuit.Host) {
 		var err error
-		data, err = tpch.Gen{SF: cfg.Fig8SF}.Load(h, d, biscuit.SeededRand(cfg.Seed))
+		data, err = tpch.Gen{SF: cfg.Fig8SF}.Load(h, d, biscuit.SeededRand(seed))
 		if err != nil {
 			panic(err)
 		}
 	})
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	sys.Run(func(h *biscuit.Host) {
 		plat := h.System().Plat
 		run := func(query int, offload bool) Fig8Series {

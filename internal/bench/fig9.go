@@ -34,7 +34,7 @@ func RunFig9(cfg Config) Fig9 {
 		var data *tpch.Data
 		sys.Run(func(h *biscuit.Host) {
 			var err error
-			data, err = tpch.Gen{SF: cfg.Fig8SF}.Load(h, d, biscuit.SeededRand(cfg.Seed))
+			data, err = tpch.Gen{SF: cfg.Fig8SF}.Load(h, d, biscuit.SeededRand(seed))
 			if err != nil {
 				panic(err)
 			}

@@ -57,16 +57,41 @@ type HealCurve struct {
 	Points   []HealPoint `json:"points"`
 }
 
+// healSF is the TPC-H scale factor shard-loaded across the two devices.
+const healSF = 0.002
+
+// healRebuildNs are the rebuild pacings swept: -1 = reconstruct-on-read
+// only, 500µs = the proactive-rebuild fiber.
+var healRebuildNs = []int64{-1, 500_000}
+
+// healSizes is the healing grid: fracs are die-fail times as window
+// fractions, qps the total offered load and weblogBytes the sharded
+// web-log corpus the wlog tenant greps.
+type healSizes struct {
+	window      sim.Time
+	qps         float64
+	fracs       []float64
+	weblogBytes int64
+}
+
+func (c Config) healSizes() healSizes {
+	if c.quick {
+		return healSizes{window: 150 * sim.Millisecond, qps: 200, fracs: []float64{0.3}, weblogBytes: 1 << 20}
+	}
+	return healSizes{window: 250 * sim.Millisecond, qps: 300, fracs: []float64{0.2, 0.6}, weblogBytes: 2 << 20}
+}
+
 // RunHealCurve sweeps fail time × rebuild pacing × migration. The
 // fault-free reference runs once; every fail fraction then runs the
 // four healing modes (neither, rebuild only, migrate only, both).
 func RunHealCurve(cfg Config) HealCurve {
-	out := HealCurve{SF: cfg.HealSF, WindowNs: int64(cfg.HealWindow)}
-	out.Points = append(out.Points, runHealPoint(cfg, 0, -1, false))
-	for _, frac := range cfg.HealFracs {
-		for _, rb := range cfg.HealRebuildNs {
+	sz := cfg.healSizes()
+	out := HealCurve{SF: healSF, WindowNs: int64(sz.window)}
+	out.Points = append(out.Points, runHealPoint(sz, 0, -1, false))
+	for _, frac := range sz.fracs {
+		for _, rb := range healRebuildNs {
 			for _, mig := range []bool{false, true} {
-				out.Points = append(out.Points, runHealPoint(cfg, frac, rb, mig))
+				out.Points = append(out.Points, runHealPoint(sz, frac, rb, mig))
 			}
 		}
 	}
@@ -77,25 +102,25 @@ func RunHealCurve(cfg Config) HealCurve {
 // devices, "bolt" (point lookup) is pinned to the healthy device — the
 // clean tenant whose digest must not move — and "wisp" greps the
 // sharded web-log corpus through the pattern matcher.
-func runHealPoint(cfg Config, frac float64, rebuildNs int64, migrate bool) HealPoint {
+func runHealPoint(sz healSizes, frac float64, rebuildNs int64, migrate bool) HealPoint {
 	hcfg := serve.Config{
-		SF:           cfg.HealSF,
+		SF:           healSF,
 		Devices:      2,
 		Policy:       "wfq",
-		Window:       cfg.HealWindow,
-		Seed:         cfg.Seed,
+		Window:       sz.window,
+		Seed:         seed,
 		Heal:         true,
 		Migrate:      migrate,
 		RebuildEvery: sim.Time(rebuildNs),
-		WeblogBytes:  cfg.HealWeblogBytes,
+		WeblogBytes:  sz.weblogBytes,
 		Tenants: []serve.TenantConfig{
-			{Name: "acme", Workload: "q6", RateQPS: 0.5 * cfg.HealQPS, Weight: 2, SLO: 50 * sim.Millisecond},
-			{Name: "bolt", Workload: "qpoint", RateQPS: 0.3 * cfg.HealQPS, SLO: 25 * sim.Millisecond, Devices: []int{1}},
-			{Name: "wisp", Workload: "wlog", RateQPS: 0.2 * cfg.HealQPS, SLO: 100 * sim.Millisecond},
+			{Name: "acme", Workload: "q6", RateQPS: 0.5 * sz.qps, Weight: 2, SLO: 50 * sim.Millisecond},
+			{Name: "bolt", Workload: "qpoint", RateQPS: 0.3 * sz.qps, SLO: 25 * sim.Millisecond, Devices: []int{1}},
+			{Name: "wisp", Workload: "wlog", RateQPS: 0.2 * sz.qps, SLO: 100 * sim.Millisecond},
 		},
 	}
 	if frac > 0 {
-		hcfg.FailAt = sim.Time(frac * float64(cfg.HealWindow))
+		hcfg.FailAt = sim.Time(frac * float64(sz.window))
 		hcfg.FailDevice = 0
 		hcfg.FailDie = 1
 	}

@@ -35,6 +35,24 @@ type ServeCurve struct {
 // layer counterpart of OnSystem.
 var OnServer func(*serve.Server)
 
+// serveSF is the TPC-H scale factor shard-loaded across the array.
+const serveSF = 0.002
+
+// serveSizes is the serving-curve grid: each device count is swept over
+// both scheduling policies at each total offered load (qps).
+type serveSizes struct {
+	window  sim.Time
+	loads   []float64
+	devices []int
+}
+
+func (c Config) serveSizes() serveSizes {
+	if c.quick {
+		return serveSizes{window: 150 * sim.Millisecond, loads: []float64{300}, devices: []int{1, 2}}
+	}
+	return serveSizes{window: 250 * sim.Millisecond, loads: []float64{150, 700}, devices: []int{1, 2, 4}}
+}
+
 // RunServeCurve sweeps the serving grid. Each point builds a fresh
 // shard-loaded array and serves one window with two tenants: "acme"
 // (TPC-H Q6, weight 2, 50ms SLO) and "bolt" (point lookup, weight 1,
@@ -42,15 +60,16 @@ var OnServer func(*serve.Server)
 // one overloads it so admission control and the policies' differing
 // miss profiles show in the curve.
 func RunServeCurve(cfg Config) ServeCurve {
-	out := ServeCurve{SF: cfg.ServeSF, WindowNs: int64(cfg.ServeWindow)}
-	for _, devices := range cfg.ServeDevices {
+	sz := cfg.serveSizes()
+	out := ServeCurve{SF: serveSF, WindowNs: int64(sz.window)}
+	for _, devices := range sz.devices {
 		for _, policy := range []string{"wfq", "edf"} {
-			for _, qps := range cfg.ServeLoads {
+			for _, qps := range sz.loads {
 				out.Points = append(out.Points, ServePoint{
 					Devices:    devices,
 					Policy:     policy,
 					OfferedQPS: qps,
-					Report:     runServePoint(cfg, devices, policy, qps),
+					Report:     runServePoint(sz, devices, policy, qps),
 				})
 			}
 		}
@@ -58,13 +77,13 @@ func RunServeCurve(cfg Config) ServeCurve {
 	return out
 }
 
-func runServePoint(cfg Config, devices int, policy string, qps float64) *serve.Report {
+func runServePoint(sz serveSizes, devices int, policy string, qps float64) *serve.Report {
 	s, err := serve.New(serve.Config{
-		SF:      cfg.ServeSF,
+		SF:      serveSF,
 		Devices: devices,
 		Policy:  policy,
-		Window:  cfg.ServeWindow,
-		Seed:    cfg.Seed,
+		Window:  sz.window,
+		Seed:    seed,
 		Tenants: []serve.TenantConfig{
 			{Name: "acme", Workload: "q6", RateQPS: 0.4 * qps, Weight: 2, SLO: 50 * sim.Millisecond},
 			{Name: "bolt", Workload: "qpoint", RateQPS: 0.6 * qps, SLO: 25 * sim.Millisecond},

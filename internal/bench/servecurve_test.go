@@ -4,8 +4,9 @@ import "testing"
 
 func TestServeCurveQuick(t *testing.T) {
 	cfg := QuickConfig()
+	sz := cfg.serveSizes()
 	sc := RunServeCurve(cfg)
-	wantPoints := len(cfg.ServeDevices) * 2 * len(cfg.ServeLoads)
+	wantPoints := len(sz.devices) * 2 * len(sz.loads)
 	if len(sc.Points) != wantPoints {
 		t.Fatalf("got %d points, want %d", len(sc.Points), wantPoints)
 	}

@@ -273,53 +273,3 @@ func (b *RowBatch) FinishStrings() {
 	b.fix = b.fix[:0]
 	b.str = b.str[:0]
 }
-
-// RowIterator adapts a batched Iterator back to row-at-a-time pulls —
-// the thin shim kept at top-level result drains so external callers
-// see the familiar contract and unchanged output order. The returned
-// row is valid until the Next call that crosses a batch boundary;
-// Clone to retain.
-type RowIterator struct {
-	It Iterator
-
-	b  *RowBatch
-	at int
-}
-
-// NewRowIterator wraps a batched iterator.
-func NewRowIterator(it Iterator) *RowIterator { return &RowIterator{It: it} }
-
-// Open opens the underlying iterator.
-func (ri *RowIterator) Open() error {
-	ri.b = NewRowBatch(batchCapOf(ri.It))
-	ri.at = 0
-	return ri.It.Open()
-}
-
-// Next returns the next row in pipeline order.
-func (ri *RowIterator) Next() (Row, bool, error) {
-	if ri.b == nil {
-		ri.b = NewRowBatch(batchCapOf(ri.It))
-	}
-	for {
-		if ri.at < ri.b.Len() {
-			r := ri.b.Row(ri.at)
-			ri.at++
-			return r, true, nil
-		}
-		n, err := ri.It.NextBatch(ri.b)
-		if err != nil {
-			return nil, false, err
-		}
-		if n == 0 {
-			return nil, false, nil
-		}
-		ri.at = 0
-	}
-}
-
-// Close closes the underlying iterator.
-func (ri *RowIterator) Close() error { return ri.It.Close() }
-
-// Schema passes through.
-func (ri *RowIterator) Schema() *Schema { return ri.It.Schema() }

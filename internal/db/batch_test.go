@@ -224,38 +224,3 @@ func TestScanCountersMirroredOnPlatformRegistry(t *testing.T) {
 		}
 	})
 }
-
-// TestRowIteratorDrain pins the compatibility adapter kept at top-level
-// result drains: row-at-a-time pulls see the same rows in the same
-// order as Collect.
-func TestRowIteratorDrain(t *testing.T) {
-	sys := quickSys()
-	d := Open(sys)
-	sys.Run(func(h *biscuit.Host) {
-		tab := loadFixture(t, h, d, 300, 50)
-		ex := NewExec(h, d)
-		want, err := Collect(ex.NewConvScan(tab, EqS(tab.Sch, "note", "TARGETKEY")))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ri := NewRowIterator(ex.NewConvScan(tab, EqS(tab.Sch, "note", "TARGETKEY")))
-		if err := ri.Open(); err != nil {
-			t.Fatal(err)
-		}
-		var got []Row
-		for {
-			r, ok, err := ri.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, r.Clone())
-		}
-		if err := ri.Close(); err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, got, want)
-	})
-}

@@ -40,6 +40,14 @@ const DefaultSLO = 250 * sim.Millisecond
 // DefaultQueueCap bounds each tenant's admission queue.
 const DefaultQueueCap = 32
 
+// maxInFlightPerDevice bounds concurrently dispatched queries per
+// device of the array; scrubEvery paces the patrol-scrub fiber under
+// Heal.
+const (
+	maxInFlightPerDevice = 2
+	scrubEvery           = 2 * sim.Millisecond
+)
+
 // TenantConfig describes one tenant of the serving window.
 type TenantConfig struct {
 	// Name labels the tenant's counters ("tenant.<name>."), histograms
@@ -81,9 +89,6 @@ type Config struct {
 	// Window is the arrival window; the server drains all admitted
 	// queries after it closes.
 	Window sim.Time
-	// MaxInFlight bounds concurrently dispatched queries (default
-	// 2×Devices).
-	MaxInFlight int
 	// Seed drives arrivals, data generation and per-shard planner
 	// sampling.
 	Seed int64
@@ -103,11 +108,6 @@ type Config struct {
 	// slots to the successor device when the monitor marks a device
 	// Degraded or worse.
 	Migrate bool
-	// HealthInterval overrides the monitor's evaluation tick (default
-	// health.DefaultConfig().Interval).
-	HealthInterval sim.Time
-	// ScrubEvery paces the patrol-scrub fiber under Heal (default 2ms).
-	ScrubEvery sim.Time
 	// RebuildEvery paces the proactive-rebuild fiber under Heal: 0
 	// selects the 500µs default, < 0 disables proactive rebuild so dead
 	// dies are repaired only by reconstruct-on-read and scrub — the
@@ -158,7 +158,7 @@ type Server struct {
 	total     int
 	virt      float64 // WFQ global virtual time
 
-	dispatchHash hash64
+	dispatchHash stats.Digest
 	dispatchSeq  []string // per-dispatch "tenant:seq", for determinism tests
 
 	migrations        []MigrationRecord
@@ -175,19 +175,6 @@ type MigrationRecord struct {
 	ToDev    int    `json:"to_dev"`
 	AtNs     int64  `json:"at_ns"`
 	AfterSeq int    `json:"after_seq"` // dispatches issued before the cutover
-}
-
-// hash64 is the running FNV-1a digest the reports embed.
-type hash64 struct{ h uint64 }
-
-func newHash64() hash64 { return hash64{h: 14695981039346656037} }
-func (d *hash64) write(s string) {
-	for i := 0; i < len(s); i++ {
-		d.h ^= uint64(s[i])
-		d.h *= 1099511628211
-	}
-	d.h ^= 0xff // record separator
-	d.h *= 1099511628211
 }
 
 type request struct {
@@ -225,7 +212,7 @@ type tenant struct {
 	lat      *stats.Histogram
 	gBacklog *stats.Gauge
 	track    trace.TrackID
-	rows     hash64
+	rows     stats.Digest
 
 	admitted, rejected, completed, misses int
 }
@@ -243,9 +230,6 @@ func New(cfg Config) (*Server, error) {
 	base := defaultBase()
 	if cfg.Base != nil {
 		base = *cfg.Base
-	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 2 * cfg.Devices
 	}
 	pol, err := newPolicy(cfg.Policy)
 	if err != nil {
@@ -329,11 +313,7 @@ func New(cfg Config) (*Server, error) {
 // buildMonitor attaches every device's gauge/counter stack to a fresh
 // health monitor and routes its transitions into the scheduler.
 func (s *Server) buildMonitor() {
-	hcfg := health.DefaultConfig()
-	if s.Cfg.HealthInterval > 0 {
-		hcfg.Interval = s.Cfg.HealthInterval
-	}
-	s.Monitor = health.NewMonitor(s.MS.Env, hcfg)
+	s.Monitor = health.NewMonitor(s.MS.Env, health.DefaultConfig())
 	for i, sys := range s.MS.Systems {
 		arr := sys.Plat.Array
 		dies := sys.Plat.Cfg.NAND.Dies()
@@ -443,7 +423,6 @@ func (s *Server) buildTenants() error {
 			ctrs:     s.Ctrs.Prefixed("tenant." + tc.Name + "."),
 			lat:      s.Hists.H("tenant." + tc.Name + ".sojourn_ns"),
 			gBacklog: s.Gauges.G("tenant." + tc.Name + ".backlog"),
-			rows:     newHash64(),
 		}
 		t.shardDev = append([]int(nil), devs...)
 		t.shardRepl = make([]bool, len(devs))
@@ -496,18 +475,13 @@ func (s *Server) EnableTelemetry(interval sim.Time) *telemetry.Sampler {
 // Run executes the serving window to drain and reports it. Run
 // consumes the server: build a fresh one per window.
 func (s *Server) Run() *Report {
-	s.dispatchHash = newHash64()
 	if s.Cfg.Heal {
-		scrub := s.Cfg.ScrubEvery
-		if scrub <= 0 {
-			scrub = 2 * sim.Millisecond
-		}
 		rebuild := s.Cfg.RebuildEvery
 		if rebuild == 0 {
 			rebuild = 500 * sim.Microsecond
 		}
 		for _, sys := range s.MS.Systems {
-			sys.Plat.StartScrub(scrub)
+			sys.Plat.StartScrub(scrubEvery)
 			if rebuild > 0 {
 				sys.Plat.StartRebuild(rebuild)
 			}
@@ -587,7 +561,7 @@ func (s *Server) dispatchLoop(h *biscuit.MultiHost) {
 				s.cutover(p, t)
 			}
 		}
-		for s.inFlight < s.Cfg.MaxInFlight {
+		for s.inFlight < maxInFlightPerDevice*s.Cfg.Devices {
 			ti := checkedPick(s.policy, s)
 			if ti < 0 {
 				break
@@ -644,7 +618,7 @@ func (s *Server) dispatch(h *biscuit.MultiHost, req *request) {
 	t.inflight++
 	s.gInflight.Add(1)
 	tag := fmt.Sprintf("%s:%d", t.cfg.Name, req.seq)
-	s.dispatchHash.write(tag)
+	s.dispatchHash.AddRecord(tag)
 	s.dispatchSeq = append(s.dispatchSeq, tag)
 	s.tr.Instant(s.schedTk, "dispatch").ArgStr("tenant", t.cfg.Name).Arg("seq", int64(req.seq))
 	h.Go(fmt.Sprintf("q.%s.%d", t.cfg.Name, req.seq), func(h2 *biscuit.MultiHost) {
@@ -656,12 +630,12 @@ func (s *Server) dispatch(h *biscuit.MultiHost, req *request) {
 		if err != nil {
 			t.errors++
 			t.ctrs.Add("errors", 1)
-			t.rows.write("error:" + err.Error())
+			t.rows.AddRecord("error:" + err.Error())
 		} else {
 			t.ctrs.Add("rows", int64(len(rows)))
 			for _, r := range rows {
 				for _, v := range r {
-					t.rows.write(v.String())
+					t.rows.AddRecord(v.String())
 				}
 			}
 		}
@@ -787,7 +761,7 @@ func (s *Server) report(took sim.Time) *Report {
 		DurationNs:     int64(took),
 		Completed:      s.completed,
 		Rejected:       s.rejected,
-		DispatchDigest: s.dispatchHash.h,
+		DispatchDigest: s.dispatchHash.Sum64(),
 		DispatchOrder:  s.dispatchSeq,
 	}
 	rep.Migrations = s.migrations
@@ -816,7 +790,7 @@ func (s *Server) report(took sim.Time) *Report {
 			Migrations:     t.migrations,
 			SLONs:          int64(t.cfg.SLO),
 			Lat:            t.lat.Summary(),
-			RowDigest:      t.rows.h,
+			RowDigest:      t.rows.Sum64(),
 		}
 		if took > 0 {
 			tr.ThroughputQPS = float64(t.completed) / took.Seconds()

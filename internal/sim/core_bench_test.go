@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkSimCore is the DES-core microbench family behind the
-// committed BENCH_simcore.json baseline (see internal/bench/simcore.go
-// and cmd/benchgate). Run with -benchmem: the steady-state sub-benches
-// must report 0 allocs/op.
+// BenchmarkSimCore is the DES-core microbench family (`make
+// benchsmoke` keeps it building; benchmark/ holds the gated wall-clock
+// rows). Run with -benchmem: the steady-state sub-benches must report
+// 0 allocs/op.
 
 // BenchmarkSimCore/hold-N: the classic hold model (pop-advance-push at
 // constant queue depth N) on the production 4-ary index heap.
@@ -63,7 +63,7 @@ func benchHold(b *testing.B, pending int) {
 // BenchmarkSimCoreRef runs the hold model on the retained
 // container/heap reference queue — the pre-optimization core. The
 // ratio BenchmarkSimCore/hold-N ÷ BenchmarkSimCoreRef/hold-N is the
-// queue-swap speedup the bench gate tracks as speedup_vs_ref.
+// machine-normalized speedup of the queue swap.
 func BenchmarkSimCoreRef(b *testing.B) {
 	for _, pending := range []int{64, 1024, 8192} {
 		pending := pending

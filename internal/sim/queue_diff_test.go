@@ -77,7 +77,7 @@ func TestQueueDifferential(t *testing.T) {
 }
 
 // TestHoldMatchesReference pins the hold-model drivers (the benchmark
-// workload behind BenchmarkSimCore and BENCH_simcore.json) to each
+// workload behind BenchmarkSimCore and BenchmarkSimCoreRef) to each
 // other: same events, same final time, same pop-order checksum.
 func TestHoldMatchesReference(t *testing.T) {
 	for _, tc := range []struct{ pending, ops int }{

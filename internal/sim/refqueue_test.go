@@ -4,16 +4,16 @@ import "container/heap"
 
 // refQueue is the retained pre-optimization event queue: a binary
 // container/heap of heap-boxed *refEvent nodes, exactly as Env used
-// before the flat 4-ary index heap replaced it. It is kept (not
-// deleted) on purpose, as the oracle the production queue is checked
-// against:
+// before the flat 4-ary index heap replaced it. It lives in a test file
+// because it is the oracle the production queue is checked against and
+// nothing else:
 //
 //   - the differential property test and FuzzEventOrder drive both
 //     queues with identical workloads and assert identical pop order;
-//   - Hold/HoldRef run the same hold-model workload on both so
-//     BenchmarkSimCore and the simcore bench experiment report a
-//     machine-normalized speedup (new events/sec ÷ ref events/sec),
-//     which cmd/benchgate gates against the committed baseline.
+//   - Hold/HoldRef run the same hold-model workload on both, so
+//     TestHoldMatchesReference pins their pop-order checksums to each
+//     other and BenchmarkSimCore ÷ BenchmarkSimCoreRef reads as a
+//     machine-normalized speedup of the queue swap.
 //
 // Because (at, seq) is a strict total order, both queues must pop in
 // exactly the same sequence; any divergence is a heap bug, never a

@@ -147,48 +147,3 @@ func (gs *Gauges) Snapshot() []NamedGauge {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// PrefixedGauges is the Gauges sibling of PrefixedCounters: a view that
-// prepends a fixed prefix (conventionally ending in ".") to every
-// name. A view of a nil registry is usable and inert.
-type PrefixedGauges struct {
-	gs     *Gauges
-	prefix string
-}
-
-// Prefixed returns a view of gs under prefix. Views nest by
-// concatenation, like PrefixedCounters.
-func (gs *Gauges) Prefixed(prefix string) *PrefixedGauges {
-	return &PrefixedGauges{gs: gs, prefix: prefix}
-}
-
-// Prefixed derives a nested view.
-func (p *PrefixedGauges) Prefixed(prefix string) *PrefixedGauges {
-	if p == nil {
-		return &PrefixedGauges{prefix: prefix}
-	}
-	return &PrefixedGauges{gs: p.gs, prefix: p.prefix + prefix}
-}
-
-// G returns the gauge registered under prefix+name (nil on a nil view
-// or registry).
-func (p *PrefixedGauges) G(name string) *Gauge {
-	if p == nil {
-		return nil
-	}
-	return p.gs.G(p.prefix + name)
-}
-
-// Set replaces prefix+name's level.
-func (p *PrefixedGauges) Set(name string, v int64) { p.G(name).Set(v) }
-
-// Add moves prefix+name's level by d.
-func (p *PrefixedGauges) Add(name string, d int64) { p.G(name).Add(d) }
-
-// Get reports prefix+name's level.
-func (p *PrefixedGauges) Get(name string) int64 {
-	if p == nil {
-		return 0
-	}
-	return p.gs.Get(p.prefix + name)
-}

@@ -106,38 +106,6 @@ func TestGaugeNilSafety(t *testing.T) {
 	if gs.Len() != 0 || gs.Get("x") != 0 || gs.Snapshot() != nil {
 		t.Fatalf("nil registry not inert")
 	}
-	var pg *PrefixedGauges
-	pg.Set("x", 1)
-	pg.Add("x", 1)
-	if pg.Get("x") != 0 || pg.G("x") != nil {
-		t.Fatalf("nil prefixed view not inert")
-	}
-	if pg.Prefixed("y.").Get("z") != 0 {
-		t.Fatalf("view derived from nil view not inert")
-	}
-}
-
-func TestPrefixedGauges(t *testing.T) {
-	gs := NewGauges()
-	pv := gs.Prefixed("ssd0.")
-	pv.Set("hostif.qd", 3)
-	if got := gs.Get("ssd0.hostif.qd"); got != 3 {
-		t.Fatalf("prefixed Set landed at %d, want 3", got)
-	}
-	nested := pv.Prefixed("ch0.")
-	nested.Add("busy", 2)
-	if got := gs.Get("ssd0.ch0.busy"); got != 2 {
-		t.Fatalf("nested prefix = %d, want 2", got)
-	}
-	if got := pv.Get("hostif.qd"); got != 3 {
-		t.Fatalf("prefixed Get = %d, want 3", got)
-	}
-	// A view of a nil registry is usable and inert.
-	inert := (*Gauges)(nil).Prefixed("x.")
-	inert.Set("y", 1)
-	if inert.Get("y") != 0 {
-		t.Fatalf("view of nil registry not inert")
-	}
 }
 
 // TestGaugeDisabledAllocs pins the disabled path: both a nil gauge

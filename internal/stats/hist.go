@@ -241,41 +241,3 @@ func (hs *Histograms) Snapshot() []NamedSummary {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// PrefixedHistograms is the Histograms sibling of PrefixedCounters: a
-// view that prepends a fixed prefix to every histogram name, giving
-// each tenant of a shared registry its own namespace.
-type PrefixedHistograms struct {
-	hs     *Histograms
-	prefix string
-}
-
-// Prefixed returns a view of hs under prefix.
-func (hs *Histograms) Prefixed(prefix string) *PrefixedHistograms {
-	return &PrefixedHistograms{hs: hs, prefix: prefix}
-}
-
-// Observe records one sample into prefix+name.
-func (p *PrefixedHistograms) Observe(name string, v int64) {
-	if p == nil {
-		return
-	}
-	p.hs.Observe(p.prefix+name, v)
-}
-
-// H returns the histogram registered under prefix+name, creating it if
-// needed (nil on a nil view or registry).
-func (p *PrefixedHistograms) H(name string) *Histogram {
-	if p == nil {
-		return nil
-	}
-	return p.hs.H(p.prefix + name)
-}
-
-// Get returns the histogram under prefix+name, or nil.
-func (p *PrefixedHistograms) Get(name string) *Histogram {
-	if p == nil {
-		return nil
-	}
-	return p.hs.Get(p.prefix + name)
-}

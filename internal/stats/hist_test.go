@@ -142,27 +142,3 @@ func TestHistogramRecordNoAllocs(t *testing.T) {
 		t.Fatalf("Record allocates %v allocs/op, want 0", allocs)
 	}
 }
-
-func TestPrefixedHistograms(t *testing.T) {
-	hs := NewHistograms()
-	tenant := hs.Prefixed("tenant.acme.")
-	tenant.Observe("latency", 100)
-	tenant.H("latency").Record(300)
-	if got := hs.Get("tenant.acme.latency").Count(); got != 2 {
-		t.Fatalf("prefixed observations landed at count %d, want 2", got)
-	}
-	if tenant.Get("latency") != hs.Get("tenant.acme.latency") {
-		t.Fatal("prefixed Get must resolve the same histogram")
-	}
-	var nilHS *Histograms
-	v := nilHS.Prefixed("x.")
-	v.Observe("y", 1)
-	if v.H("y") != nil || v.Get("y") != nil {
-		t.Fatal("view of nil registry must stay nil")
-	}
-	var nilView *PrefixedHistograms
-	nilView.Observe("z", 1)
-	if nilView.H("z") != nil || nilView.Get("z") != nil {
-		t.Fatal("nil view must be inert")
-	}
-}

@@ -160,8 +160,7 @@ func (s *Sampler) Series() []Series {
 
 // SeriesSummary is the per-series digest embedded in BENCH_*.json. All
 // fields are deterministic per seed, so the bench gate compares them
-// exactly (the names deliberately avoid the substrings that select
-// benchgate's tolerance rules).
+// exactly.
 type SeriesSummary struct {
 	Name       string `json:"name"`
 	Samples    int    `json:"samples"`
@@ -189,7 +188,7 @@ func (s *Sampler) Summaries() []SeriesSummary {
 
 func summarize(name string, interval int64, samples []int64) SeriesSummary {
 	sum := SeriesSummary{Name: name, Samples: len(samples), IntervalNs: interval}
-	h := uint64(14695981039346656037)
+	var h stats.Digest
 	var total int64
 	for i, v := range samples {
 		if i == 0 || v < sum.Min {
@@ -199,15 +198,12 @@ func summarize(name string, interval int64, samples []int64) SeriesSummary {
 			sum.Max = v
 		}
 		total += v
-		for b := 0; b < 64; b += 8 {
-			h ^= uint64(v>>b) & 0xff
-			h *= 1099511628211
-		}
+		h.AddInt64(v)
 	}
 	if len(samples) > 0 {
 		sum.Mean = total / int64(len(samples))
 	}
-	sum.Digest = fmt.Sprintf("%016x", h)
+	sum.Digest = fmt.Sprintf("%016x", h.Sum64())
 	return sum
 }
 
