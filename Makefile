@@ -4,10 +4,12 @@ GO ?= go
 VETTOOL := bin/biscuitvet
 
 # Tier-1 packages: the deterministic kernel the rest of the repo
-# depends on (see ROADMAP.md). `make race` runs them under the race
-# detector; sim's cooperative scheduler makes races here the most
-# dangerous kind.
-TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/...
+# depends on (see ROADMAP.md) plus the scan path from a NAND sense to a
+# host RowBatch. `make race` runs them under the race detector; sim's
+# cooperative scheduler makes races here the most dangerous kind.
+TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/... \
+	./internal/nand/... ./internal/ftl/... ./internal/isfs/... \
+	./internal/db/... ./internal/match/...
 
 .PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healtest benchsmoke benchgate bless-bench tracesmoke telemetrysmoke clean
 
@@ -29,34 +31,31 @@ race:
 # pipeline stays schedule-independent.
 racefault:
 	$(GO) test -race -count=2 ./internal/fault/...
-	$(GO) test -race -run $(FAULTRUN) $(FAULTPKGS)
+	$(GO) test -race $(FAULTPKGS)
 	$(GO) test -race -run TestTraceDeterministic .
 
 # Failure-path suite (DESIGN.md "Fault model"): the fault engine's own
-# tests plus every fault/corruption/retry/degradation test across the
-# stack, run twice to catch schedule nondeterminism, then a short fuzz
-# smoke of the fault-plan parser.
-FAULTRUN := 'Fault|Corrupt|Retr|Retir|Timeout|Stall|FallsBack|MediaError|Erase|Unmapped|Backoff|ProgramFailure|GCRelocation|ReadThrough|Q1Q6|SearchCounts|Reconstruct|Scrub|Rain|Parity|DieFail'
+# tests plus every package with a fault/corruption/retry/degradation
+# path, run twice to catch schedule nondeterminism, then a short fuzz
+# smoke of the fault-plan parser. Selection is by package, not by test
+# name: a new fault test cannot miss the suite by how it is called.
 FAULTPKGS := ./internal/ftl/... ./internal/hostif/... ./internal/isfs/... \
 	./internal/db ./internal/tpch/... ./internal/weblog/... ./internal/bench
 
 faulttest:
-	$(GO) test -count=2 ./internal/fault/...
-	$(GO) test -count=2 -run $(FAULTRUN) $(FAULTPKGS)
+	$(GO) test -count=2 ./internal/fault/... $(FAULTPKGS)
 	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 
 # Self-healing suite (DESIGN.md "Self-healing"): the health monitor's
-# unit tests plus every rebuild/migration/replica/health test across
-# the stack, run twice to catch schedule nondeterminism — the
-# transition log, rebuild page order and migration cutover points are
-# all part of the deterministic surface.
-HEALRUN := 'Health|Heal|Rebuild|Migrat|Replica|Shard'
+# unit tests plus every package with a rebuild/migration/replica/health
+# path, run twice to catch schedule nondeterminism — the transition
+# log, rebuild page order and migration cutover points are all part of
+# the deterministic surface. Selected by package, like faulttest.
 HEALPKGS := ./internal/ftl/... ./internal/serve/... ./internal/tpch/... \
 	./internal/weblog/...
 
 healtest:
-	$(GO) test -count=2 ./internal/health/...
-	$(GO) test -count=2 -run $(HEALRUN) $(HEALPKGS)
+	$(GO) test -count=2 ./internal/health/... $(HEALPKGS)
 
 # Fault bench: the availability/latency-under-fault curve at reduced
 # size (3 sweep points, BENCH_faultcurve.json), traced; tracecheck then

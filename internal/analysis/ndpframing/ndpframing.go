@@ -2,9 +2,9 @@
 //
 // An offloaded SSDlet streams its results to the host through an
 // output port, and every Packet it emits costs one device-to-host
-// transfer with fixed per-command latency (Table II). The NDP scan and
-// aggregation encoders therefore frame rows into NDPBatchBytes-sized
-// batches before wrapping them in a Packet — emitting one packet per
+// transfer with fixed per-command latency (Table II). The NDP scan's
+// encoder therefore frames rows (table rows or aggregate results) into
+// NDPBatchBytes-sized batches before wrapping them in a Packet — emitting one packet per
 // row would multiply the D2H command count by orders of magnitude and
 // silently erase the bandwidth advantage the paper measures (Fig. 7).
 //

@@ -89,6 +89,82 @@ func (st *aggState) result(f AggFunc) Value {
 	panic("db: unknown aggregate")
 }
 
+// groupTable is the one grouping accumulator: it folds rows into
+// per-group aggregate state and emits the groups in key order. The host
+// HashAggOp and the device scan's aggregation stage both run it.
+type groupTable struct {
+	groupBy []Expr
+	aggs    []Agg
+	groups  map[string]*aggGroup
+	order   []string
+}
+
+type aggGroup struct {
+	keyRow Row
+	states []aggState
+}
+
+func newGroupTable(groupBy []Expr, aggs []Agg) *groupTable {
+	return &groupTable{groupBy: groupBy, aggs: aggs, groups: make(map[string]*aggGroup)}
+}
+
+// add folds one input row into its group.
+func (t *groupTable) add(r Row) {
+	var sb strings.Builder
+	keyRow := make(Row, len(t.groupBy))
+	for i, g := range t.groupBy {
+		v := g.Eval(r)
+		keyRow[i] = v
+		sb.WriteString(keyString(v))
+		sb.WriteByte(0)
+	}
+	k := sb.String()
+	grp, ok := t.groups[k]
+	if !ok {
+		grp = &aggGroup{keyRow: keyRow, states: make([]aggState, len(t.aggs))}
+		t.groups[k] = grp
+		t.order = append(t.order, k)
+	}
+	for i, a := range t.aggs {
+		v := Int(1)
+		if a.Arg != nil {
+			v = a.Arg.Eval(r)
+		}
+		grp.states[i].add(a.F, v)
+	}
+}
+
+// rows returns one [group key..., aggregates...] row per group, ordered
+// by group key. SQL scalar aggregates (no GROUP BY) yield one row even
+// over empty input: every state at its zero value, which leaves the
+// cells of Sum, Min and Max untyped (T = TInt).
+func (t *groupTable) rows() []Row {
+	if len(t.groupBy) == 0 && len(t.order) == 0 {
+		t.groups[""] = &aggGroup{states: make([]aggState, len(t.aggs))}
+		t.order = append(t.order, "")
+	}
+	sort.Strings(t.order)
+	out := make([]Row, 0, len(t.order))
+	for _, k := range t.order {
+		grp := t.groups[k]
+		row := make(Row, 0, len(grp.keyRow)+len(t.aggs))
+		row = append(row, grp.keyRow...)
+		for i, a := range t.aggs {
+			row = append(row, grp.states[i].result(a.F))
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// aggName is the output column name of aggregate i.
+func aggName(a Agg, i int) string {
+	if a.Name != "" {
+		return a.Name
+	}
+	return fmt.Sprintf("%s%d", a.F, i)
+}
+
 // HashAggOp groups by key expressions and computes aggregates. Output
 // rows are ordered by group key for determinism.
 type HashAggOp struct {
@@ -113,6 +189,12 @@ func (h *HashAggOp) Schema() *Schema {
 	if h.sch != nil {
 		return h.sch
 	}
+	return h.schemaFrom(nil)
+}
+
+// schemaFrom names the output columns and types them after first, the
+// first output row (nil = provisional types).
+func (h *HashAggOp) schemaFrom(first Row) *Schema {
 	cols := make([]Column, 0, len(h.GroupBy)+len(h.Aggs))
 	for i := range h.GroupBy {
 		name := fmt.Sprintf("g%d", i)
@@ -122,19 +204,12 @@ func (h *HashAggOp) Schema() *Schema {
 		cols = append(cols, Column{Name: name, T: TString})
 	}
 	for i, a := range h.Aggs {
-		name := a.Name
-		if name == "" {
-			name = fmt.Sprintf("%s%d", a.F, i)
-		}
-		cols = append(cols, Column{Name: name, T: TDecimal})
+		cols = append(cols, Column{Name: aggName(a, i), T: TDecimal})
+	}
+	for i := range first {
+		cols[i].T = first[i].T
 	}
 	return NewSchema(cols...)
-}
-
-type aggGroup struct {
-	key    string
-	keyRow Row
-	states []aggState
 }
 
 // Open drains the input, grouping and aggregating.
@@ -147,8 +222,7 @@ func (h *HashAggOp) Open() (err error) {
 			err = cerr
 		}
 	}()
-	groups := make(map[string]*aggGroup)
-	var order []string
+	tab := newGroupTable(h.GroupBy, h.Aggs)
 	in := NewRowBatch(h.Ex.batchCap())
 	for {
 		n, err := h.In.NextBatch(in)
@@ -160,73 +234,16 @@ func (h *HashAggOp) Open() (err error) {
 		}
 		h.Ex.chargeHost(h.Ex.Cost.HostAggCPR * float64(n))
 		for ri := 0; ri < n; ri++ {
-			r := in.Row(ri)
-			var sb strings.Builder
-			keyRow := make(Row, len(h.GroupBy))
-			for i, g := range h.GroupBy {
-				v := g.Eval(r)
-				keyRow[i] = v
-				sb.WriteString(keyString(v))
-				sb.WriteByte(0)
-			}
-			k := sb.String()
-			grp, ok := groups[k]
-			if !ok {
-				grp = &aggGroup{key: k, keyRow: keyRow, states: make([]aggState, len(h.Aggs))}
-				groups[k] = grp
-				order = append(order, k)
-			}
-			for i, a := range h.Aggs {
-				v := Int(1)
-				if a.Arg != nil {
-					v = a.Arg.Eval(r)
-				}
-				grp.states[i].add(a.F, v)
-			}
+			tab.add(in.Row(ri))
 		}
 	}
-	if len(h.GroupBy) == 0 && len(order) == 0 {
-		// SQL scalar aggregates yield one row even over empty input.
-		groups[""] = &aggGroup{states: make([]aggState, len(h.Aggs))}
-		order = append(order, "")
-	}
-	sort.Strings(order)
-	h.rows = make([]Row, 0, len(order))
-	for _, k := range order {
-		grp := groups[k]
-		row := make(Row, 0, len(grp.keyRow)+len(h.Aggs))
-		row = append(row, grp.keyRow...)
-		for i, a := range h.Aggs {
-			row = append(row, grp.states[i].result(a.F))
-		}
-		h.rows = append(h.rows, row)
-	}
+	h.rows = tab.rows()
 	h.at = 0
-	// Build output schema from the first group (or a placeholder).
-	cols := make([]Column, 0, len(h.GroupBy)+len(h.Aggs))
-	for i := range h.GroupBy {
-		name := fmt.Sprintf("g%d", i)
-		if i < len(h.GroupNms) {
-			name = h.GroupNms[i]
-		}
-		t := TString
-		if len(h.rows) > 0 {
-			t = h.rows[0][i].T
-		}
-		cols = append(cols, Column{Name: name, T: t})
+	var first Row
+	if len(h.rows) > 0 {
+		first = h.rows[0]
 	}
-	for i, a := range h.Aggs {
-		name := a.Name
-		if name == "" {
-			name = fmt.Sprintf("%s%d", a.F, i)
-		}
-		t := TDecimal
-		if len(h.rows) > 0 {
-			t = h.rows[0][len(h.GroupBy)+i].T
-		}
-		cols = append(cols, Column{Name: name, T: t})
-	}
-	h.sch = NewSchema(cols...)
+	h.sch = h.schemaFrom(first)
 	return nil
 }
 

@@ -203,14 +203,14 @@ func (b *RowBatch) Drop(k int) {
 }
 
 // DecodeRowInto decodes one row off the front of buf into the batch
-// (schema sch), returning bytes consumed. It is DecodeRow with the
-// allocations amortized: cells land in the batch's Value arena and
-// string bytes in its byte arena. String cells are left packed until
-// FinishStrings materializes them — callers must FinishStrings before
-// any cell is read.
+// (schema sch), returning bytes consumed. It is the one row decoder:
+// cells land in the batch's Value arena and string bytes in its byte
+// arena, so allocations are amortized over the batch. String cells are
+// left packed until FinishStrings materializes them — callers must
+// FinishStrings before any cell is read.
 func (b *RowBatch) DecodeRowInto(buf []byte, sch *Schema) (int, error) {
 	blen, n := binary.Uvarint(buf)
-	if n <= 0 || int(blen) > len(buf)-n {
+	if n <= 0 || blen > uint64(len(buf)-n) {
 		return 0, fmt.Errorf("db: truncated row header")
 	}
 	body := buf[n : n+int(blen)]
@@ -242,7 +242,7 @@ func (b *RowBatch) DecodeRowInto(buf []byte, sch *Schema) (int, error) {
 			at += 10
 		case TString:
 			slen, k := binary.Uvarint(body[at:])
-			if k <= 0 || at+k+int(slen) > len(body) {
+			if k <= 0 || slen > uint64(len(body)-at-k) {
 				b.unappend(ncols)
 				return 0, fmt.Errorf("db: truncated string in column %s", c.Name)
 			}

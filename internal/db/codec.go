@@ -47,47 +47,6 @@ func encodeCells(dst []byte, sch *Schema, r Row) []byte {
 	return dst
 }
 
-// DecodeRow decodes one row from buf, returning the row and bytes
-// consumed.
-func DecodeRow(buf []byte, sch *Schema) (Row, int, error) {
-	blen, n := binary.Uvarint(buf)
-	if n <= 0 || int(blen) > len(buf)-n {
-		return nil, 0, fmt.Errorf("db: truncated row header")
-	}
-	body := buf[n : n+int(blen)]
-	r := make(Row, len(sch.Cols))
-	at := 0
-	for i, c := range sch.Cols {
-		switch c.T {
-		case TInt, TDecimal:
-			v, k := binary.Varint(body[at:])
-			if k <= 0 {
-				return nil, 0, fmt.Errorf("db: bad varint in column %s", c.Name)
-			}
-			r[i] = Value{T: c.T, I: v}
-			at += k
-		case TDate:
-			if at+10 > len(body) {
-				return nil, 0, fmt.Errorf("db: truncated date in column %s", c.Name)
-			}
-			d, err := parseDate(body[at : at+10])
-			if err != nil {
-				return nil, 0, err
-			}
-			r[i] = d
-			at += 10
-		case TString:
-			slen, k := binary.Uvarint(body[at:])
-			if k <= 0 || at+k+int(slen) > len(body) {
-				return nil, 0, fmt.Errorf("db: truncated string in column %s", c.Name)
-			}
-			r[i] = Value{T: TString, S: string(body[at+k : at+k+int(slen)])}
-			at += k + int(slen)
-		}
-	}
-	return r, n + int(blen), nil
-}
-
 // parseDate converts ASCII YYYY-MM-DD to a date value without
 // allocating.
 func parseDate(b []byte) (Value, error) {
@@ -158,29 +117,60 @@ func (pb *PageBuilder) Take() []byte {
 	return page
 }
 
-// DecodePage invokes fn for every row in the page buffer.
-func DecodePage(page []byte, sch *Schema, fn func(Row) error) error {
+// pageExtent validates a page header and returns the row count and the
+// used bytes (header included) it declares. It is the one header check:
+// every page decode — DecodePage on the device and in index builds,
+// ConvScan on the host — goes through it, so corrupt media is rejected
+// the same way everywhere.
+func pageExtent(page []byte) (rows, used int, err error) {
 	if len(page) < pageHeader {
-		return fmt.Errorf("db: short page")
+		return 0, 0, fmt.Errorf("db: short page")
 	}
-	n := int(binary.LittleEndian.Uint16(page[0:2]))
-	used := int(binary.LittleEndian.Uint16(page[2:4]))
+	rows = int(binary.LittleEndian.Uint16(page[0:2]))
+	used = int(binary.LittleEndian.Uint16(page[2:4]))
 	if used > len(page) {
-		return fmt.Errorf("db: page used %d > size %d", used, len(page))
+		return 0, 0, fmt.Errorf("db: page used %d > size %d", used, len(page))
 	}
-	if n > 0 && used < pageHeader {
-		return fmt.Errorf("db: page claims %d rows in %d bytes", n, used)
+	if rows > 0 && rows > used-pageHeader { // a row is at least its length byte
+		return 0, 0, fmt.Errorf("db: page claims %d rows in %d bytes", rows, used)
 	}
+	return rows, used, nil
+}
+
+// DecodePage invokes fn for every row in the page buffer. The rows are
+// decoded into a batch private to this call that is never Reset, so fn
+// may retain them (they share the page's arenas, not the caller's).
+// A corrupt page is reported before fn sees any of its rows.
+func DecodePage(page []byte, sch *Schema, fn func(Row) error) error {
+	n, used, err := pageExtent(page)
+	if err != nil || n == 0 {
+		return err
+	}
+	// Size the batch's arenas to the page up front: its string bytes
+	// cannot exceed the used bytes, and every row has the schema's
+	// string cells.
+	strCols := 0
+	for _, c := range sch.Cols {
+		if c.T == TString {
+			strCols++
+		}
+	}
+	b := NewRowBatch(n)
+	b.str = make([]byte, 0, used-pageHeader)
+	b.fix = make([]strFix, 0, n*strCols)
 	at := pageHeader
 	for i := 0; i < n; i++ {
-		r, k, err := DecodeRow(page[at:used], sch)
+		k, err := b.DecodeRowInto(page[at:used], sch)
 		if err != nil {
 			return fmt.Errorf("db: row %d: %w", i, err)
 		}
-		if err := fn(r); err != nil {
+		at += k
+	}
+	b.FinishStrings()
+	for i := 0; i < n; i++ {
+		if err := fn(b.Row(i)); err != nil {
 			return err
 		}
-		at += k
 	}
 	return nil
 }

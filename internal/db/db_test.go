@@ -21,12 +21,24 @@ func sampleRow(i int) Row {
 	return Row{Int(int64(i)), Dec(int64(i) * 101), DateYMD(1995, 1+i%12, 1+i%28), Str("note-" + string(rune('a'+i%26)))}
 }
 
+// decodeOne decodes a single encoded row through the one row decoder,
+// RowBatch.DecodeRowInto.
+func decodeOne(buf []byte, sch *Schema) (Row, int, error) {
+	b := NewRowBatch(1)
+	n, err := b.DecodeRowInto(buf, sch)
+	if err != nil {
+		return nil, 0, err
+	}
+	b.FinishStrings()
+	return b.Row(0), n, nil
+}
+
 func TestRowCodecRoundTrip(t *testing.T) {
 	sch := testSchema()
 	for i := 0; i < 100; i++ {
 		r := sampleRow(i)
 		buf := EncodeRow(nil, sch, r)
-		got, n, err := DecodeRow(buf, sch)
+		got, n, err := decodeOne(buf, sch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +61,7 @@ func TestRowCodecProperty(t *testing.T) {
 			return true
 		}
 		buf := EncodeRow(nil, sch, r)
-		got, _, err := DecodeRow(buf, sch)
+		got, _, err := decodeOne(buf, sch)
 		return err == nil && Equal(got[0], r[0]) && Equal(got[1], r[1]) && Equal(got[2], r[2])
 	}
 	if err := quick.Check(prop, nil); err != nil {

@@ -1,7 +1,6 @@
 package db
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -71,11 +70,6 @@ type Exec struct {
 	// JoinBufferRows is the block size of block-nested-loop joins (the
 	// MariaDB join buffer); the inner table is rescanned once per block.
 	JoinBufferRows int
-	// ReadChunk is the Conv scan readahead request size.
-	ReadChunk int
-	// QueueDepth is the number of outstanding NVMe reads a Conv scan
-	// keeps in flight.
-	QueueDepth int
 	// BatchSize caps the rows per RowBatch exchanged between operators
 	// (0 = DefaultBatchSize). Small values are useful in tests; large
 	// values amortize per-batch overhead further.
@@ -86,8 +80,16 @@ type Exec struct {
 
 // NewExec builds an execution context with default knobs.
 func NewExec(h *biscuit.Host, d *Database) *Exec {
-	return &Exec{H: h, DB: d, Cost: DefaultCost(), JoinBufferRows: 4096, ReadChunk: 256 << 10, QueueDepth: 16}
+	return &Exec{H: h, DB: d, Cost: DefaultCost(), JoinBufferRows: 4096}
 }
+
+// The Conv scan's I/O shape: it reads ahead convReadChunk bytes at a
+// time, as convRequest-byte NVMe reads with convQueueDepth in flight.
+const (
+	convReadChunk  = 256 << 10
+	convRequest    = 128 << 10
+	convQueueDepth = 16
+)
 
 // batchCap returns the configured RowBatch row capacity.
 func (ex *Exec) batchCap() int {
@@ -271,28 +273,19 @@ func (s *ConvScan) NextBatch(b *RowBatch) (int, error) {
 	for {
 		b.Reset()
 		for !b.Full() {
-			if s.pRows == 0 {
-				ok, err := s.nextPage()
-				if err != nil {
-					return 0, err
-				}
-				if ok {
-					continue
-				}
-				if s.off >= s.file.Size() {
-					break // file exhausted
-				}
-				if err := s.fill(); err != nil {
-					return 0, err
-				}
+			more, err := s.decodeRow(b)
+			if err != nil {
+				return 0, err
+			}
+			if more {
 				continue
 			}
-			k, err := b.DecodeRowInto(s.chunk[s.pAt:s.pEnd], s.T.Sch)
-			if err != nil {
-				return 0, fmt.Errorf("conv scan %s @%d: %w", s.T.Name, s.pOff, err)
+			if s.off >= s.file.Size() {
+				break // file exhausted
 			}
-			s.pAt += k
-			s.pRows--
+			if err := s.fill(); err != nil {
+				return 0, err
+			}
 		}
 		b.FinishStrings()
 		if b.Len() == 0 {
@@ -308,9 +301,25 @@ func (s *ConvScan) NextBatch(b *RowBatch) (int, error) {
 	}
 }
 
+// decodeRow decodes the next row of the current chunk into b, stepping
+// over page boundaries; it reports false once the chunk is exhausted.
+func (s *ConvScan) decodeRow(b *RowBatch) (bool, error) {
+	if s.pRows == 0 {
+		if ok, err := s.nextPage(); !ok {
+			return false, err
+		}
+	}
+	k, err := b.DecodeRowInto(s.chunk[s.pAt:s.pEnd], s.T.Sch)
+	if err != nil {
+		return false, fmt.Errorf("conv scan %s @%d: %w", s.T.Name, s.pOff, err)
+	}
+	s.pAt += k
+	s.pRows--
+	return true, nil
+}
+
 // nextPage advances the decode window to the next non-empty page of
-// the current chunk, validating the page header the way DecodePage
-// does so corrupt media still surfaces as an error.
+// the current chunk; corrupt media surfaces as pageExtent's error.
 func (s *ConvScan) nextPage() (bool, error) {
 	ps := s.T.PageSize
 	for s.cAt+pageHeader <= s.cLen {
@@ -319,15 +328,10 @@ func (s *ConvScan) nextPage() (bool, error) {
 		if end > s.cLen {
 			end = s.cLen
 		}
-		page := s.chunk[start:end]
 		s.cAt = end
-		n := PageRowCount(page)
-		used := int(binary.LittleEndian.Uint16(page[2:4]))
-		if used > len(page) {
-			return false, fmt.Errorf("conv scan %s @%d: db: page used %d > size %d", s.T.Name, s.cOff+int64(start), used, len(page))
-		}
-		if n > 0 && used < pageHeader {
-			return false, fmt.Errorf("conv scan %s @%d: db: page claims %d rows in %d bytes", s.T.Name, s.cOff+int64(start), n, used)
+		n, used, err := pageExtent(s.chunk[start:end])
+		if err != nil {
+			return false, fmt.Errorf("conv scan %s @%d: %w", s.T.Name, s.cOff+int64(start), err)
 		}
 		if n == 0 {
 			continue
@@ -346,7 +350,7 @@ func (s *ConvScan) nextPage() (bool, error) {
 // from the page headers; the actual Go decode happens lazily in
 // NextBatch).
 func (s *ConvScan) fill() error {
-	n := s.ReadChunkSize()
+	n := convReadChunk
 	if rem := s.file.Size() - s.off; int64(n) > rem {
 		n = int(rem)
 	}
@@ -355,7 +359,7 @@ func (s *ConvScan) fill() error {
 	}
 	chunk := s.chunk[:n]
 	ex := s.Ex
-	if err := ex.H.SSD().ReadFileConvAsync(s.file, s.off, chunk, 128<<10, ex.QueueDepth); err != nil {
+	if err := ex.H.SSD().ReadFileConvAsync(s.file, s.off, chunk, convRequest, convQueueDepth); err != nil {
 		return err
 	}
 	s.cOff = s.off
@@ -384,14 +388,6 @@ func (s *ConvScan) fill() error {
 	plat := ex.H.System().Plat
 	plat.HostScan(ex.H.Proc(), int64(n), cycles/float64(n))
 	return nil
-}
-
-// ReadChunkSize returns the configured readahead size.
-func (s *ConvScan) ReadChunkSize() int {
-	if s.Ex.ReadChunk > 0 {
-		return s.Ex.ReadChunk
-	}
-	return 256 << 10
 }
 
 // Close releases the scan.

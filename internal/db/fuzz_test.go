@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -22,10 +23,39 @@ func FuzzDecodePage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0x00, 0x00})
 	f.Add(bytes.Repeat([]byte{0xA5}, 4096))
+	// The shared header check's three rejections, and a row decode error
+	// past it.
+	damaged := func(edit func(page []byte) []byte) []byte {
+		return edit(append([]byte(nil), valid...))
+	}
+	used := int(binary.LittleEndian.Uint16(valid[2:4]))
+	f.Add(damaged(func(p []byte) []byte { return p[:used-1] }))                                                  // used > len(page)
+	f.Add(damaged(func(p []byte) []byte { binary.LittleEndian.PutUint16(p[2:4], 2); return p }))                 // rows > 0, used < header
+	f.Add(damaged(func(p []byte) []byte { binary.LittleEndian.PutUint16(p[2:4], uint16(used-3)); return p }))    // last row truncated
+	f.Add(damaged(func(p []byte) []byte { copy(p[4:], bytes.Repeat([]byte{0xFF}, 9)); p[13] = 0x01; return p })) // row length 2^63
 
 	f.Fuzz(func(t *testing.T, page []byte) {
 		// Must never panic; errors are fine.
-		_ = DecodePage(page, sch, func(Row) error { return nil })
+		rows := 0
+		derr := DecodePage(page, sch, func(Row) error { rows++; return nil })
+		if len(page) < pageHeader {
+			return
+		}
+		// ConvScan shares DecodePage's header check and row decoder, so
+		// over the same bytes as a one-page chunk it accepts and rejects
+		// the same pages, and finds the same rows.
+		s := &ConvScan{T: &Table{Name: "fuzz", Sch: sch, PageSize: len(page)}, chunk: page, cLen: len(page)}
+		b := NewRowBatch(PageRowCount(page))
+		var cerr error
+		for more := true; more && cerr == nil; {
+			more, cerr = s.decodeRow(b)
+		}
+		if (derr == nil) != (cerr == nil) {
+			t.Fatalf("DecodePage err = %v, ConvScan err = %v", derr, cerr)
+		}
+		if derr == nil && b.Len() != rows {
+			t.Fatalf("DecodePage found %d rows, ConvScan %d", rows, b.Len())
+		}
 	})
 }
 
@@ -37,7 +67,7 @@ func FuzzRowCodecRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string, n int64) {
 		r := Row{Str(s), Int(n)}
 		buf := EncodeRow(nil, sch, r)
-		got, used, err := DecodeRow(buf, sch)
+		got, used, err := decodeOne(buf, sch)
 		if err != nil {
 			t.Fatalf("valid encoding failed to decode: %v", err)
 		}

@@ -20,27 +20,37 @@ import (
 // looked at by the device CPU, which row-filters them with the full
 // predicate and ships qualifying rows to the host. Non-matching pages
 // never cross the NVMe link.
+//
+// Aggregation pushdown is an optional last stage of the same scan — the
+// extension the paper's §VIII points at ("developing non-trivial
+// data-intensive applications on Biscuit") and the capability Do et
+// al.'s Smart SSD prototype hard-wired into firmware: the surviving rows
+// are folded into per-group aggregate state on the device and only the
+// group results are shipped, so device-to-host traffic becomes O(groups)
+// instead of O(matching rows).
 
 // NDPModuleName is the module carrying the device scan task.
 const NDPModuleName = "xtradb-ndp.slet"
 
-// NDPBatchBytes is the default D2H output batch size of the offloaded
-// scans: qualifying rows are re-encoded on the device and shipped in
-// packets of roughly this many bytes. Both NDPScan and NDPAggScan
-// consult it (NDPScanArgs.Batch overrides it for the plain scan).
+// NDPBatchBytes is the D2H output batch size of the offloaded scan:
+// result rows are encoded on the device and shipped in packets of
+// roughly this many bytes (rows never straddle packets).
 const NDPBatchBytes = 32 << 10
 
 // NDPScanID is the SSDlet class id of the device table scan.
 const NDPScanID = "idTableScan"
 
+// devFoldCPR is the device's per-row cost of the aggregation stage, on
+// top of CostModel.DevEvalCPR.
+const devFoldCPR = 60
+
 // NDPScanArgs parameterizes one offloaded scan.
 type NDPScanArgs struct {
-	File  string
-	Keys  []string // hardware matcher keys (page-level prefilter)
-	Pred  Expr     // full row predicate (exact filter), may be nil
-	Sch   *Schema
-	Cost  CostModel
-	Batch int // output batch bytes (default 32 KiB)
+	File string
+	Keys []string // hardware matcher keys (page-level prefilter)
+	Pred Expr     // full row predicate (exact filter), may be nil
+	Sch  *Schema
+	Cost CostModel
 	// Software disables the matcher IP: every page is decoded and
 	// filtered by the device CPU. This reproduces the paper's negative
 	// finding (§I) that software-only in-storage scanning cannot beat a
@@ -49,6 +59,45 @@ type NDPScanArgs struct {
 	// PageSize is the table's page size (needed by the software path to
 	// slice its bulk reads back into pages).
 	PageSize int
+	// GroupBy and Aggs switch on the aggregation stage when either is
+	// non-empty (no GroupBy = one scalar group): the scan ships
+	// [group key..., aggregates...] rows instead of table rows.
+	GroupBy []Expr
+	Aggs    []Agg
+}
+
+// aggregating reports whether the aggregation stage is on.
+func (a NDPScanArgs) aggregating() bool { return len(a.GroupBy)+len(a.Aggs) > 0 }
+
+// outSchema is the schema of the rows the scan ships: the table's own,
+// or [group columns..., aggregate columns...] under aggregation. Group
+// types are probed by evaluating the expressions against a zero row;
+// aggregate columns use their natural result types.
+func (a NDPScanArgs) outSchema() *Schema {
+	if !a.aggregating() {
+		return a.Sch
+	}
+	zero := make(Row, len(a.Sch.Cols))
+	for i, c := range a.Sch.Cols {
+		zero[i] = Value{T: c.T}
+	}
+	cols := make([]Column, 0, len(a.GroupBy)+len(a.Aggs))
+	for i, g := range a.GroupBy {
+		cols = append(cols, Column{Name: fmt.Sprintf("g%d", i), T: g.Eval(zero).T})
+	}
+	for i, ag := range a.Aggs {
+		t := TInt
+		switch ag.F {
+		case Sum, Min, Max:
+			if ag.Arg != nil {
+				t = ag.Arg.Eval(zero).T
+			}
+		case Avg:
+			t = TDecimal
+		}
+		cols = append(cols, Column{Name: aggName(ag, i), T: t})
+	}
+	return NewSchema(cols...)
 }
 
 type ndpScanLet struct{}
@@ -81,10 +130,6 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	if err != nil {
 		return err
 	}
-	batchSize := args.Batch
-	if batchSize <= 0 {
-		batchSize = NDPBatchBytes
-	}
 
 	// Phase 1: stream the whole file through the matcher IPs, buffering
 	// only the pages that contain at least one key. Row predicates are
@@ -100,21 +145,16 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		// reads and hand every page to the CPU phase.
 		const stride = 1 << 20
 		buf := make([]byte, stride)
-		ps := int64(len(buf))
-		for off := int64(0); off < f.Size(); off += ps {
-			n := int(ps)
+		for off := int64(0); off < f.Size(); off += stride {
+			n := stride
 			if rem := f.Size() - off; int64(n) > rem {
 				n = int(rem)
 			}
 			if _, err := c.ReadFile(f, off, buf[:n]); err != nil {
 				return err
 			}
-			pageSz := args.PageSize
-			if pageSz <= 0 {
-				pageSz = 16 << 10
-			}
-			for at := 0; at < n; at += pageSz {
-				end := at + pageSz
+			for at := 0; at < n; at += args.PageSize {
+				end := at + args.PageSize
 				if end > n {
 					end = n
 				}
@@ -133,8 +173,10 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	}
 
 	// Phase 2: the device CPU decodes matched pages and evaluates the
-	// exact predicate; qualifying rows are re-encoded and shipped in
-	// batches over the D2H port.
+	// exact predicate. Qualifying rows are either re-encoded for the
+	// host as they are found or, under aggregation, folded into the
+	// group table whose result rows are encoded once every page is in.
+	// Either way the rows leave in NDPBatchBytes packets.
 	var batch []byte
 	flush := func() bool {
 		if len(batch) == 0 {
@@ -144,13 +186,22 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		batch = nil
 		return out.Put(pkt)
 	}
+	var tab *groupTable
+	rowCost := args.Cost.DevEvalCPR
+	if args.aggregating() {
+		tab = newGroupTable(args.GroupBy, args.Aggs)
+		rowCost += devFoldCPR
+	}
 	for _, hchunk := range hits {
 		rows := 0
-		kept := 0
 		err := DecodePage(hchunk.data, args.Sch, func(r Row) error {
 			rows++
-			if args.Pred == nil || Truthy(args.Pred.Eval(r)) {
-				kept++
+			if args.Pred != nil && !Truthy(args.Pred.Eval(r)) {
+				return nil
+			}
+			if tab != nil {
+				tab.add(r)
+			} else {
 				batch = EncodeRow(batch, args.Sch, r)
 			}
 			return nil
@@ -160,9 +211,24 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		}
 		c.Compute(args.Cost.DevPageCheckCPP +
 			args.Cost.DevDecodeCPB*float64(len(hchunk.data)) +
-			args.Cost.DevEvalCPR*float64(rows))
-		if len(batch) >= batchSize {
-			if !flush() {
+			rowCost*float64(rows))
+		if len(batch) >= NDPBatchBytes && !flush() {
+			return nil
+		}
+	}
+	if tab != nil {
+		outSch := args.outSchema()
+		empty := len(tab.order) == 0
+		for _, row := range tab.rows() {
+			if empty {
+				// The one row of a scalar aggregate over no input: type
+				// its zero cells for the wire (a decimal Sum is Dec(0)).
+				for i, col := range outSch.Cols {
+					row[i].T = col.T
+				}
+			}
+			batch = EncodeRow(batch, outSch, row)
+			if len(batch) >= NDPBatchBytes && !flush() {
 				return nil
 			}
 		}
@@ -173,8 +239,7 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 
 func ndpScanImage() *biscuit.ModuleImage {
 	return biscuit.NewModule(NDPModuleName, 128<<10).
-		RegisterSSDLet(NDPScanID, func() biscuit.SSDlet { return ndpScanLet{} }).
-		RegisterSSDLet(NDPAggID, func() biscuit.SSDlet { return ndpAggLet{} })
+		RegisterSSDLet(NDPScanID, func() biscuit.SSDlet { return ndpScanLet{} })
 }
 
 // ensureNDP loads the device scan module once per database.
@@ -198,7 +263,13 @@ type NDPScan struct {
 	Pred Expr
 	// Software selects the no-matcher ablation path.
 	Software bool
+	// GroupBy / Aggs, evaluated on the device over T's schema, switch on
+	// the scan's aggregation stage (see NDPScanArgs).
+	GroupBy []Expr
+	Aggs    []Agg
 
+	args    NDPScanArgs // what Open handed the device
+	sch     *Schema     // rows shipped: T.Sch, or the aggregate columns
 	app     *biscuit.Application
 	port    *biscuit.HostIn[biscuit.Packet]
 	batch   []byte
@@ -226,8 +297,35 @@ func (ex *Exec) NewNDPScan(t *Table, keys []string, pred Expr) *NDPScan {
 	return &NDPScan{Ex: ex, T: t, Keys: keys, Pred: pred}
 }
 
-// Schema returns the table schema.
-func (s *NDPScan) Schema() *Schema { return s.T.Sch }
+// NewNDPAggScan builds a filter+aggregate offload: an NDPScan with the
+// aggregation stage on.
+func (ex *Exec) NewNDPAggScan(t *Table, keys []string, pred Expr, groupBy []Expr, aggs []Agg) *NDPScan {
+	return &NDPScan{Ex: ex, T: t, Keys: keys, Pred: pred, GroupBy: groupBy, Aggs: aggs}
+}
+
+// scanArgs assembles the device-side arguments.
+func (s *NDPScan) scanArgs() NDPScanArgs {
+	return NDPScanArgs{
+		File:     s.T.FileName,
+		Keys:     s.Keys,
+		Pred:     s.Pred,
+		Sch:      s.T.Sch,
+		Cost:     s.Ex.Cost,
+		Software: s.Software,
+		PageSize: s.T.PageSize,
+		GroupBy:  s.GroupBy,
+		Aggs:     s.Aggs,
+	}
+}
+
+// Schema returns the table schema or, under aggregation, [group
+// columns..., aggregate columns...].
+func (s *NDPScan) Schema() *Schema {
+	if s.sch == nil {
+		s.sch = s.scanArgs().outSchema()
+	}
+	return s.sch
+}
 
 // Open loads the scan module, wires the application and starts it.
 func (s *NDPScan) Open() error {
@@ -237,15 +335,8 @@ func (s *NDPScan) Open() error {
 		return err
 	}
 	s.app = h.SSD().NewApplication()
-	let, err := s.app.NewSSDLet(m, NDPScanID, NDPScanArgs{
-		File:     s.T.FileName,
-		Keys:     s.Keys,
-		Pred:     s.Pred,
-		Sch:      s.T.Sch,
-		Cost:     s.Ex.Cost,
-		Software: s.Software,
-		PageSize: s.T.PageSize,
-	})
+	s.args = s.scanArgs()
+	let, err := s.app.NewSSDLet(m, NDPScanID, s.args)
 	if err != nil {
 		return err
 	}
@@ -280,7 +371,12 @@ func (s *NDPScan) Open() error {
 // are skipped batch-aligned (both paths emit predicate-passing rows in
 // file order) and the stream continues without the consumer noticing —
 // the paper's graceful-degradation story for NDP offload. Non-media
-// device failures (bugs, bad arguments) still surface as errors.
+// device failures (bugs, bad arguments) still surface as errors, and so
+// does a media error under aggregation: the accumulator state died with
+// the device application and partial aggregates cannot be resumed on
+// the host, so the caller reruns the query on the Conv plan (the FTL's
+// read-retry and the interface's command retry have already absorbed
+// everything absorbable by then).
 func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 	for {
 		if s.fb != nil {
@@ -307,9 +403,10 @@ func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 		}
 		if len(s.batch) > 0 {
 			b.Reset()
+			sch := s.Schema()
 			consumed := 0
 			for len(s.batch) > 0 && !b.Full() {
-				k, err := b.DecodeRowInto(s.batch, s.T.Sch)
+				k, err := b.DecodeRowInto(s.batch, sch)
 				if err != nil {
 					return 0, err
 				}
@@ -319,7 +416,9 @@ func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 			b.FinishStrings()
 			n := b.Len()
 			s.Ex.chargeHost(s.Ex.Cost.HostDecodeCPB * float64(consumed))
-			s.Ex.St.RowsScanned += int64(n)
+			if !s.args.aggregating() {
+				s.Ex.St.RowsScanned += int64(n) // group rows are results, not scanned rows
+			}
 			s.emitted += int64(n)
 			return n, nil
 		}
@@ -329,7 +428,7 @@ func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 			if err == nil {
 				return 0, nil
 			}
-			if !errors.Is(err, fault.ErrUncorrectable) {
+			if s.args.aggregating() || !errors.Is(err, fault.ErrUncorrectable) {
 				return 0, err
 			}
 			if ferr := s.engageFallback(); ferr != nil {
@@ -435,8 +534,5 @@ func (s *NDPScan) Close() error {
 		s.span = trace.Span{}
 		s.Ex.observeScan("db.scan.ndp", s.Ex.H.Now()-s.started)
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return nil
+	return firstErr
 }

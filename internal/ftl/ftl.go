@@ -426,17 +426,29 @@ func (f *FTL) Mapped(lpn int) bool {
 // ReadRetries times before being surfaced (wrapped
 // fault.ErrUncorrectable).
 func (f *FTL) Read(p *sim.Proc, lpn, offset, length int) ([]byte, error) {
+	ppi, err := f.lookup(p, lpn)
+	if err != nil {
+		return nil, err
+	}
+	if ppi < 0 {
+		return make([]byte, length), nil
+	}
+	return f.readRecover(p, ppi, offset, length)
+}
+
+// lookup is the prologue of every logical-page read: the firmware's
+// command cost, the read count and the L2P translation. It returns a
+// negative page index for an unmapped page (which reads back as
+// zeroes) and an error for one whose data was lost.
+func (f *FTL) lookup(p *sim.Proc, lpn int) (int, error) {
 	f.checkLPN(lpn)
 	f.fw.Exec(p, f.cfg.FirmwareReadCycles)
 	f.reads++
 	ppi := f.l2p[lpn]
-	if ppi < 0 {
-		if f.lost[lpn] {
-			return nil, fmt.Errorf("ftl: lpn %d: data lost: %w", lpn, fault.ErrUncorrectable)
-		}
-		return make([]byte, length), nil
+	if ppi < 0 && f.lost[lpn] {
+		return ppi, fmt.Errorf("ftl: lpn %d: data lost: %w", lpn, fault.ErrUncorrectable)
 	}
-	return f.readRecover(p, ppi, offset, length)
+	return ppi, nil
 }
 
 // readRetry issues the media read with the retry policy: each reissue
@@ -489,23 +501,16 @@ func (f *FTL) readRecover(p *sim.Proc, ppi, offset, length int) ([]byte, error) 
 // with retries and hands the recovered bytes to sink, so a transient
 // media error costs latency, never correctness.
 func (f *FTL) ReadThrough(p *sim.Proc, lpn, offset, length int, ipOverhead sim.Time, sink func([]byte)) error {
-	f.checkLPN(lpn)
-	f.fw.Exec(p, f.cfg.FirmwareReadCycles)
-	f.reads++
-	ppi := f.l2p[lpn]
+	ppi, err := f.lookup(p, lpn)
+	if err != nil {
+		return err
+	}
 	if ppi < 0 {
-		if f.lost[lpn] {
-			return fmt.Errorf("ftl: lpn %d: data lost: %w", lpn, fault.ErrUncorrectable)
-		}
 		sink(make([]byte, length))
 		return nil
 	}
-	addr := f.ppa(ppi)
-	err := f.arr.ReadThrough(p, addr, offset, length, ipOverhead, sink)
-	if err == nil {
-		return nil
-	}
-	if !errors.Is(err, fault.ErrUncorrectable) {
+	err = f.arr.ReadThrough(p, f.ppa(ppi), offset, length, ipOverhead, sink)
+	if err == nil || !errors.Is(err, fault.ErrUncorrectable) {
 		return err
 	}
 	f.readRetries++
@@ -516,20 +521,6 @@ func (f *FTL) ReadThrough(p *sim.Proc, lpn, offset, length int, ipOverhead sim.T
 	}
 	sink(data)
 	return nil
-}
-
-// Peek copies logical-page contents without advancing simulated time
-// (cache-hit modeling; see nand.Array.Peek).
-func (f *FTL) Peek(lpn, offset int, dst []byte) {
-	f.checkLPN(lpn)
-	ppi := f.l2p[lpn]
-	if ppi < 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	f.arr.Peek(f.ppa(ppi), offset, dst)
 }
 
 // streamExhausted reports whether every live die's slice of the

@@ -20,34 +20,43 @@ func (f *FTL) ReadRange(p *sim.Proc, off int64, length int) ([]byte, error) {
 	return buf, nil
 }
 
+// piece is one logical page's share of a byte range: n bytes at pageOff
+// within page lpn, found at offset at within the range.
+type piece struct {
+	lpn, pageOff, n int
+	at              int
+}
+
+// split cuts the byte range [off, off+length) of the logical address
+// space at page boundaries. Every range operation goes through it.
+func (f *FTL) split(off int64, length int) []piece {
+	ps := int64(f.PageSize())
+	var pieces []piece
+	for at := 0; at < length; {
+		cur := off + int64(at)
+		po := int(cur % ps)
+		n := int(ps) - po
+		if n > length-at {
+			n = length - at
+		}
+		pieces = append(pieces, piece{lpn: int(cur / ps), pageOff: po, n: n, at: at})
+		at += n
+	}
+	return pieces
+}
+
 // ReadRangeAsyncInto starts a parallel read of len(buf) bytes at byte
 // offset off into buf and returns its completion. Multiple outstanding
 // calls overlap, which is how the asynchronous file API reaches full
 // internal bandwidth at smaller request sizes.
 func (f *FTL) ReadRangeAsyncInto(p *sim.Proc, off int64, buf []byte) *sim.Completion {
-	ps := int64(f.PageSize())
-	type piece struct {
-		lpn, pageOff, n int
-		dst             []byte
-	}
-	var pieces []piece
-	for rem, cur := int64(len(buf)), off; rem > 0; {
-		lpn := cur / ps
-		po := int(cur % ps)
-		n := int(ps) - po
-		if int64(n) > rem {
-			n = int(rem)
-		}
-		pieces = append(pieces, piece{int(lpn), po, n, buf[cur-off : cur-off+int64(n)]})
-		cur += int64(n)
-		rem -= int64(n)
-	}
+	pieces := f.split(off, len(buf))
 	done := sim.NewCompletion(f.env, len(pieces))
 	for _, pc := range pieces {
 		f.env.Spawn("ftl-read", func(rp *sim.Proc) {
 			data, err := f.Read(rp, pc.lpn, pc.pageOff, pc.n)
 			if err == nil {
-				copy(pc.dst, data)
+				copy(buf[pc.at:pc.at+pc.n], data)
 			}
 			done.Done(err)
 		})
@@ -64,32 +73,31 @@ func (f *FTL) ReadRangeAsyncInto(p *sim.Proc, off int64, buf []byte) *sim.Comple
 // ReadThrough; only retry-exhausted pages make the call error (sink is
 // never handed bytes from a failed page).
 func (f *FTL) ReadRangeThrough(p *sim.Proc, off int64, length int, ipOverhead sim.Time, sink func(pageOff int64, data []byte)) error {
-	ps := int64(f.PageSize())
-	type piece struct {
-		lpn, pageOff, n int
-		at              int64
-	}
-	var pieces []piece
-	for rem, cur := int64(length), off; rem > 0; {
-		lpn := cur / ps
-		po := int(cur % ps)
-		n := int(ps) - po
-		if int64(n) > rem {
-			n = int(rem)
-		}
-		pieces = append(pieces, piece{int(lpn), po, n, cur})
-		cur += int64(n)
-		rem -= int64(n)
-	}
+	pieces := f.split(off, length)
 	done := sim.NewCompletion(f.env, len(pieces))
 	for _, pc := range pieces {
 		f.env.Spawn("ftl-match", func(rp *sim.Proc) {
 			done.Done(f.ReadThrough(rp, pc.lpn, pc.pageOff, pc.n, ipOverhead, func(b []byte) {
-				sink(pc.at, b)
+				sink(off+int64(pc.at), b)
 			}))
 		})
 	}
 	return done.Wait(p)
+}
+
+// Peek copies [off, off+len(dst)) of the logical address space into dst
+// without advancing simulated time (cache-hit modeling; see
+// nand.Array.Peek). Unmapped pages read back as zeroes.
+func (f *FTL) Peek(off int64, dst []byte) {
+	for _, pc := range f.split(off, len(dst)) {
+		f.checkLPN(pc.lpn)
+		d := dst[pc.at : pc.at+pc.n]
+		if ppi := f.l2p[pc.lpn]; ppi >= 0 {
+			f.arr.Peek(f.ppa(ppi), pc.pageOff, d)
+		} else {
+			clear(d)
+		}
+	}
 }
 
 // WriteRange writes buf at byte offset off, one page at a time. Page-
@@ -103,27 +111,11 @@ func (f *FTL) WriteRange(p *sim.Proc, off int64, buf []byte) error {
 // The logical->die assignment still happens in issue order, so data
 // layout remains deterministic.
 func (f *FTL) WriteRangeAsync(p *sim.Proc, off int64, buf []byte) *sim.Completion {
-	ps := int64(f.PageSize())
-	type piece struct {
-		lpn, pageOff int
-		data         []byte
-	}
-	var pieces []piece
-	for rem, cur := int64(len(buf)), off; rem > 0; {
-		lpn := cur / ps
-		po := int(cur % ps)
-		n := int(ps) - po
-		if int64(n) > rem {
-			n = int(rem)
-		}
-		pieces = append(pieces, piece{int(lpn), po, buf[cur-off : cur-off+int64(n)]})
-		cur += int64(n)
-		rem -= int64(n)
-	}
+	pieces := f.split(off, len(buf))
 	done := sim.NewCompletion(f.env, len(pieces))
 	for _, pc := range pieces {
 		f.env.Spawn("ftl-write", func(wp *sim.Proc) {
-			done.Done(f.Write(wp, pc.lpn, pc.pageOff, pc.data))
+			done.Done(f.Write(wp, pc.lpn, pc.pageOff, buf[pc.at:pc.at+pc.n]))
 		})
 	}
 	return done

@@ -260,9 +260,8 @@ func (i *Interface) readOnce(p *sim.Proc, off int64, buf []byte) error {
 	if err := i.submit(p); err != nil {
 		return err
 	}
-	data, err := i.ftl.ReadRange(p, off, len(buf))
+	err := i.ftl.ReadRangeAsyncInto(p, off, buf).Wait(p)
 	if err == nil {
-		copy(buf, data)
 		i.xferUp(p, int64(len(buf)))
 		i.bytesUp += int64(len(buf))
 	}

@@ -119,19 +119,9 @@ func (f *File) Peek(off int64, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	ps := int64(f.fs.f.PageSize())
 	at := 0
 	for _, s := range segs {
-		for done := 0; done < s.N; {
-			lpn := (s.FTLOff + int64(done)) / ps
-			po := int((s.FTLOff + int64(done)) % ps)
-			n := int(ps) - po
-			if n > s.N-done {
-				n = s.N - done
-			}
-			f.fs.f.Peek(int(lpn), po, buf[at+done:at+done+n])
-			done += n
-		}
+		f.fs.f.Peek(s.FTLOff, buf[at:at+s.N])
 		at += s.N
 	}
 	return nil
@@ -286,51 +276,15 @@ func (f *File) Truncate(p *sim.Proc, size int64) error {
 	f.ino.Size = size
 	f.fs.dirty = true
 	// Zero the tail of the last kept page (it may hold bytes of the cut
-	// region, which must not reappear if the file grows again).
-	ps = int64(f.fs.f.PageSize())
+	// region, which must not reappear if the file grows again). The kept
+	// extents end exactly at that page.
 	if tail := size % ps; tail != 0 && size < oldSize {
-		end := size + (ps - tail)
-		if end > oldSize {
-			end = oldSize
+		n := ps - tail
+		if n > oldSize-size {
+			n = oldSize - size
 		}
-		if n := int(end - size); n > 0 {
-			if err := f.zeroRange(p, size, n); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// zeroRange overwrites [off, off+n) with zeros through the normal write
-// path (the range must be within the allocated extents).
-func (f *File) zeroRange(p *sim.Proc, off int64, n int) error {
-	ps := int64(f.fs.f.PageSize())
-	for done := 0; done < n; {
-		// Locate the page directly from the extent map.
-		pos := int64(0)
-		var lpn int64 = -1
-		cur := off + int64(done)
-		for _, e := range f.ino.Extents {
-			elen := int64(e.Count) * ps
-			if cur < pos+elen {
-				lpn = int64(e.Start) + (cur-pos)/ps
-				break
-			}
-			pos += elen
-		}
-		if lpn < 0 {
-			return ErrOutOfRange
-		}
-		po := int(cur % ps)
-		k := int(ps) - po
-		if k > n-done {
-			k = n - done
-		}
-		if err := f.fs.f.Write(p, int(lpn), po, make([]byte, k)); err != nil {
-			return err
-		}
-		done += k
+		last := f.ino.Extents[len(f.ino.Extents)-1]
+		return f.fs.f.Write(p, last.Start+last.Count-1, int(tail), make([]byte, n))
 	}
 	return nil
 }

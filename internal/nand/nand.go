@@ -280,22 +280,49 @@ func (a *Array) EraseCount(b BlockAddr) int {
 // transfer) and returns fault.ErrUncorrectable. Stored bytes are never
 // altered, so a retry or a remapped copy observes the true data.
 func (a *Array) Read(p *sim.Proc, addr PPA, offset, length int) ([]byte, error) {
+	return a.read(p, "nand.read", addr, offset, length, 0)
+}
+
+// ReadThrough is Read on the matcher datapath: instead of returning the
+// bytes over the bus to a buffer, it hands them to sink as they stream
+// across the channel. It is the primitive underneath the per-channel
+// hardware pattern matcher: data flows through the IP at channel rate
+// (§IV-A). ipOverhead, charged per command on the bus, models the
+// IP-control software overhead that places "Biscuit w/ matcher" below
+// raw internal bandwidth in Fig. 7.
+// On an injected uncorrectable error the sink is never invoked — the
+// matcher IP discards a stream whose ECC check fails — and the error is
+// returned for the FTL to retry or recover.
+func (a *Array) ReadThrough(p *sim.Proc, addr PPA, offset, length int, ipOverhead sim.Time, sink func([]byte)) error {
+	buf, err := a.read(p, "nand.readthrough", addr, offset, length, ipOverhead)
+	if err != nil {
+		return err
+	}
+	sink(buf)
+	return nil
+}
+
+// read is the one page-read command behind Read and ReadThrough. span
+// ("nand.<verb>") names the trace span and the fault-plan site, its
+// verb the errors; busExtra is the command's additional bus occupancy.
+func (a *Array) read(p *sim.Proc, span string, addr PPA, offset, length int, busExtra sim.Time) ([]byte, error) {
+	verb := span[len("nand."):]
 	a.check(addr)
 	if offset < 0 || length < 0 || offset+length > a.cfg.PageSize {
-		panic(fmt.Sprintf("nand: read [%d,%d) out of page bounds", offset, offset+length))
+		panic(fmt.Sprintf("nand: %s [%d,%d) out of page bounds", verb, offset, offset+length))
 	}
 	if a.inj.DieDown(a.dieIndex(addr)) {
 		a.dieFail(p, addr)
-		return nil, fmt.Errorf("nand: read %v: %w (%w)", addr, fault.ErrDieFail, fault.ErrUncorrectable)
+		return nil, fmt.Errorf("nand: %s %v: %w (%w)", verb, addr, fault.ErrDieFail, fault.ErrUncorrectable)
 	}
-	dec := a.inj.Read(func() string { return "nand.read " + addr.String() })
+	dec := a.inj.Read(func() string { return span + " " + addr.String() })
 	// The die holds the data in its page register until the transfer
 	// completes, so it stays busy across both phases; only the bus is
 	// freed for other ways the moment the transfer ends.
 	d := a.die(addr)
 	d.busy.Acquire(p)
 	a.busyDelta(addr.Channel, 1)
-	sp := a.tr.Begin(a.dieTrack(addr), "nand.read").Arg("bytes", int64(length))
+	sp := a.tr.Begin(a.dieTrack(addr), span).Arg("bytes", int64(length))
 	p.Sleep(a.cfg.ReadLatency)
 	if dec.Correctable {
 		a.tr.Instant(a.dieTrack(addr), "ecc.correctable")
@@ -303,7 +330,7 @@ func (a *Array) Read(p *sim.Proc, addr PPA, offset, length int) ([]byte, error) 
 	}
 	bus := a.channels[addr.Channel]
 	bus.Acquire(p)
-	p.Sleep(a.cfg.ChannelCmdCost + sim.TransferTime(int64(length), a.cfg.ChannelBW))
+	p.Sleep(a.cfg.ChannelCmdCost + busExtra + sim.TransferTime(int64(length), a.cfg.ChannelBW))
 	bus.Release()
 	sp.End()
 	a.busyDelta(addr.Channel, -1)
@@ -313,75 +340,20 @@ func (a *Array) Read(p *sim.Proc, addr PPA, offset, length int) ([]byte, error) 
 	a.bytesRead += int64(length)
 	if dec.Uncorrectable {
 		a.tr.Instant(a.dieTrack(addr), "ecc.uncorrectable")
-		return nil, fmt.Errorf("nand: read %v: %w", addr, fault.ErrUncorrectable)
+		return nil, fmt.Errorf("nand: %s %v: %w", verb, addr, fault.ErrUncorrectable)
 	}
 	if a.latent[a.key(addr)] {
 		// Latent damage from program time: the end-to-end CRC fails on
 		// every read of this physical page until it is erased. Only
 		// RAIN reconstruction (or scrub, proactively) can recover it.
 		a.tr.Instant(a.dieTrack(addr), "crc.latent")
-		return nil, fmt.Errorf("nand: read %v: latent damage: %w", addr, fault.ErrUncorrectable)
+		return nil, fmt.Errorf("nand: %s %v: latent damage: %w", verb, addr, fault.ErrUncorrectable)
 	}
 	out := make([]byte, length)
 	if page, ok := a.data[a.key(addr)]; ok {
 		copy(out, page[offset:offset+length])
 	}
 	return out, nil
-}
-
-// ReadThrough is like Read but, instead of returning the bytes over the
-// bus to a buffer, hands each chunk to sink while it streams across the
-// channel. It is the primitive underneath the per-channel hardware
-// pattern matcher: data flows through the IP at channel rate (§IV-A).
-// The extra occupancy charged per command models the IP-control software
-// overhead that places "Biscuit w/ matcher" below raw internal bandwidth
-// in Fig. 7.
-// On an injected uncorrectable error the sink is never invoked — the
-// matcher IP discards a stream whose ECC check fails — and the error is
-// returned for the FTL to retry or recover.
-func (a *Array) ReadThrough(p *sim.Proc, addr PPA, offset, length int, ipOverhead sim.Time, sink func([]byte)) error {
-	a.check(addr)
-	if offset < 0 || length < 0 || offset+length > a.cfg.PageSize {
-		panic(fmt.Sprintf("nand: readthrough [%d,%d) out of page bounds", offset, offset+length))
-	}
-	if a.inj.DieDown(a.dieIndex(addr)) {
-		a.dieFail(p, addr)
-		return fmt.Errorf("nand: readthrough %v: %w (%w)", addr, fault.ErrDieFail, fault.ErrUncorrectable)
-	}
-	dec := a.inj.Read(func() string { return "nand.readthrough " + addr.String() })
-	d := a.die(addr)
-	d.busy.Acquire(p)
-	a.busyDelta(addr.Channel, 1)
-	sp := a.tr.Begin(a.dieTrack(addr), "nand.readthrough").Arg("bytes", int64(length))
-	p.Sleep(a.cfg.ReadLatency)
-	if dec.Correctable {
-		a.tr.Instant(a.dieTrack(addr), "ecc.correctable")
-		p.Sleep(a.inj.Plan().CorrectableLatency)
-	}
-	bus := a.channels[addr.Channel]
-	bus.Acquire(p)
-	p.Sleep(a.cfg.ChannelCmdCost + ipOverhead + sim.TransferTime(int64(length), a.cfg.ChannelBW))
-	bus.Release()
-	sp.End()
-	a.busyDelta(addr.Channel, -1)
-	d.busy.Release()
-
-	a.reads++
-	a.bytesRead += int64(length)
-	if dec.Uncorrectable {
-		a.tr.Instant(a.dieTrack(addr), "ecc.uncorrectable")
-		return fmt.Errorf("nand: readthrough %v: %w", addr, fault.ErrUncorrectable)
-	}
-	if a.latent[a.key(addr)] {
-		a.tr.Instant(a.dieTrack(addr), "crc.latent")
-		return fmt.Errorf("nand: readthrough %v: latent damage: %w", addr, fault.ErrUncorrectable)
-	}
-	buf := make([]byte, length)
-	if page, ok := a.data[a.key(addr)]; ok {
-		copy(buf, page[offset:offset+length])
-	}
-	sink(buf)
-	return nil
 }
 
 // Peek copies page contents without advancing simulated time. It exists

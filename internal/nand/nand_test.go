@@ -2,10 +2,14 @@ package nand
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"biscuit/internal/fault"
 	"biscuit/internal/sim"
+	"biscuit/internal/trace"
 )
 
 func smallConfig() Config {
@@ -242,5 +246,94 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReadAndReadThroughShareOneCommandBody(t *testing.T) {
+	// Read and ReadThrough are one page-read command: at the same
+	// addresses under the same fault plan they make the same fault
+	// decisions, return the same verdicts and take the same time, except
+	// that ReadThrough holds the bus ipOverhead longer and the two name
+	// their spans and fault sites after themselves.
+	const ipOverhead = 5 * sim.Microsecond
+	plan := fault.Plan{Seed: 11, CorrectableProb: 0.4, UncorrectableProb: 0.3, CorrectableLatency: 7 * sim.Microsecond}
+	type result struct {
+		took   []sim.Time
+		failed []bool
+		kinds  []fault.Kind
+		sites  []string
+		trace  string
+	}
+	run := func(through bool) result {
+		e := sim.NewEnv()
+		a := New(e, smallConfig())
+		inj, err := fault.NewInjector(e, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SetInjector(inj)
+		tr := trace.New(e)
+		a.SetTracer(tr)
+		var res result
+		e.Spawn("io", func(p *sim.Proc) {
+			for i := 0; i < 40; i++ {
+				addr := PPA{Channel: i % 2, Way: (i / 2) % 2, Block: 1, Page: i % 8}
+				start := p.Now()
+				var err error
+				if through {
+					err = a.ReadThrough(p, addr, 16, 1024, ipOverhead, func([]byte) {})
+				} else {
+					_, err = a.Read(p, addr, 16, 1024)
+				}
+				res.took = append(res.took, p.Now()-start)
+				res.failed = append(res.failed, err != nil)
+				if err != nil && !errors.Is(err, fault.ErrUncorrectable) {
+					t.Errorf("read %d: unexpected error %v", i, err)
+				}
+			}
+		})
+		e.Run()
+		for _, ev := range inj.Events() {
+			res.kinds = append(res.kinds, ev.Kind)
+			res.sites = append(res.sites, ev.Site)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		res.trace = buf.String()
+		return res
+	}
+	rd, rt := run(false), run(true)
+	if len(rd.kinds) == 0 || len(rd.kinds) != len(rt.kinds) {
+		t.Fatalf("fault schedules differ in length: read %d, readthrough %d", len(rd.kinds), len(rt.kinds))
+	}
+	for i := range rd.kinds {
+		if rd.kinds[i] != rt.kinds[i] {
+			t.Fatalf("fault %d: read drew %v, readthrough %v", i, rd.kinds[i], rt.kinds[i])
+		}
+		if !strings.HasPrefix(rd.sites[i], "nand.read ch") || !strings.HasPrefix(rt.sites[i], "nand.readthrough ch") {
+			t.Fatalf("fault %d sites: %q / %q", i, rd.sites[i], rt.sites[i])
+		}
+	}
+	sawFail, sawOK := false, false
+	for i := range rd.took {
+		if rd.failed[i] != rt.failed[i] {
+			t.Fatalf("op %d: read failed=%v, readthrough failed=%v", i, rd.failed[i], rt.failed[i])
+		}
+		if rt.took[i]-ipOverhead != rd.took[i] {
+			t.Fatalf("op %d: readthrough %v - ipOverhead %v != read %v", i, rt.took[i], ipOverhead, rd.took[i])
+		}
+		sawFail = sawFail || rd.failed[i]
+		sawOK = sawOK || !rd.failed[i]
+	}
+	if !sawFail || !sawOK {
+		t.Fatalf("plan must exercise both verdicts (fail=%v ok=%v)", sawFail, sawOK)
+	}
+	if !strings.Contains(rd.trace, `"nand.read"`) || strings.Contains(rd.trace, `"nand.readthrough"`) {
+		t.Error("Read must emit spans named nand.read only")
+	}
+	if !strings.Contains(rt.trace, `"nand.readthrough"`) || strings.Contains(rt.trace, `"nand.read"`) {
+		t.Error("ReadThrough must emit spans named nand.readthrough only")
 	}
 }

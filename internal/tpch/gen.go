@@ -193,9 +193,8 @@ func phone(rng *rand.Rand, nation int) string {
 
 // rowSink is the destination of one generated table. The generator
 // writes every table through exactly one sink, so the same generation
-// pass can feed a single database (db.Loader satisfies the interface)
-// or an N-way shard router (see LoadShards) without disturbing the rng
-// draw order that fixes table contents.
+// pass can feed any shard router (see LoadShards, LoadShardsReplica)
+// without disturbing the rng draw order that fixes table contents.
 type rowSink interface {
 	Add(db.Row) error
 	Close() error
@@ -206,15 +205,14 @@ type sinkMaker func(name string, sch *db.Schema, batchPages int) (rowSink, error
 
 // Load generates all eight tables at g.SF into d. The caller injects
 // the seeded rng, so table contents are a pure function of
-// (SF, rng state) — see TestLoadDeterministic.
+// (SF, rng state) — see TestLoadDeterministic. It is the 1-way
+// LoadShards.
 func (g Gen) Load(h *biscuit.Host, d *db.Database, rng *rand.Rand) (*Data, error) {
-	mk := func(name string, sch *db.Schema, batchPages int) (rowSink, error) {
-		return d.NewLoader(h, name, sch, batchPages)
-	}
-	if err := g.generate(mk, rng); err != nil {
+	shards, err := g.LoadShards([]*biscuit.Host{h}, []*db.Database{d}, rng)
+	if err != nil {
 		return nil, err
 	}
-	return tablesOf(d), nil
+	return shards[0], nil
 }
 
 // tablesOf resolves the eight loaded tables of d into a Data catalog.
@@ -232,7 +230,7 @@ func tablesOf(d *db.Database) *Data {
 	}
 }
 
-// generate is the single generation pass behind Load and LoadShards:
+// generate is the single generation pass behind every loader:
 // all rng draws happen here, in a fixed order independent of where the
 // rows land.
 func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {

@@ -16,9 +16,8 @@ import (
 // same shard. hosts[i] must be a host view of the device backing
 // dbs[i] (e.g. MultiHost.Unit(i)).
 //
-// The generation pass and rng draw order are identical to Load, so the
-// union of the shards is exactly the single-database catalog and a
-// 1-way LoadShards equals Load byte for byte.
+// Routing consumes no randomness, so the union of the shards is the
+// same catalog whatever the shard count (Load is the 1-way case).
 func (g Gen) LoadShards(hosts []*biscuit.Host, dbs []*db.Database, rng *rand.Rand) ([]*Data, error) {
 	if len(dbs) == 0 || len(hosts) != len(dbs) {
 		return nil, fmt.Errorf("tpch: LoadShards needs one host per database, got %d hosts / %d dbs", len(hosts), len(dbs))

@@ -1,6 +1,9 @@
 package weblog
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"biscuit"
@@ -57,34 +60,76 @@ func TestGenerateShardsPartitionsAndReplicates(t *testing.T) {
 	}
 }
 
+// The seed-5 corpus (1 MiB, needle every 50 lines), pinned at the commit
+// before Generate became the 1-way GenerateShards: its size, its planted
+// needles and the SHA-256 of its bytes.
+const (
+	pinnedCorpusSize    = 1048625
+	pinnedCorpusPlanted = 225
+	pinnedCorpusSHA     = "bac17dd31f19cd1d3975a1a2d8886ce7c2ccea51bb07a9b6ab3b9ee7b58e6e92"
+)
+
+// readCorpus returns the full contents of a host's corpus file.
+func readCorpus(t *testing.T, h *biscuit.Host) []byte {
+	t.Helper()
+	f, err := h.SSD().OpenFile(LogFile, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, f.Size())
+	if err := h.SSD().ReadFileConv(f, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
 func TestGenerateShardsMatchesGenerateDraws(t *testing.T) {
-	// The shard writer draws from the rng exactly like Generate —
-	// routing consumes no randomness — so the same seed and size must
-	// plant the same number of needles as the single-device corpus.
+	// Routing consumes no randomness: the single-device corpus and the
+	// line-interleaved union of a 3-way sharded one are the same bytes,
+	// and both are the bytes Generate wrote before it delegated to
+	// GenerateShards.
 	const needle = "XNEEDLEX"
+	check := func(what string, size, planted int64, corpus []byte) {
+		t.Helper()
+		if size != pinnedCorpusSize || planted != pinnedCorpusPlanted {
+			t.Fatalf("%s: size %d planted %d, pinned %d / %d", what, size, planted, pinnedCorpusSize, pinnedCorpusPlanted)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(corpus)); got != pinnedCorpusSHA {
+			t.Fatalf("%s: corpus sha %s, pinned %s", what, got, pinnedCorpusSHA)
+		}
+	}
 	sys := newSys()
-	var single int64
 	sys.Run(func(h *biscuit.Host) {
-		var err error
-		_, single, err = Generate(h, 1<<20, needle, 50, biscuit.SeededRand(5))
+		size, planted, err := Generate(h, 1<<20, needle, 50, biscuit.SeededRand(5))
 		if err != nil {
 			t.Fatal(err)
 		}
+		check("Generate", size, planted, readCorpus(t, h))
 	})
 	cfg := biscuit.DefaultConfig()
 	cfg.NAND.BlocksPerDie = 256
 	cfg.NAND.PagesPerBlock = 64
-	ms := biscuit.NewMultiSystem(cfg, 3)
-	var sharded int64
+	const n = 3
+	ms := biscuit.NewMultiSystem(cfg, n)
 	ms.Run(func(h *biscuit.MultiHost) {
 		hosts := []*biscuit.Host{h.Unit(0), h.Unit(1), h.Unit(2)}
-		var err error
-		_, sharded, err = GenerateShards(hosts, 1<<20, needle, 50, biscuit.SeededRand(5), false)
+		size, planted, err := GenerateShards(hosts, 1<<20, needle, 50, biscuit.SeededRand(5), false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Line i went to shard i%n: deal the shards' lines back out.
+		var lines [n][][]byte
+		for i := range hosts {
+			lines[i] = bytes.SplitAfter(readCorpus(t, hosts[i]), []byte("\n"))
+		}
+		var corpus []byte
+		for i := 0; ; i++ {
+			shard := lines[i%n]
+			if i/n >= len(shard) || len(shard[i/n]) == 0 { // SplitAfter ends on an empty piece
+				break
+			}
+			corpus = append(corpus, shard[i/n]...)
+		}
+		check("GenerateShards x3", size, planted, corpus)
 	})
-	if single == 0 || single != sharded {
-		t.Fatalf("single-device corpus planted %d, sharded %d", single, sharded)
-	}
 }

@@ -42,58 +42,20 @@ var (
 // needle string every needleEvery lines (0 = never). It returns the
 // actual corpus size and the number of planted needles. The caller
 // injects the seeded rng, so the corpus is a pure function of
-// (size, needle, needleEvery, rng state).
+// (size, needle, needleEvery, rng state). It is the 1-way,
+// non-replicated GenerateShards.
 func Generate(h *biscuit.Host, size int64, needle string, needleEvery int, rng *rand.Rand) (int64, int64, error) {
-	f, err := h.SSD().CreateFile(LogFile)
-	if err != nil {
-		return 0, 0, err
-	}
-	var off int64
-	var planted int64
-	buf := make([]byte, 0, 1<<20)
-	line := 0
-	for off+int64(len(buf)) < size {
-		ua := agents[rng.Intn(len(agents))]
-		if needleEvery > 0 && line%needleEvery == needleEvery-1 {
-			ua = needle
-			planted++
-		}
-		buf = append(buf, fmt.Sprintf("10.%d.%d.%d - - [%02d/Jul/1995:%02d:%02d:%02d] \"%s %s HTTP/1.0\" %d %d \"%s\"\n",
-			rng.Intn(256), rng.Intn(256), rng.Intn(256),
-			1+rng.Intn(28), rng.Intn(24), rng.Intn(60), rng.Intn(60),
-			methods[rng.Intn(len(methods))], paths[rng.Intn(len(paths))],
-			200+rng.Intn(4)*100, rng.Intn(100000), ua)...)
-		line++
-		if len(buf) >= 1<<20 {
-			if err := f.Write(h.Proc(), off, buf); err != nil {
-				return 0, 0, err
-			}
-			off += int64(len(buf))
-			buf = buf[:0]
-			if err := f.Flush(h.Proc()); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	if len(buf) > 0 {
-		if err := f.Write(h.Proc(), off, buf); err != nil {
-			return 0, 0, err
-		}
-		off += int64(len(buf))
-		if err := f.Flush(h.Proc()); err != nil {
-			return 0, 0, err
-		}
-	}
-	return off, planted, nil
+	return GenerateShards([]*biscuit.Host{h}, size, needle, needleEvery, rng, false)
 }
 
 // GenerateShards writes one corpus of approximately size bytes total,
 // striped line-round-robin across the hosts' devices (line i goes to
 // shard i%N under LogFile). With replicate set, each line is also
 // mirrored to the next shard's ReplicaFile, giving the serving layer a
-// one-hop fallback copy for tenant migration. The rng draw order per
-// line is identical to Generate — routing consumes no randomness — so
-// a 1-way non-replicated GenerateShards equals Generate byte for byte.
+// one-hop fallback copy for tenant migration. Routing consumes no
+// randomness, so the corpus (the shards' lines, interleaved) depends
+// only on (size, needle, needleEvery, rng state), not on the shard
+// count.
 func GenerateShards(hosts []*biscuit.Host, size int64, needle string, needleEvery int, rng *rand.Rand, replicate bool) (int64, int64, error) {
 	n := len(hosts)
 	if n == 0 {
