@@ -11,7 +11,7 @@ TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/... \
 	./internal/nand/... ./internal/ftl/... ./internal/isfs/... \
 	./internal/db/... ./internal/match/...
 
-.PHONY: all build test race racefault vet vet-fix fmt check faulttest faultbench healtest benchsmoke benchgate bless-bench tracesmoke telemetrysmoke clean
+.PHONY: all build test race racefault vet vet-fix fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench tracesmoke telemetrysmoke clean
 
 all: build
 
@@ -36,15 +36,21 @@ racefault:
 
 # Failure-path suite (DESIGN.md "Fault model"): the fault engine's own
 # tests plus every package with a fault/corruption/retry/degradation
-# path, run twice to catch schedule nondeterminism, then a short fuzz
-# smoke of the fault-plan parser. Selection is by package, not by test
-# name: a new fault test cannot miss the suite by how it is called.
+# path, run twice to catch schedule nondeterminism. Selection is by
+# package, not by test name: a new fault test cannot miss the suite by
+# how it is called.
 FAULTPKGS := ./internal/ftl/... ./internal/hostif/... ./internal/isfs/... \
 	./internal/db ./internal/tpch/... ./internal/weblog/... ./internal/bench
 
 faulttest:
 	$(GO) test -count=2 ./internal/fault/... $(FAULTPKGS)
-	$(GO) test -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
+
+# Fuzz smoke: 10 s each of the fault-plan parser and the two matcher
+# oracles (go test -fuzz takes one target and one package per run).
+fuzzsmoke:
+	$(GO) test -run '^$$' -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
+	$(GO) test -run '^$$' -fuzz=FuzzStreamEqualsWholeScan -fuzztime=10s ./internal/match
+	$(GO) test -run '^$$' -fuzz=FuzzMultiKeyEqualsNaive -fuzztime=10s ./internal/match
 
 # Self-healing suite (DESIGN.md "Self-healing"): the health monitor's
 # unit tests plus every package with a rebuild/migration/replica/health

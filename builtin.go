@@ -29,10 +29,6 @@ const (
 	ScanCount ScanMode = iota
 	// ScanPositions emits one ScanResult carrying every match position.
 	ScanPositions
-	// ScanChunks emits a Packet per data chunk that contains at least
-	// one match — the "filter pages in storage" primitive DB offload
-	// builds on.
-	ScanChunks
 )
 
 // ScanArgs parameterizes the built-in scanner.
@@ -82,75 +78,57 @@ func (scannerLet) Run(c *Context) error {
 	}
 
 	res := ScanResult{Bytes: f.Size()}
+	count := func(m match.Match) {
+		res.Matches++
+		if args.Mode == ScanPositions {
+			res.Positions = append(res.Positions, m.Pos)
+		}
+	}
 	// Each channel's matcher IP sees only its own pages, and chunks
 	// arrive in channel-completion order, so each chunk is scanned
 	// independently; matches that straddle a chunk boundary are found by
 	// a firmware "seam pass" that re-scans the stitched tail+head bytes
 	// (at most MaxKeyLen-1 on each side) afterwards.
+	const keepMax = match.MaxKeyLen - 1
 	type edge struct {
-		tail []byte // last bytes of the chunk starting at key offset
-		head []byte // first bytes of the chunk
-		len  int
+		off int64             // chunk start offset
+		n   int               // chunk length
+		b   [2 * keepMax]byte // its first min(n, keepMax) bytes, then its last
 	}
-	edges := make(map[int64]*edge) // keyed by chunk start offset
-	var encodeErr error
-	portClosed := false
+	var edges []edge
+	s := a.NewStream()
 	scan := c.ScanFile(f, 0, int(f.Size()), func(off int64, data []byte) {
-		s := a.NewStream()
 		s.Reset(off)
-		s.Feed(data, func(m match.Match) {
-			res.Matches++
-			if args.Mode == ScanPositions {
-				res.Positions = append(res.Positions, m.Pos)
-			}
-		})
-		keep := match.MaxKeyLen - 1
-		if keep > len(data) {
-			keep = len(data)
-		}
-		edges[off] = &edge{
-			tail: append([]byte(nil), data[len(data)-keep:]...),
-			head: append([]byte(nil), data[:keep]...),
-			len:  len(data),
-		}
-		if args.Mode == ScanChunks && !portClosed && a.Contains(data) {
-			pkt, perr := ports.Encode(ChunkHit{Off: off, Len: len(data)})
-			if perr != nil {
-				encodeErr = perr
-				return
-			}
-			// A closed port means the consumer is gone (teardown);
-			// stop emitting hits but let the scan finish its stats.
-			portClosed = !out.Put(pkt)
-		}
+		s.Feed(data, count)
+		e := edge{off: off, n: len(data)}
+		copy(e.b[:keepMax], data)
+		copy(e.b[keepMax:], data[max(0, len(data)-keepMax):])
+		edges = append(edges, e)
 	})
 	if scan != nil {
 		return scan
 	}
-	if encodeErr != nil {
-		return encodeErr
+	// Seam pass, in file order: for every chunk boundary, scan
+	// tail(prev)+head(next) and count only matches that straddle it
+	// (matches fully inside either side were already counted by the
+	// per-chunk scans).
+	sort.Slice(edges, func(i, j int) bool { return edges[i].off < edges[j].off })
+	var boundary int64
+	straddling := func(m match.Match) {
+		if m.Pos < boundary && m.Pos+int64(len(a.Keys()[m.Key])) > boundary {
+			count(m)
+		}
 	}
-	// Seam pass: for every chunk boundary, scan tail(prev)+head(next)
-	// and count only matches that straddle it (matches fully inside
-	// either side were already counted by the per-chunk scans).
-	for off, e := range edges {
-		boundary := off + int64(e.len)
-		next, ok := edges[boundary]
-		if !ok {
+	for i := 1; i < len(edges); i++ {
+		prev, next := &edges[i-1], &edges[i]
+		if boundary = prev.off + int64(prev.n); boundary != next.off {
 			continue
 		}
-		joined := append(append([]byte(nil), e.tail...), next.head...)
-		s := a.NewStream()
-		s.Reset(boundary - int64(len(e.tail)))
-		s.Feed(joined, func(m match.Match) {
-			keyLen := int64(len(a.Keys()[m.Key]))
-			if m.Pos < boundary && m.Pos+keyLen > boundary {
-				res.Matches++
-				if args.Mode == ScanPositions {
-					res.Positions = append(res.Positions, m.Pos)
-				}
-			}
-		})
+		var joined [2 * keepMax]byte
+		tail := copy(joined[:], prev.b[keepMax:keepMax+min(prev.n, keepMax)])
+		n := tail + copy(joined[tail:], next.b[:min(next.n, keepMax)])
+		s.Reset(boundary - int64(tail))
+		s.Feed(joined[:n], straddling)
 	}
 	sort.Slice(res.Positions, func(i, j int) bool { return res.Positions[i] < res.Positions[j] })
 	pkt, err := ports.Encode(res)
@@ -161,12 +139,6 @@ func (scannerLet) Run(c *Context) error {
 		return fmt.Errorf("builtin: scan result dropped: output port closed")
 	}
 	return nil
-}
-
-// ChunkHit identifies a matching chunk emitted in ScanChunks mode.
-type ChunkHit struct {
-	Off int64
-	Len int
 }
 
 // builtinImage assembles the pre-installed module.

@@ -11,8 +11,9 @@
 //   - Arena windows: mem.Block.Bytes and core.Context.Bytes return a
 //     window of the device arena, invalid after Free.
 //   - Streamed scan buffers: the data []byte handed to ScanFile /
-//     ReadThrough sink callbacks is the device's DMA staging buffer,
-//     valid only for the duration of the callback.
+//     ReadThrough sink callbacks is the media's own stored page (the
+//     matcher IP taps the bus, it has no staging buffer), lent only
+//     for the duration of the callback.
 //
 // A value from any of these sources must not outlive its scope: storing
 // it in a struct field or package variable, sending it on a channel,
@@ -95,13 +96,14 @@ var sourceSeeds = map[string]string{
 }
 
 // borrowSeeds are the streaming-read functions whose sink callback
-// borrows the device's staging buffer: FuncID -> {callback argument
-// index, data parameter index within the callback}.
+// borrows the stored page: FuncID -> {callback argument index, data
+// parameter index within the callback}.
 var borrowSeeds = map[string][2]int{
-	"biscuit/internal/core.Context.ScanFile":  {3, 1},
-	"biscuit/internal/isfs.File.ReadThrough":  {4, 1},
-	"biscuit/internal/nand.Array.ReadThrough": {5, 0},
-	"biscuit/internal/ftl.FTL.ReadThrough":    {4, 0},
+	"biscuit/internal/core.Context.ScanFile":    {3, 1},
+	"biscuit/internal/isfs.File.ReadThrough":    {4, 1},
+	"biscuit/internal/nand.Array.ReadThrough":   {5, 0},
+	"biscuit/internal/ftl.FTL.ReadThrough":      {5, 0},
+	"biscuit/internal/ftl.FTL.ReadRangeThrough": {4, 1},
 }
 
 // sanctioned calls may receive arena-backed arguments: AppendRow is the

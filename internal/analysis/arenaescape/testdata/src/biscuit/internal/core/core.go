@@ -12,8 +12,8 @@ type Context struct{}
 // Bytes exposes a block's arena window.
 func (c *Context) Bytes(b mem.Block) ([]byte, error) { return b.Bytes("user") }
 
-// ScanFile streams file data through sink; data is the device's DMA
-// staging buffer, valid only during the callback.
+// ScanFile streams file data through sink; data is the media's own
+// stored page, lent only for the callback.
 func (c *Context) ScanFile(f *File, off int64, n int, sink func(fileOff int64, data []byte)) error {
 	return nil
 }

@@ -4,6 +4,7 @@ package store
 import (
 	"biscuit/internal/core"
 	"biscuit/internal/db"
+	"biscuit/internal/ftl"
 	"biscuit/internal/mem"
 
 	"retain"
@@ -66,6 +67,20 @@ func borrow(c *core.Context, f *core.File, cch *cache) error {
 	})
 	_ = stash
 	return err
+}
+
+// borrowPage: below ScanFile the lent bytes are the media's own stored
+// page; the FTL's page and range forms lend them the same way.
+func borrowPage(f *ftl.FTL, p *ftl.Proc, cch *cache) {
+	var hit []byte
+	_ = f.ReadThrough(p, 0, 0, 64, 0, func(data []byte) {
+		cch.chunk = data // want `borrowed scan buffer stored in field chunk`
+	})
+	_ = f.ReadRangeThrough(p, 0, 64, 0, func(pageOff int64, data []byte) {
+		hit = data // want `borrowed scan buffer escapes its sink callback into hit`
+		hit = append([]byte(nil), data...)
+	})
+	_ = hit
 }
 
 func spawn(b *db.RowBatch) {

@@ -136,7 +136,8 @@ func (c *Context) FlushFile(f *isfs.File) error {
 // pattern matcher (the built-in IP of §IV-A); sink observes the bytes in
 // arbitrary chunk order, each tagged with its file offset. The fiber
 // blocks for the duration; matching itself happens "in hardware", i.e.
-// costs no device-core cycles beyond the per-command IP overhead.
+// costs no device-core cycles beyond the per-command IP overhead. data
+// is the media's own page: sink copies what it keeps, writes nothing.
 func (c *Context) ScanFile(f *isfs.File, off int64, n int, sink func(fileOff int64, data []byte)) error {
 	var err error
 	c.fiber.Block(func(p *sim.Proc) {

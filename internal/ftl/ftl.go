@@ -506,7 +506,7 @@ func (f *FTL) ReadThrough(p *sim.Proc, lpn, offset, length int, ipOverhead sim.T
 		return err
 	}
 	if ppi < 0 {
-		sink(make([]byte, length))
+		sink(f.arr.Zeroes(length))
 		return nil
 	}
 	err = f.arr.ReadThrough(p, f.ppa(ppi), offset, length, ipOverhead, sink)

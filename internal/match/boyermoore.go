@@ -26,25 +26,30 @@ func NewHorspool(pat []byte) *Horspool {
 	return h
 }
 
-// Pattern returns the search pattern.
-func (h *Horspool) Pattern() []byte { return h.pat }
-
-// FindAll returns the start indexes of every (possibly overlapping)
-// occurrence of the pattern in text.
-func (h *Horspool) FindAll(text []byte) []int {
-	var out []int
+// next returns the start of the first occurrence of the pattern at or
+// after from, or -1: the one search loop under FindAll, Count and
+// Contains.
+func (h *Horspool) next(text []byte, from int) int {
 	m := len(h.pat)
-	for i := 0; i+m <= len(text); {
+	for i := from; i+m <= len(text); {
 		j := m - 1
 		for j >= 0 && text[i+j] == h.pat[j] {
 			j--
 		}
 		if j < 0 {
-			out = append(out, i)
-			i++
-			continue
+			return i
 		}
 		i += h.skip[text[i+m-1]]
+	}
+	return -1
+}
+
+// FindAll returns the start indexes of every (possibly overlapping)
+// occurrence of the pattern in text.
+func (h *Horspool) FindAll(text []byte) []int {
+	var out []int
+	for i := h.next(text, 0); i >= 0; i = h.next(text, i+1) {
+		out = append(out, i)
 	}
 	return out
 }
@@ -52,34 +57,11 @@ func (h *Horspool) FindAll(text []byte) []int {
 // Count returns the number of occurrences in text.
 func (h *Horspool) Count(text []byte) int {
 	n := 0
-	m := len(h.pat)
-	for i := 0; i+m <= len(text); {
-		j := m - 1
-		for j >= 0 && text[i+j] == h.pat[j] {
-			j--
-		}
-		if j < 0 {
-			n++
-			i++
-			continue
-		}
-		i += h.skip[text[i+m-1]]
+	for i := h.next(text, 0); i >= 0; i = h.next(text, i+1) {
+		n++
 	}
 	return n
 }
 
 // Contains reports whether the pattern occurs in text.
-func (h *Horspool) Contains(text []byte) bool {
-	m := len(h.pat)
-	for i := 0; i+m <= len(text); {
-		j := m - 1
-		for j >= 0 && text[i+j] == h.pat[j] {
-			j--
-		}
-		if j < 0 {
-			return true
-		}
-		i += h.skip[text[i+m-1]]
-	}
-	return false
-}
+func (h *Horspool) Contains(text []byte) bool { return h.next(text, 0) >= 0 }

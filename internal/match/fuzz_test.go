@@ -56,3 +56,38 @@ func overlapping(pat []byte) bool {
 	}
 	return false
 }
+
+// FuzzMultiKeyEqualsNaive: for one to three keys of at most 16 bytes and
+// any chunking — chunk lengths come from the fuzzer, one byte of cuts
+// per chunk, so length 1 and length 0 both occur — the stream's
+// (Pos, Key) multiset, Count and Contains equal the naive oracle's.
+// k2 and k3 may be empty (fewer keys).
+func FuzzMultiKeyEqualsNaive(f *testing.F) {
+	for _, c := range multiKeySeeds {
+		k := append(append([][]byte{}, c.keys...), nil, nil)
+		cuts := make([]byte, len(c.chunks))
+		for i, n := range c.chunks {
+			cuts[i] = byte(n)
+		}
+		f.Add([]byte(c.text), k[0], k[1], k[2], cuts)
+	}
+	f.Fuzz(func(t *testing.T, text, k1, k2, k3, cuts []byte) {
+		var keys [][]byte
+		for _, k := range [][]byte{k1, k2, k3} {
+			if len(k) > MaxKeyLen {
+				return
+			}
+			if len(k) > 0 {
+				keys = append(keys, k)
+			}
+		}
+		if len(keys) == 0 {
+			return
+		}
+		chunks := make([]int, len(cuts))
+		for i, c := range cuts {
+			chunks[i] = int(c)
+		}
+		checkAgainstNaive(t, keys, text, chunks)
+	})
+}

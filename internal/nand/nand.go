@@ -11,6 +11,7 @@
 package nand
 
 import (
+	"bytes"
 	"fmt"
 
 	"biscuit/internal/fault"
@@ -117,6 +118,8 @@ type Array struct {
 	latent   map[uint64]bool // pages silently damaged at program time
 	inj      *fault.Injector // nil = perfectly reliable media
 
+	zero []byte // what every never-programmed page reads back as
+
 	tr    *trace.Tracer   // nil = tracing disabled
 	dieTk []trace.TrackID // per-die trace tracks, nil when tr is nil
 
@@ -132,7 +135,7 @@ func New(env *sim.Env, cfg Config) *Array {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	a := &Array{cfg: cfg, env: env, data: make(map[uint64][]byte), latent: make(map[uint64]bool)}
+	a := &Array{cfg: cfg, env: env, data: make(map[uint64][]byte), latent: make(map[uint64]bool), zero: make([]byte, cfg.PageSize)}
 	a.channels = make([]*sim.Resource, cfg.Channels)
 	for i := range a.channels {
 		a.channels[i] = env.NewResource(fmt.Sprintf("nand-ch%d", i), 1)
@@ -271,7 +274,7 @@ func (a *Array) EraseCount(b BlockAddr) int {
 }
 
 // Read senses the page (die busy for tR) and transfers length bytes from
-// offset over the channel bus. It returns a fresh copy of the data;
+// offset over the channel bus. It returns a private copy of the data;
 // never-programmed pages read back as zeroes.
 //
 // An injected ECC-correctable error extends the sense phase by the
@@ -280,7 +283,8 @@ func (a *Array) EraseCount(b BlockAddr) int {
 // transfer) and returns fault.ErrUncorrectable. Stored bytes are never
 // altered, so a retry or a remapped copy observes the true data.
 func (a *Array) Read(p *sim.Proc, addr PPA, offset, length int) ([]byte, error) {
-	return a.read(p, "nand.read", addr, offset, length, 0)
+	view, err := a.read(p, "nand.read", addr, offset, length, 0)
+	return bytes.Clone(view), err
 }
 
 // ReadThrough is Read on the matcher datapath: instead of returning the
@@ -290,6 +294,9 @@ func (a *Array) Read(p *sim.Proc, addr PPA, offset, length int) ([]byte, error) 
 // (§IV-A). ipOverhead, charged per command on the bus, models the
 // IP-control software overhead that places "Biscuit w/ matcher" below
 // raw internal bandwidth in Fig. 7.
+// The bytes sink sees are the media's own stored page, not a copy — the
+// IP taps the bus, it owns no buffer — so sink must neither write to
+// them nor keep them past its return.
 // On an injected uncorrectable error the sink is never invoked — the
 // matcher IP discards a stream whose ECC check fails — and the error is
 // returned for the FTL to retry or recover.
@@ -305,6 +312,7 @@ func (a *Array) ReadThrough(p *sim.Proc, addr PPA, offset, length int, ipOverhea
 // read is the one page-read command behind Read and ReadThrough. span
 // ("nand.<verb>") names the trace span and the fault-plan site, its
 // verb the errors; busExtra is the command's additional bus occupancy.
+// The result is a capacity-clipped view of the stored page.
 func (a *Array) read(p *sim.Proc, span string, addr PPA, offset, length int, busExtra sim.Time) ([]byte, error) {
 	verb := span[len("nand."):]
 	a.check(addr)
@@ -349,12 +357,21 @@ func (a *Array) read(p *sim.Proc, span string, addr PPA, offset, length int, bus
 		a.tr.Instant(a.dieTrack(addr), "crc.latent")
 		return nil, fmt.Errorf("nand: %s %v: latent damage: %w", verb, addr, fault.ErrUncorrectable)
 	}
-	out := make([]byte, length)
-	if page, ok := a.data[a.key(addr)]; ok {
-		copy(out, page[offset:offset+length])
-	}
-	return out, nil
+	return a.stored(addr)[offset : offset+length : offset+length], nil
 }
+
+// stored returns addr's page on the media, read-only: it never changes
+// between Program and Erase, and Erase drops it, never recycles it.
+func (a *Array) stored(addr PPA) []byte {
+	if page, ok := a.data[a.key(addr)]; ok {
+		return page
+	}
+	return a.zero
+}
+
+// Zeroes returns n <= PageSize bytes of the shared zero page, read-only
+// like ReadThrough's sink bytes.
+func (a *Array) Zeroes(n int) []byte { return a.zero[:n:n] }
 
 // Peek copies page contents without advancing simulated time. It exists
 // for modeling host-side caches (e.g. a DB buffer pool): the timing of a
@@ -365,12 +382,7 @@ func (a *Array) Peek(addr PPA, offset int, dst []byte) {
 	if offset < 0 || offset+len(dst) > a.cfg.PageSize {
 		panic(fmt.Sprintf("nand: peek [%d,%d) out of page bounds", offset, offset+len(dst)))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	if page, ok := a.data[a.key(addr)]; ok {
-		copy(dst, page[offset:offset+len(dst)])
-	}
+	copy(dst, a.stored(addr)[offset:])
 }
 
 // Program writes a full page. Pages within a block must be programmed in

@@ -2,7 +2,9 @@ package nand
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -335,5 +337,94 @@ func TestReadAndReadThroughShareOneCommandBody(t *testing.T) {
 	}
 	if !strings.Contains(rt.trace, `"nand.readthrough"`) || strings.Contains(rt.trace, `"nand.read"`) {
 		t.Error("ReadThrough must emit spans named nand.readthrough only")
+	}
+}
+
+// The borrow contract: Read's result is the caller's own (scribbling on
+// it changes no later read); ReadThrough lends the stored page itself —
+// the same bytes Read copies, clipped so an append cannot run on into
+// the page — and a scan of every page, programmed or not, leaves the
+// media's checksum where it was.
+func TestReadIsPrivateAndReadThroughLendsTheStoredPage(t *testing.T) {
+	cfg := smallConfig()
+	e := sim.NewEnv()
+	a := New(e, cfg)
+	written := PPA{1, 1, 2, 0}
+	blank := PPA{0, 1, 3, 0}
+	page := make([]byte, cfg.PageSize)
+	for i := range page {
+		page[i] = byte(i*7 + i>>8)
+	}
+	mediaSum := func() [sha256.Size]byte {
+		h := sha256.New()
+		for _, addr := range []PPA{written, blank} {
+			buf := make([]byte, cfg.PageSize)
+			a.Peek(addr, 0, buf)
+			h.Write(buf)
+		}
+		return [sha256.Size]byte(h.Sum(nil))
+	}
+	e.Spawn("io", func(p *sim.Proc) {
+		if err := a.Program(p, written, page); err != nil {
+			t.Error(err)
+		}
+		before := mediaSum()
+		for _, addr := range []PPA{written, blank} {
+			for _, span := range [][2]int{{0, cfg.PageSize}, {100, 300}, {cfg.PageSize - 1, 1}, {7, 0}} {
+				off, n := span[0], span[1]
+				first, err := a.Read(p, addr, off, n)
+				if err != nil {
+					t.Error(err)
+				}
+				want := bytes.Clone(first)
+				for i := range first {
+					first[i] ^= 0xFF
+				}
+				_ = append(first, 0xEE)
+				var lent []byte
+				if err := a.ReadThrough(p, addr, off, n, 0, func(b []byte) {
+					lent = bytes.Clone(b)
+					if cap(b) != len(b) {
+						t.Errorf("%v [%d,+%d): lent view has cap %d", addr, off, n, cap(b))
+					}
+				}); err != nil {
+					t.Error(err)
+				}
+				again, _ := a.Read(p, addr, off, n)
+				if !bytes.Equal(lent, want) || !bytes.Equal(again, want) {
+					t.Errorf("%v [%d,+%d): a scribbled-on Read result changed a later read", addr, off, n)
+				}
+			}
+		}
+		if mediaSum() != before {
+			t.Error("stored pages changed under reads")
+		}
+	})
+	e.Run()
+}
+
+// ReadThrough is the simulator's most-executed media call: it lends,
+// it does not copy.
+func TestReadThroughDoesNotCopyThePage(t *testing.T) {
+	cfg := smallConfig()
+	e := sim.NewEnv()
+	a := New(e, cfg)
+	var n1, n2 uint64
+	e.Spawn("io", func(p *sim.Proc) {
+		a.Program(p, PPA{0, 0, 0, 0}, []byte("needle"))
+		sink := func([]byte) {}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		n1 = ms.TotalAlloc
+		for i := 0; i < 64; i++ {
+			a.ReadThrough(p, PPA{0, 0, 0, 0}, 0, cfg.PageSize, 0, sink)
+			a.ReadThrough(p, PPA{1, 0, 0, 0}, 0, cfg.PageSize, 0, sink)
+		}
+		runtime.ReadMemStats(&ms)
+		n2 = ms.TotalAlloc
+	})
+	e.Run()
+	if per := (n2 - n1) / 128; per >= uint64(cfg.PageSize)/4 {
+		t.Fatalf("ReadThrough allocates %d B per %d B page", per, cfg.PageSize)
 	}
 }
