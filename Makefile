@@ -4,10 +4,12 @@ GO ?= go
 VETTOOL := bin/biscuitvet
 
 # Tier-1 packages: the deterministic kernel the rest of the repo
-# depends on (see ROADMAP.md) plus the scan path from a NAND sense to a
-# host RowBatch. `make race` runs them under the race detector; sim's
-# cooperative scheduler makes races here the most dangerous kind.
+# depends on (see ROADMAP.md), the two packages sitting directly on its
+# coroutine handoff (fibers, core), plus the scan path from a NAND sense
+# to a host RowBatch. `make race` runs them under the race detector;
+# sim's cooperative scheduler makes races here the most dangerous kind.
 TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/... \
+	./internal/fibers/... ./internal/core/... \
 	./internal/nand/... ./internal/ftl/... ./internal/isfs/... \
 	./internal/db/... ./internal/match/...
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -327,5 +328,40 @@ func TestSystemDeterminism(t *testing.T) {
 	o2, t2 := run()
 	if o1 != o2 || t1 != t2 {
 		t.Fatalf("nondeterministic: (%s,%d) vs (%s,%d)", o1, t1, o2, t2)
+	}
+}
+
+// TestSystemReleasesItsWorkersWhenDropped: a System's simulation
+// processes run on coroutines pooled by its Env; once the System is
+// unreachable the Env's cleanup stops them, so building and dropping
+// platforms does not accumulate goroutines.
+func TestSystemReleasesItsWorkersWhenDropped(t *testing.T) {
+	settle := func(want int) int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 50 && n > want; i++ {
+			runtime.GC()
+			runtime.Gosched()
+			n = runtime.NumGoroutine()
+		}
+		return n
+	}
+	base, peak := settle(0), 0
+	data := make([]byte, 300000)
+	rand.New(rand.NewSource(1)).Read(data)
+	for i := 0; i < 3; i++ {
+		sys := NewSystem(quickConfig())
+		sys.Run(func(h *Host) {
+			f, _ := h.SSD().CreateFile("blob")
+			h.SSD().WriteFile(f, 0, data)
+		})
+		if n := runtime.NumGoroutine(); n > peak {
+			peak = n
+		}
+	}
+	if peak == base {
+		t.Fatal("a write workload ran without a single worker")
+	}
+	if n := settle(base); n != base {
+		t.Fatalf("goroutines %d → %d → %d: dropped Systems kept their workers", base, peak, n)
 	}
 }

@@ -115,7 +115,7 @@ type checker struct {
 
 func run(pass *framework.Pass) error {
 	// The simulator kernel is the sanctioned implementation of blocking
-	// on virtual time: its handoff channels are the machinery every
+	// on virtual time: its coroutine switch is the machinery every
 	// pure-looking primitive compiles down to.
 	if framework.PkgPath(pass.Pkg) == simPath {
 		return nil

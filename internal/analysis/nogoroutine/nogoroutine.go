@@ -8,11 +8,10 @@
 // (biscuit/internal/fibers), the SSDlet runtime
 // (biscuit/internal/core), and every package that imports the fiber
 // runtime. The cooperative primitives (fibers.Fiber, sim.Env.Spawn) are
-// the only legal concurrency units there. The sim kernel — which
-// multiplexes processes onto goroutines under a strict handoff
-// protocol — is the one place raw goroutines are legitimate, and it is
-// outside this analyzer's scope by construction. Rare exceptions are
-// waived with //biscuitvet:nogoroutine-ok.
+// the only legal concurrency units there. The sim kernel has no go
+// statement either: it runs process bodies as coroutines (iter.Pull)
+// that it switches into and out of, never alongside. Rare exceptions
+// are waived with //biscuitvet:nogoroutine-ok.
 package nogoroutine
 
 import (

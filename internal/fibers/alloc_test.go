@@ -30,7 +30,7 @@ func yieldRun(k int) float64 {
 // typed wake, core re-acquire, context-switch sleep) must allocate
 // nothing per switch. Doubling the yield count must not change the
 // run's allocation total — the fixed setup (runtime, group, fibers,
-// goroutines) is all there is.
+// workers) is all there is.
 func TestBlockZeroAllocDisabledTracer(t *testing.T) {
 	const k = 20000
 	base, double := yieldRun(k), yieldRun(2*k)

@@ -19,6 +19,7 @@ package ftl
 // their parity relocated when GC collects the parity's block.
 
 import (
+	"crypto/subtle"
 	"errors"
 	"fmt"
 
@@ -48,10 +49,9 @@ type stripeRec struct {
 	seq     int
 }
 
+// xorInto folds src into the first len(src) bytes of dst.
 func xorInto(dst, src []byte) {
-	for i := range src {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst[:len(src)], dst, src)
 }
 
 func (f *FTL) channelOf(ppi int) int {

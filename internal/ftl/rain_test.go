@@ -253,3 +253,30 @@ func TestRainDeterminism(t *testing.T) {
 		t.Fatal("different seeds produced identical fault transcripts")
 	}
 }
+
+// TestXorIntoMatchesByteLoop: xorInto is the word-wide subtle.XORBytes;
+// it must equal the byte loop it replaced for every length and for
+// operands that start at odd addresses, and must leave dst beyond
+// len(src) alone.
+func TestXorIntoMatchesByteLoop(t *testing.T) {
+	backing := make([]byte, 2*300)
+	for i := range backing {
+		backing[i] = byte(i*131 + 7)
+	}
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 127, 255} {
+		for dstOff := 0; dstOff < 9; dstOff++ {
+			for srcOff := 0; srcOff < 9; srcOff++ {
+				src := backing[300+srcOff : 300+srcOff+n]
+				dst := bytes.Clone(backing[:dstOff+n+5])[dstOff:]
+				want := bytes.Clone(dst)
+				for i := range src {
+					want[i] ^= src[i]
+				}
+				xorInto(dst, src)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("n=%d dst+%d src+%d: xorInto differs from the byte loop", n, dstOff, srcOff)
+				}
+			}
+		}
+	}
+}

@@ -29,8 +29,9 @@ func TestAfterZeroAlloc(t *testing.T) {
 
 // TestSleepZeroAllocSteadyState: a process sleeping in a loop (the
 // typed-wake park/resume path) must not allocate per sleep. The spawn
-// itself (proc struct, channels, goroutine) is allowed a small fixed
-// budget; 100k sleeps inside it prove the per-op cost is zero.
+// itself (proc struct, done event, one first-time worker) is allowed a
+// small fixed budget; 100k sleeps inside it prove the per-op cost is
+// zero.
 func TestSleepZeroAllocSteadyState(t *testing.T) {
 	const ops = 100000
 	allocs := testing.AllocsPerRun(1, func() {
@@ -108,7 +109,13 @@ func TestEventFireZeroAllocMarginal(t *testing.T) {
 }
 
 // TestResourceZeroAllocSteadyState: the contended acquire/release cycle
-// (FIFO wait queue churn included) reuses the waiter array.
+// (FIFO wait queue churn included) reuses the waiter array. The budget
+// is the fresh Env's three first-time workers: a cold worker costs about
+// 16 allocations on top of its tenant's Proc and done Event (12 to make
+// it — iter.Pull boxes its captured variables and builds its closures,
+// the coroutine and its goroutine; ours adds the worker and its loop —
+// and the rest on its first switch-in). Measured 89 in all; a warm Env
+// pays 2 per spawn (TestWarmSpawnAllocatesProcAndDoneOnly).
 func TestResourceZeroAllocSteadyState(t *testing.T) {
 	const ops = 20000
 	allocs := testing.AllocsPerRun(1, func() {
@@ -125,7 +132,7 @@ func TestResourceZeroAllocSteadyState(t *testing.T) {
 		}
 		e.Run()
 	})
-	if allocs > 64 {
-		t.Fatalf("run with %d contended acquire/release cycles allocated %.0f times (budget 64)", 3*ops, allocs)
+	if allocs > 96 {
+		t.Fatalf("run with %d contended acquire/release cycles allocated %.0f times (budget 96: three cold workers)", 3*ops, allocs)
 	}
 }

@@ -34,7 +34,7 @@ func BenchmarkSimCore(b *testing.B) {
 	})
 
 	// sleep: the typed-wake park/resume path, one full process
-	// suspension and resumption per op (two goroutine handoffs).
+	// suspension and resumption per op (two coroutine switches).
 	b.Run("sleep", func(b *testing.B) {
 		e := NewEnv()
 		b.ReportAllocs()
@@ -76,12 +76,10 @@ func BenchmarkSimCoreRef(b *testing.B) {
 	}
 }
 
-// BenchmarkProcWake pins the goroutine-handoff cost of one Proc
-// park/resume cycle — the two channel operations (handoff send, resume
-// receive) every process suspension pays. This is the floor under all
-// process-level simulation throughput, so the next sim-core
-// optimization (fiber-style switching, batched wakes) has a committed
-// baseline to beat.
+// BenchmarkProcWake pins the cost of one Proc park/resume cycle — the
+// two coroutine switches (the worker's yield out, the scheduler's next
+// back in) every process suspension pays. This is the floor under all
+// process-level simulation throughput.
 //
 // yield: pure handoff — wake at the current instant, park, resume.
 // Nothing but the scheduler round-trip; must be 0 allocs/op.

@@ -1,18 +1,21 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Env is a simulation environment: a virtual clock plus the pending-event
 // queue that drives it. An Env and everything attached to it must be used
-// from a single wall-clock thread of control: either the goroutine calling
-// Run, or the (strictly serialized) simulation processes it resumes.
+// from a single thread of control: the goroutine calling Run, which
+// switches into each simulation process as a coroutine and gets control
+// back when the process parks — nothing ever runs in parallel with it.
 type Env struct {
 	now Time
 	eq  eventQueue
 	seq uint64
 
-	// handoff carries control back from a running process to the scheduler.
-	handoff chan struct{}
+	pool *workerPool // idle process workers; released when the Env is collected
 
 	// waiterPool recycles Event waiter slices (see Event.fire) so that
 	// the steady-state wait/fire cycle never allocates.
@@ -34,7 +37,9 @@ type SchedEvent struct {
 
 // NewEnv returns an empty environment at virtual time zero.
 func NewEnv() *Env {
-	return &Env{handoff: make(chan struct{})}
+	e := &Env{pool: new(workerPool)}
+	runtime.AddCleanup(e, (*workerPool).stopAll, e.pool)
+	return e
 }
 
 // Now reports the current virtual time.
@@ -60,16 +65,16 @@ func (e *Env) SetTrace(fn func(string)) {
 }
 
 // event is one pending queue entry. Exactly one of the three targets is
-// set: a typed wake target (resume a parked process), a typed fire
+// set: a typed wake target (start or resume a process), a typed fire
 // target (fire a latched event), or a general action closure. The typed
 // targets exist so the hot park/resume and wait/fire paths schedule a
 // plain value instead of allocating a resume closure per dispatch.
 type event struct {
 	at   Time
 	seq  uint64
-	proc *Proc  // wake target: resume this parked process
+	proc *Proc  // wake target: start or resume this process
 	ev   *Event // fire target: fire this event
-	fn   func() // general action (Spawn bootstrap, After callbacks)
+	fn   func() // general action (After callbacks)
 }
 
 // heapEntry is one node of the scheduling heap: the full (at, seq)
@@ -208,12 +213,6 @@ func (e *Env) put(at Time, ev event) {
 	e.eq.push(ev)
 }
 
-// schedule queues action to run at absolute time at. Actions run in the
-// scheduler's context and must not block; they typically resume a process.
-func (e *Env) schedule(at Time, action func()) {
-	e.put(at, event{fn: action})
-}
-
 // scheduleWake queues a typed wake target: at time at the scheduler
 // resumes p directly, with no closure in between.
 func (e *Env) scheduleWake(at Time, p *Proc) {
@@ -226,9 +225,10 @@ func (e *Env) scheduleFire(at Time, ev *Event) {
 	e.put(at, event{ev: ev})
 }
 
-// After queues fn to run (in scheduler context) after delay d.
+// After queues fn to run after delay d. It runs in the scheduler's
+// context and must not block.
 func (e *Env) After(d Time, fn func()) {
-	e.schedule(e.now+d, fn)
+	e.put(e.now+d, event{fn: fn})
 }
 
 // getWaiters takes a recycled waiter slice (empty, non-nil) or makes a
@@ -275,10 +275,9 @@ func (e *Env) RunUntil(deadline Time) {
 		}
 		switch {
 		case ev.proc != nil:
-			// Typed wake: hand control to the parked process and wait
-			// for it to park again (or terminate).
-			ev.proc.resume <- struct{}{}
-			<-e.handoff
+			// Typed wake: switch into the process until it parks
+			// again (or terminates).
+			ev.proc.dispatch()
 		case ev.ev != nil:
 			ev.ev.fire()
 		default:

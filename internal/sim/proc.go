@@ -1,18 +1,62 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Proc is a simulation process: a goroutine whose execution is serialized
-// by the environment's scheduler. A Proc runs until it blocks in one of
-// the kernel primitives (Sleep, Wait, Resource.Acquire, ...), at which
-// point control returns to the scheduler; it is resumed when the event it
-// blocks on fires.
+// Proc is a simulation process: a body function whose execution is
+// serialized by the environment's scheduler. A Proc runs until it blocks
+// in one of the kernel primitives (Sleep, Wait, Resource.Acquire, ...),
+// at which point control returns to the scheduler; it is resumed when
+// the event it blocks on fires.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   *Event
-	dead   bool
+	env  *Env
+	name string
+	fn   func(p *Proc) // the body, until the first dispatch starts it
+	w    *worker       // the coroutine running the body, from first dispatch to exit
+	done *Event
+}
+
+// worker is a coroutine (iter.Pull) that runs process bodies, one tenant
+// at a time: next switches from the scheduler into it and yield switches
+// back (runtime.coroswitch: no run queue, no thread wake-up).
+type worker struct {
+	p     *Proc // tenant; nil while idle, so an idle worker does not hold its Env
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+}
+
+// workerPool is an Env's idle workers, in an allocation of its own so
+// that the Env's cleanup can reach them without reaching the Env.
+type workerPool struct{ idle []*worker }
+
+// get takes an idle worker, grown stack included, or makes one.
+func (wp *workerPool) get() *worker {
+	if n := len(wp.idle) - 1; n >= 0 {
+		w := wp.idle[n]
+		wp.idle = wp.idle[:n]
+		return w
+	}
+	w := new(worker)
+	w.next, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for ok := true; ok; ok = yield(struct{}{}) { // false: stopped by stopAll
+			w.p.run() // a runtime.Goexit in the body ends the worker here, unpooled
+			w.p = nil
+			wp.idle = append(wp.idle, w)
+		}
+	})
+	return w
+}
+
+// stopAll is the Env's cleanup: an unreachable Env dispatches nothing,
+// and every worker of it that is not blocked inside a body is idle.
+func (wp *workerPool) stopAll() {
+	for _, w := range wp.idle {
+		w.stop()
+	}
 }
 
 // Spawn creates a process named name running fn, starting at the current
@@ -22,35 +66,45 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
 
-// SpawnAt creates a process that starts at absolute virtual time at.
+// SpawnAt creates a process that starts at absolute virtual time at. The
+// start is an ordinary typed wake (see dispatch).
 func (e *Env) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), done: e.NewEvent()}
+	p := &Proc{env: e, name: name, fn: fn, done: e.NewEvent()}
 	e.nprocs++
-	e.schedule(at, func() {
-		go p.run(fn)
-		<-e.handoff
-	})
+	e.scheduleWake(at, p)
 	return p
 }
 
-func (p *Proc) run(fn func(p *Proc)) {
+// dispatch switches from the scheduler into p, starting its body on a
+// pooled worker the first time, and returns when p parks or finishes.
+func (p *Proc) dispatch() {
+	if p.w == nil {
+		if p.fn == nil { // its old worker may be running someone else by now
+			panic(fmt.Sprintf("sim: wake of finished process %q", p.name))
+		}
+		p.w = p.env.pool.get()
+		p.w.p = p
+	}
+	p.w.next()
+}
+
+// run executes the body on the calling worker.
+func (p *Proc) run() {
+	fn := p.fn
+	p.fn = nil
 	defer func() {
 		if v := recover(); v != nil {
 			p.env.panicV = fmt.Sprintf("sim: process %q panicked: %v", p.name, v)
 		}
-		p.dead = true
+		p.w = nil
 		p.env.nprocs--
 		p.done.fire()
-		p.env.handoff <- struct{}{}
 	}()
 	fn(p)
 }
 
-// park yields control to the scheduler and blocks until resumed.
-func (p *Proc) park() {
-	p.env.handoff <- struct{}{}
-	<-p.resume
-}
+// park switches back to the scheduler and returns when p is next woken.
+func (p *Proc) park() { p.w.yield(struct{}{}) }
 
 // wake schedules p to resume at the current virtual time. It must be
 // called at most once per park. The wake is a typed scheduler target,

@@ -330,15 +330,36 @@ func TestRunUntilStopsClock(t *testing.T) {
 	}
 }
 
+// TestProcessPanicPropagates: the body's panic comes out of Run with the
+// process named, the worker it ran on goes back to the pool, and the Env
+// keeps scheduling.
 func TestProcessPanicPropagates(t *testing.T) {
 	e := NewEnv()
-	e.Spawn("bad", func(p *Proc) { panic("boom") })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic to propagate from Run")
-		}
+	e.Spawn("bad", func(p *Proc) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			want := `sim: process "bad" panicked: boom`
+			if v := recover(); v != want {
+				t.Fatalf("Run panicked with %v, want %q", v, want)
+			}
+		}()
+		e.Run()
 	}()
+	if e.NumProcs() != 0 || len(e.pool.idle) != 1 {
+		t.Fatalf("after the panic: %d live procs, %d idle workers; want 0, 1", e.NumProcs(), len(e.pool.idle))
+	}
+	ran := false
+	e.Spawn("good", func(p *Proc) {
+		p.Sleep(1)
+		ran = true
+	})
 	e.Run()
+	if !ran || len(e.pool.idle) != 1 {
+		t.Fatalf("after the panic: ran=%v on %d workers, want true on 1", ran, len(e.pool.idle))
+	}
 }
 
 func TestSchedulingIntoPastPanics(t *testing.T) {
@@ -349,7 +370,7 @@ func TestSchedulingIntoPastPanics(t *testing.T) {
 		}
 	}()
 	e.now = 100
-	e.schedule(50, func() {})
+	e.scheduleWake(50, nil)
 }
 
 func TestTransferTimeProperties(t *testing.T) {

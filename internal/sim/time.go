@@ -5,8 +5,8 @@
 // which makes every experiment in the repository reproducible bit-for-bit.
 //
 // The kernel follows the classic process-interaction style: simulation
-// processes are ordinary Go functions run on goroutines, but only one
-// process executes at a time and control is handed back to the scheduler
+// processes are ordinary Go functions run as coroutines of the scheduler:
+// only one executes at a time and control switches back to the scheduler
 // whenever a process blocks (Sleep, Wait, resource acquisition). Events
 // that are scheduled for the same instant fire in scheduling order, so a
 // run is fully deterministic.
