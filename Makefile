@@ -13,7 +13,7 @@ TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/... \
 	./internal/nand/... ./internal/ftl/... ./internal/isfs/... \
 	./internal/db/... ./internal/match/...
 
-.PHONY: all build test race racefault vet vet-fix fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench tracesmoke telemetrysmoke clean
+.PHONY: all build test race racefault vet vet-fix fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench tracesmoke telemetrysmoke lines clean
 
 all: build
 
@@ -173,6 +173,16 @@ $(VETTOOL): $(VETSRC)
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# lines: non-test .go source lines per internal/* package and in total
+# (the repo root, cmd/, examples/ and benchmark/ count toward the total;
+# analyzer testdata fixtures do not) — the "Lines:" row of a CHANGES.md
+# entry and the design-diet tracker.
+SRCLINES = find $(1) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l
+
+lines:
+	@for d in internal/*/; do printf '%7d  %s\n' $$($(call SRCLINES,$$d)) $$d; done
+	@printf '%7d  total\n' $$($(call SRCLINES,.))
 
 check: build fmt vet test race
 

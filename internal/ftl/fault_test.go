@@ -56,8 +56,8 @@ func TestReadRetryRecoversTransientUncorrectable(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Error("retried read returned wrong data")
 		}
-		if p.Now()-before < f.cfg.RetryLatency {
-			t.Error("retry must cost at least RetryLatency")
+		if p.Now()-before < retryLatency {
+			t.Error("retry must cost at least retryLatency")
 		}
 	})
 	e.Run()
@@ -89,9 +89,9 @@ func TestReadErrorSurfacesAfterRetriesExhausted(t *testing.T) {
 	})
 	e.Run()
 	retries, errs, _, _ := f.FaultStats()
-	if retries != 2*int64(f.cfg.ReadRetries) || errs != 2 {
+	if retries != 2*maxReadRetries || errs != 2 {
 		t.Fatalf("readRetries=%d readErrors=%d, want %d,2 (member + parity)",
-			retries, errs, 2*f.cfg.ReadRetries)
+			retries, errs, 2*maxReadRetries)
 	}
 	if rs := f.Rain(); rs.ReconstructFails != 1 {
 		t.Fatalf("ReconstructFails=%d, want 1", rs.ReconstructFails)
@@ -174,8 +174,8 @@ func TestProgramFailureExhaustionSurfaces(t *testing.T) {
 		}
 	})
 	e.Run()
-	if f.BadBlocks() != int64(f.cfg.ProgramRetries) {
-		t.Fatalf("badBlocks=%d, want one per attempt (%d)", f.BadBlocks(), f.cfg.ProgramRetries)
+	if f.BadBlocks() != maxProgramRetries {
+		t.Fatalf("badBlocks=%d, want one per attempt (%d)", f.BadBlocks(), maxProgramRetries)
 	}
 }
 

@@ -12,6 +12,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"biscuit/internal/cpu"
 	"biscuit/internal/fault"
@@ -21,34 +22,10 @@ import (
 	"biscuit/internal/trace"
 )
 
-// Config holds FTL tuning parameters.
+// Config holds the FTL's one tuning parameter. Everything else the
+// firmware model is calibrated with is a package constant below: no
+// caller ever set those to anything but their defaults.
 type Config struct {
-	// OverProvision is the fraction of raw capacity held back from the
-	// logical space (spare blocks for GC).
-	OverProvision float64
-	// GCLowWater triggers garbage collection when a die's free-block
-	// count drops below it; GCHighWater is the refill target.
-	GCLowWater, GCHighWater int
-	// FirmwareReadCycles / FirmwareWriteCycles are the firmware CPU cost
-	// per page command (lookup, command issue, completion).
-	FirmwareReadCycles  float64
-	FirmwareWriteCycles float64
-	// FirmwareThreads is the number of firmware cores dedicated to the
-	// I/O path (separate from the two cores Biscuit may use).
-	FirmwareThreads int
-	FirmwareHz      float64
-
-	// ReadRetries is how many times an uncorrectable page read is
-	// reissued (with adjusted read-reference voltages on real NAND)
-	// before the error is surfaced. Each retry costs RetryLatency on
-	// top of the repeated media timing.
-	ReadRetries  int
-	RetryLatency sim.Time
-	// ProgramRetries bounds how many sibling blocks a failed program is
-	// remapped to (each failure retires the failing block) before the
-	// write errors out.
-	ProgramRetries int
-
 	// StripeDataPages is the RAIN stripe width W: every W data pages the
 	// frontier lays down on W distinct channels are closed with one XOR
 	// parity page on yet another channel, so any single lost page — or a
@@ -57,29 +34,46 @@ type Config struct {
 	// RAIN. Widths above Channels-1 are clamped: a stripe never puts two
 	// pages on one channel.
 	StripeDataPages int
-	// XORCyclesPerByte is the firmware CPU cost of XOR-folding one byte
-	// during parity accumulation, reconstruction and scrub verification.
-	XORCyclesPerByte float64
 }
 
-// DefaultConfig returns parameters matching an enterprise drive: 7 % OP
-// and a firmware read path of a few microseconds per page.
-func DefaultConfig() Config {
-	return Config{
-		OverProvision:       0.07,
-		GCLowWater:          2,
-		GCHighWater:         4,
-		FirmwareReadCycles:  2250, // 3us at 750 MHz
-		FirmwareWriteCycles: 3750, // 5us
-		FirmwareThreads:     4,
-		FirmwareHz:          750e6,
-		ReadRetries:         2,
-		RetryLatency:        20 * sim.Microsecond,
-		ProgramRetries:      3,
-		StripeDataPages:     0,     // auto: Channels-1
-		XORCyclesPerByte:    0.125, // 8 bytes/cycle vectorized XOR loop
-	}
-}
+// DefaultConfig returns the zero Config: the default stripe width.
+func DefaultConfig() Config { return Config{} }
+
+// Firmware calibration, matching an enterprise drive: 7 % OP and a
+// firmware read path of a few microseconds per page. The float64 types
+// keep every derived product rounded exactly as a run-time value is.
+const (
+	// overProvision is the fraction of raw capacity held back from the
+	// logical space (spare blocks for GC).
+	overProvision float64 = 0.07
+	// gcLowWater triggers garbage collection when the free-superblock
+	// pool drops to it; gcHighWater is the refill target.
+	gcLowWater, gcHighWater = 2, 4
+	// fwReadCycles / fwWriteCycles are the firmware CPU cost per page
+	// command (lookup, command issue, completion).
+	fwReadCycles  float64 = 2250 // 3us at 750 MHz
+	fwWriteCycles float64 = 3750 // 5us
+	// fwThreads is the number of firmware cores dedicated to the I/O
+	// path (separate from the two cores Biscuit may use).
+	fwThreads         = 4
+	fwHz      float64 = 750e6
+
+	// maxReadRetries is how many times an uncorrectable page read is
+	// reissued (with adjusted read-reference voltages on real NAND)
+	// before the error is surfaced. Each retry costs retryLatency on
+	// top of the repeated media timing.
+	maxReadRetries = 2
+	retryLatency   = 20 * sim.Microsecond
+	// maxProgramRetries bounds how many sibling blocks a failed program
+	// is remapped to (each failure retires the failing block) before the
+	// write errors out.
+	maxProgramRetries = 3
+
+	// xorCyclesPerByte is the firmware CPU cost of XOR-folding one byte
+	// during parity accumulation, reconstruction and scrub verification:
+	// 8 bytes/cycle, a vectorized XOR loop.
+	xorCyclesPerByte float64 = 0.125
+)
 
 // Write streams. Host writes and GC/repair relocations go to separate
 // open blocks (and separate RAIN stripes): mixing them flattens the
@@ -113,7 +107,6 @@ type blockMeta struct {
 type FTL struct {
 	env      *sim.Env
 	arr      *nand.Array
-	cfg      Config
 	fw       *cpu.CPU
 	dies     []*dieState
 	l2p      []int        // lpn -> physical page index, -1 unmapped
@@ -151,7 +144,7 @@ type FTL struct {
 	rebuildPos  int          // next page offset within rebuildCur's address space
 
 	tr     *trace.Tracer // nil = tracing disabled
-	gcTk   trace.TrackID // GC rounds (serialized by inGC, so spans nest)
+	gcTk   trace.TrackID // GC rounds (serialized by gcGate, so spans nest)
 	fwTk   trace.TrackID // firmware fault-handling instants (retries, remaps)
 	rainTk trace.TrackID // RAIN seal/reconstruct/scrub spans (async: they overlap)
 	hists  *stats.Histograms
@@ -174,56 +167,30 @@ type FTL struct {
 	gcRecovers   int64 // GC relocations recovered through parity reconstruction
 	badBlocks    int64 // blocks retired for program/erase failures
 
-	stripeSeals          int64 // stripes closed with a parity page
-	stripeDrops          int64 // stripes released after their last live member died
-	stripeShrinks        int64 // stale members removed (parity narrowed) before erase
-	parityWrites         int64 // parity page programs (seals + relocations + rewrites)
-	parityFails          int64 // parity programs that failed, leaving members unprotected
-	reconstructs         int64 // pages rebuilt from surviving members + parity
-	reconstructFails     int64 // reconstructions that failed hard (second member lost)
-	reconstructUnstriped int64 // reconstruction requests for pages RAIN never covered (benign)
-	degradedReads        int64 // host/NDP reads served through reconstruction
-	rebuildPages         int64 // live data pages re-striped off dead dies
-	rebuildParityMoves   int64 // parity pages relocated off dead dies
-	rebuildSkips         int64 // dead-die pages found stale/superseded (free bookkeeping)
-	rebuildFails         int64 // rebuild units that failed (data beyond parity's reach)
-	rebuildDies          int64 // dies fully drained by the rebuild walker
-
-	scrubStripes     int64 // stripes examined by the patrol scrub
-	scrubRepairs     int64 // damaged members rewritten by scrub
-	scrubParityFixes int64 // parity pages rewritten by scrub
-	scrubLost        int64 // stripes found with >1 lost page (beyond single parity)
-	lostPages        int64 // logical pages poisoned after unrecoverable double loss
+	rain    RainStats    // reported by Rain
+	rebuild RebuildStats // reported by Rebuild
 }
 
 // New builds an FTL over arr.
 func New(env *sim.Env, arr *nand.Array, cfg Config) *FTL {
 	nc := arr.Config()
 	f := &FTL{
-		env:      env,
-		arr:      arr,
-		cfg:      cfg,
-		fw:       cpu.New(env, "fw-cpu", cfg.FirmwareThreads, cfg.FirmwareHz),
-		gcGate:   env.NewResource("ftl-gc", 1),
-		lost:     make(map[int]bool),
-		memberOf: make(map[int]int),
-		parityOf: make(map[int]int),
+		env:         env,
+		arr:         arr,
+		fw:          cpu.New(env, "fw-cpu", fwThreads, fwHz),
+		gcGate:      env.NewResource("ftl-gc", 1),
+		lost:        make(map[int]bool),
+		rebuildSeen: make(map[int]bool),
+		memberOf:    make(map[int]int),
+		parityOf:    make(map[int]int),
 	}
 	f.rebuildCur = -1
 	w := cfg.StripeDataPages
-	if w == 0 {
+	if w == 0 || w > nc.Channels-1 {
 		w = nc.Channels - 1
 	}
-	if w > nc.Channels-1 {
-		w = nc.Channels - 1
-	}
-	if w < 1 || nc.Channels < 2 {
-		w = 0 // RAIN needs a parity channel distinct from every member
-	}
+	w = max(w, 0) // RAIN needs a parity channel distinct from every member
 	f.stripeW = w
-	if f.cfg.XORCyclesPerByte <= 0 {
-		f.cfg.XORCyclesPerByte = 0.125
-	}
 	f.dies = make([]*dieState, nc.Dies())
 	for i := range f.dies {
 		d := &dieState{
@@ -232,11 +199,7 @@ func New(env *sim.Env, arr *nand.Array, cfg Config) *FTL {
 			wlock:     env.NewResource(fmt.Sprintf("ftl-wlock%d", i), 1),
 		}
 		for b := range d.blockMeta {
-			lpns := make([]int, nc.PagesPerBlock)
-			for i := range lpns {
-				lpns[i] = -1
-			}
-			d.blockMeta[b].lpns = lpns
+			d.blockMeta[b].lpns = slices.Repeat([]int{-1}, nc.PagesPerBlock)
 		}
 		f.dies[i] = d
 	}
@@ -259,20 +222,17 @@ func New(env *sim.Env, arr *nand.Array, cfg Config) *FTL {
 	// every page it moves (≈1/W extra programs per move), so full-device
 	// occupancy must still leave greedy superblock victims cheap enough
 	// to recycle — the second OP tranche buys that margin.
-	logical := float64(nc.TotalPages()) * (1 - cfg.OverProvision)
-	reserve := (numStreams + cfg.GCLowWater + 1) * nc.Dies() * nc.PagesPerBlock
+	logical := float64(nc.TotalPages()) * (1 - overProvision)
+	reserve := (numStreams + gcLowWater + 1) * nc.Dies() * nc.PagesPerBlock
 	logical -= float64(reserve)
 	if w > 0 {
-		logical = logical * float64(w) / float64(w+1) * (1 - cfg.OverProvision)
+		logical = logical * float64(w) / float64(w+1) * (1 - overProvision)
 	}
 	if logical < float64(nc.Dies()*nc.PagesPerBlock) {
 		panic("ftl: configuration leaves no logical capacity (raise BlocksPerDie or lower reserves)")
 	}
 	f.nLPN = int(logical)
-	f.l2p = make([]int, f.nLPN)
-	for i := range f.l2p {
-		f.l2p[i] = -1
-	}
+	f.l2p = slices.Repeat([]int{-1}, f.nLPN)
 	return f
 }
 
@@ -306,11 +266,6 @@ func (f *FTL) SetHists(h *stats.Histograms) { f.hists = h }
 // rebuild has not yet examined, and "ftl.rebuild.pages" the cumulative
 // pages it has re-striped. Nil disables.
 func (f *FTL) SetGauges(g *stats.Gauges) {
-	if g == nil {
-		f.gFreeSB, f.gGCDebt, f.gScrub = nil, nil, nil
-		f.gRebuildLeft, f.gRebuildPages = nil, nil
-		return
-	}
 	f.gFreeSB = g.G("ftl.free_sb")
 	f.gGCDebt = g.G("ftl.gc.debt")
 	f.gScrub = g.G("ftl.scrub.stripes")
@@ -326,11 +281,7 @@ func (f *FTL) sbGauges() {
 	}
 	free := int64(len(f.freeSB))
 	f.gFreeSB.Set(free)
-	debt := int64(f.cfg.GCHighWater) - free
-	if debt < 0 {
-		debt = 0
-	}
-	f.gGCDebt.Set(debt)
+	f.gGCDebt.Set(max(int64(gcHighWater)-free, 0))
 }
 
 // PageSize returns the logical (== physical) page size in bytes.
@@ -363,26 +314,24 @@ func (f *FTL) BadBlocks() int64 { return f.badBlocks }
 
 // RainStats is a snapshot of the RAIN subsystem's activity.
 type RainStats struct {
-	StripeSeals, StripeDrops, StripeShrinks       int64
-	ParityWrites, ParityFails                     int64
-	Reconstructs, ReconstructFails, DegradedReads int64
-	ReconstructUnstriped                          int64
-	ScrubStripes, ScrubRepairs, ScrubParityFixes  int64
-	ScrubLost                                     int64
-	LostPages                                     int64
+	StripeSeals          int64 // stripes closed with a parity page
+	StripeDrops          int64 // stripes released after their last live member died
+	StripeShrinks        int64 // stale members removed (parity narrowed) before erase
+	ParityWrites         int64 // parity page programs (seals + relocations + rewrites)
+	ParityFails          int64 // parity programs that failed, leaving members unprotected
+	Reconstructs         int64 // pages rebuilt from surviving members + parity
+	ReconstructFails     int64 // reconstructions that failed hard (second member lost)
+	DegradedReads        int64 // host/NDP reads served through reconstruction
+	ReconstructUnstriped int64 // reconstruction requests for pages RAIN never covered (benign)
+	ScrubStripes         int64 // stripes examined by the patrol scrub
+	ScrubRepairs         int64 // damaged members rewritten by scrub
+	ScrubParityFixes     int64 // parity pages rewritten by scrub
+	ScrubLost            int64 // stripes found with >1 lost page (beyond single parity)
+	LostPages            int64 // logical pages poisoned after unrecoverable double loss
 }
 
 // Rain reports RAIN parity, reconstruction and scrub activity.
-func (f *FTL) Rain() RainStats {
-	return RainStats{
-		StripeSeals: f.stripeSeals, StripeDrops: f.stripeDrops, StripeShrinks: f.stripeShrinks,
-		ParityWrites: f.parityWrites, ParityFails: f.parityFails,
-		Reconstructs: f.reconstructs, ReconstructFails: f.reconstructFails, DegradedReads: f.degradedReads,
-		ReconstructUnstriped: f.reconstructUnstriped,
-		ScrubStripes:         f.scrubStripes, ScrubRepairs: f.scrubRepairs, ScrubParityFixes: f.scrubParityFixes,
-		ScrubLost: f.scrubLost, LostPages: f.lostPages,
-	}
-}
+func (f *FTL) Rain() RainStats { return f.rain }
 
 // StripeWidth returns the number of data pages per RAIN stripe (0 when
 // RAIN is disabled, e.g. on single-channel arrays).
@@ -411,8 +360,14 @@ func (f *FTL) decode(ppi int) (die, block, page int) {
 
 func (f *FTL) ppa(ppi int) nand.PPA {
 	die, block, page := f.decode(ppi)
-	nc := f.arr.Config()
-	return nand.PPA{Channel: die / nc.WaysPerChannel, Way: die % nc.WaysPerChannel, Block: block, Page: page}
+	a := f.blockAddr(die, block)
+	return nand.PPA{Channel: a.Channel, Way: a.Way, Block: a.Block, Page: page}
+}
+
+// blockAddr names a die's block the way the array addresses it.
+func (f *FTL) blockAddr(die, block int) nand.BlockAddr {
+	ways := f.arr.Config().WaysPerChannel
+	return nand.BlockAddr{Channel: die / ways, Way: die % ways, Block: block}
 }
 
 // Mapped reports whether the logical page currently holds data.
@@ -423,7 +378,7 @@ func (f *FTL) Mapped(lpn int) bool {
 
 // Read reads length bytes at offset within logical page lpn. Unmapped
 // pages read back as zeroes. Uncorrectable media errors are retried
-// ReadRetries times before being surfaced (wrapped
+// maxReadRetries times before being surfaced (wrapped
 // fault.ErrUncorrectable).
 func (f *FTL) Read(p *sim.Proc, lpn, offset, length int) ([]byte, error) {
 	ppi, err := f.lookup(p, lpn)
@@ -442,7 +397,7 @@ func (f *FTL) Read(p *sim.Proc, lpn, offset, length int) ([]byte, error) {
 // zeroes) and an error for one whose data was lost.
 func (f *FTL) lookup(p *sim.Proc, lpn int) (int, error) {
 	f.checkLPN(lpn)
-	f.fw.Exec(p, f.cfg.FirmwareReadCycles)
+	f.fw.Exec(p, fwReadCycles)
 	f.reads++
 	ppi := f.l2p[lpn]
 	if ppi < 0 && f.lost[lpn] {
@@ -452,15 +407,15 @@ func (f *FTL) lookup(p *sim.Proc, lpn int) (int, error) {
 }
 
 // readRetry issues the media read with the retry policy: each reissue
-// (adjusted read-reference voltages on real NAND) costs RetryLatency on
+// (adjusted read-reference voltages on real NAND) costs retryLatency on
 // top of the repeated media timing and rolls the fault dice afresh.
 func (f *FTL) readRetry(p *sim.Proc, addr nand.PPA, offset, length int) ([]byte, error) {
 	var err error
-	for try := 0; try <= f.cfg.ReadRetries; try++ {
+	for try := 0; try <= maxReadRetries; try++ {
 		if try > 0 {
 			f.readRetries++
 			f.tr.Instant(f.fwTk, "read.retry").Arg("try", int64(try))
-			p.Sleep(f.cfg.RetryLatency)
+			p.Sleep(retryLatency)
 		}
 		var data []byte
 		data, err = f.arr.Read(p, addr, offset, length)
@@ -489,7 +444,7 @@ func (f *FTL) readRecover(p *sim.Proc, ppi, offset, length int) ([]byte, error) 
 	if rerr != nil {
 		return nil, err
 	}
-	f.degradedReads++
+	f.rain.DegradedReads++
 	f.ctrs.Add("ftl.rain.degraded", 1)
 	return page[offset : offset+length], nil
 }
@@ -514,7 +469,7 @@ func (f *FTL) ReadThrough(p *sim.Proc, lpn, offset, length int, ipOverhead sim.T
 		return err
 	}
 	f.readRetries++
-	p.Sleep(f.cfg.RetryLatency)
+	p.Sleep(retryLatency)
 	data, err := f.readRecover(p, ppi, offset, length)
 	if err != nil {
 		return err
@@ -604,7 +559,7 @@ func (d *dieState) isOpen(block int) bool {
 // reserve the low water protects.
 func (f *FTL) gcNeeded(p *sim.Proc, d *dieState, stream int) bool {
 	return p != f.gcProc && d.open[stream] < 0 && f.streamExhausted(stream) &&
-		len(f.freeSB) <= f.cfg.GCLowWater
+		len(f.freeSB) <= gcLowWater
 }
 
 // gcRefill runs collection for dieIdx. The gate serializes collection
@@ -624,17 +579,14 @@ func (f *FTL) gcRefill(p *sim.Proc, dieIdx, stream int) {
 }
 
 // nextWriteDie advances the stream's channel-major rotation to the next
-// die that is alive and, when avoid is non-nil, not on an avoided
-// channel (parity placement). It returns -1 when no die qualifies.
-func (f *FTL) nextWriteDie(avoid map[int]bool, stream int) int {
+// die that is alive and not on a channel whose bit is set in avoid
+// (parity placement). It returns -1 when no die qualifies.
+func (f *FTL) nextWriteDie(avoid uint64, stream int) int {
 	ways := f.arr.Config().WaysPerChannel
 	n := len(f.dieOrder)
 	for i := 0; i < n; i++ {
 		die := f.dieOrder[(f.wrDie[stream]+i)%n]
-		if avoid != nil && avoid[die/ways] {
-			continue
-		}
-		if f.arr.DieDead(die) {
+		if avoid>>(die/ways)&1 != 0 || f.arr.DieDead(die) {
 			continue
 		}
 		f.wrDie[stream] = (f.wrDie[stream] + i + 1) % n
@@ -645,20 +597,20 @@ func (f *FTL) nextWriteDie(avoid map[int]bool, stream int) int {
 
 // writePage allocates a frontier page and programs it, rotating across
 // channels. A program failure retires the failing block and remaps the
-// write to the next allocation (bounded by ProgramRetries); a dead die
-// is skipped by the rotation without consuming a retry. avoid, when
-// non-nil, names channels the page must not land on (parity is never
-// placed with its members); it is relaxed when no other channel can
-// take the write. The caller maps or records the returned ppi before
-// its next blocking call.
-func (f *FTL) writePage(p *sim.Proc, page []byte, avoid map[int]bool, stream int) (int, error) {
+// write to the next allocation (bounded by maxProgramRetries); a dead
+// die is skipped by the rotation without consuming a retry. avoid is a
+// mask of channels the page must not land on (parity is never placed
+// with its members; 0 = unconstrained); it is relaxed when no other
+// channel can take the write. The caller maps or records the returned
+// ppi before its next blocking call.
+func (f *FTL) writePage(p *sim.Proc, page []byte, avoid uint64, stream int) (int, error) {
 	fails, full := 0, 0
 	var lastErr error
 	for {
 		dieIdx := f.nextWriteDie(avoid, stream)
 		if dieIdx < 0 {
-			if avoid != nil {
-				avoid = nil // every legal channel is dead: relax placement
+			if avoid != 0 {
+				avoid = 0 // every legal channel is dead: relax placement
 				continue
 			}
 			panic("ftl: write: all dies failed")
@@ -677,12 +629,12 @@ func (f *FTL) writePage(p *sim.Proc, page []byte, avoid map[int]bool, stream int
 			d.wlock.Release()
 			full++
 			if full >= len(f.dies) {
-				if avoid != nil {
+				if avoid != 0 {
 					// Every die on the allowed channels is full. Relax the
 					// placement rather than fail: a parity page sharing a
 					// member's channel still protects against page loss,
 					// just not against that one channel dying.
-					avoid = nil
+					avoid = 0
 					full = 0
 					continue
 				}
@@ -708,8 +660,8 @@ func (f *FTL) writePage(p *sim.Proc, page []byte, avoid map[int]bool, stream int
 		f.tr.Instant(f.fwTk, "program.remap").Arg("die", int64(dieIdx)).Arg("block", int64(block))
 		f.retire(dieIdx, block)
 		fails++
-		if tries := max(1, f.cfg.ProgramRetries); fails >= tries {
-			return -1, fmt.Errorf("ftl: %d program attempts failed: %w", tries, lastErr)
+		if fails >= maxProgramRetries {
+			return -1, fmt.Errorf("ftl: %d program attempts failed: %w", maxProgramRetries, lastErr)
 		}
 	}
 }
@@ -737,7 +689,7 @@ func (f *FTL) invalidate(ppi int) {
 // Write stores data (at most one page) at logical page lpn. Partial
 // writes read-modify-write the page, as a page-mapped FTL must. A
 // program failure retires the failing block and remaps the write to a
-// sibling block, transparently up to ProgramRetries times; only then
+// sibling block, transparently up to maxProgramRetries times; only then
 // does the error surface. The old mapping is invalidated after the new
 // copy lands, so a failed write never loses the previous contents.
 func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
@@ -746,7 +698,7 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 	if offset < 0 || offset+len(data) > ps {
 		panic(fmt.Sprintf("ftl: write [%d,%d) out of page bounds", offset, offset+len(data)))
 	}
-	f.fw.Exec(p, f.cfg.FirmwareWriteCycles)
+	f.fw.Exec(p, fwWriteCycles)
 	f.writes++
 
 	page := make([]byte, ps)
@@ -759,7 +711,7 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 	}
 	copy(page[offset:], data)
 
-	ppi, err := f.writePage(p, page, nil, hostStream)
+	ppi, err := f.writePage(p, page, 0, hostStream)
 	if err != nil {
 		return fmt.Errorf("ftl: write lpn %d: %w", lpn, err)
 	}
@@ -769,13 +721,20 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 		f.invalidate(old)
 	}
 	delete(f.lost, lpn) // fresh contents supersede a poisoned page
-	f.l2p[lpn] = ppi
-	die, block, pg := f.decode(ppi)
+	f.remap(lpn, ppi)
+	f.stripeAdd(p, ppi, page, hostStream)
+	return nil
+}
+
+// remap claims the freshly programmed page dst for lpn: its blockMeta
+// slot records the reverse mapping and l2p points at it. The caller has
+// already invalidated the previous copy, if any.
+func (f *FTL) remap(lpn, dst int) {
+	die, block, pg := f.decode(dst)
 	bm := &f.dies[die].blockMeta[block]
 	bm.lpns[pg] = lpn
 	bm.valid++
-	f.stripeAdd(p, ppi, page, hostStream)
-	return nil
+	f.l2p[lpn] = dst
 }
 
 // retire marks a block bad: it is closed as the write frontier and
@@ -804,9 +763,6 @@ func (f *FTL) Trim(lpn int) {
 		f.l2p[lpn] = -1
 	}
 }
-
-// freeBlocks counts free superblocks.
-func (f *FTL) freeBlocks() int { return len(f.freeSB) }
 
 // sbOpen reports whether superblock sb is some stream's open frontier
 // on any die.
@@ -856,12 +812,12 @@ func (f *FTL) collect(p *sim.Proc) {
 		content += content / f.stripeW // parity rides along
 	}
 	achievable := nc.BlocksPerDie - numStreams - 1 - (content+sbPages-1)/sbPages
-	target := min(f.cfg.GCHighWater, achievable)
-	target = max(target, f.cfg.GCLowWater+1)
+	target := min(gcHighWater, achievable)
+	target = max(target, gcLowWater+1)
 	skipped := map[int]bool{}
 	// Aging compaction consumes frontier pages before it frees anything,
 	// so it only runs while the pool can absorb a victim relocation.
-	floor := f.cfg.GCLowWater + 1
+	floor := gcLowWater + 1
 	for len(f.freeSB) < target {
 		// Half-dead stripes waste a parity page each; while there is
 		// headroom above the floor, compact them to keep parity overhead
@@ -965,8 +921,7 @@ func (f *FTL) collect(p *sim.Proc) {
 					continue
 				}
 				f.env.Spawn("ftl-gc-erase", func(ep *sim.Proc) {
-					addr := nand.BlockAddr{Channel: dieIdx / nc.WaysPerChannel, Way: dieIdx % nc.WaysPerChannel, Block: victim}
-					if err := f.arr.Erase(ep, addr); err != nil {
+					if err := f.arr.Erase(ep, f.blockAddr(dieIdx, victim)); err != nil {
 						f.retire(dieIdx, victim)
 					}
 					done.Done(nil)
@@ -1012,7 +967,7 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 			f.invalidate(src)
 			f.l2p[lpn] = -1
 			f.lost[lpn] = true
-			f.lostPages++
+			f.rain.LostPages++
 			f.ctrs.Add("ftl.rain.lost", 1)
 			f.tr.Instant(f.fwTk, "gc.dataloss").Arg("lpn", int64(lpn))
 			return true
@@ -1024,7 +979,7 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 	if bm.lpns[pg] != lpn {
 		return true // overwritten or trimmed while reading: nothing to move
 	}
-	dst, err := f.writePage(p, data, nil, gcStream)
+	dst, err := f.writePage(p, data, 0, gcStream)
 	if err != nil {
 		return false
 	}
@@ -1032,11 +987,7 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 		return true // overwritten while programming: the fresh copy is garbage
 	}
 	f.invalidate(src)
-	ndie, nblock, npg := f.decode(dst)
-	nbm := &f.dies[ndie].blockMeta[nblock]
-	nbm.lpns[npg] = lpn
-	nbm.valid++
-	f.l2p[lpn] = dst
+	f.remap(lpn, dst)
 	f.gcMoves++
 	f.stripeAdd(p, dst, data, gcStream)
 	return true
@@ -1056,8 +1007,7 @@ func (f *FTL) MaxErase() int {
 	maxE := 0
 	for die := 0; die < nc.Dies(); die++ {
 		for b := 0; b < nc.BlocksPerDie; b++ {
-			addr := nand.BlockAddr{Channel: die / nc.WaysPerChannel, Way: die % nc.WaysPerChannel, Block: b}
-			if e := f.arr.EraseCount(addr); e > maxE {
+			if e := f.arr.EraseCount(f.blockAddr(die, b)); e > maxE {
 				maxE = e
 			}
 		}

@@ -266,3 +266,18 @@ func TestInternalBandwidthExceedsHostLink(t *testing.T) {
 	}
 	t.Logf("internal bandwidth %.2f GB/s", bw/1e9)
 }
+
+func TestZeroConfigIsDefault(t *testing.T) {
+	// Config's zero value is the default configuration: a caller that
+	// never heard of DefaultConfig gets the same device.
+	e := sim.NewEnv()
+	zero := New(e, nand.New(e, smallNAND()), Config{})
+	def := New(e, nand.New(e, smallNAND()), DefaultConfig())
+	if zero.NumPages() != def.NumPages() || zero.StripeWidth() != def.StripeWidth() {
+		t.Fatalf("Config{} gives %d pages / W=%d, DefaultConfig() %d pages / W=%d",
+			zero.NumPages(), zero.StripeWidth(), def.NumPages(), def.StripeWidth())
+	}
+	if def.StripeWidth() != smallNAND().Channels-1 {
+		t.Fatalf("default stripe width %d, want Channels-1", def.StripeWidth())
+	}
+}

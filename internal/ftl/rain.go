@@ -19,9 +19,11 @@ package ftl
 // their parity relocated when GC collects the parity's block.
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"slices"
 
 	"biscuit/internal/fault"
 	"biscuit/internal/sim"
@@ -33,15 +35,15 @@ const parityMark = -2
 
 // openStripe accumulates one write stream's data pages until seal.
 type openStripe struct {
-	buf     []byte       // XOR accumulator over the members so far
-	members []int        // data ppis in arrival order
-	chans   map[int]bool // channels used (at most one stripe page each)
-	stream  int          // write stream the parity page goes to
+	buf     []byte // XOR accumulator over the members so far
+	members []int  // data ppis in arrival order
+	chans   uint64 // mask of channels used (at most one stripe page each)
+	stream  int    // write stream the parity page goes to
 }
 
 // stripeRec is a sealed stripe. seq increments on every membership or
-// parity change; blocking operations capture (pointer, seq) and bail
-// when either moved, so concurrent repairs never mix stripe versions.
+// parity change; blocking operations capture a stripeVer first and bail
+// when it went stale, so concurrent repairs never mix stripe versions.
 type stripeRec struct {
 	members []int // data ppis (shrunk members removed)
 	parity  int   // parity ppi
@@ -49,21 +51,75 @@ type stripeRec struct {
 	seq     int
 }
 
+// stripeVer is a sealed stripe captured at one version. The zero value
+// stands for an open stripe — no record yet, so nothing to outgrow —
+// and is never stale.
+type stripeVer struct {
+	f   *FTL
+	sid int
+	st  *stripeRec
+	seq int
+}
+
+func (f *FTL) version(sid int) stripeVer {
+	st := f.stripes[sid]
+	return stripeVer{f, sid, st, st.seq}
+}
+
+// stale reports whether the stripe was dropped, had its slot recycled,
+// or changed members or parity since v was taken.
+func (v stripeVer) stale() bool {
+	return v.st != nil && (v.f.stripes[v.sid] != v.st || v.st.seq != v.seq)
+}
+
 // xorInto folds src into the first len(src) bytes of dst.
 func xorInto(dst, src []byte) {
 	subtle.XORBytes(dst[:len(src)], dst, src)
 }
 
-func (f *FTL) channelOf(ppi int) int {
-	die, _, _ := f.decode(ppi)
-	return die / f.arr.Config().WaysPerChannel
+// fold XORs pages into a fresh page that starts as seed (zeroes when
+// nil) and charges the firmware CPU for every page folded, the seed
+// included. Nil pages — reads that failed — are skipped and not
+// charged. The result is allocated, never a shared scratch page: every
+// caller carries it across a blocking call (a program copies its
+// argument only after its bus and array sleeps; a reconstruction hands
+// it to its reader), and under the cooperative scheduler the next
+// process to fold would alias it.
+func (f *FTL) fold(p *sim.Proc, seed []byte, pages [][]byte) []byte {
+	acc := make([]byte, f.PageSize())
+	n := 0
+	if seed != nil {
+		copy(acc, seed)
+		n++
+	}
+	for _, pg := range pages {
+		if pg != nil {
+			xorInto(acc, pg)
+			n++
+		}
+	}
+	f.fw.Exec(p, xorCyclesPerByte*float64(len(acc))*float64(n))
+	return acc
 }
+
+func (f *FTL) channelOf(ppi int) int { return f.ppa(ppi).Channel }
 
 // mappedPpi reports whether the physical page currently backs a logical
 // page.
 func (f *FTL) mappedPpi(ppi int) bool {
 	die, block, pg := f.decode(ppi)
 	return f.dies[die].blockMeta[block].lpns[pg] >= 0
+}
+
+// countLive counts the members still backing a logical page.
+func (f *FTL) countLive(members []int) int {
+	live := 0
+	for _, m := range members {
+		if f.mappedPpi(m) {
+			live++
+		}
+	}
+	return live
 }
 
 // markParity claims ppi's metadata slot as a live parity page.
@@ -83,6 +139,32 @@ func (f *FTL) clearParity(ppi int) {
 		bm.lpns[pg] = -1
 		bm.valid--
 	}
+}
+
+// writeParity programs buf as the parity page of members, on a channel
+// none of them occupies: the avoid mask has one bit per member channel
+// (nand.Config.Validate caps Channels at its 64).
+func (f *FTL) writeParity(p *sim.Proc, buf []byte, members []int, stream int) (int, error) {
+	var avoid uint64
+	for _, m := range members {
+		avoid |= 1 << f.channelOf(m)
+	}
+	return f.writePage(p, buf, avoid, stream)
+}
+
+// setParity points the stripe at its freshly programmed parity page,
+// releasing the page it replaces (none at seal), and bumps the version:
+// the one place a parity page changes hands.
+func (f *FTL) setParity(sid int, st *stripeRec, parity int) {
+	if st.parity >= 0 {
+		delete(f.parityOf, st.parity)
+		f.clearParity(st.parity)
+	}
+	st.parity = parity
+	st.seq++
+	f.parityOf[parity] = sid
+	f.markParity(parity)
+	f.rain.ParityWrites++
 }
 
 // detach removes the stream's open stripe from the frontier and parks
@@ -131,23 +213,23 @@ func (f *FTL) stripeAdd(p *sim.Proc, ppi int, page []byte, stream int) {
 	var collided *openStripe
 	ch := f.channelOf(ppi)
 	cur := f.cur[stream]
-	if cur != nil && cur.chans[ch] {
+	if cur != nil && cur.chans>>ch&1 != 0 {
 		collided = f.detach(stream)
 		cur = nil
 	}
 	if cur == nil {
-		cur = &openStripe{buf: make([]byte, f.PageSize()), chans: make(map[int]bool), stream: stream}
+		cur = &openStripe{buf: make([]byte, f.PageSize()), stream: stream}
 		f.cur[stream] = cur
 	}
 	xorInto(cur.buf, page)
 	cur.members = append(cur.members, ppi)
-	cur.chans[ch] = true
+	cur.chans |= 1 << ch
 	var full *openStripe
 	if len(cur.members) >= f.stripeW {
 		full = f.detach(stream)
 	}
 	// Blocking parts only from here on.
-	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(page)))
+	f.fw.Exec(p, xorCyclesPerByte*float64(len(page)))
 	if collided != nil {
 		f.seal(p, collided)
 	}
@@ -174,50 +256,33 @@ func (f *FTL) SealStripe(p *sim.Proc) {
 // members all died while open is discarded without a parity write.
 func (f *FTL) seal(p *sim.Proc, st *openStripe) {
 	defer f.unseal(st)
-	live := 0
-	for _, m := range st.members {
-		if f.mappedPpi(m) {
-			live++
-		}
-	}
-	if live == 0 {
+	if f.countLive(st.members) == 0 {
 		return
 	}
 	sp := f.tr.BeginAsync(f.rainTk, "ftl.rain.seal").Arg("members", int64(len(st.members)))
-	avoid := make(map[int]bool, len(st.members))
-	for _, m := range st.members {
-		avoid[f.channelOf(m)] = true
-	}
-	f.fw.Exec(p, f.cfg.FirmwareWriteCycles)
-	parity, err := f.writePage(p, st.buf, avoid, st.stream)
+	f.fw.Exec(p, fwWriteCycles)
+	parity, err := f.writeParity(p, st.buf, st.members, st.stream)
 	sp.End()
 	if err != nil {
 		// The members stay unprotected — reads fall back to the retry
 		// ladder alone — and the accumulator is abandoned.
-		f.parityFails++
+		f.rain.ParityFails++
 		f.ctrs.Add("ftl.rain.parityfail", 1)
 		f.tr.Instant(f.fwTk, "rain.parityfail")
 		return
 	}
-	f.parityWrites++
-	f.stripeSeals++
+	f.rain.StripeSeals++
 	f.ctrs.Add("ftl.rain.seal", 1)
 	// Liveness is recomputed after the blocking program: members
 	// invalidated while the parity was in flight must not inflate it.
-	live = 0
-	for _, m := range st.members {
-		if f.mappedPpi(m) {
-			live++
-		}
-	}
+	rec := &stripeRec{members: st.members, parity: -1, live: f.countLive(st.members)}
 	sid := f.newSid()
-	f.stripes[sid] = &stripeRec{members: st.members, parity: parity, live: live}
+	f.stripes[sid] = rec
 	for _, m := range st.members {
 		f.memberOf[m] = sid
 	}
-	f.parityOf[parity] = sid
-	f.markParity(parity)
-	if live == 0 {
+	f.setParity(sid, rec, parity)
+	if rec.live == 0 {
 		f.dropStripe(sid)
 	}
 }
@@ -235,68 +300,20 @@ func (f *FTL) dropStripe(sid int) {
 	st.seq++
 	f.stripes[sid] = nil
 	f.freeSid = append(f.freeSid, sid)
-	f.stripeDrops++
+	f.rain.StripeDrops++
 	f.ctrs.Add("ftl.rain.drop", 1)
 }
 
-// blockHasOpenMember reports whether the block holds a member of a
-// stripe that has not sealed yet. Such a block must not be erased: the
-// parity that will cover the member has not landed, so its bytes are
-// the only copy.
-func (f *FTL) blockHasOpenMember(die, block int) bool {
+// openStripeIn returns the unsealed stripe — on the write frontier or
+// parked with its parity in flight — holding a member in the physical
+// page range [lo, hi), if any.
+func (f *FTL) openStripeIn(lo, hi int) *openStripe {
 	has := func(st *openStripe) bool {
 		if st == nil {
 			return false
 		}
 		for _, m := range st.members {
-			d, b, _ := f.decode(m)
-			if d == die && b == block {
-				return true
-			}
-		}
-		return false
-	}
-	for _, cur := range f.cur {
-		if has(cur) {
-			return true
-		}
-	}
-	for _, st := range f.sealing {
-		if has(st) {
-			return true
-		}
-	}
-	return false
-}
-
-// readStripePages reads the given physical pages in parallel (one
-// spawned reader per page, fanning across channels) and returns their
-// contents alongside per-page errors.
-func (f *FTL) readStripePages(p *sim.Proc, srcs []int) ([][]byte, []error) {
-	ps := f.PageSize()
-	pages := make([][]byte, len(srcs))
-	errs := make([]error, len(srcs))
-	done := sim.NewCompletion(f.env, len(srcs))
-	for i, src := range srcs {
-		i, src := i, src
-		f.env.Spawn("ftl-rain", func(rp *sim.Proc) {
-			pages[i], errs[i] = f.readRetry(rp, f.ppa(src), 0, ps)
-			done.Done(nil)
-		})
-	}
-	done.Wait(p)
-	return pages, errs
-}
-
-// openStripeOf returns the unsealed stripe — on the write frontier or
-// parked with its parity in flight — holding data page ppi, if any.
-func (f *FTL) openStripeOf(ppi int) *openStripe {
-	has := func(st *openStripe) bool {
-		if st == nil {
-			return false
-		}
-		for _, m := range st.members {
-			if m == ppi {
+			if lo <= m && m < hi {
 				return true
 			}
 		}
@@ -315,115 +332,102 @@ func (f *FTL) openStripeOf(ppi int) *openStripe {
 	return nil
 }
 
-// reconstructOpen rebuilds a member of a stripe that has not sealed
-// yet. The controller holds the open stripe's running XOR in RAM, so a
-// page lost before its parity lands is still recoverable: the
-// accumulator folded with the other members, read back from media at
-// full cost. The accumulator and member list are snapshotted before the
-// sibling reads block — stripeAdd may grow both while the reads are in
-// flight, and the snapshot pair stays self-consistent.
-func (f *FTL) reconstructOpen(p *sim.Proc, st *openStripe, ppi int) ([]byte, error) {
-	acc := make([]byte, f.PageSize())
-	copy(acc, st.buf)
-	srcs := make([]int, 0, len(st.members))
-	for _, m := range st.members {
-		if m != ppi {
-			srcs = append(srcs, m)
-		}
+// openStripeOf returns the unsealed stripe holding data page ppi, if
+// any.
+func (f *FTL) openStripeOf(ppi int) *openStripe { return f.openStripeIn(ppi, ppi+1) }
+
+// blockHasOpenMember reports whether the block holds a member of a
+// stripe that has not sealed yet. Such a block must not be erased: the
+// parity that will cover the member has not landed, so its bytes are
+// the only copy.
+func (f *FTL) blockHasOpenMember(die, block int) bool {
+	lo := f.encode(die, block, 0)
+	return f.openStripeIn(lo, lo+f.arr.Config().PagesPerBlock) != nil
+}
+
+// readStripePages reads the given physical pages in parallel (one
+// spawned reader per page, fanning across channels). A page whose read
+// failed comes back nil; err is the first such failure in srcs order.
+func (f *FTL) readStripePages(p *sim.Proc, srcs []int) ([][]byte, error) {
+	ps := f.PageSize()
+	pages := make([][]byte, len(srcs))
+	errs := make([]error, len(srcs))
+	done := sim.NewCompletion(f.env, len(srcs))
+	for i, src := range srcs {
+		f.env.Spawn("ftl-rain", func(rp *sim.Proc) {
+			pages[i], errs[i] = f.readRetry(rp, f.ppa(src), 0, ps)
+			done.Done(nil)
+		})
 	}
-	sp := f.tr.BeginAsync(f.rainTk, "ftl.rain.reconstruct").Arg("reads", int64(len(srcs)))
-	start := p.Now()
-	pages, errs := f.readStripePages(p, srcs)
+	done.Wait(p)
 	for _, e := range errs {
 		if e != nil {
-			sp.End()
-			f.reconstructFails++
-			f.ctrs.Add("ftl.rain.reconstructfail", 1)
-			f.tr.Instant(f.fwTk, "rain.reconstructfail")
-			return nil, fmt.Errorf("ftl: reconstruct open stripe %v: %w", f.ppa(ppi), e)
+			return pages, e
 		}
 	}
-	for _, pg := range pages {
-		xorInto(acc, pg)
-	}
-	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(acc))*float64(len(pages)+1))
-	sp.End()
-	f.reconstructs++
-	f.ctrs.Add("ftl.rain.reconstruct", 1)
-	f.hists.Observe("ftl.rain.reconstruct", int64(p.Now()-start))
-	f.arr.Injector().Record(fault.Reconstruct, "ftl.rain "+f.ppa(ppi).String())
-	return acc, nil
+	return pages, nil
 }
 
 // reconstruct rebuilds the full contents of data page ppi from the
 // surviving members of its stripe plus parity: W parallel NAND reads
 // across the other channels and one XOR pass on the firmware CPU.
+//
+// A member of a stripe that has not sealed yet has no parity page, but
+// the controller holds the open stripe's running XOR in RAM, so a page
+// lost before its parity lands is still recoverable: the accumulator
+// stands in for the parity, folded with the other members read back
+// from media at full cost. The accumulator and member list are
+// snapshotted before the sibling reads block — stripeAdd may grow both
+// while the reads are in flight, and the snapshot pair stays
+// self-consistent.
 func (f *FTL) reconstruct(p *sim.Proc, ppi int) ([]byte, error) {
-	sid, ok := f.memberOf[ppi]
-	if !ok {
-		if st := f.openStripeOf(ppi); st != nil {
-			return f.reconstructOpen(p, st, ppi)
-		}
+	var v stripeVer
+	var members, parity []int
+	var seed []byte
+	if sid, ok := f.memberOf[ppi]; ok {
+		v = f.version(sid)
+		members, parity = v.st.members, []int{v.st.parity}
+	} else if open := f.openStripeOf(ppi); open != nil {
+		members, seed = open.members, bytes.Clone(open.buf)
+	} else {
 		// An unstriped page is a benign miss (RAIN never covered it), not
 		// a protection failure: counted apart so the health monitor does
 		// not escalate on it.
-		f.reconstructUnstriped++
+		f.rain.ReconstructUnstriped++
 		f.ctrs.Add("ftl.rain.unstriped", 1)
 		return nil, fmt.Errorf("ftl: page %v is not striped", f.ppa(ppi))
 	}
-	st := f.stripes[sid]
-	seq := st.seq
-	srcs := make([]int, 0, len(st.members))
-	for _, m := range st.members {
+	srcs := make([]int, 0, len(members))
+	for _, m := range members {
 		if m != ppi {
 			srcs = append(srcs, m)
 		}
 	}
-	srcs = append(srcs, st.parity)
+	srcs = append(srcs, parity...)
 	sp := f.tr.BeginAsync(f.rainTk, "ftl.rain.reconstruct").Arg("reads", int64(len(srcs)))
 	start := p.Now()
-	pages, errs := f.readStripePages(p, srcs)
-	var err error
-	for _, e := range errs {
-		if e != nil {
-			err = e // a second lost page: beyond single-parity protection
-			break
-		}
-	}
-	if err == nil && (f.stripes[sid] != st || st.seq != seq) {
+	// A failed sibling read is a second lost page: beyond single-parity
+	// protection.
+	pages, err := f.readStripePages(p, srcs)
+	if err == nil && v.stale() {
 		// The stripe shrank or dropped while the sibling reads were in
 		// flight; the XOR below would mix stripe versions.
 		err = errors.New("stripe changed during reconstruction")
 	}
 	if err != nil {
 		sp.End()
-		f.reconstructFails++
+		f.rain.ReconstructFails++
 		f.ctrs.Add("ftl.rain.reconstructfail", 1)
 		f.tr.Instant(f.fwTk, "rain.reconstructfail")
 		return nil, fmt.Errorf("ftl: reconstruct %v: %w", f.ppa(ppi), err)
 	}
-	out := make([]byte, f.PageSize())
-	for _, pg := range pages {
-		xorInto(out, pg)
-	}
-	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(out))*float64(len(pages)))
+	out := f.fold(p, seed, pages)
 	sp.End()
-	f.reconstructs++
+	f.rain.Reconstructs++
 	f.ctrs.Add("ftl.rain.reconstruct", 1)
 	f.hists.Observe("ftl.rain.reconstruct", int64(p.Now()-start))
 	f.arr.Injector().Record(fault.Reconstruct, "ftl.rain "+f.ppa(ppi).String())
 	return out, nil
-}
-
-// shrinkMember removes stale member ppi from its stripe ahead of its
-// block's erase. It reports whether the member no longer blocks the
-// erase.
-func (f *FTL) shrinkMember(p *sim.Proc, ppi int) bool {
-	sid, ok := f.memberOf[ppi]
-	if !ok {
-		return true
-	}
-	return f.shrinkMembers(p, sid, []int{ppi})
 }
 
 // shrinkMembers removes the given stale members from stripe sid in one
@@ -433,19 +437,10 @@ func (f *FTL) shrinkMember(p *sim.Proc, ppi int) bool {
 // rewrite, not one per member. It reports whether the members no
 // longer block their blocks' erase.
 func (f *FTL) shrinkMembers(p *sim.Proc, sid int, drop []int) bool {
-	st := f.stripes[sid]
-	seq := st.seq
-	dropping := func(m int) bool {
-		for _, d := range drop {
-			if d == m {
-				return true
-			}
-		}
-		return false
-	}
-	rest := make([]int, 0, len(st.members))
-	for _, m := range st.members {
-		if !dropping(m) {
+	v := f.version(sid)
+	rest := make([]int, 0, len(v.st.members))
+	for _, m := range v.st.members {
+		if !slices.Contains(drop, m) {
 			rest = append(rest, m)
 		}
 	}
@@ -455,46 +450,29 @@ func (f *FTL) shrinkMembers(p *sim.Proc, sid int, drop []int) bool {
 		return true
 	}
 	sp := f.tr.BeginAsync(f.rainTk, "ftl.rain.shrink").Arg("reads", int64(len(rest)))
-	pages, errs := f.readStripePages(p, rest)
-	for _, e := range errs {
-		if e != nil {
-			sp.End()
-			return false // a remaining member is unreadable: cannot narrow safely
-		}
+	pages, err := f.readStripePages(p, rest)
+	if err != nil {
+		sp.End()
+		return false // a remaining member is unreadable: cannot narrow safely
 	}
-	if f.stripes[sid] != st || st.seq != seq {
+	if v.stale() {
 		sp.End()
 		return true // repaired or dropped concurrently; re-examine later
 	}
-	acc := make([]byte, f.PageSize())
-	for _, pg := range pages {
-		xorInto(acc, pg)
-	}
-	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(acc))*float64(len(pages)))
-	avoid := make(map[int]bool, len(rest))
-	for _, m := range rest {
-		avoid[f.channelOf(m)] = true
-	}
-	parity, err := f.writePage(p, acc, avoid, gcStream)
+	parity, err := f.writeParity(p, f.fold(p, nil, pages), rest, gcStream)
 	sp.End()
 	if err != nil {
 		return false
 	}
-	if f.stripes[sid] != st || st.seq != seq {
+	if v.stale() {
 		return true // the fresh page is unmapped garbage; GC erases it later
 	}
-	delete(f.parityOf, st.parity)
-	f.clearParity(st.parity)
-	st.members = rest
+	v.st.members = rest
 	for _, m := range drop {
 		delete(f.memberOf, m)
 	}
-	st.parity = parity
-	st.seq++
-	f.parityOf[parity] = sid
-	f.markParity(parity)
-	f.parityWrites++
-	f.stripeShrinks++
+	f.setParity(sid, v.st, parity)
+	f.rain.StripeShrinks++
 	f.ctrs.Add("ftl.rain.shrink", 1)
 	return true
 }
@@ -508,57 +486,39 @@ func (f *FTL) relocateParity(p *sim.Proc, src int) bool {
 	if !ok {
 		return true // cleared concurrently
 	}
-	st := f.stripes[sid]
-	seq := st.seq
+	v := f.version(sid)
 	data, err := f.readRetry(p, f.ppa(src), 0, f.PageSize())
 	if err != nil && errors.Is(err, fault.ErrUncorrectable) {
-		data, err = f.rebuildParity(p, sid, st, seq)
+		data, err = f.rebuildParity(p, v)
 	}
 	if err != nil {
 		return false
 	}
-	if f.stripes[sid] != st || st.seq != seq {
+	if v.stale() {
 		return true
 	}
-	avoid := make(map[int]bool, len(st.members))
-	for _, m := range st.members {
-		avoid[f.channelOf(m)] = true
-	}
-	dst, err := f.writePage(p, data, avoid, gcStream)
+	dst, err := f.writeParity(p, data, v.st.members, gcStream)
 	if err != nil {
 		return false
 	}
-	if f.stripes[sid] != st || st.seq != seq || st.parity != src {
+	if v.stale() || v.st.parity != src {
 		return true // superseded while programming; the copy is garbage
 	}
-	delete(f.parityOf, src)
-	f.clearParity(src)
-	st.parity = dst
-	st.seq++
-	f.parityOf[dst] = sid
-	f.markParity(dst)
-	f.parityWrites++
+	f.setParity(sid, v.st, dst)
 	return true
 }
 
 // rebuildParity recomputes a stripe's parity as the XOR of its members
 // (all of which must be readable).
-func (f *FTL) rebuildParity(p *sim.Proc, sid int, st *stripeRec, seq int) ([]byte, error) {
-	pages, errs := f.readStripePages(p, st.members)
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
+func (f *FTL) rebuildParity(p *sim.Proc, v stripeVer) ([]byte, error) {
+	pages, err := f.readStripePages(p, v.st.members)
+	if err != nil {
+		return nil, err
 	}
-	if f.stripes[sid] != st || st.seq != seq {
+	if v.stale() {
 		return nil, errors.New("stripe changed during parity rebuild")
 	}
-	acc := make([]byte, f.PageSize())
-	for _, pg := range pages {
-		xorInto(acc, pg)
-	}
-	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(acc))*float64(len(pages)))
-	return acc, nil
+	return f.fold(p, nil, pages), nil
 }
 
 // releaseStaleMembers unpins the GC victim block from every stripe
@@ -648,7 +608,7 @@ func (f *FTL) compactAged(p *sim.Proc, floor int) {
 		}
 	}
 	for _, sid := range cands {
-		if f.freeBlocks() <= floor {
+		if len(f.freeSB) <= floor {
 			return
 		}
 		st := f.stripes[sid]
@@ -700,82 +660,68 @@ func (f *FTL) ScrubStep(p *sim.Proc) bool {
 	if sid < 0 {
 		return false
 	}
-	f.scrubCur = sid + 1
-	if f.scrubCur >= len(f.stripes) {
-		f.scrubCur = 0
-	}
-	st := f.stripes[sid]
-	seq := st.seq
-	srcs := append(append([]int(nil), st.members...), st.parity)
+	f.scrubCur = (sid + 1) % len(f.stripes)
+	v := f.version(sid)
+	srcs := append(append([]int(nil), v.st.members...), v.st.parity)
 	sp := f.tr.BeginAsync(f.rainTk, "ftl.scrub").Arg("pages", int64(len(srcs)))
 	defer sp.End()
-	pages, errs := f.readStripePages(p, srcs)
-	f.scrubStripes++
+	pages, _ := f.readStripePages(p, srcs) // failures are counted per page (nil) below
+	f.rain.ScrubStripes++
 	f.ctrs.Add("ftl.scrub.stripes", 1)
-	f.gScrub.Set(f.scrubStripes)
-	if f.stripes[sid] != st || st.seq != seq {
+	f.gScrub.Set(f.rain.ScrubStripes)
+	if v.stale() {
 		return true // mutated while reading; the next pass re-checks it
 	}
-	var failed []int
-	for i, e := range errs {
-		if e != nil {
-			failed = append(failed, i)
+	members := pages[:len(pages)-1]
+	failed, bad := 0, -1
+	for i, pg := range pages {
+		if pg == nil {
+			failed, bad = failed+1, i
 		}
 	}
-	switch len(failed) {
+	switch failed {
 	case 0:
 		// All pages readable: verify parity == XOR(members). The fold
 		// over members and parity together must cancel to zero.
-		acc := make([]byte, f.PageSize())
-		for _, pg := range pages {
-			xorInto(acc, pg)
-		}
-		f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(acc))*float64(len(pages)))
-		for _, b := range acc {
+		for _, b := range f.fold(p, nil, pages) {
 			if b != 0 {
-				if f.stripes[sid] == st && st.seq == seq {
-					f.rewriteParity(p, sid, st, seq, pages[:len(pages)-1])
+				if !v.stale() {
+					f.rewriteParity(p, v, members)
 				}
 				break
 			}
 		}
 	case 1:
-		i := failed[0]
-		if srcs[i] == st.parity {
-			f.rewriteParity(p, sid, st, seq, pages[:len(pages)-1])
-			return true
+		if srcs[bad] == v.st.parity {
+			f.rewriteParity(p, v, members)
+		} else {
+			f.repairMember(p, v, srcs[bad], pages)
 		}
-		f.repairMember(p, sid, st, seq, srcs[i], i, pages)
 	default:
-		f.scrubLost++
+		f.rain.ScrubLost++
 		f.ctrs.Add("ftl.scrub.lost", 1)
 		f.tr.Instant(f.fwTk, "scrub.lost")
 	}
 	return true
 }
 
-// repairMember heals the single unreadable member at srcs[bad]: its
-// content is the XOR of every other stripe page. A live member is
-// rewritten to a fresh page and remapped; a stale one is shrunk out.
-func (f *FTL) repairMember(p *sim.Proc, sid int, st *stripeRec, seq, ppi, bad int, pages [][]byte) {
-	content := make([]byte, f.PageSize())
-	for j, pg := range pages {
-		if j != bad {
-			xorInto(content, pg)
-		}
-	}
-	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(content))*float64(len(pages)-1))
-	if f.stripes[sid] != st || st.seq != seq {
+// repairMember heals the single unreadable member ppi, the one nil
+// entry of pages: its content is the XOR of every other stripe page. A
+// live member is rewritten to a fresh page and remapped; a stale one is
+// shrunk out.
+func (f *FTL) repairMember(p *sim.Proc, v stripeVer, ppi int, pages [][]byte) {
+	content := f.fold(p, nil, pages)
+	if v.stale() {
 		return
 	}
 	die, block, pg := f.decode(ppi)
 	bm := &f.dies[die].blockMeta[block]
 	lpn := bm.lpns[pg]
 	if lpn < 0 {
-		f.shrinkMember(p, ppi)
+		f.shrinkMembers(p, v.sid, []int{ppi})
 		return
 	}
-	dst, err := f.writePage(p, content, nil, gcStream)
+	dst, err := f.writePage(p, content, 0, gcStream)
 	if err != nil {
 		return
 	}
@@ -783,12 +729,8 @@ func (f *FTL) repairMember(p *sim.Proc, sid int, st *stripeRec, seq, ppi, bad in
 		return // moved while repairing; the fresh copy becomes garbage
 	}
 	f.invalidate(ppi)
-	nd, nb, np := f.decode(dst)
-	nbm := &f.dies[nd].blockMeta[nb]
-	nbm.lpns[np] = lpn
-	nbm.valid++
-	f.l2p[lpn] = dst
-	f.scrubRepairs++
+	f.remap(lpn, dst)
+	f.rain.ScrubRepairs++
 	f.ctrs.Add("ftl.scrub.repairs", 1)
 	f.arr.Injector().Record(fault.ScrubRepair, "ftl.scrub "+f.ppa(ppi).String())
 	f.stripeAdd(p, dst, content, gcStream)
@@ -797,35 +739,18 @@ func (f *FTL) repairMember(p *sim.Proc, sid int, st *stripeRec, seq, ppi, bad in
 // rewriteParity replaces a stripe's parity with the XOR of the member
 // pages just read (scrub's repair for a damaged or inconsistent
 // parity page).
-func (f *FTL) rewriteParity(p *sim.Proc, sid int, st *stripeRec, seq int, members [][]byte) {
-	acc := make([]byte, f.PageSize())
-	for _, pg := range members {
-		xorInto(acc, pg)
-	}
-	f.fw.Exec(p, f.cfg.XORCyclesPerByte*float64(len(acc))*float64(len(members)))
-	if f.stripes[sid] != st || st.seq != seq {
+func (f *FTL) rewriteParity(p *sim.Proc, v stripeVer, members [][]byte) {
+	acc := f.fold(p, nil, members)
+	if v.stale() {
 		return
 	}
-	avoid := make(map[int]bool, len(st.members))
-	for _, m := range st.members {
-		avoid[f.channelOf(m)] = true
-	}
-	dst, err := f.writePage(p, acc, avoid, gcStream)
-	if err != nil {
+	dst, err := f.writeParity(p, acc, v.st.members, gcStream)
+	if err != nil || v.stale() {
 		return
 	}
-	if f.stripes[sid] != st || st.seq != seq {
-		return
-	}
-	old := st.parity
-	delete(f.parityOf, old)
-	f.clearParity(old)
-	st.parity = dst
-	st.seq++
-	f.parityOf[dst] = sid
-	f.markParity(dst)
-	f.parityWrites++
-	f.scrubParityFixes++
+	old := v.st.parity
+	f.setParity(v.sid, v.st, dst)
+	f.rain.ScrubParityFixes++
 	f.ctrs.Add("ftl.scrub.parityfix", 1)
 	f.arr.Injector().Record(fault.ScrubRepair, "ftl.scrub parity "+f.ppa(old).String())
 }

@@ -27,21 +27,13 @@ type RebuildStats struct {
 }
 
 // Rebuild reports proactive-rebuild activity.
-func (f *FTL) Rebuild() RebuildStats {
-	return RebuildStats{
-		Pages: f.rebuildPages, Parity: f.rebuildParityMoves,
-		Skips: f.rebuildSkips, Fails: f.rebuildFails, Dies: f.rebuildDies,
-	}
-}
+func (f *FTL) Rebuild() RebuildStats { return f.rebuild }
 
 // RebuildDie queues die for background re-striping. Enqueueing is
 // idempotent — a die is walked once no matter how many health probes
 // report it — and pure bookkeeping; the device's rebuild fiber drives
 // the actual work through RebuildStep.
 func (f *FTL) RebuildDie(die int) {
-	if f.rebuildSeen == nil {
-		f.rebuildSeen = make(map[int]bool)
-	}
 	if f.rebuildSeen[die] || die < 0 || die >= len(f.dies) {
 		return
 	}
@@ -67,7 +59,7 @@ func (f *FTL) rebuildGauge() {
 		return
 	}
 	f.gRebuildLeft.Set(int64(f.RebuildPending()))
-	f.gRebuildPages.Set(f.rebuildPages)
+	f.gRebuildPages.Set(f.rebuild.Pages)
 }
 
 // RebuildStep performs one unit of rebuild work: it advances the
@@ -95,32 +87,26 @@ func (f *FTL) RebuildStep(p *sim.Proc) bool {
 			f.rebuildPos++
 			block, pg := pos/nc.PagesPerBlock, pos%nc.PagesPerBlock
 			ppi := f.encode(die, block, pg)
-			switch mark := f.dies[die].blockMeta[block].lpns[pg]; {
-			case mark >= 0:
-				if f.moveData(p, ppi) {
-					f.rebuildPages++
-					f.ctrs.Add("ftl.rebuild.pages", 1)
-				} else {
-					f.rebuildFails++
-					f.ctrs.Add("ftl.rebuild.fails", 1)
-				}
-				f.rebuildGauge()
-				return true
-			case mark == parityMark:
-				if f.relocateParity(p, ppi) {
-					f.rebuildParityMoves++
-					f.ctrs.Add("ftl.rebuild.parity", 1)
-				} else {
-					f.rebuildFails++
-					f.ctrs.Add("ftl.rebuild.fails", 1)
-				}
-				f.rebuildGauge()
-				return true
-			default:
-				f.rebuildSkips++
+			mark := f.dies[die].blockMeta[block].lpns[pg]
+			if mark < 0 && mark != parityMark {
+				f.rebuild.Skips++
+				continue
 			}
+			switch {
+			case mark >= 0 && f.moveData(p, ppi):
+				f.rebuild.Pages++
+				f.ctrs.Add("ftl.rebuild.pages", 1)
+			case mark == parityMark && f.relocateParity(p, ppi):
+				f.rebuild.Parity++
+				f.ctrs.Add("ftl.rebuild.parity", 1)
+			default:
+				f.rebuild.Fails++
+				f.ctrs.Add("ftl.rebuild.fails", 1)
+			}
+			f.rebuildGauge()
+			return true
 		}
-		f.rebuildDies++
+		f.rebuild.Dies++
 		f.ctrs.Add("ftl.rebuild.dies", 1)
 		f.tr.Instant(f.fwTk, "rebuild.drained").Arg("die", int64(die))
 		f.rebuildCur = -1

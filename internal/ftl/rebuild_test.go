@@ -54,10 +54,11 @@ func TestRebuildDrainsDeadDie(t *testing.T) {
 	if rs.Pages == 0 {
 		t.Fatalf("no data pages re-striped: %+v", rs)
 	}
+	// Conservation: every page of every drained die is accounted exactly
+	// once, whichever arm of the walker (or the scrub) got to it.
 	nc := f.arr.Config()
-	if total := rs.Pages + rs.Parity + rs.Skips + rs.Fails; total != int64(nc.BlocksPerDie*nc.PagesPerBlock) {
-		t.Fatalf("walker accounted %d units for a %d-page die: %+v",
-			total, nc.BlocksPerDie*nc.PagesPerBlock, rs)
+	if total, want := rs.Pages+rs.Parity+rs.Skips+rs.Fails, int64(nc.BlocksPerDie*nc.PagesPerBlock)*rs.Dies; total != want {
+		t.Fatalf("walker accounted %d units for %d pages on %d drained dies: %+v", total, want, rs.Dies, rs)
 	}
 }
 
@@ -157,10 +158,11 @@ func TestScrubRacesRebuildWithoutDoubleRepair(t *testing.T) {
 	})
 	e.Run()
 	rs, rain := f.Rebuild(), f.Rain()
+	// Conservation: every page of every drained die is accounted exactly
+	// once, whichever arm of the walker (or the scrub) got to it.
 	nc := f.arr.Config()
-	if total := rs.Pages + rs.Parity + rs.Skips + rs.Fails; total != int64(nc.BlocksPerDie*nc.PagesPerBlock) {
-		t.Fatalf("walker accounted %d units for a %d-page die: %+v",
-			total, nc.BlocksPerDie*nc.PagesPerBlock, rs)
+	if total, want := rs.Pages+rs.Parity+rs.Skips+rs.Fails, int64(nc.BlocksPerDie*nc.PagesPerBlock)*rs.Dies; total != want {
+		t.Fatalf("walker accounted %d units for %d pages on %d drained dies: %+v", total, want, rs.Dies, rs)
 	}
 	if rs.Fails != 0 {
 		t.Fatalf("no unit should be beyond parity's reach here: %+v", rs)

@@ -53,6 +53,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxChannels is the widest array a uint64 channel mask (the FTL's
+// parity-placement constraint) can name.
+const maxChannels = 64
+
 // Validate reports whether the configuration is internally consistent.
 func (c Config) Validate() error {
 	switch {
@@ -60,6 +64,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("nand: need >=1 channel and way, got %d/%d", c.Channels, c.WaysPerChannel)
 	case c.BlocksPerDie < 1 || c.PagesPerBlock < 1 || c.PageSize < 1:
 		return fmt.Errorf("nand: bad geometry %d blocks × %d pages × %d B", c.BlocksPerDie, c.PagesPerBlock, c.PageSize)
+	case c.Channels > maxChannels:
+		return fmt.Errorf("nand: %d channels exceed the %d a channel mask holds", c.Channels, maxChannels)
 	case c.ChannelBW <= 0:
 		return fmt.Errorf("nand: channel bandwidth must be positive")
 	}

@@ -42,6 +42,28 @@ func TestDefaultConfigValid(t *testing.T) {
 	}
 }
 
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"small", func(*Config) {}, true},
+		{"no channels", func(c *Config) { c.Channels = 0 }, false},
+		{"no ways", func(c *Config) { c.WaysPerChannel = 0 }, false},
+		{"no pages", func(c *Config) { c.PagesPerBlock = 0 }, false},
+		{"no bandwidth", func(c *Config) { c.ChannelBW = 0 }, false},
+		{"64 channels fill the mask", func(c *Config) { c.Channels = 64 }, true},
+		{"65 channels overflow it", func(c *Config) { c.Channels = 65 }, false},
+	} {
+		cfg := smallConfig()
+		tc.edit(&cfg)
+		if err := cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestProgramReadRoundTrip(t *testing.T) {
 	e := sim.NewEnv()
 	a := New(e, smallConfig())
