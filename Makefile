@@ -13,7 +13,7 @@ TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/... \
 	./internal/nand/... ./internal/ftl/... ./internal/isfs/... \
 	./internal/db/... ./internal/match/...
 
-.PHONY: all build test race racefault vet vet-fix fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench tracesmoke telemetrysmoke lines clean
+.PHONY: all build test race racefault vet vet-fix fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench ledgersmoke tracesmoke telemetrysmoke lines clean
 
 all: build
 
@@ -106,6 +106,25 @@ benchgate: benchsmoke
 # `make benchgate` first so bench-out is fresh, then commit baselines/.
 bless-bench:
 	$(GO) run ./cmd/benchgate -bless baselines bench-out
+
+# Ledger smoke: the benchmark driver's own one-flow form of
+# `go run ./benchmark`, at full scale, one second per workload (≈ 1 min).
+# benchmark/smoke_test.go runs tinyScale, where the seed-1 pins of
+# benchmark/expected_seed1.json are never consulted, so this is the
+# step that sees a moved answer or a full-scale crash before the
+# pipeline does: every run must exit 0 and end in a result line
+# carrying "correct":true. The names are BENCHMARK.json's workloads.
+LEDGERWORKLOADS := tpch_suite weblog_grep serve_window heal_window ingest
+
+ledgersmoke:
+	mkdir -p bench-out/ledger
+	for w in $(LEDGERWORKLOADS); do \
+		out=bench-out/ledger/$$w.txt; \
+		$(GO) run ./benchmark -workload $$w -seconds 1 -trace 0 -out bench-out/ledger > $$out \
+			&& tail -n 1 $$out | grep -q '"correct":true' \
+			|| { cat $$out; echo "ledgersmoke: $$w FAILED"; exit 1; }; \
+		echo "ledgersmoke: $$w ok"; \
+	done
 
 # Trace smoke (DESIGN.md "Observability"): run TPC-H Q6 end to end with
 # tracing on, validate the export is a well-formed Chrome trace

@@ -91,7 +91,8 @@ func (st *aggState) result(f AggFunc) Value {
 
 // groupTable is the one grouping accumulator: it folds rows into
 // per-group aggregate state and emits the groups in key order. The host
-// HashAggOp and the device scan's aggregation stage both run it.
+// HashAggOp, the device scan's aggregation stage and ShardedAggPlan.Merge
+// (over partial rows) all run it.
 type groupTable struct {
 	groupBy []Expr
 	aggs    []Agg
@@ -197,11 +198,7 @@ func (h *HashAggOp) Schema() *Schema {
 func (h *HashAggOp) schemaFrom(first Row) *Schema {
 	cols := make([]Column, 0, len(h.GroupBy)+len(h.Aggs))
 	for i := range h.GroupBy {
-		name := fmt.Sprintf("g%d", i)
-		if i < len(h.GroupNms) {
-			name = h.GroupNms[i]
-		}
-		cols = append(cols, Column{Name: name, T: TString})
+		cols = append(cols, Column{Name: colName(h.GroupNms, "g", i), T: TString})
 	}
 	for i, a := range h.Aggs {
 		cols = append(cols, Column{Name: aggName(a, i), T: TDecimal})
@@ -248,16 +245,7 @@ func (h *HashAggOp) Open() (err error) {
 }
 
 // NextBatch emits grouped rows in key order.
-func (h *HashAggOp) NextBatch(b *RowBatch) (int, error) {
-	b.Reset()
-	n := 0
-	for h.at < len(h.rows) && !b.Full() {
-		b.AppendRow(h.rows[h.at])
-		h.at++
-		n++
-	}
-	return n, nil
-}
+func (h *HashAggOp) NextBatch(b *RowBatch) (int, error) { return emitRows(b, h.rows, &h.at), nil }
 
 // Close releases group state.
 func (h *HashAggOp) Close() error {

@@ -98,6 +98,20 @@ func (b *RowBatch) AppendRow(r Row) {
 	b.n++
 }
 
+// emitRows is the one "hand out materialized rows batch by batch" loop,
+// under every operator that holds its output as a []Row: it resets b,
+// appends rows[*at:] by reference until b is full or the rows run out,
+// advances *at and returns the count (0 = drained). The slice is walked,
+// never consumed: MemScan.Open rewinds by zeroing its cursor.
+func emitRows(b *RowBatch, rows []Row, at *int) int {
+	b.Reset()
+	from := *at
+	for ; *at < len(rows) && !b.Full(); *at++ {
+		b.AppendRow(rows[*at])
+	}
+	return *at - from
+}
+
 // NewRow appends and returns a zero row of ncols cells carved from the
 // batch's Value arena. The caller fills every cell.
 func (b *RowBatch) NewRow(ncols int) Row {
@@ -179,27 +193,6 @@ func (b *RowBatch) Keep(k int) {
 		return
 	}
 	b.sel = b.sel[:k]
-}
-
-// Drop removes the first k live rows (fault-fallback resume cutting a
-// batch mid-way).
-func (b *RowBatch) Drop(k int) {
-	if k <= 0 {
-		return
-	}
-	if k >= b.Len() {
-		k = b.Len()
-	}
-	if !b.hasSel {
-		b.sel = b.sel[:0]
-		for i := k; i < b.n; i++ {
-			b.sel = append(b.sel, i)
-		}
-		b.hasSel = true
-		return
-	}
-	m := copy(b.sel, b.sel[k:])
-	b.sel = b.sel[:m]
 }
 
 // DecodeRowInto decodes one row off the front of buf into the batch

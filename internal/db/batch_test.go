@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"biscuit"
@@ -28,26 +29,84 @@ func TestRowBatchFilterKeepDrop(t *testing.T) {
 	if b.Len() != 8 || !b.Full() {
 		t.Fatalf("len=%d full=%v", b.Len(), b.Full())
 	}
-	// Filter to even values, then drop the first and keep one.
+	// Filter to even values, then keep the first.
 	if live := b.Filter(func(r Row) bool { return r[0].I%2 == 0 }); live != 4 {
 		t.Fatalf("filter: live=%d", live)
 	}
-	b.Drop(1)
-	if b.Len() != 3 || b.Row(0)[0].I != 2 {
-		t.Fatalf("after drop: len=%d first=%v", b.Len(), b.Row(0))
-	}
 	b.Keep(1)
-	if b.Len() != 1 || b.Row(0)[0].I != 2 {
+	if b.Len() != 1 || b.Row(0)[0].I != 0 {
 		t.Fatalf("after keep: len=%d first=%v", b.Len(), b.Row(0))
 	}
-	// Drop/Keep on an unfiltered batch materialize the selection.
+	// Keep on an unfiltered batch materializes the selection.
 	b.Reset()
 	b.AppendRow(Row{Int(10)})
 	b.AppendRow(Row{Int(11)})
 	b.AppendRow(Row{Int(12)})
-	b.Drop(2)
-	if b.Len() != 1 || b.Row(0)[0].I != 12 {
-		t.Fatalf("drop on unselected batch: len=%d first=%v", b.Len(), b.Row(0))
+	b.Keep(2)
+	if b.Len() != 2 || b.Row(1)[0].I != 11 {
+		t.Fatalf("keep on unselected batch: len=%d last=%v", b.Len(), b.Row(1))
+	}
+}
+
+func TestEmitRowsBatchBoundaries(t *testing.T) {
+	// The one emitter at every boundary shape: full batches of cap rows,
+	// then the remainder, then 0; rows in order; the cursor ends at
+	// len(rows); the slice it walked is left as it was.
+	const bcap = 4
+	sch := NewSchema(Column{"v", TInt})
+	for _, n := range []int{0, bcap - 1, bcap, bcap + 1, 3*bcap + 2} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(100 + i)
+		}
+		rows := intRows(vals...)
+		b := NewRowBatch(bcap)
+		at, next := 0, 0
+		for {
+			want := min(bcap, n-next)
+			got := emitRows(b, rows, &at)
+			if got != want || b.Len() != want {
+				t.Fatalf("n=%d at row %d: batch of %d (Len %d), want %d", n, next, got, b.Len(), want)
+			}
+			if got == 0 {
+				break
+			}
+			for i := 0; i < got; i++ {
+				if v := b.Row(i)[0].I; v != vals[next+i] {
+					t.Fatalf("n=%d: row %d = %d, want %d", n, next+i, v, vals[next+i])
+				}
+			}
+			next += got
+			if at != next {
+				t.Fatalf("n=%d: cursor %d after %d rows", n, at, next)
+			}
+		}
+		if at != n || next != n {
+			t.Fatalf("n=%d: drained %d rows, cursor %d", n, next, at)
+		}
+		if emitRows(b, rows, &at) != 0 || at != n {
+			t.Fatalf("n=%d: a drained run emitted again (cursor %d)", n, at)
+		}
+		if len(rows) != n {
+			t.Fatalf("n=%d: emitter consumed its slice: len %d", n, len(rows))
+		}
+
+		// MemScan rewinds over the same caller-owned rows.
+		m := NewMemScan(sch, rows)
+		for pass := 0; pass < 2; pass++ {
+			if err := m.Open(); err != nil {
+				t.Fatal(err)
+			}
+			var got []int64
+			for k, _ := m.NextBatch(b); k > 0; k, _ = m.NextBatch(b) {
+				for i := 0; i < k; i++ {
+					got = append(got, b.Row(i)[0].I)
+				}
+			}
+			if !slices.Equal(got, vals) {
+				t.Fatalf("n=%d pass %d: MemScan gave %v, want %v", n, pass, got, vals)
+			}
+		}
 	}
 }
 
@@ -179,7 +238,7 @@ func ndpFixtureScanAt(t *testing.T, sys *biscuit.System, batch int) ([]Row, *Exe
 
 // TestNDPScanFaultFallbackMidBatchResume runs the fallback scenario of
 // fault_test.go at batch sizes that force the already-emitted row count
-// to land mid-way through a fallback batch, exercising the Drop-based
+// to land mid-way through a fallback batch, exercising the stashed-rows
 // batch-aligned resume.
 func TestNDPScanFaultFallbackMidBatchResume(t *testing.T) {
 	want, _ := ndpFixtureScanAt(t, quickSys(), 0)

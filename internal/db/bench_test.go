@@ -79,7 +79,7 @@ func TestBatchExecAllocAmortization(t *testing.T) {
 	sys := quickSys()
 	d := Open(sys)
 	sys.Run(func(h *biscuit.Host) {
-		tab := loadFixture(t, h, d, 2000, 50)
+		tab := loadFixture(t, h, d, 20000, 50)
 		pred := EqS(tab.Sch, "note", "TARGETKEY")
 		measure := func(batch int) float64 {
 			return testing.AllocsPerRun(3, func() {
@@ -94,6 +94,34 @@ func TestBatchExecAllocAmortization(t *testing.T) {
 		t.Logf("allocs per scan: batch=1 %.0f, batch=default %.0f", one, def)
 		if def <= 0 || one < 2*def {
 			t.Fatalf("default batch must allocate >=2x less than batch=1: got %.0f vs %.0f", one, def)
+		}
+
+		// The device scan decodes every matched page into one staging
+		// batch it owns for its lifetime. Two scans that differ only in
+		// whether the matcher lets the pages through — a key on every page
+		// against a key on none, under a predicate no row passes, so
+		// nothing is encoded or shipped either way — differ by the cost of
+		// a matched page and nothing else.
+		none := EqS(tab.Sch, "note", "NOSUCHKEY")
+		device := func(key string) float64 {
+			return testing.AllocsPerRun(3, func() {
+				ex := NewExec(h, d)
+				if rows, err := Collect(ex.NewNDPScan(tab, []string{key}, none)); err != nil || len(rows) != 0 {
+					t.Fatalf("device scan for %q: %d rows, err %v", key, len(rows), err)
+				}
+			})
+		}
+		perPage := (device("padding-text") - device("NOSUCHKEY")) / float64(tab.Pages)
+		// A matched page costs its buffered copy (the matcher lends the
+		// media's page only for the callback) and FinishStrings' one string
+		// for the page's cells: 2. The sorted hit list's growth and the
+		// staging arenas' first few sizings are amortized over the pages —
+		// allow 1 more. A batch per page adds at least its row slab, value
+		// arena, byte arena and fixup list: 4 on top of the 2.
+		const bound = 2 + 1
+		t.Logf("device scan: %.2f allocs per matched page over %d pages (bound %d)", perPage, tab.Pages, bound)
+		if tab.Pages < 8 || perPage <= 0 || perPage > bound {
+			t.Fatalf("device scan allocates %.2f per matched page over %d pages, want (0, %d]", perPage, tab.Pages, bound)
 		}
 	})
 }

@@ -367,12 +367,9 @@ type INLJoin struct {
 	// Residual, if non-nil, filters the combined row (outer ++ inner).
 	Residual Expr
 
-	sch     *Schema
-	pending []Row
-	pendAt  int
-	scratch Row
-	outerB  *RowBatch
-	outerAt int
+	sch *Schema
+	cur outerCursor
+	joinOut
 }
 
 func (j *INLJoin) exec() *Exec { return j.Ex }
@@ -388,10 +385,8 @@ func (j *INLJoin) Schema() *Schema {
 // Open opens the outer input.
 func (j *INLJoin) Open() error {
 	j.Schema()
-	j.pending = nil
-	j.pendAt = 0
-	j.outerB = nil
-	j.outerAt = 0
+	j.cur = outerCursor{}
+	j.joinOut = joinOut{}
 	return j.Outer.Open()
 }
 
@@ -399,32 +394,13 @@ func (j *INLJoin) Open() error {
 // available, then emits them in probe order.
 func (j *INLJoin) NextBatch(b *RowBatch) (int, error) {
 	for {
-		if j.pendAt < len(j.pending) {
-			b.Reset()
-			n := 0
-			for j.pendAt < len(j.pending) && !b.Full() {
-				b.AppendRow(j.pending[j.pendAt])
-				j.pendAt++
-				n++
-			}
-			if j.pendAt >= len(j.pending) {
-				j.pending = j.pending[:0]
-				j.pendAt = 0
-			}
+		if n := j.emit(b); n > 0 {
 			return n, nil
 		}
-		if j.outerB == nil {
-			j.outerB = NewRowBatch(j.Ex.batchCap())
+		or, ok, err := j.cur.next(j.Outer, j.Ex)
+		if err != nil || !ok {
+			return 0, err
 		}
-		if j.outerAt >= j.outerB.Len() {
-			n, err := j.Outer.NextBatch(j.outerB)
-			if err != nil || n == 0 {
-				return 0, err
-			}
-			j.outerAt = 0
-		}
-		or := j.outerB.Row(j.outerAt)
-		j.outerAt++
 		key := j.OuterKey.Eval(or)
 		entries, err := j.Ix.Lookup(j.Ex, key.I)
 		if err != nil {
@@ -439,9 +415,8 @@ func (j *INLJoin) NextBatch(b *RowBatch) (int, error) {
 		}
 		j.Ex.chargeHost(j.Ex.Cost.HostJoinCPR * float64(len(inner)))
 		for _, ir := range inner {
-			j.scratch = append(append(j.scratch[:0], or...), ir...)
-			if j.Residual == nil || Truthy(j.Residual.Eval(j.scratch)) {
-				j.pending = append(j.pending, j.scratch.Clone())
+			if j.match(or, ir, j.Residual) {
+				j.keep(j.scratch)
 			}
 		}
 	}

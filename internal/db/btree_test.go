@@ -159,24 +159,35 @@ func TestINLJoinMatchesHashJoin(t *testing.T) {
 		for i := 0; i < 200; i += 2 {
 			outerRows = append(outerRows, Row{Int(int64(i))})
 		}
-		ex := NewExec(h, d)
-		ix, err := d.BuildIndex(ex, tab, "k")
+		ix, err := d.BuildIndex(NewExec(h, d), tab, "k")
 		if err != nil {
 			t.Fatal(err)
 		}
-		inl := &INLJoin{Ex: ex, Outer: NewMemScan(outerSch, outerRows), Ix: ix, OuterKey: C(outerSch, "pk")}
-		inlRows, err := Collect(inl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hj := &HashJoin{Ex: ex, Left: NewMemScan(outerSch, outerRows), Right: ex.NewConvScan(tab, nil),
-			LeftKey: C(outerSch, "pk"), RightKey: C(tab.Sch, "k")}
-		hjRows, err := Collect(hj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(inlRows) == 0 || len(inlRows) != len(hjRows) {
-			t.Fatalf("inl=%d hash=%d", len(inlRows), len(hjRows))
+		var first []Row
+		for _, batch := range joinBatchSizes {
+			ex := NewExec(h, d)
+			ex.BatchSize = batch
+			inl := &INLJoin{Ex: ex, Outer: NewMemScan(outerSch, outerRows), Ix: ix, OuterKey: C(outerSch, "pk")}
+			inlRows, err := Collect(inl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hj := &HashJoin{Ex: ex, Left: NewMemScan(outerSch, outerRows), Right: ex.NewConvScan(tab, nil),
+				LeftKey: C(outerSch, "pk"), RightKey: C(tab.Sch, "k")}
+			hjRows, err := Collect(hj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(inlRows) == 0 {
+				t.Fatalf("batch=%d: join found no rows; test exercises nothing", batch)
+			}
+			// Both emit in probe order with a key's matches in heap order,
+			// so the rows agree one for one, at every batch size.
+			sameRows(t, inlRows, hjRows)
+			if first == nil {
+				first = hjRows
+			}
+			sameRows(t, hjRows, first)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package db
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Page format (PageSize bytes, matching the device page so one DB page
@@ -119,9 +120,9 @@ func (pb *PageBuilder) Take() []byte {
 
 // pageExtent validates a page header and returns the row count and the
 // used bytes (header included) it declares. It is the one header check:
-// every page decode — DecodePage on the device and in index builds,
-// ConvScan on the host — goes through it, so corrupt media is rejected
-// the same way everywhere.
+// every page decode — decodePage on the device and (as DecodePage) in
+// index builds, ConvScan on the host — goes through it, so corrupt
+// media is rejected the same way everywhere.
 func pageExtent(page []byte) (rows, used int, err error) {
 	if len(page) < pageHeader {
 		return 0, 0, fmt.Errorf("db: short page")
@@ -137,14 +138,18 @@ func pageExtent(page []byte) (rows, used int, err error) {
 	return rows, used, nil
 }
 
-// DecodePage invokes fn for every row in the page buffer. The rows are
-// decoded into a batch private to this call that is never Reset, so fn
-// may retain them (they share the page's arenas, not the caller's).
-// A corrupt page is reported before fn sees any of its rows.
-func DecodePage(page []byte, sch *Schema, fn func(Row) error) error {
+// decodePage is the one page decode: it resets b and decodes every row
+// of the page buffer into it, growing the row slab when the page holds
+// more rows than b.Cap(). The rows live in b's arenas until its next
+// Reset. A corrupt page is an error with n = 0: nothing of it is to be read.
+func (b *RowBatch) decodePage(page []byte, sch *Schema) (n int, err error) {
+	b.Reset()
 	n, used, err := pageExtent(page)
 	if err != nil || n == 0 {
-		return err
+		return 0, err
+	}
+	if n > len(b.rows) {
+		b.rows = make([]Row, n)
 	}
 	// Size the batch's arenas to the page up front: its string bytes
 	// cannot exceed the used bytes, and every row has the schema's
@@ -155,24 +160,31 @@ func DecodePage(page []byte, sch *Schema, fn func(Row) error) error {
 			strCols++
 		}
 	}
-	b := NewRowBatch(n)
-	b.str = make([]byte, 0, used-pageHeader)
-	b.fix = make([]strFix, 0, n*strCols)
+	b.str = slices.Grow(b.str, used-pageHeader)
+	b.fix = slices.Grow(b.fix, n*strCols)
 	at := pageHeader
 	for i := 0; i < n; i++ {
 		k, err := b.DecodeRowInto(page[at:used], sch)
 		if err != nil {
-			return fmt.Errorf("db: row %d: %w", i, err)
+			return 0, fmt.Errorf("db: row %d: %w", i, err)
 		}
 		at += k
 	}
 	b.FinishStrings()
-	for i := 0; i < n; i++ {
-		if err := fn(b.Row(i)); err != nil {
-			return err
-		}
+	return n, nil
+}
+
+// DecodePage invokes fn for every row in the page buffer. The rows are
+// decoded into a batch private to this call that is never Reset, so fn
+// may retain them (they share the page's arenas, not the caller's).
+// A corrupt page is reported before fn sees any of its rows.
+func DecodePage(page []byte, sch *Schema, fn func(Row) error) error {
+	b := new(RowBatch)
+	n, err := b.decodePage(page, sch)
+	for i := 0; i < n && err == nil; i++ {
+		err = fn(b.Row(i))
 	}
-	return nil
+	return err
 }
 
 // PageRowCount returns the row count header of a page.

@@ -2,6 +2,7 @@ package db
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -295,25 +296,50 @@ func TestBNLJoinMatchesHashJoin(t *testing.T) {
 		}
 		lb.Close()
 		ta, tb := d.Table("ta"), d.Table("tb")
-		ex := NewExec(h, d)
-		ex.JoinBufferRows = 64
 		joined := ta.Sch.Concat(tb.Sch)
 		on := Cmp{EQ, C(joined, "ak"), C(joined, "bk")}
-		bnl := &BNLJoin{Ex: ex, Outer: ex.NewConvScan(ta, nil), Inner: func() Iterator { return ex.NewConvScan(tb, nil) }, On: on}
-		bnlRows, err := Collect(bnl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hj := &HashJoin{Ex: ex, Left: ex.NewConvScan(ta, nil), Right: ex.NewConvScan(tb, nil),
-			LeftKey: C(ta.Sch, "ak"), RightKey: C(tb.Sch, "bk")}
-		hjRows, err := Collect(hj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(bnlRows) == 0 || len(bnlRows) != len(hjRows) {
-			t.Fatalf("bnl=%d hash=%d", len(bnlRows), len(hjRows))
+		var first []string
+		for _, batch := range joinBatchSizes {
+			ex := NewExec(h, d)
+			ex.JoinBufferRows = 64
+			ex.BatchSize = batch
+			bnl := &BNLJoin{Ex: ex, Outer: ex.NewConvScan(ta, nil), Inner: func() Iterator { return ex.NewConvScan(tb, nil) }, On: on}
+			bnlRows, err := Collect(bnl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hj := &HashJoin{Ex: ex, Left: ex.NewConvScan(ta, nil), Right: ex.NewConvScan(tb, nil),
+				LeftKey: C(ta.Sch, "ak"), RightKey: C(tb.Sch, "bk")}
+			hjRows, err := Collect(hj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bnlRows) == 0 || len(bnlRows) != len(hjRows) {
+				t.Fatalf("batch=%d: bnl=%d hash=%d", batch, len(bnlRows), len(hjRows))
+			}
+			// The two emit in different orders (BNL inner-major within a
+			// block, hash in probe order): compare as multisets, and
+			// against the first batch size's answer.
+			got, want := sortedRows(bnlRows), sortedRows(hjRows)
+			if first == nil {
+				first = want
+			}
+			if !slices.Equal(got, want) || !slices.Equal(want, first) {
+				t.Fatalf("batch=%d: BNL and hash join rows differ (or differ from batch=%d)", batch, joinBatchSizes[0])
+			}
 		}
 	})
+}
+
+// joinBatchSizes is the Exec.BatchSize dimension of the join tests: one
+// row per batch, a size that divides nothing, and the default slab.
+var joinBatchSizes = []int{1, 7, 1024}
+
+// sortedRows renders rows and sorts them, for order-free comparison.
+func sortedRows(rows []Row) []string {
+	out := renderRows(rows)
+	slices.Sort(out)
+	return out
 }
 
 func TestBNLJoinRescanCountScalesWithOuterBlocks(t *testing.T) {
@@ -353,35 +379,61 @@ func TestSemiAndAntiJoin(t *testing.T) {
 	d := Open(sys)
 	sys.Run(func(h *biscuit.Host) {
 		schA := NewSchema(Column{"k", TInt})
-		schB := NewSchema(Column{"k2", TInt})
+		schB := NewSchema(Column{"k2", TInt}, Column{"tag", TInt})
 		la, _ := d.NewLoader(h, "ta", schA, 8)
 		for i := 0; i < 10; i++ {
 			la.Add(Row{Int(int64(i))})
 		}
 		la.Close()
+		// Key 2 matches twice — tag 0 first, then tag 1 — key 4 once with
+		// tag 0, key 6 once with tag 1.
 		lb, _ := d.NewLoader(h, "tb", schB, 8)
-		for _, k := range []int64{2, 4, 6} {
-			lb.Add(Row{Int(k)})
+		for _, kt := range [][2]int64{{2, 0}, {2, 1}, {4, 0}, {6, 1}} {
+			lb.Add(Row{Int(kt[0]), Int(kt[1])})
 		}
 		lb.Close()
-		ex := NewExec(h, d)
-		semi := &HashJoin{Ex: ex, Left: ex.NewConvScan(d.Table("ta"), nil), Right: ex.NewConvScan(d.Table("tb"), nil),
-			LeftKey: C(schA, "k"), RightKey: C(schB, "k2"), Semi: true}
-		srows, err := Collect(semi)
-		if err != nil {
-			t.Fatal(err)
+		// The residual rejects key 2's first match and accepts its second,
+		// rejects key 4's only match and accepts key 6's: the case where
+		// "stop at the first match" and "stop at the first accepted match"
+		// part ways, for semi and anti alike.
+		tagged := Cmp{EQ, C(schA.Concat(schB), "tag"), Lit(Int(1))}
+		cases := []struct {
+			name       string
+			semi, anti bool
+			residual   Expr
+			want       []int64 // left keys, in left order
+		}{
+			{"semi", true, false, nil, []int64{2, 4, 6}},
+			{"anti", false, true, nil, []int64{0, 1, 3, 5, 7, 8, 9}},
+			{"semi+residual", true, false, tagged, []int64{2, 6}},
+			{"anti+residual", false, true, tagged, []int64{0, 1, 3, 4, 5, 7, 8, 9}},
+			{"inner+residual", false, false, tagged, []int64{2, 6}},
 		}
-		if len(srows) != 3 {
-			t.Fatalf("semi=%d, want 3", len(srows))
-		}
-		anti := &HashJoin{Ex: ex, Left: ex.NewConvScan(d.Table("ta"), nil), Right: ex.NewConvScan(d.Table("tb"), nil),
-			LeftKey: C(schA, "k"), RightKey: C(schB, "k2"), Anti: true}
-		arows, err := Collect(anti)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(arows) != 7 {
-			t.Fatalf("anti=%d, want 7", len(arows))
+		for _, batch := range joinBatchSizes {
+			ex := NewExec(h, d)
+			ex.BatchSize = batch
+			for _, tc := range cases {
+				j := &HashJoin{Ex: ex, Left: ex.NewConvScan(d.Table("ta"), nil), Right: ex.NewConvScan(d.Table("tb"), nil),
+					LeftKey: C(schA, "k"), RightKey: C(schB, "k2"), Semi: tc.semi, Anti: tc.anti, Residual: tc.residual}
+				rows, err := Collect(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				width := 1 // semi and anti emit the left row alone
+				if !tc.semi && !tc.anti {
+					width = 3
+				}
+				var got []int64
+				for _, r := range rows {
+					if len(r) != width {
+						t.Fatalf("batch=%d %s: row %v has %d cells, want %d", batch, tc.name, r, len(r), width)
+					}
+					got = append(got, r[0].I)
+				}
+				if !slices.Equal(got, tc.want) {
+					t.Fatalf("batch=%d %s: left keys %v, want %v", batch, tc.name, got, tc.want)
+				}
+			}
 		}
 	})
 }

@@ -99,25 +99,9 @@ func (ex *Exec) batchCap() int {
 	return DefaultBatchSize
 }
 
-// noteConvScan / noteNDPScan / noteNDPFallback / addLinkPages bump the
-// query stats and mirror them onto the platform counter registry.
-func (ex *Exec) noteConvScan() {
-	ex.St.ConvScans++
-	ex.H.System().Plat.Ctrs.Add("db.scan.conv", 1)
-}
-
-func (ex *Exec) noteNDPScan() {
-	ex.St.NDPScans++
-	ex.H.System().Plat.Ctrs.Add("db.scan.ndp", 1)
-}
-
-func (ex *Exec) noteNDPFallback() {
-	ex.St.NDPFallbacks++
-	ex.H.System().Plat.Ctrs.Add("db.ndp.fallback", 1)
-}
-
-// AddLinkPages accounts n pages crossing the host link (exported for
-// the planner, whose sampling reads also cross the link).
+// AddLinkPages accounts n pages crossing the host link, in the query
+// stats and on the mirrored platform counter (exported for the planner,
+// whose sampling reads also cross the link).
 func (ex *Exec) AddLinkPages(n int64) {
 	ex.St.PagesOverLink += n
 	ex.H.System().Plat.Ctrs.Add("db.pages.link", n)
@@ -129,30 +113,40 @@ func (ex *Exec) AddLinkPages(n int64) {
 // holds async spans only.
 const dbTrack = "host/db"
 
-// beginScan opens a scan-lifetime span on the db track, tagged with the
-// table name. Returns the inert zero Span when tracing is off.
-func (ex *Exec) beginScan(name, table string) trace.Span {
-	tr := ex.H.System().Plat.Trace
-	if tr == nil {
-		return trace.Span{}
-	}
-	return tr.BeginAsync(tr.Track(dbTrack), name).ArgStr("table", table)
+// scanLife is the Open-to-Close lifetime of one table scan, embedded in
+// ConvScan and NDPScan so the bookkeeping exists once.
+type scanLife struct {
+	ex      *Exec      // set between begin and end
+	kind    string     // "conv" or "ndp"
+	span    trace.Span // "scan.<kind>" on the db track; inert when tracing is off
+	started sim.Time   // begin time, for the duration histogram
 }
 
-// scanInstant marks a point event of a scan's lifecycle (fallback
-// engagement) on the db track.
-func (ex *Exec) scanInstant(name, table string) {
-	tr := ex.H.System().Plat.Trace
-	if tr == nil {
+// begin counts the scan in the query stats and on the mirrored
+// "db.scan.<kind>" platform counter, opens its span and stamps the start.
+func (l *scanLife) begin(ex *Exec, kind, table string) {
+	if kind == "ndp" {
+		ex.St.NDPScans++
+	} else {
+		ex.St.ConvScans++
+	}
+	plat := ex.H.System().Plat
+	plat.Ctrs.Add("db.scan."+kind, 1)
+	*l = scanLife{ex: ex, kind: kind, started: ex.H.Now()}
+	if tr := plat.Trace; tr != nil {
+		l.span = tr.BeginAsync(tr.Track(dbTrack), "scan."+kind).ArgStr("table", table)
+	}
+}
+
+// end closes the span and records the Open-to-Close time in the
+// "db.scan.<kind>" histogram. Idempotent: Close may run twice, or unopened.
+func (l *scanLife) end() {
+	if l.ex == nil {
 		return
 	}
-	tr.Instant(tr.Track(dbTrack), name).ArgStr("table", table)
-}
-
-// observeScan records one completed scan's Open-to-Close wall time in
-// the platform histogram registry ("db.scan.conv" / "db.scan.ndp").
-func (ex *Exec) observeScan(name string, d sim.Time) {
-	ex.H.System().Plat.Hists.Observe(name, int64(d))
+	l.span.End()
+	l.ex.H.System().Plat.Hists.Observe("db.scan."+l.kind, int64(l.ex.H.Now()-l.started))
+	*l = scanLife{}
 }
 
 // Iterator is the vectorized operator interface. NextBatch fills b
@@ -232,9 +226,7 @@ type ConvScan struct {
 	pRows     int   // rows left to decode in the current page
 	pOff      int64 // file offset of the current page (for errors)
 
-	span    trace.Span // open "scan.conv" lifetime span
-	started sim.Time   // Open time, for the duration histogram
-	open    bool       // Open seen and Close not yet
+	scanLife
 }
 
 // NewConvScan builds a host-side scan.
@@ -257,10 +249,7 @@ func (s *ConvScan) Open() error {
 	s.off = 0
 	s.cLen, s.cAt, s.cOff = 0, 0, 0
 	s.pAt, s.pEnd, s.pRows = 0, 0, 0
-	s.Ex.noteConvScan()
-	s.span = s.Ex.beginScan("scan.conv", s.T.Name)
-	s.started = s.Ex.H.Now()
-	s.open = true
+	s.begin(s.Ex, "conv", s.T.Name)
 	return nil
 }
 
@@ -393,12 +382,7 @@ func (s *ConvScan) fill() error {
 // Close releases the scan.
 func (s *ConvScan) Close() error {
 	s.cLen, s.cAt, s.pRows = 0, 0, 0
-	if s.open {
-		s.open = false
-		s.span.End()
-		s.span = trace.Span{}
-		s.Ex.observeScan("db.scan.conv", s.Ex.H.Now()-s.started)
-	}
+	s.end()
 	return nil
 }
 
@@ -424,16 +408,7 @@ func (m *MemScan) Open() error {
 }
 
 // NextBatch emits the next run of rows.
-func (m *MemScan) NextBatch(b *RowBatch) (int, error) {
-	b.Reset()
-	n := 0
-	for m.at < len(m.Rows) && !b.Full() {
-		b.AppendRow(m.Rows[m.at])
-		m.at++
-		n++
-	}
-	return n, nil
-}
+func (m *MemScan) NextBatch(b *RowBatch) (int, error) { return emitRows(b, m.Rows, &m.at), nil }
 
 // Close is a no-op.
 func (m *MemScan) Close() error { return nil }
@@ -479,8 +454,7 @@ func (f *FilterOp) Close() error { return f.In.Close() }
 func (ex *Exec) chargeHost(cycles float64) {
 	ex.pendingCycles += cycles
 	if ex.pendingCycles >= 2.5e6 { // flush every ~1ms of host CPU
-		ex.H.System().Plat.HostCPU.Exec(ex.H.Proc(), ex.pendingCycles)
-		ex.pendingCycles = 0
+		ex.FlushCost()
 	}
 }
 
@@ -512,15 +486,29 @@ func (pr *ProjectOp) Schema() *Schema {
 	if pr.sch != nil {
 		return pr.sch
 	}
+	return pr.schemaFrom(nil)
+}
+
+// schemaFrom names the output columns and types them after first, the
+// first output row (nil = provisional types).
+func (pr *ProjectOp) schemaFrom(first Row) *Schema {
 	cols := make([]Column, len(pr.Exprs))
-	for i := range pr.Exprs {
-		name := fmt.Sprintf("c%d", i)
-		if i < len(pr.Names) {
-			name = pr.Names[i]
+	for i := range cols {
+		cols[i] = Column{Name: colName(pr.Names, "c", i), T: TDecimal}
+		if first != nil {
+			cols[i].T = first[i].T
 		}
-		cols[i] = Column{Name: name, T: TDecimal}
 	}
 	return NewSchema(cols...)
+}
+
+// colName names output column i of an operator: names[i] where the plan
+// gave one, else the operator's prefix and the index ("c0", "g1").
+func colName(names []string, prefix string, i int) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return fmt.Sprintf("%s%d", prefix, i)
 }
 
 // Open opens the input.
@@ -544,15 +532,7 @@ func (pr *ProjectOp) NextBatch(b *RowBatch) (int, error) {
 			out[c] = e.Eval(r)
 		}
 		if pr.sch == nil {
-			cols := make([]Column, len(out))
-			for c := range out {
-				name := fmt.Sprintf("c%d", c)
-				if c < len(pr.Names) {
-					name = pr.Names[c]
-				}
-				cols[c] = Column{Name: name, T: out[c].T}
-			}
-			pr.sch = NewSchema(cols...)
+			pr.sch = pr.schemaFrom(out)
 		}
 	}
 	pr.Ex.chargeHost(float64(len(pr.Exprs)) * 10 * float64(n))
@@ -663,16 +643,7 @@ func log2(x float64) float64 {
 }
 
 // NextBatch emits the next run of sorted rows.
-func (s *SortOp) NextBatch(b *RowBatch) (int, error) {
-	b.Reset()
-	n := 0
-	for s.at < len(s.rows) && !b.Full() {
-		b.AppendRow(s.rows[s.at])
-		s.at++
-		n++
-	}
-	return n, nil
-}
+func (s *SortOp) NextBatch(b *RowBatch) (int, error) { return emitRows(b, s.rows, &s.at), nil }
 
 // Close releases buffers.
 func (s *SortOp) Close() error {

@@ -2,6 +2,65 @@ package db
 
 import "fmt"
 
+// joinOut is the output side the three joins share: matched rows wait in
+// pending until NextBatch hands them out, and scratch is the reusable
+// buffer each candidate pair is concatenated into for the join condition.
+type joinOut struct {
+	pending []Row
+	handed  int // pending[:handed] already went out
+	scratch Row
+}
+
+// emit hands out the next run of pending rows (0 = none waiting) and
+// recycles the buffer once it drains.
+func (o *joinOut) emit(b *RowBatch) int {
+	n := emitRows(b, o.pending, &o.handed)
+	if o.handed >= len(o.pending) {
+		o.pending, o.handed = o.pending[:0], 0
+	}
+	return n
+}
+
+// match concatenates l and r (l's columns first) into scratch and
+// reports whether cond — nil accepts every pair — holds on the result.
+func (o *joinOut) match(l, r Row, cond Expr) bool {
+	o.scratch = append(append(o.scratch[:0], l...), r...)
+	return cond == nil || Truthy(cond.Eval(o.scratch))
+}
+
+// keep queues a copy of r — scratch, or a probe row that lives in an
+// input batch — for output.
+func (o *joinOut) keep(r Row) { o.pending = append(o.pending, r.Clone()) }
+
+// outerCursor walks a join's outer input one row at a time across its
+// batches: BNLJoin fills its blocks from it, INLJoin probes with it.
+type outerCursor struct {
+	b   *RowBatch // current outer batch; unread rows carry over between calls
+	at  int
+	eof bool
+}
+
+// next returns the next outer row, valid until the call after it; ok is
+// false once the input is exhausted.
+func (c *outerCursor) next(in Iterator, ex *Exec) (r Row, ok bool, err error) {
+	if c.b == nil {
+		c.b = NewRowBatch(ex.batchCap())
+	}
+	if c.at >= c.b.Len() {
+		if c.eof {
+			return nil, false, nil
+		}
+		n, err := in.NextBatch(c.b)
+		if err != nil || n == 0 {
+			c.eof = err == nil
+			return nil, false, err
+		}
+		c.at = 0
+	}
+	c.at++
+	return c.b.Row(c.at - 1), true, nil
+}
+
 // BNLJoin is a block-nested-loop join, MariaDB's index-less join method
 // (paper §V-C cites the block-nested-loop magnification for Q14): the
 // outer input is consumed in blocks of Exec.JoinBufferRows rows, and the
@@ -17,16 +76,12 @@ type BNLJoin struct {
 	// On is evaluated over the concatenated row (outer columns first).
 	On Expr
 
-	sch      *Schema
-	block    []Row
-	outerEOF bool
-	inner    Iterator
-	pending  []Row
-	pendAt   int
-	scratch  Row
-	outerB   *RowBatch // carries leftover outer rows across block fills
-	outerAt  int
-	innerB   *RowBatch
+	sch    *Schema
+	block  []Row
+	cur    outerCursor // carries leftover outer rows across block fills
+	inner  Iterator
+	innerB *RowBatch
+	joinOut
 }
 
 func (j *BNLJoin) exec() *Exec { return j.Ex }
@@ -44,11 +99,8 @@ func (j *BNLJoin) Schema() *Schema {
 func (j *BNLJoin) Open() error {
 	j.Schema()
 	j.block = nil
-	j.outerEOF = false
-	j.pending = nil
-	j.pendAt = 0
-	j.outerB = nil
-	j.outerAt = 0
+	j.cur = outerCursor{}
+	j.joinOut = joinOut{}
 	return j.Outer.Open()
 }
 
@@ -58,18 +110,7 @@ func (j *BNLJoin) Open() error {
 // next block.
 func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 	for {
-		if j.pendAt < len(j.pending) {
-			b.Reset()
-			n := 0
-			for j.pendAt < len(j.pending) && !b.Full() {
-				b.AppendRow(j.pending[j.pendAt])
-				j.pendAt++
-				n++
-			}
-			if j.pendAt >= len(j.pending) {
-				j.pending = j.pending[:0]
-				j.pendAt = 0
-			}
+		if n := j.emit(b); n > 0 {
 			return n, nil
 		}
 		// Advance the inner scan against the current block.
@@ -90,35 +131,23 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 			for ii := 0; ii < m; ii++ {
 				ir := j.innerB.Row(ii)
 				for _, or := range j.block {
-					j.scratch = append(append(j.scratch[:0], or...), ir...)
-					if j.On == nil || Truthy(j.On.Eval(j.scratch)) {
-						j.pending = append(j.pending, j.scratch.Clone())
+					if j.match(or, ir, j.On) {
+						j.keep(j.scratch)
 					}
 				}
 			}
 			continue
 		}
 		// Load the next outer block.
-		if j.outerB == nil {
-			j.outerB = NewRowBatch(j.Ex.batchCap())
-		}
 		for len(j.block) < j.Ex.JoinBufferRows {
-			if j.outerAt >= j.outerB.Len() {
-				if j.outerEOF {
-					break
-				}
-				n, err := j.Outer.NextBatch(j.outerB)
-				if err != nil {
-					return 0, err
-				}
-				if n == 0 {
-					j.outerEOF = true
-					break
-				}
-				j.outerAt = 0
+			or, ok, err := j.cur.next(j.Outer, j.Ex)
+			if err != nil {
+				return 0, err
 			}
-			j.block = append(j.block, j.outerB.Row(j.outerAt).Clone())
-			j.outerAt++
+			if !ok {
+				break
+			}
+			j.block = append(j.block, or.Clone())
 		}
 		if len(j.block) == 0 {
 			return 0, nil
@@ -162,11 +191,10 @@ type HashJoin struct {
 	// Residual, if non-nil, is evaluated on the concatenated row.
 	Residual Expr
 
-	sch     *Schema
-	table   map[string][]Row
-	pending []Row
-	pendAt  int
-	left    *RowBatch
+	sch   *Schema
+	table map[string][]Row
+	left  *RowBatch
+	joinOut
 }
 
 func (j *HashJoin) exec() *Exec { return j.Ex }
@@ -202,8 +230,7 @@ func (j *HashJoin) Open() error {
 		j.table[k] = append(j.table[k], r)
 	}
 	j.Ex.chargeHost(float64(len(rows)) * j.Ex.Cost.HostJoinCPR)
-	j.pending = nil
-	j.pendAt = 0
+	j.joinOut = joinOut{}
 	return j.Left.Open()
 }
 
@@ -211,18 +238,7 @@ func (j *HashJoin) Open() error {
 // in left order.
 func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 	for {
-		if j.pendAt < len(j.pending) {
-			b.Reset()
-			n := 0
-			for j.pendAt < len(j.pending) && !b.Full() {
-				b.AppendRow(j.pending[j.pendAt])
-				j.pendAt++
-				n++
-			}
-			if j.pendAt >= len(j.pending) {
-				j.pending = j.pending[:0]
-				j.pendAt = 0
-			}
+		if n := j.emit(b); n > 0 {
 			return n, nil
 		}
 		if j.left == nil {
@@ -235,42 +251,22 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 		j.Ex.chargeHost(j.Ex.Cost.HostJoinCPR * float64(m))
 		for li := 0; li < m; li++ {
 			lr := j.left.Row(li)
-			matches := j.table[keyString(j.LeftKey.Eval(lr))]
-			if j.Anti {
-				if len(matches) == 0 {
-					j.pending = append(j.pending, lr.Clone())
+			// One match loop for the three flavours: an inner join keeps
+			// every accepted pair; semi and anti stop at the first and
+			// keep the left row if there was one (semi) or none (anti).
+			hit := false
+			for _, rr := range j.table[keyString(j.LeftKey.Eval(lr))] {
+				if !j.match(lr, rr, j.Residual) {
 					continue
 				}
-				if j.Residual != nil {
-					hit := false
-					for _, rr := range matches {
-						combined := append(append(make(Row, 0, len(lr)+len(rr)), lr...), rr...)
-						if Truthy(j.Residual.Eval(combined)) {
-							hit = true
-							break
-						}
-					}
-					if !hit {
-						j.pending = append(j.pending, lr.Clone())
-					}
+				hit = true
+				if j.Semi || j.Anti {
+					break
 				}
-				continue
+				j.keep(j.scratch)
 			}
-			if j.Semi {
-				for _, rr := range matches {
-					combined := append(append(make(Row, 0, len(lr)+len(rr)), lr...), rr...)
-					if j.Residual == nil || Truthy(j.Residual.Eval(combined)) {
-						j.pending = append(j.pending, lr.Clone())
-						break
-					}
-				}
-				continue
-			}
-			for _, rr := range matches {
-				combined := append(append(make(Row, 0, len(lr)+len(rr)), lr...), rr...)
-				if j.Residual == nil || Truthy(j.Residual.Eval(combined)) {
-					j.pending = append(j.pending, combined)
-				}
+			if (j.Semi || j.Anti) && hit != j.Anti {
+				j.keep(lr)
 			}
 		}
 	}

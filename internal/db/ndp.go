@@ -10,8 +10,6 @@ import (
 	"biscuit/internal/fault"
 	"biscuit/internal/isfs"
 	"biscuit/internal/match"
-	"biscuit/internal/sim"
-	"biscuit/internal/trace"
 )
 
 // The device-side table scan: the paper's rewritten XtraDB datapath
@@ -83,7 +81,7 @@ func (a NDPScanArgs) outSchema() *Schema {
 	}
 	cols := make([]Column, 0, len(a.GroupBy)+len(a.Aggs))
 	for i, g := range a.GroupBy {
-		cols = append(cols, Column{Name: fmt.Sprintf("g%d", i), T: g.Eval(zero).T})
+		cols = append(cols, Column{Name: colName(nil, "g", i), T: g.Eval(zero).T})
 	}
 	for i, ag := range a.Aggs {
 		t := TInt
@@ -111,14 +109,7 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	if !ok {
 		return fmt.Errorf("db: NDP scan needs NDPScanArgs, got %T", c.Arg(0))
 	}
-	keys := make([][]byte, len(args.Keys))
-	for i, k := range args.Keys {
-		keys[i] = []byte(k)
-	}
-	if err := match.ValidateHW(keys); err != nil {
-		return err
-	}
-	a, err := match.Compile(keys)
+	a, err := match.CompileHW(args.Keys)
 	if err != nil {
 		return err
 	}
@@ -176,7 +167,11 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	// exact predicate. Qualifying rows are either re-encoded for the
 	// host as they are found or, under aggregation, folded into the
 	// group table whose result rows are encoded once every page is in.
-	// Either way the rows leave in NDPBatchBytes packets.
+	// Either way the rows leave in NDPBatchBytes packets. Pages decode
+	// into one staging batch the scan owns for its lifetime: its rows die
+	// at the next page, so what outlives a page (a group's cells, an
+	// encoded row) leaves by value.
+	stage := new(RowBatch)
 	var batch []byte
 	flush := func() bool {
 		if len(batch) == 0 {
@@ -193,21 +188,20 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		rowCost += devFoldCPR
 	}
 	for _, hchunk := range hits {
-		rows := 0
-		err := DecodePage(hchunk.data, args.Sch, func(r Row) error {
-			rows++
+		rows, err := stage.decodePage(hchunk.data, args.Sch)
+		if err != nil {
+			return fmt.Errorf("db: NDP scan decode @%d: %w", hchunk.off, err)
+		}
+		for i := 0; i < rows; i++ {
+			r := stage.Row(i)
 			if args.Pred != nil && !Truthy(args.Pred.Eval(r)) {
-				return nil
+				continue
 			}
 			if tab != nil {
 				tab.add(r)
 			} else {
 				batch = EncodeRow(batch, args.Sch, r)
 			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("db: NDP scan decode @%d: %w", hchunk.off, err)
 		}
 		c.Compute(args.Cost.DevPageCheckCPP +
 			args.Cost.DevDecodeCPB*float64(len(hchunk.data)) +
@@ -268,8 +262,15 @@ type NDPScan struct {
 	GroupBy []Expr
 	Aggs    []Agg
 
+	sch *Schema // rows shipped: T.Sch, or the aggregate columns
+
+	ndpRun
+	scanLife
+}
+
+// ndpRun is the state of one Open-to-Close pass of an NDPScan.
+type ndpRun struct {
 	args    NDPScanArgs // what Open handed the device
-	sch     *Schema     // rows shipped: T.Sch, or the aggregate columns
 	app     *biscuit.Application
 	port    *biscuit.HostIn[biscuit.Packet]
 	batch   []byte
@@ -281,12 +282,8 @@ type NDPScan struct {
 	// straddled the already-emitted row count: the fallback re-delivers
 	// rows batch-aligned, so the first post-fault batch may start
 	// mid-way through a ConvScan batch.
-	resume   *RowBatch
+	resume   []Row
 	resumeAt int
-
-	span    trace.Span // open "scan.ndp" lifetime span
-	started sim.Time   // Open time, for the duration histogram
-	opened  bool       // Open seen and Close not yet
 }
 
 func (s *NDPScan) exec() *Exec { return s.Ex }
@@ -334,32 +331,22 @@ func (s *NDPScan) Open() error {
 	if err != nil {
 		return err
 	}
-	s.app = h.SSD().NewApplication()
-	s.args = s.scanArgs()
-	let, err := s.app.NewSSDLet(m, NDPScanID, s.args)
+	app := h.SSD().NewApplication()
+	args := s.scanArgs()
+	let, err := app.NewSSDLet(m, NDPScanID, args)
 	if err != nil {
 		return err
 	}
-	port, err := biscuit.ConnectTo[biscuit.Packet](s.app, let.Out(0))
+	port, err := biscuit.ConnectTo[biscuit.Packet](app, let.Out(0))
 	if err != nil {
 		return err
 	}
-	if err := s.app.Start(); err != nil {
+	if err := app.Start(); err != nil {
 		return err
 	}
-	s.port = port
-	s.batch = nil
-	s.recvd = 0
-	s.emitted = 0
-	s.fb = nil
-	s.waited = false
-	s.resume = nil
-	s.resumeAt = 0
-	s.Ex.noteNDPScan()
+	s.ndpRun = ndpRun{args: args, app: app, port: port}
+	s.begin(s.Ex, "ndp", s.T.Name)
 	s.Ex.St.PagesInternal += s.T.Pages
-	s.span = s.Ex.beginScan("scan.ndp", s.T.Name)
-	s.started = s.Ex.H.Now()
-	s.opened = true
 	return nil
 }
 
@@ -380,24 +367,12 @@ func (s *NDPScan) Open() error {
 func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 	for {
 		if s.fb != nil {
-			if s.resume != nil {
-				b.Reset()
-				n := 0
-				for s.resumeAt < s.resume.Len() && !b.Full() {
-					b.AppendRow(s.resume.Row(s.resumeAt))
-					s.resumeAt++
-					n++
-				}
-				if s.resumeAt >= s.resume.Len() {
-					s.resume = nil
-				}
-				if n > 0 {
-					s.emitted += int64(n)
-					return n, nil
-				}
-				continue
+			// What is left of the straddling batch goes out first.
+			n := emitRows(b, s.resume, &s.resumeAt)
+			var err error
+			if n == 0 {
+				n, err = s.fb.NextBatch(b)
 			}
-			n, err := s.fb.NextBatch(b)
 			s.emitted += int64(n)
 			return n, err
 		}
@@ -460,14 +435,17 @@ func (s *NDPScan) finishApp() error {
 // engageFallback switches the iterator onto a ConvScan after a device
 // media failure, fast-forwarding past the rows the NDP path already
 // delivered. The skip is batch-aligned: whole fallback batches are
-// discarded while they fit under the emitted count, and the batch that
-// straddles the boundary is trimmed with Drop and stashed for the next
+// discarded while they fit under the emitted count, and the surviving
+// rows of the batch that straddles the boundary are stashed for the next
 // NextBatch. The event is visible in Stats.NDPFallbacks and in the
 // injector's fault schedule.
 func (s *NDPScan) engageFallback() error {
-	s.Ex.noteNDPFallback()
-	s.Ex.scanInstant("ndp.fallback", s.T.Name)
 	plat := s.Ex.H.System().Plat
+	s.Ex.St.NDPFallbacks++
+	plat.Ctrs.Add("db.ndp.fallback", 1)
+	if tr := plat.Trace; tr != nil {
+		tr.Instant(tr.Track(dbTrack), "ndp.fallback").ArgStr("table", s.T.Name)
+	}
 	plat.Inj.Record(fault.Fallback, "db.ndpscan "+s.T.Name)
 	fb := s.Ex.NewConvScan(s.T, s.Pred)
 	if err := fb.Open(); err != nil {
@@ -487,10 +465,11 @@ func (s *NDPScan) engageFallback() error {
 				skip -= int64(n)
 				continue
 			}
-			rb.Drop(int(skip))
+			for i := int(skip); i < n; i++ {
+				//biscuitvet:ignore arenaescape: rb is private to this scan and never Reset again, so its rows live until resume drains
+				s.resume = append(s.resume, rb.Row(i))
+			}
 			skip = 0
-			s.resume = rb
-			s.resumeAt = 0
 		}
 	}
 	s.batch = nil
@@ -506,8 +485,6 @@ func (s *NDPScan) Close() error {
 	var firstErr error
 	if s.fb != nil {
 		firstErr = s.fb.Close()
-		s.fb = nil
-		s.resume = nil
 	} else {
 		// Drain any unread packets so a blocked device producer can
 		// finish (the consumer may have stopped early, e.g. under a
@@ -527,12 +504,7 @@ func (s *NDPScan) Close() error {
 	}
 	ps := int64(s.T.PageSize)
 	s.Ex.AddLinkPages((s.recvd + ps - 1) / ps)
-	s.app = nil
-	if s.opened {
-		s.opened = false
-		s.span.End()
-		s.span = trace.Span{}
-		s.Ex.observeScan("db.scan.ndp", s.Ex.H.Now()-s.started)
-	}
+	s.ndpRun = ndpRun{}
+	s.end()
 	return firstErr
 }

@@ -182,33 +182,54 @@ func TestNDPAggEquivalentToHostAggOverEitherScan(t *testing.T) {
 			{F: Min, Arg: C(tab.Sch, "id"), Name: "lo"},
 			{F: Max, Arg: C(tab.Sch, "id"), Name: "hi"},
 		}
+		// Min/Max over the string column, and a string group key: every
+		// page matches, so the device's group table carries string cells
+		// from the first page across every later Reset of the scan's
+		// staging batch — a retained value that aliased the batch would
+		// come back as another page's bytes.
+		note := C(tab.Sch, "note")
+		strAggs := append(aggs[:len(aggs):len(aggs)],
+			Agg{F: Min, Arg: note, Name: "first_note"}, Agg{F: Max, Arg: note, Name: "last_note"})
+		if tab.Pages < 8 {
+			t.Fatalf("fixture spans %d pages; the staging batch must be reused across at least 8", tab.Pages)
+		}
 		byShip := []Expr{C(tab.Sch, "ship")}
 		byID := []Expr{C(tab.Sch, "id")}
+		type scan struct {
+			keys []string
+			pred Expr
+		}
+		hit := scan{[]string{"TARGETKEY"}, EqS(tab.Sch, "note", "TARGETKEY")}
+		miss := scan{[]string{"NOSUCHKEY"}, EqS(tab.Sch, "note", "NOSUCHKEY")}
+		every := scan{[]string{"TARGETKEY", "padding-text"},
+			In{X: note, Vals: []Value{Str("TARGETKEY"), Str("padding-text-xyz")}}}
 		cases := []struct {
-			name    string
-			key     string
+			name string
+			scan
 			groupBy []Expr
+			aggs    []Agg
 			empty   bool
 		}{
-			{"grouped", "TARGETKEY", byShip, false},
-			{"grouped-many", "TARGETKEY", byID, false},
-			{"scalar", "TARGETKEY", nil, false},
-			{"scalar-empty", "NOSUCHKEY", nil, true},
-			{"grouped-empty", "NOSUCHKEY", byShip, true},
+			{"grouped", hit, byShip, aggs, false},
+			{"grouped-many", hit, byID, aggs, false},
+			{"scalar", hit, nil, aggs, false},
+			{"scalar-empty", miss, nil, aggs, true},
+			{"grouped-empty", miss, byShip, aggs, true},
+			{"grouped-by-string", every, []Expr{note}, strAggs, false},
+			{"scalar-string-minmax", every, nil, strAggs, false},
 		}
 		for _, tc := range cases {
-			pred := EqS(tab.Sch, "note", tc.key)
-			keys := []string{tc.key}
+			keys, pred := tc.keys, tc.pred
 			ex := NewExec(h, d)
-			dev, err := Collect(ex.NewNDPAggScan(tab, keys, pred, tc.groupBy, aggs))
+			dev, err := Collect(ex.NewNDPAggScan(tab, keys, pred, tc.groupBy, tc.aggs))
 			if err != nil {
 				t.Fatalf("%s: device aggregate: %v", tc.name, err)
 			}
-			overNDP, err := Collect(&HashAggOp{Ex: ex, In: ex.NewNDPScan(tab, keys, pred), GroupBy: tc.groupBy, Aggs: aggs})
+			overNDP, err := Collect(&HashAggOp{Ex: ex, In: ex.NewNDPScan(tab, keys, pred), GroupBy: tc.groupBy, Aggs: tc.aggs})
 			if err != nil {
 				t.Fatalf("%s: host aggregate over NDP scan: %v", tc.name, err)
 			}
-			overConv, err := Collect(&HashAggOp{Ex: ex, In: ex.NewConvScan(tab, pred), GroupBy: tc.groupBy, Aggs: aggs})
+			overConv, err := Collect(&HashAggOp{Ex: ex, In: ex.NewConvScan(tab, pred), GroupBy: tc.groupBy, Aggs: tc.aggs})
 			if err != nil {
 				t.Fatalf("%s: host aggregate over Conv scan: %v", tc.name, err)
 			}

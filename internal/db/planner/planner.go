@@ -318,11 +318,7 @@ func union(a, b []string) []string {
 // least one key — the paper's "quick check on the table to estimate
 // selectivity using a sampling method".
 func (pl *Planner) SampleSelectivity(ex *db.Exec, t *db.Table, keys []string) (float64, error) {
-	bs := make([][]byte, len(keys))
-	for i, k := range keys {
-		bs[i] = []byte(k)
-	}
-	a, err := match.Compile(bs)
+	a, err := match.CompileHW(keys)
 	if err != nil {
 		return 0, err
 	}

@@ -1,18 +1,16 @@
 package db
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // ShardedAggPlan decomposes a grouped aggregation into a per-shard
 // partial plan plus a host-side merge, which is what lets one logical
 // query scatter over an array of devices holding horizontal partitions
 // of a table and still produce exactly the rows a single-device run
 // would: each shard runs an ordinary HashAggOp computing decomposed
-// partials (Avg splits into Sum+Count, Count merges by summing), and
-// Merge recombines the partial rows by group key.
+// partials (Avg splits into Sum+Count), and Merge folds the partial
+// rows through the same group table — a second aggregation, grouped by
+// the partial rows' key columns, in which sums and counts merge by
+// Sum and Min/Max by themselves.
 //
 // CountDistinct does not decompose (distinct sets would have to ship
 // whole) and is rejected at plan time.
@@ -22,35 +20,53 @@ type ShardedAggPlan struct {
 	Aggs     []Agg
 
 	partial []Agg       // per-shard aggregate columns
+	keys    []Expr      // Merge's group key: the partial rows' first columns
+	merge   []Agg       // Merge's aggregates, one per partial column
 	finals  []finalSpec // how each requested agg reads the merged partials
 }
 
 // finalSpec maps one requested aggregate onto merged partial columns:
 // a is the primary partial (sum/count/min/max), b the count partial an
-// Avg needs for its final division.
-type finalSpec struct {
-	f    AggFunc
-	a, b int
-}
+// Avg needs for its final division (-1 for every other aggregate).
+type finalSpec struct{ a, b int }
 
 // NewShardedAggPlan builds the decomposition for f(args) grouped by
 // groupBy. Column naming follows HashAggOp: names[i] labels group
 // column i, each Agg carries its own output name.
 func NewShardedAggPlan(groupBy []Expr, names []string, aggs []Agg) (*ShardedAggPlan, error) {
 	p := &ShardedAggPlan{GroupBy: groupBy, GroupNms: names, Aggs: aggs}
+	for i := range groupBy {
+		p.keys = append(p.keys, Col{Idx: i})
+	}
+	// add appends one partial column and the aggregate that merges it
+	// across shards, returning the column's index among the partials.
+	add := func(a Agg) int {
+		mf := a.F
+		if mf == CountAgg {
+			mf = Sum // counts merge by addition
+		}
+		p.merge = append(p.merge, Agg{F: mf, Arg: Col{Idx: len(groupBy) + len(p.partial)}})
+		p.partial = append(p.partial, a)
+		return len(p.partial) - 1
+	}
 	for _, a := range aggs {
 		switch a.F {
 		case Sum, CountAgg, Min, Max:
-			p.finals = append(p.finals, finalSpec{f: a.F, a: len(p.partial), b: -1})
-			p.partial = append(p.partial, Agg{F: a.F, Arg: a.Arg, Name: a.Name})
+			p.finals = append(p.finals, finalSpec{a: add(a), b: -1})
 		case Avg:
-			p.finals = append(p.finals, finalSpec{f: Avg, a: len(p.partial), b: len(p.partial) + 1})
-			p.partial = append(p.partial,
-				Agg{F: Sum, Arg: a.Arg, Name: a.Name + "_psum"},
-				Agg{F: CountAgg, Arg: a.Arg, Name: a.Name + "_pcount"})
+			p.finals = append(p.finals, finalSpec{
+				a: add(Agg{F: Sum, Arg: a.Arg, Name: a.Name + "_psum"}),
+				b: add(Agg{F: CountAgg, Arg: a.Arg, Name: a.Name + "_pcount"})})
 		default:
 			return nil, fmt.Errorf("db: %s does not decompose for sharded execution", a.F)
 		}
+	}
+	if len(groupBy) == 0 {
+		// A scalar aggregate yields a row even over no input, so a shard
+		// that saw nothing still ships one all-zero partial row. The last
+		// partial of a scalar plan counts the rows the shard saw, which is
+		// how Merge tells that row from a real one.
+		add(Agg{F: CountAgg, Name: "_pseen"})
 	}
 	return p, nil
 }
@@ -61,99 +77,35 @@ func (p *ShardedAggPlan) ShardOp(ex *Exec, in Iterator) *HashAggOp {
 	return &HashAggOp{Ex: ex, In: in, GroupBy: p.GroupBy, GroupNms: p.GroupNms, Aggs: p.partial}
 }
 
-// mergedPartial accumulates one partial column across shards.
-type mergedPartial struct {
-	sumI int64
-	sumT Type
-	mm   Value // min/max carrier
-	seen bool
-}
-
 // Merge recombines per-shard partial rows (each [group..., partials...]
 // as emitted by ShardOp) into final rows [group..., aggs...], ordered
-// by group key exactly like a single-device HashAggOp.
+// by group key exactly like a single-device HashAggOp — it is the same
+// groupTable, fed partial rows.
 func (p *ShardedAggPlan) Merge(partials [][]Row) []Row {
 	nG := len(p.GroupBy)
-	type group struct {
-		keyRow Row
-		cols   []mergedPartial
-	}
-	groups := make(map[string]*group)
-	var order []string
+	tab := newGroupTable(p.keys, p.merge)
 	for _, shard := range partials {
 		for _, r := range shard {
-			var sb strings.Builder
-			for i := 0; i < nG; i++ {
-				sb.WriteString(keyString(r[i]))
-				sb.WriteByte(0)
-			}
-			k := sb.String()
-			grp, ok := groups[k]
-			if !ok {
-				grp = &group{keyRow: append(Row(nil), r[:nG]...), cols: make([]mergedPartial, len(p.partial))}
-				groups[k] = grp
-				order = append(order, k)
-			}
-			for j, pa := range p.partial {
-				v := r[nG+j]
-				m := &grp.cols[j]
-				switch pa.F {
-				case Sum, CountAgg:
-					m.sumI += v.I
-					// TInt is the zero Type, so this keeps the widest
-					// type seen: an empty shard's zero-valued partial
-					// (T=TInt, I=0) cannot demote a decimal sum.
-					if v.T != 0 {
-						m.sumT = v.T
-					}
-				case Min:
-					if !m.seen || Compare(v, m.mm) < 0 {
-						m.mm = v
-					}
-				case Max:
-					if !m.seen || Compare(v, m.mm) > 0 {
-						m.mm = v
-					}
-				}
-				m.seen = true
+			// A scalar shard that saw no rows contributes nothing: its
+			// zero cells are untyped and are not values of any column.
+			if nG > 0 || r[len(r)-1].I > 0 {
+				tab.add(r)
 			}
 		}
 	}
-	if nG == 0 && len(order) == 0 {
-		// Scalar aggregates yield one row even with no partials.
-		groups[""] = &group{cols: make([]mergedPartial, len(p.partial))}
-		order = append(order, "")
-	}
-	sort.Strings(order)
-	out := make([]Row, 0, len(order))
-	for _, k := range order {
-		grp := groups[k]
-		row := make(Row, 0, nG+len(p.Aggs))
-		row = append(row, grp.keyRow...)
+	merged := tab.rows()
+	for i, m := range merged {
+		row := append(make(Row, 0, nG+len(p.finals)), m[:nG]...)
 		for _, fs := range p.finals {
-			a := grp.cols[fs.a]
-			switch fs.f {
-			case Sum:
-				row = append(row, Value{T: a.sumT, I: a.sumI})
-			case CountAgg:
-				row = append(row, Int(a.sumI))
-			case Min, Max:
-				row = append(row, a.mm)
-			case Avg:
-				// Mirror aggState.result(Avg) on the merged totals so a
-				// sharded Avg is bit-equal to the single-device value.
-				cnt := grp.cols[fs.b].sumI
-				switch {
-				case cnt == 0:
-					row = append(row, Dec(0))
-				case a.sumT == TDecimal:
-					row = append(row, Dec(a.sumI/cnt))
-				default:
-					row = append(row, DecF(float64(a.sumI)/float64(cnt)))
-				}
+			v := m[nG+fs.a]
+			if fs.b >= 0 {
+				// The merged sum and count are the state a single-device
+				// Avg would have ended in; finish it the same way.
+				v = (&aggState{sumI: v.I, sumT: v.T, count: m[nG+fs.b].I}).result(Avg)
 			}
+			row = append(row, v)
 		}
-		out = append(out, row)
+		merged[i] = row
 	}
-	return out
+	return merged
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"testing"
 
 	"biscuit"
@@ -8,8 +9,11 @@ import (
 
 // shardAggFixture runs one grouped aggregation both ways — a single
 // HashAggOp over all rows, and the ShardedAggPlan partial/merge path
-// over an n-way row partition — and requires bit-equal results.
-func shardAggFixture(t *testing.T, nShards int, groupBy []Expr, names []string, aggs []Agg) {
+// over an n-way row partition — and requires bit-equal results. Each
+// shard listed in empty is forced to see no rows: the rows that would
+// land on it are taken out of the data set, so the single-device
+// reference aggregates exactly what the other shards saw.
+func shardAggFixture(t *testing.T, nShards int, groupBy []Expr, names []string, aggs []Agg, empty ...int) {
 	t.Helper()
 	sys := quickSys()
 	d := Open(sys)
@@ -20,6 +24,9 @@ func shardAggFixture(t *testing.T, nShards int, groupBy []Expr, names []string, 
 		if err != nil {
 			t.Fatal(err)
 		}
+		all = slices.DeleteFunc(all, func(r Row) bool {
+			return slices.Contains(empty, int(r[0].I%int64(nShards)))
+		})
 
 		single, err := Collect(&HashAggOp{Ex: ex, In: NewMemScan(tab.Sch, all),
 			GroupBy: groupBy, GroupNms: names, Aggs: aggs})
@@ -41,6 +48,11 @@ func shardAggFixture(t *testing.T, nShards int, groupBy []Expr, names []string, 
 			partials[i], err = Collect(plan.ShardOp(ex, NewMemScan(tab.Sch, rows)))
 			if err != nil {
 				t.Fatal(err)
+			}
+		}
+		for _, k := range empty {
+			if len(shards[k]) != 0 {
+				t.Fatalf("shard %d was to be empty, has %d rows", k, len(shards[k]))
 			}
 		}
 		merged := plan.Merge(partials)
@@ -89,6 +101,31 @@ func TestShardedScalarAggMatchesSingleDevice(t *testing.T) {
 	}
 	for _, n := range []int{1, 3} {
 		shardAggFixture(t, n, nil, nil, aggs)
+	}
+}
+
+func TestShardedScalarMinMaxWithEmptyShard(t *testing.T) {
+	// Regression: a scalar shard that saw no rows still ships its one
+	// all-zero partial row, and Merge used to fold that row in as a seen
+	// value — Min/Max over a decimal or string column panicked comparing
+	// int with decimal, and over an int column silently answered
+	// min(..., 0). Such a shard must contribute nothing, whichever
+	// position it merges in, and when every shard is empty the merged row
+	// is the single-device row over no input.
+	sch := testSchema()
+	price, id, note := C(sch, "price"), C(sch, "id"), C(sch, "note")
+	aggs := []Agg{
+		{F: Min, Arg: price, Name: "min_price"},
+		{F: Max, Arg: price, Name: "max_price"},
+		{F: Min, Arg: id, Name: "min_id"},
+		{F: Max, Arg: id, Name: "max_id"},
+		{F: Min, Arg: note, Name: "min_note"},
+		{F: Max, Arg: note, Name: "max_note"},
+		{F: Sum, Arg: price, Name: "sum_price"},
+		{F: Avg, Arg: price, Name: "avg_price"},
+	}
+	for _, empty := range [][]int{{1}, {0}, {0, 1}} {
+		shardAggFixture(t, 2, nil, nil, aggs, empty...)
 	}
 }
 

@@ -144,15 +144,30 @@ func Compile(keys [][]byte) (*Automaton, error) {
 
 // MustCompile is Compile that panics on error, for static patterns.
 func MustCompile(keys ...string) *Automaton {
-	bs := make([][]byte, len(keys))
-	for i, k := range keys {
-		bs[i] = []byte(k)
-	}
-	a, err := Compile(bs)
+	a, err := Compile(keyBytes(keys))
 	if err != nil {
 		panic(err)
 	}
 	return a
+}
+
+// CompileHW is what every user of the matcher IP does with a key set it
+// was handed as strings: check it against the hardware's limits
+// (ValidateHW), then Compile it.
+func CompileHW(keys []string) (*Automaton, error) {
+	bs := keyBytes(keys)
+	if err := ValidateHW(bs); err != nil {
+		return nil, err
+	}
+	return Compile(bs)
+}
+
+func keyBytes(keys []string) [][]byte {
+	bs := make([][]byte, len(keys))
+	for i, k := range keys {
+		bs[i] = []byte(k)
+	}
+	return bs
 }
 
 // Keys returns the compiled key set: the automaton's copies, read-only.
