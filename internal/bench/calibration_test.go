@@ -129,9 +129,7 @@ func TestTable5Shape(t *testing.T) {
 // TestFig8Shape: both queries speed up by several x; Conv varies across
 // repetitions more than Biscuit does (the error bars of Fig. 8).
 func TestFig8Shape(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.Fig8Reps = 5
-	got := RunFig8(cfg)
+	got := RunFig8(QuickConfig())
 	s1 := got.Q1Conv.MeanS / got.Q1Biscuit.MeanS
 	s2 := got.Q2Conv.MeanS / got.Q2Biscuit.MeanS
 	if s1 < 2 || s2 < 2 {

@@ -36,13 +36,7 @@ func faultPlanAt(intensity float64) fault.Plan {
 		return fault.Plan{}
 	}
 	base := fault.DefaultPlan(seed)
-	cap9 := func(p float64) float64 {
-		p *= intensity
-		if p > 0.9 {
-			return 0.9
-		}
-		return p
-	}
+	cap9 := func(p float64) float64 { return min(p*intensity, 0.9) }
 	base.CorrectableProb = cap9(base.CorrectableProb)
 	base.UncorrectableProb = cap9(base.UncorrectableProb)
 	base.ProgramFailProb = cap9(base.ProgramFailProb)
@@ -117,46 +111,31 @@ func (c Config) faultSizes() faultSizes {
 func RunFaultCurve(cfg Config) FaultCurve {
 	sz := cfg.faultSizes()
 	out := FaultCurve{SF: sz.sf}
-	var last *biscuit.System
+	var pt FaultCurvePoint
+	var sys *biscuit.System
 	for _, width := range sz.widths {
 		for _, intensity := range sz.intensities {
-			pt := runFaultPoint(sz, intensity, width, &last)
+			pt, sys = runFaultPoint(sz, intensity, width)
 			out.Points = append(out.Points, pt)
 		}
 	}
-	if last != nil {
-		out.Lat = latencies(last)
-	}
+	out.Lat = sys.Plat.Hists.Snapshot()
 	return out
 }
 
-func runFaultPoint(sz faultSizes, intensity float64, width int, last **biscuit.System) FaultCurvePoint {
+func runFaultPoint(sz faultSizes, intensity float64, width int) (FaultCurvePoint, *biscuit.System) {
 	plan := faultPlanAt(intensity)
-	scfg := biscuit.DefaultConfig()
-	scfg.NAND.BlocksPerDie = 256
-	scfg.NAND.PagesPerBlock = 64
+	scfg := platformConfig()
 	scfg.FTL.StripeDataPages = width
 	scfg.Fault = plan
-	sys := biscuit.NewSystem(scfg)
-	if OnSystem != nil {
-		OnSystem(sys)
-	}
-	*last = sys
+	sys := newSystemWith(scfg)
 
 	pt := FaultCurvePoint{Intensity: intensity, Width: width}
 	if plan.Enabled() {
 		pt.Plan = plan.String()
 	}
 
-	d := db.Open(sys)
-	var data *tpch.Data
-	sys.Run(func(h *biscuit.Host) {
-		var err error
-		data, err = tpch.Gen{SF: sz.sf}.Load(h, d, biscuit.SeededRand(seed))
-		if err != nil {
-			panic(fmt.Sprintf("bench: faultcurve load at intensity %g: %v", intensity, err))
-		}
-	})
+	data := loadTPCH(sys, sz.sf)
 
 	lat := stats.NewHistogram()
 	sys.Run(func(h *biscuit.Host) {
@@ -193,7 +172,7 @@ func runFaultPoint(sz faultSizes, intensity float64, width int, last **biscuit.S
 	pt.ScrubStripes = rs.ScrubStripes
 	pt.ScrubRepairs = rs.ScrubRepairs + rs.ScrubParityFixes
 	pt.LostPages = rs.LostPages
-	return pt
+	return pt, sys
 }
 
 // runQ6Ladder is the bench-side degradation ladder: offload plan first,

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"slices"
+	"strconv"
+
 	"biscuit"
 	"biscuit/internal/db"
 	"biscuit/internal/db/planner"
@@ -42,48 +45,23 @@ type Fig10 struct {
 func RunFig10(cfg Config) Fig10 {
 	var out Fig10
 	sys := newSystem()
-	d := db.Open(sys)
-	var data *tpch.Data
-	sys.Run(func(h *biscuit.Host) {
-		var err error
-		data, err = tpch.Gen{SF: cfg.Fig10SF}.Load(h, d, biscuit.SeededRand(seed))
-		if err != nil {
-			panic(err)
-		}
-	})
+	data := loadTPCH(sys, cfg.SF)
 	sys.Run(func(h *biscuit.Host) {
 		for _, query := range tpch.All() {
 			row := Fig10Row{Query: query.ID, Title: query.Title}
 
-			exC := db.NewExec(h, data.DB)
-			exC.JoinBufferRows = cfg.JoinBufferRows
-			qcC := &tpch.QCtx{Ex: exC, D: data}
-			var convRows []db.Row
-			row.ConvTime = timeIt(h, func() {
-				var err error
-				convRows, err = query.Run(qcC)
-				if err != nil {
-					panic(err)
-				}
-				exC.FlushCost()
+			convRows, convTime, exC := timedExec(h, data.DB, func(ex *db.Exec) ([]db.Row, error) {
+				return query.Run(&tpch.QCtx{Ex: ex, D: data})
 			})
-
-			exB := db.NewExec(h, data.DB)
-			exB.JoinBufferRows = cfg.JoinBufferRows
-			qcB := &tpch.QCtx{Ex: exB, D: data, Pl: planner.Default()}
-			var biscRows []db.Row
-			row.BiscTime = timeIt(h, func() {
-				var err error
-				biscRows, err = query.Run(qcB)
-				if err != nil {
-					panic(err)
-				}
-				exB.FlushCost()
+			qcB := &tpch.QCtx{D: data, Pl: planner.Default()}
+			biscRows, biscTime, exB := timedExec(h, data.DB, func(ex *db.Exec) ([]db.Row, error) {
+				qcB.Ex = ex
+				return query.Run(qcB)
 			})
-
-			if len(convRows) != len(biscRows) {
-				panic("bench: fig10 result mismatch on Q" + itoa(query.ID))
+			if !slices.EqualFunc(convRows, biscRows, func(c, b db.Row) bool { return slices.EqualFunc(c, b, db.Equal) }) {
+				panic("bench: fig10 result mismatch on Q" + strconv.Itoa(query.ID))
 			}
+			row.ConvTime, row.BiscTime = convTime, biscTime
 			row.Rows = len(convRows)
 			row.Offloaded = qcB.Offloaded
 			for _, dec := range qcB.Decisions {
@@ -120,14 +98,9 @@ func RunFig10(cfg Config) Fig10 {
 	out.GeoMeanOff = stats.GeoMean(offSpeedups)
 	// Top five of all queries (the paper's "top five" are the five
 	// largest observed speed-ups).
-	top := append([]float64(nil), all...)
-	for i := 0; i < len(top); i++ {
-		for j := i + 1; j < len(top); j++ {
-			if top[j] > top[i] {
-				top[i], top[j] = top[j], top[i]
-			}
-		}
-	}
+	top := slices.Clone(all)
+	slices.Sort(top)
+	slices.Reverse(top)
 	if len(top) > 5 {
 		top = top[:5]
 	}
@@ -135,18 +108,6 @@ func RunFig10(cfg Config) Fig10 {
 	if out.TotalBiscS > 0 {
 		out.TotalSpeedup = out.TotalConvS / out.TotalBiscS
 	}
-	out.Lat = latencies(sys)
+	out.Lat = sys.Plat.Hists.Snapshot()
 	return out
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b []byte
-	for n > 0 {
-		b = append([]byte{byte('0' + n%10)}, b...)
-		n /= 10
-	}
-	return string(b)
 }

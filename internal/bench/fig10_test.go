@@ -17,7 +17,7 @@ func TestFig10Shape(t *testing.T) {
 		t.Skip("full TPC-H sweep")
 	}
 	cfg := DefaultConfig()
-	cfg.Fig10SF = 0.01
+	cfg.SF = 0.01
 	got := RunFig10(cfg)
 
 	if got.OffloadedCount < 6 || got.OffloadedCount > 10 {

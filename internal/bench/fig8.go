@@ -57,9 +57,7 @@ func runFig8Query(h *biscuit.Host, data *tpch.Data, query int, offload bool) (si
 	var n int
 	took := timeIt(h, func() {
 		rows, err := db.Collect(proj)
-		if err != nil {
-			panic(err)
-		}
+		must("fig8 query", err)
 		ex.FlushCost()
 		n = len(rows)
 	})
@@ -93,7 +91,15 @@ type Fig8 struct {
 	Lat []stats.NamedSummary `json:"lat"`
 }
 
-// RunFig8 loads TPC-H once and repeats each query cfg.Fig8Reps times.
+// fig8Reps is the repetition count behind Fig. 8's error bars.
+func (c Config) fig8Reps() int {
+	if c.quick {
+		return 3
+	}
+	return 10
+}
+
+// RunFig8 loads TPC-H once and repeats each query fig8Reps times.
 // Between repetitions a small random ambient load (0-3 background
 // threads) models the OS activity that made the paper's Conv runs "vary
 // significantly ... depending on CPU and cache utilization" while
@@ -101,15 +107,7 @@ type Fig8 struct {
 func RunFig8(cfg Config) Fig8 {
 	var out Fig8
 	sys := newSystem()
-	d := db.Open(sys)
-	var data *tpch.Data
-	sys.Run(func(h *biscuit.Host) {
-		var err error
-		data, err = tpch.Gen{SF: cfg.Fig8SF}.Load(h, d, biscuit.SeededRand(seed))
-		if err != nil {
-			panic(err)
-		}
-	})
+	data := loadTPCH(sys, cfg.SF)
 	rng := rand.New(rand.NewSource(seed))
 	sys.Run(func(h *biscuit.Host) {
 		plat := h.System().Plat
@@ -119,7 +117,7 @@ func RunFig8(cfg Config) Fig8 {
 			runFig8Query(h, data, query, offload)
 			var ts []sim.Time
 			rows := 0
-			for rep := 0; rep < cfg.Fig8Reps; rep++ {
+			for rep := 0; rep < cfg.fig8Reps(); rep++ {
 				plat.SetHostLoad(rng.Intn(4)) // ambient system noise
 				t, n := runFig8Query(h, data, query, offload)
 				ts = append(ts, t)
@@ -136,6 +134,6 @@ func RunFig8(cfg Config) Fig8 {
 			panic("bench: fig8 result cardinality mismatch between Conv and Biscuit")
 		}
 	})
-	out.Lat = latencies(sys)
+	out.Lat = sys.Plat.Hists.Snapshot()
 	return out
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"biscuit"
-	"biscuit/internal/db"
 	"biscuit/internal/power"
 	"biscuit/internal/sim"
-	"biscuit/internal/tpch"
 )
 
 // Fig9Trace is one power trace (Fig. 9) plus its integrals (Table VI).
@@ -30,15 +28,7 @@ func RunFig9(cfg Config) Fig9 {
 	out := Fig9{IdleW: power.Default().IdleW}
 	for _, offload := range []bool{false, true} {
 		sys := newSystem()
-		d := db.Open(sys)
-		var data *tpch.Data
-		sys.Run(func(h *biscuit.Host) {
-			var err error
-			data, err = tpch.Gen{SF: cfg.Fig8SF}.Load(h, d, biscuit.SeededRand(seed))
-			if err != nil {
-				panic(err)
-			}
-		})
+		data := loadTPCH(sys, cfg.SF)
 		var trace Fig9Trace
 		sys.Run(func(h *biscuit.Host) {
 			runFig8Query(h, data, 1, offload) // warmup (module load, catalog)

@@ -5,7 +5,6 @@ import (
 
 	"biscuit/internal/serve"
 	"biscuit/internal/sim"
-	"biscuit/internal/telemetry"
 )
 
 // The heal-curve experiment measures the self-healing stack end to end:
@@ -124,15 +123,7 @@ func runHealPoint(sz healSizes, frac float64, rebuildNs int64, migrate bool) Hea
 		hcfg.FailDevice = 0
 		hcfg.FailDie = 1
 	}
-	s, err := serve.New(hcfg)
-	if err != nil {
-		panic(fmt.Sprintf("bench: healcurve frac %g rebuild %d migrate %v: %v", frac, rebuildNs, migrate, err))
-	}
-	if OnServer != nil {
-		OnServer(s)
-	}
-	s.EnableTelemetry(telemetry.DefaultInterval)
-	rep := s.Run()
+	s, rep := serveWindow(fmt.Sprintf("healcurve frac %g rebuild %d migrate %v", frac, rebuildNs, migrate), hcfg)
 
 	pt := HealPoint{
 		FailFrac:          frac,

@@ -30,11 +30,6 @@ type ServeCurve struct {
 	Points   []ServePoint `json:"points"`
 }
 
-// OnServer, when non-nil, is invoked on every serving array the
-// servecurve experiment builds, before the window runs — the serve-
-// layer counterpart of OnSystem.
-var OnServer func(*serve.Server)
-
 // serveSF is the TPC-H scale factor shard-loaded across the array.
 const serveSF = 0.002
 
@@ -78,7 +73,7 @@ func RunServeCurve(cfg Config) ServeCurve {
 }
 
 func runServePoint(sz serveSizes, devices int, policy string, qps float64) *serve.Report {
-	s, err := serve.New(serve.Config{
+	_, rep := serveWindow(fmt.Sprintf("servecurve %d devices %s %g qps", devices, policy, qps), serve.Config{
 		SF:      serveSF,
 		Devices: devices,
 		Policy:  policy,
@@ -89,16 +84,18 @@ func runServePoint(sz serveSizes, devices int, policy string, qps float64) *serv
 			{Name: "bolt", Workload: "qpoint", RateQPS: 0.6 * qps, SLO: 25 * sim.Millisecond},
 		},
 	})
-	if err != nil {
-		panic(fmt.Sprintf("bench: servecurve %d devices %s %g qps: %v", devices, policy, qps, err))
-	}
-	if OnServer != nil {
-		OnServer(s)
-	}
-	// Sample the gauge registries for the whole window so the report
-	// carries per-series digests and min/mean/max — telemetry drift
-	// (a gauge that stops moving, a changed sampling cadence) then
-	// fails benchgate exactly like a row-digest change would.
+	return rep
+}
+
+// serveWindow builds the array cfg describes and serves one window on
+// it, sampling the gauge registries throughout so the report carries
+// per-series digests and min/mean/max — telemetry drift (a gauge that
+// stops moving, a changed sampling cadence) then fails benchgate
+// exactly like a row-digest change would. what names the point in the
+// panic on a bad cfg.
+func serveWindow(what string, cfg serve.Config) (*serve.Server, *serve.Report) {
+	s, err := serve.New(cfg)
+	must(what, err)
 	s.EnableTelemetry(telemetry.DefaultInterval)
-	return s.Run()
+	return s, s.Run()
 }

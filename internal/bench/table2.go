@@ -11,73 +11,39 @@ type Table2 struct {
 	H2D, D2H, InterSSDlet, InterApp sim.Time
 }
 
-// latency SSDlets: each Get records the virtual receive time into a
-// shared slice so the host can pair it with the matching send time.
+// latency SSDlets: a sender and a receiver over one port type, each
+// appending its virtual send / receive times to a slice the host pairs
+// up afterwards. Instantiated at string (typed inter-SSDlet ports) and
+// at Packet (host and inter-application ports).
 
-type pingArgs struct {
-	n    int
-	recv *[]sim.Time // receive timestamps, appended by the SSDlet
-	ackT *[]sim.Time // device-side send timestamps for the D2H leg
-}
-
-// echoLet receives n packets, timestamping each, and sends each straight
-// back, timestamping the send (for H2D / D2H measurement).
-type echoLet struct{}
-
-func (echoLet) Spec() biscuit.Spec {
-	return biscuit.Spec{In: []biscuit.SpecType{biscuit.PacketPort}, Out: []biscuit.SpecType{biscuit.PacketPort}}
-}
-
-func (echoLet) Run(c *biscuit.Context) error {
-	args := c.Arg(0).(pingArgs)
-	in, err := biscuit.In[biscuit.Packet](c, 0)
-	if err != nil {
-		return err
-	}
-	out, err := biscuit.Out[biscuit.Packet](c, 0)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < args.n; i++ {
-		pkt, ok := in.Get()
-		if !ok {
-			break
-		}
-		*args.recv = append(*args.recv, c.Now())
-		*args.ackT = append(*args.ackT, c.Now())
-		if !out.Put(pkt) {
-			break
-		}
-	}
-	return nil
-}
-
-// sendLet emits n typed values (string ports: the inter-SSDlet flavour),
-// recording each send time.
-type sendLet struct{}
-
-type sendArgs struct {
+type latArgs struct {
 	n     int
-	sendT *[]sim.Time
+	times *[]sim.Time
 }
 
-func (sendLet) Spec() biscuit.Spec {
-	return biscuit.Spec{In: []biscuit.SpecType{biscuit.PortOf[string]()}, Out: []biscuit.SpecType{biscuit.PortOf[string]()}}
+func loopSpec[T any]() biscuit.Spec {
+	port := []biscuit.SpecType{biscuit.PortOf[T]()}
+	return biscuit.Spec{In: port, Out: port}
 }
 
-func (sendLet) Run(c *biscuit.Context) error {
-	args := c.Arg(0).(sendArgs)
-	out, err := biscuit.Out[string](c, 0)
+// sendLet emits item n times, recording each send time.
+type sendLet[T any] struct{ item T }
+
+func (sendLet[T]) Spec() biscuit.Spec { return loopSpec[T]() }
+
+func (s sendLet[T]) Run(c *biscuit.Context) error {
+	args := c.Arg(0).(latArgs)
+	out, err := biscuit.Out[T](c, 0)
 	if err != nil {
 		return err
 	}
-	in, err := biscuit.In[string](c, 0)
+	in, err := biscuit.In[T](c, 0)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < args.n; i++ {
-		*args.sendT = append(*args.sendT, c.Now())
-		if !out.Put("x") {
+		*args.times = append(*args.times, c.Now())
+		if !out.Put(s.item) {
 			break
 		}
 		// Wait for the ack so exactly one item is ever in flight —
@@ -89,25 +55,19 @@ func (sendLet) Run(c *biscuit.Context) error {
 	return nil
 }
 
-// recvLet receives n typed values, timestamping, and acks each.
-type recvLet struct{}
+// recvLet receives n items, recording each receive time, and sends each
+// straight back as the ack.
+type recvLet[T any] struct{}
 
-type recvArgs struct {
-	n     int
-	recvT *[]sim.Time
-}
+func (recvLet[T]) Spec() biscuit.Spec { return loopSpec[T]() }
 
-func (recvLet) Spec() biscuit.Spec {
-	return biscuit.Spec{In: []biscuit.SpecType{biscuit.PortOf[string]()}, Out: []biscuit.SpecType{biscuit.PortOf[string]()}}
-}
-
-func (recvLet) Run(c *biscuit.Context) error {
-	args := c.Arg(0).(recvArgs)
-	in, err := biscuit.In[string](c, 0)
+func (recvLet[T]) Run(c *biscuit.Context) error {
+	args := c.Arg(0).(latArgs)
+	in, err := biscuit.In[T](c, 0)
 	if err != nil {
 		return err
 	}
-	out, err := biscuit.Out[string](c, 0)
+	out, err := biscuit.Out[T](c, 0)
 	if err != nil {
 		return err
 	}
@@ -116,7 +76,7 @@ func (recvLet) Run(c *biscuit.Context) error {
 		if !ok {
 			break
 		}
-		*args.recvT = append(*args.recvT, c.Now())
+		*args.times = append(*args.times, c.Now())
 		if !out.Put(v) {
 			break
 		}
@@ -124,78 +84,18 @@ func (recvLet) Run(c *biscuit.Context) error {
 	return nil
 }
 
-// Packet flavours of send/recv for the inter-application port.
-type pktSendLet struct{}
-
-func (pktSendLet) Spec() biscuit.Spec {
-	return biscuit.Spec{In: []biscuit.SpecType{biscuit.PacketPort}, Out: []biscuit.SpecType{biscuit.PacketPort}}
-}
-
-func (pktSendLet) Run(c *biscuit.Context) error {
-	args := c.Arg(0).(sendArgs)
-	out, err := biscuit.Out[biscuit.Packet](c, 0)
-	if err != nil {
-		return err
-	}
-	in, err := biscuit.In[biscuit.Packet](c, 0)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < args.n; i++ {
-		*args.sendT = append(*args.sendT, c.Now())
-		if !out.Put(biscuit.NewPacket([]byte{1})) {
-			break
-		}
-		if _, ok := in.Get(); !ok {
-			break
-		}
-	}
-	return nil
-}
-
-type pktRecvLet struct{}
-
-func (pktRecvLet) Spec() biscuit.Spec {
-	return biscuit.Spec{In: []biscuit.SpecType{biscuit.PacketPort}, Out: []biscuit.SpecType{biscuit.PacketPort}}
-}
-
-func (pktRecvLet) Run(c *biscuit.Context) error {
-	args := c.Arg(0).(recvArgs)
-	in, err := biscuit.In[biscuit.Packet](c, 0)
-	if err != nil {
-		return err
-	}
-	out, err := biscuit.Out[biscuit.Packet](c, 0)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < args.n; i++ {
-		v, ok := in.Get()
-		if !ok {
-			break
-		}
-		*args.recvT = append(*args.recvT, c.Now())
-		if !out.Put(v) {
-			break
-		}
-	}
-	return nil
-}
+func ping() biscuit.Packet { return biscuit.NewPacket([]byte{1}) }
 
 func latModule() *biscuit.ModuleImage {
 	return biscuit.NewModule("latency.slet", 32<<10).
-		RegisterSSDLet("idEcho", func() biscuit.SSDlet { return echoLet{} }).
-		RegisterSSDLet("idSend", func() biscuit.SSDlet { return sendLet{} }).
-		RegisterSSDLet("idRecv", func() biscuit.SSDlet { return recvLet{} }).
-		RegisterSSDLet("idPktSend", func() biscuit.SSDlet { return pktSendLet{} }).
-		RegisterSSDLet("idPktRecv", func() biscuit.SSDlet { return pktRecvLet{} })
+		RegisterSSDLet("idSend", func() biscuit.SSDlet { return sendLet[string]{"x"} }).
+		RegisterSSDLet("idRecv", func() biscuit.SSDlet { return recvLet[string]{} }).
+		RegisterSSDLet("idPktSend", func() biscuit.SSDlet { return sendLet[biscuit.Packet]{ping()} }).
+		RegisterSSDLet("idPktRecv", func() biscuit.SSDlet { return recvLet[biscuit.Packet]{} })
 }
 
 func meanGap(send, recv []sim.Time) sim.Time {
-	n := len(send)
-	if len(recv) < n {
-		n = len(recv)
-	}
+	n := min(len(send), len(recv))
 	if n == 0 {
 		return 0
 	}
@@ -206,110 +106,90 @@ func meanGap(send, recv []sim.Time) sim.Time {
 	return total / sim.Time(n)
 }
 
-// RunTable2 measures the port latencies with one item in flight.
-func RunTable2() Table2 {
-	const iters = 24
-	var out Table2
+// latIters is the number of one-in-flight round trips each mean is
+// taken over.
+const latIters = 24
 
-	// Host-to-device / device-to-host via the channel manager.
+// latRig is a host program on a fresh platform with the latency module
+// loaded.
+type latRig struct {
+	h *biscuit.Host
+	m *biscuit.Module
+}
+
+func onLatRig(fn func(latRig)) {
 	sys := newSystem()
 	sys.Install(latModule())
 	sys.Run(func(h *biscuit.Host) {
-		ssd := h.SSD()
-		m, err := ssd.LoadModule("latency.slet")
-		if err != nil {
-			panic(err)
-		}
-		app := ssd.NewApplication()
-		var devRecv, devSend []sim.Time
-		let, err := app.NewSSDLet(m, "idEcho", pingArgs{n: iters, recv: &devRecv, ackT: &devSend})
-		if err != nil {
-			panic(err)
-		}
-		down, err := biscuit.ConnectFrom[biscuit.Packet](app, let.In(0))
-		if err != nil {
-			panic(err)
-		}
-		up, err := biscuit.ConnectTo[biscuit.Packet](app, let.Out(0))
-		if err != nil {
-			panic(err)
-		}
-		if err := app.Start(); err != nil {
-			panic(err)
-		}
-		var hostSend, hostRecv []sim.Time
-		for i := 0; i < iters; i++ {
-			hostSend = append(hostSend, h.Now())
-			if !down.Put(biscuit.NewPacket([]byte{1})) {
+		m, err := h.SSD().LoadModule("latency.slet")
+		must("table2", err)
+		fn(latRig{h, m})
+	})
+}
+
+// let instantiates one of the module's SSDlets in app, recording into
+// times.
+func (r latRig) let(app *biscuit.Application, id string, times *[]sim.Time) *biscuit.SSDLet {
+	l, err := app.NewSSDLet(r.m, id, latArgs{n: latIters, times: times})
+	must("table2", err)
+	return l
+}
+
+// RunTable2 measures the port latencies with one item in flight.
+func RunTable2() Table2 {
+	var out Table2
+
+	// Host-to-device / device-to-host via the channel manager: the
+	// device-side receive times end the H2D leg and start the D2H leg.
+	onLatRig(func(r latRig) {
+		app := r.h.SSD().NewApplication()
+		var hostSend, dev, hostRecv []sim.Time
+		echo := r.let(app, "idPktRecv", &dev)
+		down, err := biscuit.ConnectFrom[biscuit.Packet](app, echo.In(0))
+		must("table2", err)
+		up, err := biscuit.ConnectTo[biscuit.Packet](app, echo.Out(0))
+		must("table2", err)
+		must("table2", app.Start())
+		for i := 0; i < latIters; i++ {
+			hostSend = append(hostSend, r.h.Now())
+			if !down.Put(ping()) {
 				break
 			}
 			if _, ok := up.GetPacket(); !ok {
 				break
 			}
-			hostRecv = append(hostRecv, h.Now())
+			hostRecv = append(hostRecv, r.h.Now())
 		}
 		down.Close()
-		if err := app.Wait(); err != nil {
-			panic(err)
-		}
-		out.H2D = meanGap(hostSend, devRecv)
-		out.D2H = meanGap(devSend, hostRecv)
+		must("table2", app.Wait())
+		out.H2D = meanGap(hostSend, dev)
+		out.D2H = meanGap(dev, hostRecv)
 	})
 
 	// Inter-SSDlet (typed ports, same application).
-	sys2 := newSystem()
-	sys2.Install(latModule())
-	sys2.Run(func(h *biscuit.Host) {
-		ssd := h.SSD()
-		m, _ := ssd.LoadModule("latency.slet")
-		app := ssd.NewApplication()
+	onLatRig(func(r latRig) {
+		app := r.h.SSD().NewApplication()
 		var sendT, recvT []sim.Time
-		s, _ := app.NewSSDLet(m, "idSend", sendArgs{n: iters, sendT: &sendT})
-		r, _ := app.NewSSDLet(m, "idRecv", recvArgs{n: iters, recvT: &recvT})
-		if err := app.Connect(s.Out(0), r.In(0)); err != nil {
-			panic(err)
-		}
-		if err := app.Connect(r.Out(0), s.In(0)); err != nil {
-			panic(err)
-		}
-		if err := app.Start(); err != nil {
-			panic(err)
-		}
-		if err := app.Wait(); err != nil {
-			panic(err)
-		}
+		s, rcv := r.let(app, "idSend", &sendT), r.let(app, "idRecv", &recvT)
+		must("table2", app.Connect(s.Out(0), rcv.In(0)))
+		must("table2", app.Connect(rcv.Out(0), s.In(0)))
+		must("table2", app.Start())
+		must("table2", app.Wait())
 		out.InterSSDlet = meanGap(sendT, recvT)
 	})
 
 	// Inter-application (Packet ports, two applications on different
 	// cores).
-	sys3 := newSystem()
-	sys3.Install(latModule())
-	sys3.Run(func(h *biscuit.Host) {
-		ssd := h.SSD()
-		m, _ := ssd.LoadModule("latency.slet")
-		a1, a2 := ssd.NewApplication(), ssd.NewApplication()
+	onLatRig(func(r latRig) {
+		a1, a2 := r.h.SSD().NewApplication(), r.h.SSD().NewApplication()
 		var sendT, recvT []sim.Time
-		s, _ := a1.NewSSDLet(m, "idPktSend", sendArgs{n: iters, sendT: &sendT})
-		r, _ := a2.NewSSDLet(m, "idPktRecv", recvArgs{n: iters, recvT: &recvT})
-		if err := a1.ConnectApps(s.Out(0), a2, r.In(0)); err != nil {
-			panic(err)
-		}
-		if err := a2.ConnectApps(r.Out(0), a1, s.In(0)); err != nil {
-			panic(err)
-		}
-		if err := a1.Start(); err != nil {
-			panic(err)
-		}
-		if err := a2.Start(); err != nil {
-			panic(err)
-		}
-		if err := a1.Wait(); err != nil {
-			panic(err)
-		}
-		if err := a2.Wait(); err != nil {
-			panic(err)
-		}
+		s, rcv := r.let(a1, "idPktSend", &sendT), r.let(a2, "idPktRecv", &recvT)
+		must("table2", a1.ConnectApps(s.Out(0), a2, rcv.In(0)))
+		must("table2", a2.ConnectApps(rcv.Out(0), a1, s.In(0)))
+		must("table2", a1.Start())
+		must("table2", a2.Start())
+		must("table2", a1.Wait())
+		must("table2", a2.Wait())
 		out.InterApp = meanGap(sendT, recvT)
 	})
 	return out

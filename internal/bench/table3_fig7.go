@@ -23,16 +23,7 @@ func RunTable3() Table3 {
 	sys := newSystem()
 	sys.Run(func(h *biscuit.Host) {
 		plat := h.System().Plat
-		// Preload one region.
-		f, err := h.SSD().CreateFile("t3.bin")
-		if err != nil {
-			panic(err)
-		}
-		if err := h.SSD().WriteFile(f, 0, make([]byte, 1<<20)); err != nil {
-			panic(err)
-		}
-		segs, _ := f.Segments(0, 1<<20)
-		base := segs[0].FTLOff
+		base := preload(h, "t3.bin", 1<<20)
 
 		var conv, internal sim.Time
 		buf := make([]byte, 4096)
@@ -50,6 +41,25 @@ func RunTable3() Table3 {
 		out.BiscuitLat = plat.Hists.Get("dev.internal.read").Summary()
 	})
 	return out
+}
+
+// gbps is n bytes over a virtual duration, in GB/s.
+func gbps(n int, el sim.Time) float64 { return float64(n) / el.Seconds() / 1e9 }
+
+// readWindowed issues n asynchronous reads, at most qd in flight, and
+// waits for them all.
+func readWindowed(h *biscuit.Host, n, qd int, issue func(i int) *sim.Completion) {
+	inflight := make([]*sim.Completion, 0, qd)
+	for i := 0; i < n; i++ {
+		if len(inflight) >= qd {
+			must("read", inflight[0].Wait(h.Proc()))
+			inflight = inflight[1:]
+		}
+		inflight = append(inflight, issue(i))
+	}
+	for _, c := range inflight {
+		must("read", c.Wait(h.Proc()))
+	}
 }
 
 // Fig7Point is one bandwidth sample: request size vs achieved GB/s.
@@ -80,104 +90,62 @@ func RunFig7() Fig7 {
 	sys := newSystem()
 	sys.Run(func(h *biscuit.Host) {
 		plat := h.System().Plat
-		f, err := h.SSD().CreateFile("f7.bin")
-		if err != nil {
-			panic(err)
-		}
-		if err := h.SSD().WriteFile(f, 0, make([]byte, span)); err != nil {
-			panic(err)
-		}
-		segs, _ := f.Segments(0, span)
-		base := segs[0].FTLOff
+		base := preload(h, "f7.bin", span)
 
 		for _, size := range sizes {
-			reqs := span / size
-			if reqs > 64 {
-				reqs = 64
-			}
-			if reqs < 1 {
-				reqs = 1
-			}
-			total := int64(reqs * size)
+			reqs := max(1, min(64, span/size))
+			off := func(i int) int64 { return base + int64(i*size) }
 			buf := make([]byte, size)
+			// bw is the bandwidth of reqs requests issued by fn.
+			bw := func(fn func()) float64 { return gbps(reqs*size, timeIt(h, fn)) }
+			through := func(p *sim.Proc, i int) error {
+				return plat.FTL.ReadRangeThrough(p, off(i), size, plat.Cfg.PatternMatcherOverhead, func(int64, []byte) {})
+			}
 
 			// Synchronous: one outstanding request.
-			pt := Fig7Point{ReqSize: size}
-			el := timeIt(h, func() {
-				for i := 0; i < reqs; i++ {
-					plat.HostIF.Read(h.Proc(), base+int64(i*size), buf)
+			each := func(read func(i int) error) func() {
+				return func() {
+					for i := 0; i < reqs; i++ {
+						must("read", read(i))
+					}
 				}
+			}
+			out.Sync = append(out.Sync, Fig7Point{ReqSize: size,
+				Conv: bw(each(func(i int) error { return plat.HostIF.Read(h.Proc(), off(i), buf) })),
+				Biscuit: bw(each(func(i int) error {
+					_, err := plat.FTL.ReadRange(h.Proc(), off(i), size)
+					return err
+				})),
+				Matcher: bw(each(func(i int) error { return through(h.Proc(), i) })),
 			})
-			pt.Conv = float64(total) / el.Seconds() / 1e9
-			el = timeIt(h, func() {
-				for i := 0; i < reqs; i++ {
-					plat.FTL.ReadRange(h.Proc(), base+int64(i*size), size)
-				}
-			})
-			pt.Biscuit = float64(total) / el.Seconds() / 1e9
-			el = timeIt(h, func() {
-				for i := 0; i < reqs; i++ {
-					plat.FTL.ReadRangeThrough(h.Proc(), base+int64(i*size), size,
-						plat.Cfg.PatternMatcherOverhead, func(int64, []byte) {})
-				}
-			})
-			pt.Matcher = float64(total) / el.Seconds() / 1e9
-			out.Sync = append(out.Sync, pt)
 
-			// Asynchronous: up to 32 outstanding requests.
+			// Asynchronous: up to 32 outstanding requests; the matcher
+			// path overlaps its commands by issuing each request on its
+			// own process.
 			const qd = 32
-			apt := Fig7Point{ReqSize: size}
-			el = timeIt(h, func() {
-				inflight := make([]*sim.Completion, 0, qd)
-				for i := 0; i < reqs; i++ {
-					if len(inflight) >= qd {
-						h.Proc().Wait(inflight[0].Event())
-						inflight = inflight[1:]
+			out.Async = append(out.Async, Fig7Point{ReqSize: size,
+				Conv: bw(func() {
+					readWindowed(h, reqs, qd, func(i int) *sim.Completion { return plat.HostIF.ReadAsync(h.Proc(), off(i), buf) })
+				}),
+				Biscuit: bw(func() {
+					readWindowed(h, reqs, qd, func(i int) *sim.Completion { return plat.FTL.ReadRangeAsyncInto(h.Proc(), off(i), buf) })
+				}),
+				Matcher: bw(func() {
+					done := make([]*sim.Event, reqs)
+					for i := range done {
+						done[i] = h.System().Env.NewEvent()
+						h.System().Env.Spawn("f7-pm", func(p *sim.Proc) {
+							must("read", through(p, i))
+							done[i].Fire()
+						})
 					}
-					inflight = append(inflight, plat.HostIF.ReadAsync(h.Proc(), base+int64(i*size), buf))
-				}
-				for _, c := range inflight {
-					h.Proc().Wait(c.Event())
-				}
-			})
-			apt.Conv = float64(total) / el.Seconds() / 1e9
-			el = timeIt(h, func() {
-				inflight := make([]*sim.Completion, 0, qd)
-				dst := make([]byte, size)
-				for i := 0; i < reqs; i++ {
-					if len(inflight) >= qd {
-						h.Proc().Wait(inflight[0].Event())
-						inflight = inflight[1:]
+					for _, ev := range done {
+						h.Proc().Wait(ev)
 					}
-					inflight = append(inflight, plat.FTL.ReadRangeAsyncInto(h.Proc(), base+int64(i*size), dst))
-				}
-				for _, c := range inflight {
-					h.Proc().Wait(c.Event())
-				}
+				}),
 			})
-			apt.Biscuit = float64(total) / el.Seconds() / 1e9
-			// Matcher path with overlapped commands: issue each request
-			// on its own process.
-			el = timeIt(h, func() {
-				done := make([]*sim.Event, reqs)
-				for i := 0; i < reqs; i++ {
-					i := i
-					ev := h.System().Env.NewEvent()
-					done[i] = ev
-					h.System().Env.Spawn("f7-pm", func(p *sim.Proc) {
-						plat.FTL.ReadRangeThrough(p, base+int64(i*size), size,
-							plat.Cfg.PatternMatcherOverhead, func(int64, []byte) {})
-						ev.Fire()
-					})
-				}
-				for _, ev := range done {
-					h.Proc().Wait(ev)
-				}
-			})
-			apt.Matcher = float64(total) / el.Seconds() / 1e9
-			out.Async = append(out.Async, apt)
 		}
 	})
-	out.Lat = latencies(sys)
+	out.Lat = sys.Plat.Hists.Snapshot()
 	return out
 }

@@ -46,22 +46,18 @@ func RunTable4(cfg Config) Table4 {
 	sys.Install(graph.Image())
 	sys.Run(func(h *biscuit.Host) {
 		s, err := graph.Generate(h, sz.graphNodes, biscuit.SeededRand(seed))
-		if err != nil {
-			panic(err)
-		}
+		must("table4: graph", err)
 		lg := loadgen.New(h.System().Plat)
 		for _, threads := range sz.loads {
 			lg.Start(threads)
 			row := LoadSweepRow{Threads: threads}
 			row.Conv = timeIt(h, func() {
-				if _, err := s.ChaseConv(h, sz.walks, sz.hops, biscuit.SeededRand(seed)); err != nil {
-					panic(err)
-				}
+				_, err := s.ChaseConv(h, sz.walks, sz.hops, biscuit.SeededRand(seed))
+				must("table4: Conv chase", err)
 			})
 			row.Biscuit = timeIt(h, func() {
-				if _, err := s.ChaseNDP(h, sz.walks, sz.hops, seed); err != nil {
-					panic(err)
-				}
+				_, err := s.ChaseNDP(h, sz.walks, sz.hops, seed)
+				must("table4: NDP chase", err)
 			})
 			out.Rows = append(out.Rows, row)
 		}
@@ -76,39 +72,42 @@ type Table5 struct {
 	Matches int64
 }
 
+// needle is the keyword planted in the web log and searched for.
+const needle = "XNEEDLEX"
+
+// genLog writes an n-byte web log with needle planted every 1000 lines.
+func genLog(h *biscuit.Host, n int64) {
+	_, _, err := weblog.Generate(h, n, needle, 1000, biscuit.SeededRand(seed))
+	must("web log", err)
+}
+
+// searchBoth times the search for needle on the host path and on the
+// pattern matcher, and returns the match count the two must agree on.
+func searchBoth(h *biscuit.Host) (conv, ndp sim.Time, matches int64) {
+	var ndpN int64
+	var err error
+	conv = timeIt(h, func() { matches, err = weblog.SearchConv(h, needle) })
+	must("Conv search", err)
+	ndp = timeIt(h, func() { ndpN, err = weblog.SearchNDP(h, needle) })
+	must("NDP search", err)
+	if matches != ndpN {
+		panic(fmt.Sprintf("bench: search disagreement conv=%d ndp=%d", matches, ndpN))
+	}
+	return conv, ndp, matches
+}
+
 // RunTable5 generates the web log once and sweeps the load levels.
 func RunTable5(cfg Config) Table5 {
 	var out Table5
 	sz := cfg.loadSweepSizes()
 	sys := newSystem()
 	sys.Run(func(h *biscuit.Host) {
-		const needle = "XNEEDLEX"
-		if _, _, err := weblog.Generate(h, sz.weblogBytes, needle, 1000, biscuit.SeededRand(seed)); err != nil {
-			panic(err)
-		}
+		genLog(h, sz.weblogBytes)
 		lg := loadgen.New(h.System().Plat)
 		for _, threads := range sz.loads {
 			lg.Start(threads)
 			row := LoadSweepRow{Threads: threads}
-			var convN, ndpN int64
-			row.Conv = timeIt(h, func() {
-				n, err := weblog.SearchConv(h, needle)
-				if err != nil {
-					panic(err)
-				}
-				convN = n
-			})
-			row.Biscuit = timeIt(h, func() {
-				n, err := weblog.SearchNDP(h, needle)
-				if err != nil {
-					panic(err)
-				}
-				ndpN = n
-			})
-			if convN != ndpN {
-				panic(fmt.Sprintf("bench: search disagreement conv=%d ndp=%d", convN, ndpN))
-			}
-			out.Matches = convN
+			row.Conv, row.Biscuit, out.Matches = searchBoth(h)
 			out.Rows = append(out.Rows, row)
 		}
 		lg.Stop()
