@@ -81,20 +81,21 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers
 
-# Bench gate (DESIGN.md "The bench gate"): regenerate Table III, the
+# Bench gate (DESIGN.md "The bench gate"): regenerate Table II (the
+# four port latencies, the runtime's price list), Table III, the
 # multi-tenant serving curve (per-tenant throughput and tail latency vs
 # offered load × device count × policy), the self-healing curve (die
 # failure time × rebuild pacing × migration) and the eight ablations
 # (DESIGN.md §5) in one biscuitbench run, and compare them against the
-# four committed baselines/ JSON files with cmd/benchgate. Every field is simulated-time deterministic, so the
-# comparison is exact. One traced serving window rides along: rerun
+# five committed baselines/ JSON files with cmd/benchgate. Every field
+# is simulated-time deterministic, so the comparison is exact. One traced serving window rides along: rerun
 # with the same seed, compared byte-for-byte, validated by tracecheck.
 # Wall clock is not gated here; that is `go run ./benchmark`.
 SERVETRACE := -devices 2 -tenants 2 -sf 0.002 -rate 150 -window 200 -seed 7
 
 benchgate: benchsmoke
 	mkdir -p bench-out
-	$(GO) run ./cmd/biscuitbench -exp table3,servecurve,healcurve,ablations -json bench-out
+	$(GO) run ./cmd/biscuitbench -exp table2,table3,servecurve,healcurve,ablations -json bench-out
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.trace.json > /dev/null
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.rerun.trace.json > /dev/null
 	cmp bench-out/serve.trace.json bench-out/serve.rerun.trace.json

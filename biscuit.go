@@ -94,14 +94,20 @@ type System struct {
 // in-storage file system.
 func NewSystem(cfg Config) *System {
 	env := sim.NewEnv()
-	plat := device.New(env, cfg)
+	s := newDevice(env, device.New(env, cfg), "mkfs")
+	env.Run()
+	return s
+}
+
+// newDevice is the one per-SSD builder: a process called mkfs formats
+// the in-storage file system on plat, mounts the runtime over it and
+// installs the builtin module. The device exists once env has run.
+func newDevice(env *sim.Env, plat *device.Platform, mkfs string) *System {
 	s := &System{Env: env, Plat: plat}
-	env.Spawn("mkfs", func(p *sim.Proc) {
-		fs := isfs.Format(p, plat.FTL)
-		s.RT = core.NewRuntime(plat, fs)
+	env.Spawn(mkfs, func(p *sim.Proc) {
+		s.RT = core.NewRuntime(plat, isfs.Format(p, plat.FTL))
 		s.RT.InstallImage(builtinImage())
 	})
-	env.Run()
 	return s
 }
 
@@ -124,15 +130,24 @@ func (s *System) NewTracer() *trace.Tracer {
 	return tr
 }
 
+// launch is the one launcher: body runs on a new simulated host thread
+// called name and, unless took is nil, took grows to body's virtual
+// duration if that is longer.
+func launch(env *sim.Env, name string, took *sim.Time, body func(p *sim.Proc)) {
+	env.Spawn(name, func(p *sim.Proc) {
+		start := p.Now()
+		body(p)
+		if took != nil {
+			*took = max(*took, p.Now()-start)
+		}
+	})
+}
+
 // Run executes a host program against the system and drives the
 // simulation to completion, returning the virtual time the program took.
 func (s *System) Run(program func(h *Host)) sim.Time {
 	var took sim.Time
-	s.Env.Spawn("host-main", func(p *sim.Proc) {
-		start := p.Now()
-		program(&Host{sys: s, p: p})
-		took = p.Now() - start
-	})
+	launch(s.Env, "host-main", &took, func(p *sim.Proc) { program(&Host{sys: s, p: p}) })
 	s.Env.Run()
 	return took
 }
@@ -142,20 +157,14 @@ func (s *System) Run(program func(h *Host)) sim.Time {
 // ongoing work (§VIII). Each session gets its own simulated host thread;
 // the runtime's applications, modules and ports are shared
 // infrastructure with per-session handles. It returns when every
-// session has finished.
+// session has finished, with the virtual time the longest one took.
 func (s *System) RunConcurrent(programs ...func(h *Host)) sim.Time {
-	var latest sim.Time
+	var took sim.Time
 	for i, program := range programs {
-		program := program
-		s.Env.Spawn(fmt.Sprintf("session-%d", i), func(p *sim.Proc) {
-			program(&Host{sys: s, p: p})
-			if p.Now() > latest {
-				latest = p.Now()
-			}
-		})
+		launch(s.Env, fmt.Sprintf("session-%d", i), &took, func(p *sim.Proc) { program(&Host{sys: s, p: p}) })
 	}
 	s.Env.Run()
-	return latest
+	return took
 }
 
 // Host is the execution context of a host program: it wraps the host's

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -14,6 +15,18 @@ import (
 	"biscuit/internal/loadgen"
 	"biscuit/internal/weblog"
 )
+
+// checkNeedle rejects a keyword neither engine can search for: the host
+// Boyer–Moore needs at least one byte, the hardware matcher at most 16.
+func checkNeedle(needle string) error {
+	switch {
+	case needle == "":
+		return errors.New("-needle is empty")
+	case len(needle) > 16:
+		return errors.New("needle exceeds the hardware matcher's 16-byte key limit")
+	}
+	return nil
+}
 
 func main() {
 	var (
@@ -24,8 +37,8 @@ func main() {
 		seed   = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
-	if len(*needle) > 16 {
-		fmt.Fprintln(os.Stderr, "grepssd: needle exceeds the hardware matcher's 16-byte key limit")
+	if err := checkNeedle(*needle); err != nil {
+		fmt.Fprintln(os.Stderr, "grepssd:", err)
 		os.Exit(2)
 	}
 

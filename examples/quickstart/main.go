@@ -163,6 +163,8 @@ func main() {
 			log.Fatal(err)
 		}
 
+		// Code 3 written out step by step, as the paper lists it; an
+		// SSDlet that answers once can use biscuit.Call instead.
 		mid, err := ssd.LoadModule("wordcount.slet")
 		if err != nil {
 			log.Fatal(err)

@@ -58,6 +58,7 @@ func run(n int) (sim.Time, int64) {
 			i := i
 			evs[i] = h.Go(fmt.Sprintf("scan%d", i), func(h2 *biscuit.MultiHost) {
 				ssd := h2.Unit(i).SSD()
+				// Code 3 long-hand on purpose (biscuit.Call is the short form).
 				mod, err := ssd.LoadModule(biscuit.BuiltinModule)
 				if err != nil {
 					log.Fatal(err)

@@ -92,7 +92,7 @@ func conditionalLoop(c *core.Context, n int) {
 	}
 }
 
-func hostSide(work []int) int {
+func hostCode(work []int) int {
 	total := 0
 	for { // no Context parameter: host code, out of scope
 		if len(work) == 0 {

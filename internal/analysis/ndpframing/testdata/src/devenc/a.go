@@ -54,7 +54,7 @@ func controlPing(c *core.Context, out *core.OutPort) {
 	out.Put(biscuit.NewPacket([]byte{1})) // fixed control message: fine
 }
 
-func hostSide(out *core.OutPort, row []byte) {
+func hostCode(out *core.OutPort, row []byte) {
 	out.Put(biscuit.NewPacket(row)) // no *core.Context: host code, out of scope
 }
 

@@ -8,8 +8,8 @@ type Queue struct{ closed bool }
 // Put enqueues v; false means the queue closed.
 func (q *Queue) Put(v int) bool { return !q.closed }
 
-// TryGet dequeues without blocking; false means empty or closed.
-func (q *Queue) TryGet() (int, bool) { return 0, !q.closed }
+// Get dequeues; false means closed and drained.
+func (q *Queue) Get() (int, bool) { return 0, !q.closed }
 
 // Close closes the queue. No status to consume.
 func (q *Queue) Close() { q.closed = true }

@@ -9,11 +9,11 @@ import (
 func useQueue(q *ports.Queue) int {
 	q.Put(1)       // want `result of ports\.Put discarded`
 	defer q.Put(2) // want `result of ports\.Put discarded`
-	q.TryGet()     // want `result of ports\.TryGet discarded`
+	q.Get()        // want `result of ports\.Get discarded`
 	if !q.Put(3) { // consumed: fine
 		return 0
 	}
-	v, ok := q.TryGet() // consumed: fine
+	v, ok := q.Get() // consumed: fine
 	if !ok {
 		return 0
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"biscuit/internal/fibers"
 	"biscuit/internal/sim"
@@ -11,9 +12,6 @@ import (
 // together (paper §III-B). All of an application's fibers run on the
 // same device core (§IV-B), so its inter-SSDlet queues need no locks.
 type App struct {
-	ID int
-	rt *Runtime
-
 	group   *fibers.Group
 	lets    []*letInstance
 	started bool
@@ -40,37 +38,88 @@ type letInstance struct {
 	err       error
 }
 
-func (li *letInstance) boundIn(i int) (*conn, error) {
-	if i < 0 || i >= len(li.in) {
-		return nil, fmt.Errorf("%w: in(%d) of %s", ErrBadPort, i, li.name)
-	}
-	if li.in[i] == nil {
-		return nil, fmt.Errorf("%w: in(%d) of %s", ErrPortUnbound, i, li.name)
-	}
-	return li.in[i], nil
+// PortRef names one port of an SSDlet instance, out(i) or in(i), for the
+// connect calls.
+type PortRef struct {
+	li  *letInstance
+	idx int
+	out bool
 }
 
-func (li *letInstance) boundOut(i int) (*conn, error) {
-	if i < 0 || i >= len(li.out) {
-		return nil, fmt.Errorf("%w: out(%d) of %s", ErrBadPort, i, li.name)
+// In names input port i.
+func (li *letInstance) In(i int) PortRef { return PortRef{li: li, idx: i} }
+
+// Out names output port i.
+func (li *letInstance) Out(i int) PortRef { return PortRef{li: li, idx: i, out: true} }
+
+// slot resolves the reference to the connection slot it names and the
+// element type declared for it in the SSDlet's Spec.
+func (pt PortRef) slot() (**conn, reflect.Type, error) {
+	slots, types := pt.li.in, pt.li.spec.In
+	if pt.out {
+		slots, types = pt.li.out, pt.li.spec.Out
 	}
-	if li.out[i] == nil {
-		return nil, fmt.Errorf("%w: out(%d) of %s", ErrPortUnbound, i, li.name)
+	if pt.idx < 0 || pt.idx >= len(slots) {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadPort, pt)
 	}
-	return li.out[i], nil
+	return &slots[pt.idx], types[pt.idx], nil
+}
+
+// String renders the reference the way error messages name a port.
+func (pt PortRef) String() string {
+	dir := "in"
+	if pt.out {
+		dir = "out"
+	}
+	return fmt.Sprintf("%s.%s(%d)", pt.li.name, dir, pt.idx)
+}
+
+// endpoint is the one check every connect path runs on each side before
+// it charges anything: the application has not started, the reference
+// points the way the caller needs (out = a producer side) at a declared
+// port and, for the two Packet-only SPSC kinds (host and
+// inter-application ports, §III-C), that port carries Packet and is
+// still unbound. Inter-SSDlet ports may share a queue, so Connect
+// settles their binding itself.
+func (pt PortRef) endpoint(out bool, kind connKind) (**conn, reflect.Type, error) {
+	if pt.li.app.started {
+		return nil, nil, ErrAppStarted
+	}
+	if pt.out != out {
+		return nil, nil, fmt.Errorf("%w: %v is on the wrong side of this connection", ErrBadPort, pt)
+	}
+	slot, elem, err := pt.slot()
+	switch {
+	case err != nil || kind == interSSDlet:
+		return slot, elem, err
+	case elem != PacketType:
+		return nil, nil, fmt.Errorf("%w: %v is %v", ErrNotPacket, pt, elem)
+	case *slot != nil:
+		return nil, nil, fmt.Errorf("%w: %v", ErrPortBound, pt)
+	}
+	return slot, elem, nil
+}
+
+// bound returns the connection behind a port of the running SSDlet,
+// verifying the element type recorded at connect time against want.
+func (pt PortRef) bound(want reflect.Type) (*conn, error) {
+	slot, _, err := pt.slot()
+	switch {
+	case err != nil:
+		return nil, err
+	case *slot == nil:
+		return nil, fmt.Errorf("%w: %v", ErrPortUnbound, pt)
+	case (*slot).elem != want:
+		return nil, fmt.Errorf("%w: %v carries %v, requested %v", ErrTypeMismatch, pt, (*slot).elem, want)
+	}
+	return *slot, nil
 }
 
 // NewApp creates an application on the device (one control round trip).
 func (r *Runtime) NewApp(p *sim.Proc) *App {
 	r.control(p, 0)
-	a := &App{ID: r.nextApp, rt: r, group: r.Plat.DevRT.NewGroup()}
-	r.nextApp++
-	r.apps[a.ID] = a
-	return a
+	return &App{group: r.Plat.DevRT.NewGroup()}
 }
-
-// Lets returns the application's SSDlet instances in creation order.
-func (a *App) Lets() []*letInstance { return a.lets }
 
 // Failed returns errors from SSDlets whose Run returned or panicked with
 // an error; the runtime contains failures rather than crashing (§II-B
@@ -88,7 +137,7 @@ func (r *Runtime) CreateLet(p *sim.Proc, a *App, m *Module, id string, args ...a
 	if !ok {
 		return nil, fmt.Errorf("%w: %q in module %q", ErrNoSuchSSDlet, id, m.img.Name)
 	}
-	r.control(p, r.Costs.SpawnDevCycles)
+	r.control(p, spawnDevCycles)
 	let := f()
 	spec := let.Spec()
 	li := &letInstance{
@@ -108,94 +157,69 @@ func (r *Runtime) CreateLet(p *sim.Proc, a *App, m *Module, id string, args ...a
 	return li, nil
 }
 
-// Name returns the instance name.
-func (li *letInstance) Name() string { return li.name }
-
-// Done returns the instance's termination event.
-func (li *letInstance) Done() *sim.Event { return li.done }
-
-// Err returns the error Run returned, once done.
-func (li *letInstance) Err() error { return li.err }
-
 // defaultQueueCap bounds port queues; the paper implements every port as
 // a bounded queue (§IV-B).
 const defaultQueueCap = 64
 
-// Connect links producer's out(oi) to consumer's in(ii): an inter-SSDlet
-// port. Fan-in (MPSC) and fan-out (SPMC) are allowed by sharing the
-// queue; element types must match exactly — no implicit conversion
-// (§III-C).
-func (r *Runtime) Connect(p *sim.Proc, prod *letInstance, oi int, cons *letInstance, ii int) error {
-	if prod.app != cons.app {
+// Connect links an output port to an input port of the same
+// application: an inter-SSDlet port. Fan-in (MPSC) and fan-out (SPMC)
+// are allowed by sharing the queue; element types must match exactly —
+// no implicit conversion (§III-C).
+func (r *Runtime) Connect(p *sim.Proc, from, to PortRef) error {
+	if from.li.app != to.li.app {
 		return ErrCrossApp
 	}
-	if prod.app.started {
-		return ErrAppStarted
+	out, ot, err := from.endpoint(true, interSSDlet)
+	if err != nil {
+		return err
 	}
-	if oi < 0 || oi >= len(prod.out) || ii < 0 || ii >= len(cons.in) {
-		return ErrBadPort
+	in, it, err := to.endpoint(false, interSSDlet)
+	if err != nil {
+		return err
 	}
-	ot, it := prod.spec.Out[oi], cons.spec.In[ii]
 	if ot != it {
-		return fmt.Errorf("%w: %s.out(%d) is %v, %s.in(%d) is %v", ErrTypeMismatch, prod.name, oi, ot, cons.name, ii, it)
+		return fmt.Errorf("%w: %v is %v, %v is %v", ErrTypeMismatch, from, ot, to, it)
 	}
 	r.control(p, 0)
 
-	switch {
-	case prod.out[oi] == nil && cons.in[ii] == nil:
-		cn := &conn{kind: interSSDlet, elem: ot, q: newAnyQueue(r.Env())}
-		prod.out[oi] = cn
-		cn.producers++
-		cons.in[ii] = cn
-		cn.consumers++
-	case prod.out[oi] != nil && cons.in[ii] == nil:
-		// Fan-out: SPMC via the shared queue.
-		cn := prod.out[oi]
-		if cn.kind != interSSDlet {
-			return fmt.Errorf("%w: out port already bound to a %v port", ErrPortBound, cn.kind)
-		}
-		cons.in[ii] = cn
-		cn.consumers++
-	case prod.out[oi] == nil && cons.in[ii] != nil:
-		// Fan-in: MPSC via the shared queue.
-		cn := cons.in[ii]
-		if cn.kind != interSSDlet {
-			return fmt.Errorf("%w: in port already bound to a %v port", ErrPortBound, cn.kind)
-		}
-		if cn.elem != ot {
-			return fmt.Errorf("%w: existing connection carries %v", ErrTypeMismatch, cn.elem)
-		}
-		prod.out[oi] = cn
-		cn.producers++
-	default:
-		return fmt.Errorf("%w: both endpoints already connected", ErrPortBound)
+	// A side that is already bound shares its queue with the new one.
+	cn := *out
+	if cn == nil {
+		cn = *in
 	}
+	switch {
+	case *out != nil && *in != nil:
+		return fmt.Errorf("%w: both endpoints already connected", ErrPortBound)
+	case cn == nil:
+		cn = &conn{kind: interSSDlet, elem: ot, q: newAnyQueue(r.Env())}
+	case cn.kind != interSSDlet:
+		return fmt.Errorf("%w: endpoint already bound to a Packet-only port", ErrPortBound)
+	}
+	if *out == nil {
+		cn.producers++
+	}
+	*out, *in = cn, cn
 	return nil
 }
 
-// ConnectApps links an out port of one application's SSDlet to an in
-// port of another application's SSDlet: an inter-application port. Only
-// Packet flows, and only SPSC (§III-C).
-func (r *Runtime) ConnectApps(p *sim.Proc, prod *letInstance, oi int, cons *letInstance, ii int) error {
-	if prod.app == cons.app {
+// ConnectApps links an output port of one application's SSDlet to an
+// input port of another application's SSDlet: an inter-application
+// port. Only Packet flows, and only SPSC (§III-C).
+func (r *Runtime) ConnectApps(p *sim.Proc, from, to PortRef) error {
+	if from.li.app == to.li.app {
 		return fmt.Errorf("core: use Connect for SSDlets of the same application")
 	}
-	if prod.app.started || cons.app.started {
-		return ErrAppStarted
+	out, _, err := from.endpoint(true, interApp)
+	if err != nil {
+		return err
 	}
-	if oi < 0 || oi >= len(prod.out) || ii < 0 || ii >= len(cons.in) {
-		return ErrBadPort
-	}
-	if prod.spec.Out[oi] != PacketType || cons.spec.In[ii] != PacketType {
-		return ErrNotPacket
-	}
-	if prod.out[oi] != nil || cons.in[ii] != nil {
-		return ErrPortBound
+	in, _, err := to.endpoint(false, interApp)
+	if err != nil {
+		return err
 	}
 	r.control(p, 0)
-	cn := &conn{kind: interApp, elem: PacketType, q: newAnyQueue(r.Env()), producers: 1, consumers: 1}
-	prod.out[oi] = cn
-	cons.in[ii] = cn
+	cn := &conn{kind: interApp, elem: PacketType, q: newAnyQueue(r.Env()), producers: 1}
+	*out, *in = cn, cn
 	return nil
 }
 
@@ -207,11 +231,10 @@ func (r *Runtime) Start(p *sim.Proc, a *App) error {
 		return ErrAppStarted
 	}
 	a.started = true
-	r.control(p, float64(len(a.lets))*r.Costs.SpawnDevCycles/4)
+	r.control(p, float64(len(a.lets))*spawnDevCycles/4)
 	for _, li := range a.lets {
-		li := li
 		a.group.Go(li.name, func(f *fibers.Fiber) {
-			ctx := &Context{rt: r, app: a, inst: li, fiber: f}
+			ctx := &Context{rt: r, inst: li, fiber: f}
 			func() {
 				defer func() {
 					if v := recover(); v != nil {
@@ -226,9 +249,8 @@ func (r *Runtime) Start(p *sim.Proc, a *App) error {
 			// Run returned: close all of this instance's producer
 			// endpoints so downstream consumers see end-of-stream.
 			for _, cn := range li.out {
-				if cn != nil && !li.closedOut[cn] {
-					li.closedOut[cn] = true
-					cn.producerDone()
+				if cn != nil {
+					li.closeOut(cn)
 				}
 			}
 			li.module.refs--

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
-
 	"biscuit/internal/fibers"
 	"biscuit/internal/ports"
 	"biscuit/internal/sim"
@@ -15,7 +12,6 @@ import (
 // bounded queues behind a host-to-device port.
 type ChannelManager struct {
 	rt      *Runtime
-	maxData int
 	inUse   int
 	waiters []*sim.Event
 
@@ -23,14 +19,8 @@ type ChannelManager struct {
 	bytesUp, bytesDown         int64
 }
 
-// ErrChannels signals data-channel pool exhaustion handling problems.
-var ErrChannels = errors.New("core: channel pool")
-
-const defaultMaxDataChannels = 32
-
-func newChannelManager(rt *Runtime) *ChannelManager {
-	return &ChannelManager{rt: rt, maxData: defaultMaxDataChannels}
-}
+// dataChannelLimit bounds the data channels held by ports at once.
+const dataChannelLimit = 32
 
 // Stats reports channel pool and traffic counters.
 func (cm *ChannelManager) Stats() (created, reused, transfers, bytesUp, bytesDown int64) {
@@ -44,7 +34,7 @@ func (cm *ChannelManager) InUse() int { return cm.inUse }
 // exhausted — "to limit the total number of channels simultaneously
 // used" (§IV-B).
 func (cm *ChannelManager) acquire(p *sim.Proc) {
-	for cm.inUse >= cm.maxData {
+	for cm.inUse >= dataChannelLimit {
 		ev := cm.rt.Env().NewEvent()
 		cm.waiters = append(cm.waiters, ev)
 		p.Wait(ev)
@@ -65,152 +55,130 @@ func (cm *ChannelManager) release() {
 	}
 }
 
-// hostChannel is the device-facing half of a host port: the transport
-// fiber pumping packets between the device-side queue and the host-side
-// queue, charging the asymmetric channel-manager costs measured in
-// Table II.
-type hostChannel struct {
-	cm      *ChannelManager
-	hostQ   *ports.Queue[ports.Packet]
-	up      bool // device-to-host direction
-	closedH bool
+// pumpUp moves packets from the device-side queue up to the host-side
+// queue until either closes, charging the asymmetric channel-manager
+// costs measured in Table II, then ends the host's stream.
+func (cm *ChannelManager) pumpUp(f *fibers.Fiber, devQ *ports.Queue[any], hostQ *ports.Queue[ports.Packet]) {
+	plat := cm.rt.Plat
+	for {
+		v, ok := devQ.Get(f)
+		if !ok {
+			break
+		}
+		pkt := v.(ports.Packet)
+		f.Compute(plat.Cfg.ChanMgrDevSendCycles)
+		f.Block(func(tp *sim.Proc) {
+			plat.HostIF.Message(tp, true, int64(pkt.Len()))
+			plat.HostCPU.Exec(tp, plat.Cfg.ChanMgrHostRecvCycles)
+		})
+		cm.transfers++
+		cm.bytesUp += int64(pkt.Len())
+		if !hostQ.Put(f, pkt) {
+			break // host endpoint closed; stop pumping
+		}
+	}
+	hostQ.Close()
+}
+
+// pumpDown is pumpUp's mirror: host-side queue down to the device-side
+// queue, ending the consumer SSDlet's stream when the host closes.
+func (cm *ChannelManager) pumpDown(f *fibers.Fiber, devQ *ports.Queue[any], hostQ *ports.Queue[ports.Packet]) {
+	plat := cm.rt.Plat
+	for {
+		pkt, ok := hostQ.Get(f)
+		if !ok {
+			break
+		}
+		f.Block(func(tp *sim.Proc) {
+			plat.HostIF.Message(tp, false, int64(pkt.Len()))
+		})
+		f.Compute(plat.Cfg.ChanMgrDevRecvCycles)
+		cm.transfers++
+		cm.bytesDown += int64(pkt.Len())
+		if !devQ.Put(f, pkt) {
+			break // consumer side closed; stop pumping
+		}
+	}
+	devQ.Close()
+}
+
+// bindHost is the one binder behind both host port directions: endpoint
+// check, control round trip, a data channel from the pool, the
+// host-side queue (traced and gauged under the port's name), the
+// device-side connection, and a transport fiber in the application's
+// group that runs the direction's pump and then hands the channel back.
+// The port carries only Packet and is strictly SPSC (§III-C).
+func (r *Runtime) bindHost(p *sim.Proc, pt PortRef, up bool) (*hostEnd, error) {
+	dir := "h2d"
+	if up {
+		dir = "d2h"
+	}
+	slot, _, err := pt.endpoint(up, hostPort)
+	if err != nil {
+		return nil, err
+	}
+	r.control(p, 0)
+	r.chanMgr.acquire(p)
+	name := pt.li.name
+	hostQ := ports.NewQueue[ports.Packet](r.Env(), defaultQueueCap)
+	if tr := r.Plat.Trace; tr != nil {
+		hostQ.Instrument(tr, tr.Track("port/"+name+"/"+dir))
+	}
+	hostQ.InstrumentGauge(r.Plat.Gauges.G("port." + name + "." + dir + ".depth"))
+	cn := &conn{kind: hostPort, elem: PacketType, q: newAnyQueue(r.Env()), producers: 1}
+	*slot = cn
+	pt.li.app.group.Go(name+"/"+dir, func(f *fibers.Fiber) {
+		if up {
+			r.chanMgr.pumpUp(f, cn.q, hostQ)
+		} else {
+			r.chanMgr.pumpDown(f, cn.q, hostQ)
+		}
+		r.chanMgr.release()
+	})
+	return &hostEnd{rt: r, q: hostQ}, nil
+}
+
+// hostEnd is the host side of a bound host port; HostIn and HostOut are
+// its two directions.
+type hostEnd struct {
+	rt *Runtime
+	q  *ports.Queue[ports.Packet]
 }
 
 // HostIn is the host-side receive endpoint of a device-to-host port
 // (what Application::connectTo returns in Code 3).
-type HostIn struct {
-	rt *Runtime
-	ch *hostChannel
-}
+type HostIn hostEnd
 
 // HostOut is the host-side send endpoint of a host-to-device port.
-type HostOut struct {
-	rt *Runtime
-	ch *hostChannel
+type HostOut hostEnd
+
+// ConnectToHost binds an SSDlet's output port to a fresh device-to-host
+// port and returns the host endpoint.
+func (r *Runtime) ConnectToHost(p *sim.Proc, from PortRef) (*HostIn, error) {
+	e, err := r.bindHost(p, from, true)
+	return (*HostIn)(e), err
 }
 
-// ConnectToHost binds producer's out(oi) to a fresh device-to-host port
-// and returns the host endpoint. The port carries only Packet and is
-// strictly SPSC (§III-C).
-func (r *Runtime) ConnectToHost(p *sim.Proc, prod *letInstance, oi int) (*HostIn, error) {
-	if prod.app.started {
-		return nil, ErrAppStarted
-	}
-	if oi < 0 || oi >= len(prod.out) {
-		return nil, ErrBadPort
-	}
-	if prod.spec.Out[oi] != PacketType {
-		return nil, fmt.Errorf("%w: out(%d) of %s is %v", ErrNotPacket, oi, prod.name, prod.spec.Out[oi])
-	}
-	if prod.out[oi] != nil {
-		return nil, ErrPortBound
-	}
-	r.control(p, 0)
-	r.chanMgr.acquire(p)
-	ch := &hostChannel{cm: r.chanMgr, hostQ: ports.NewQueue[ports.Packet](r.Env(), defaultQueueCap), up: true}
-	if tr := r.Plat.Trace; tr != nil {
-		ch.hostQ.Instrument(tr, tr.Track("port/"+prod.name+"/d2h"))
-	}
-	ch.hostQ.InstrumentGauge(r.Plat.Gauges.G("port." + prod.name + ".d2h.depth"))
-	cn := &conn{kind: hostPort, elem: PacketType, q: newAnyQueue(r.Env()), producers: 1, consumers: 1, hostSide: ch}
-	prod.out[oi] = cn
-
-	// Transport: device fiber in the app's group moves packets up.
-	prod.app.group.Go(prod.name+"/d2h", func(f *fibers.Fiber) {
-		cfg := r.Plat.Cfg
-		for {
-			v, ok := cn.q.Get(f)
-			if !ok {
-				break
-			}
-			pkt := v.(ports.Packet)
-			f.Compute(cfg.ChanMgrDevSendCycles)
-			f.Block(func(tp *sim.Proc) {
-				r.Plat.HostIF.Message(tp, true, int64(pkt.Len()))
-				r.Plat.HostCPU.Exec(tp, cfg.ChanMgrHostRecvCycles)
-			})
-			r.chanMgr.transfers++
-			r.chanMgr.bytesUp += int64(pkt.Len())
-			if !ch.hostQ.Put(f, pkt) {
-				break // host endpoint closed; stop pumping
-			}
-		}
-		ch.hostQ.Close()
-		r.chanMgr.release()
-	})
-	return &HostIn{rt: r, ch: ch}, nil
-}
-
-// ConnectFromHost binds consumer's in(ii) to a fresh host-to-device port
-// and returns the host endpoint.
-func (r *Runtime) ConnectFromHost(p *sim.Proc, cons *letInstance, ii int) (*HostOut, error) {
-	if cons.app.started {
-		return nil, ErrAppStarted
-	}
-	if ii < 0 || ii >= len(cons.in) {
-		return nil, ErrBadPort
-	}
-	if cons.spec.In[ii] != PacketType {
-		return nil, fmt.Errorf("%w: in(%d) of %s is %v", ErrNotPacket, ii, cons.name, cons.spec.In[ii])
-	}
-	if cons.in[ii] != nil {
-		return nil, ErrPortBound
-	}
-	r.control(p, 0)
-	r.chanMgr.acquire(p)
-	ch := &hostChannel{cm: r.chanMgr, hostQ: ports.NewQueue[ports.Packet](r.Env(), defaultQueueCap)}
-	if tr := r.Plat.Trace; tr != nil {
-		ch.hostQ.Instrument(tr, tr.Track("port/"+cons.name+"/h2d"))
-	}
-	ch.hostQ.InstrumentGauge(r.Plat.Gauges.G("port." + cons.name + ".h2d.depth"))
-	cn := &conn{kind: hostPort, elem: PacketType, q: newAnyQueue(r.Env()), producers: 1, consumers: 1, hostSide: ch}
-	cons.in[ii] = cn
-
-	// Transport: device fiber pulls packets down from the host queue.
-	cons.app.group.Go(cons.name+"/h2d", func(f *fibers.Fiber) {
-		cfg := r.Plat.Cfg
-		for {
-			pkt, ok := ch.hostQ.Get(f)
-			if !ok {
-				break
-			}
-			f.Block(func(tp *sim.Proc) {
-				r.Plat.HostIF.Message(tp, false, int64(pkt.Len()))
-			})
-			f.Compute(cfg.ChanMgrDevRecvCycles)
-			r.chanMgr.transfers++
-			r.chanMgr.bytesDown += int64(pkt.Len())
-			if !cn.q.Put(f, pkt) {
-				break // consumer side closed; stop pumping
-			}
-		}
-		cn.q.Close()
-		r.chanMgr.release()
-	})
-	return &HostOut{rt: r, ch: ch}, nil
+// ConnectFromHost binds an SSDlet's input port to a fresh host-to-device
+// port and returns the host endpoint.
+func (r *Runtime) ConnectFromHost(p *sim.Proc, to PortRef) (*HostOut, error) {
+	e, err := r.bindHost(p, to, false)
+	return (*HostOut)(e), err
 }
 
 // Get receives the next packet from the device, blocking the host
 // process; ok is false at end of stream.
 func (h *HostIn) Get(p *sim.Proc) (ports.Packet, bool) {
-	return h.ch.hostQ.Get(ports.ProcBlocker{P: p})
+	return h.q.Get(ports.ProcBlocker{P: p})
 }
-
-// TryGet receives a packet only if one has already arrived.
-func (h *HostIn) TryGet() (ports.Packet, bool) { return h.ch.hostQ.TryGet() }
 
 // Put sends a packet to the device, charging the host-side channel
 // manager send work; it reports false if the port has been closed.
 func (h *HostOut) Put(p *sim.Proc, pkt ports.Packet) bool {
 	h.rt.Plat.HostCPU.Exec(p, h.rt.Plat.Cfg.ChanMgrHostSendCycles)
-	return h.ch.hostQ.Put(ports.ProcBlocker{P: p}, pkt)
+	return h.q.Put(ports.ProcBlocker{P: p}, pkt)
 }
 
 // Close ends the host-to-device stream; the device-side consumer sees
 // end-of-stream after draining.
-func (h *HostOut) Close() {
-	if !h.ch.closedH {
-		h.ch.closedH = true
-		h.ch.hostQ.Close()
-	}
-}
+func (h *HostOut) Close() { h.q.Close() }

@@ -163,13 +163,13 @@ func TestWordcountEndToEnd(t *testing.T) {
 		}
 		sh, _ := rt.CreateLet(p, app, m, "idShuffler")
 		rd, _ := rt.CreateLet(p, app, m, "idReducer")
-		if err := rt.Connect(p, mp, 0, sh, 0); err != nil {
+		if err := rt.Connect(p, mp.Out(0), sh.In(0)); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Connect(p, sh, 0, rd, 0); err != nil {
+		if err := rt.Connect(p, sh.Out(0), rd.In(0)); err != nil {
 			t.Fatal(err)
 		}
-		port, err := rt.ConnectToHost(p, rd, 0)
+		port, err := rt.ConnectToHost(p, rd.Out(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestConnectTypeMismatchRejected(t *testing.T) {
 		app := rt.NewApp(p)
 		a, _ := rt.CreateLet(p, app, m, "strSrc")
 		b, _ := rt.CreateLet(p, app, m, "pktSink")
-		if err := rt.Connect(p, a, 0, b, 0); !errors.Is(err, ErrTypeMismatch) {
+		if err := rt.Connect(p, a.Out(0), b.In(0)); !errors.Is(err, ErrTypeMismatch) {
 			t.Fatalf("err=%v, want type mismatch (string out -> Packet in)", err)
 		}
 	})
@@ -268,7 +268,7 @@ func TestCrossAppConnectRejected(t *testing.T) {
 		a2 := rt.NewApp(p)
 		x, _ := rt.CreateLet(p, a1, m, "idShuffler")
 		y, _ := rt.CreateLet(p, a2, m, "idShuffler")
-		if err := rt.Connect(p, x, 0, y, 0); !errors.Is(err, ErrCrossApp) {
+		if err := rt.Connect(p, x.Out(0), y.In(0)); !errors.Is(err, ErrCrossApp) {
 			t.Fatalf("err=%v", err)
 		}
 	})
@@ -282,7 +282,7 @@ func TestInterAppPortRequiresPacket(t *testing.T) {
 		a1, a2 := rt.NewApp(p), rt.NewApp(p)
 		x, _ := rt.CreateLet(p, a1, m, "idShuffler") // string ports
 		y, _ := rt.CreateLet(p, a2, m, "idShuffler")
-		if err := rt.ConnectApps(p, x, 0, y, 0); !errors.Is(err, ErrNotPacket) {
+		if err := rt.ConnectApps(p, x.Out(0), y.In(0)); !errors.Is(err, ErrNotPacket) {
 			t.Fatalf("err=%v", err)
 		}
 	})
@@ -322,14 +322,14 @@ func TestInterAppPipelineMovesPackets(t *testing.T) {
 		a1, a2 := rt.NewApp(p), rt.NewApp(p)
 		e1, _ := rt.CreateLet(p, a1, m, "idEcho")
 		e2, _ := rt.CreateLet(p, a2, m, "idEcho")
-		send, err := rt.ConnectFromHost(p, e1, 0)
+		send, err := rt.ConnectFromHost(p, e1.In(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.ConnectApps(p, e1, 0, e2, 0); err != nil {
+		if err := rt.ConnectApps(p, e1.Out(0), e2.In(0)); err != nil {
 			t.Fatal(err)
 		}
-		recv, err := rt.ConnectToHost(p, e2, 0)
+		recv, err := rt.ConnectToHost(p, e2.Out(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,8 +377,8 @@ func TestSSDletPanicContained(t *testing.T) {
 		// The runtime survives: run another app afterwards.
 		app2 := rt.NewApp(p)
 		el, _ := rt.CreateLet(p, app2, m, "idEcho")
-		send, _ := rt.ConnectFromHost(p, el, 0)
-		recv, _ := rt.ConnectToHost(p, el, 0)
+		send, _ := rt.ConnectFromHost(p, el.In(0))
+		recv, _ := rt.ConnectToHost(p, el.Out(0))
 		rt.Start(p, app2)
 		send.Put(p, ports.NewPacket([]byte("alive")))
 		send.Close()
@@ -405,13 +405,13 @@ func TestFanInMPSCAndFanOutSPMC(t *testing.T) {
 		g2, _ := rt.CreateLet(p, app, m, "idGen", 5)
 		cnt, _ := rt.CreateLet(p, app, m, "idCount")
 		// MPSC fan-in: two generators into one counter.
-		if err := rt.Connect(p, g1, 0, cnt, 0); err != nil {
+		if err := rt.Connect(p, g1.Out(0), cnt.In(0)); err != nil {
 			t.Fatal(err)
 		}
-		if err := rt.Connect(p, g2, 0, cnt, 0); err != nil {
+		if err := rt.Connect(p, g2.Out(0), cnt.In(0)); err != nil {
 			t.Fatal(err)
 		}
-		port, _ := rt.ConnectToHost(p, cnt, 1)
+		port, _ := rt.ConnectToHost(p, cnt.Out(1))
 		rt.Start(p, app)
 		pkt, ok := port.Get(p)
 		if !ok {
@@ -481,10 +481,10 @@ func TestHostPortIsSPSC(t *testing.T) {
 		m, _ := rt.LoadModule(p, "echo.slet")
 		app := rt.NewApp(p)
 		el, _ := rt.CreateLet(p, app, m, "idEcho")
-		if _, err := rt.ConnectToHost(p, el, 0); err != nil {
+		if _, err := rt.ConnectToHost(p, el.Out(0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rt.ConnectToHost(p, el, 0); !errors.Is(err, ErrPortBound) {
+		if _, err := rt.ConnectToHost(p, el.Out(0)); !errors.Is(err, ErrPortBound) {
 			t.Fatalf("second binding err=%v, want ErrPortBound", err)
 		}
 	})
@@ -514,19 +514,19 @@ func TestAccessors(t *testing.T) {
 		if m.Name() != "wordcount.slet" {
 			t.Fatalf("module name %q", m.Name())
 		}
-		if rt.LoadedModules() != 1 {
-			t.Fatalf("loaded=%d", rt.LoadedModules())
+		if !m.loaded {
+			t.Fatal("module not marked loaded")
 		}
 		app := rt.NewApp(p)
 		li, _ := rt.CreateLet(p, app, m, "idShuffler", 42)
-		if li.Name() != "idShuffler#0" {
-			t.Fatalf("instance name %q", li.Name())
+		if li.name != "idShuffler#0" {
+			t.Fatalf("instance name %q", li.name)
 		}
-		if len(app.Lets()) != 1 {
-			t.Fatalf("lets=%d", len(app.Lets()))
+		if len(app.lets) != 1 {
+			t.Fatalf("lets=%d", len(app.lets))
 		}
-		rt.Connect(p, li, 0, li, 0)
-		port, _ := rt.ConnectToHost(p, li, 0)
+		rt.Connect(p, li.Out(0), li.In(0))
+		port, _ := rt.ConnectToHost(p, li.Out(0))
 		_ = port
 		created, _, _, _, _ := rt.ChannelManager().Stats()
 		_ = created
@@ -536,11 +536,11 @@ func TestAccessors(t *testing.T) {
 		}
 		rt.Start(p, app)
 		rt.Wait(p, app)
-		if !li.Done().Fired() {
+		if !li.done.Fired() {
 			t.Fatal("instance done event must fire")
 		}
-		if li.Err() != nil {
-			t.Fatalf("err=%v", li.Err())
+		if li.err != nil {
+			t.Fatalf("err=%v", li.err)
 		}
 	})
 }

@@ -69,48 +69,35 @@ func (m *ModuleImage) RegisterSSDLet(id string, f Factory) *ModuleImage {
 
 // Module is a loaded module on the device.
 type Module struct {
-	ID   int
-	img  *ModuleImage
-	blk  mem.Block
-	refs int
+	img    *ModuleImage
+	blk    mem.Block
+	refs   int
+	loaded bool
 }
 
 // Name returns the underlying image name.
 func (m *Module) Name() string { return m.img.Name }
 
-// Costs gathers the runtime's control-plane cost model (device cycles at
-// the device clock, host cycles at the host clock).
-type Costs struct {
-	CtrlHostCycles   float64 // host side of one control command
-	CtrlDevCycles    float64 // device side of one control command
-	RelocCyclesPerKB float64 // symbol relocation per KiB of image
-	SpawnDevCycles   float64 // instantiate one SSDlet
-	PacketPortCost   sim.Time
-}
+// The runtime's control-plane cost model (device cycles at the device
+// clock, host cycles at the host clock), calibrated against Table II.
+const (
+	ctrlHostCycles   float64 = 12500 // host side of one control command: 5 us @ 2.5 GHz
+	ctrlDevCycles    float64 = 22500 // device side of one control command: 30 us @ 750 MHz
+	relocCyclesPerKB float64 = 1500  // symbol relocation per KiB of image: 2 us
+	spawnDevCycles   float64 = 37500 // instantiate one SSDlet: 50 us
 
-// DefaultCosts returns the calibrated control-plane model.
-func DefaultCosts() Costs {
-	return Costs{
-		CtrlHostCycles:   12500, // 5 us @ 2.5 GHz
-		CtrlDevCycles:    22500, // 30 us @ 750 MHz
-		RelocCyclesPerKB: 1500,  // 2 us per KiB
-		SpawnDevCycles:   37500, // 50 us
-		PacketPortCost:   500 * sim.Nanosecond,
-	}
-}
+	// packetPortCost is the per-operation handling cost of a Packet-only
+	// port, where inter-SSDlet ports pay Config.TypeCost instead.
+	packetPortCost = 500 * sim.Nanosecond
+)
 
 // Runtime is the device-resident Biscuit runtime plus the state the
 // host-side library keeps about it.
 type Runtime struct {
-	Plat  *device.Platform
-	FS    *isfs.FS
-	Costs Costs
+	Plat *device.Platform
+	FS   *isfs.FS
 
-	images  map[string]*ModuleImage
-	modules map[int]*Module
-	apps    map[int]*App
-	nextMod int
-	nextApp int
+	images map[string]*ModuleImage
 
 	chanMgr *ChannelManager
 	ctrl    *fibers.Group // runtime control fibers (contend for device cores)
@@ -119,15 +106,12 @@ type Runtime struct {
 // NewRuntime builds a runtime over plat with fs mounted.
 func NewRuntime(plat *device.Platform, fs *isfs.FS) *Runtime {
 	r := &Runtime{
-		Plat:    plat,
-		FS:      fs,
-		Costs:   DefaultCosts(),
-		images:  make(map[string]*ModuleImage),
-		modules: make(map[int]*Module),
-		apps:    make(map[int]*App),
+		Plat:   plat,
+		FS:     fs,
+		images: make(map[string]*ModuleImage),
+		ctrl:   plat.DevRT.NewGroup(),
 	}
-	r.chanMgr = newChannelManager(r)
-	r.ctrl = plat.DevRT.NewGroup()
+	r.chanMgr = &ChannelManager{rt: r}
 	return r
 }
 
@@ -157,10 +141,9 @@ func (r *Runtime) devExec(p *sim.Proc, cycles float64) {
 // control charges one host->device control command round trip (the
 // control channel of §IV-C) and the device-side handling work.
 func (r *Runtime) control(p *sim.Proc, devCycles float64) {
-	c := r.Costs
-	r.Plat.HostCPU.Exec(p, c.CtrlHostCycles)
+	r.Plat.HostCPU.Exec(p, ctrlHostCycles)
 	r.Plat.HostIF.Message(p, false, 64)
-	r.devExec(p, c.CtrlDevCycles+devCycles)
+	r.devExec(p, ctrlDevCycles+devCycles)
 	r.Plat.HostIF.Message(p, true, 64)
 }
 
@@ -191,15 +174,12 @@ func (r *Runtime) LoadModule(p *sim.Proc, name string) (*Module, error) {
 		}
 	}
 	// Relocation on the device cores.
-	r.devExec(p, r.Costs.RelocCyclesPerKB*float64(img.Size)/1024)
+	r.devExec(p, relocCyclesPerKB*float64(img.Size)/1024)
 	blk, err := r.Plat.DevMem.System.Alloc(img.Size)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading %q: %w", name, err)
 	}
-	m := &Module{ID: r.nextMod, img: img, blk: blk}
-	r.nextMod++
-	r.modules[m.ID] = m
-	return m, nil
+	return &Module{img: img, blk: blk, loaded: true}, nil
 }
 
 // UnloadModule unloads m; it must have no live SSDlet instances.
@@ -207,16 +187,13 @@ func (r *Runtime) UnloadModule(p *sim.Proc, m *Module) error {
 	if m.refs > 0 {
 		return fmt.Errorf("%w: %d live", ErrModuleInUse, m.refs)
 	}
-	if _, ok := r.modules[m.ID]; !ok {
-		return fmt.Errorf("core: module %d not loaded", m.ID)
+	if !m.loaded {
+		return fmt.Errorf("core: module %q not loaded", m.Name())
 	}
 	r.control(p, 0)
 	if err := r.Plat.DevMem.System.Free(m.blk); err != nil {
 		return err
 	}
-	delete(r.modules, m.ID)
+	m.loaded = false
 	return nil
 }
-
-// LoadedModules returns the number of currently loaded modules.
-func (r *Runtime) LoadedModules() int { return len(r.modules) }

@@ -63,7 +63,7 @@ func TestSSDletMemoryExhaustionContained(t *testing.T) {
 			m, _ := rt.LoadModule(p, "hog.slet")
 			app := rt.NewApp(p)
 			hog, _ := rt.CreateLet(p, app, m, "idHog")
-			port, _ := rt.ConnectToHost(p, hog, 0)
+			port, _ := rt.ConnectToHost(p, hog.Out(0))
 			rt.Start(p, app)
 			pkt, ok := port.Get(p)
 			rt.Wait(p, app)
@@ -186,10 +186,10 @@ func TestErrorMessagesAreActionable(t *testing.T) {
 		if _, err := rt.CreateLet(p, app, m, "idNoSuch"); err == nil || !strings.Contains(err.Error(), "idNoSuch") {
 			t.Fatalf("err=%v", err)
 		}
-		if err := rt.Connect(p, sh, 5, sh, 0); !errors.Is(err, ErrBadPort) {
+		if err := rt.Connect(p, sh.Out(5), sh.In(0)); !errors.Is(err, ErrBadPort) {
 			t.Fatalf("err=%v", err)
 		}
-		if _, err := rt.ConnectToHost(p, sh, 0); err == nil || !strings.Contains(err.Error(), "Packet") {
+		if _, err := rt.ConnectToHost(p, sh.Out(0)); err == nil || !strings.Contains(err.Error(), "Packet") {
 			t.Fatalf("string port to host: err=%v", err)
 		}
 	})

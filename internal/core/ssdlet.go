@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 
 	"biscuit/internal/fibers"
@@ -44,16 +43,12 @@ type SSDlet interface {
 // and compute charging.
 type Context struct {
 	rt    *Runtime
-	app   *App
 	inst  *letInstance
 	fiber *fibers.Fiber
 }
 
 // Name returns the instance name ("idMapper#0" style).
 func (c *Context) Name() string { return c.inst.name }
-
-// Args returns the initial arguments passed at instantiation.
-func (c *Context) Args() []any { return c.inst.args }
 
 // Arg returns argument i, or nil if absent.
 func (c *Context) Arg(i int) any {
@@ -63,17 +58,11 @@ func (c *Context) Arg(i int) any {
 	return c.inst.args[i]
 }
 
-// Fiber exposes the SSDlet's fiber (for advanced scheduling control).
-func (c *Context) Fiber() *fibers.Fiber { return c.fiber }
-
 // Now returns the current virtual time.
 func (c *Context) Now() sim.Time { return c.fiber.Proc().Now() }
 
 // Compute charges device-core cycles of SSDlet work.
 func (c *Context) Compute(cycles float64) { c.fiber.Compute(cycles) }
-
-// Yield cooperatively yields the core.
-func (c *Context) Yield() { c.fiber.Yield() }
 
 // Alloc allocates from the user memory allocator (§IV-B); SSDlets are
 // prohibited from the system allocator.
@@ -106,32 +95,6 @@ func (c *Context) ReadFile(f *isfs.File, off int64, buf []byte) (int, error) {
 	return n, err
 }
 
-// ReadFileAsync issues an internal read without blocking the fiber. Wait
-// on the returned completion with WaitIO.
-func (c *Context) ReadFileAsync(f *isfs.File, off int64, buf []byte) (*sim.Completion, error) {
-	return f.ReadAsync(c.fiber.Proc(), off, buf)
-}
-
-// WaitIO blocks the fiber on an asynchronous I/O completion and returns
-// its status: nil, or the first error among the I/O's page commands.
-func (c *Context) WaitIO(cm *sim.Completion) error {
-	c.fiber.Block(func(p *sim.Proc) { cm.Wait(p) })
-	return cm.Err()
-}
-
-// WriteFile issues an asynchronous write (§III-D: async write API).
-func (c *Context) WriteFile(f *isfs.File, off int64, data []byte) error {
-	return f.Write(c.fiber.Proc(), off, data)
-}
-
-// FlushFile synchronously flushes outstanding writes on f, surfacing
-// any deferred write error (see isfs.File.Flush).
-func (c *Context) FlushFile(f *isfs.File) error {
-	var err error
-	c.fiber.Block(func(p *sim.Proc) { err = f.Flush(p) })
-	return err
-}
-
 // ScanFile streams [off, off+n) of f through the per-channel hardware
 // pattern matcher (the built-in IP of §IV-A); sink observes the bytes in
 // arbitrary chunk order, each tagged with its file offset. The fiber
@@ -155,18 +118,6 @@ const (
 	interApp
 )
 
-func (k connKind) String() string {
-	switch k {
-	case interSSDlet:
-		return "inter-SSDlet"
-	case hostPort:
-		return "host-to-device"
-	case interApp:
-		return "inter-application"
-	}
-	return "?"
-}
-
 func newAnyQueue(env *sim.Env) *ports.Queue[any] {
 	return ports.NewQueue[any](env, defaultQueueCap)
 }
@@ -178,13 +129,16 @@ type conn struct {
 	elem      reflect.Type
 	q         *ports.Queue[any]
 	producers int // live producer endpoints; queue closes at zero
-	consumers int
-	hostSide  *hostChannel // set for hostPort connections
 }
 
-func (cn *conn) producerDone() {
-	cn.producers--
-	if cn.producers <= 0 {
+// closeOut retires this instance's producer endpoint on cn, once; the
+// stream ends when the last producer has.
+func (li *letInstance) closeOut(cn *conn) {
+	if li.closedOut[cn] {
+		return
+	}
+	li.closedOut[cn] = true
+	if cn.producers--; cn.producers <= 0 {
 		cn.q.Close()
 	}
 }
@@ -204,24 +158,18 @@ type OutPort[T any] struct {
 // In binds input port i of the running SSDlet with element type T,
 // verifying T against the type recorded at connect time.
 func In[T any](c *Context, i int) (*InPort[T], error) {
-	cn, err := c.inst.boundIn(i)
+	cn, err := c.inst.In(i).bound(PortType[T]())
 	if err != nil {
 		return nil, err
-	}
-	if want := PortType[T](); cn.elem != want {
-		return nil, fmt.Errorf("%w: in(%d) carries %v, requested %v", ErrTypeMismatch, i, cn.elem, want)
 	}
 	return &InPort[T]{c: c, cn: cn}, nil
 }
 
 // Out binds output port i with element type T.
 func Out[T any](c *Context, i int) (*OutPort[T], error) {
-	cn, err := c.inst.boundOut(i)
+	cn, err := c.inst.Out(i).bound(PortType[T]())
 	if err != nil {
 		return nil, err
-	}
-	if want := PortType[T](); cn.elem != want {
-		return nil, fmt.Errorf("%w: out(%d) carries %v, requested %v", ErrTypeMismatch, i, cn.elem, want)
 	}
 	return &OutPort[T]{c: c, cn: cn}, nil
 }
@@ -234,7 +182,7 @@ func portCost(c *Context, cn *conn) {
 	case interSSDlet:
 		c.fiber.ComputeTime(c.rt.Plat.Cfg.TypeCost)
 	default:
-		c.fiber.ComputeTime(c.rt.Costs.PacketPortCost)
+		c.fiber.ComputeTime(packetPortCost)
 	}
 }
 
@@ -250,17 +198,6 @@ func (p *InPort[T]) Get() (T, bool) {
 	return v.(T), true
 }
 
-// TryGet receives a value only if one is immediately available.
-func (p *InPort[T]) TryGet() (T, bool) {
-	v, ok := p.cn.q.TryGet()
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	portCost(p.c, p.cn)
-	return v.(T), true
-}
-
 // Put sends a value, blocking cooperatively while the queue is full; it
 // reports false if the connection is closed.
 func (p *OutPort[T]) Put(v T) bool {
@@ -270,9 +207,4 @@ func (p *OutPort[T]) Put(v T) bool {
 
 // Close marks this producer endpoint done; the stream ends when every
 // producer has closed (or returned from Run).
-func (p *OutPort[T]) Close() {
-	if !p.c.inst.closedOut[p.cn] {
-		p.c.inst.closedOut[p.cn] = true
-		p.cn.producerDone()
-	}
-}
+func (p *OutPort[T]) Close() { p.c.inst.closeOut(p.cn) }

@@ -423,10 +423,7 @@ func (s *NDPScan) finishApp() error {
 		return nil
 	}
 	s.waited = true
-	if err := s.app.Wait(); err != nil {
-		return err
-	}
-	for _, err := range s.app.Failed() {
+	if err := s.app.Reap(); err != nil {
 		return fmt.Errorf("db: device scan failed: %w", err)
 	}
 	return nil

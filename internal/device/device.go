@@ -250,32 +250,39 @@ func (p *Platform) InternalRead(proc *sim.Proc, off int64, n int) ([]byte, error
 	return data, err
 }
 
-// StartScrub launches the patrol-scrub fiber on the Biscuit runtime: a
-// background loop that examines one RAIN stripe every interval,
-// verifying parity and repairing latent damage (ftl.ScrubStep). It runs
-// as an ordinary fiber — it holds a device core only between blocking
-// points, so SSDlet work interleaves with it exactly as the paper's
-// cooperative model prescribes. Call StopScrub before the experiment's
-// host program finishes or the environment never drains.
-func (p *Platform) StartScrub(interval sim.Time) {
-	if p.scrubOn {
+// maintain launches a paced maintenance fiber on the Biscuit runtime
+// unless *on says it is already running: block for interval, re-check
+// *on, block for one step, until *on is cleared. It is an ordinary fiber
+// — it holds a device core only between blocking points, so SSDlet work
+// interleaves with it exactly as the paper's cooperative model
+// prescribes — and it notices a cleared *on at its next wakeup, at most
+// one interval of simulated time later. Clear it before the
+// experiment's host program finishes or the environment never drains.
+func (p *Platform) maintain(name string, on *bool, interval sim.Time, step func(proc *sim.Proc)) {
+	if *on {
 		return
 	}
-	p.scrubOn = true
-	g := p.DevRT.NewGroup()
-	g.Go("patrol-scrub", func(fb *fibers.Fiber) {
-		for p.scrubOn {
-			fb.Block(func(proc *sim.Proc) { proc.Sleep(interval) })
-			if !p.scrubOn {
+	*on = true
+	pace := func(proc *sim.Proc) { proc.Sleep(interval) }
+	p.DevRT.NewGroup().Go(name, func(fb *fibers.Fiber) {
+		for *on {
+			fb.Block(pace)
+			if !*on {
 				return
 			}
-			fb.Block(func(proc *sim.Proc) { p.FTL.ScrubStep(proc) })
+			fb.Block(step)
 		}
 	})
 }
 
-// StopScrub asks the patrol-scrub fiber to exit; it notices at its next
-// wakeup (at most one interval of simulated time later).
+// StartScrub launches the patrol-scrub fiber: every interval it examines
+// one RAIN stripe, verifying parity and repairing latent damage
+// (ftl.ScrubStep).
+func (p *Platform) StartScrub(interval sim.Time) {
+	p.maintain("patrol-scrub", &p.scrubOn, interval, func(proc *sim.Proc) { p.FTL.ScrubStep(proc) })
+}
+
+// StopScrub asks the patrol-scrub fiber to exit.
 func (p *Platform) StopScrub() { p.scrubOn = false }
 
 // StartRebuild launches the proactive-rebuild fiber: every interval it
@@ -284,34 +291,19 @@ func (p *Platform) StopScrub() { p.scrubOn = false }
 // (ftl.RebuildStep — one page re-striped or one parity relocated).
 // The interval is the rebuild-rate knob: one page per interval bounds
 // how hard the rebuild competes with foreground traffic for channels
-// and frontier space. Like the patrol scrub it is an ordinary fiber on
-// the Biscuit runtime; call StopRebuild before the host program ends.
+// and frontier space.
 func (p *Platform) StartRebuild(interval sim.Time) {
-	if p.rebuildOn {
-		return
-	}
-	p.rebuildOn = true
-	g := p.DevRT.NewGroup()
-	g.Go("rain-rebuild", func(fb *fibers.Fiber) {
-		for p.rebuildOn {
-			fb.Block(func(proc *sim.Proc) { proc.Sleep(interval) })
-			if !p.rebuildOn {
-				return
+	p.maintain("rain-rebuild", &p.rebuildOn, interval, func(proc *sim.Proc) {
+		for d := 0; d < p.Cfg.NAND.Dies(); d++ {
+			if p.Array.DieDead(d) {
+				p.FTL.RebuildDie(d)
 			}
-			fb.Block(func(proc *sim.Proc) {
-				for d := 0; d < p.Cfg.NAND.Dies(); d++ {
-					if p.Array.DieDead(d) {
-						p.FTL.RebuildDie(d)
-					}
-				}
-				p.FTL.RebuildStep(proc)
-			})
 		}
+		p.FTL.RebuildStep(proc)
 	})
 }
 
-// StopRebuild asks the rebuild fiber to exit; it notices at its next
-// wakeup (at most one interval of simulated time later).
+// StopRebuild asks the rebuild fiber to exit.
 func (p *Platform) StopRebuild() { p.rebuildOn = false }
 
 // SetHostLoad sets the number of StreamBench-style background threads

@@ -67,9 +67,6 @@ func (r *Runtime) Env() *sim.Env { return r.env }
 // Cores returns the number of device cores.
 func (r *Runtime) Cores() int { return len(r.cores) }
 
-// CSW returns the context-switch cost.
-func (r *Runtime) CSW() sim.Time { return r.csw }
-
 // Switches returns the number of fiber context switches taken so far.
 func (r *Runtime) Switches() int64 { return r.switches }
 

@@ -228,33 +228,6 @@ func Image() *biscuit.ModuleImage {
 // the walker runs device-side and its arguments cross the host/device
 // boundary as serialized values, so the seed is the random state.
 func (s *Store) ChaseNDP(h *biscuit.Host, walks, hops int, seed int64) (WalkResult, error) {
-	ssd := h.SSD()
-	m, err := ssd.LoadModule(ModuleName)
-	if err != nil {
-		return WalkResult{}, err
-	}
-	defer func() { _ = ssd.UnloadModule(m) }() // best-effort teardown
-	app := ssd.NewApplication()
-	let, err := app.NewSSDLet(m, ChaserID, chaserArgs{Nodes: s.Nodes, Walks: walks, Hops: hops, Seed: seed})
-	if err != nil {
-		return WalkResult{}, err
-	}
-	port, err := biscuit.ConnectTo[WalkResult](app, let.Out(0))
-	if err != nil {
-		return WalkResult{}, err
-	}
-	if err := app.Start(); err != nil {
-		return WalkResult{}, err
-	}
-	res, ok := port.Get()
-	if err := app.Wait(); err != nil {
-		return WalkResult{}, err
-	}
-	for _, ferr := range app.Failed() {
-		return WalkResult{}, ferr
-	}
-	if !ok {
-		return WalkResult{}, fmt.Errorf("graph: device walker produced no result")
-	}
-	return res, nil
+	return biscuit.Call[WalkResult](h.SSD(), ModuleName, ChaserID,
+		chaserArgs{Nodes: s.Nodes, Walks: walks, Hops: hops, Seed: seed})
 }

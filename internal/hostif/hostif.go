@@ -218,16 +218,30 @@ func (i *Interface) complete(p *sim.Proc) {
 	i.qd.Release()
 }
 
-// retry runs one command op under the bounded retry policy: a failed
-// command (timeout or media error) is reissued after an exponential
-// sim-time backoff, up to CmdRetries extra attempts. Media retries at
-// this level roll fresh FTL read-retries, which is why the conventional
-// path survives fault plans that defeat a single internal read.
-func (i *Interface) retry(p *sim.Proc, what string, op func() error) error {
+// cmdKind names one kind of conventional block command in error text,
+// on the trace and in the latency histograms.
+type cmdKind struct{ what, span, hist string }
+
+var (
+	readCmd  = cmdKind{"read", "nvme.read", "hostif.read"}
+	writeCmd = cmdKind{"write", "nvme.write", "hostif.write"}
+)
+
+// command is the one envelope around a conventional block command: an
+// async span, the in-flight gauge and the latency histogram around once
+// run under the bounded retry policy. A failed command (timeout or
+// media error) is reissued after an exponential sim-time backoff, up to
+// CmdRetries extra attempts. Media retries at this level roll fresh FTL
+// read-retries, which is why the conventional path survives fault plans
+// that defeat a single internal read.
+func (i *Interface) command(p *sim.Proc, k cmdKind, off int64, n int, once func() error) error {
+	sp := i.tr.BeginAsync(i.cmdTk, k.span).Arg("off", off).Arg("bytes", int64(n))
+	i.gInflight.Add(1)
+	start := p.Now()
 	backoff := i.cfg.RetryBackoff
 	var err error
 	for try := 0; ; try++ {
-		err = op()
+		err = once()
 		if err == nil || try >= i.cfg.CmdRetries {
 			break
 		}
@@ -236,8 +250,11 @@ func (i *Interface) retry(p *sim.Proc, what string, op func() error) error {
 		p.Sleep(backoff)
 		backoff *= 2
 	}
+	i.hists.Observe(k.hist, int64(p.Now()-start))
+	i.gInflight.Add(-1)
+	sp.End()
 	if err != nil {
-		return fmt.Errorf("hostif: %s failed after %d attempts: %w", what, i.cfg.CmdRetries+1, err)
+		return fmt.Errorf("hostif: %s failed after %d attempts: %w", k.what, i.cfg.CmdRetries+1, err)
 	}
 	return nil
 }
@@ -246,14 +263,7 @@ func (i *Interface) retry(p *sim.Proc, what string, op func() error) error {
 // offset off: submit, media read (parallel across channels via the FTL),
 // DMA to host, complete — reissued on failure per the retry policy.
 func (i *Interface) Read(p *sim.Proc, off int64, buf []byte) error {
-	sp := i.tr.BeginAsync(i.cmdTk, "nvme.read").Arg("off", off).Arg("bytes", int64(len(buf)))
-	i.gInflight.Add(1)
-	start := p.Now()
-	err := i.retry(p, "read", func() error { return i.readOnce(p, off, buf) })
-	i.hists.Observe("hostif.read", int64(p.Now()-start))
-	i.gInflight.Add(-1)
-	sp.End()
-	return err
+	return i.command(p, readCmd, off, len(buf), func() error { return i.readOnce(p, off, buf) })
 }
 
 func (i *Interface) readOnce(p *sim.Proc, off int64, buf []byte) error {
@@ -284,14 +294,7 @@ func (i *Interface) ReadAsync(p *sim.Proc, off int64, buf []byte) *sim.Completio
 // media program, complete — reissued on failure per the retry policy
 // (rewriting the same logical pages is idempotent in a page-mapped FTL).
 func (i *Interface) Write(p *sim.Proc, off int64, data []byte) error {
-	sp := i.tr.BeginAsync(i.cmdTk, "nvme.write").Arg("off", off).Arg("bytes", int64(len(data)))
-	i.gInflight.Add(1)
-	start := p.Now()
-	err := i.retry(p, "write", func() error { return i.writeOnce(p, off, data) })
-	i.hists.Observe("hostif.write", int64(p.Now()-start))
-	i.gInflight.Add(-1)
-	sp.End()
-	return err
+	return i.command(p, writeCmd, off, len(data), func() error { return i.writeOnce(p, off, data) })
 }
 
 func (i *Interface) writeOnce(p *sim.Proc, off int64, data []byte) error {

@@ -64,14 +64,8 @@ func NewQueue[T any](env *sim.Env, capacity int) *Queue[T] {
 	return &Queue[T]{env: env, capacity: capacity}
 }
 
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return q.capacity }
-
 // Len returns the number of buffered elements.
 func (q *Queue[T]) Len() int { return len(q.buf) }
-
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Instrument routes the queue's activity onto a trace track: an
 // instant per element moved and an async span per blocking wait.
@@ -119,17 +113,6 @@ func (q *Queue[T]) Put(b Blocker, v T) bool {
 	return true
 }
 
-// TryPut appends v only if space is immediately available.
-func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed || len(q.buf) >= q.capacity {
-		return false
-	}
-	q.buf = append(q.buf, v)
-	q.g.Set(int64(len(q.buf)))
-	wakeOne(&q.getters)
-	return true
-}
-
 // Get removes the head element, blocking while the queue is empty. It
 // reports false when the queue is closed and drained — the stream-end
 // signal consumers loop on.
@@ -152,20 +135,6 @@ func (q *Queue[T]) Get(b Blocker) (T, bool) {
 	q.buf = q.buf[1:]
 	q.g.Set(int64(len(q.buf)))
 	q.tr.Instant(q.tk, "get")
-	wakeOne(&q.putters)
-	return v, true
-}
-
-// TryGet removes the head element only if one is immediately available.
-func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.buf) == 0 {
-		return zero, false
-	}
-	v := q.buf[0]
-	q.buf[0] = zero
-	q.buf = q.buf[1:]
-	q.g.Set(int64(len(q.buf)))
 	wakeOne(&q.putters)
 	return v, true
 }

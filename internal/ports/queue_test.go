@@ -1,9 +1,13 @@
 package ports
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"biscuit/internal/fibers"
 	"biscuit/internal/sim"
 )
 
@@ -51,7 +55,9 @@ func TestPutBlocksWhenFull(t *testing.T) {
 	})
 	e.Spawn("cons", func(p *sim.Proc) {
 		p.Sleep(100)
-		q.TryGet()
+		if v, ok := q.Get(ProcBlocker{p}); !ok || v != 1 {
+			t.Errorf("get = %d, %v", v, ok)
+		}
 	})
 	e.Run()
 	if putDone != 100 {
@@ -70,7 +76,9 @@ func TestGetBlocksWhenEmpty(t *testing.T) {
 	})
 	e.Spawn("prod", func(p *sim.Proc) {
 		p.Sleep(50)
-		q.TryPut("x")
+		if !q.Put(ProcBlocker{p}, "x") {
+			t.Error("put on an open queue failed")
+		}
 	})
 	e.Run()
 	if got != "x" || at != 50 {
@@ -201,6 +209,120 @@ func TestQueueNeverExceedsCapacityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueMatchesSliceModel drives a capacity-2 queue with a seeded
+// random schedule of puts, gets and one close from 1–3 producers and
+// 1–3 consumers, host threads and device fibers mixed, and holds it to
+// a plain slice: simulated processes run one at a time, so the model
+// can be updated right after each call returns and must agree with the
+// queue on every element, in order, with nothing lost or duplicated
+// and false exactly when closed (Put) or closed and drained (Get).
+func TestQueueMatchesSliceModel(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := sim.NewEnv()
+		dev := fibers.New(e, fibers.Config{Cores: 2, Hz: 1e9, CSW: 3})
+		const capacity = 2
+		q := NewQueue[int](e, capacity)
+		var (
+			model       []int // what the queue must hold, head first
+			closed      bool
+			put, got    []int
+			failf       = func(format string, a ...any) { t.Errorf("seed %d: "+format, append([]any{seed}, a...)...) }
+			checkLevels = func(op string) {
+				if q.Len() != len(model) || q.Len() > capacity {
+					failf("after %s: Len=%d, model has %d", op, q.Len(), len(model))
+				}
+			}
+		)
+		// actor starts body on a host thread or a fiber, as the seed says.
+		actor := func(name string, body func(b Blocker)) {
+			if rng.Intn(2) == 0 {
+				e.Spawn(name, func(p *sim.Proc) { body(ProcBlocker{p}) })
+			} else {
+				dev.NewGroup().Go(name, func(f *fibers.Fiber) { body(f) })
+			}
+		}
+		pause := func() sim.Time { return sim.Time(rng.Intn(8)) } // drawn up front: actors must not share rng
+		planned := 0
+		for pi, nProd := 0, 1+rng.Intn(3); pi < nProd; pi++ {
+			pauses := make([]sim.Time, 1+rng.Intn(12))
+			planned += len(pauses)
+			for i := range pauses {
+				pauses[i] = pause()
+			}
+			actor(fmt.Sprintf("prod-%d", pi), func(b Blocker) {
+				for i, d := range pauses {
+					b.Block(func(p *sim.Proc) { p.Sleep(d) })
+					v := pi<<8 | i
+					ok := q.Put(b, v)
+					if ok == closed {
+						failf("Put(%#x) = %v with closed=%v", v, ok, closed)
+					}
+					if ok {
+						model = append(model, v)
+						put = append(put, v)
+					}
+					checkLevels("put")
+				}
+			})
+		}
+		for ci, nCons := 0, 1+rng.Intn(3); ci < nCons; ci++ {
+			pauses := make([]sim.Time, 64)
+			for i := range pauses {
+				pauses[i] = pause()
+			}
+			actor(fmt.Sprintf("cons-%d", ci), func(b Blocker) {
+				for i := 0; ; i++ {
+					b.Block(func(p *sim.Proc) { p.Sleep(pauses[i%len(pauses)]) })
+					v, ok := q.Get(b)
+					switch {
+					case !ok && (!closed || len(model) > 0):
+						failf("Get = false with closed=%v and %d element(s) due", closed, len(model))
+					case ok && len(model) == 0:
+						failf("Get = %#x from an empty model", v)
+					case ok && v != model[0]:
+						failf("Get = %#x, model head is %#x", v, model[0])
+					}
+					if !ok {
+						if _, again := q.Get(b); again {
+							failf("Get succeeded after reporting end of stream")
+						}
+						return
+					}
+					model = model[1:]
+					got = append(got, v)
+					checkLevels("get")
+				}
+			})
+		}
+		// Half the seeds close mid-stream; the rest close long after the
+		// producers can have finished, so a put that was still refused
+		// sat out a wakeup it was owed.
+		closeAt, late := sim.Time(rng.Intn(60)), rng.Intn(2) == 0
+		if late {
+			closeAt = sim.Millisecond
+		}
+		e.Spawn("closer", func(p *sim.Proc) {
+			p.Sleep(closeAt)
+			q.Close()
+			closed = true
+			checkLevels("close")
+		})
+		e.Run()
+		if !closed || len(model) != 0 {
+			t.Fatalf("seed %d: run ended with closed=%v and %d element(s) undelivered", seed, closed, len(model))
+		}
+		if late && len(put) != planned {
+			t.Fatalf("seed %d: %d of %d puts accepted before a close at %v", seed, len(put), planned, closeAt)
+		}
+		// Global FIFO makes got == put elementwise, which is also the
+		// no-loss, no-duplicate check.
+		if !slices.Equal(got, put) {
+			t.Fatalf("seed %d: delivered %x, accepted %x", seed, got, put)
+		}
 	}
 }
 

@@ -197,33 +197,7 @@ func SearchNDP(h *biscuit.Host, needles ...string) (int64, error) {
 
 // SearchNDPIn is SearchNDP over an arbitrary corpus file.
 func SearchNDPIn(h *biscuit.Host, file string, needles ...string) (int64, error) {
-	ssd := h.SSD()
-	m, err := ssd.LoadModule(biscuit.BuiltinModule)
-	if err != nil {
-		return 0, err
-	}
-	defer func() { _ = ssd.UnloadModule(m) }() // best-effort teardown
-	app := ssd.NewApplication()
-	let, err := app.NewSSDLet(m, biscuit.ScannerID, biscuit.ScanArgs{File: file, Keys: needles, Mode: biscuit.ScanCount})
-	if err != nil {
-		return 0, err
-	}
-	port, err := biscuit.ConnectTo[biscuit.ScanResult](app, let.Out(0))
-	if err != nil {
-		return 0, err
-	}
-	if err := app.Start(); err != nil {
-		return 0, err
-	}
-	res, ok := port.Get()
-	if err := app.Wait(); err != nil {
-		return 0, err
-	}
-	for _, ferr := range app.Failed() {
-		return 0, ferr
-	}
-	if !ok {
-		return 0, fmt.Errorf("weblog: scanner produced no result")
-	}
-	return res.Matches, nil
+	res, err := biscuit.Call[biscuit.ScanResult](h.SSD(), biscuit.BuiltinModule, biscuit.ScannerID,
+		biscuit.ScanArgs{File: file, Keys: needles, Mode: biscuit.ScanCount})
+	return res.Matches, err
 }

@@ -3,10 +3,8 @@ package biscuit
 import (
 	"fmt"
 
-	"biscuit/internal/core"
 	"biscuit/internal/cpu"
 	"biscuit/internal/device"
-	"biscuit/internal/isfs"
 	"biscuit/internal/sim"
 	"biscuit/internal/trace"
 )
@@ -45,14 +43,7 @@ func NewMultiSystemConfigs(cfg Config, n int, perDev func(i int, cfg Config) Con
 			dcfg = perDev(i, cfg)
 		}
 		plat := device.NewShared(env, dcfg, hostCPU, hostMem)
-		s := &System{Env: env, Plat: plat}
-		name := fmt.Sprintf("mkfs-%d", i)
-		env.Spawn(name, func(p *sim.Proc) {
-			fs := isfs.Format(p, plat.FTL)
-			s.RT = core.NewRuntime(plat, fs)
-			s.RT.InstallImage(builtinImage())
-		})
-		m.Systems = append(m.Systems, s)
+		m.Systems = append(m.Systems, newDevice(env, plat, fmt.Sprintf("mkfs-%d", i)))
 	}
 	env.Run()
 	return m
@@ -94,11 +85,7 @@ type MultiHost struct {
 // to completion, returning the program's virtual duration.
 func (m *MultiSystem) Run(program func(h *MultiHost)) sim.Time {
 	var took sim.Time
-	m.Env.Spawn("host-main", func(p *sim.Proc) {
-		start := p.Now()
-		program(&MultiHost{m: m, p: p})
-		took = p.Now() - start
-	})
+	launch(m.Env, "host-main", &took, func(p *sim.Proc) { program(&MultiHost{m: m, p: p}) })
 	m.Env.Run()
 	return took
 }
@@ -122,7 +109,7 @@ func (h *MultiHost) Unit(i int) *Host {
 // SSDs concurrently) and returns the completion event.
 func (h *MultiHost) Go(name string, fn func(h2 *MultiHost)) *sim.Event {
 	done := h.m.Env.NewEvent()
-	h.m.Env.Spawn(name, func(p *sim.Proc) {
+	launch(h.m.Env, name, nil, func(p *sim.Proc) {
 		fn(&MultiHost{m: h.m, p: p})
 		done.Fire()
 	})

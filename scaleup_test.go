@@ -3,6 +3,7 @@ package biscuit
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"biscuit/internal/sim"
@@ -138,6 +139,65 @@ func TestMultiSystemSharedHostContention(t *testing.T) {
 			t.Fatal("drives must share the host memory system")
 		}
 	})
+}
+
+// TestOneDriveArrayIsASystem: a System built alone and drive 0 of a
+// one-drive array come out of the same builder, so the same host
+// program costs the same simulated time on both and leaves the same
+// counters and latency distributions behind.
+func TestOneDriveArrayIsASystem(t *testing.T) {
+	text := bytes.Repeat([]byte("the quick brown fox ... "), 8192)
+	program := func(h *Host) {
+		ssd := h.SSD()
+		f, err := ssd.CreateFile("web.log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ssd.WriteFile(f, 0, text); err != nil {
+			t.Fatal(err)
+		}
+		if err := ssd.ReadFileConv(f, 4096, make([]byte, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+		mod, err := ssd.LoadModule(BuiltinModule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app := ssd.NewApplication()
+		sc, err := app.NewSSDLet(mod, ScannerID, ScanArgs{File: "web.log", Keys: []string{"fox"}, Mode: ScanCount})
+		if err != nil {
+			t.Fatal(err)
+		}
+		port, err := ConnectTo[ScanResult](app, sc.Out(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.Start()
+		if res, ok := port.Get(); !ok || res.Matches != 8192 {
+			t.Fatalf("scan = %+v, %v", res, ok)
+		}
+		app.Wait()
+		if err := ssd.UnloadModule(mod); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alone := NewSystem(multiQuickConfig())
+	tookAlone := alone.Run(program)
+	array := NewMultiSystem(multiQuickConfig(), 1)
+	tookArray := array.Run(func(h *MultiHost) { program(h.Unit(0)) })
+	drive := array.Systems[0]
+
+	if tookAlone != tookArray || alone.Env.Now() != drive.Env.Now() {
+		t.Fatalf("program took %v (clock %v) alone, %v (clock %v) on the array",
+			tookAlone, alone.Env.Now(), tookArray, drive.Env.Now())
+	}
+	if a, b := alone.Plat.Ctrs.Snapshot(), drive.Plat.Ctrs.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Errorf("counters differ:\n alone %v\n array %v", a, b)
+	}
+	a, b := alone.Plat.Hists.Snapshot(), drive.Plat.Hists.Snapshot()
+	if len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Errorf("histograms differ (or are empty):\n alone %v\n array %v", a, b)
+	}
 }
 
 func TestMultiSystemRejectsZeroDrives(t *testing.T) {

@@ -1,6 +1,8 @@
 package biscuit
 
 import (
+	"fmt"
+
 	"biscuit/internal/core"
 	"biscuit/internal/isfs"
 	"biscuit/internal/sim"
@@ -36,9 +38,6 @@ func (s *SSD) OpenFile(name string, readOnly bool) (*File, error) {
 	return s.h.sys.RT.FS.Open(name, mode)
 }
 
-// RemoveFile deletes a file.
-func (s *SSD) RemoveFile(name string) error { return s.h.sys.RT.FS.Remove(name) }
-
 // WriteFile writes data at off through the host path and flushes.
 func (s *SSD) WriteFile(f *File, off int64, data []byte) error {
 	if err := f.Write(s.h.p, off, data); err != nil {
@@ -72,23 +71,6 @@ func (s *SSD) ReadFileConvAsync(f *File, off int64, buf []byte, chunk, depth int
 	if err != nil {
 		return err
 	}
-	type piece struct {
-		ftlOff int64
-		dst    []byte
-	}
-	var pieces []piece
-	at := 0
-	for _, seg := range segs {
-		for done := 0; done < seg.N; {
-			n := chunk
-			if n > seg.N-done {
-				n = seg.N - done
-			}
-			pieces = append(pieces, piece{seg.FTLOff + int64(done), buf[at+done : at+done+n]})
-			done += n
-		}
-		at += seg.N
-	}
 	inflight := make([]*sim.Completion, 0, depth)
 	var first error
 	drain := func(c *sim.Completion) {
@@ -96,12 +78,18 @@ func (s *SSD) ReadFileConvAsync(f *File, off int64, buf []byte, chunk, depth int
 			first = err
 		}
 	}
-	for _, pc := range pieces {
-		if len(inflight) >= depth {
-			drain(inflight[0])
-			inflight = inflight[1:]
+	at := 0
+	for _, seg := range segs {
+		for done := 0; done < seg.N; {
+			n := min(chunk, seg.N-done)
+			if len(inflight) >= depth {
+				drain(inflight[0])
+				inflight = inflight[1:]
+			}
+			inflight = append(inflight, s.h.sys.Plat.HostIF.ReadAsync(s.h.p, seg.FTLOff+int64(done), buf[at+done:at+done+n]))
+			done += n
 		}
-		inflight = append(inflight, s.h.sys.Plat.HostIF.ReadAsync(s.h.p, pc.ftlOff, pc.dst))
+		at += seg.N
 	}
 	for _, c := range inflight {
 		drain(c)
@@ -123,16 +111,12 @@ func (s *SSD) NewApplication() *Application {
 
 // SSDLet is the host-side proxy of one SSDlet instance.
 type SSDLet struct {
-	a  *Application
 	li core.LetRef
 }
 
-// PortRef names one port of an SSDlet proxy.
-type PortRef struct {
-	let *SSDLet
-	idx int
-	out bool
-}
+// PortRef names one port of an SSDlet proxy. The runtime's endpoint
+// check rejects a reference used on the wrong side of a connection.
+type PortRef = core.PortRef
 
 // NewSSDLet instantiates SSDlet class id from module m with initial
 // arguments, mirroring Code 3's SSDLet constructor.
@@ -141,31 +125,27 @@ func (a *Application) NewSSDLet(m *Module, id string, args ...any) (*SSDLet, err
 	if err != nil {
 		return nil, err
 	}
-	return &SSDLet{a: a, li: li}, nil
+	return &SSDLet{li: li}, nil
 }
 
 // In names input port i.
-func (l *SSDLet) In(i int) PortRef { return PortRef{let: l, idx: i} }
+func (l *SSDLet) In(i int) PortRef { return l.li.In(i) }
 
 // Out names output port i.
-func (l *SSDLet) Out(i int) PortRef { return PortRef{let: l, idx: i, out: true} }
+func (l *SSDLet) Out(i int) PortRef { return l.li.Out(i) }
 
 // Connect links an output port to an input port of SSDlets in this
 // application (inter-SSDlet port; SPSC, SPMC and MPSC supported).
 func (a *Application) Connect(from, to PortRef) error {
-	if !from.out || to.out {
-		return core.ErrBadPort
-	}
-	return a.h.sys.RT.Connect(a.h.p, from.let.li, from.idx, to.let.li, to.idx)
+	return a.h.sys.RT.Connect(a.h.p, from, to)
 }
 
 // ConnectApps links an output port of this application to an input port
 // of another application (inter-application port; Packet only, SPSC).
-func (a *Application) ConnectApps(from PortRef, other *Application, to PortRef) error {
-	if !from.out || to.out {
-		return core.ErrBadPort
-	}
-	return a.h.sys.RT.ConnectApps(a.h.p, from.let.li, from.idx, to.let.li, to.idx)
+// to already says which application it belongs to; the other argument
+// keeps the call in the shape of the paper's API.
+func (a *Application) ConnectApps(from PortRef, _ *Application, to PortRef) error {
+	return a.h.sys.RT.ConnectApps(a.h.p, from, to)
 }
 
 // HostIn receives typed values from a device-to-host port.
@@ -184,10 +164,7 @@ type HostOut[T any] struct {
 // receiving endpoint (Code 3's wc.connectTo<pair<string,uint32_t>>).
 // The device-side port must carry Packet; values are decoded from it.
 func ConnectTo[T any](a *Application, from PortRef) (*HostIn[T], error) {
-	if !from.out {
-		return nil, core.ErrBadPort
-	}
-	p, err := a.h.sys.RT.ConnectToHost(a.h.p, from.let.li, from.idx)
+	p, err := a.h.sys.RT.ConnectToHost(a.h.p, from)
 	if err != nil {
 		return nil, err
 	}
@@ -196,10 +173,7 @@ func ConnectTo[T any](a *Application, from PortRef) (*HostIn[T], error) {
 
 // ConnectFrom binds a host sending endpoint to an SSDlet input port.
 func ConnectFrom[T any](a *Application, to PortRef) (*HostOut[T], error) {
-	if to.out {
-		return nil, core.ErrBadPort
-	}
-	p, err := a.h.sys.RT.ConnectFromHost(a.h.p, to.let.li, to.idx)
+	p, err := a.h.sys.RT.ConnectFromHost(a.h.p, to)
 	if err != nil {
 		return nil, err
 	}
@@ -243,3 +217,49 @@ func (a *Application) Wait() error { return a.h.sys.RT.Wait(a.h.p, a.app) }
 
 // Failed returns contained SSDlet failures (panics and Run errors).
 func (a *Application) Failed() []error { return a.app.Failed() }
+
+// Reap waits for the application and reports its first contained
+// failure: what a host program does with an application it is done
+// with.
+func (a *Application) Reap() error {
+	if err := a.Wait(); err != nil {
+		return err
+	}
+	for _, err := range a.Failed() {
+		return err
+	}
+	return nil
+}
+
+// Call offloads one request to one SSDlet: it loads module, runs class
+// id with args as an application of its own, takes the single value the
+// SSDlet sends on out(0), reaps the application and unloads the module
+// — the whole of Code 3 for an SSDlet that answers once.
+func Call[T any](ssd *SSD, module, id string, args ...any) (T, error) {
+	var zero T
+	m, err := ssd.LoadModule(module)
+	if err != nil {
+		return zero, err
+	}
+	defer func() { _ = ssd.UnloadModule(m) }() // best-effort teardown
+	app := ssd.NewApplication()
+	let, err := app.NewSSDLet(m, id, args...)
+	if err != nil {
+		return zero, err
+	}
+	port, err := ConnectTo[T](app, let.Out(0))
+	if err != nil {
+		return zero, err
+	}
+	if err := app.Start(); err != nil {
+		return zero, err
+	}
+	res, ok := port.Get()
+	if err := app.Reap(); err != nil {
+		return zero, err
+	}
+	if !ok {
+		return zero, fmt.Errorf("biscuit: %s of %s produced no result", id, module)
+	}
+	return res, nil
+}
