@@ -74,20 +74,21 @@ faultbench:
 	$(GO) run ./cmd/biscuitbench -exp faultcurve -quick -json bench-out -trace bench-out/faultcurve.trace.json
 	for f in bench-out/faultcurve.trace.json*; do $(GO) run ./cmd/tracecheck $$f || exit 1; done
 
-# Benchmark smoke: run the executor, DES-core, proc-wake, and
-# fiber-switch benchmarks once (-benchtime=1x) so CI catches bit-rot in
-# the benchmark harness without paying for a real measurement run.
+# Benchmark smoke: run the executor, join-probe, DES-core, proc-wake,
+# and fiber-switch benchmarks once (-benchtime=1x) so CI catches bit-rot
+# in the benchmark harness without paying for a real measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers
 
 # Bench gate (DESIGN.md "The bench gate"): regenerate Table II (the
-# four port latencies, the runtime's price list), Table III, the
-# multi-tenant serving curve (per-tenant throughput and tail latency vs
-# offered load × device count × policy), the self-healing curve (die
-# failure time × rebuild pacing × migration) and the eight ablations
-# (DESIGN.md §5) in one biscuitbench run, and compare them against the
-# five committed baselines/ JSON files with cmd/benchgate. Every field
+# four port latencies, the runtime's price list), Table III, Fig. 10
+# (all 22 TPC-H queries, Conv and planner), the multi-tenant serving
+# curve (per-tenant throughput and tail latency vs offered load ×
+# device count × policy), the self-healing curve (die failure time ×
+# rebuild pacing × migration) and the eight ablations (DESIGN.md §5) in
+# one biscuitbench run, and compare them against the six baselines
+# committed under baselines/ with cmd/benchgate. Every field
 # is simulated-time deterministic, so the comparison is exact. One traced serving window rides along: rerun
 # with the same seed, compared byte-for-byte, validated by tracecheck.
 # Wall clock is not gated here; that is `go run ./benchmark`.
@@ -95,7 +96,7 @@ SERVETRACE := -devices 2 -tenants 2 -sf 0.002 -rate 150 -window 200 -seed 7
 
 benchgate: benchsmoke
 	mkdir -p bench-out
-	$(GO) run ./cmd/biscuitbench -exp table2,table3,servecurve,healcurve,ablations -json bench-out
+	$(GO) run ./cmd/biscuitbench -exp table2,table3,fig10,servecurve,healcurve,ablations -json bench-out
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.trace.json > /dev/null
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.rerun.trace.json > /dev/null
 	cmp bench-out/serve.trace.json bench-out/serve.rerun.trace.json

@@ -2,8 +2,9 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // AggFunc enumerates aggregate functions.
@@ -42,7 +43,9 @@ type aggState struct {
 	distinct map[string]struct{}
 }
 
-func (st *aggState) add(f AggFunc, v Value) {
+// add folds v into the state; scratch is the caller's reusable key
+// buffer (CountDistinct forms v's key in it).
+func (st *aggState) add(f AggFunc, v Value, scratch *[]byte) {
 	st.count++
 	switch f {
 	case Sum, Avg:
@@ -60,7 +63,10 @@ func (st *aggState) add(f AggFunc, v Value) {
 		if st.distinct == nil {
 			st.distinct = make(map[string]struct{})
 		}
-		st.distinct[keyString(v)] = struct{}{}
+		*scratch = appendKey((*scratch)[:0], v)
+		if _, ok := st.distinct[string(*scratch)]; !ok {
+			st.distinct[string(*scratch)] = struct{}{}
+		}
 	}
 	st.seen = true
 }
@@ -98,6 +104,11 @@ type groupTable struct {
 	aggs    []Agg
 	groups  map[string]*aggGroup
 	order   []string
+
+	// Per-row scratch, so a row that lands in an existing group allocates
+	// nothing: its group cells and the key bytes they form.
+	cells Row
+	key   []byte
 }
 
 type aggGroup struct {
@@ -109,20 +120,29 @@ func newGroupTable(groupBy []Expr, aggs []Agg) *groupTable {
 	return &groupTable{groupBy: groupBy, aggs: aggs, groups: make(map[string]*aggGroup)}
 }
 
+// appendKey appends the key form of v to dst: 's' and the bytes of a
+// string, 'i' and the decimal digits of anything else. rows orders the
+// groups by these bytes ("i10" < "i9") and every pinned digest depends on
+// that order, so the form is fixed.
+func appendKey(dst []byte, v Value) []byte {
+	if v.T == TString {
+		return append(append(dst, 's'), v.S...)
+	}
+	return strconv.AppendInt(append(dst, 'i'), v.I, 10)
+}
+
 // add folds one input row into its group.
 func (t *groupTable) add(r Row) {
-	var sb strings.Builder
-	keyRow := make(Row, len(t.groupBy))
-	for i, g := range t.groupBy {
+	t.cells, t.key = t.cells[:0], t.key[:0]
+	for _, g := range t.groupBy {
 		v := g.Eval(r)
-		keyRow[i] = v
-		sb.WriteString(keyString(v))
-		sb.WriteByte(0)
+		t.cells = append(t.cells, v)
+		t.key = append(appendKey(t.key, v), 0)
 	}
-	k := sb.String()
-	grp, ok := t.groups[k]
+	grp, ok := t.groups[string(t.key)]
 	if !ok {
-		grp = &aggGroup{keyRow: keyRow, states: make([]aggState, len(t.aggs))}
+		k := string(t.key)
+		grp = &aggGroup{keyRow: slices.Clone(t.cells), states: make([]aggState, len(t.aggs))}
 		t.groups[k] = grp
 		t.order = append(t.order, k)
 	}
@@ -131,7 +151,7 @@ func (t *groupTable) add(r Row) {
 		if a.Arg != nil {
 			v = a.Arg.Eval(r)
 		}
-		grp.states[i].add(a.F, v)
+		grp.states[i].add(a.F, v, &t.key)
 	}
 }
 

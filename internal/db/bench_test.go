@@ -1,6 +1,7 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -44,31 +45,55 @@ func BenchmarkExecBatch(b *testing.B) {
 	}
 }
 
-// drainScan runs a filtered Conv scan to completion without retaining
-// rows, so benchmarks measure executor cost rather than result storage.
-func drainScan(ex *Exec, tab *Table, pred Expr) (int, error) {
-	it := ex.NewConvScan(tab, pred)
+// drain runs an iterator to completion without retaining rows, so
+// benchmarks measure executor cost rather than result storage.
+func drain(it Iterator) (int, error) {
 	if err := it.Open(); err != nil {
 		return 0, err
 	}
-	rb := NewRowBatch(ex.batchCap())
+	rb := NewRowBatch(batchCapOf(it))
 	total := 0
 	for {
 		n, err := it.NextBatch(rb)
-		if err != nil {
-			it.Close()
-			return total, err
-		}
-		if n == 0 {
-			break
+		if err != nil || n == 0 {
+			return total, errors.Join(err, it.Close())
 		}
 		total += n
 	}
-	if err := it.Close(); err != nil {
-		return total, err
-	}
+}
+
+// drainScan drains a filtered Conv scan and pays its pending cost.
+func drainScan(ex *Exec, tab *Table, pred Expr) (int, error) {
+	n, err := drain(ex.NewConvScan(tab, pred))
 	ex.FlushCost()
-	return total, nil
+	return n, err
+}
+
+// BenchmarkBNLJoin shows growth, not one size: a full 512-row block
+// probed by 1 k, 10 k and 100 k inner rows with one partner each. The
+// number to read is ns/inner-row, which must stay flat across the
+// 10×-spaced sizes: a probe costs one bucket lookup whatever the block
+// holds, where pairing every inner row with every block row cost 512
+// concatenations and evaluations.
+func BenchmarkBNLJoin(b *testing.B) {
+	for _, inner := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("inner=%dk", inner/1000), func(b *testing.B) {
+			sys := quickSys()
+			d := Open(sys)
+			sys.Run(func(h *biscuit.Host) {
+				j := bnlProbe(h, d, inner)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if n, err := drain(j); err != nil || n != inner {
+						b.Fatalf("%d rows, err %v, want %d", n, err, inner)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*inner), "ns/inner-row")
+			})
+		})
+	}
 }
 
 // TestBatchExecAllocAmortization pins the PR's acceptance criterion:

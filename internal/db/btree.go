@@ -415,9 +415,7 @@ func (j *INLJoin) NextBatch(b *RowBatch) (int, error) {
 		}
 		j.Ex.chargeHost(j.Ex.Cost.HostJoinCPR * float64(len(inner)))
 		for _, ir := range inner {
-			if j.match(or, ir, j.Residual) {
-				j.keep(j.scratch)
-			}
+			j.match(or, ir, j.Residual, true)
 		}
 	}
 }

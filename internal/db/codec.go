@@ -39,7 +39,7 @@ func encodeCells(dst []byte, sch *Schema, r Row) []byte {
 		case TInt, TDecimal:
 			dst = binary.AppendVarint(dst, v.I)
 		case TDate:
-			dst = append(dst, v.DateString()...)
+			dst = appendDate(dst, v.I)
 		case TString:
 			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 			dst = append(dst, v.S...)

@@ -305,12 +305,8 @@ type YearOf struct{ X Expr }
 
 // Eval returns the year.
 func (y YearOf) Eval(r Row) Value {
-	s := y.X.Eval(r).DateString()
-	n := 0
-	for _, c := range s[:4] {
-		n = n*10 + int(c-'0')
-	}
-	return Int(int64(n))
+	year, _, _ := civil(y.X.Eval(r).I)
+	return Int(year)
 }
 
 func (y YearOf) String() string { return "YEAR(" + y.X.String() + ")" }

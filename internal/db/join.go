@@ -1,18 +1,30 @@
 package db
 
-import "fmt"
+import "slices"
 
-// joinOut is the output side the three joins share: matched rows wait in
-// pending until NextBatch hands them out, and scratch is the reusable
-// buffer each candidate pair is concatenated into for the join condition.
+// joinOut is the output side the three joins share: a candidate pair is
+// built once, at the tail of a chunked Value slab, and either stays there
+// queued in pending until NextBatch hands it out or gives its cells back.
+//
+// The slab follows RowBatch.NewRow's discipline: a full chunk is replaced,
+// never reused, so rows already handed out by reference stay valid for as
+// long as the consumer holds them. Chunks double from slabMinRows to
+// slabMaxRows rows, so a join that emits a handful of rows pays for a
+// handful and one that emits many allocates O(rows / slabMaxRows) times.
 type joinOut struct {
 	pending []Row
 	handed  int // pending[:handed] already went out
-	scratch Row
+	slab    []Value
+	chunk   int // rows the slab's current chunk was sized for
 }
 
+const (
+	slabMinRows = 16
+	slabMaxRows = 1024
+)
+
 // emit hands out the next run of pending rows (0 = none waiting) and
-// recycles the buffer once it drains.
+// recycles the queue once it drains.
 func (o *joinOut) emit(b *RowBatch) int {
 	n := emitRows(b, o.pending, &o.handed)
 	if o.handed >= len(o.pending) {
@@ -21,16 +33,89 @@ func (o *joinOut) emit(b *RowBatch) int {
 	return n
 }
 
-// match concatenates l and r (l's columns first) into scratch and
-// reports whether cond — nil accepts every pair — holds on the result.
-func (o *joinOut) match(l, r Row, cond Expr) bool {
-	o.scratch = append(append(o.scratch[:0], l...), r...)
-	return cond == nil || Truthy(cond.Eval(o.scratch))
+// build carves l ++ r (l's columns first) from the slab's tail.
+func (o *joinOut) build(l, r Row) Row {
+	n := len(l) + len(r)
+	if cap(o.slab)-len(o.slab) < n {
+		o.chunk = min(max(2*o.chunk, slabMinRows), slabMaxRows)
+		o.slab = make([]Value, 0, o.chunk*n)
+	}
+	at := len(o.slab)
+	o.slab = append(append(o.slab, l...), r...)
+	return Row(o.slab[at : at+n : at+n])
 }
 
-// keep queues a copy of r — scratch, or a probe row that lives in an
-// input batch — for output.
-func (o *joinOut) keep(r Row) { o.pending = append(o.pending, r.Clone()) }
+// keep queues l ++ r for output.
+func (o *joinOut) keep(l, r Row) { o.pending = append(o.pending, o.build(l, r)) }
+
+// match reports whether cond — nil accepts every pair — holds on l ++ r,
+// and with keep set queues an accepted pair for output. The row cond
+// looks at is the output row: it is built in the slab, stays there if it
+// is accepted and kept, and otherwise hands its cells back — it was never
+// handed out, so nothing can be looking at them. A pair no condition has
+// to see and nobody keeps is not built at all.
+func (o *joinOut) match(l, r Row, cond Expr, keep bool) bool {
+	if cond == nil && !keep {
+		return true
+	}
+	row := o.build(l, r)
+	ok := cond == nil || Truthy(cond.Eval(row))
+	if ok && keep {
+		o.pending = append(o.pending, row)
+	} else {
+		o.slab = o.slab[:len(o.slab)-len(row)]
+	}
+	return ok
+}
+
+// joinKey is the form a key cell takes in a joinIndex: only the field
+// Compare reads for its type, so cells that compare equal are the same
+// map key whatever their other field holds.
+func joinKey(v Value) Value {
+	if v.T == TString {
+		return Value{T: TString, S: v.S}
+	}
+	return Value{T: v.T, I: v.I}
+}
+
+// joinIndex is the hash index the two in-memory joins probe — BNLJoin
+// builds one over each block of its join buffer, HashJoin one over its
+// build side: key cell → positions of the rows that carry it, ascending.
+type joinIndex struct {
+	pos map[Value][]int32
+	typ Type // type of the keys in pos, once there is one
+}
+
+// reset empties the index for the next set of rows.
+func (x *joinIndex) reset() {
+	if x.pos == nil {
+		x.pos = make(map[Value][]int32)
+	}
+	clear(x.pos)
+}
+
+// add indexes row i under key k.
+func (x *joinIndex) add(k Value, i int) {
+	x.check(k)
+	k = joinKey(k)
+	x.typ = k.T
+	x.pos[k] = append(x.pos[k], int32(i))
+}
+
+// probe returns the positions of the rows keyed k.
+func (x *joinIndex) probe(k Value) []int32 {
+	x.check(k)
+	return x.pos[joinKey(k)]
+}
+
+// check keeps the engine's typing rule where a map lookup would lose it:
+// a key of another type than the indexed ones would silently match
+// nothing, where the comparison it stands for — Compare — panics.
+func (x *joinIndex) check(k Value) {
+	if len(x.pos) > 0 && k.T != x.typ {
+		panic(typeMismatch(k.T, x.typ))
+	}
+}
 
 // outerCursor walks a join's outer input one row at a time across its
 // batches: BNLJoin fills its blocks from it, INLJoin probes with it.
@@ -67,6 +152,15 @@ func (c *outerCursor) next(in Iterator, ex *Exec) (r Row, ok bool, err error) {
 // inner relation is *rescanned from storage* once per block. Join order
 // therefore determines I/O volume — placing the (NDP-filtered) small
 // side first is the paper's query-planning heuristic.
+//
+// What is modelled and what the Go process executes are two things. The
+// simulated host runs flat BNL and is charged for it: every inner row
+// against every row of the block, HostJoinCPR × |block| × m per inner
+// batch. The process finds the same pairs by probing (MariaDB's BNLH
+// over the same blocks): when On holds an equality between an outer and
+// an inner column, each block is hashed on its side of it and an inner
+// row meets only the block rows in its key's bucket. Rows come out
+// inner-row-major, block order within — the order of the pair loop.
 type BNLJoin struct {
 	Ex    *Exec
 	Outer Iterator
@@ -81,6 +175,15 @@ type BNLJoin struct {
 	cur    outerCursor // carries leftover outer rows across block fills
 	inner  Iterator
 	innerB *RowBatch
+
+	// On as the probe runs it: blockIx buckets the block by column
+	// outerKey, an inner row probes with its column innerKey, and residual
+	// is what of On is left to evaluate on a candidate pair. Without an
+	// equality to key on the columns are -1: every row takes the zero
+	// key, the one bucket holds the whole block, and residual is On.
+	outerKey, innerKey int
+	residual           Expr
+	blockIx            joinIndex
 	joinOut
 }
 
@@ -101,8 +204,54 @@ func (j *BNLJoin) Open() error {
 	j.block = nil
 	j.cur = outerCursor{}
 	j.joinOut = joinOut{}
+	j.outerKey, j.innerKey, j.residual = equiKey(j.On, len(j.Outer.Schema().Cols))
 	return j.Outer.Open()
 }
+
+// equiKey splits a join condition over outer ++ inner rows, the outer
+// row nOuter cells wide, into an equality between one outer and one inner
+// column — the condition itself or a conjunct of it, operands in either
+// order — and the rest of the condition (nil when nothing is left). The
+// key columns are positions in their own rows; without such an equality
+// they are -1 and residual is on.
+func equiKey(on Expr, nOuter int) (outer, inner int, residual Expr) {
+	conjuncts := []Expr{on}
+	if and, isAnd := on.(And); isAnd {
+		conjuncts = and.Kids
+	}
+	for i, c := range conjuncts {
+		eq, isCmp := c.(Cmp)
+		l, lCol := eq.L.(Col)
+		r, rCol := eq.R.(Col)
+		if !isCmp || eq.Op != EQ || !lCol || !rCol {
+			continue
+		}
+		if l.Idx > r.Idx {
+			l, r = r, l
+		}
+		if l.Idx >= nOuter || r.Idx < nOuter {
+			continue // both columns on one side
+		}
+		if rest := slices.Delete(slices.Clone(conjuncts), i, i+1); len(rest) > 0 {
+			residual = AndOf(rest...)
+		}
+		return l.Idx, r.Idx - nOuter, residual
+	}
+	return -1, -1, on
+}
+
+// keyCell returns the cell of r a join is keyed on: column col, or the
+// zero key every row shares when there is no key column (col < 0).
+func keyCell(r Row, col int) Value {
+	if col < 0 {
+		return Value{}
+	}
+	return r[col]
+}
+
+// candidates returns the positions of the block rows ir can pair with:
+// its key's bucket.
+func (j *BNLJoin) candidates(ir Row) []int32 { return j.blockIx.probe(keyCell(ir, j.innerKey)) }
 
 // NextBatch produces the next run of joined rows. Block boundaries fall
 // at exactly Exec.JoinBufferRows outer rows regardless of batch size:
@@ -130,15 +279,14 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 			j.Ex.chargeHost(j.Ex.Cost.HostJoinCPR * float64(len(j.block)) * float64(m))
 			for ii := 0; ii < m; ii++ {
 				ir := j.innerB.Row(ii)
-				for _, or := range j.block {
-					if j.match(or, ir, j.On) {
-						j.keep(j.scratch)
-					}
+				for _, bi := range j.candidates(ir) {
+					j.match(j.block[bi], ir, j.residual, true)
 				}
 			}
 			continue
 		}
-		// Load the next outer block.
+		// Load and index the next outer block.
+		j.blockIx.reset()
 		for len(j.block) < j.Ex.JoinBufferRows {
 			or, ok, err := j.cur.next(j.Outer, j.Ex)
 			if err != nil {
@@ -147,6 +295,7 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 			if !ok {
 				break
 			}
+			j.blockIx.add(keyCell(or, j.outerKey), len(j.block))
 			j.block = append(j.block, or.Clone())
 		}
 		if len(j.block) == 0 {
@@ -178,7 +327,7 @@ func (j *BNLJoin) Close() error {
 }
 
 // HashJoin is an in-memory equality join: the right (build) input is
-// materialized into a hash table and the left input probes it. Used
+// materialized and indexed by key, and the left input probes it. Used
 // where MariaDB fidelity does not matter for the offload story.
 type HashJoin struct {
 	Ex          *Exec
@@ -191,9 +340,10 @@ type HashJoin struct {
 	// Residual, if non-nil, is evaluated on the concatenated row.
 	Residual Expr
 
-	sch   *Schema
-	table map[string][]Row
-	left  *RowBatch
+	sch     *Schema
+	right   []Row     // the build side, materialized
+	rightIx joinIndex // over right, by RightKey
+	left    *RowBatch
 	joinOut
 }
 
@@ -210,24 +360,17 @@ func (j *HashJoin) Schema() *Schema {
 	return j.sch
 }
 
-func keyString(v Value) string {
-	if v.T == TString {
-		return "s" + v.S
-	}
-	return fmt.Sprintf("i%d", v.I)
-}
-
-// Open builds the hash table from the right input.
+// Open materializes and indexes the right input.
 func (j *HashJoin) Open() error {
 	j.Schema()
 	rows, err := Collect(j.Right)
 	if err != nil {
 		return err
 	}
-	j.table = make(map[string][]Row, len(rows))
-	for _, r := range rows {
-		k := keyString(j.RightKey.Eval(r))
-		j.table[k] = append(j.table[k], r)
+	j.right = rows
+	j.rightIx.reset()
+	for i, r := range rows {
+		j.rightIx.add(j.RightKey.Eval(r), i)
 	}
 	j.Ex.chargeHost(float64(len(rows)) * j.Ex.Cost.HostJoinCPR)
 	j.joinOut = joinOut{}
@@ -237,6 +380,7 @@ func (j *HashJoin) Open() error {
 // NextBatch probes with the next batch of left rows, emitting matches
 // in left order.
 func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
+	pairs := !j.Semi && !j.Anti // an inner join: every accepted pair is output
 	for {
 		if n := j.emit(b); n > 0 {
 			return n, nil
@@ -255,18 +399,17 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 			// every accepted pair; semi and anti stop at the first and
 			// keep the left row if there was one (semi) or none (anti).
 			hit := false
-			for _, rr := range j.table[keyString(j.LeftKey.Eval(lr))] {
-				if !j.match(lr, rr, j.Residual) {
+			for _, ri := range j.rightIx.probe(j.LeftKey.Eval(lr)) {
+				if !j.match(lr, j.right[ri], j.Residual, pairs) {
 					continue
 				}
 				hit = true
-				if j.Semi || j.Anti {
+				if !pairs {
 					break
 				}
-				j.keep(j.scratch)
 			}
-			if (j.Semi || j.Anti) && hit != j.Anti {
-				j.keep(lr)
+			if !pairs && hit != j.Anti {
+				j.keep(lr, nil)
 			}
 		}
 	}
@@ -274,6 +417,6 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 
 // Close closes the left input (right was drained in Open).
 func (j *HashJoin) Close() error {
-	j.table = nil
+	j.right, j.rightIx = nil, joinIndex{}
 	return j.Left.Close()
 }

@@ -64,10 +64,65 @@ func DecF(f float64) Value {
 // Str builds a string value.
 func Str(s string) Value { return Value{T: TString, S: s} }
 
-// DateYMD builds a date value from calendar components.
+// DateYMD builds a date value from calendar components. A day outside
+// the month counts on into its neighbours, as time.Date has it (the page
+// decoder hands over whatever two digits the media held); a month outside
+// 1–12 is left to time.Date itself.
 func DateYMD(y, m, d int) Value {
-	t := time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
-	return Value{T: TDate, I: int64(t.Unix() / 86400)}
+	if m < 1 || m > 12 {
+		t := time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
+		return Value{T: TDate, I: t.Unix() / 86400}
+	}
+	// Days from a civil date, in integers: years run March to February,
+	// so the leap day is a year's last and a month's offset into the
+	// year is (153·m+2)/5; 400-year eras of 146 097 days do the rest.
+	// 719 468 is 0000-03-01 to 1970-01-01.
+	if m <= 2 {
+		y--
+	}
+	era := floorDiv(int64(y), 400)
+	yoe := int64(y) - era*400
+	doy := int64((153*(uint(m+9)%12)+2)/5) + int64(d) - 1 // unsigned: m is 1–12
+	return Value{T: TDate, I: era*146097 + yoe*365 + yoe/4 - yoe/100 + doy - 719468}
+}
+
+// civil is DateYMD's inverse: the calendar date of a day count.
+func civil(days int64) (y int64, m, d int) {
+	z := days + 719468
+	era := floorDiv(z, 146097)
+	doe := z - era*146097
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	mp := (5*doy + 2) / 153
+	d = int(doy - (153*mp+2)/5 + 1)
+	m = int(mp+2)%12 + 1
+	y = yoe + era*400
+	if m <= 2 {
+		y++
+	}
+	return y, m, d
+}
+
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
+}
+
+// appendDate appends the YYYY-MM-DD form of a day count to dst without
+// allocating. Years that do not fit four digits are time.Format's to
+// spell.
+func appendDate(dst []byte, days int64) []byte {
+	y, m, d := civil(days)
+	if y < 0 || y > 9999 {
+		return time.Unix(days*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
+	}
+	return append(dst,
+		byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+m/10), byte('0'+m%10), '-',
+		byte('0'+d/10), byte('0'+d%10))
 }
 
 // MustDate parses "YYYY-MM-DD".
@@ -81,7 +136,8 @@ func MustDate(s string) Value {
 
 // DateString renders a date value as YYYY-MM-DD.
 func (v Value) DateString() string {
-	return time.Unix(v.I*86400, 0).UTC().Format("2006-01-02")
+	var buf [10]byte
+	return string(appendDate(buf[:0], v.I))
 }
 
 // Float returns the numeric value as float64 (decimals descaled).
@@ -118,7 +174,7 @@ func abs64(x int64) int64 {
 // ports.
 func Compare(a, b Value) int {
 	if a.T != b.T {
-		panic(fmt.Sprintf("db: comparing %v with %v", a.T, b.T))
+		panic(typeMismatch(a.T, b.T))
 	}
 	if a.T == TString {
 		switch {
@@ -137,6 +193,9 @@ func Compare(a, b Value) int {
 	}
 	return 0
 }
+
+// typeMismatch is what comparing values of two types panics with.
+func typeMismatch(a, b Type) string { return fmt.Sprintf("db: comparing %v with %v", a, b) }
 
 // Equal reports whether two same-typed values are equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
