@@ -81,22 +81,22 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers
 
-# Bench gate (DESIGN.md "The bench gate"): regenerate Table II (the
-# four port latencies, the runtime's price list), Table III, Fig. 10
-# (all 22 TPC-H queries, Conv and planner), the multi-tenant serving
-# curve (per-tenant throughput and tail latency vs offered load ×
-# device count × policy), the self-healing curve (die failure time ×
-# rebuild pacing × migration) and the eight ablations (DESIGN.md §5) in
-# one biscuitbench run, and compare them against the six baselines
-# committed under baselines/ with cmd/benchgate. Every field
-# is simulated-time deterministic, so the comparison is exact. One traced serving window rides along: rerun
-# with the same seed, compared byte-for-byte, validated by tracecheck.
-# Wall clock is not gated here; that is `go run ./benchmark`.
+# Bench gate (DESIGN.md "The bench gate"): regenerate every experiment
+# biscuitbench knows (-exp all: Tables II-V, Figs. 7-10, the fault,
+# serving and self-healing curves and the eight ablations of DESIGN.md
+# §5) in one run, and compare them against the twelve baselines
+# committed under baselines/ with cmd/benchgate. `all` rather than a
+# list, so a new experiment cannot be left ungated; the biscuitbench
+# test requires a baseline per experiment. Every field is
+# simulated-time deterministic, so the comparison is exact. One traced
+# serving window rides along: rerun with the same seed, compared
+# byte-for-byte, validated by tracecheck. Wall clock is not gated here;
+# that is `go run ./benchmark`.
 SERVETRACE := -devices 2 -tenants 2 -sf 0.002 -rate 150 -window 200 -seed 7
 
 benchgate: benchsmoke
 	mkdir -p bench-out
-	$(GO) run ./cmd/biscuitbench -exp table2,table3,fig10,servecurve,healcurve,ablations -json bench-out
+	$(GO) run ./cmd/biscuitbench -exp all -json bench-out
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.trace.json > /dev/null
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.rerun.trace.json > /dev/null
 	cmp bench-out/serve.trace.json bench-out/serve.rerun.trace.json

@@ -38,6 +38,17 @@ func TestAblationsDocIsTheBaseline(t *testing.T) {
 	}
 }
 
+// TestEveryExperimentHasABaseline keeps `make benchgate` (which runs
+// -exp all) exact for every experiment: one added to the list without a
+// blessed baselines/BENCH_<name>.json fails here, not silently ungated.
+func TestEveryExperimentHasABaseline(t *testing.T) {
+	for _, e := range experiments {
+		if _, err := os.Stat("../../baselines/BENCH_" + e.name + ".json"); err != nil {
+			t.Errorf("experiment %q has no baseline: %v", e.name, err)
+		}
+	}
+}
+
 func TestUnknownExperimentListsAblations(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := cli([]string{"-exp", "table3,nosuch"}, &stderr); code != 2 {

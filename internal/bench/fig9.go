@@ -39,7 +39,8 @@ func RunFig9(cfg Config) Fig9 {
 			execT, _ := runFig8Query(h, data, 1, offload)
 			// Post-query work (cache/buffer synchronization) before the
 			// system returns to idle, as the paper observes.
-			h.System().Plat.HostCPU.Exec(h.Proc(), 0.3*execT.Seconds()*h.System().Plat.Cfg.HostHz)
+			host := h.System().Plat.HostCPU
+			host.Exec(h.Proc(), 0.3*execT.Seconds()*host.Hz())
 			h.Proc().Sleep(2 * sim.Millisecond) // idle tail
 			stop.Fire()
 			trace = Fig9Trace{Times: meter.Times, Watts: meter.Watts,

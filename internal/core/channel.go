@@ -22,6 +22,17 @@ type ChannelManager struct {
 // dataChannelLimit bounds the data channels held by ports at once.
 const dataChannelLimit = 32
 
+// The channel manager's per-message costs, calibrated against Table II.
+// The paper reports D2H 130.1 us and H2D 301.6 us round trips and
+// attributes the asymmetry to the receiver side doing roughly twice the
+// sender's work on the slow device cores.
+const (
+	chanMgrHostSendCycles float64 = 25000  // host send into a channel: 10 us @ 2.5 GHz
+	chanMgrHostRecvCycles float64 = 45000  // host receive: 18 us
+	chanMgrDevSendCycles  float64 = 70425  // device send: ~93.9 us @ 750 MHz
+	chanMgrDevRecvCycles  float64 = 199673 // device receive, ~2× the send work: ~266 us
+)
+
 // Stats reports channel pool and traffic counters.
 func (cm *ChannelManager) Stats() (created, reused, transfers, bytesUp, bytesDown int64) {
 	return cm.created, cm.reused, cm.transfers, cm.bytesUp, cm.bytesDown
@@ -66,10 +77,10 @@ func (cm *ChannelManager) pumpUp(f *fibers.Fiber, devQ *ports.Queue[any], hostQ 
 			break
 		}
 		pkt := v.(ports.Packet)
-		f.Compute(plat.Cfg.ChanMgrDevSendCycles)
+		f.Compute(chanMgrDevSendCycles)
 		f.Block(func(tp *sim.Proc) {
 			plat.HostIF.Message(tp, true, int64(pkt.Len()))
-			plat.HostCPU.Exec(tp, plat.Cfg.ChanMgrHostRecvCycles)
+			plat.HostCPU.Exec(tp, chanMgrHostRecvCycles)
 		})
 		cm.transfers++
 		cm.bytesUp += int64(pkt.Len())
@@ -92,7 +103,7 @@ func (cm *ChannelManager) pumpDown(f *fibers.Fiber, devQ *ports.Queue[any], host
 		f.Block(func(tp *sim.Proc) {
 			plat.HostIF.Message(tp, false, int64(pkt.Len()))
 		})
-		f.Compute(plat.Cfg.ChanMgrDevRecvCycles)
+		f.Compute(chanMgrDevRecvCycles)
 		cm.transfers++
 		cm.bytesDown += int64(pkt.Len())
 		if !devQ.Put(f, pkt) {
@@ -175,7 +186,7 @@ func (h *HostIn) Get(p *sim.Proc) (ports.Packet, bool) {
 // Put sends a packet to the device, charging the host-side channel
 // manager send work; it reports false if the port has been closed.
 func (h *HostOut) Put(p *sim.Proc, pkt ports.Packet) bool {
-	h.rt.Plat.HostCPU.Exec(p, h.rt.Plat.Cfg.ChanMgrHostSendCycles)
+	h.rt.Plat.HostCPU.Exec(p, chanMgrHostSendCycles)
 	return h.q.Put(ports.ProcBlocker{P: p}, pkt)
 }
 

@@ -86,9 +86,11 @@ const (
 	relocCyclesPerKB float64 = 1500  // symbol relocation per KiB of image: 2 us
 	spawnDevCycles   float64 = 37500 // instantiate one SSDlet: 50 us
 
-	// packetPortCost is the per-operation handling cost of a Packet-only
-	// port, where inter-SSDlet ports pay Config.TypeCost instead.
-	packetPortCost = 500 * sim.Nanosecond
+	// typeCost is the inter-SSDlet port's per-operation type abstraction
+	// / de-abstraction cost (Table II: +20.3 us over inter-application);
+	// packetPortCost is the handling cost of a Packet-only port.
+	typeCost       sim.Time = 11214 * sim.Nanosecond
+	packetPortCost          = 500 * sim.Nanosecond
 )
 
 // Runtime is the device-resident Biscuit runtime plus the state the

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 
+	"biscuit/internal/device"
 	"biscuit/internal/fibers"
 	"biscuit/internal/isfs"
 	"biscuit/internal/mem"
@@ -89,7 +90,7 @@ func (c *Context) ReadFile(f *isfs.File, off int64, buf []byte) (int, error) {
 	c.fiber.Block(func(p *sim.Proc) {
 		n, err = f.Read(p, off, buf)
 		if err == nil {
-			p.Sleep(c.rt.Plat.Cfg.InternalReadOverhead)
+			p.Sleep(device.InternalReadOverhead)
 		}
 	})
 	return n, err
@@ -180,7 +181,7 @@ func Out[T any](c *Context, i int) (*OutPort[T], error) {
 func portCost(c *Context, cn *conn) {
 	switch cn.kind {
 	case interSSDlet:
-		c.fiber.ComputeTime(c.rt.Plat.Cfg.TypeCost)
+		c.fiber.ComputeTime(typeCost)
 	default:
 		c.fiber.ComputeTime(packetPortCost)
 	}

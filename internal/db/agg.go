@@ -249,7 +249,7 @@ func (h *HashAggOp) Open() (err error) {
 		if n == 0 {
 			break
 		}
-		h.Ex.chargeHost(h.Ex.Cost.HostAggCPR * float64(n))
+		h.Ex.chargeHost(hostAggCPR * float64(n))
 		for ri := 0; ri < n; ri++ {
 			tab.add(in.Row(ri))
 		}

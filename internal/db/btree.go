@@ -338,7 +338,7 @@ func (ix *Index) FetchRows(ex *Exec, entries []IndexEntry) ([]Row, error) {
 				return nil, err
 			}
 			ex.AddLinkPages(1)
-			ex.chargeHost(ex.Cost.HostDecodeCPB * float64(ps))
+			ex.chargeHost(hostDecodeCPB * float64(ps))
 			pageRows = pageRows[:0]
 			if err := DecodePage(buf, ix.T.Sch, func(r Row) error {
 				pageRows = append(pageRows, r)
@@ -413,7 +413,7 @@ func (j *INLJoin) NextBatch(b *RowBatch) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		j.Ex.chargeHost(j.Ex.Cost.HostJoinCPR * float64(len(inner)))
+		j.Ex.chargeHost(hostJoinCPR * float64(len(inner)))
 		for _, ir := range inner {
 			j.match(or, ir, j.Residual, true)
 		}

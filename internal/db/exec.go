@@ -9,39 +9,6 @@ import (
 	"biscuit/internal/trace"
 )
 
-// CostModel prices the software work of query execution. Host cycles run
-// at the host clock; device cycles at the device clock — the compute
-// imbalance that makes "filter there, compute here" the winning split.
-type CostModel struct {
-	HostDecodeCPB   float64 // host page decode, cycles per byte
-	HostEvalCPR     float64 // host predicate evaluation, cycles per row per term
-	HostJoinCPR     float64 // per probe/output row
-	HostAggCPR      float64 // per aggregated row
-	DevPageCheckCPP float64 // device cycles per matched-page bookkeeping
-	DevDecodeCPB    float64 // device decode of matched pages, cycles/byte
-	DevEvalCPR      float64 // device per-row predicate evaluation
-}
-
-// DefaultCost returns the calibrated cost model. HostEvalCPR reflects a
-// real MariaDB row pipeline (handler calls, format conversion, predicate
-// evaluation: ~0.8 µs/row on a 2.5 GHz Xeon — a 1-3 M rows/s scan rate),
-// which is what limits Conv scans in the paper; the device side pays
-// per-row costs only on pages the matcher IP let through. Device cycles
-// run at 750 MHz, so per-byte software scanning is ~10× more expensive
-// there — the reason the paper leans on the matcher IP (§VI: "software
-// optimizations on embedded processors can't simply keep up").
-func DefaultCost() CostModel {
-	return CostModel{
-		HostDecodeCPB:   1.5,
-		HostEvalCPR:     2000,
-		HostJoinCPR:     20,
-		HostAggCPR:      50,
-		DevPageCheckCPP: 300,
-		DevDecodeCPB:    3.0,
-		DevEvalCPR:      300,
-	}
-}
-
 // Stats accumulates execution counters; Fig. 10's I/O-reduction ratio is
 // PagesOverLink(Conv run) / PagesOverLink(Biscuit run). The scan and
 // fallback counters are mirrored onto the platform stats.Counters
@@ -52,7 +19,6 @@ type Stats struct {
 	PagesOverLink int64 // pages (equivalent) moved across the host interface
 	PagesInternal int64 // pages read inside the device (NDP scans)
 	RowsScanned   int64
-	RowsEmitted   int64
 	NDPScans      int64
 	ConvScans     int64
 	// NDPFallbacks counts offloaded scans that hit an uncorrectable
@@ -62,10 +28,9 @@ type Stats struct {
 
 // Exec is the execution context of one query run.
 type Exec struct {
-	H    *biscuit.Host
-	DB   *Database
-	Cost CostModel
-	St   Stats
+	H  *biscuit.Host
+	DB *Database
+	St Stats
 
 	// JoinBufferRows is the block size of block-nested-loop joins (the
 	// MariaDB join buffer); the inner table is rescanned once per block.
@@ -80,7 +45,7 @@ type Exec struct {
 
 // NewExec builds an execution context with default knobs.
 func NewExec(h *biscuit.Host, d *Database) *Exec {
-	return &Exec{H: h, DB: d, Cost: DefaultCost(), JoinBufferRows: 4096}
+	return &Exec{H: h, DB: d, JoinBufferRows: 4096}
 }
 
 // The Conv scan's I/O shape: it reads ahead convReadChunk bytes at a
@@ -370,9 +335,9 @@ func (s *ConvScan) fill() error {
 		rows += PageRowCount(chunk[at:end])
 	}
 	ex.St.RowsScanned += int64(rows)
-	cycles := ex.Cost.HostDecodeCPB * float64(n)
+	cycles := hostDecodeCPB * float64(n)
 	if s.Pred != nil {
-		cycles += ex.Cost.HostEvalCPR * float64(rows)
+		cycles += hostEvalCPR * float64(rows)
 	}
 	plat := ex.H.System().Plat
 	plat.HostScan(ex.H.Proc(), int64(n), cycles/float64(n))
@@ -439,7 +404,7 @@ func (f *FilterOp) NextBatch(b *RowBatch) (int, error) {
 		if err != nil || n == 0 {
 			return 0, err
 		}
-		f.Ex.chargeHost(f.Ex.Cost.HostEvalCPR * float64(n))
+		f.Ex.chargeHost(hostEvalCPR * float64(n))
 		if live := b.Filter(func(r Row) bool { return Truthy(f.Pred.Eval(r)) }); live > 0 {
 			return live, nil
 		}

@@ -276,7 +276,7 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 				j.block = j.block[:0]
 				continue
 			}
-			j.Ex.chargeHost(j.Ex.Cost.HostJoinCPR * float64(len(j.block)) * float64(m))
+			j.Ex.chargeHost(hostJoinCPR * float64(len(j.block)) * float64(m))
 			for ii := 0; ii < m; ii++ {
 				ir := j.innerB.Row(ii)
 				for _, bi := range j.candidates(ir) {
@@ -372,7 +372,7 @@ func (j *HashJoin) Open() error {
 	for i, r := range rows {
 		j.rightIx.add(j.RightKey.Eval(r), i)
 	}
-	j.Ex.chargeHost(float64(len(rows)) * j.Ex.Cost.HostJoinCPR)
+	j.Ex.chargeHost(float64(len(rows)) * hostJoinCPR)
 	j.joinOut = joinOut{}
 	return j.Left.Open()
 }
@@ -392,7 +392,7 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 		if err != nil || m == 0 {
 			return 0, err
 		}
-		j.Ex.chargeHost(j.Ex.Cost.HostJoinCPR * float64(m))
+		j.Ex.chargeHost(hostJoinCPR * float64(m))
 		for li := 0; li < m; li++ {
 			lr := j.left.Row(li)
 			// One match loop for the three flavours: an inner join keeps

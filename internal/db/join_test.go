@@ -124,7 +124,7 @@ func (f joinFixture) checkBNL(t *testing.T, ex *Exec, what string, on Expr) {
 	// An unfiltered ConvScan pays through HostScan, so all that is pending
 	// is the join's; the fixture's size keeps it under chargeHost's flush
 	// threshold.
-	if charged := ex.Cost.HostJoinCPR * float64(pairs); ex.pendingCycles != charged {
+	if charged := hostJoinCPR * float64(pairs); ex.pendingCycles != charged {
 		t.Fatalf("BNL %s: charged %v host cycles, want %v", what, ex.pendingCycles, charged)
 	}
 }
@@ -223,7 +223,7 @@ func TestJoinKeysAreTyped(t *testing.T) {
 	l := NewSchema(Column{"lk", TInt})
 	r := NewSchema(Column{"rk", TDecimal})
 	left, right := []Row{{Int(5)}}, []Row{{Dec(5)}}
-	ex := &Exec{Cost: DefaultCost(), JoinBufferRows: 4}
+	ex := &Exec{JoinBufferRows: 4}
 	both := l.Concat(r)
 	joins := []struct {
 		name string

@@ -38,9 +38,30 @@ const NDPBatchBytes = 32 << 10
 // NDPScanID is the SSDlet class id of the device table scan.
 const NDPScanID = "idTableScan"
 
-// devFoldCPR is the device's per-row cost of the aggregation stage, on
-// top of CostModel.DevEvalCPR.
-const devFoldCPR = 60
+// The software work of query execution, calibrated. Host cycles run at
+// the host clock, device cycles at the device clock — the compute
+// imbalance that makes "filter there, compute here" the winning split.
+// hostEvalCPR reflects a real MariaDB row pipeline (handler calls,
+// format conversion, predicate evaluation: ~0.8 µs/row on a 2.5 GHz
+// Xeon — a 1-3 M rows/s scan rate), which is what limits Conv scans in
+// the paper; the device side pays per-row costs only on pages the
+// matcher IP let through. Device cycles run at 750 MHz, so per-byte
+// software scanning is ~10× more expensive there — the reason the paper
+// leans on the matcher IP (§VI: "software optimizations on embedded
+// processors can't simply keep up").
+const (
+	hostDecodeCPB   float64 = 1.5  // host page decode, cycles per byte
+	hostEvalCPR     float64 = 2000 // host predicate evaluation, cycles per row per term
+	hostJoinCPR     float64 = 20   // per probe/output row
+	hostAggCPR      float64 = 50   // per aggregated row
+	devPageCheckCPP float64 = 300  // device cycles per matched-page bookkeeping
+	devDecodeCPB    float64 = 3.0  // device decode of matched pages, cycles/byte
+	devEvalCPR      float64 = 300  // device per-row predicate evaluation
+
+	// devFoldCPR is the device's per-row cost of the aggregation stage,
+	// on top of devEvalCPR.
+	devFoldCPR = 60
+)
 
 // NDPScanArgs parameterizes one offloaded scan.
 type NDPScanArgs struct {
@@ -48,7 +69,6 @@ type NDPScanArgs struct {
 	Keys []string // hardware matcher keys (page-level prefilter)
 	Pred Expr     // full row predicate (exact filter), may be nil
 	Sch  *Schema
-	Cost CostModel
 	// Software disables the matcher IP: every page is decoded and
 	// filtered by the device CPU. This reproduces the paper's negative
 	// finding (§I) that software-only in-storage scanning cannot beat a
@@ -182,7 +202,7 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		return out.Put(pkt)
 	}
 	var tab *groupTable
-	rowCost := args.Cost.DevEvalCPR
+	rowCost := devEvalCPR
 	if args.aggregating() {
 		tab = newGroupTable(args.GroupBy, args.Aggs)
 		rowCost += devFoldCPR
@@ -203,8 +223,8 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 				batch = EncodeRow(batch, args.Sch, r)
 			}
 		}
-		c.Compute(args.Cost.DevPageCheckCPP +
-			args.Cost.DevDecodeCPB*float64(len(hchunk.data)) +
+		c.Compute(devPageCheckCPP +
+			devDecodeCPB*float64(len(hchunk.data)) +
 			rowCost*float64(rows))
 		if len(batch) >= NDPBatchBytes && !flush() {
 			return nil
@@ -307,7 +327,6 @@ func (s *NDPScan) scanArgs() NDPScanArgs {
 		Keys:     s.Keys,
 		Pred:     s.Pred,
 		Sch:      s.T.Sch,
-		Cost:     s.Ex.Cost,
 		Software: s.Software,
 		PageSize: s.T.PageSize,
 		GroupBy:  s.GroupBy,
@@ -390,7 +409,7 @@ func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 			}
 			b.FinishStrings()
 			n := b.Len()
-			s.Ex.chargeHost(s.Ex.Cost.HostDecodeCPB * float64(consumed))
+			s.Ex.chargeHost(hostDecodeCPB * float64(consumed))
 			if !s.args.aggregating() {
 				s.Ex.St.RowsScanned += int64(n) // group rows are results, not scanned rows
 			}

@@ -5,9 +5,10 @@
 // device DRAM split into system/user heaps, and a per-channel hardware
 // pattern matcher.
 //
-// All timing constants live here in one Config so that the calibration
-// tests (internal/bench) can assert the paper's Tables II/III headline
-// numbers against a single source of truth.
+// The host and device-core calibration lives here as constants; each
+// lower layer (nand, hostif, ftl, core) keeps its own beside the code
+// that charges it. Config holds only what experiments set to more than
+// one value.
 package device
 
 import (
@@ -23,42 +24,11 @@ import (
 	"biscuit/internal/trace"
 )
 
-// Config aggregates every component configuration plus the Biscuit
-// runtime cost model.
+// Config aggregates the component configurations experiments vary.
 type Config struct {
 	NAND nand.Config
 	FTL  ftl.Config
 	Host hostif.Config
-
-	// Host system (paper §V-A: 2× Xeon E5-2640, 24 threads, 64 GiB).
-	HostThreads int
-	HostHz      float64
-	// HostMemBW is the aggregate host memory bandwidth StreamBench-style
-	// load contends for.
-	HostMemBW float64
-	// MemContentionAlpha scales host software slowdown per background
-	// load thread: effective cycles = base × (1 + alpha × threads).
-	// Calibrated to Table V's grep degradation (12.2 s at 0 threads to
-	// 19.9 s at 24, i.e. ~1.63× at 24 threads).
-	MemContentionAlpha float64
-
-	// Device cores available to Biscuit (Table I: 2× Cortex-R7 750 MHz).
-	DevCores int
-	DevHz    float64
-	// FiberCSW is the fiber context-switch cost; it dominates the
-	// inter-application port latency of Table II (10.7 us).
-	FiberCSW sim.Time
-	// TypeCost is the inter-SSDlet port type abstraction/de-abstraction
-	// cost (Table II: +20.3 us over inter-application).
-	TypeCost sim.Time
-	// Channel-manager per-message costs. The paper reports D2H 130.1 us
-	// and H2D 301.6 us round trips and attributes the asymmetry to the
-	// receiver side doing roughly twice the sender's work on the slow
-	// device cores.
-	ChanMgrHostSendCycles float64 // host CPU cycles to send into a channel
-	ChanMgrHostRecvCycles float64 // host CPU cycles to receive
-	ChanMgrDevSendCycles  float64 // device CPU cycles to send
-	ChanMgrDevRecvCycles  float64 // device CPU cycles to receive
 
 	// PatternMatcherOverhead is the per-command software cost of driving
 	// the per-channel matcher IP; it puts the matcher's streaming rate
@@ -69,57 +39,60 @@ type Config struct {
 	SystemHeap int
 	UserHeap   int
 
-	// InternalReadOverhead is the Biscuit-runtime cost added to an
-	// SSDlet-issued read on top of the firmware path (completion
-	// dispatch to the fiber); Table III's 75.9 us internal read is
-	// firmware+NAND+this.
-	InternalReadOverhead sim.Time
-
 	// Fault declares the platform's fault campaign (internal/fault).
 	// The zero plan — the default — models perfectly reliable media and
 	// interface, matching the paper platform's calibration runs.
 	Fault fault.Plan
 }
 
+// The host system (paper §V-A: 2× Xeon E5-2640, 24 threads, 64 GiB).
+const (
+	hostThreads int     = 24
+	hostHz      float64 = 2.5e9
+	// hostMemBW is the aggregate host memory bandwidth StreamBench-style
+	// load contends for (effective copy/scan bandwidth).
+	hostMemBW float64 = 24e9
+	// memContentionAlpha scales host software slowdown per background
+	// load thread: effective cycles = base × (1 + alpha × threads).
+	// Calibrated to Table V's grep degradation (12.2 s at 0 threads to
+	// 19.9 s at 24, i.e. ~1.63× at 24 threads).
+	memContentionAlpha float64 = 0.026
+)
+
+// The device cores available to Biscuit (Table I: 2× Cortex-R7 750 MHz).
+const (
+	devCores int     = 2
+	devHz    float64 = 750e6
+	// fiberCSW is the fiber context-switch cost; it dominates the
+	// inter-application port latency of Table II (10.7 us).
+	fiberCSW sim.Time = 8150 * sim.Nanosecond
+)
+
+// InternalReadOverhead is the Biscuit-runtime cost added to an
+// SSDlet-issued read on top of the firmware path (completion dispatch
+// to the fiber); Table III's 75.9 us internal read is
+// firmware+NAND+this.
+const InternalReadOverhead sim.Time = 1700 * sim.Nanosecond
+
 // DefaultConfig returns the calibrated paper platform. The NAND
-// geometry keeps the paper device's channel/way structure and all
-// timings (which determine every latency and bandwidth result) but
-// trims blocks-per-die from the full 1 TB of nand.DefaultConfig to a
-// 128 GiB working set so a platform's FTL tables stay small; capacity
-// beyond an experiment's footprint has no effect on timing.
+// geometry keeps the paper device's channel/way structure (timings are
+// nand's constants) but trims blocks-per-die from the full 1 TB of
+// nand.DefaultConfig to a 128 GiB working set so a platform's FTL tables
+// stay small; capacity beyond an experiment's footprint has no effect
+// on timing.
 func DefaultConfig() Config {
 	nandCfg := nand.DefaultConfig()
 	nandCfg.BlocksPerDie = 512
 	return Config{
-		NAND:               nandCfg,
-		FTL:                ftl.DefaultConfig(),
-		Host:               hostif.DefaultConfig(),
-		HostThreads:        24,
-		HostHz:             2.5e9,
-		HostMemBW:          24e9, // effective copy/scan bandwidth shared with load threads
-		MemContentionAlpha: 0.026,
-		DevCores:           2,
-		DevHz:              750e6,
-		FiberCSW:           8150 * sim.Nanosecond,
-		TypeCost:           11214 * sim.Nanosecond,
-
-		ChanMgrHostSendCycles: 25000, // 10 us @ 2.5 GHz
-		ChanMgrHostRecvCycles: 45000, // 18 us
-		ChanMgrDevSendCycles:  70425, // ~93.9 us @ 750 MHz
-		ChanMgrDevRecvCycles:  origDevRecvCycles,
+		NAND: nandCfg,
+		FTL:  ftl.DefaultConfig(),
 
 		PatternMatcherOverhead: 2500 * sim.Nanosecond,
 
 		SystemHeap: 8 << 20,
 		UserHeap:   64 << 20,
-
-		InternalReadOverhead: 1700 * sim.Nanosecond,
 	}
 }
-
-// origDevRecvCycles: ~2x the device send work (paper: "the channel
-// manager has about twice the work to do in the receiver side").
-const origDevRecvCycles = 199673 // ~266 us @ 750 MHz
 
 // Platform is the host + SSD pair every experiment runs on.
 type Platform struct {
@@ -168,9 +141,14 @@ type Platform struct {
 
 // New builds a platform in env with the given configuration.
 func New(env *sim.Env, cfg Config) *Platform {
-	return NewShared(env, cfg,
-		cpu.New(env, "host-cpu", cfg.HostThreads, cfg.HostHz),
-		env.NewSharedBW("host-mem", cfg.HostMemBW))
+	hostCPU, hostMem := NewHost(env)
+	return NewShared(env, cfg, hostCPU, hostMem)
+}
+
+// NewHost builds the paper's host in env: its CPU and the memory system
+// background load contends for. NewShared attaches SSDs to it.
+func NewHost(env *sim.Env) (*cpu.CPU, *sim.SharedBW) {
+	return cpu.New(env, "host-cpu", hostThreads, hostHz), env.NewSharedBW("host-mem", hostMemBW)
 }
 
 // NewShared builds a platform whose SSD attaches to an existing host
@@ -185,7 +163,7 @@ func NewShared(env *sim.Env, cfg Config, hostCPU *cpu.CPU, hostMem *sim.SharedBW
 	p.FTL = ftl.New(env, p.Array, cfg.FTL)
 	// One firmware-facing core pool handles host commands; Biscuit's two
 	// cores are managed by the fiber runtime.
-	devCmd := cpu.New(env, "dev-nvme", 1, cfg.DevHz)
+	devCmd := cpu.New(env, "dev-nvme", 1, devHz)
 	p.HostIF = hostif.New(env, cfg.Host, p.FTL, p.HostCPU, devCmd)
 	if cfg.Fault.Enabled() {
 		if err := cfg.Fault.ValidateDies(cfg.NAND.Dies()); err != nil {
@@ -199,7 +177,7 @@ func NewShared(env *sim.Env, cfg Config, hostCPU *cpu.CPU, hostMem *sim.SharedBW
 		p.Array.SetInjector(inj)
 		p.HostIF.SetInjector(inj)
 	}
-	p.DevRT = fibers.New(env, fibers.Config{Cores: cfg.DevCores, Hz: cfg.DevHz, CSW: cfg.FiberCSW})
+	p.DevRT = fibers.New(env, fibers.Config{Cores: devCores, Hz: devHz, CSW: fiberCSW})
 	p.HostIF.SetHists(p.Hists)
 	p.FTL.SetHists(p.Hists)
 	p.FTL.SetCounters(p.Ctrs)
@@ -244,7 +222,7 @@ func (p *Platform) InternalRead(proc *sim.Proc, off int64, n int) ([]byte, error
 	sp := p.Trace.BeginAsync(p.intTk, "internal.read").Arg("off", off).Arg("bytes", int64(n))
 	start := proc.Now()
 	data, err := p.FTL.ReadRange(proc, off, n)
-	proc.Sleep(p.Cfg.InternalReadOverhead)
+	proc.Sleep(InternalReadOverhead)
 	p.Hists.Observe("dev.internal.read", int64(proc.Now()-start))
 	sp.End()
 	return data, err
@@ -316,7 +294,7 @@ func (p *Platform) HostLoad() int { return p.HostMem.Load() }
 // LoadFactor is the memory-contention slowdown of host software under
 // the current background load: 1 + alpha × threads.
 func (p *Platform) LoadFactor() float64 {
-	return 1 + p.Cfg.MemContentionAlpha*float64(p.HostMem.Load())
+	return 1 + memContentionAlpha*float64(p.HostMem.Load())
 }
 
 // HostScan models host software scanning n bytes in host memory: one

@@ -40,8 +40,8 @@ func TestInternalReadAddsRuntimeOverhead(t *testing.T) {
 		internalT = pr.Now() - start
 	})
 	env.Run()
-	if internalT != ftlT+cfg.InternalReadOverhead {
-		t.Fatalf("internal %v, want ftl %v + overhead %v", internalT, ftlT, cfg.InternalReadOverhead)
+	if internalT != ftlT+InternalReadOverhead {
+		t.Fatalf("internal %v, want ftl %v + overhead %v", internalT, ftlT, InternalReadOverhead)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestLoadFactorLinear(t *testing.T) {
 		t.Fatalf("idle load factor %v", lf)
 	}
 	p.SetHostLoad(24)
-	want := 1 + p.Cfg.MemContentionAlpha*24
+	want := 1 + memContentionAlpha*24
 	if lf := p.LoadFactor(); lf != want {
 		t.Fatalf("load factor %v, want %v", lf, want)
 	}
@@ -72,11 +72,11 @@ func TestHostScanCPUvsMemoryBound(t *testing.T) {
 		memBound = pr.Now() - start
 	})
 	env.Run()
-	wantCPU := sim.Time(float64(1<<20) * 10 / p.Cfg.HostHz * float64(sim.Second))
+	wantCPU := sim.Time(float64(1<<20) * 10 / hostHz * float64(sim.Second))
 	if d := cpuBound - wantCPU; d < -sim.Microsecond || d > sim.Microsecond {
 		t.Fatalf("cpu-bound scan %v, want ~%v", cpuBound, wantCPU)
 	}
-	wantMem := sim.TransferTime(1<<20, p.Cfg.HostMemBW)
+	wantMem := sim.TransferTime(1<<20, hostMemBW)
 	if d := memBound - wantMem; d < -sim.Microsecond || d > sim.Microsecond {
 		t.Fatalf("mem-bound scan %v, want ~%v", memBound, wantMem)
 	}

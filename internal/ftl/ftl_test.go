@@ -17,11 +17,6 @@ func smallNAND() nand.Config {
 		BlocksPerDie:   16,
 		PagesPerBlock:  8,
 		PageSize:       4096,
-		ReadLatency:    50 * sim.Microsecond,
-		ProgramLatency: 500 * sim.Microsecond,
-		EraseLatency:   3 * sim.Millisecond,
-		ChannelBW:      400e6,
-		ChannelCmdCost: sim.Microsecond,
 	}
 }
 

@@ -19,7 +19,6 @@ package health
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"biscuit/internal/sim"
 	"biscuit/internal/stats"
@@ -48,33 +47,23 @@ func (s State) String() string {
 	}
 }
 
-// Config tunes the classifier.
-type Config struct {
-	// Interval is the evaluation tick; every probe is scored once per
+// The classifier's thresholds, tuned for the serving experiments: a
+// hard failure escalates to Critical on the next tick, a dead die, a
+// burst of degraded reads or GC pressure reaches Degraded, and a device
+// must stay quiet for clearTicks before it recovers a level.
+const (
+	// interval is the evaluation tick; every probe is scored once per
 	// tick (lazily, on the first mutation past the boundary).
-	Interval sim.Time
-	// DegradedScore / CriticalScore are the per-tick score thresholds.
+	interval sim.Time = 500 * sim.Microsecond
+	// degradedScore / criticalScore are the per-tick score thresholds.
 	// The score blends level signals (GC debt, queue depth) with the
 	// tick's deltas of the failure counters; see score().
-	DegradedScore, CriticalScore int64
-	// ClearTicks is the hysteresis: a device de-escalates one level
-	// only after this many consecutive ticks scoring zero. Escalation
-	// is immediate.
-	ClearTicks int
-}
-
-// DefaultConfig returns thresholds tuned for the serving experiments:
-// a dead die escalates to Critical on the next tick, a burst of
-// degraded reads or GC pressure reaches Degraded, and a device must
-// stay quiet for ClearTicks before it recovers a level.
-func DefaultConfig() Config {
-	return Config{
-		Interval:      500 * sim.Microsecond,
-		DegradedScore: 4,
-		CriticalScore: 100,
-		ClearTicks:    20,
-	}
-}
+	degradedScore, criticalScore int64 = 4, 100
+	// clearTicks is the hysteresis: a device de-escalates one level only
+	// after this many consecutive ticks scoring zero. Escalation is
+	// immediate.
+	clearTicks int = 20
+)
 
 // Probe is one device's signal bundle. Gauges and Ctrs are the
 // device's own registries (the monitor chains onto Gauges.OnChange);
@@ -109,7 +98,6 @@ type devState struct {
 // Monitor classifies attached devices on a shared sim-time tick grid.
 type Monitor struct {
 	env  *sim.Env
-	cfg  Config
 	devs []*devState
 	log  []Transition
 
@@ -120,24 +108,8 @@ type Monitor struct {
 	onTrans func(dev int, from, to State)
 }
 
-// NewMonitor builds a monitor in env. Zero-valued Config fields take
-// their DefaultConfig values.
-func NewMonitor(env *sim.Env, cfg Config) *Monitor {
-	def := DefaultConfig()
-	if cfg.Interval <= 0 {
-		cfg.Interval = def.Interval
-	}
-	if cfg.DegradedScore <= 0 {
-		cfg.DegradedScore = def.DegradedScore
-	}
-	if cfg.CriticalScore <= 0 {
-		cfg.CriticalScore = def.CriticalScore
-	}
-	if cfg.ClearTicks <= 0 {
-		cfg.ClearTicks = def.ClearTicks
-	}
-	return &Monitor{env: env, cfg: cfg}
-}
+// NewMonitor builds a monitor in env.
+func NewMonitor(env *sim.Env) *Monitor { return &Monitor{env: env} }
 
 // SetTracer installs the tracer receiving health-transition instants on
 // per-device "health/<name>" tracks. Nil disables.
@@ -177,14 +149,15 @@ func (m *Monitor) State(dev int) State { return m.devs[dev].state }
 // Transitions returns the recorded state changes in evaluation order.
 func (m *Monitor) Transitions() []Transition { return m.log }
 
-// Signature is an FNV-1a digest of the transition log — the
-// determinism witness the 3-seed matrix test compares across runs.
+// Signature is a stats.Digest of the transition log, one record per
+// transition — the determinism witness the 3-seed matrix test compares
+// across runs.
 func (m *Monitor) Signature() uint64 {
-	h := fnv.New64a()
+	var d stats.Digest
 	for _, t := range m.log {
-		fmt.Fprintf(h, "%d:%s:%d:%d>%d:%d\xff", t.Dev, t.Name, int64(t.At), t.From, t.To, t.Score)
+		d.AddRecord(fmt.Sprintf("%d:%s:%d:%d>%d:%d", t.Dev, t.Name, int64(t.At), t.From, t.To, t.Score))
 	}
-	return h.Sum64()
+	return d.Sum64()
 }
 
 // Advance brings the tick grid up to the current sim time. The serving
@@ -205,10 +178,9 @@ func (m *Monitor) advance() {
 	}
 	m.inAdvance = true
 	now := m.env.Now()
-	iv := m.cfg.Interval
-	for (m.ticks+1)*int64(iv) <= int64(now) {
+	for (m.ticks+1)*int64(interval) <= int64(now) {
 		m.ticks++
-		at := sim.Time(m.ticks * int64(iv))
+		at := sim.Time(m.ticks * int64(interval))
 		for i, d := range m.devs {
 			m.evaluate(i, d, at)
 		}
@@ -220,21 +192,21 @@ func (m *Monitor) advance() {
 // device pinned at least at Degraded (the media is permanently
 // short a die, rebuilt or not); hard failure deltas — reconstructions
 // that hit a second lost member, pages lost for good — weigh straight
-// past CriticalScore; degraded-read deltas and sustained GC debt /
-// queue depth accumulate toward DegradedScore. Benign unstriped
+// past criticalScore; degraded-read deltas and sustained GC debt /
+// queue depth accumulate toward degradedScore. Benign unstriped
 // reconstruction misses ("ftl.rain.unstriped") are deliberately not
 // consulted — see the ReconstructFails split in internal/ftl.
 func (m *Monitor) score(d *devState) int64 {
 	var s int64
 	if d.probe.DeadDies != nil && d.probe.DeadDies() > 0 {
-		s += m.cfg.DegradedScore
+		s += degradedScore
 	}
 	if c := d.probe.Ctrs; c != nil {
 		fails := c.Get("ftl.rain.reconstructfail")
 		lost := c.Get("ftl.rain.lost")
 		degraded := c.Get("ftl.rain.degraded")
-		s += (fails - d.lastFails) * m.cfg.CriticalScore
-		s += (lost - d.lastLost) * m.cfg.CriticalScore
+		s += (fails - d.lastFails) * criticalScore
+		s += (lost - d.lastLost) * criticalScore
 		s += (degraded - d.lastDegraded) * 2
 		d.lastFails, d.lastLost, d.lastDegraded = fails, lost, degraded
 	}
@@ -248,15 +220,15 @@ func (m *Monitor) score(d *devState) int64 {
 }
 
 // evaluate scores device i at tick boundary at, escalating immediately
-// on a threshold crossing and de-escalating one level after ClearTicks
+// on a threshold crossing and de-escalating one level after clearTicks
 // consecutive zero-score ticks.
 func (m *Monitor) evaluate(i int, d *devState, at sim.Time) {
 	s := m.score(d)
 	target := d.state
 	switch {
-	case s >= m.cfg.CriticalScore:
+	case s >= criticalScore:
 		target = Critical
-	case s >= m.cfg.DegradedScore && target < Degraded:
+	case s >= degradedScore && target < Degraded:
 		target = Degraded
 	}
 	if target > d.state {
@@ -272,7 +244,7 @@ func (m *Monitor) evaluate(i int, d *devState, at sim.Time) {
 		return
 	}
 	d.clean++
-	if d.clean >= m.cfg.ClearTicks {
+	if d.clean >= clearTicks {
 		d.clean = 0
 		m.transition(i, d, at, d.state-1, s)
 	}

@@ -23,11 +23,6 @@ func faultStack(t *testing.T, plan fault.Plan) (*sim.Env, *Interface, *fault.Inj
 		BlocksPerDie:   32,
 		PagesPerBlock:  16,
 		PageSize:       4096,
-		ReadLatency:    50 * sim.Microsecond,
-		ProgramLatency: 500 * sim.Microsecond,
-		EraseLatency:   3 * sim.Millisecond,
-		ChannelBW:      400e6,
-		ChannelCmdCost: sim.Microsecond,
 	}
 	arr := nand.New(e, ncfg)
 	inj, err := fault.NewInjector(e, plan)
@@ -36,7 +31,7 @@ func faultStack(t *testing.T, plan fault.Plan) (*sim.Env, *Interface, *fault.Inj
 	}
 	arr.SetInjector(inj)
 	f := ftl.New(e, arr, ftl.DefaultConfig())
-	hi := New(e, DefaultConfig(), f, cpu.New(e, "host", 24, 2.5e9), cpu.New(e, "devfw", 2, 750e6))
+	hi := New(e, Config{}, f, cpu.New(e, "host", 24, 2.5e9), cpu.New(e, "devfw", 2, 750e6))
 	hi.SetInjector(inj)
 	return e, hi, inj
 }
@@ -61,7 +56,7 @@ func TestTimeoutRetriedWithBackoff(t *testing.T) {
 				break
 			}
 		}
-		if el := p.Now() - start; el < plan.TimeoutDelay+hi.cfg.RetryBackoff {
+		if el := p.Now() - start; el < plan.TimeoutDelay+retryBackoff {
 			t.Errorf("read took %v, must include timeout delay and backoff", el)
 		}
 	})
@@ -83,7 +78,7 @@ func TestTimeoutExhaustionSurfaces(t *testing.T) {
 	})
 	e.Run()
 	timeouts, _, redos := hi.FaultStats()
-	wantTries := int64(hi.cfg.CmdRetries + 1)
+	wantTries := int64(cmdRetries + 1)
 	if timeouts != wantTries || redos != wantTries-1 {
 		t.Fatalf("timeouts=%d redos=%d, want %d,%d", timeouts, redos, wantTries, wantTries-1)
 	}
@@ -101,10 +96,10 @@ func TestBackoffIsExponential(t *testing.T) {
 		elapsed = p.Now() - start
 	})
 	e.Run()
-	tries := sim.Time(hi.cfg.CmdRetries + 1)
+	tries := sim.Time(cmdRetries + 1)
 	var backoffs sim.Time
-	b := hi.cfg.RetryBackoff
-	for i := 0; i < hi.cfg.CmdRetries; i++ {
+	b := retryBackoff
+	for i := 0; i < cmdRetries; i++ {
 		backoffs += b
 		b *= 2
 	}

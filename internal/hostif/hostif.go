@@ -19,25 +19,9 @@ import (
 	"biscuit/internal/trace"
 )
 
-// Config holds link and protocol cost parameters.
+// Config places the SSD on the host. The zero value is the paper's
+// direct-attached organization.
 type Config struct {
-	LinkBW       float64  // bytes/s per direction (PCIe Gen3 x4 ≈ 3.2 GB/s)
-	LinkLatency  sim.Time // one-way propagation
-	CommandBytes int      // SQ entry size on the wire
-	DoorbellCost sim.Time // MMIO doorbell write latency
-
-	HostSubmitCycles   float64 // host driver: build command + ring doorbell
-	HostCompleteCycles float64 // host driver: interrupt + completion handling
-	DeviceCmdCycles    float64 // firmware: fetch/parse/queue a host command
-
-	MaxQueueDepth int // admission limit for outstanding host commands
-
-	// CmdRetries bounds how many times a failed host command (timeout
-	// or media error) is reissued; RetryBackoff is the first reissue
-	// delay, doubled per attempt (exponential backoff in sim-time).
-	CmdRetries   int
-	RetryBackoff sim.Time
-
 	// NetBW/NetLatency, when NetBW > 0, place a network hop between the
 	// host and the storage node holding the SSD — the paper's Fig. 1(c)
 	// "Networked" organization (e.g. a shared SAN or a 10 GbE storage
@@ -47,28 +31,31 @@ type Config struct {
 	NetLatency sim.Time
 }
 
-// DefaultConfig matches the paper's platform (Table I, §V-A) and is
+// The paper platform's link and protocol costs (Table I, §V-A),
 // calibrated so that a 4 KiB Conv read costs ~14 µs more than the
 // Biscuit-internal read (Table III).
-func DefaultConfig() Config {
-	return Config{
-		LinkBW:             3.2e9,
-		LinkLatency:        900 * sim.Nanosecond,
-		CommandBytes:       64,
-		DoorbellCost:       400 * sim.Nanosecond,
-		HostSubmitCycles:   7500,  // 3.0 us @ 2.5 GHz
-		HostCompleteCycles: 15000, // 6.0 us @ 2.5 GHz (IRQ + wakeup)
-		DeviceCmdCycles:    1500,  // 2.0 us @ 750 MHz
-		MaxQueueDepth:      256,
-		CmdRetries:         4,
-		RetryBackoff:       10 * sim.Microsecond,
-	}
-}
+const (
+	linkBW       float64  = 3.2e9                // bytes/s per direction (PCIe Gen3 x4)
+	linkLatency  sim.Time = 900 * sim.Nanosecond // one-way propagation
+	commandBytes int      = 64                   // SQ entry size on the wire
+	doorbellCost sim.Time = 400 * sim.Nanosecond // MMIO doorbell write latency
+
+	hostSubmitCycles   float64 = 7500  // host driver, build command + ring doorbell: 3.0 us @ 2.5 GHz
+	hostCompleteCycles float64 = 15000 // host driver, interrupt + completion handling: 6.0 us @ 2.5 GHz
+	deviceCmdCycles    float64 = 1500  // firmware, fetch/parse/queue a host command: 2.0 us @ 750 MHz
+
+	maxQueueDepth int = 256 // admission limit for outstanding host commands
+
+	// cmdRetries bounds how many times a failed host command (timeout or
+	// media error) is reissued; retryBackoff is the first reissue delay,
+	// doubled per attempt (exponential backoff in sim-time).
+	cmdRetries   int      = 4
+	retryBackoff sim.Time = 10 * sim.Microsecond
+)
 
 // Interface is the host-visible NVMe endpoint of the device.
 type Interface struct {
 	env     *sim.Env
-	cfg     Config
 	ftl     *ftl.FTL
 	hostCPU *cpu.CPU
 	devCPU  *cpu.CPU // firmware core(s) handling host commands
@@ -95,13 +82,12 @@ type Interface struct {
 func New(env *sim.Env, cfg Config, f *ftl.FTL, hostCPU, devCPU *cpu.CPU) *Interface {
 	i := &Interface{
 		env:     env,
-		cfg:     cfg,
 		ftl:     f,
 		hostCPU: hostCPU,
 		devCPU:  devCPU,
-		down:    env.NewLink("pcie-h2d", cfg.LinkBW, cfg.LinkLatency, 0),
-		up:      env.NewLink("pcie-d2h", cfg.LinkBW, cfg.LinkLatency, 0),
-		qd:      env.NewResource("nvme-qd", cfg.MaxQueueDepth),
+		down:    env.NewLink("pcie-h2d", linkBW, linkLatency, 0),
+		up:      env.NewLink("pcie-d2h", linkBW, linkLatency, 0),
+		qd:      env.NewResource("nvme-qd", maxQueueDepth),
 	}
 	if cfg.NetBW > 0 {
 		i.netDown = env.NewLink("net-h2d", cfg.NetBW, cfg.NetLatency, 0)
@@ -165,9 +151,6 @@ func (i *Interface) xferUp(p *sim.Proc, n int64) {
 	}
 }
 
-// Config returns the interface configuration.
-func (i *Interface) Config() Config { return i.cfg }
-
 // UpLink returns the device-to-host link (for utilization accounting).
 func (i *Interface) UpLink() *sim.Link { return i.up }
 
@@ -194,8 +177,8 @@ func (i *Interface) FaultStats() (timeouts, stalls, retries int64) {
 func (i *Interface) submit(p *sim.Proc) error {
 	i.qd.Acquire(p)
 	i.gQD.Add(1)
-	i.hostCPU.Exec(p, i.cfg.HostSubmitCycles)
-	p.Sleep(i.cfg.DoorbellCost)
+	i.hostCPU.Exec(p, hostSubmitCycles)
+	p.Sleep(doorbellCost)
 	if i.inj.Timeout(func() string { return "hostif.submit" }) {
 		i.timeouts++
 		i.tr.Instant(i.cmdTk, "cmd.timeout")
@@ -204,16 +187,16 @@ func (i *Interface) submit(p *sim.Proc) error {
 		i.qd.Release()
 		return fmt.Errorf("hostif: %w", fault.ErrTimeout)
 	}
-	i.xferDown(p, int64(i.cfg.CommandBytes))
-	i.devCPU.Exec(p, i.cfg.DeviceCmdCycles)
+	i.xferDown(p, int64(commandBytes))
+	i.devCPU.Exec(p, deviceCmdCycles)
 	i.cmds++
 	return nil
 }
 
 // complete performs the completion sequence back to the host.
 func (i *Interface) complete(p *sim.Proc) {
-	i.xferUp(p, int64(i.cfg.CommandBytes)) // CQ entry
-	i.hostCPU.Exec(p, i.cfg.HostCompleteCycles)
+	i.xferUp(p, int64(commandBytes)) // CQ entry
+	i.hostCPU.Exec(p, hostCompleteCycles)
 	i.gQD.Add(-1)
 	i.qd.Release()
 }
@@ -231,18 +214,18 @@ var (
 // async span, the in-flight gauge and the latency histogram around once
 // run under the bounded retry policy. A failed command (timeout or
 // media error) is reissued after an exponential sim-time backoff, up to
-// CmdRetries extra attempts. Media retries at this level roll fresh FTL
+// cmdRetries extra attempts. Media retries at this level roll fresh FTL
 // read-retries, which is why the conventional path survives fault plans
 // that defeat a single internal read.
 func (i *Interface) command(p *sim.Proc, k cmdKind, off int64, n int, once func() error) error {
 	sp := i.tr.BeginAsync(i.cmdTk, k.span).Arg("off", off).Arg("bytes", int64(n))
 	i.gInflight.Add(1)
 	start := p.Now()
-	backoff := i.cfg.RetryBackoff
+	backoff := retryBackoff
 	var err error
 	for try := 0; ; try++ {
 		err = once()
-		if err == nil || try >= i.cfg.CmdRetries {
+		if err == nil || try >= cmdRetries {
 			break
 		}
 		i.redos++
@@ -254,7 +237,7 @@ func (i *Interface) command(p *sim.Proc, k cmdKind, off int64, n int, once func(
 	i.gInflight.Add(-1)
 	sp.End()
 	if err != nil {
-		return fmt.Errorf("hostif: %s failed after %d attempts: %w", k.what, i.cfg.CmdRetries+1, err)
+		return fmt.Errorf("hostif: %s failed after %d attempts: %w", k.what, cmdRetries+1, err)
 	}
 	return nil
 }
@@ -324,7 +307,7 @@ func (i *Interface) Message(p *sim.Proc, up bool, bytes int64) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("hostif: negative message size %d", bytes))
 	}
-	n := int64(i.cfg.CommandBytes) + bytes
+	n := int64(commandBytes) + bytes
 	if up {
 		i.bytesUp += bytes
 		i.xferUp(p, n)

@@ -21,11 +21,6 @@ func newFS(t *testing.T) (*sim.Env, *ftl.FTL, *FS) {
 		BlocksPerDie:   64,
 		PagesPerBlock:  32,
 		PageSize:       4096,
-		ReadLatency:    50 * sim.Microsecond,
-		ProgramLatency: 500 * sim.Microsecond,
-		EraseLatency:   3 * sim.Millisecond,
-		ChannelBW:      400e6,
-		ChannelCmdCost: sim.Microsecond,
 	}
 	f := ftl.New(e, nand.New(e, ncfg), ftl.DefaultConfig())
 	var fs *FS
@@ -164,9 +159,7 @@ func TestMountPersistsMetadataAndData(t *testing.T) {
 
 func TestMountOnBlankDeviceFails(t *testing.T) {
 	e := sim.NewEnv()
-	ncfg := nand.Config{Channels: 1, WaysPerChannel: 1, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 4096,
-		ReadLatency: 50 * sim.Microsecond, ProgramLatency: 500 * sim.Microsecond, EraseLatency: 3 * sim.Millisecond,
-		ChannelBW: 400e6, ChannelCmdCost: sim.Microsecond}
+	ncfg := nand.Config{Channels: 1, WaysPerChannel: 1, BlocksPerDie: 32, PagesPerBlock: 16, PageSize: 4096}
 	f := ftl.New(e, nand.New(e, ncfg), ftl.DefaultConfig())
 	run(t, e, func(p *sim.Proc) {
 		if _, err := Mount(p, f); !errors.Is(err, ErrBadMount) {
@@ -349,9 +342,7 @@ func TestRandomFileOperationsProperty(t *testing.T) {
 		e := sim.NewEnv()
 		ncfg := nand.Config{
 			Channels: 4, WaysPerChannel: 2, BlocksPerDie: 64, PagesPerBlock: 32,
-			PageSize: 4096, ReadLatency: 50 * sim.Microsecond,
-			ProgramLatency: 500 * sim.Microsecond, EraseLatency: 3 * sim.Millisecond,
-			ChannelBW: 400e6, ChannelCmdCost: sim.Microsecond,
+			PageSize: 4096,
 		}
 		f := ftl.New(e, nand.New(e, ncfg), ftl.DefaultConfig())
 		ok := true

@@ -12,11 +12,13 @@ func TestLoadSlowsForegroundScan(t *testing.T) {
 	plat := device.New(env, device.DefaultConfig())
 	lg := New(plat)
 	var idle, loaded sim.Time
+	var want float64 // the contention model's slowdown at 24 threads
 	env.Spawn("fg", func(p *sim.Proc) {
 		start := p.Now()
 		plat.HostScan(p, 8<<20, 3.0)
 		idle = p.Now() - start
 		lg.Start(24)
+		want = plat.LoadFactor()
 		start = p.Now()
 		plat.HostScan(p, 8<<20, 3.0)
 		loaded = p.Now() - start
@@ -24,7 +26,6 @@ func TestLoadSlowsForegroundScan(t *testing.T) {
 	})
 	env.Run()
 	ratio := float64(loaded) / float64(idle)
-	want := plat.Cfg.MemContentionAlpha*24 + 1
 	if ratio < want*0.9 || ratio > want*1.1 {
 		t.Fatalf("load slowdown %.2f, want ~%.2f", ratio, want)
 	}

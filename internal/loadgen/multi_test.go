@@ -72,6 +72,7 @@ func TestArrayLoadSweepDegradesConvNotNDP(t *testing.T) {
 
 	lg := NewMulti(ms)
 	var convIdle, convLoaded, ndpIdle, ndpLoaded sim.Time
+	var maxSlow float64 // the contention model's slowdown at 24 threads
 	ms.Run(func(h *biscuit.MultiHost) {
 		convIdle = scanAll(h, true)
 		ndpIdle = scanAll(h, false)
@@ -79,6 +80,7 @@ func TestArrayLoadSweepDegradesConvNotNDP(t *testing.T) {
 		if lg.Threads() != 24 {
 			panic("thread accounting lost on array generator")
 		}
+		maxSlow = ms.Systems[0].Plat.LoadFactor()
 		convLoaded = scanAll(h, true)
 		ndpLoaded = scanAll(h, false)
 		lg.Stop()
@@ -86,7 +88,6 @@ func TestArrayLoadSweepDegradesConvNotNDP(t *testing.T) {
 
 	convRatio := float64(convLoaded) / float64(convIdle)
 	ndpRatio := float64(ndpLoaded) / float64(ndpIdle)
-	maxSlow := 1 + ms.Systems[0].Plat.Cfg.MemContentionAlpha*24
 	if convRatio < 1.2 {
 		t.Fatalf("Conv scatter-scan barely degraded under 24 threads: ratio %.3f", convRatio)
 	}

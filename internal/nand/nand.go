@@ -20,24 +20,26 @@ import (
 	"biscuit/internal/trace"
 )
 
-// Config describes array geometry and timing.
+// Config describes array geometry; experiments and tests shrink it.
 type Config struct {
 	Channels       int // independent channel buses
 	WaysPerChannel int // dies per channel
 	BlocksPerDie   int
 	PagesPerBlock  int
 	PageSize       int // bytes
-
-	ReadLatency    sim.Time // tR: array -> page register
-	ProgramLatency sim.Time // tPROG
-	EraseLatency   sim.Time // tBERS
-	ChannelBW      float64  // channel bus rate, bytes/s
-	ChannelCmdCost sim.Time // bus occupancy per command (cmd/addr cycles)
 }
 
-// DefaultConfig mirrors the paper's enterprise NVMe SSD (Table I): enough
-// channels that aggregate media bandwidth exceeds the 3.2 GB/s host link
-// by >30 %. 16 channels × 270 MB/s ≈ 4.3 GB/s.
+// The paper device's media timings (Table I). 16 channels × 270 MB/s ≈
+// 4.3 GB/s of internal bandwidth, >30 % above the 3.2 GB/s host link.
+const (
+	readLatency    sim.Time = 55 * sim.Microsecond  // tR: array -> page register
+	programLatency sim.Time = 600 * sim.Microsecond // tPROG
+	eraseLatency   sim.Time = 3 * sim.Millisecond   // tBERS
+	channelBW      float64  = 270e6                 // channel bus rate, bytes/s
+	channelCmdCost sim.Time = sim.Microsecond       // bus occupancy per command (cmd/addr cycles)
+)
+
+// DefaultConfig mirrors the paper's enterprise NVMe SSD (Table I).
 func DefaultConfig() Config {
 	return Config{
 		Channels:       16,
@@ -45,11 +47,6 @@ func DefaultConfig() Config {
 		BlocksPerDie:   4096,
 		PagesPerBlock:  256,
 		PageSize:       16 * 1024,
-		ReadLatency:    55 * sim.Microsecond,
-		ProgramLatency: 600 * sim.Microsecond,
-		EraseLatency:   3 * sim.Millisecond,
-		ChannelBW:      270e6,
-		ChannelCmdCost: sim.Microsecond,
 	}
 }
 
@@ -66,8 +63,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("nand: bad geometry %d blocks × %d pages × %d B", c.BlocksPerDie, c.PagesPerBlock, c.PageSize)
 	case c.Channels > maxChannels:
 		return fmt.Errorf("nand: %d channels exceed the %d a channel mask holds", c.Channels, maxChannels)
-	case c.ChannelBW <= 0:
-		return fmt.Errorf("nand: channel bandwidth must be positive")
 	}
 	return nil
 }
@@ -83,9 +78,6 @@ func (c Config) TotalPages() int { return c.Dies() * c.PagesPerDie() }
 
 // Capacity returns raw capacity in bytes.
 func (c Config) Capacity() int64 { return int64(c.TotalPages()) * int64(c.PageSize) }
-
-// InternalBW returns the aggregate media bandwidth in bytes/s.
-func (c Config) InternalBW() float64 { return float64(c.Channels) * c.ChannelBW }
 
 // PPA is a physical page address.
 type PPA struct {
@@ -257,7 +249,7 @@ func (a *Array) DieDead(d int) bool { return a.inj.DieDown(d) }
 func (a *Array) dieFail(p *sim.Proc, addr PPA) {
 	bus := a.channels[addr.Channel]
 	bus.Acquire(p)
-	p.Sleep(a.cfg.ChannelCmdCost)
+	p.Sleep(channelCmdCost)
 	bus.Release()
 	a.tr.Instant(a.dieTrack(addr), "die.dead")
 }
@@ -337,14 +329,14 @@ func (a *Array) read(p *sim.Proc, span string, addr PPA, offset, length int, bus
 	d.busy.Acquire(p)
 	a.busyDelta(addr.Channel, 1)
 	sp := a.tr.Begin(a.dieTrack(addr), span).Arg("bytes", int64(length))
-	p.Sleep(a.cfg.ReadLatency)
+	p.Sleep(readLatency)
 	if dec.Correctable {
 		a.tr.Instant(a.dieTrack(addr), "ecc.correctable")
 		p.Sleep(a.inj.Plan().CorrectableLatency)
 	}
 	bus := a.channels[addr.Channel]
 	bus.Acquire(p)
-	p.Sleep(a.cfg.ChannelCmdCost + busExtra + sim.TransferTime(int64(length), a.cfg.ChannelBW))
+	p.Sleep(channelCmdCost + busExtra + sim.TransferTime(int64(length), channelBW))
 	bus.Release()
 	sp.End()
 	a.busyDelta(addr.Channel, -1)
@@ -422,9 +414,9 @@ func (a *Array) Program(p *sim.Proc, addr PPA, data []byte) error {
 	sp := a.tr.Begin(a.dieTrack(addr), "nand.program").Arg("bytes", int64(a.cfg.PageSize))
 	bus := a.channels[addr.Channel]
 	bus.Acquire(p)
-	p.Sleep(a.cfg.ChannelCmdCost + sim.TransferTime(int64(a.cfg.PageSize), a.cfg.ChannelBW))
+	p.Sleep(channelCmdCost + sim.TransferTime(int64(a.cfg.PageSize), channelBW))
 	bus.Release()
-	p.Sleep(a.cfg.ProgramLatency)
+	p.Sleep(programLatency)
 	sp.End()
 	a.busyDelta(addr.Channel, -1)
 	d.busy.Release()
@@ -463,7 +455,7 @@ func (a *Array) Erase(p *sim.Proc, b BlockAddr) error {
 	d.busy.Acquire(p)
 	a.busyDelta(addr.Channel, 1)
 	sp := a.tr.Begin(a.dieTrack(addr), "nand.erase").Arg("block", int64(b.Block))
-	p.Sleep(a.cfg.EraseLatency)
+	p.Sleep(eraseLatency)
 	sp.End()
 	a.busyDelta(addr.Channel, -1)
 	d.busy.Release()

@@ -21,11 +21,6 @@ func smallConfig() Config {
 		BlocksPerDie:   4,
 		PagesPerBlock:  8,
 		PageSize:       4096,
-		ReadLatency:    50 * sim.Microsecond,
-		ProgramLatency: 500 * sim.Microsecond,
-		EraseLatency:   3 * sim.Millisecond,
-		ChannelBW:      400e6,
-		ChannelCmdCost: sim.Microsecond,
 	}
 }
 
@@ -34,8 +29,8 @@ func TestDefaultConfigValid(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.InternalBW() <= 3.2e9*1.3 {
-		t.Fatalf("internal BW %.2f GB/s must exceed host link by >30%%", cfg.InternalBW()/1e9)
+	if bw := float64(cfg.Channels) * channelBW; bw <= 3.2e9*1.3 {
+		t.Fatalf("internal BW %.2f GB/s must exceed host link by >30%%", bw/1e9)
 	}
 	if cfg.Capacity() < 1<<40 {
 		t.Fatalf("default capacity %d < 1 TB", cfg.Capacity())
@@ -52,7 +47,6 @@ func TestConfigValidate(t *testing.T) {
 		{"no channels", func(c *Config) { c.Channels = 0 }, false},
 		{"no ways", func(c *Config) { c.WaysPerChannel = 0 }, false},
 		{"no pages", func(c *Config) { c.PagesPerBlock = 0 }, false},
-		{"no bandwidth", func(c *Config) { c.ChannelBW = 0 }, false},
 		{"64 channels fill the mask", func(c *Config) { c.Channels = 64 }, true},
 		{"65 channels overflow it", func(c *Config) { c.Channels = 65 }, false},
 	} {
@@ -146,7 +140,7 @@ func TestReadTimingSingle(t *testing.T) {
 		end = p.Now()
 	})
 	e.Run()
-	want := cfg.ReadLatency + cfg.ChannelCmdCost + sim.TransferTime(4096, cfg.ChannelBW)
+	want := readLatency + channelCmdCost + sim.TransferTime(4096, channelBW)
 	if end != want {
 		t.Fatalf("read took %v, want %v", end, want)
 	}
@@ -183,9 +177,9 @@ func TestSameChannelSerializesBusButOverlapsSense(t *testing.T) {
 		})
 	}
 	e.Run()
-	xfer := cfg.ChannelCmdCost + sim.TransferTime(4096, cfg.ChannelBW)
-	want0 := cfg.ReadLatency + xfer
-	want1 := cfg.ReadLatency + 2*xfer
+	xfer := channelCmdCost + sim.TransferTime(4096, channelBW)
+	want0 := readLatency + xfer
+	want1 := readLatency + 2*xfer
 	if ends[0] != want0 || ends[1] != want1 {
 		t.Fatalf("ends=%v, want [%v %v]", ends, want0, want1)
 	}
@@ -203,7 +197,7 @@ func TestSameDieSerializesCompletely(t *testing.T) {
 		})
 	}
 	e.Run()
-	one := cfg.ReadLatency + cfg.ChannelCmdCost + sim.TransferTime(4096, cfg.ChannelBW)
+	one := readLatency + channelCmdCost + sim.TransferTime(4096, channelBW)
 	if ends[1] != 2*one {
 		t.Fatalf("same-die reads must serialize: %v, want second at %v", ends, 2*one)
 	}
@@ -225,7 +219,7 @@ func TestReadThroughDeliversDataAndChargesOverhead(t *testing.T) {
 	if string(got[:6]) != "needle" {
 		t.Fatalf("sink got %q", got[:6])
 	}
-	want := cfg.ReadLatency + cfg.ChannelCmdCost + 5*sim.Microsecond + sim.TransferTime(4096, cfg.ChannelBW)
+	want := readLatency + channelCmdCost + 5*sim.Microsecond + sim.TransferTime(4096, channelBW)
 	if end != want {
 		t.Fatalf("readthrough took %v, want %v", end, want)
 	}

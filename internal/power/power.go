@@ -57,7 +57,7 @@ func NewMeter(plat *device.Platform, m Model) *Meter {
 	for i := 0; i < nch; i++ {
 		mt.lastChan[i] = plat.Array.ChannelBus(i).BusyTime()
 	}
-	mt.lastCore = make([]float64, plat.Cfg.DevCores)
+	mt.lastCore = make([]float64, plat.DevRT.Cores())
 	for i := range mt.lastCore {
 		mt.lastCore[i] = plat.DevRT.CoreResource(i).BusyTime()
 	}
@@ -73,7 +73,7 @@ func (mt *Meter) Sample() {
 		return
 	}
 	host := mt.plat.HostCPU.Resource().BusyTime()
-	uHost := (host - mt.lastHost) / dt / float64(mt.plat.Cfg.HostThreads)
+	uHost := (host - mt.lastHost) / dt / float64(mt.plat.HostCPU.Threads())
 	mt.lastHost = host
 
 	uSSD := 0.0

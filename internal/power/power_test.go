@@ -38,7 +38,7 @@ func TestBusyHostRaisesPower(t *testing.T) {
 		m.Sample()
 	})
 	env.Run()
-	want := Default().IdleW + Default().HostW/float64(plat.Cfg.HostThreads)
+	want := Default().IdleW + Default().HostW/float64(plat.HostCPU.Threads())
 	if got := m.Watts[0]; got < want*0.99 || got > want*1.01 {
 		t.Fatalf("busy power %v, want ~%v", got, want)
 	}

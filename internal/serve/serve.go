@@ -313,7 +313,7 @@ func New(cfg Config) (*Server, error) {
 // buildMonitor attaches every device's gauge/counter stack to a fresh
 // health monitor and routes its transitions into the scheduler.
 func (s *Server) buildMonitor() {
-	s.Monitor = health.NewMonitor(s.MS.Env, health.DefaultConfig())
+	s.Monitor = health.NewMonitor(s.MS.Env)
 	for i, sys := range s.MS.Systems {
 		arr := sys.Plat.Array
 		dies := sys.Plat.Cfg.NAND.Dies()

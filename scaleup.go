@@ -3,7 +3,6 @@ package biscuit
 import (
 	"fmt"
 
-	"biscuit/internal/cpu"
 	"biscuit/internal/device"
 	"biscuit/internal/sim"
 	"biscuit/internal/trace"
@@ -26,16 +25,13 @@ func NewMultiSystem(cfg Config, n int) *MultiSystem {
 
 // NewMultiSystemConfigs builds n SSDs sharing one simulated host, with
 // an optional per-device config hook: perDev(i, cfg) returns the config
-// for drive i (e.g. a fault plan injected on one shard only). Host-side
-// parameters (threads, clock, memory bandwidth) always come from the
-// base cfg — the drives share one host.
+// for drive i (e.g. a fault plan injected on one shard only).
 func NewMultiSystemConfigs(cfg Config, n int, perDev func(i int, cfg Config) Config) *MultiSystem {
 	if n < 1 {
 		panic("biscuit: need at least one SSD")
 	}
 	env := sim.NewEnv()
-	hostCPU := cpu.New(env, "host-cpu", cfg.HostThreads, cfg.HostHz)
-	hostMem := env.NewSharedBW("host-mem", cfg.HostMemBW)
+	hostCPU, hostMem := device.NewHost(env)
 	m := &MultiSystem{Env: env}
 	for i := 0; i < n; i++ {
 		dcfg := cfg
