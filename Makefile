@@ -47,12 +47,14 @@ FAULTPKGS := ./internal/ftl/... ./internal/hostif/... ./internal/isfs/... \
 faulttest:
 	$(GO) test -count=2 ./internal/fault/... $(FAULTPKGS)
 
-# Fuzz smoke: 10 s each of the fault-plan parser and the two matcher
-# oracles (go test -fuzz takes one target and one package per run).
+# Fuzz smoke: 10 s each of the fault-plan parser, the two matcher
+# oracles and the page decoder under a column mask (go test -fuzz takes
+# one target and one package per run).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz=FuzzStreamEqualsWholeScan -fuzztime=10s ./internal/match
 	$(GO) test -run '^$$' -fuzz=FuzzMultiKeyEqualsNaive -fuzztime=10s ./internal/match
+	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/db
 
 # Self-healing suite (DESIGN.md "Self-healing"): the health monitor's
 # unit tests plus every package with a rebuild/migration/replica/health
@@ -74,11 +76,12 @@ faultbench:
 	$(GO) run ./cmd/biscuitbench -exp faultcurve -quick -json bench-out -trace bench-out/faultcurve.trace.json
 	for f in bench-out/faultcurve.trace.json*; do $(GO) run ./cmd/tracecheck $$f || exit 1; done
 
-# Benchmark smoke: run the executor, join-probe, DES-core, proc-wake,
-# and fiber-switch benchmarks once (-benchtime=1x) so CI catches bit-rot
-# in the benchmark harness without paying for a real measurement run.
+# Benchmark smoke: run the executor, join-probe, row-decode, DES-core,
+# proc-wake, and fiber-switch benchmarks once (-benchtime=1x) so CI
+# catches bit-rot in the benchmark harness without paying for a real
+# measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkDecodeRow|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers
 
 # Bench gate (DESIGN.md "The bench gate"): regenerate every experiment

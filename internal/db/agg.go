@@ -229,8 +229,20 @@ func (h *HashAggOp) schemaFrom(first Row) *Schema {
 	return NewSchema(cols...)
 }
 
-// Open drains the input, grouping and aggregating.
+// inCols is the mask of the input columns the group keys and aggregate
+// arguments read.
+func (h *HashAggOp) inCols() []bool {
+	need := readCols(width(h.In), h.GroupBy...)
+	for _, a := range h.Aggs {
+		colsOf(need, a.Arg)
+	}
+	return need
+}
+
+// Open narrows the input to the columns the groups and aggregates read,
+// then drains it, grouping and aggregating.
 func (h *HashAggOp) Open() (err error) {
+	narrow(h.In, h.inCols())
 	if err := h.In.Open(); err != nil {
 		return err
 	}

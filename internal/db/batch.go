@@ -28,7 +28,7 @@ type strFix struct {
 // the live set by editing the selection vector without copying rows.
 //
 // Memory discipline: rows produced into a batch (via NewRow or
-// DecodeRowInto) live in arenas owned by the batch and are valid only
+// decodeRow) live in arenas owned by the batch and are valid only
 // until the next Reset (equivalently: the next NextBatch call on the
 // producing operator). Consumers that retain rows must Clone them —
 // Collect does. Rows added by reference via AppendRow are owned by the
@@ -195,58 +195,108 @@ func (b *RowBatch) Keep(k int) {
 	b.sel = b.sel[:k]
 }
 
-// DecodeRowInto decodes one row off the front of buf into the batch
-// (schema sch), returning bytes consumed. It is the one row decoder:
-// cells land in the batch's Value arena and string bytes in its byte
-// arena, so allocations are amortized over the batch. String cells are
-// left packed until FinishStrings materializes them — callers must
-// FinishStrings before any cell is read.
-func (b *RowBatch) DecodeRowInto(buf []byte, sch *Schema) (int, error) {
+// cellOp is what the row decoder does with one cell: decode it as the
+// column Type it equals or, with skipCell set, walk past a cell of that
+// type. A schema's ops decode every cell; a scan's ops, built from the
+// column mask the plan above it handed down, skip the cells nobody reads.
+type cellOp uint8
+
+const skipCell cellOp = 4
+
+// decodeRow decodes one row off the front of buf into the batch (schema
+// sch), returning bytes consumed. It is the one row decoder: cells land
+// in the batch's Value arena and string bytes in its byte arena, so
+// allocations are amortized over the batch. String cells are left packed
+// until FinishStrings materializes them — callers must FinishStrings
+// before any cell is read.
+//
+// ops says per column what to do with its cell; nil decodes them all. A
+// skipped cell is walked, not materialized — it stays the zero Value and
+// costs no arena bytes and no date parse — but its bytes pass every
+// check a decoded cell's do, with the same error, and the row is walked
+// to its end: a corrupt row fails whatever the mask, and the consumed
+// length never depends on it.
+func (b *RowBatch) decodeRow(buf []byte, sch *Schema, ops []cellOp) (int, error) {
 	blen, n := binary.Uvarint(buf)
 	if n <= 0 || blen > uint64(len(buf)-n) {
 		return 0, fmt.Errorf("db: truncated row header")
 	}
+	if ops == nil {
+		ops = sch.ops
+	}
 	body := buf[n : n+int(blen)]
-	ncols := len(sch.Cols)
-	r := b.NewRow(ncols)
+	r := b.NewRow(len(ops))
 	rowIdx := int32(b.n - 1)
 	at := 0
-	for i, c := range sch.Cols {
-		switch c.T {
-		case TInt, TDecimal:
+	var err error
+cells:
+	for i, op := range ops {
+		switch op {
+		case cellOp(TInt), cellOp(TDecimal):
 			v, k := binary.Varint(body[at:])
 			if k <= 0 {
-				b.unappend(ncols)
-				return 0, fmt.Errorf("db: bad varint in column %s", c.Name)
+				err = cellErr("bad varint", sch, i)
+				break cells
 			}
-			r[i] = Value{T: c.T, I: v}
+			r[i] = Value{T: Type(op), I: v}
 			at += k
-		case TDate:
+		case cellOp(TDate):
 			if at+10 > len(body) {
-				b.unappend(ncols)
-				return 0, fmt.Errorf("db: truncated date in column %s", c.Name)
+				err = cellErr("truncated date", sch, i)
+				break cells
 			}
-			d, err := parseDate(body[at : at+10])
-			if err != nil {
-				b.unappend(ncols)
-				return 0, err
+			if r[i], err = parseDate(body[at : at+10]); err != nil {
+				break cells
 			}
-			r[i] = d
 			at += 10
-		case TString:
+		case cellOp(TString):
 			slen, k := binary.Uvarint(body[at:])
 			if k <= 0 || slen > uint64(len(body)-at-k) {
-				b.unappend(ncols)
-				return 0, fmt.Errorf("db: truncated string in column %s", c.Name)
+				err = cellErr("truncated string", sch, i)
+				break cells
 			}
 			start := len(b.str)
 			b.str = append(b.str, body[at+k:at+k+int(slen)]...)
 			r[i] = Value{T: TString, I: int64(start)<<32 | int64(slen)}
 			b.fix = append(b.fix, strFix{row: rowIdx, col: int32(i)})
 			at += k + int(slen)
+		case skipCell | cellOp(TInt), skipCell | cellOp(TDecimal):
+			_, k := binary.Uvarint(body[at:]) // rejects what Varint rejects
+			if k <= 0 {
+				err = cellErr("bad varint", sch, i)
+				break cells
+			}
+			at += k
+		case skipCell | cellOp(TDate):
+			if at+10 > len(body) {
+				err = cellErr("truncated date", sch, i)
+				break cells
+			}
+			if d := body[at : at+10]; !dateShaped(d) {
+				err = badDate(d)
+				break cells
+			}
+			at += 10
+		case skipCell | cellOp(TString):
+			slen, k := binary.Uvarint(body[at:])
+			if k <= 0 || slen > uint64(len(body)-at-k) {
+				err = cellErr("truncated string", sch, i)
+				break cells
+			}
+			at += k + int(slen)
 		}
 	}
+	if err != nil {
+		b.unappend(len(ops))
+		return 0, err
+	}
 	return n + int(blen), nil
+}
+
+// cellErr is the decoder's error for column i's cell, one text whether
+// the cell was decoded or skipped.
+func cellErr(what string, sch *Schema, i int) error {
+	return fmt.Errorf("db: %s in column %s", what, sch.Cols[i].Name)
 }
 
 // FinishStrings materializes every string cell decoded since the last

@@ -150,3 +150,63 @@ func TestBatchExecAllocAmortization(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkDecodeRow times the one row decoder over 1024 lineitem-shaped
+// rows (TPC-H lineitem's 16 column types, in its order, and cells of its
+// sizes) under three masks: every column — the full decode DecodePage and
+// the device scan run, which must not pay for masks existing — four
+// columns as Q6 reads them, and the last column alone, where every cell
+// before it is walked. ns/row is the number to read.
+func BenchmarkDecodeRow(b *testing.B) {
+	sch := NewSchema(
+		Column{"orderkey", TInt}, Column{"partkey", TInt}, Column{"suppkey", TInt}, Column{"linenumber", TInt},
+		Column{"quantity", TInt}, Column{"extendedprice", TDecimal}, Column{"discount", TDecimal}, Column{"tax", TDecimal},
+		Column{"returnflag", TString}, Column{"linestatus", TString},
+		Column{"shipdate", TDate}, Column{"commitdate", TDate}, Column{"receiptdate", TDate},
+		Column{"shipinstruct", TString}, Column{"shipmode", TString}, Column{"comment", TString})
+	const rows = 1024
+	var buf []byte
+	for i := 0; i < rows; i++ {
+		day := DateYMD(1992, 1, 1+i%2500)
+		buf = EncodeRow(buf, sch, Row{
+			Int(int64(i * 4)), Int(int64(i * 7919 % 200000)), Int(int64(i % 10000)), Int(int64(1 + i%7)),
+			Int(int64(1 + i%50)), Dec(int64(90000 + i*37%10000000)), Dec(int64(i % 11)), Dec(int64(i % 9)),
+			Str("NRA"[i%3 : i%3+1]), Str("OF"[i%2 : i%2+1]),
+			day, Value{T: TDate, I: day.I + 30}, Value{T: TDate, I: day.I + 41},
+			Str("DELIVER IN PERSON"), Str("TRUCK"), Str("carefully final deposits detect slyly agai"[:10+i%33])})
+	}
+	mask := func(names ...string) []bool {
+		need := make([]bool, len(sch.Cols))
+		for _, n := range names {
+			need[sch.Col(n)] = true
+		}
+		return need
+	}
+	for _, m := range []struct {
+		name string
+		need []bool
+	}{
+		{"all", nil},
+		{"4of16", mask("quantity", "extendedprice", "discount", "shipdate")},
+		{"last", mask("comment")},
+	} {
+		b.Run("cols="+m.name, func(b *testing.B) {
+			ops := sch.decodeOps(m.need)
+			batch := NewRowBatch(rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch.Reset()
+				for at := 0; at < len(buf); {
+					k, err := batch.decodeRow(buf[at:], sch, ops)
+					if err != nil {
+						b.Fatal(err)
+					}
+					at += k
+				}
+				batch.FinishStrings()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
+}

@@ -401,7 +401,12 @@ func (j *INLJoin) NextBatch(b *RowBatch) (int, error) {
 		if err != nil || !ok {
 			return 0, err
 		}
+		// The index holds integer keys (BuildIndex takes TInt columns
+		// only), and keys of two types do not compare.
 		key := j.OuterKey.Eval(or)
+		if key.T != TInt {
+			panic(typeMismatch(key.T, TInt))
+		}
 		entries, err := j.Ix.Lookup(j.Ex, key.I)
 		if err != nil {
 			return 0, err

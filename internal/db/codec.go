@@ -48,11 +48,18 @@ func encodeCells(dst []byte, sch *Schema, r Row) []byte {
 	return dst
 }
 
+// dateShaped is the shape check of a stored date — ten bytes, dashes at
+// 4 and 7 — the one every date cell passes, parsed or skipped; badDate is
+// the error of a cell that fails it.
+func dateShaped(b []byte) bool { return len(b) == 10 && b[4] == '-' && b[7] == '-' }
+
+func badDate(b []byte) error { return fmt.Errorf("db: bad date %q", b) }
+
 // parseDate converts ASCII YYYY-MM-DD to a date value without
 // allocating.
 func parseDate(b []byte) (Value, error) {
-	if len(b) != 10 || b[4] != '-' || b[7] != '-' {
-		return Value{}, fmt.Errorf("db: bad date %q", b)
+	if !dateShaped(b) {
+		return Value{}, badDate(b)
 	}
 	num := func(s []byte) int {
 		n := 0
@@ -164,7 +171,7 @@ func (b *RowBatch) decodePage(page []byte, sch *Schema) (n int, err error) {
 	b.fix = slices.Grow(b.fix, n*strCols)
 	at := pageHeader
 	for i := 0; i < n; i++ {
-		k, err := b.DecodeRowInto(page[at:used], sch)
+		k, err := b.decodeRow(page[at:used], sch, nil)
 		if err != nil {
 			return 0, fmt.Errorf("db: row %d: %w", i, err)
 		}

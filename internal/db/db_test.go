@@ -23,10 +23,10 @@ func sampleRow(i int) Row {
 }
 
 // decodeOne decodes a single encoded row through the one row decoder,
-// RowBatch.DecodeRowInto.
+// RowBatch.decodeRow.
 func decodeOne(buf []byte, sch *Schema) (Row, int, error) {
 	b := NewRowBatch(1)
-	n, err := b.DecodeRowInto(buf, sch)
+	n, err := b.decodeRow(buf, sch, nil)
 	if err != nil {
 		return nil, 0, err
 	}

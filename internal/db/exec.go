@@ -180,6 +180,10 @@ type ConvScan struct {
 	T    *Table
 	Pred Expr // may be nil
 
+	// ops is the row decoder's plan for this scan: narrow sets it from the
+	// columns the plan above reads and Pred's; nil decodes every column.
+	ops []cellOp
+
 	file  *biscuit.File
 	off   int64  // next unread file offset
 	chunk []byte // readahead buffer
@@ -263,7 +267,7 @@ func (s *ConvScan) decodeRow(b *RowBatch) (bool, error) {
 			return false, err
 		}
 	}
-	k, err := b.DecodeRowInto(s.chunk[s.pAt:s.pEnd], s.T.Sch)
+	k, err := b.decodeRow(s.chunk[s.pAt:s.pEnd], s.T.Sch, s.ops)
 	if err != nil {
 		return false, fmt.Errorf("conv scan %s @%d: %w", s.T.Name, s.pOff, err)
 	}
@@ -476,8 +480,15 @@ func colName(names []string, prefix string, i int) string {
 	return fmt.Sprintf("%s%d", prefix, i)
 }
 
-// Open opens the input.
-func (pr *ProjectOp) Open() error { return pr.In.Open() }
+// Open narrows the input to the columns the expressions read, then
+// opens it.
+func (pr *ProjectOp) Open() error {
+	narrow(pr.In, pr.inCols())
+	return pr.In.Open()
+}
+
+// inCols is the mask of the input columns the expressions read.
+func (pr *ProjectOp) inCols() []bool { return readCols(width(pr.In), pr.Exprs...) }
 
 // NextBatch projects one input batch into b; output rows are carved
 // from b's arena.

@@ -11,6 +11,19 @@ import (
 type Expr interface {
 	Eval(r Row) Value
 	String() string
+	// cols marks in need every column Eval reads. It is what narrow
+	// builds column masks from, so a new expression type cannot compile
+	// without saying what it reads.
+	cols(need []bool)
+}
+
+// colsOf marks in need the columns every non-nil expression of es reads.
+func colsOf(need []bool, es ...Expr) {
+	for _, e := range es {
+		if e != nil {
+			e.cols(need)
+		}
+	}
 }
 
 // CmpOp enumerates comparison operators.
@@ -44,6 +57,16 @@ func (c Col) Eval(r Row) Value { return r[c.Idx] }
 
 func (c Col) String() string { return c.Name }
 
+// cols marks the column. A column past the mask is a plan bug — the
+// expression was built over another row than the one it is handed — and
+// panics rather than decode a row without it.
+func (c Col) cols(need []bool) {
+	if c.Idx < 0 || c.Idx >= len(need) {
+		panic(fmt.Sprintf("db: column %s (#%d) outside a %d-column row", c.Name, c.Idx, len(need)))
+	}
+	need[c.Idx] = true
+}
+
 // Const is a literal.
 type Const struct{ V Value }
 
@@ -54,6 +77,8 @@ func Lit(v Value) Const { return Const{v} }
 func (c Const) Eval(Row) Value { return c.V }
 
 func (c Const) String() string { return c.V.String() }
+
+func (Const) cols([]bool) {}
 
 // Cmp compares two expressions.
 type Cmp struct {
@@ -83,6 +108,8 @@ func (c Cmp) Eval(r Row) Value {
 }
 
 func (c Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
+
+func (c Cmp) cols(need []bool) { colsOf(need, c.L, c.R) }
 
 func boolVal(b bool) Value {
 	if b {
@@ -117,6 +144,8 @@ func (a And) Eval(r Row) Value {
 
 func (a And) String() string { return nary("AND", a.Kids) }
 
+func (a And) cols(need []bool) { colsOf(need, a.Kids...) }
+
 // Or is n-ary disjunction.
 type Or struct{ Kids []Expr }
 
@@ -140,6 +169,8 @@ func (o Or) Eval(r Row) Value {
 
 func (o Or) String() string { return nary("OR", o.Kids) }
 
+func (o Or) cols(need []bool) { colsOf(need, o.Kids...) }
+
 func nary(op string, kids []Expr) string {
 	parts := make([]string, len(kids))
 	for i, k := range kids {
@@ -156,6 +187,8 @@ func (n Not) Eval(r Row) Value { return boolVal(!Truthy(n.Kid.Eval(r))) }
 
 func (n Not) String() string { return "NOT " + n.Kid.String() }
 
+func (n Not) cols(need []bool) { n.Kid.cols(need) }
+
 // Between is inclusive range containment.
 type Between struct {
 	X      Expr
@@ -171,6 +204,8 @@ func (b Between) Eval(r Row) Value {
 func (b Between) String() string {
 	return fmt.Sprintf("(%s BETWEEN %s AND %s)", b.X, b.Lo, b.Hi)
 }
+
+func (b Between) cols(need []bool) { b.X.cols(need) }
 
 // In tests membership in a literal list.
 type In struct {
@@ -197,6 +232,8 @@ func (in In) String() string {
 	return fmt.Sprintf("(%s IN (%s))", in.X, strings.Join(parts, ","))
 }
 
+func (in In) cols(need []bool) { in.X.cols(need) }
+
 // Like is SQL LIKE with % wildcards (no _ support; TPC-H doesn't use it).
 type Like struct {
 	X       Expr
@@ -220,6 +257,8 @@ func (l Like) String() string {
 	}
 	return fmt.Sprintf("(%s %s %q)", l.X, op, l.Pattern)
 }
+
+func (l Like) cols(need []bool) { l.X.cols(need) }
 
 // likeMatch implements %-wildcard matching by greedy segment search.
 func likeMatch(s, pattern string) bool {
@@ -300,6 +339,8 @@ func (a Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", a.L, [...]string{"+", "-", "*", "/"}[a.Op], a.R)
 }
 
+func (a Arith) cols(need []bool) { colsOf(need, a.L, a.R) }
+
 // YearOf extracts the calendar year of a date expression as an Int.
 type YearOf struct{ X Expr }
 
@@ -310,6 +351,8 @@ func (y YearOf) Eval(r Row) Value {
 }
 
 func (y YearOf) String() string { return "YEAR(" + y.X.String() + ")" }
+
+func (y YearOf) cols(need []bool) { y.X.cols(need) }
 
 // IfE is CASE WHEN Cond THEN Then ELSE Else END.
 type IfE struct {
@@ -327,6 +370,8 @@ func (e IfE) Eval(r Row) Value {
 func (e IfE) String() string {
 	return fmt.Sprintf("CASE WHEN %s THEN %s ELSE %s END", e.Cond, e.Then, e.Else)
 }
+
+func (e IfE) cols(need []bool) { colsOf(need, e.Cond, e.Then, e.Else) }
 
 // Substr extracts a byte substring [From, From+Len) of a string
 // expression (1-based From, SQL style).
@@ -352,6 +397,8 @@ func (s Substr) Eval(r Row) Value {
 func (s Substr) String() string {
 	return fmt.Sprintf("SUBSTRING(%s,%d,%d)", s.X, s.From, s.Len)
 }
+
+func (s Substr) cols(need []bool) { s.X.cols(need) }
 
 // Helper constructors used heavily by tpch query builders.
 

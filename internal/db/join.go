@@ -170,6 +170,8 @@ type BNLJoin struct {
 	// On is evaluated over the concatenated row (outer columns first).
 	On Expr
 
+	innerNeed []bool // narrow's mask for every fresh Inner(); nil = all
+
 	sch    *Schema
 	block  []Row
 	cur    outerCursor // carries leftover outer rows across block fills
@@ -303,6 +305,7 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 		}
 		// Rescan the inner relation for this block.
 		j.inner = j.Inner()
+		narrow(j.inner, j.innerNeed)
 		if j.innerB == nil {
 			j.innerB = NewRowBatch(j.Ex.batchCap())
 		}
@@ -360,9 +363,20 @@ func (j *HashJoin) Schema() *Schema {
 	return j.sch
 }
 
-// Open materializes and indexes the right input.
+// buildCols is the mask of the right columns a semi or anti join reads:
+// RightKey's and the residual's right-hand ones.
+func (j *HashJoin) buildCols() []bool {
+	nL := width(j.Left)
+	return withCols(readCols(nL+width(j.Right), j.Residual)[nL:], j.RightKey)
+}
+
+// Open materializes and indexes the right input — narrowed to the
+// columns the join reads when it emits only left rows.
 func (j *HashJoin) Open() error {
 	j.Schema()
+	if j.Semi || j.Anti {
+		narrow(j.Right, j.buildCols())
+	}
 	rows, err := Collect(j.Right)
 	if err != nil {
 		return err

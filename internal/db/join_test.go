@@ -218,7 +218,8 @@ func TestJoinsMatchPairLoop(t *testing.T) {
 // TestJoinKeysAreTyped: keying on Value must keep Compare's rule. The
 // old formatted key folded int, decimal and date into one "i%d", so
 // Int(5) joined Dec(5) — 5 against 0.05 — silently; a bare map lookup
-// would silently match nothing instead. Both joins panic as Compare does.
+// would silently match nothing instead. All three joins panic as Compare
+// does.
 func TestJoinKeysAreTyped(t *testing.T) {
 	l := NewSchema(Column{"lk", TInt})
 	r := NewSchema(Column{"rk", TDecimal})
@@ -233,16 +234,47 @@ func TestJoinKeysAreTyped(t *testing.T) {
 		{"BNLJoin", &BNLJoin{Ex: ex, Outer: NewMemScan(l, left), Inner: func() Iterator { return NewMemScan(r, right) },
 			On: Cmp{EQ, C(both, "lk"), C(both, "rk")}}},
 	}
+	panicOf := func(it Iterator) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		Collect(it)
+		return ""
+	}
 	for _, j := range joins {
-		var msg string
-		func() {
-			defer func() { msg = fmt.Sprint(recover()) }()
-			Collect(j.it)
-		}()
-		if !strings.Contains(msg, "db: comparing") {
+		if msg := panicOf(j.it); !strings.Contains(msg, "db: comparing") {
 			t.Fatalf("%s of int with decimal keys: panic %q, want Compare's", j.name, msg)
 		}
 	}
+
+	// INLJoin's B+tree holds integer keys. It used to look up any outer
+	// key by its I field: a string key found key 0, and a decimal joined
+	// by its cents.
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		ld, err := d.NewLoader(h, "keys", NewSchema(Column{"ik", TInt}), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int64{0, 5} {
+			if err := ld.Add(Row{Int(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ld.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := d.BuildIndex(NewExec(h, d), d.Table("keys"), "ik")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []Value{Str("k"), Dec(5)} {
+			outer := NewSchema(Column{"ok", k.T})
+			inl := &INLJoin{Ex: NewExec(h, d), Outer: NewMemScan(outer, []Row{{k}}), Ix: ix, OuterKey: C(outer, "ok")}
+			if msg := panicOf(inl); !strings.Contains(msg, "db: comparing") {
+				t.Fatalf("INLJoin of %v with int keys: panic %q, want Compare's", k.T, msg)
+			}
+		}
+	})
 
 	// Equal cells are one key whatever their unread field holds.
 	odd := []Row{{Value{T: TInt, I: 5, S: "left over"}}}

@@ -283,6 +283,11 @@ type NDPScan struct {
 	Aggs    []Agg
 
 	sch *Schema // rows shipped: T.Sch, or the aggregate columns
+	// need marks the columns the plan above reads (nil: every column); narrow
+	// sets it. The device still decodes whole rows: it filters on Pred
+	// and re-encodes survivors for the link, so the bytes shipped do not
+	// depend on need; only their decode on the host does.
+	need []bool
 
 	ndpRun
 	scanLife
@@ -291,6 +296,7 @@ type NDPScan struct {
 // ndpRun is the state of one Open-to-Close pass of an NDPScan.
 type ndpRun struct {
 	args    NDPScanArgs // what Open handed the device
+	ops     []cellOp    // the host's decode of shipped rows, from need
 	app     *biscuit.Application
 	port    *biscuit.HostIn[biscuit.Packet]
 	batch   []byte
@@ -363,7 +369,7 @@ func (s *NDPScan) Open() error {
 	if err := app.Start(); err != nil {
 		return err
 	}
-	s.ndpRun = ndpRun{args: args, app: app, port: port}
+	s.ndpRun = ndpRun{args: args, ops: s.Schema().decodeOps(s.need), app: app, port: port}
 	s.begin(s.Ex, "ndp", s.T.Name)
 	s.Ex.St.PagesInternal += s.T.Pages
 	return nil
@@ -400,7 +406,7 @@ func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 			sch := s.Schema()
 			consumed := 0
 			for len(s.batch) > 0 && !b.Full() {
-				k, err := b.DecodeRowInto(s.batch, sch)
+				k, err := b.decodeRow(s.batch, sch, s.ops)
 				if err != nil {
 					return 0, err
 				}
@@ -464,6 +470,7 @@ func (s *NDPScan) engageFallback() error {
 	}
 	plat.Inj.Record(fault.Fallback, "db.ndpscan "+s.T.Name)
 	fb := s.Ex.NewConvScan(s.T, s.Pred)
+	narrow(fb, s.need)
 	if err := fb.Open(); err != nil {
 		return err
 	}

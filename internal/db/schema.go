@@ -12,18 +12,37 @@ type Column struct {
 type Schema struct {
 	Cols   []Column
 	byName map[string]int
+	ops    []cellOp // the row decoder's full decode: each column's Type
 }
 
 // NewSchema builds a schema; column names must be unique.
 func NewSchema(cols ...Column) *Schema {
-	s := &Schema{Cols: cols, byName: make(map[string]int, len(cols))}
+	s := &Schema{Cols: cols, byName: make(map[string]int, len(cols)), ops: make([]cellOp, len(cols))}
 	for i, c := range cols {
+		s.ops[i] = cellOp(c.T)
 		if _, dup := s.byName[c.Name]; dup {
 			panic("db: duplicate column " + c.Name)
 		}
 		s.byName[c.Name] = i
 	}
 	return s
+}
+
+// decodeOps returns the row decoder's ops for a scan whose readers need
+// the columns need marks: a decode for each of them, a skip for the rest.
+// A nil need is every column, and gets the schema's own full decode.
+func (s *Schema) decodeOps(need []bool) []cellOp {
+	if need == nil {
+		return s.ops
+	}
+	ops := make([]cellOp, len(s.ops))
+	for i, op := range s.ops {
+		if !need[i] {
+			op |= skipCell
+		}
+		ops[i] = op
+	}
+	return ops
 }
 
 // Col returns the index of the named column, panicking if absent (schema

@@ -52,7 +52,7 @@ func TestDatesMatchTimePackage(t *testing.T) {
 }
 
 // TestDateCellRoundTrip: a date cell written by encodeCells is read back
-// by DecodeRowInto as the same day, through the ten ASCII bytes the
+// by decodeRow as the same day, through the ten ASCII bytes the
 // matcher keys on.
 func TestDateCellRoundTrip(t *testing.T) {
 	sch := NewSchema(Column{"d", TDate})

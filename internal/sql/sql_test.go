@@ -1,12 +1,14 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"biscuit"
 	"biscuit/internal/db"
 	"biscuit/internal/db/planner"
+	"biscuit/internal/stats"
 	"biscuit/internal/tpch"
 )
 
@@ -384,6 +386,75 @@ func TestRunQualifiedJoinColumns(t *testing.T) {
 		}
 		if res.Rows[0][0].I == 0 {
 			t.Fatal("qualified equi-join matched nothing")
+		}
+	})
+}
+
+// answerDigest folds a result into an FNV-1a digest: the column names,
+// then each cell's type and printed value, each row closed by an empty
+// record.
+func answerDigest(res *Result) string {
+	var d stats.Digest
+	for _, c := range res.Cols {
+		d.AddRecord(c)
+	}
+	for _, r := range res.Rows {
+		for _, v := range r {
+			d.AddInt64(int64(v.T))
+			d.AddRecord(v.String())
+		}
+		d.AddRecord("")
+	}
+	return fmt.Sprintf("%016x", d.Sum64())
+}
+
+// TestRunPinnedAnswers holds the statements the tests above run to their
+// recorded answers on rig's data, with and without the offload planner,
+// at one row per batch, a batch size that divides nothing, and the
+// default slab. The tests above check shapes and internal consistency;
+// these digests see a wrong cell anywhere in the answer.
+func TestRunPinnedAnswers(t *testing.T) {
+	pinned := []struct{ query, digest string }{
+		{"SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderpriority = '1-URGENT' LIMIT 5", "2cdcc93030b378ae"},
+		{"SELECT l_orderkey, l_shipdate, l_linenumber FROM lineitem WHERE l_shipdate = '1995-1-17'", "cc53bda77f1d5f58"},
+		{"SELECT l_orderkey FROM lineitem WHERE l_shipdate = '1995-1-17'", "9d7a696610497915"},
+		{`SELECT l_returnflag, l_linestatus, SUM(l_quantity) AS sum_qty,
+		         AVG(l_discount) AS avg_disc, COUNT(*) AS n
+		  FROM lineitem WHERE l_shipdate <= '1998-09-02'
+		  GROUP BY l_returnflag, l_linestatus ORDER BY l_returnflag, l_linestatus`, "798e3edfba930e8a"},
+		{`SELECT n_name, COUNT(*) AS suppliers FROM supplier, nation
+		  WHERE s_nationkey = n_nationkey GROUP BY n_name
+		  ORDER BY suppliers DESC, n_name LIMIT 3`, "17ae374290e4ee26"},
+		{`SELECT r_name, SUM(s_acctbal) AS bal FROM supplier, nation, region
+		  WHERE s_nationkey = n_nationkey AND n_regionkey = r_regionkey
+		  GROUP BY r_name ORDER BY r_name`, "8766ce1f7ef3a173"},
+		{"SELECT SUM(l_extendedprice * (1 - l_discount)) AS revenue FROM lineitem WHERE l_quantity < 10", "74ca0dd0f5b5aa0a"},
+		{`SELECT o_orderpriority AS p, COUNT(*) AS n FROM orders
+		  GROUP BY o_orderpriority ORDER BY COUNT(*) DESC, p`, "cfd54d87719e1d37"},
+		{`SELECT COUNT(*) FROM orders
+		  WHERE o_orderpriority NOT IN ('1-URGENT', '2-HIGH') AND o_totalprice > 1000`, "c2ace32c36307b40"},
+		{`SELECT COUNT(*) FROM orders
+		  WHERE o_orderpriority IN ('1-URGENT', '2-HIGH') AND o_totalprice > 1000`, "eb40d6f327251c7e"},
+		{"SELECT COUNT(*) FROM orders WHERE o_totalprice > 1000", "f5b3f6137787f5d8"},
+		{"SELECT COUNT(*) FROM supplier, nation WHERE supplier.s_nationkey = nation.n_nationkey", "2ee2d06ab456e67f"},
+	}
+	sys, d, _ := rig(t)
+	sys.Run(func(h *biscuit.Host) {
+		for _, p := range pinned {
+			for _, pl := range []*planner.Planner{nil, planner.Default()} {
+				for _, batch := range []int{1, 7, 1024} {
+					ex := db.NewExec(h, d)
+					ex.BatchSize = batch
+					res, err := Run(ex, d, pl, p.query)
+					if err != nil {
+						t.Fatalf("%s: %v", p.query, err)
+					}
+					if got := answerDigest(res); got != p.digest {
+						t.Errorf("%s (planner=%v, batch=%d): answer digest %s, pinned %s (%d rows)",
+							p.query, pl != nil, batch, got, p.digest, len(res.Rows))
+					}
+				}
+			}
 		}
 	})
 }
