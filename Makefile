@@ -70,11 +70,15 @@ healtest:
 # Fault bench: the availability/latency-under-fault curve at reduced
 # size (3 sweep points, BENCH_faultcurve.json), traced; tracecheck then
 # validates every swept platform's export — async spans must balance
-# even on the reconstruction/scrub/fallback paths.
+# even on the reconstruction/scrub/fallback paths. Its output has a
+# directory of its own, so the quick-size JSON never overwrites the
+# full-size bench-out/BENCH_faultcurve.json that benchgate compared.
+FAULTOUT := bench-out/faultbench
+
 faultbench:
-	mkdir -p bench-out
-	$(GO) run ./cmd/biscuitbench -exp faultcurve -quick -json bench-out -trace bench-out/faultcurve.trace.json
-	for f in bench-out/faultcurve.trace.json*; do $(GO) run ./cmd/tracecheck $$f || exit 1; done
+	mkdir -p $(FAULTOUT)
+	$(GO) run ./cmd/biscuitbench -exp faultcurve -quick -json $(FAULTOUT) -trace $(FAULTOUT)/faultcurve.trace.json
+	for f in $(FAULTOUT)/faultcurve.trace.json*; do $(GO) run ./cmd/tracecheck $$f || exit 1; done
 
 # Benchmark smoke: run the executor, join-probe, row-decode, DES-core,
 # proc-wake, and fiber-switch benchmarks once (-benchtime=1x) so CI
@@ -108,7 +112,10 @@ benchgate: benchsmoke
 
 # bless-bench: accept the current bench-out results as the new
 # committed baselines (after an intended model or schema change). Run
-# `make benchgate` first so bench-out is fresh, then commit baselines/.
+# `make benchgate` first so bench-out is fresh. EXPERIMENTS.md is the
+# rendering of these baselines: after a bless, run
+# `go test ./cmd/biscuitbench` and paste every block it names into
+# EXPERIMENTS.md, then commit baselines/ and the doc together.
 bless-bench:
 	$(GO) run ./cmd/benchgate -bless baselines bench-out
 

@@ -6,35 +6,36 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"biscuit/internal/bench"
 )
 
-// TestAblationsDocIsTheBaseline closes the chain doc ← baseline ← gate
-// ← tree: EXPERIMENTS.md must carry, verbatim, what printAblations
-// makes of the blessed baselines/BENCH_ablations.json that `make
-// benchgate` holds the tree to. After a re-bless, paste the output of
-// `go run ./cmd/biscuitbench -exp ablations` over the table.
-func TestAblationsDocIsTheBaseline(t *testing.T) {
-	raw, err := os.ReadFile("../../baselines/BENCH_ablations.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a bench.Ablations
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&a); err != nil {
-		t.Fatalf("baseline does not decode as bench.Ablations: %v", err)
-	}
-	var table bytes.Buffer
-	printAblations(&table, a)
-
+// TestExperimentsDocIsTheBaselines closes the chain doc ← baseline ←
+// gate ← tree for every experiment: EXPERIMENTS.md must carry,
+// verbatim, what each experiment's renderer makes of the blessed
+// baselines/BENCH_<name>.json that `make benchgate` holds the tree to.
+// After a re-bless, paste each block this test prints over its table.
+func TestExperimentsDocIsTheBaselines(t *testing.T) {
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(doc, table.Bytes()) {
-		t.Errorf("EXPERIMENTS.md does not contain the ablations table of the blessed baseline:\n%s", &table)
+	for _, e := range experiments {
+		raw, err := os.ReadFile("../../baselines/BENCH_" + e.name + ".json")
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		r, err := e.decode(dec)
+		if err != nil {
+			t.Errorf("baselines/BENCH_%s.json does not decode as its result type: %v", e.name, err)
+			continue
+		}
+		var block bytes.Buffer
+		r.WriteMarkdown(&block)
+		if !bytes.Contains(doc, block.Bytes()) {
+			t.Errorf("EXPERIMENTS.md does not contain the %s block of the blessed baseline; paste:\n\n%s", e.name, &block)
+		}
 	}
 }
 

@@ -237,13 +237,6 @@ func serveMain(devices, tenants int, rate float64, windowMs int, policy string, 
 		Window:  sim.Time(windowMs) * sim.Millisecond,
 		Seed:    seed,
 	}
-	if rainW > 0 {
-		base := biscuit.DefaultConfig()
-		base.NAND.BlocksPerDie = 256
-		base.NAND.PagesPerBlock = 64
-		base.FTL.StripeDataPages = rainW
-		cfg.Base = &base
-	}
 	if heal {
 		cfg.Heal = true
 		cfg.Migrate = devices > 1
@@ -251,16 +244,19 @@ func serveMain(devices, tenants int, rate float64, windowMs int, policy string, 
 		cfg.FailDevice = 0
 		cfg.FailDie = 1
 	}
-	if faultArg != "" {
-		plan, err := fault.ParsePlan(faultArg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fault:", err)
-			os.Exit(2)
+	plan, err := fault.ParsePlan(faultArg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fault:", err)
+		os.Exit(2)
+	}
+	// One override on serve's own device config: the -rainW stripe width
+	// when given, and the -fault campaign (empty: the fault-free plan).
+	cfg.PerDevice = func(_ int, c biscuit.Config) biscuit.Config {
+		if rainW > 0 {
+			c.FTL.StripeDataPages = rainW
 		}
-		cfg.PerDevice = func(i int, c biscuit.Config) biscuit.Config {
-			c.Fault = plan
-			return c
-		}
+		c.Fault = plan
+		return c
 	}
 	for i := 0; i < tenants; i++ {
 		cfg.Tenants = append(cfg.Tenants, serve.TenantConfig{

@@ -23,7 +23,6 @@ import (
 
 type event struct {
 	Ph   string         `json:"ph"`
-	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	Name string         `json:"name"`
 	Ts   *float64       `json:"ts"`

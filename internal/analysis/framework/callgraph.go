@@ -2,9 +2,7 @@ package framework
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strconv"
 )
 
 // The call graph is the spine of the dataflow analyzers (arenaescape,
@@ -118,11 +116,4 @@ func FuncID(fn *types.Func) string {
 		return ""
 	}
 	return FactKey(fn)
-}
-
-// PosLine formats pos as "file:line" relative to the file set, for
-// why-chains in diagnostics.
-func PosLine(fset *token.FileSet, pos token.Pos) string {
-	p := fset.Position(pos)
-	return p.Filename + ":" + strconv.Itoa(p.Line)
 }

@@ -17,22 +17,23 @@ func within(t *testing.T, name string, got, want sim.Time, tol float64) {
 }
 
 // TestTable2Calibration pins the port latencies to Table II of the
-// paper. The model constants in internal/device are calibrated against
-// these numbers; drift fails here first.
+// paper (paperTable2). The model constants in internal/device are
+// calibrated against these numbers; drift fails here first.
 func TestTable2Calibration(t *testing.T) {
-	got := RunTable2()
-	within(t, "H2D", got.H2D, sim.FromMicros(301.6), 0.02)
-	within(t, "D2H", got.D2H, sim.FromMicros(130.1), 0.02)
-	within(t, "inter-SSDlet", got.InterSSDlet, sim.FromMicros(31.0), 0.02)
-	within(t, "inter-app", got.InterApp, sim.FromMicros(10.7), 0.02)
+	got, p := RunTable2(), paperTable2
+	within(t, "H2D", got.H2D, p.H2D, 0.02)
+	within(t, "D2H", got.D2H, p.D2H, 0.02)
+	within(t, "inter-SSDlet", got.InterSSDlet, p.InterSSDlet, 0.02)
+	within(t, "inter-app", got.InterApp, p.InterApp, 0.02)
 	t.Logf("Table II: H2D=%v D2H=%v interSSDlet=%v interApp=%v", got.H2D, got.D2H, got.InterSSDlet, got.InterApp)
 }
 
-// TestTable3Calibration pins the 4 KiB read latencies to Table III.
+// TestTable3Calibration pins the 4 KiB read latencies to Table III
+// (paperTable3).
 func TestTable3Calibration(t *testing.T) {
 	got := RunTable3()
-	within(t, "Conv read", got.Conv, sim.FromMicros(90.0), 0.02)
-	within(t, "Biscuit read", got.Biscuit, sim.FromMicros(75.9), 0.02)
+	within(t, "Conv read", got.Conv, paperTable3.Conv, 0.02)
+	within(t, "Biscuit read", got.Biscuit, paperTable3.Biscuit, 0.02)
 	if got.Biscuit >= got.Conv {
 		t.Error("internal read must be faster than the host path")
 	}
@@ -133,7 +134,7 @@ func TestFig8Shape(t *testing.T) {
 	s1 := got.Q1Conv.MeanS / got.Q1Biscuit.MeanS
 	s2 := got.Q2Conv.MeanS / got.Q2Biscuit.MeanS
 	if s1 < 2 || s2 < 2 {
-		t.Errorf("Fig8 speedups %.1f / %.1f, want >2 (paper ~11/10)", s1, s2)
+		t.Errorf("Fig8 speedups %.1f / %.1f, want >2 (paper ~%g/%g)", s1, s2, paperFig8.Q1, paperFig8.Q2)
 	}
 	if s2 > s1 {
 		t.Logf("note: Q2 (%.1fx) above Q1 (%.1fx); paper has Q1 slightly ahead", s2, s1)

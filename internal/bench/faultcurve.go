@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"biscuit"
 	"biscuit/internal/db"
@@ -83,6 +84,22 @@ type FaultCurve struct {
 	Points []FaultCurvePoint
 
 	Lat []stats.NamedSummary `json:"lat"`
+}
+
+// WriteMarkdown renders one row per sweep point.
+func (fc FaultCurve) WriteMarkdown(w io.Writer) {
+	var rows [][]string
+	for _, pt := range fc.Points {
+		width := "auto"
+		if pt.Width > 0 {
+			width = fmt.Sprint(pt.Width)
+		}
+		rows = append(rows, []string{num(pt.Intensity), width, fmt.Sprint(pt.DieFailed), num(100 * pt.Availability),
+			fmt.Sprintf("%d / %d", pt.OK, pt.Issued), fmt.Sprint(pt.ConvReruns), ms(pt.Lat.P50), ms(pt.Lat.P95), ms(pt.Lat.P99),
+			fmt.Sprint(pt.NDPFallbacks), fmt.Sprint(pt.Reconstructs), fmt.Sprint(pt.DegradedReads), fmt.Sprint(pt.ScrubRepairs), fmt.Sprint(pt.LostPages)})
+	}
+	table(w, []string{"intensity", "RAIN W", "die failed", "avail. %", "answered", "Conv reruns", "p50 (ms)", "p95 (ms)", "p99 (ms)",
+		"NDP fallbacks", "reconstructs", "degraded reads", "scrub repairs", "lost pages"}, rows...)
 }
 
 // faultSizes is the fault-curve grid: intensities are multiples of the

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"cmp"
+	"fmt"
+	"io"
 	"slices"
 	"strconv"
 
@@ -41,6 +44,31 @@ type Fig10 struct {
 	Lat []stats.NamedSummary `json:"lat"`
 }
 
+// paperFig10 is Fig. 10 and §V-C as the paper reports them.
+var paperFig10 = Fig10{
+	Rows:           []Fig10Row{{Query: 14, Speedup: 166.8, IOReduction: 315}},
+	OffloadedCount: 8, GeoMeanOff: 6.1, TopFiveMean: 15.4, TotalSpeedup: 3.6,
+}
+
+// WriteMarkdown renders every query, then the aggregates beside the paper's.
+func (f Fig10) WriteMarkdown(w io.Writer) {
+	var rows [][]string
+	for _, r := range f.Rows {
+		rows = append(rows, []string{"Q" + strconv.Itoa(r.Query), r.Title, num(r.ConvTime.Seconds()), num(r.BiscTime.Seconds()),
+			times(r.Speedup), times(r.IOReduction), r.Reason})
+	}
+	table(w, []string{"query", "title", "Conv (s)", "Biscuit (s)", "speed-up", "I/O red.", "planner decision"}, rows...)
+	fmt.Fprintln(w)
+
+	agg := func(name string, f Fig10, format func(float64) string) []string {
+		b := slices.MaxFunc(f.Rows, func(a, b Fig10Row) int { return cmp.Compare(a.Speedup, b.Speedup) })
+		return []string{name, format(float64(f.OffloadedCount)), times(f.GeoMeanOff), times(f.TopFiveMean), times(f.TotalSpeedup),
+			format(f.TotalConvS) + " / " + format(f.TotalBiscS), fmt.Sprintf("Q%d: %s (%s I/O red.)", b.Query, times(b.Speedup), times(b.IOReduction))}
+	}
+	table(w, []string{"aggregate", "offloaded", "geomean speed-up, offloaded", "top-five mean", "whole suite", "whole suite, Conv / Biscuit (s)", "best query"},
+		agg("paper", paperFig10, paperNum), agg("measured", f, num))
+}
+
 // RunFig10 loads TPC-H once and runs all 22 queries under both systems.
 func RunFig10(cfg Config) Fig10 {
 	var out Fig10
@@ -64,9 +92,10 @@ func RunFig10(cfg Config) Fig10 {
 			row.ConvTime, row.BiscTime = convTime, biscTime
 			row.Rows = len(convRows)
 			row.Offloaded = qcB.Offloaded
-			for _, dec := range qcB.Decisions {
-				row.Reason = dec.Reason
+			if len(qcB.Decisions) != 1 {
+				panic(fmt.Sprintf("bench: fig10 Q%d made %d planner decisions, want exactly one", query.ID, len(qcB.Decisions)))
 			}
+			row.Reason = qcB.Decisions[0].Reason
 			if !row.Offloaded {
 				// Non-offloaded queries run the identical plan; the
 				// paper reports their relative performance as exactly

@@ -52,6 +52,7 @@ func TestFig10Shape(t *testing.T) {
 		t.Logf("Q%-2d %-34s conv=%-12v bisc=%-12v speedup=%6.1fx io=%6.1fx off=%v",
 			r.Query, r.Title, r.ConvTime, r.BiscTime, r.Speedup, r.IOReduction, r.Offloaded)
 	}
-	t.Logf("offloaded=%d geomeanOffloaded=%.1fx topFive=%.1fx total=%.1fx (paper: 8 / 6.1x / 15.4x / 3.6x)",
-		got.OffloadedCount, got.GeoMeanOff, got.TopFiveMean, got.TotalSpeedup)
+	p := paperFig10
+	t.Logf("offloaded=%d geomeanOffloaded=%.1fx topFive=%.1fx total=%.1fx (paper: %d / %.1fx / %.1fx / %.1fx)",
+		got.OffloadedCount, got.GeoMeanOff, got.TopFiveMean, got.TotalSpeedup, p.OffloadedCount, p.GeoMeanOff, p.TopFiveMean, p.TotalSpeedup)
 }

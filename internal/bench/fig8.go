@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"io"
 	"math/rand"
 
 	"biscuit"
@@ -89,6 +91,19 @@ type Fig8 struct {
 	Q2Conv, Q2Biscuit Fig8Series
 
 	Lat []stats.NamedSummary `json:"lat"`
+}
+
+// paperFig8 is Fig. 8's two speed-ups as read off the figure.
+var paperFig8 = struct{ Q1, Q2 float64 }{Q1: 11, Q2: 10}
+
+// WriteMarkdown renders both queries beside the paper's speed-ups.
+func (f Fig8) WriteMarkdown(w io.Writer) {
+	ci := func(s Fig8Series) string { return num(s.MeanS) + " ± " + num(s.CI95S) }
+	row := func(name string, conv, bisc Fig8Series, paper float64) []string {
+		return []string{name, ci(conv), ci(bisc), times(conv.MeanS / bisc.MeanS), fmt.Sprint(conv.RowsOut), times(paper)}
+	}
+	table(w, []string{fmt.Sprintf("s, mean ± 95 %% CI of %d runs", len(f.Q1Conv.Times)), "Conv", "Biscuit", "speed-up", "rows", "paper speed-up"},
+		row("Query 1", f.Q1Conv, f.Q1Biscuit, paperFig8.Q1), row("Query 2", f.Q2Conv, f.Q2Biscuit, paperFig8.Q2))
 }
 
 // fig8Reps is the repetition count behind Fig. 8's error bars.

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"io"
+	"slices"
+
 	"biscuit"
 	"biscuit/internal/power"
 	"biscuit/internal/sim"
@@ -21,6 +24,24 @@ type Fig9Trace struct {
 type Fig9 struct {
 	IdleW         float64
 	Conv, Biscuit Fig9Trace
+}
+
+// paperFig9 is Fig. 9 and Table VI as the paper reports them.
+var paperFig9 = Fig9{IdleW: 103, Conv: Fig9Trace{AvgW: 122, EnergyJ: 60.5e3}, Biscuit: Fig9Trace{AvgW: 136, EnergyJ: 12.2e3}}
+
+// WriteMarkdown renders both runs and their energy ratio beside the paper's.
+func (f Fig9) WriteMarkdown(w io.Writer) {
+	row := func(name string, f Fig9, format func(float64) string) []string {
+		cells := []string{name, format(f.IdleW)}
+		for _, tr := range []Fig9Trace{f.Conv, f.Biscuit} {
+			peak := slices.Max(append([]float64{0}, tr.Watts...))
+			cells = append(cells, format(tr.ExecS), format(tr.AvgW), format(peak), format(tr.EnergyJ))
+		}
+		return append(cells, times(f.Conv.EnergyJ/f.Biscuit.EnergyJ))
+	}
+	table(w, []string{"Query 1", "idle (W)", "Conv (s)", "Conv avg (W)", "Conv peak (W)", "Conv (J)",
+		"Biscuit (s)", "Biscuit avg (W)", "Biscuit peak (W)", "Biscuit (J)", "energy ratio"},
+		row("paper", paperFig9, paperNum), row("measured", f, num))
 }
 
 // RunFig9 measures both runs on fresh systems so traces do not overlap.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"biscuit/internal/serve"
 	"biscuit/internal/sim"
@@ -54,6 +55,25 @@ type HealCurve struct {
 	SF       float64     `json:"sf"`
 	WindowNs int64       `json:"window_ns"`
 	Points   []HealPoint `json:"points"`
+}
+
+// WriteMarkdown renders one row per grid point.
+func (hc HealCurve) WriteMarkdown(w io.Writer) {
+	var rows [][]string
+	for _, pt := range hc.Points {
+		fail, rebuild := "never", "off"
+		if pt.FailFrac > 0 {
+			fail = num(100 * pt.FailFrac)
+		}
+		if pt.RebuildNs >= 0 {
+			rebuild = num(float64(pt.RebuildNs)/1e3) + " µs"
+		}
+		rows = append(rows, []string{fail, rebuild, fmt.Sprint(pt.Migrate), num(100 * pt.Availability),
+			fmt.Sprint(pt.Errors), ms(pt.WorstP99Ns), fmt.Sprint(pt.Migrations), fmt.Sprint(pt.HealthTransitions),
+			fmt.Sprint(pt.RebuildPages), fmt.Sprint(pt.RebuildParity)})
+	}
+	table(w, []string{"die fails at (% of window)", "rebuild every", "migrate", "avail. %", "errors", "worst p99 (ms)",
+		"migrations", "health transitions", "rebuilt pages", "rebuilt parity"}, rows...)
 }
 
 // healSF is the TPC-H scale factor shard-loaded across the two devices.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"biscuit/internal/serve"
 	"biscuit/internal/sim"
@@ -28,6 +29,24 @@ type ServeCurve struct {
 	SF       float64      `json:"sf"`
 	WindowNs int64        `json:"window_ns"`
 	Points   []ServePoint `json:"points"`
+}
+
+// WriteMarkdown renders one row per grid point, two columns per tenant.
+func (sc ServeCurve) WriteMarkdown(w io.Writer) {
+	header := []string{"devices", "policy", "offered qps", "served qps", "rejected"}
+	for _, t := range sc.Points[0].Report.Tenants {
+		header = append(header, t.Name+" p50 / p99 (ms)", t.Name+" misses")
+	}
+	var rows [][]string
+	for _, pt := range sc.Points {
+		r := pt.Report
+		row := []string{fmt.Sprint(pt.Devices), pt.Policy, num(pt.OfferedQPS), num(r.AggThroughputQPS), fmt.Sprint(r.Rejected)}
+		for _, t := range r.Tenants {
+			row = append(row, ms(t.Lat.P50)+" / "+ms(t.Lat.P99), fmt.Sprint(t.DeadlineMisses))
+		}
+		rows = append(rows, row)
+	}
+	table(w, header, rows...)
 }
 
 // serveSF is the TPC-H scale factor shard-loaded across the array.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"io"
+
 	"biscuit"
 	"biscuit/internal/sim"
 )
@@ -9,6 +11,18 @@ import (
 // three I/O port types (host-to-device split into both directions).
 type Table2 struct {
 	H2D, D2H, InterSSDlet, InterApp sim.Time
+}
+
+// paperTable2 is Table II as the paper prints it.
+var paperTable2 = Table2{H2D: sim.FromMicros(301.6), D2H: sim.FromMicros(130.1),
+	InterSSDlet: sim.FromMicros(31.0), InterApp: sim.FromMicros(10.7)}
+
+// WriteMarkdown renders the four latencies in µs beside the paper's.
+func (t Table2) WriteMarkdown(w io.Writer) {
+	row := func(name string, t Table2) []string {
+		return []string{name, num(t.H2D.Micros()), num(t.D2H.Micros()), num(t.InterSSDlet.Micros()), num(t.InterApp.Micros())}
+	}
+	table(w, []string{"µs", "H2D", "D2H", "inter-SSDlet", "inter-app"}, row("paper", paperTable2), row("measured", t))
 }
 
 // latency SSDlets: a sender and a receiver over one port type, each

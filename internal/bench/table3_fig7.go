@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"io"
+
 	"biscuit"
 	"biscuit/internal/sim"
 	"biscuit/internal/stats"
@@ -14,6 +17,17 @@ type Table3 struct {
 
 	ConvLat    stats.LatencySummary `json:"conv_lat"`    // "hostif.read"
 	BiscuitLat stats.LatencySummary `json:"biscuit_lat"` // "dev.internal.read"
+}
+
+// paperTable3 is Table III as the paper prints it.
+var paperTable3 = Table3{Conv: sim.FromMicros(90.0), Biscuit: sim.FromMicros(75.9)}
+
+// WriteMarkdown renders both latencies and their gap beside the paper's.
+func (t Table3) WriteMarkdown(w io.Writer) {
+	row := func(name string, t Table3) []string {
+		return []string{name, num(t.Conv.Micros()), num(t.Biscuit.Micros()), num((t.Conv - t.Biscuit).Micros())}
+	}
+	table(w, []string{"µs", "Conv", "Biscuit", "host-path gap"}, row("paper", paperTable3), row("measured", t))
 }
 
 // RunTable3 measures single 4 KiB reads on an otherwise idle system.
@@ -79,6 +93,17 @@ type Fig7 struct {
 	Async []Fig7Point // queue depth 32
 
 	Lat []stats.NamedSummary `json:"lat"`
+}
+
+// WriteMarkdown renders both panels, one request size per row.
+func (f Fig7) WriteMarkdown(w io.Writer) {
+	var rows [][]string
+	for i, s := range f.Sync {
+		a := f.Async[i]
+		rows = append(rows, []string{fmt.Sprintf("%d KiB", s.ReqSize>>10),
+			num(s.Conv), num(s.Biscuit), num(s.Matcher), num(a.Conv), num(a.Biscuit), num(a.Matcher)})
+	}
+	table(w, []string{"GB/s", "sync Conv", "sync Biscuit", "sync w/ PM", "QD 32 Conv", "QD 32 Biscuit", "QD 32 w/ PM"}, rows...)
 }
 
 // RunFig7 sweeps request sizes for synchronous and asynchronous (QD 32)

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"io"
+	"slices"
 
 	"biscuit"
 	"biscuit/internal/graph"
@@ -16,11 +18,39 @@ type LoadSweepRow struct {
 	Conv, Biscuit sim.Time
 }
 
+// writeSweep renders a load sweep beside the paper's, one row per load
+// level; Conv's slowdown is over its first (unloaded) level.
+func writeSweep(w io.Writer, corner string, rows, paper []LoadSweepRow) {
+	cells := func(src []LoadSweepRow, threads int) []string {
+		i := slices.IndexFunc(src, func(s LoadSweepRow) bool { return s.Threads == threads })
+		if i < 0 {
+			return []string{"—", "—", "—", "—"}
+		}
+		s := src[i]
+		return []string{num(s.Conv.Seconds()), num(s.Biscuit.Seconds()), times(ratio(s.Conv, s.Biscuit)), times(ratio(s.Conv, src[0].Conv))}
+	}
+	var out [][]string
+	for _, r := range rows {
+		out = append(out, slices.Concat([]string{fmt.Sprint(r.Threads)}, cells(rows, r.Threads), cells(paper, r.Threads)))
+	}
+	table(w, []string{corner, "Conv (s)", "Biscuit (s)", "gain", "Conv slowdown",
+		"paper Conv (s)", "paper Biscuit (s)", "paper gain", "paper Conv slowdown"}, out...)
+}
+
 // Table4 reproduces Table IV: pointer-chasing execution time vs
 // StreamBench load.
 type Table4 struct {
 	Rows []LoadSweepRow
 }
+
+// paperTable4 is Table IV as the paper prints it (no 6 or 12 threads).
+var paperTable4 = Table4{Rows: []LoadSweepRow{
+	{0, sim.FromSeconds(138.6), sim.FromSeconds(124.4)}, {18, sim.FromSeconds(154.9), sim.FromSeconds(123.9)},
+	{24, sim.FromSeconds(155.0), sim.FromSeconds(123.5)},
+}}
+
+// WriteMarkdown renders the sweep beside the paper's.
+func (t Table4) WriteMarkdown(w io.Writer) { writeSweep(w, "#threads", t.Rows, paperTable4.Rows) }
 
 // loadSweepSizes sizes Tables IV and V: the traversal (nodes, walks,
 // hops), the web-log corpus, and the background-thread sweep both
@@ -70,6 +100,18 @@ func RunTable4(cfg Config) Table4 {
 type Table5 struct {
 	Rows    []LoadSweepRow
 	Matches int64
+}
+
+// paperTable5 is Table V as the paper prints it.
+var paperTable5 = Table5{Rows: []LoadSweepRow{
+	{0, sim.FromSeconds(12.2), sim.FromSeconds(2.3)}, {6, sim.FromSeconds(14.8), sim.FromSeconds(2.3)},
+	{12, sim.FromSeconds(16.3), sim.FromSeconds(2.3)}, {18, sim.FromSeconds(18.8), sim.FromSeconds(2.3)},
+	{24, sim.FromSeconds(19.9), sim.FromSeconds(2.4)},
+}}
+
+// WriteMarkdown renders the sweep beside the paper's.
+func (t Table5) WriteMarkdown(w io.Writer) {
+	writeSweep(w, fmt.Sprintf("#threads (%d matches)", t.Matches), t.Rows, paperTable5.Rows)
 }
 
 // needle is the keyword planted in the web log and searched for.

@@ -87,12 +87,3 @@ func (s *Schema) Concat(other *Schema) *Schema {
 	}
 	return NewSchema(cols...)
 }
-
-// Project returns the schema of the named column subset.
-func (s *Schema) Project(names ...string) *Schema {
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		cols[i] = s.Cols[s.Col(n)]
-	}
-	return NewSchema(cols...)
-}

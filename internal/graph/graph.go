@@ -89,15 +89,6 @@ func Generate(h *biscuit.Host, n int, rng *rand.Rand) (*Store, error) {
 	return &Store{sys: h.System(), file: f, Nodes: n}, nil
 }
 
-// OpenStore opens an existing graph store.
-func OpenStore(h *biscuit.Host, n int) (*Store, error) {
-	f, err := h.SSD().OpenFile(nodeFile, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{sys: h.System(), file: f, Nodes: n}, nil
-}
-
 // decodeStep picks the walk's next node from a record: neighbor
 // (hop*2654435761+walkSeed) mod degree — deterministic per (walk, hop).
 func decodeStep(rec []byte, walkSeed, hop int) (next int, ok bool) {

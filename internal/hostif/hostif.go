@@ -151,12 +151,6 @@ func (i *Interface) xferUp(p *sim.Proc, n int64) {
 	}
 }
 
-// UpLink returns the device-to-host link (for utilization accounting).
-func (i *Interface) UpLink() *sim.Link { return i.up }
-
-// DownLink returns the host-to-device link.
-func (i *Interface) DownLink() *sim.Link { return i.down }
-
 // Stats reports command count and bytes moved in each direction.
 func (i *Interface) Stats() (cmds, bytesToHost, bytesToDevice int64) {
 	return i.cmds, i.bytesUp, i.bytesDown
@@ -289,15 +283,6 @@ func (i *Interface) writeOnce(p *sim.Proc, off int64, data []byte) error {
 	err := i.ftl.WriteRange(p, off, data)
 	i.complete(p)
 	return err
-}
-
-// WriteAsync issues a conventional write without blocking the caller.
-func (i *Interface) WriteAsync(p *sim.Proc, off int64, data []byte) *sim.Completion {
-	done := sim.NewCompletion(i.env, 1)
-	i.env.Spawn("nvme-write", func(wp *sim.Proc) {
-		done.Done(i.Write(wp, off, data))
-	})
-	return done
 }
 
 // Message moves an opaque payload between host and device outside the

@@ -77,9 +77,6 @@ func NewArena(name, owner string, size int) (*Arena, error) {
 // Name returns the arena name.
 func (a *Arena) Name() string { return a.name }
 
-// Owner returns the arena's access tag.
-func (a *Arena) Owner() string { return a.owner }
-
 // Size returns the arena capacity in bytes.
 func (a *Arena) Size() int { return len(a.buf) }
 
@@ -161,9 +158,6 @@ type Block struct {
 	off   int // chunk offset (header)
 	n     int // requested payload size
 }
-
-// Valid reports whether the block refers to a live allocation.
-func (b Block) Valid() bool { return b.arena != nil }
 
 // Len returns the requested payload size.
 func (b Block) Len() int { return b.n }

@@ -38,10 +38,6 @@ func (c *Completion) Done(err error) {
 // on several completions with WaitAll.
 func (c *Completion) Event() *Event { return c.ev }
 
-// Err returns the first error reported. Only meaningful once the event
-// has fired.
-func (c *Completion) Err() error { return c.err }
-
 // Wait blocks p until every part is done and returns the first error.
 func (c *Completion) Wait(p *Proc) error {
 	p.Wait(c.ev)

@@ -11,8 +11,6 @@ import (
 // resolver turns AST expression nodes into typed db.Expr over a schema.
 type resolver struct {
 	sch *db.Schema
-	// aliases maps output column names (ORDER BY may reference them).
-	aliases map[string]string
 	// rewrites maps canonical node strings to column names of an
 	// aggregate output schema (so SUM(x)/SUM(y) resolves post-agg).
 	rewrites map[string]string
@@ -27,16 +25,10 @@ func (r *resolver) expr(n Node) (db.Expr, db.Type, error) {
 	}
 	switch x := n.(type) {
 	case ColNode:
-		name := x.Name
-		if r.aliases != nil {
-			if a, ok := r.aliases[name]; ok {
-				name = a
-			}
-		}
-		if !r.sch.HasCol(name) {
+		if !r.sch.HasCol(x.Name) {
 			return nil, 0, fmt.Errorf("sql: unknown column %q", x.Name)
 		}
-		c := db.C(r.sch, name)
+		c := db.C(r.sch, x.Name)
 		return c, r.sch.Cols[c.Idx].T, nil
 	case NumNode:
 		v, err := parseNum(x)

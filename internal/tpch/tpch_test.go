@@ -112,6 +112,24 @@ func TestAllQueriesConvVsBiscuit(t *testing.T) {
 	})
 }
 
+// TestEachQueryMakesOneDecision holds the 22 plans to the promise of
+// q01_11.go — each calls q.Scan exactly once — that Fig. 10's one
+// planner decision per query rests on.
+func TestEachQueryMakesOneDecision(t *testing.T) {
+	sys, data := testData(t)
+	sys.Run(func(h *biscuit.Host) {
+		for _, query := range All() {
+			q := &QCtx{Ex: db.NewExec(h, data.DB), D: data, Pl: planner.Default()}
+			if _, err := query.Run(q); err != nil {
+				t.Fatalf("Q%d: %v", query.ID, err)
+			}
+			if len(q.Decisions) != 1 {
+				t.Errorf("Q%d made %d planner decisions, want exactly one: %v", query.ID, len(q.Decisions), summarize(q))
+			}
+		}
+	})
+}
+
 func summarize(q *QCtx) []string {
 	var out []string
 	for _, d := range q.Decisions {

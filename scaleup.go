@@ -45,13 +45,6 @@ func NewMultiSystemConfigs(cfg Config, n int, perDev func(i int, cfg Config) Con
 	return m
 }
 
-// Install registers a module image on every SSD.
-func (m *MultiSystem) Install(img *ModuleImage) {
-	for _, s := range m.Systems {
-		s.RT.InstallImage(img)
-	}
-}
-
 // SetTracer records the whole array into one tracer: drive i observes
 // through the namespace view "ssd<i>/", so every device's tracks (nvme
 // queues, dies, fibers) land in a single interleaved export. Nil
