@@ -13,7 +13,7 @@ TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/... \
 	./internal/nand/... ./internal/ftl/... ./internal/isfs/... \
 	./internal/db/... ./internal/match/...
 
-.PHONY: all build test race racefault vet vet-fix fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench ledgersmoke tracesmoke telemetrysmoke lines clean
+.PHONY: all build test race racefault vet vet-fix fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench ledgersmoke tracesmoke lines clean
 
 all: build
 
@@ -68,9 +68,9 @@ healtest:
 	$(GO) test -count=2 ./internal/health/... $(HEALPKGS)
 
 # Fault bench: the availability/latency-under-fault curve at reduced
-# size (3 sweep points, BENCH_faultcurve.json), traced; tracecheck then
-# validates every swept platform's export — async spans must balance
-# even on the reconstruction/scrub/fallback paths. Its output has a
+# size (3 sweep points, BENCH_faultcurve.json), traced; tracestat then
+# checks every swept platform's export — async spans must balance even
+# on the reconstruction/scrub/fallback paths. Its output has a
 # directory of its own, so the quick-size JSON never overwrites the
 # full-size bench-out/BENCH_faultcurve.json that benchgate compared.
 FAULTOUT := bench-out/faultbench
@@ -78,7 +78,7 @@ FAULTOUT := bench-out/faultbench
 faultbench:
 	mkdir -p $(FAULTOUT)
 	$(GO) run ./cmd/biscuitbench -exp faultcurve -quick -json $(FAULTOUT) -trace $(FAULTOUT)/faultcurve.trace.json
-	for f in $(FAULTOUT)/faultcurve.trace.json*; do $(GO) run ./cmd/tracecheck $$f || exit 1; done
+	$(GO) run ./cmd/tracestat $(FAULTOUT)/faultcurve.trace.json* > /dev/null
 
 # Benchmark smoke: run the executor, join-probe, row-decode, DES-core,
 # proc-wake, and fiber-switch benchmarks once (-benchtime=1x) so CI
@@ -97,7 +97,7 @@ benchsmoke:
 # test requires a baseline per experiment. Every field is
 # simulated-time deterministic, so the comparison is exact. One traced
 # serving window rides along: rerun with the same seed, compared
-# byte-for-byte, validated by tracecheck. Wall clock is not gated here;
+# byte-for-byte, checked by tracestat. Wall clock is not gated here;
 # that is `go run ./benchmark`.
 SERVETRACE := -devices 2 -tenants 2 -sf 0.002 -rate 150 -window 200 -seed 7
 
@@ -107,7 +107,7 @@ benchgate: benchsmoke
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.trace.json > /dev/null
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.rerun.trace.json > /dev/null
 	cmp bench-out/serve.trace.json bench-out/serve.rerun.trace.json
-	$(GO) run ./cmd/tracecheck bench-out/serve.trace.json
+	$(GO) run ./cmd/tracestat bench-out/serve.trace.json > /dev/null
 	$(GO) run ./cmd/benchgate baselines bench-out
 
 # bless-bench: accept the current bench-out results as the new
@@ -138,41 +138,27 @@ ledgersmoke:
 		echo "ledgersmoke: $$w ok"; \
 	done
 
-# Trace smoke (DESIGN.md "Observability"): run TPC-H Q6 end to end with
-# tracing on, validate the export is a well-formed Chrome trace
-# (tracecheck also balances every async begin/end), and rerun with the
-# same seed to prove the trace is byte-identical — the whole span
-# pipeline is part of the deterministic simulation, so any divergence
-# is a determinism bug, not noise.
+# Trace smoke (DESIGN.md "Observability"): TPC-H Q6 end to end with
+# tracing and gauge sampling on (-sample 100µs), rerun with the same
+# seed and byte-compared — spans and counter tracks ride one
+# deterministic pipeline, so any divergence is a determinism bug, not
+# noise. tracestat then checks the export (tracestat.Parse's rules:
+# named tracks, balanced async spans, well-formed monotonic counters),
+# its header line must count at least one counter series, and -crit
+# attributes the Biscuit query window's critical path. The first run
+# prints -stats and -explain into the CI log.
 TRACEQ6 := SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem \
 	WHERE l_shipdate >= '1994-01-01' AND l_shipdate < '1995-01-01' \
 	AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24
 
 tracesmoke:
 	mkdir -p trace-out
-	$(GO) run ./cmd/sqlssd -sf 0.002 -seed 7 -q "$(TRACEQ6)" -trace trace-out/q6.json -stats
-	$(GO) run ./cmd/sqlssd -sf 0.002 -seed 7 -q "$(TRACEQ6)" -trace trace-out/q6.rerun.json > /dev/null
+	$(GO) run ./cmd/sqlssd -sf 0.002 -seed 7 -q "$(TRACEQ6)" -sample 100 -trace trace-out/q6.json -stats -explain
+	$(GO) run ./cmd/sqlssd -sf 0.002 -seed 7 -q "$(TRACEQ6)" -sample 100 -trace trace-out/q6.rerun.json > /dev/null
 	cmp trace-out/q6.json trace-out/q6.rerun.json
-	$(GO) run ./cmd/tracecheck trace-out/q6.json
-
-# Telemetry smoke (DESIGN.md "Telemetry time series & counter
-# tracks"): Q6 with tracing AND gauge sampling on (-sample 100µs),
-# rerun with the same seed and byte-compared — the counter tracks ride
-# the same deterministic pipeline as spans, so any divergence is a
-# determinism bug. tracecheck -counters then validates every counter
-# event (args.value present, per-series timestamps non-decreasing,
-# tracks named, at least one 'C' in the file), and tracestat must
-# parse the merged export and attribute the query window's critical
-# path. The first run also exercises -explain and -stats so the
-# operator breakdown and series summaries print in the CI log.
-telemetrysmoke:
-	mkdir -p trace-out
-	$(GO) run ./cmd/sqlssd -sf 0.002 -seed 7 -q "$(TRACEQ6)" -sample 100 -trace trace-out/q6.telemetry.json -stats -explain
-	$(GO) run ./cmd/sqlssd -sf 0.002 -seed 7 -q "$(TRACEQ6)" -sample 100 -trace trace-out/q6.telemetry.rerun.json > /dev/null
-	cmp trace-out/q6.telemetry.json trace-out/q6.telemetry.rerun.json
-	$(GO) run ./cmd/tracecheck -counters trace-out/q6.telemetry.json
-	$(GO) run ./cmd/tracestat trace-out/q6.telemetry.json > /dev/null
-	$(GO) run ./cmd/tracestat -crit -nth -1 trace-out/q6.telemetry.json
+	$(GO) run ./cmd/tracestat trace-out/q6.json > trace-out/q6.stat.txt
+	grep -q ' [1-9][0-9]* counter series' trace-out/q6.stat.txt || { echo "tracesmoke: no counter series"; exit 1; }
+	$(GO) run ./cmd/tracestat -crit -nth -1 trace-out/q6.json
 
 # vet = stock go vet + the biscuitvet analyzer suite (arenaescape,
 # detrand, eventpurity, fiberyield, healthstate, ndpframing,

@@ -1,12 +1,18 @@
-// Command tracestat analyzes the simulator's Perfetto trace exports
-// offline: per-track span aggregates, counter-track utilization
-// statistics, and the trace-derived critical path of a query window
-// (-crit), attributing every instant to the deepest busy layer of the
-// NVMe→FTL→NAND stack.
+// Command tracestat checks and analyzes the simulator's Perfetto trace
+// exports offline: per-track span aggregates, counter-track
+// utilization statistics, and the trace-derived critical path of a
+// query window (-crit), attributing every instant to the deepest busy
+// layer of the NVMe→FTL→NAND stack.
 //
 // Usage:
 //
-//	tracestat [-crit [-root span]] trace.json...
+//	tracestat [-crit [-root span] [-nth n]] trace.json...
+//
+// Every file is checked against the export format's rules
+// (tracestat.Parse): each violation prints to stderr as
+// "tracestat: <path>: <violation>", the valid files are still
+// analyzed, and the exit status is 1 if any file was invalid. CI runs
+// it over every trace it archives.
 //
 // Output is plain deterministic text: analyzing byte-identical traces
 // prints byte-identical reports.
@@ -17,6 +23,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"biscuit/internal/sim"
 	"biscuit/internal/tracestat"
@@ -30,26 +37,41 @@ func main() {
 	nth := flag.Int("nth", 0, "which root span to analyze when several share the name (0-based; -1 = last)")
 	flag.Parse()
 	if flag.NArg() == 0 {
-		log.Fatal("usage: tracestat [-crit [-root span]] trace.json...")
+		log.Fatal("usage: tracestat [-crit [-root span] [-nth n]] trace.json...")
 	}
+	failed := false
 	for _, path := range flag.Args() {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err := tracestat.Parse(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("%s: %v", path, err)
-		}
-		fmt.Printf("== %s: %d tracks, %d spans, %d instants, %d counter series, end %v\n",
-			path, len(tr.Tracks), len(tr.Spans), tr.Instants, len(tr.Counters), sim.Time(tr.End))
-		if *crit {
-			printCrit(tr, *root, *nth)
-		} else {
-			printAggregates(tr)
+		if err := analyze(path, *crit, *root, *nth); err != nil {
+			failed = true
+			for _, line := range strings.Split(err.Error(), "\n") {
+				log.Printf("%s: %s", path, line)
+			}
 		}
 	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// analyze checks one file and prints its report; the error carries
+// every violation, one per line.
+func analyze(path string, crit bool, root string, nth int) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	tr, err := tracestat.Parse(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("== %s: %d tracks, %d spans, %d instants, %d counter series, end %v\n",
+		path, len(tr.Tracks), len(tr.Spans), tr.Instants, len(tr.Counters), sim.Time(tr.End))
+	if crit {
+		return printCrit(tr, root, nth)
+	}
+	printAggregates(tr)
+	return nil
 }
 
 func printAggregates(tr *tracestat.Trace) {
@@ -68,10 +90,10 @@ func printAggregates(tr *tracestat.Trace) {
 	}
 }
 
-func printCrit(tr *tracestat.Trace, root string, nth int) {
+func printCrit(tr *tracestat.Trace, root string, nth int) error {
 	b, err := tr.CriticalPathNth(root, nth)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fmt.Printf("query %q: %v (start %v, end %v); device-side critical path %v (%.1f%%)\n",
 		b.QueryName, sim.Time(b.TotalNs), sim.Time(b.QueryStart), sim.Time(b.QueryEnd),
@@ -92,6 +114,7 @@ func printCrit(tr *tracestat.Trace, root string, nth int) {
 		}
 		fmt.Printf("  %-6s %-24s %14v\n", c.Layer, c.Name, sim.Time(c.Ns))
 	}
+	return nil
 }
 
 func pct(part, whole int64) float64 {

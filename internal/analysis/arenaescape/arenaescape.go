@@ -47,7 +47,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
+	"slices"
 
 	"biscuit/internal/analysis/framework"
 )
@@ -303,7 +303,7 @@ func (c *checker) analyze(node *framework.FuncNode, report bool) bool {
 				} else if m&maskArena != 0 && !report {
 					s.source = true
 					if s.why == "" {
-						s.why = "returns arena-backed memory at " + c.posOf(r.Pos())
+						s.why = "returns arena-backed memory at " + c.pass.ShortPos(r.Pos())
 					}
 				}
 			}
@@ -329,12 +329,12 @@ func (c *checker) analyze(node *framework.FuncNode, report bool) bool {
 		changed = true
 	}
 	for i := range s.escParams {
-		if !containsInt(f.Params, i) {
+		if !slices.Contains(f.Params, i) {
 			f.Params = append(f.Params, i)
 			changed = true
 		}
 	}
-	sortInts(f.Params)
+	slices.Sort(f.Params)
 	if f.Why == "" && s.why != "" {
 		f.Why = s.why
 		changed = true
@@ -475,7 +475,7 @@ func (s *fnState) checkRetainedArg(call *ast.CallExpr, fn *types.Func, argIdx, p
 	}
 	s.sink(call.Args[argIdx].Pos(), m, report, call.Args[argIdx],
 		fmt.Sprintf("%%s passed to %s, which retains its argument %d past the call — pass a copy (Clone/Materialize)",
-			prettyName(fn), paramIdx))
+			framework.PrettyName(fn), paramIdx))
 }
 
 // sink fires one sink: arena/borrow taint becomes a diagnostic (in
@@ -728,11 +728,6 @@ func (s *fnState) objOf(id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-func (c *checker) posOf(pos token.Pos) string {
-	p := c.pass.Fset.Position(pos)
-	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
-}
-
 // ownerMethod reports whether fn is a method of one of the arena
 // implementation types.
 func ownerMethod(fn *types.Func) bool {
@@ -809,32 +804,4 @@ func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
 	}
 	_, ok = info.Uses[id].(*types.Builtin)
 	return ok
-}
-
-func prettyName(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = filepath.Base(framework.PkgPath(fn.Pkg())) + "."
-	}
-	if recv := framework.ReceiverTypeName(fn); recv != "" {
-		return pkg + recv + "." + fn.Name()
-	}
-	return pkg + fn.Name()
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -38,7 +38,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 
 	"biscuit/internal/analysis/framework"
 )
@@ -46,7 +45,6 @@ import (
 const (
 	simPath    = "biscuit/internal/sim"
 	fibersPath = "biscuit/internal/fibers"
-	corePath   = "biscuit/internal/core"
 )
 
 // IsImpure is the cross-package fact: the function performs (or
@@ -177,7 +175,7 @@ func run(pass *framework.Pass) error {
 			if imp := c.exprImpurity(arg); imp != nil {
 				pass.Reportf(arg.Pos(),
 					"callback passed to %s must stay pure (same-seed runs must be byte-identical): %s (suppress with %s <reason>)",
-					prettyName(fn), imp.why, framework.IgnorePrefix+" eventpurity:")
+					framework.PrettyName(fn), imp.why, framework.IgnorePrefix+" eventpurity:")
 			}
 			return true
 		})
@@ -186,7 +184,7 @@ func run(pass *framework.Pass) error {
 	// Roots 2: device functions — anything taking a *core.Context runs
 	// on a simulated device core and must be pure.
 	for _, node := range c.graph.Nodes {
-		if !hasContextParam(pass.TypesInfo, node.Decl.Type) {
+		if !framework.HasContextParam(pass.TypesInfo, node.Decl.Type) {
 			continue
 		}
 		if imp := c.purity[node.Obj]; imp != nil {
@@ -239,7 +237,7 @@ func (c *checker) calleeImpurity(fn *types.Func) *impurity {
 // chain composes a why-chain through one call site.
 func (c *checker) chain(cs framework.CallSite, callee *impurity) string {
 	return fmt.Sprintf("calls %s (%s), which %s",
-		prettyName(cs.Callee), c.pos(cs.Call.Pos()), callee.why)
+		framework.PrettyName(cs.Callee), c.pass.ShortPos(cs.Call.Pos()), callee.why)
 }
 
 // directImpurity scans one body for forbidden operations, returning the
@@ -257,25 +255,25 @@ func (c *checker) directImpurity(body ast.Node) *impurity {
 		}
 		switch n := n.(type) {
 		case *ast.SendStmt:
-			found = &impurity{why: fmt.Sprintf("sends on a channel (%s)", c.pos(n.Pos()))}
+			found = &impurity{why: fmt.Sprintf("sends on a channel (%s)", c.pass.ShortPos(n.Pos()))}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				found = &impurity{why: fmt.Sprintf("receives from a channel (%s)", c.pos(n.Pos()))}
+				found = &impurity{why: fmt.Sprintf("receives from a channel (%s)", c.pass.ShortPos(n.Pos()))}
 			}
 		case *ast.SelectStmt:
-			found = &impurity{why: fmt.Sprintf("selects on channels (%s)", c.pos(n.Pos()))}
+			found = &impurity{why: fmt.Sprintf("selects on channels (%s)", c.pass.ShortPos(n.Pos()))}
 		case *ast.GoStmt:
-			found = &impurity{why: fmt.Sprintf("starts a goroutine (%s)", c.pos(n.Pos()))}
+			found = &impurity{why: fmt.Sprintf("starts a goroutine (%s)", c.pass.ShortPos(n.Pos()))}
 		case *ast.RangeStmt:
 			if t := c.pass.TypesInfo.TypeOf(n.X); t != nil {
 				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = &impurity{why: fmt.Sprintf("ranges over a channel (%s)", c.pos(n.Pos()))}
+					found = &impurity{why: fmt.Sprintf("ranges over a channel (%s)", c.pass.ShortPos(n.Pos()))}
 				}
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "close" {
 				if _, isFn := c.pass.TypesInfo.Uses[id].(*types.Func); !isFn {
-					found = &impurity{why: fmt.Sprintf("closes a channel (%s)", c.pos(n.Pos()))}
+					found = &impurity{why: fmt.Sprintf("closes a channel (%s)", c.pass.ShortPos(n.Pos()))}
 					return false
 				}
 			}
@@ -285,61 +283,18 @@ func (c *checker) directImpurity(body ast.Node) *impurity {
 			}
 			switch pkg := fn.Pkg().Path(); {
 			case pkg == "time" && wallclock[fn.Name()]:
-				found = &impurity{why: fmt.Sprintf("calls time.%s (%s)", fn.Name(), c.pos(n.Pos()))}
+				found = &impurity{why: fmt.Sprintf("calls time.%s (%s)", fn.Name(), c.pass.ShortPos(n.Pos()))}
 			case pkg == "sync":
-				found = &impurity{why: fmt.Sprintf("uses sync.%s (%s)", fn.Name(), c.pos(n.Pos()))}
+				found = &impurity{why: fmt.Sprintf("uses sync.%s (%s)", fn.Name(), c.pass.ShortPos(n.Pos()))}
 			case pkg == "fmt" && fmtImpure[fn.Name()]:
-				found = &impurity{why: fmt.Sprintf("calls fmt.%s on the host's standard streams (%s)", fn.Name(), c.pos(n.Pos()))}
+				found = &impurity{why: fmt.Sprintf("calls fmt.%s on the host's standard streams (%s)", fn.Name(), c.pass.ShortPos(n.Pos()))}
 			default:
 				if what, bad := blockingPkgs[pkg]; bad {
-					found = &impurity{why: fmt.Sprintf("calls %s.%s — %s (%s)", pkg, fn.Name(), what, c.pos(n.Pos()))}
+					found = &impurity{why: fmt.Sprintf("calls %s.%s — %s (%s)", pkg, fn.Name(), what, c.pass.ShortPos(n.Pos()))}
 				}
 			}
 		}
 		return found == nil
 	})
 	return found
-}
-
-// pos renders a position as "file:line" with the bare file name.
-func (c *checker) pos(p token.Pos) string {
-	position := c.pass.Fset.Position(p)
-	return fmt.Sprintf("%s:%d", filepath.Base(position.Filename), position.Line)
-}
-
-// prettyName renders a function for diagnostics: "sim.Env.After",
-// "helpers.Blocker".
-func prettyName(fn *types.Func) string {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = filepath.Base(framework.PkgPath(fn.Pkg())) + "."
-	}
-	if recv := framework.ReceiverTypeName(fn); recv != "" {
-		return pkg + recv + "." + fn.Name()
-	}
-	return pkg + fn.Name()
-}
-
-// hasContextParam reports whether ft declares a *core.Context parameter
-// (the SSDlet / device-function signature).
-func hasContextParam(info *types.Info, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	for _, field := range ft.Params.List {
-		t := info.TypeOf(field.Type)
-		ptr, ok := types.Unalias(t).(*types.Pointer)
-		if !ok {
-			continue
-		}
-		named, ok := types.Unalias(ptr.Elem()).(*types.Named)
-		if !ok {
-			continue
-		}
-		obj := named.Obj()
-		if obj.Name() == "Context" && obj.Pkg() != nil && framework.PkgPath(obj.Pkg()) == corePath {
-			return true
-		}
-	}
-	return false
 }

@@ -52,7 +52,7 @@ func run(pass *framework.Pass) error {
 			if !ok || fd.Body == nil || pass.InTestFile(fd.Pos()) {
 				continue
 			}
-			if !hasContextParam(pass.TypesInfo, fd.Type) {
+			if !framework.HasContextParam(pass.TypesInfo, fd.Type) {
 				continue
 			}
 			// Closures declared inside a device function run on the same
@@ -72,35 +72,6 @@ func run(pass *framework.Pass) error {
 		}
 	}
 	return nil
-}
-
-// hasContextParam reports whether ft declares a parameter of type
-// *core.Context (seen through the public biscuit.Context alias).
-func hasContextParam(info *types.Info, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	for _, field := range ft.Params.List {
-		if isContextPtr(info.TypeOf(field.Type)) {
-			return true
-		}
-	}
-	return false
-}
-
-// isContextPtr reports whether t is *biscuit/internal/core.Context.
-func isContextPtr(t types.Type) bool {
-	ptr, ok := types.Unalias(t).(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil &&
-		framework.PkgPath(obj.Pkg()) == "biscuit/internal/core"
 }
 
 // yields reports whether body contains a call that can re-enter the
@@ -124,7 +95,7 @@ func yields(info *types.Info, body ast.Node) bool {
 			return false
 		}
 		for _, arg := range call.Args {
-			if isContextPtr(info.TypeOf(arg)) {
+			if framework.IsContextPtr(info.TypeOf(arg)) {
 				found = true
 				return false
 			}

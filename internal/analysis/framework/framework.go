@@ -15,6 +15,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"reflect"
 	"strings"
 )
@@ -312,4 +313,55 @@ func IsPkgFunc(fn *types.Func, pkgPath string) bool {
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	return ok && sig.Recv() == nil
+}
+
+// ShortPos renders pos as "file:line" with the bare file name, the form
+// diagnostics use inside why-chains.
+func (p *Pass) ShortPos(pos token.Pos) string {
+	position := p.Fset.Position(pos)
+	return fmt.Sprintf("%s:%d", filepath.Base(position.Filename), position.Line)
+}
+
+// PrettyName renders a function for diagnostics: "sim.Env.After",
+// "helpers.Blocker".
+func PrettyName(fn *types.Func) string {
+	pkg := ""
+	if fn.Pkg() != nil {
+		pkg = filepath.Base(PkgPath(fn.Pkg())) + "."
+	}
+	if recv := ReceiverTypeName(fn); recv != "" {
+		return pkg + recv + "." + fn.Name()
+	}
+	return pkg + fn.Name()
+}
+
+// HasContextParam reports whether ft declares a *core.Context parameter
+// (seen through the public biscuit.Context alias): the SSDlet /
+// device-function signature, which is what makes a function device
+// code.
+func HasContextParam(info *types.Info, ft *ast.FuncType) bool {
+	if ft.Params == nil {
+		return false
+	}
+	for _, field := range ft.Params.List {
+		if IsContextPtr(info.TypeOf(field.Type)) {
+			return true
+		}
+	}
+	return false
+}
+
+// IsContextPtr reports whether t is *biscuit/internal/core.Context.
+func IsContextPtr(t types.Type) bool {
+	ptr, ok := types.Unalias(t).(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Context" && obj.Pkg() != nil &&
+		PkgPath(obj.Pkg()) == "biscuit/internal/core"
 }

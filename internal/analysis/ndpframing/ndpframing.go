@@ -19,7 +19,6 @@ package ndpframing
 
 import (
 	"go/ast"
-	"go/types"
 
 	"biscuit/internal/analysis/framework"
 )
@@ -48,7 +47,7 @@ func run(pass *framework.Pass) error {
 			if !ok || fd.Body == nil || pass.InTestFile(fd.Pos()) {
 				continue
 			}
-			if !hasContextParam(pass.TypesInfo, fd.Type) {
+			if !framework.HasContextParam(pass.TypesInfo, fd.Type) {
 				continue
 			}
 			if referencesFraming(fd.Body) {
@@ -98,33 +97,4 @@ func isFixedLiteral(args []ast.Expr) bool {
 	}
 	_, ok := args[0].(*ast.CompositeLit)
 	return ok
-}
-
-// hasContextParam reports whether ft declares a parameter of type
-// *core.Context (seen through the public biscuit.Context alias).
-func hasContextParam(info *types.Info, ft *ast.FuncType) bool {
-	if ft.Params == nil {
-		return false
-	}
-	for _, field := range ft.Params.List {
-		if isContextPtr(info.TypeOf(field.Type)) {
-			return true
-		}
-	}
-	return false
-}
-
-// isContextPtr reports whether t is *biscuit/internal/core.Context.
-func isContextPtr(t types.Type) bool {
-	ptr, ok := types.Unalias(t).(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := types.Unalias(ptr.Elem()).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Context" && obj.Pkg() != nil &&
-		framework.PkgPath(obj.Pkg()) == "biscuit/internal/core"
 }

@@ -22,14 +22,6 @@ type Planner struct {
 	// target; the paper's selectivity is "fraction of pages that satisfy
 	// filter conditions").
 	Threshold float64
-	// MinPages: tables smaller than this are not worth offloading
-	// ("target table size is too small").
-	MinPages int64
-	// MinKeyLen rejects near-useless keys up front ("predicate is a
-	// single character").
-	MinKeyLen int
-	// Samples is the number of pages the sampling probe reads.
-	Samples int
 	// Rand drives the sampling probe. It must be an explicitly seeded
 	// source so planning decisions are reproducible; a nil Rand falls
 	// back to the calibrated default seed.
@@ -38,7 +30,7 @@ type Planner struct {
 
 // Default returns the calibrated policy.
 func Default() *Planner {
-	return &Planner{Threshold: 0.25, MinPages: 16, MinKeyLen: 2, Samples: 24, Rand: rand.New(rand.NewSource(42))}
+	return &Planner{Threshold: 0.25, Rand: rand.New(rand.NewSource(42))}
 }
 
 // Decision records why a scan was or was not offloaded — the raw
@@ -313,10 +305,10 @@ func union(a, b []string) []string {
 	return out
 }
 
-// SampleSelectivity reads n random pages of t over the conventional path
-// (the planner runs on the host) and returns the fraction containing at
-// least one key — the paper's "quick check on the table to estimate
-// selectivity using a sampling method".
+// SampleSelectivity reads samples random pages of t over the
+// conventional path (the planner runs on the host) and returns the
+// fraction containing at least one key — the paper's "quick check on
+// the table to estimate selectivity using a sampling method".
 func (pl *Planner) SampleSelectivity(ex *db.Exec, t *db.Table, keys []string) (float64, error) {
 	a, err := match.CompileHW(keys)
 	if err != nil {
@@ -326,7 +318,7 @@ func (pl *Planner) SampleSelectivity(ex *db.Exec, t *db.Table, keys []string) (f
 	if err != nil {
 		return 0, err
 	}
-	n := pl.Samples
+	n := samples
 	if int64(n) > t.Pages {
 		n = int(t.Pages)
 	}
@@ -353,6 +345,18 @@ func (pl *Planner) SampleSelectivity(ex *db.Exec, t *db.Table, keys []string) (f
 	return float64(hitPages) / float64(n), nil
 }
 
+// The calibrated offload gates PlanScan applies before Threshold.
+const (
+	// minPages: tables smaller than this are not worth offloading
+	// ("target table size is too small").
+	minPages int64 = 16
+	// minKeyLen rejects near-useless keys up front ("predicate is a
+	// single character").
+	minKeyLen = 2
+	// samples is the number of pages the sampling probe reads.
+	samples = 24
+)
+
 // PlanScan decides Conv vs NDP for scanning t under pred and returns the
 // chosen iterator plus the decision record.
 func (pl *Planner) PlanScan(ex *db.Exec, t *db.Table, pred db.Expr) (db.Iterator, Decision) {
@@ -363,10 +367,10 @@ func (pl *Planner) PlanScan(ex *db.Exec, t *db.Table, pred db.Expr) (db.Iterator
 	if !ok {
 		return ex.NewConvScan(t, pred), Decision{Reason: "predicate not matcher-compatible"}
 	}
-	if minLen(keys) < pl.MinKeyLen {
+	if minLen(keys) < minKeyLen {
 		return ex.NewConvScan(t, pred), Decision{Reason: "expected selectivity too low (key too short)", Keys: keys}
 	}
-	if t.Pages < pl.MinPages {
+	if t.Pages < minPages {
 		return ex.NewConvScan(t, pred), Decision{Reason: "table too small", Keys: keys}
 	}
 	sel, err := pl.SampleSelectivity(ex, t, keys)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -120,46 +121,24 @@ func (p Plan) ValidateDies(dies int) error {
 	return nil
 }
 
-// Validate checks that probabilities are in [0,1] and latencies are
-// non-negative.
+// Validate checks that probabilities are in [0,1] and latencies and
+// max-faults are non-negative.
 func (p Plan) Validate() error {
-	probs := []struct {
-		name string
-		v    float64
-	}{
-		{"correctable", p.CorrectableProb},
-		{"uncorrectable", p.UncorrectableProb},
-		{"program-fail", p.ProgramFailProb},
-		{"erase-fail", p.EraseFailProb},
-		{"timeout", p.TimeoutProb},
-		{"stall", p.StallProb},
-	}
-	for _, pr := range probs {
-		if pr.v < 0 || pr.v > 1 || pr.v != pr.v {
-			return fmt.Errorf("fault: %s probability %v outside [0,1]", pr.name, pr.v)
+	for _, k := range planKeys {
+		switch f := k.field(&p).(type) {
+		case *float64:
+			if *f < 0 || *f > 1 || *f != *f {
+				return fmt.Errorf("fault: %s probability %v outside [0,1]", k.name, *f)
+			}
+		case *sim.Time:
+			if *f < 0 {
+				return fmt.Errorf("fault: %s %v negative", k.name, *f)
+			}
+		case *int:
+			if *f < 0 {
+				return fmt.Errorf("fault: %s %d negative", k.name, *f)
+			}
 		}
-	}
-	lats := []struct {
-		name string
-		v    sim.Time
-	}{
-		{"correctable-latency", p.CorrectableLatency},
-		{"timeout-delay", p.TimeoutDelay},
-		{"stall-delay", p.StallDelay},
-	}
-	for _, l := range lats {
-		if l.v < 0 {
-			return fmt.Errorf("fault: %s %v negative", l.name, l.v)
-		}
-	}
-	if p.SilentProb < 0 || p.SilentProb > 1 || p.SilentProb != p.SilentProb {
-		return fmt.Errorf("fault: silent probability %v outside [0,1]", p.SilentProb)
-	}
-	if p.DieFailAfter < 0 {
-		return fmt.Errorf("fault: diefail-after %v negative", p.DieFailAfter)
-	}
-	if p.MaxFaults < 0 {
-		return fmt.Errorf("fault: max-faults %d negative", p.MaxFaults)
 	}
 	return nil
 }
@@ -174,59 +153,64 @@ func (p Plan) Validate() error {
 // "diefail=3;7 diefail-after=10ms". Keys are matched case-insensitively.
 // Unknown keys and duplicate keys are errors so that typos fail loudly
 // instead of silently injecting nothing.
-const (
-	keySeed               = "seed"
-	keyCorrectable        = "correctable"
-	keyUncorrectable      = "uncorrectable"
-	keyProgramFail        = "program-fail"
-	keyEraseFail          = "erase-fail"
-	keyTimeout            = "timeout"
-	keyStall              = "stall"
-	keySilent             = "silent"
-	keyDieFail            = "diefail"
-	keyCorrectableLatency = "correctable-latency"
-	keyTimeoutDelay       = "timeout-delay"
-	keyStallDelay         = "stall-delay"
-	keyDieFailAfter       = "diefail-after"
-	keyMaxFaults          = "max-faults"
-)
+//
+// planKeys declares every key once, in String's order. A key's kind is
+// its field's pointer type: a probability (*float64), a latency
+// (*sim.Time), an integer (*int64 seed, *int max-faults) or a die list
+// (*uint64, the DieFailMask).
+var planKeys = []planKey{
+	{"seed", func(p *Plan) any { return &p.Seed }},
+	{"correctable", func(p *Plan) any { return &p.CorrectableProb }},
+	{"uncorrectable", func(p *Plan) any { return &p.UncorrectableProb }},
+	{"program-fail", func(p *Plan) any { return &p.ProgramFailProb }},
+	{"erase-fail", func(p *Plan) any { return &p.EraseFailProb }},
+	{"timeout", func(p *Plan) any { return &p.TimeoutProb }},
+	{"stall", func(p *Plan) any { return &p.StallProb }},
+	{"silent", func(p *Plan) any { return &p.SilentProb }},
+	{"diefail", func(p *Plan) any { return &p.DieFailMask }},
+	{"correctable-latency", func(p *Plan) any { return &p.CorrectableLatency }},
+	{"timeout-delay", func(p *Plan) any { return &p.TimeoutDelay }},
+	{"stall-delay", func(p *Plan) any { return &p.StallDelay }},
+	{"diefail-after", func(p *Plan) any { return &p.DieFailAfter }},
+	{"max-faults", func(p *Plan) any { return &p.MaxFaults }},
+}
 
-// String renders the plan in the canonical ParsePlan format: keys in a
-// fixed order, zero-valued fields omitted (the zero plan renders as
-// "seed=0"). ParsePlan(p.String()) reproduces p exactly.
+type planKey struct {
+	name  string
+	field func(*Plan) any
+}
+
+// String renders the plan in the canonical ParsePlan format: keys in
+// planKeys order, zero-valued fields omitted except the seed (the zero
+// plan renders as "seed=0"). ParsePlan(p.String()) reproduces p exactly.
 func (p Plan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s=%d", keySeed, p.Seed)
-	prob := func(k string, v float64) {
-		if v != 0 {
-			fmt.Fprintf(&b, " %s=%s", k, strconv.FormatFloat(v, 'g', -1, 64))
+	for i, k := range planKeys {
+		var v string
+		zero := false
+		switch f := k.field(&p).(type) {
+		case *int64:
+			v, zero = strconv.FormatInt(*f, 10), *f == 0
+		case *int:
+			v, zero = strconv.Itoa(*f), *f == 0
+		case *float64:
+			v, zero = strconv.FormatFloat(*f, 'g', -1, 64), *f == 0
+		case *sim.Time:
+			v, zero = f.AsDuration().String(), *f == 0
+		case *uint64:
+			dies := make([]string, 0, 4)
+			for _, d := range p.FailedDies() {
+				dies = append(dies, strconv.Itoa(d))
+			}
+			v, zero = strings.Join(dies, ";"), *f == 0
 		}
-	}
-	lat := func(k string, v sim.Time) {
-		if v != 0 {
-			fmt.Fprintf(&b, " %s=%s", k, v.AsDuration())
+		if i > 0 {
+			if zero {
+				continue
+			}
+			b.WriteByte(' ')
 		}
-	}
-	prob(keyCorrectable, p.CorrectableProb)
-	prob(keyUncorrectable, p.UncorrectableProb)
-	prob(keyProgramFail, p.ProgramFailProb)
-	prob(keyEraseFail, p.EraseFailProb)
-	prob(keyTimeout, p.TimeoutProb)
-	prob(keyStall, p.StallProb)
-	prob(keySilent, p.SilentProb)
-	if p.DieFailMask != 0 {
-		strs := make([]string, 0, 4)
-		for _, d := range p.FailedDies() {
-			strs = append(strs, strconv.Itoa(d))
-		}
-		fmt.Fprintf(&b, " %s=%s", keyDieFail, strings.Join(strs, ";"))
-	}
-	lat(keyCorrectableLatency, p.CorrectableLatency)
-	lat(keyTimeoutDelay, p.TimeoutDelay)
-	lat(keyStallDelay, p.StallDelay)
-	lat(keyDieFailAfter, p.DieFailAfter)
-	if p.MaxFaults != 0 {
-		fmt.Fprintf(&b, " %s=%d", keyMaxFaults, p.MaxFaults)
+		b.WriteString(k.name + "=" + v)
 	}
 	return b.String()
 }
@@ -250,43 +234,22 @@ func ParsePlan(s string) (Plan, error) {
 			return Plan{}, fmt.Errorf("fault: duplicate key %q", k)
 		}
 		seen[k] = true
-		var err error
-		switch k {
-		case keySeed:
-			p.Seed, err = strconv.ParseInt(v, 10, 64)
-		case keyCorrectable:
-			p.CorrectableProb, err = parseProb(v)
-		case keyUncorrectable:
-			p.UncorrectableProb, err = parseProb(v)
-		case keyProgramFail:
-			p.ProgramFailProb, err = parseProb(v)
-		case keyEraseFail:
-			p.EraseFailProb, err = parseProb(v)
-		case keyTimeout:
-			p.TimeoutProb, err = parseProb(v)
-		case keyStall:
-			p.StallProb, err = parseProb(v)
-		case keySilent:
-			p.SilentProb, err = parseProb(v)
-		case keyDieFail:
-			p.DieFailMask, err = parseDieList(v)
-		case keyCorrectableLatency:
-			p.CorrectableLatency, err = parseLatency(v)
-		case keyTimeoutDelay:
-			p.TimeoutDelay, err = parseLatency(v)
-		case keyStallDelay:
-			p.StallDelay, err = parseLatency(v)
-		case keyDieFailAfter:
-			p.DieFailAfter, err = parseLatency(v)
-		case keyMaxFaults:
-			var n int64
-			n, err = strconv.ParseInt(v, 10, 64)
-			p.MaxFaults = int(n)
-			if int64(p.MaxFaults) != n {
-				err = fmt.Errorf("overflows int")
-			}
-		default:
+		i := slices.IndexFunc(planKeys, func(pk planKey) bool { return pk.name == k })
+		if i < 0 {
 			return Plan{}, fmt.Errorf("fault: unknown key %q (known: %s)", k, strings.Join(knownKeys(), ", "))
+		}
+		var err error
+		switch f := planKeys[i].field(&p).(type) {
+		case *int64:
+			*f, err = strconv.ParseInt(v, 10, 64)
+		case *int:
+			*f, err = strconv.Atoi(v)
+		case *float64:
+			*f, err = strconv.ParseFloat(v, 64)
+		case *sim.Time:
+			*f, err = parseLatency(v)
+		case *uint64:
+			*f, err = parseDieList(v)
 		}
 		if err != nil {
 			return Plan{}, fmt.Errorf("fault: bad value for %s: %v", k, err)
@@ -296,14 +259,6 @@ func ParsePlan(s string) (Plan, error) {
 		return Plan{}, err
 	}
 	return p, nil
-}
-
-func parseProb(v string) (float64, error) {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, err
-	}
-	return f, nil
 }
 
 // parseDieList parses the diefail value: die indexes separated by ';'
@@ -338,11 +293,9 @@ func parseLatency(v string) (sim.Time, error) {
 }
 
 func knownKeys() []string {
-	ks := []string{
-		keySeed, keyCorrectable, keyUncorrectable, keyProgramFail,
-		keyEraseFail, keyTimeout, keyStall, keySilent, keyDieFail,
-		keyCorrectableLatency, keyTimeoutDelay, keyStallDelay,
-		keyDieFailAfter, keyMaxFaults,
+	ks := make([]string, len(planKeys))
+	for i, k := range planKeys {
+		ks[i] = k.name
 	}
 	sort.Strings(ks)
 	return ks

@@ -21,6 +21,7 @@ package serve
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"biscuit"
 	"biscuit/internal/db"
@@ -348,7 +349,7 @@ func (s *Server) onHealth(dev int, from, to health.State) {
 	for _, t := range s.tenants {
 		marked := false
 		for k, d := range t.shardDev {
-			if d == dev && !t.shardRepl[k] && !containsInt(t.pending, k) {
+			if d == dev && !t.shardRepl[k] && !slices.Contains(t.pending, k) {
 				t.pending = append(t.pending, k)
 				marked = true
 			}
@@ -360,15 +361,6 @@ func (s *Server) onHealth(dev int, from, to health.State) {
 	if s.wake != nil {
 		s.wake.Fire()
 	}
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 func defaultBase() biscuit.Config {

@@ -18,8 +18,7 @@
 // Determinism: series order is gauge registration order (never map
 // order), tick times are k×interval on the virtual clock, and digests
 // are FNV-1a over the raw samples — so two same-seed runs must produce
-// byte-identical series, which the bench gate and telemetrysmoke
-// enforce.
+// byte-identical series, which the bench gate and tracesmoke enforce.
 package telemetry
 
 import (
@@ -213,7 +212,7 @@ func summarize(name string, interval int64, samples []int64) SeriesSummary {
 // their first point (a counter holds its value until the next event);
 // the final tick always emits so the track spans the whole window.
 // Per-track timestamps are strictly derived from tick order, so the
-// extended tracecheck's monotonicity rule holds by construction.
+// monotonicity rule of tracestat.Parse holds by construction.
 func (s *Sampler) ExportCounters(tr *trace.Tracer) {
 	if s == nil || tr == nil {
 		return

@@ -22,21 +22,7 @@ func (g Gen) LoadShards(hosts []*biscuit.Host, dbs []*db.Database, rng *rand.Ran
 	if len(dbs) == 0 || len(hosts) != len(dbs) {
 		return nil, fmt.Errorf("tpch: LoadShards needs one host per database, got %d hosts / %d dbs", len(hosts), len(dbs))
 	}
-	mk := func(name string, sch *db.Schema, batchPages int) (rowSink, error) {
-		ws := make([]*db.Loader, len(dbs))
-		for i := range dbs {
-			w, err := dbs[i].NewLoader(hosts[i], name, sch, batchPages)
-			if err != nil {
-				return nil, err
-			}
-			ws[i] = w
-		}
-		if name == "orders" || name == "lineitem" {
-			return &partitionSink{ws: ws}, nil
-		}
-		return &broadcastSink{ws: ws}, nil
-	}
-	if err := g.generate(mk, rng); err != nil {
+	if err := g.generate(shardSinks(hosts, dbs, false), rng); err != nil {
 		return nil, err
 	}
 	out := make([]*Data, len(dbs))
@@ -60,29 +46,7 @@ func (g Gen) LoadShardsReplica(hosts []*biscuit.Host, dbs []*db.Database, rng *r
 	if len(dbs) == 0 || len(hosts) != len(dbs) {
 		return nil, nil, fmt.Errorf("tpch: LoadShardsReplica needs one host per database, got %d hosts / %d dbs", len(hosts), len(dbs))
 	}
-	mk := func(name string, sch *db.Schema, batchPages int) (rowSink, error) {
-		ws := make([]*db.Loader, len(dbs))
-		for i := range dbs {
-			w, err := dbs[i].NewLoader(hosts[i], name, sch, batchPages)
-			if err != nil {
-				return nil, err
-			}
-			ws[i] = w
-		}
-		if name != "orders" && name != "lineitem" {
-			return &broadcastSink{ws: ws}, nil
-		}
-		rs := make([]*db.Loader, len(dbs))
-		for i := range dbs {
-			w, err := dbs[i].NewLoader(hosts[i], name+"_r", sch, batchPages)
-			if err != nil {
-				return nil, err
-			}
-			rs[i] = w
-		}
-		return &replicaSink{ws: ws, rs: rs}, nil
-	}
-	if err := g.generate(mk, rng); err != nil {
+	if err := g.generate(shardSinks(hosts, dbs, true), rng); err != nil {
 		return nil, nil, err
 	}
 	prim := make([]*Data, len(dbs))
@@ -95,6 +59,41 @@ func (g Gen) LoadShardsReplica(hosts []*biscuit.Host, dbs []*db.Database, rng *r
 		repl[i] = r
 	}
 	return prim, repl, nil
+}
+
+// shardSinks is generate's sink factory over one database per shard:
+// dimension tables broadcast to every shard, fact tables partition, and
+// with replicas each fact table also opens its "_r" copy. Per table the
+// primary loaders open before the replica ones, which fixes the isfs
+// placement of every file.
+func shardSinks(hosts []*biscuit.Host, dbs []*db.Database, replicas bool) func(string, *db.Schema, int) (rowSink, error) {
+	open := func(name string, sch *db.Schema, batchPages int) ([]*db.Loader, error) {
+		ws := make([]*db.Loader, len(dbs))
+		for i := range dbs {
+			w, err := dbs[i].NewLoader(hosts[i], name, sch, batchPages)
+			if err != nil {
+				return nil, err
+			}
+			ws[i] = w
+		}
+		return ws, nil
+	}
+	return func(name string, sch *db.Schema, batchPages int) (rowSink, error) {
+		ws, err := open(name, sch, batchPages)
+		if err != nil {
+			return nil, err
+		}
+		if name != "orders" && name != "lineitem" {
+			return &broadcastSink{ws: ws}, nil
+		}
+		s := &partitionSink{ws: ws}
+		if replicas {
+			if s.rs, err = open(name+"_r", sch, batchPages); err != nil {
+				return nil, err
+			}
+		}
+		return s, nil
+	}
 }
 
 // broadcastSink replicates every row to all shards (dimension tables).
@@ -111,59 +110,39 @@ func (s *broadcastSink) Add(r db.Row) error {
 	return nil
 }
 
-func (s *broadcastSink) Close() error {
-	for _, w := range s.ws {
-		if err := w.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (s *broadcastSink) Close() error { return closeAll(s.ws) }
 
 // partitionSink hashes each row to one shard by its leading key column
 // (o_orderkey / l_orderkey — both tables carry it at index 0, which is
-// what co-partitions an order with its lineitems).
+// what co-partitions an order with its lineitems). With replica loaders
+// it also writes each row to the next shard's replica table — one-hop
+// chained replication, enough for the serving layer to migrate any
+// single degraded device's tenants.
 type partitionSink struct {
-	ws []*db.Loader
+	ws []*db.Loader // primary partitions
+	rs []*db.Loader // replica tables ("orders_r"/"lineitem_r"), or none
 }
 
 func (s *partitionSink) Add(r db.Row) error {
-	return s.ws[r[0].I%int64(len(s.ws))].Add(r)
-}
-
-func (s *partitionSink) Close() error {
-	for _, w := range s.ws {
-		if err := w.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replicaSink partitions like partitionSink and additionally writes
-// each row to the next shard's replica loader — one-hop chained
-// replication, enough for the serving layer to migrate any single
-// degraded device's tenants.
-type replicaSink struct {
-	ws []*db.Loader // primary partitions
-	rs []*db.Loader // replica tables ("orders_r"/"lineitem_r")
-}
-
-func (s *replicaSink) Add(r db.Row) error {
 	k := r[0].I % int64(len(s.ws))
 	if err := s.ws[k].Add(r); err != nil {
 		return err
 	}
+	if len(s.rs) == 0 {
+		return nil
+	}
 	return s.rs[(k+1)%int64(len(s.rs))].Add(r)
 }
 
-func (s *replicaSink) Close() error {
-	for _, w := range s.ws {
-		if err := w.Close(); err != nil {
-			return err
-		}
+func (s *partitionSink) Close() error {
+	if err := closeAll(s.ws); err != nil {
+		return err
 	}
-	for _, w := range s.rs {
+	return closeAll(s.rs)
+}
+
+func closeAll(ws []*db.Loader) error {
+	for _, w := range ws {
 		if err := w.Close(); err != nil {
 			return err
 		}

@@ -205,7 +205,7 @@ func (s Span) End() {
 // events carry their own timestamp: the telemetry sampler appends a
 // whole recorded series at export time, after the simulated work it
 // measured. Within one (track, name) series callers must append in
-// non-decreasing ts order — the extended tracecheck rejects anything
+// non-decreasing ts order — tracestat.Parse rejects anything
 // else. The value rides the otherwise-unused dur field, so a sample
 // costs no arg allocation.
 func (t *Tracer) CounterAt(tk TrackID, name string, ts sim.Time, v int64) {

@@ -6,30 +6,35 @@
 //
 // The analyzer consumes the JSON the trace package writes (and nothing
 // else: it is a tool over the repo's own byte-deterministic format, not
-// a general Chrome-trace reader). All derived numbers are integer
-// nanoseconds reconstructed exactly from the exported microsecond
-// fixed-point timestamps, so analyses of byte-identical traces are
-// themselves byte-identical.
+// a general Chrome-trace reader), and Parse is also that format's
+// checker: nothing that breaks its rules is analyzed. All derived
+// numbers are integer nanoseconds reconstructed exactly from the
+// exported microsecond fixed-point timestamps, so analyses of
+// byte-identical traces are themselves byte-identical.
 package tracestat
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // rawEvent mirrors one exported trace event; unknown fields are
-// ignored so the reader stays compatible with span args.
+// ignored so the reader stays compatible with span args. Ts and Dur
+// are pointers so a missing field is told apart from zero, and ID stays
+// raw so a malformed id is a violation rather than a decode abort.
 type rawEvent struct {
 	Name string          `json:"name"`
 	Ph   string          `json:"ph"`
 	Tid  int             `json:"tid"`
-	Ts   float64         `json:"ts"`  // microseconds, 3 exact decimals
-	Dur  float64         `json:"dur"` // microseconds ('X' only)
-	ID   uint64          `json:"id"`  // async pair id ('b'/'e')
+	Ts   *float64        `json:"ts"`  // microseconds, 3 exact decimals
+	Dur  *float64        `json:"dur"` // microseconds ('X' only)
+	ID   json.RawMessage `json:"id"`  // async pair id ('b'/'e')
 	Args json.RawMessage `json:"args"`
 }
 
@@ -73,85 +78,147 @@ type Trace struct {
 	End      int64 // max event end time, ns
 }
 
-// Parse reads one exported trace.
+// Parse reads and checks one exported trace. It is the one reader of
+// the export format, and the check CI holds every archived trace to:
+// an export that breaks a rule yields no *Trace, and the error lists
+// every violation, one line each, naming the event's index. The rules:
+//
+//   - traceEvents is present and non-empty;
+//   - every phase is one of M X b e i C;
+//   - every tid is ≥ 1, and every non-M event's tid was named by an
+//     earlier thread_name;
+//   - every non-M event has ts ≥ 0, and every X has dur ≥ 0;
+//   - async ids are unsigned integers, and every b has exactly one e,
+//     never before it;
+//   - every C has an integer args.value, and counter ts never
+//     decreases within one (tid, name) series.
 func Parse(r io.Reader) (*Trace, error) {
 	var raw rawTrace
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("tracestat: %w", err)
+		return nil, fmt.Errorf("not valid JSON: %w", err)
+	}
+	if len(raw.TraceEvents) == 0 {
+		return nil, errors.New("traceEvents is missing or empty")
+	}
+	var errs []error
+	bad := func(i int, ev *rawEvent, format string, args ...any) {
+		errs = append(errs, fmt.Errorf("event %d (%q): %s", i, ev.Name, fmt.Sprintf(format, args...)))
 	}
 	t := &Trace{}
 	trackName := map[int]string{}
 	type open struct {
+		idx   int // event index of the 'b'
 		track string
 		name  string
 		start int64
 	}
 	opens := map[uint64]open{}
-	ctrIdx := map[string]int{} // track+"\x00"+name -> index into Counters
-	for _, ev := range raw.TraceEvents {
-		switch ev.Ph {
-		case "M":
+	type series struct {
+		tid  int
+		name string
+	}
+	ctrIdx := map[series]int{} // -> index into Counters
+	for i := range raw.TraceEvents {
+		ev := &raw.TraceEvents[i]
+		if len(ev.Ph) != 1 || !strings.Contains("MXbeiC", ev.Ph) {
+			bad(i, ev, "unknown phase %q", ev.Ph)
+			continue
+		}
+		if ev.Tid < 1 {
+			bad(i, ev, "tid %d is not ≥ 1", ev.Tid)
+			continue
+		}
+		if ev.Ph == "M" {
 			if ev.Name == "thread_name" {
 				var a struct {
 					Name string `json:"name"`
 				}
-				_ = json.Unmarshal(ev.Args, &a)
+				_ = json.Unmarshal(ev.Args, &a) // a nameless thread_name still names its tid
 				trackName[ev.Tid] = a.Name
 				for len(t.Tracks) < ev.Tid {
 					t.Tracks = append(t.Tracks, "")
 				}
 				t.Tracks[ev.Tid-1] = a.Name
 			}
+			continue
+		}
+		track, named := trackName[ev.Tid]
+		if !named {
+			bad(i, ev, "tid %d has no thread_name metadata", ev.Tid)
+		}
+		if ev.Ts == nil || *ev.Ts < 0 {
+			bad(i, ev, "missing or negative ts")
+			continue
+		}
+		ts := micros(*ev.Ts)
+		end := ts
+		switch ev.Ph {
 		case "X":
-			start := micros(ev.Ts)
-			end := start + micros(ev.Dur)
-			t.Spans = append(t.Spans, Span{Track: trackName[ev.Tid], Name: ev.Name, Start: start, End: end})
-			if end > t.End {
-				t.End = end
+			if ev.Dur == nil || *ev.Dur < 0 {
+				bad(i, ev, "complete span without a non-negative dur")
+				continue
 			}
-		case "b":
-			opens[ev.ID] = open{track: trackName[ev.Tid], name: ev.Name, start: micros(ev.Ts)}
-		case "e":
-			o, ok := opens[ev.ID]
-			if !ok {
-				return nil, fmt.Errorf("tracestat: 'e' event id %d with no open 'b'", ev.ID)
+			end = ts + micros(*ev.Dur)
+			t.Spans = append(t.Spans, Span{Track: track, Name: ev.Name, Start: ts, End: end})
+		case "b", "e":
+			id, err := strconv.ParseUint(string(ev.ID), 10, 64)
+			if err != nil {
+				bad(i, ev, "async id %s is not an unsigned integer", ev.ID)
+				continue
 			}
-			delete(opens, ev.ID)
-			end := micros(ev.Ts)
-			t.Spans = append(t.Spans, Span{Track: o.track, Name: o.name, Start: o.start, End: end})
-			if end > t.End {
-				t.End = end
+			o, isOpen := opens[id]
+			switch {
+			case ev.Ph == "b" && isOpen:
+				bad(i, ev, "async id %d begins again before event %d's begin ends", id, o.idx)
+			case ev.Ph == "b":
+				opens[id] = open{idx: i, track: track, name: ev.Name, start: ts}
+			case !isOpen:
+				bad(i, ev, "async end id %d without a begin", id)
+			default:
+				delete(opens, id)
+				t.Spans = append(t.Spans, Span{Track: o.track, Name: o.name, Start: o.start, End: ts})
 			}
 		case "i":
 			t.Instants++
-			if ts := micros(ev.Ts); ts > t.End {
-				t.End = ts
-			}
 		case "C":
 			var a struct {
-				Value *int64 `json:"value"`
+				Value json.RawMessage `json:"value"`
 			}
-			_ = json.Unmarshal(ev.Args, &a)
-			if a.Value == nil {
-				return nil, fmt.Errorf("tracestat: counter %q without args.value", ev.Name)
+			_ = json.Unmarshal(ev.Args, &a) // non-object args leave Value empty
+			v, err := strconv.ParseInt(string(a.Value), 10, 64)
+			if err != nil {
+				bad(i, ev, "counter without an integer args.value")
+				continue
 			}
-			key := trackName[ev.Tid] + "\x00" + ev.Name
+			key := series{ev.Tid, ev.Name}
 			idx, ok := ctrIdx[key]
 			if !ok {
 				idx = len(t.Counters)
 				ctrIdx[key] = idx
-				t.Counters = append(t.Counters, CounterSeries{Track: trackName[ev.Tid], Name: ev.Name})
+				t.Counters = append(t.Counters, CounterSeries{Track: track, Name: ev.Name})
 			}
-			ts := micros(ev.Ts)
-			t.Counters[idx].Points = append(t.Counters[idx].Points, CounterPoint{Ts: ts, V: *a.Value})
-			if ts > t.End {
-				t.End = ts
+			pts := &t.Counters[idx].Points
+			if n := len(*pts); n > 0 && ts < (*pts)[n-1].Ts {
+				bad(i, ev, "counter ts %d ns steps back from %d ns on tid %d", ts, (*pts)[n-1].Ts, ev.Tid)
+				continue
 			}
+			*pts = append(*pts, CounterPoint{Ts: ts, V: v})
+		}
+		if end > t.End {
+			t.End = end
 		}
 	}
-	if len(opens) != 0 {
-		return nil, fmt.Errorf("tracestat: %d async spans never closed", len(opens))
+	unclosed := make([]open, 0, len(opens))
+	for _, o := range opens {
+		unclosed = append(unclosed, o)
+	}
+	sort.Slice(unclosed, func(i, j int) bool { return unclosed[i].idx < unclosed[j].idx })
+	for _, o := range unclosed {
+		bad(o.idx, &raw.TraceEvents[o.idx], "async begin never ends")
+	}
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
 	sort.SliceStable(t.Spans, func(i, j int) bool { return t.Spans[i].Start < t.Spans[j].Start })
 	return t, nil

@@ -181,6 +181,77 @@ func TestCriticalPathMissingRoot(t *testing.T) {
 	}
 }
 
+// The check fixtures are traceEvents arrays: a named track (tid 1),
+// then the events under test.
+const (
+	named = `{"ph":"M","name":"thread_name","tid":1,"args":{"name":"host"}}`
+
+	okSpan    = `{"ph":"X","name":"scan","tid":1,"ts":1,"dur":2}`
+	okAsync   = `{"ph":"b","name":"read","tid":1,"ts":2,"id":7},{"ph":"e","name":"read","tid":1,"ts":3,"id":7}`
+	okInstant = `{"ph":"i","name":"retry","tid":1,"ts":4}`
+	okCounter = `{"ph":"C","name":"qd","tid":1,"ts":5,"args":{"value":1}},{"ph":"C","name":"qd","tid":1,"ts":6,"args":{"value":0}}`
+)
+
+// parseEvents parses the events behind the named track and returns
+// Parse's violations, one per line of its error.
+func parseEvents(t *testing.T, events ...string) []string {
+	t.Helper()
+	body := `{"traceEvents":[` + strings.Join(append([]string{named}, events...), ",") + `]}`
+	tr, err := Parse(strings.NewReader(body))
+	if err != nil {
+		if tr != nil {
+			t.Errorf("invalid trace returned a *Trace: %v", err)
+		}
+		return strings.Split(err.Error(), "\n")
+	}
+	return nil
+}
+
+func TestValidExportPasses(t *testing.T) {
+	if issues := parseEvents(t, okSpan, okAsync, okInstant, okCounter); len(issues) != 0 {
+		t.Errorf("valid export reported: %q", issues)
+	}
+}
+
+// violations pairs each malformed event with the text its report must
+// carry; every one follows a valid prefix.
+var violations = []struct{ event, want string }{
+	{`{"ph":"e","name":"read","tid":1,"ts":7,"id":9}`, "async end id 9 without a begin"},
+	{`{"ph":"C","name":"depth","tid":1,"ts":8}`, "counter without an integer args.value"},
+	{`{"ph":"C","name":"qd","tid":1,"ts":5.5,"args":{"value":2}}`, "counter ts 5500 ns steps back from 6000 ns on tid 1"},
+	{`{"ph":"Q","name":"odd","tid":1,"ts":9}`, `unknown phase "Q"`},
+	{`{"ph":"i","name":"lost","tid":2,"ts":10}`, "tid 2 has no thread_name metadata"},
+	{`{"ph":"M","name":"thread_name","tid":0,"args":{"name":"ghost"}}`, "tid 0 is not ≥ 1"},
+	{`{"ph":"X","name":"scan","tid":1,"ts":11,"dur":-1}`, "complete span without a non-negative dur"},
+	{`{"ph":"i","name":"tick","tid":1}`, "missing or negative ts"},
+	{`{"ph":"b","name":"read","tid":1,"ts":12,"id":"8"}`, `async id "8" is not an unsigned integer`},
+}
+
+func TestEachViolationIsReported(t *testing.T) {
+	for _, v := range violations {
+		issues := parseEvents(t, okSpan, okAsync, okCounter, v.event)
+		if len(issues) != 1 || !strings.Contains(issues[0], v.want) {
+			t.Errorf("%s: got %q, want one issue containing %q", v.event, issues, v.want)
+		}
+	}
+}
+
+func TestEveryViolationInAFileIsReported(t *testing.T) {
+	events := []string{okSpan, okAsync, okCounter}
+	for _, v := range violations {
+		events = append(events, v.event)
+	}
+	issues := parseEvents(t, events...)
+	if len(issues) != len(violations) {
+		t.Errorf("got %d issues, want %d: %q", len(issues), len(violations), issues)
+	}
+	for _, v := range violations {
+		if !strings.Contains(strings.Join(issues, "\n"), v.want) {
+			t.Errorf("no issue contains %q: %q", v.want, issues)
+		}
+	}
+}
+
 func TestLayerOfNamespaces(t *testing.T) {
 	cases := map[string]int{
 		"nand/ch0/w0":      LayerNAND,
