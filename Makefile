@@ -80,12 +80,12 @@ faultbench:
 	$(GO) run ./cmd/biscuitbench -exp faultcurve -quick -json $(FAULTOUT) -trace $(FAULTOUT)/faultcurve.trace.json
 	$(GO) run ./cmd/tracestat $(FAULTOUT)/faultcurve.trace.json* > /dev/null
 
-# Benchmark smoke: run the executor, join-probe, row-decode, DES-core,
-# proc-wake, and fiber-switch benchmarks once (-benchtime=1x) so CI
-# catches bit-rot in the benchmark harness without paying for a real
-# measurement run.
+# Benchmark smoke: run the executor, join-probe, Q7-shaped join-chain,
+# row-decode, DES-core, proc-wake, and fiber-switch benchmarks once
+# (-benchtime=1x) so CI catches bit-rot in the benchmark harness without
+# paying for a real measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkDecodeRow|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkDecodeRow|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers
 
 # Bench gate (DESIGN.md "The bench gate"): regenerate every experiment

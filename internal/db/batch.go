@@ -30,18 +30,91 @@ type strFix struct {
 // Memory discipline: rows produced into a batch (via NewRow or
 // decodeRow) live in arenas owned by the batch and are valid only
 // until the next Reset (equivalently: the next NextBatch call on the
-// producing operator). Consumers that retain rows must Clone them —
-// Collect does. Rows added by reference via AppendRow are owned by the
-// caller and follow the caller's lifetime.
+// producing operator); Reset recycles the arenas. Consumers that retain
+// rows must copy them — Collect copies them into a slab of its own. Rows
+// added by reference via AppendRow are owned by the caller and follow
+// the caller's lifetime.
 type RowBatch struct {
-	rows   []Row // physical row slab; len(rows) == capacity
-	n      int   // physical rows present
-	sel    []int // selection vector (indices into rows), if hasSel
-	hasSel bool
+	rows     []Row // physical row slots, grown by doubling up to capacity
+	capacity int   // row capacity
+	n        int   // physical rows present
+	sel      []int // selection vector (indices into rows), if hasSel
+	hasSel   bool
 
-	vals []Value // Value arena backing rows carved with NewRow
+	vals rowSlab // Value arena backing rows carved with NewRow
 	str  []byte  // byte arena for string cells pending FinishStrings
 	fix  []strFix
+}
+
+// rowSlab carves rows from chunks of Value storage. It is the one row
+// allocator of the executor: RowBatch.NewRow's arena, Collect's retained
+// rows, BNLJoin's join buffer and every join's output. Each new chunk is
+// as large as all the chunks before it together, from slabMinRows rows
+// up to the owner's cap of rows per chunk, so a slab that holds a
+// handful of rows pays for a handful.
+//
+// rewind recycles every chunk: rows carved after it overwrite rows
+// carved before it. An owner rewinds only where its contract has let go
+// of every row it handed out — RowBatch at Reset, a join when emit finds
+// nothing pending (the consumer has called NextBatch again), BNLJoin
+// when a block's inner scan ends. A slab never rewound, Collect's, only
+// grows, and its rows live as long as somebody holds them.
+type rowSlab struct {
+	cur    []Value   // chunk being carved; cur[len(cur):cap(cur)] is free
+	chunks [][]Value // every chunk so far, in carve order, each at length 0
+	next   int       // chunks[next] is where carving goes when cur is full
+	size   int       // Values across all chunks
+}
+
+// A slab's first chunk holds slabMinRows rows; the joins' and Collect's
+// chunks stop growing at slabMaxRows rows, a RowBatch's at its capacity.
+const (
+	slabMinRows = 16
+	slabMaxRows = 1024
+)
+
+// carve returns the next n cells of the slab, moving to another chunk
+// (sized for maxRows rows of n cells at most) when the current one is
+// full. The cells hold whatever they last held: the caller writes every
+// one.
+func (s *rowSlab) carve(n, maxRows int) Row {
+	if cap(s.cur)-len(s.cur) < n {
+		s.grow(n, maxRows)
+	}
+	at := len(s.cur)
+	s.cur = s.cur[:at+n]
+	return Row(s.cur[at : at+n : at+n])
+}
+
+// grow moves carving to the next recycled chunk with room for n cells,
+// or to a fresh one when none is left.
+func (s *rowSlab) grow(n, maxRows int) {
+	for s.next < len(s.chunks) {
+		c := s.chunks[s.next]
+		s.next++
+		if cap(c) >= n {
+			s.cur = c
+			return
+		}
+	}
+	s.cur = make([]Value, 0, max(min(max(s.size, slabMinRows*n), maxRows*n), n))
+	s.chunks = append(s.chunks, s.cur)
+	s.next = len(s.chunks)
+	s.size += cap(s.cur)
+}
+
+// uncarve gives back the last n cells carved.
+func (s *rowSlab) uncarve(n int) { s.cur = s.cur[:len(s.cur)-n] }
+
+// rewind recycles every chunk; see rowSlab.
+func (s *rowSlab) rewind() { s.cur, s.next = nil, 0 }
+
+// concat carves l ++ r (l's cells first) in chunks of up to slabMaxRows
+// rows.
+func (s *rowSlab) concat(l, r Row) Row {
+	row := s.carve(len(l)+len(r), slabMaxRows)
+	copy(row[copy(row, l):], r)
+	return row
 }
 
 // NewRowBatch returns an empty batch holding up to capacity rows
@@ -50,7 +123,7 @@ func NewRowBatch(capacity int) *RowBatch {
 	if capacity <= 0 {
 		capacity = DefaultBatchSize
 	}
-	return &RowBatch{rows: make([]Row, capacity)}
+	return &RowBatch{capacity: capacity}
 }
 
 // Reset empties the batch for reuse. Rows previously carved from the
@@ -59,16 +132,28 @@ func (b *RowBatch) Reset() {
 	b.n = 0
 	b.sel = b.sel[:0]
 	b.hasSel = false
-	b.vals = b.vals[:0]
+	b.vals.rewind()
 	b.str = b.str[:0]
 	b.fix = b.fix[:0]
 }
 
 // Cap returns the row capacity.
-func (b *RowBatch) Cap() int { return len(b.rows) }
+func (b *RowBatch) Cap() int { return b.capacity }
 
 // Full reports whether another row can be appended.
-func (b *RowBatch) Full() bool { return b.n >= len(b.rows) }
+func (b *RowBatch) Full() bool { return b.n >= b.capacity }
+
+// growSlots doubles the row slots, from slabMinRows up to the capacity:
+// a batch handed three rows holds three rows' worth of slots, not a full
+// batch's.
+func (b *RowBatch) growSlots() {
+	if b.Full() {
+		panic("db: RowBatch overflow")
+	}
+	rows := make([]Row, min(max(2*len(b.rows), slabMinRows), b.capacity))
+	copy(rows, b.rows)
+	b.rows = rows
+}
 
 // Len returns the number of live (selected) rows.
 func (b *RowBatch) Len() int {
@@ -88,8 +173,8 @@ func (b *RowBatch) Row(i int) Row {
 
 // AppendRow adds a caller-owned row by reference (no copy).
 func (b *RowBatch) AppendRow(r Row) {
-	if b.Full() {
-		panic("db: RowBatch overflow")
+	if b.n == len(b.rows) {
+		b.growSlots()
 	}
 	b.rows[b.n] = r
 	if b.hasSel {
@@ -113,31 +198,15 @@ func emitRows(b *RowBatch, rows []Row, at *int) int {
 }
 
 // NewRow appends and returns a zero row of ncols cells carved from the
-// batch's Value arena. The caller fills every cell.
+// batch's Value arena, whose chunks grow with the rows the batch is
+// handed up to one full batch in all. The caller fills every cell.
 func (b *RowBatch) NewRow(ncols int) Row {
 	if b.Full() {
 		panic("db: RowBatch overflow")
 	}
-	if cap(b.vals)-len(b.vals) < ncols {
-		// Start a fresh arena; rows already carved keep the old backing
-		// array alive through their own slice headers.
-		size := len(b.rows) * ncols
-		if size < ncols {
-			size = ncols
-		}
-		b.vals = make([]Value, 0, size)
-	}
-	at := len(b.vals)
-	b.vals = b.vals[:at+ncols]
-	r := Row(b.vals[at : at+ncols : at+ncols])
-	for i := range r {
-		r[i] = Value{}
-	}
-	b.rows[b.n] = r
-	if b.hasSel {
-		b.sel = append(b.sel, b.n)
-	}
-	b.n++
+	r := b.vals.carve(ncols, b.capacity)
+	clear(r)
+	b.AppendRow(r)
 	return r
 }
 
@@ -145,7 +214,7 @@ func (b *RowBatch) NewRow(ncols int) Row {
 // dropping its arena cells and any pending string fixups.
 func (b *RowBatch) unappend(ncols int) {
 	b.n--
-	b.vals = b.vals[:len(b.vals)-ncols]
+	b.vals.uncarve(ncols)
 	for len(b.fix) > 0 && int(b.fix[len(b.fix)-1].row) == b.n {
 		b.fix = b.fix[:len(b.fix)-1]
 	}

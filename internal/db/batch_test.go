@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -280,6 +281,64 @@ func TestScanCountersMirroredOnPlatformRegistry(t *testing.T) {
 		}
 		if n := ctrs.Get("db.pages.link"); n != ex.St.PagesOverLink || n < 1 {
 			t.Fatalf("db.pages.link=%d, St.PagesOverLink=%d", n, ex.St.PagesOverLink)
+		}
+	})
+}
+
+// TestSelectiveScanAllocation: a batch's value arena grows with the rows
+// it is handed, so a scan that returns three rows of a lineitem-wide
+// schema pays for a few rows — not for a full 1024-row batch, 512 KiB at
+// 16 columns — whether the rows come over the link from the device
+// (NDP) or are decoded from one page on the host (Conv).
+func TestSelectiveScanAllocation(t *testing.T) {
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		cols := []Column{{"id", TInt}, {"note", TString}}
+		for i := len(cols); i < 16; i++ {
+			cols = append(cols, Column{fmt.Sprintf("c%d", i), TInt})
+		}
+		sch := NewSchema(cols...)
+		var rows []Row
+		for i := range 12 {
+			r := Row{Int(int64(i)), Str("padding")}
+			if i%4 == 3 {
+				r[1] = Str("TARGETKEY")
+			}
+			for c := len(r); c < len(cols); c++ {
+				r = append(r, Int(int64(i*c)))
+			}
+			rows = append(rows, r)
+		}
+		tab := storeTable(t, h, d, "wide", sch, rows)
+		if tab.Pages != 1 {
+			t.Fatalf("table spans %d pages, want 1", tab.Pages)
+		}
+		pred := EqS(sch, "note", "TARGETKEY")
+		scans := []struct {
+			name string
+			scan func(ex *Exec) Iterator
+		}{
+			{"one-page conv", func(ex *Exec) Iterator { return ex.NewConvScan(tab, pred) }},
+			{"ndp", func(ex *Exec) Iterator { return ex.NewNDPScan(tab, []string{"TARGETKEY"}, pred) }},
+		}
+		for _, s := range scans {
+			collect := func() {
+				if got, err := Collect(s.scan(NewExec(h, d))); err != nil || len(got) != 3 {
+					t.Fatalf("%s: %d rows, err %v, want 3", s.name, len(got), err)
+				}
+			}
+			collect() // the first NDP scan loads the device module
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			collect()
+			runtime.ReadMemStats(&after)
+			const bound = 64 << 10
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s: %d bytes allocated for 3 rows (bound %d)", s.name, alloc, bound)
+			if alloc >= bound {
+				t.Fatalf("%s: %d bytes allocated for 3 rows, want < %d", s.name, alloc, bound)
+			}
 		}
 	})
 }

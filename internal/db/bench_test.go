@@ -96,6 +96,72 @@ func BenchmarkBNLJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkHashJoinChain runs a Q7-shaped plan: lineitem probes five
+// stacked HashJoins — supplier, orders, customer and the supplier's and
+// the customer's nation — all over MemScans, so what is timed is the
+// joins alone. Every lineitem row finds exactly one partner at each
+// level. B/op and allocs/op are the numbers to read: output rows come
+// from slabs each join recycles, so neither grows with the rows that
+// flow through the chain, only with the build sides.
+func BenchmarkHashJoinChain(b *testing.B) {
+	const nations, suppliers, customers, orders, lineitems = 25, 100, 1500, 15000, 60000
+	table := func(n int, cols []string, row func(i int) Row) (*Schema, *MemScan) {
+		var cs []Column
+		for _, c := range cols {
+			cs = append(cs, Column{c, TInt})
+		}
+		sch := NewSchema(cs...)
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		return sch, NewMemScan(sch, rows)
+	}
+	nation := func(prefix string) (*Schema, *MemScan) {
+		return table(nations, []string{prefix + "_nationkey", prefix + "_regionkey"}, func(i int) Row { return Row{Int(int64(i)), Int(int64(i % 5))} })
+	}
+	lSch, lineitem := table(lineitems, []string{"l_orderkey", "l_suppkey", "l_price"}, func(i int) Row {
+		return Row{Int(int64(i % orders)), Int(int64(i % suppliers)), Dec(int64(i))}
+	})
+	sSch, supplier := table(suppliers, []string{"s_suppkey", "s_nationkey"}, func(i int) Row { return Row{Int(int64(i)), Int(int64(i % nations))} })
+	oSch, order := table(orders, []string{"o_orderkey", "o_custkey"}, func(i int) Row { return Row{Int(int64(i)), Int(int64(i % customers))} })
+	cSch, customer := table(customers, []string{"c_custkey", "c_nationkey"}, func(i int) Row { return Row{Int(int64(i)), Int(int64(i * 7 % nations))} })
+	n1Sch, n1 := nation("n1")
+	n2Sch, n2 := nation("n2")
+
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		ex := NewExec(h, d)
+		var it Iterator = lineitem
+		sch := lSch
+		for _, level := range []struct {
+			right             Iterator
+			rSch              *Schema
+			leftKey, rightKey string
+		}{
+			{supplier, sSch, "l_suppkey", "s_suppkey"},
+			{order, oSch, "l_orderkey", "o_orderkey"},
+			{customer, cSch, "o_custkey", "c_custkey"},
+			{n1, n1Sch, "s_nationkey", "n1_nationkey"},
+			{n2, n2Sch, "c_nationkey", "n2_nationkey"},
+		} {
+			it = &HashJoin{Ex: ex, Left: it, Right: level.right, LeftKey: C(sch, level.leftKey), RightKey: C(level.rSch, level.rightKey)}
+			sch = sch.Concat(level.rSch)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if n, err := drain(it); err != nil || n != lineitems {
+				b.Fatalf("%d rows, err %v, want %d", n, err, lineitems)
+			}
+		}
+		b.StopTimer()
+		ex.FlushCost()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lineitems), "ns/row")
+	})
+}
+
 // TestBatchExecAllocAmortization pins the PR's acceptance criterion:
 // the default batch size allocates at least 2x less per scan than a
 // degenerate one-row batch. (In practice the gap is far larger — one

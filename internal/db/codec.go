@@ -146,7 +146,7 @@ func pageExtent(page []byte) (rows, used int, err error) {
 }
 
 // decodePage is the one page decode: it resets b and decodes every row
-// of the page buffer into it, growing the row slab when the page holds
+// of the page buffer into it, raising b's capacity when the page holds
 // more rows than b.Cap(). The rows live in b's arenas until its next
 // Reset. A corrupt page is an error with n = 0: nothing of it is to be read.
 func (b *RowBatch) decodePage(page []byte, sch *Schema) (n int, err error) {
@@ -155,9 +155,7 @@ func (b *RowBatch) decodePage(page []byte, sch *Schema) (n int, err error) {
 	if err != nil || n == 0 {
 		return 0, err
 	}
-	if n > len(b.rows) {
-		b.rows = make([]Row, n)
-	}
+	b.capacity = max(b.capacity, n)
 	// Size the batch's arenas to the page up front: its string bytes
 	// cannot exceed the used bytes, and every row has the schema's
 	// string cells.

@@ -142,15 +142,17 @@ func batchCapOf(it Iterator) int {
 	return DefaultBatchSize
 }
 
-// Collect drains an iterator into a slice of retained (cloned) rows.
-// Close errors propagate: device-side scan failures surface there (the
-// stream just ends early from the host's point of view).
+// Collect drains an iterator into a slice of retained rows, copied into
+// a slab of their own. Close errors propagate: device-side scan failures
+// surface there (the stream just ends early from the host's point of
+// view).
 func Collect(it Iterator) ([]Row, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	b := NewRowBatch(batchCapOf(it))
 	var out []Row
+	var slab rowSlab
 	for {
 		n, err := it.NextBatch(b)
 		if err != nil {
@@ -161,7 +163,7 @@ func Collect(it Iterator) ([]Row, error) {
 			break
 		}
 		for i := 0; i < n; i++ {
-			out = append(out, b.Row(i).Clone())
+			out = append(out, slab.concat(b.Row(i), nil))
 		}
 	}
 	if err := it.Close(); err != nil {

@@ -3,50 +3,33 @@ package db
 import "slices"
 
 // joinOut is the output side the three joins share: a candidate pair is
-// built once, at the tail of a chunked Value slab, and either stays there
-// queued in pending until NextBatch hands it out or gives its cells back.
+// built once, in the join's slab, and either stays there queued in
+// pending until NextBatch hands it out or gives its cells back.
 //
-// The slab follows RowBatch.NewRow's discipline: a full chunk is replaced,
-// never reused, so rows already handed out by reference stay valid for as
-// long as the consumer holds them. Chunks double from slabMinRows to
-// slabMaxRows rows, so a join that emits a handful of rows pays for a
-// handful and one that emits many allocates O(rows / slabMaxRows) times.
+// The slab is recycled: emit rewinds it when it finds nothing pending,
+// that is when every queued row went out in an earlier batch and the
+// consumer has called NextBatch again — by the Iterator contract it then
+// holds none of them. A join allocates for the most rows it queues at
+// once, not for every row it emits.
 type joinOut struct {
 	pending []Row
 	handed  int // pending[:handed] already went out
-	slab    []Value
-	chunk   int // rows the slab's current chunk was sized for
+	slab    rowSlab
 }
 
-const (
-	slabMinRows = 16
-	slabMaxRows = 1024
-)
-
 // emit hands out the next run of pending rows (0 = none waiting) and
-// recycles the queue once it drains.
+// recycles the queue and the slab once it finds them drained.
 func (o *joinOut) emit(b *RowBatch) int {
 	n := emitRows(b, o.pending, &o.handed)
-	if o.handed >= len(o.pending) {
+	if n == 0 {
 		o.pending, o.handed = o.pending[:0], 0
+		o.slab.rewind()
 	}
 	return n
 }
 
-// build carves l ++ r (l's columns first) from the slab's tail.
-func (o *joinOut) build(l, r Row) Row {
-	n := len(l) + len(r)
-	if cap(o.slab)-len(o.slab) < n {
-		o.chunk = min(max(2*o.chunk, slabMinRows), slabMaxRows)
-		o.slab = make([]Value, 0, o.chunk*n)
-	}
-	at := len(o.slab)
-	o.slab = append(append(o.slab, l...), r...)
-	return Row(o.slab[at : at+n : at+n])
-}
-
 // keep queues l ++ r for output.
-func (o *joinOut) keep(l, r Row) { o.pending = append(o.pending, o.build(l, r)) }
+func (o *joinOut) keep(l, r Row) { o.pending = append(o.pending, o.slab.concat(l, r)) }
 
 // match reports whether cond — nil accepts every pair — holds on l ++ r,
 // and with keep set queues an accepted pair for output. The row cond
@@ -58,12 +41,12 @@ func (o *joinOut) match(l, r Row, cond Expr, keep bool) bool {
 	if cond == nil && !keep {
 		return true
 	}
-	row := o.build(l, r)
+	row := o.slab.concat(l, r)
 	ok := cond == nil || Truthy(cond.Eval(row))
 	if ok && keep {
 		o.pending = append(o.pending, row)
 	} else {
-		o.slab = o.slab[:len(o.slab)-len(row)]
+		o.slab.uncarve(len(row))
 	}
 	return ok
 }
@@ -80,39 +63,59 @@ func joinKey(v Value) Value {
 
 // joinIndex is the hash index the two in-memory joins probe — BNLJoin
 // builds one over each block of its join buffer, HashJoin one over its
-// build side: key cell → positions of the rows that carry it, ascending.
+// build side. Rows are indexed by position 0, 1, 2, ... in turn; the
+// positions of the rows carrying one key form a chain through next, in
+// ascending order, and the map holds each chain's ends.
 type joinIndex struct {
-	pos map[Value][]int32
-	typ Type // type of the keys in pos, once there is one
+	ends map[Value]chain
+	next []int32 // next[i]: the following position with row i's key, -1 after the last
+	typ  Type    // type of the keys in ends, once there is one
 }
+
+// chain is the first and last position of one key's rows.
+type chain struct{ first, last int32 }
 
 // reset empties the index for the next set of rows.
 func (x *joinIndex) reset() {
-	if x.pos == nil {
-		x.pos = make(map[Value][]int32)
+	if x.ends == nil {
+		x.ends = make(map[Value]chain)
 	}
-	clear(x.pos)
+	clear(x.ends)
+	x.next = x.next[:0]
 }
 
-// add indexes row i under key k.
-func (x *joinIndex) add(k Value, i int) {
+// add indexes the next row, position len(x.next), under key k.
+func (x *joinIndex) add(k Value) {
 	x.check(k)
 	k = joinKey(k)
 	x.typ = k.T
-	x.pos[k] = append(x.pos[k], int32(i))
+	i := int32(len(x.next))
+	x.next = append(x.next, -1)
+	c, ok := x.ends[k]
+	if !ok {
+		c.first = i
+	} else {
+		x.next[c.last] = i
+	}
+	c.last = i
+	x.ends[k] = c
 }
 
-// probe returns the positions of the rows keyed k.
-func (x *joinIndex) probe(k Value) []int32 {
+// probe returns the first position of the rows keyed k, -1 if none;
+// next continues from there.
+func (x *joinIndex) probe(k Value) int32 {
 	x.check(k)
-	return x.pos[joinKey(k)]
+	if c, ok := x.ends[joinKey(k)]; ok {
+		return c.first
+	}
+	return -1
 }
 
 // check keeps the engine's typing rule where a map lookup would lose it:
 // a key of another type than the indexed ones would silently match
 // nothing, where the comparison it stands for — Compare — panics.
 func (x *joinIndex) check(k Value) {
-	if len(x.pos) > 0 && k.T != x.typ {
+	if len(x.ends) > 0 && k.T != x.typ {
 		panic(typeMismatch(k.T, x.typ))
 	}
 }
@@ -172,11 +175,12 @@ type BNLJoin struct {
 
 	innerNeed []bool // narrow's mask for every fresh Inner(); nil = all
 
-	sch    *Schema
-	block  []Row
-	cur    outerCursor // carries leftover outer rows across block fills
-	inner  Iterator
-	innerB *RowBatch
+	sch       *Schema
+	block     []Row
+	blockRows rowSlab     // block's cells, rewound with the block
+	cur       outerCursor // carries leftover outer rows across block fills
+	inner     Iterator
+	innerB    *RowBatch
 
 	// On as the probe runs it: blockIx buckets the block by column
 	// outerKey, an inner row probes with its column innerKey, and residual
@@ -203,7 +207,7 @@ func (j *BNLJoin) Schema() *Schema {
 // Open opens the outer input.
 func (j *BNLJoin) Open() error {
 	j.Schema()
-	j.block = nil
+	j.block, j.blockRows = nil, rowSlab{}
 	j.cur = outerCursor{}
 	j.joinOut = joinOut{}
 	j.outerKey, j.innerKey, j.residual = equiKey(j.On, len(j.Outer.Schema().Cols))
@@ -251,10 +255,6 @@ func keyCell(r Row, col int) Value {
 	return r[col]
 }
 
-// candidates returns the positions of the block rows ir can pair with:
-// its key's bucket.
-func (j *BNLJoin) candidates(ir Row) []int32 { return j.blockIx.probe(keyCell(ir, j.innerKey)) }
-
 // NextBatch produces the next run of joined rows. Block boundaries fall
 // at exactly Exec.JoinBufferRows outer rows regardless of batch size:
 // leftover rows of a partially consumed outer batch carry over to the
@@ -276,12 +276,14 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 				}
 				j.inner = nil
 				j.block = j.block[:0]
+				j.blockRows.rewind()
 				continue
 			}
 			j.Ex.chargeHost(hostJoinCPR * float64(len(j.block)) * float64(m))
 			for ii := 0; ii < m; ii++ {
+				// An inner row meets the block rows in its key's chain.
 				ir := j.innerB.Row(ii)
-				for _, bi := range j.candidates(ir) {
+				for bi := j.blockIx.probe(keyCell(ir, j.innerKey)); bi >= 0; bi = j.blockIx.next[bi] {
 					j.match(j.block[bi], ir, j.residual, true)
 				}
 			}
@@ -297,8 +299,8 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 			if !ok {
 				break
 			}
-			j.blockIx.add(keyCell(or, j.outerKey), len(j.block))
-			j.block = append(j.block, or.Clone())
+			j.blockIx.add(keyCell(or, j.outerKey))
+			j.block = append(j.block, j.blockRows.concat(or, nil))
 		}
 		if len(j.block) == 0 {
 			return 0, nil
@@ -383,8 +385,8 @@ func (j *HashJoin) Open() error {
 	}
 	j.right = rows
 	j.rightIx.reset()
-	for i, r := range rows {
-		j.rightIx.add(j.RightKey.Eval(r), i)
+	for _, r := range rows {
+		j.rightIx.add(j.RightKey.Eval(r))
 	}
 	j.Ex.chargeHost(float64(len(rows)) * hostJoinCPR)
 	j.joinOut = joinOut{}
@@ -413,7 +415,7 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 			// every accepted pair; semi and anti stop at the first and
 			// keep the left row if there was one (semi) or none (anti).
 			hit := false
-			for _, ri := range j.rightIx.probe(j.LeftKey.Eval(lr)) {
+			for ri := j.rightIx.probe(j.LeftKey.Eval(lr)); ri >= 0; ri = j.rightIx.next[ri] {
 				if !j.match(lr, j.right[ri], j.Residual, pairs) {
 					continue
 				}

@@ -68,21 +68,11 @@ func loadJoinFixture(t *testing.T, h *biscuit.Host, d *Database, rng *rand.Rand,
 		return Int(int64(i))
 	}
 	load := func(tab string, sch *Schema, n int, row func() Row) (*Table, []Row) {
-		ld, err := d.NewLoader(h, tab, sch, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var rows []Row
 		for i := 0; i < n; i++ {
 			rows = append(rows, row())
-			if err := ld.Add(rows[i]); err != nil {
-				t.Fatal(err)
-			}
 		}
-		if err := ld.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return d.Table(tab), rows
+		return storeTable(t, h, d, tab, sch, rows), rows
 	}
 	f := joinFixture{name: name}
 	f.oTab, f.outer = load("o_"+name, NewSchema(Column{"ok", kt}, Column{"ov", TInt}, Column{"os", TString}), nOuter, func() Row {
@@ -98,6 +88,24 @@ func loadJoinFixture(t *testing.T, h *biscuit.Host, d *Database, rng *rand.Rand,
 		}
 	}
 	return f
+}
+
+// storeTable stores rows as table tab, eight rows a page.
+func storeTable(t *testing.T, h *biscuit.Host, d *Database, tab string, sch *Schema, rows []Row) *Table {
+	t.Helper()
+	ld, err := d.NewLoader(h, tab, sch, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := ld.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ld.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return d.Table(tab)
 }
 
 // checkBNL runs BNLJoin over the fixture and holds it to the pair loop
@@ -306,26 +314,131 @@ func bnlProbe(h *biscuit.Host, d *Database, nInner int) *BNLJoin {
 		On: Cmp{EQ, C(sch, "ok"), C(sch, "ik")}}
 }
 
-// TestBNLJoinOutputAllocation: joined rows are carved from the join's
-// slab, so storage for them is allocated per chunk, not per match.
+// TestBNLJoinOutputAllocation: joined rows come from the join's slab,
+// which emit recycles once they have gone out, and the join buffer's rows
+// from a slab recycled with the block; the key index chains positions
+// through one slice. Nothing is allocated per match or per block row, so
+// the bound is a constant whatever the sizes: batches, chunks while the
+// slabs first grow, and map and slice growth.
 func TestBNLJoinOutputAllocation(t *testing.T) {
 	sys := quickSys()
 	d := Open(sys)
 	sys.Run(func(h *biscuit.Host) {
-		const matches = 10000
-		j := bnlProbe(h, d, matches)
-		allocs := testing.AllocsPerRun(3, func() {
-			if n, err := drain(j); err != nil || n != matches {
-				t.Fatalf("%d rows, err %v, want %d", n, err, matches)
+		for _, matches := range []int{1000, 10000} {
+			j := bnlProbe(h, d, matches)
+			allocs := testing.AllocsPerRun(3, func() {
+				if n, err := drain(j); err != nil || n != matches {
+					t.Fatalf("%d rows, err %v, want %d", n, err, matches)
+				}
+			})
+			const bound = 96
+			t.Logf("%.0f allocations for %d matches against a %d-row block (bound %d)", allocs, matches, j.Ex.JoinBufferRows, bound)
+			if allocs > bound {
+				t.Fatalf("%.0f allocations for %d matches, want at most %d: rows must come from recycled slabs", allocs, matches, bound)
 			}
-		})
-		// Per block row: its retained copy and its index bucket. Per slab
-		// chunk: one. The rest — batches, map and queue growth — is a few
-		// dozen whatever the sizes.
-		bound := float64(2*j.Ex.JoinBufferRows + matches/slabMaxRows + 128)
-		t.Logf("%.0f allocations for %d matches against a %d-row block (bound %.0f)", allocs, matches, j.Ex.JoinBufferRows, bound)
-		if allocs > bound {
-			t.Fatalf("%.0f allocations for %d matches, want at most %.0f: output rows must come from the slab", allocs, matches, bound)
+		}
+	})
+}
+
+// TestJoinRowsLiveUntilNextCall holds the joins to the Iterator contract
+// their recycled slabs lean on: every row of a batch stays as it was
+// handed out until the consumer calls NextBatch again. The consumer
+// snapshots each batch and re-checks it just before the next call, and
+// the snapshots together must be the pair loop's rows. Every outer row
+// meets hundreds of inner rows, so one outer row's output spans several
+// batches at every batch size; a residual rejects some pairs, so built
+// rows give their cells back; and BNL's join buffer holds five rows, so
+// blocks turn over.
+func TestJoinRowsLiveUntilNextCall(t *testing.T) {
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		oSch := NewSchema(Column{"ok", TInt}, Column{"os", TString})
+		iSch := NewSchema(Column{"ik", TInt}, Column{"iv", TInt})
+		var outer, inner []Row
+		for i := range 12 {
+			outer = append(outer, Row{Int(int64(i % 4)), Str(fmt.Sprintf("o%d", i))}) // key 3 has no partner
+		}
+		for i := range 1200 {
+			inner = append(inner, Row{Int(int64(i % 3)), Int(int64(i))})
+		}
+		oTab, iTab := storeTable(t, h, d, "live_o", oSch, outer), storeTable(t, h, d, "live_i", iSch, inner)
+		ix, err := d.BuildIndex(NewExec(h, d), iTab, "ik")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sch := oSch.Concat(iSch)
+		residual := Cmp{LT, C(sch, "iv"), Lit(Int(1000))}
+		on := AndOf(Cmp{EQ, C(sch, "ok"), C(sch, "ik")}, residual)
+
+		pairs := pairLoop(outer, inner, on, false)
+		var semi, anti, blocks []Row
+		for _, o := range outer {
+			if len(pairLoop([]Row{o}, inner, on, false)) > 0 {
+				semi = append(semi, o)
+			} else {
+				anti = append(anti, o)
+			}
+		}
+		const buffer = 5
+		for block := range slices.Chunk(outer, buffer) {
+			blocks = append(blocks, pairLoop(block, inner, on, true)...)
+		}
+
+		for _, batch := range joinBatchSizes {
+			ex := NewExec(h, d)
+			ex.BatchSize, ex.JoinBufferRows = batch, buffer
+			hash := func(semi, anti bool) Iterator {
+				return &HashJoin{Ex: ex, Left: ex.NewConvScan(oTab, nil), Right: ex.NewConvScan(iTab, nil),
+					LeftKey: C(oSch, "ok"), RightKey: C(iSch, "ik"), Residual: residual, Semi: semi, Anti: anti}
+			}
+			joins := []struct {
+				name string
+				it   Iterator
+				want []Row
+			}{
+				{"hash", hash(false, false), pairs},
+				{"semi", hash(true, false), semi},
+				{"anti", hash(false, true), anti},
+				{"BNL", &BNLJoin{Ex: ex, Outer: ex.NewConvScan(oTab, nil),
+					Inner: func() Iterator { return ex.NewConvScan(iTab, nil) }, On: on}, blocks},
+				{"INL", &INLJoin{Ex: ex, Outer: ex.NewConvScan(oTab, nil), Ix: ix, OuterKey: C(oSch, "ok"), Residual: residual}, pairs},
+			}
+			for _, j := range joins {
+				what := fmt.Sprintf("%s batch=%d", j.name, batch)
+				if err := j.it.Open(); err != nil {
+					t.Fatal(err)
+				}
+				b := NewRowBatch(batch)
+				var got, live []string
+				var held []Row // batch k as handed out
+				for {
+					for i, r := range held {
+						if now := renderRows([]Row{r})[0]; now != live[i] {
+							t.Fatalf("%s: row %d of a batch changed before the next call: %s, handed out as %s", what, i, now, live[i])
+						}
+					}
+					n, err := j.it.NextBatch(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n == 0 {
+						break
+					}
+					held = held[:0]
+					for i := range n {
+						held = append(held, b.Row(i))
+					}
+					live = renderRows(held)
+					got = append(got, live...)
+				}
+				if err := j.it.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if want := renderRows(j.want); !slices.Equal(got, want) {
+					t.Fatalf("%s: %d rows, want %d\n got  %v\n want %v", what, len(got), len(want), got, want)
+				}
+			}
 		}
 	})
 }

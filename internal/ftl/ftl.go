@@ -376,19 +376,30 @@ func (f *FTL) Mapped(lpn int) bool {
 	return f.l2p[lpn] >= 0
 }
 
-// Read reads length bytes at offset within logical page lpn. Unmapped
-// pages read back as zeroes. Uncorrectable media errors are retried
-// maxReadRetries times before being surfaced (wrapped
-// fault.ErrUncorrectable).
+// Read is readInto a fresh buffer of length bytes.
 func (f *FTL) Read(p *sim.Proc, lpn, offset, length int) ([]byte, error) {
-	ppi, err := f.lookup(p, lpn)
-	if err != nil {
+	buf := make([]byte, length)
+	if err := f.readInto(p, lpn, offset, buf); err != nil {
 		return nil, err
 	}
-	if ppi < 0 {
-		return make([]byte, length), nil
+	return buf, nil
+}
+
+// readInto reads len(dst) bytes at offset within logical page lpn into
+// dst. Unmapped pages read back as zeroes. Uncorrectable media errors
+// are retried maxReadRetries times, then rebuilt from RAIN parity,
+// before being surfaced (wrapped fault.ErrUncorrectable); on an error
+// dst is left untouched.
+func (f *FTL) readInto(p *sim.Proc, lpn, offset int, dst []byte) error {
+	ppi, err := f.lookup(p, lpn)
+	if err != nil {
+		return err
 	}
-	return f.readRecover(p, ppi, offset, length)
+	if ppi < 0 {
+		clear(dst)
+		return nil
+	}
+	return f.readRecover(p, ppi, offset, dst)
 }
 
 // lookup is the prologue of every logical-page read: the firmware's
@@ -406,10 +417,11 @@ func (f *FTL) lookup(p *sim.Proc, lpn int) (int, error) {
 	return ppi, nil
 }
 
-// readRetry issues the media read with the retry policy: each reissue
-// (adjusted read-reference voltages on real NAND) costs retryLatency on
-// top of the repeated media timing and rolls the fault dice afresh.
-func (f *FTL) readRetry(p *sim.Proc, addr nand.PPA, offset, length int) ([]byte, error) {
+// readRetry issues the media read into dst with the retry policy: each
+// reissue (adjusted read-reference voltages on real NAND) costs
+// retryLatency on top of the repeated media timing and rolls the fault
+// dice afresh.
+func (f *FTL) readRetry(p *sim.Proc, addr nand.PPA, offset int, dst []byte) error {
 	var err error
 	for try := 0; try <= maxReadRetries; try++ {
 		if try > 0 {
@@ -417,10 +429,9 @@ func (f *FTL) readRetry(p *sim.Proc, addr nand.PPA, offset, length int) ([]byte,
 			f.tr.Instant(f.fwTk, "read.retry").Arg("try", int64(try))
 			p.Sleep(retryLatency)
 		}
-		var data []byte
-		data, err = f.arr.Read(p, addr, offset, length)
+		err = f.arr.ReadInto(p, addr, offset, dst)
 		if err == nil {
-			return data, nil
+			return nil
 		}
 		if errors.Is(err, fault.ErrDieFail) || !errors.Is(err, fault.ErrUncorrectable) {
 			break // a dead die never answers; retrying is pointless
@@ -428,25 +439,26 @@ func (f *FTL) readRetry(p *sim.Proc, addr nand.PPA, offset, length int) ([]byte,
 	}
 	f.readErrors++
 	f.tr.Instant(f.fwTk, "read.error")
-	return nil, err
+	return err
 }
 
-// readRecover is the degraded-mode read path: the retry ladder first,
-// then RAIN reconstruction from the page's stripe. The original media
-// error is surfaced when the page is not striped or the stripe has
+// readRecover is the degraded-mode read path into dst: the retry ladder
+// first, then RAIN reconstruction from the page's stripe. The original
+// media error is surfaced when the page is not striped or the stripe has
 // lost a second page.
-func (f *FTL) readRecover(p *sim.Proc, ppi, offset, length int) ([]byte, error) {
-	data, err := f.readRetry(p, f.ppa(ppi), offset, length)
+func (f *FTL) readRecover(p *sim.Proc, ppi, offset int, dst []byte) error {
+	err := f.readRetry(p, f.ppa(ppi), offset, dst)
 	if err == nil || !errors.Is(err, fault.ErrUncorrectable) {
-		return data, err
+		return err
 	}
 	page, rerr := f.reconstruct(p, ppi)
 	if rerr != nil {
-		return nil, err
+		return err
 	}
 	f.rain.DegradedReads++
 	f.ctrs.Add("ftl.rain.degraded", 1)
-	return page[offset : offset+length], nil
+	copy(dst, page[offset:])
+	return nil
 }
 
 // ReadThrough streams length bytes of the logical page through sink while
@@ -470,8 +482,8 @@ func (f *FTL) ReadThrough(p *sim.Proc, lpn, offset, length int, ipOverhead sim.T
 	}
 	f.readRetries++
 	p.Sleep(retryLatency)
-	data, err := f.readRecover(p, ppi, offset, length)
-	if err != nil {
+	data := make([]byte, length)
+	if err := f.readRecover(p, ppi, offset, data); err != nil {
 		return err
 	}
 	sink(data)
@@ -703,11 +715,9 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 
 	page := make([]byte, ps)
 	if old := f.l2p[lpn]; old >= 0 && (offset != 0 || len(data) != ps) {
-		prev, err := f.readRecover(p, old, 0, ps)
-		if err != nil {
+		if err := f.readRecover(p, old, 0, page); err != nil {
 			return fmt.Errorf("ftl: rmw read of lpn %d: %w", lpn, err)
 		}
-		copy(page, prev)
 	}
 	copy(page[offset:], data)
 
@@ -949,8 +959,8 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 	if lpn < 0 {
 		return true // went stale before we got to it
 	}
-	ps := f.PageSize()
-	data, err := f.readRetry(p, f.ppa(src), 0, ps)
+	data := make([]byte, f.PageSize())
+	err := f.readRetry(p, f.ppa(src), 0, data)
 	if err != nil {
 		if !errors.Is(err, fault.ErrUncorrectable) {
 			return false

@@ -355,7 +355,10 @@ func (f *FTL) readStripePages(p *sim.Proc, srcs []int) ([][]byte, error) {
 	done := sim.NewCompletion(f.env, len(srcs))
 	for i, src := range srcs {
 		f.env.Spawn("ftl-rain", func(rp *sim.Proc) {
-			pages[i], errs[i] = f.readRetry(rp, f.ppa(src), 0, ps)
+			pages[i] = make([]byte, ps)
+			if errs[i] = f.readRetry(rp, f.ppa(src), 0, pages[i]); errs[i] != nil {
+				pages[i] = nil
+			}
 			done.Done(nil)
 		})
 	}
@@ -487,7 +490,8 @@ func (f *FTL) relocateParity(p *sim.Proc, src int) bool {
 		return true // cleared concurrently
 	}
 	v := f.version(sid)
-	data, err := f.readRetry(p, f.ppa(src), 0, f.PageSize())
+	data := make([]byte, f.PageSize())
+	err := f.readRetry(p, f.ppa(src), 0, data)
 	if err != nil && errors.Is(err, fault.ErrUncorrectable) {
 		data, err = f.rebuildParity(p, v)
 	}

@@ -46,19 +46,17 @@ func (f *FTL) split(off int64, length int) []piece {
 }
 
 // ReadRangeAsyncInto starts a parallel read of len(buf) bytes at byte
-// offset off into buf and returns its completion. Multiple outstanding
-// calls overlap, which is how the asynchronous file API reaches full
-// internal bandwidth at smaller request sizes.
+// offset off into buf and returns its completion. Each page command
+// lands its bytes straight in its piece of buf; a piece whose read fails
+// is left untouched. Multiple outstanding calls overlap, which is how
+// the asynchronous file API reaches full internal bandwidth at smaller
+// request sizes.
 func (f *FTL) ReadRangeAsyncInto(p *sim.Proc, off int64, buf []byte) *sim.Completion {
 	pieces := f.split(off, len(buf))
 	done := sim.NewCompletion(f.env, len(pieces))
 	for _, pc := range pieces {
 		f.env.Spawn("ftl-read", func(rp *sim.Proc) {
-			data, err := f.Read(rp, pc.lpn, pc.pageOff, pc.n)
-			if err == nil {
-				copy(buf[pc.at:pc.at+pc.n], data)
-			}
-			done.Done(err)
+			done.Done(f.readInto(rp, pc.lpn, pc.pageOff, buf[pc.at:pc.at+pc.n]))
 		})
 	}
 	return done

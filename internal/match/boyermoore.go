@@ -1,5 +1,7 @@
 package match
 
+import "slices"
+
 // Boyer–Moore–Horspool single-pattern search: the host-software baseline
 // the paper's Conv string-search numbers rest on ("we use Linux grep,
 // which implements the Boyer-Moore string search algorithm", §V-C).
@@ -10,11 +12,13 @@ type Horspool struct {
 	skip [256]int
 }
 
-// NewHorspool preprocesses pat; pat must be non-empty.
+// NewHorspool preprocesses pat; pat must be non-empty. The matcher keeps
+// its own copy, so the caller may reuse pat afterwards.
 func NewHorspool(pat []byte) *Horspool {
 	if len(pat) == 0 {
 		panic("match: empty Boyer-Moore pattern")
 	}
+	pat = slices.Clone(pat)
 	h := &Horspool{pat: pat}
 	m := len(pat)
 	for i := range h.skip {

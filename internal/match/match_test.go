@@ -138,6 +138,22 @@ func TestHorspoolAgainstBytesIndex(t *testing.T) {
 	}
 }
 
+// TestHorspoolOwnsItsPattern: a caller reusing its pattern buffer after
+// NewHorspool must not change what the matcher finds.
+func TestHorspoolOwnsItsPattern(t *testing.T) {
+	text := []byte("xneedle needle nee xxxxxxx")
+	pat := []byte("needle")
+	h := NewHorspool(pat)
+	count, all := h.Count(text), h.FindAll(text)
+	copy(pat, "zzzzzz")
+	if got := h.Count(text); got != count || count != 2 {
+		t.Fatalf("Count after the caller's buffer changed: %d, want %d (2)", got, count)
+	}
+	if got := h.FindAll(text); !reflect.DeepEqual(got, all) || !reflect.DeepEqual(all, []int{1, 8}) {
+		t.Fatalf("FindAll after the caller's buffer changed: %v, want %v ([1 8])", got, all)
+	}
+}
+
 func TestAutomatonEqualsHorspoolProperty(t *testing.T) {
 	prop := func(textRaw []byte, patRaw []byte) bool {
 		if len(patRaw) == 0 {

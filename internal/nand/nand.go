@@ -11,7 +11,6 @@
 package nand
 
 import (
-	"bytes"
 	"fmt"
 
 	"biscuit/internal/fault"
@@ -271,18 +270,31 @@ func (a *Array) EraseCount(b BlockAddr) int {
 	return a.die(PPA{b.Channel, b.Way, b.Block, 0}).blocks[b.Block].erases
 }
 
-// Read senses the page (die busy for tR) and transfers length bytes from
-// offset over the channel bus. It returns a private copy of the data;
-// never-programmed pages read back as zeroes.
+// ReadInto senses the page (die busy for tR) and transfers len(dst)
+// bytes from offset over the channel bus into dst, the one copy the
+// data makes on its way out of the array; never-programmed pages read
+// back as zeroes. On an error dst is left untouched.
 //
 // An injected ECC-correctable error extends the sense phase by the
 // plan's correction latency; an uncorrectable error still pays the full
 // command timing (the controller only learns the ECC verdict after the
 // transfer) and returns fault.ErrUncorrectable. Stored bytes are never
 // altered, so a retry or a remapped copy observes the true data.
+func (a *Array) ReadInto(p *sim.Proc, addr PPA, offset int, dst []byte) error {
+	view, err := a.read(p, "nand.read", addr, offset, len(dst), 0)
+	if err == nil {
+		copy(dst, view)
+	}
+	return err
+}
+
+// Read is ReadInto a fresh buffer of length bytes.
 func (a *Array) Read(p *sim.Proc, addr PPA, offset, length int) ([]byte, error) {
-	view, err := a.read(p, "nand.read", addr, offset, length, 0)
-	return bytes.Clone(view), err
+	buf := make([]byte, length)
+	if err := a.ReadInto(p, addr, offset, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // ReadThrough is Read on the matcher datapath: instead of returning the
@@ -307,7 +319,7 @@ func (a *Array) ReadThrough(p *sim.Proc, addr PPA, offset, length int, ipOverhea
 	return nil
 }
 
-// read is the one page-read command behind Read and ReadThrough. span
+// read is the one page-read command behind ReadInto and ReadThrough. span
 // ("nand.<verb>") names the trace span and the fault-plan site, its
 // verb the errors; busExtra is the command's additional bus occupancy.
 // The result is a capacity-clipped view of the stored page.
