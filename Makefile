@@ -91,11 +91,13 @@ benchsmoke:
 # Bench gate (DESIGN.md "The bench gate"): regenerate every experiment
 # biscuitbench knows (-exp all: Tables II-V, Figs. 7-10, the fault,
 # serving and self-healing curves and the eight ablations of DESIGN.md
-# §5) in one run, and compare them against the twelve baselines
-# committed under baselines/ with cmd/benchgate. `all` rather than a
-# list, so a new experiment cannot be left ungated; the biscuitbench
-# test requires a baseline per experiment. Every field is
-# simulated-time deterministic, so the comparison is exact. One traced
+# §5) in one run, and `cmp` each against its baseline committed under
+# baselines/. `all` rather than a list, so a new experiment cannot be
+# left ungated; the biscuitbench test requires a baseline per
+# experiment. Every field is simulated-time deterministic and both
+# files come from one writer (json.MarshalIndent of a typed struct), so
+# the comparison is byte equality: a file that differs or is missing
+# fails the gate, with its `diff -u` capped at 200 lines. One traced
 # serving window rides along: rerun with the same seed, compared
 # byte-for-byte, checked by tracestat. Wall clock is not gated here;
 # that is `go run ./benchmark`.
@@ -108,7 +110,15 @@ benchgate: benchsmoke
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.rerun.trace.json > /dev/null
 	cmp bench-out/serve.trace.json bench-out/serve.rerun.trace.json
 	$(GO) run ./cmd/tracestat bench-out/serve.trace.json > /dev/null
-	$(GO) run ./cmd/benchgate baselines bench-out
+	@n=0; bad=0; \
+	for base in baselines/BENCH_*.json; do \
+		fresh=bench-out/$${base#baselines/}; n=$$((n+1)); \
+		cmp $$base $$fresh && continue; \
+		bad=$$((bad+1)); \
+		[ -f $$fresh ] && diff -u $$base $$fresh | head -n 200; \
+	done; \
+	if [ $$bad -ne 0 ]; then echo "benchgate: $$bad of $$n baseline file(s) differ or are missing"; exit 1; fi; \
+	echo "$$n baseline file(s) OK (exact)"
 
 # bless-bench: accept the current bench-out results as the new
 # committed baselines (after an intended model or schema change). Run
@@ -117,7 +127,7 @@ benchgate: benchsmoke
 # `go test ./cmd/biscuitbench` and paste every block it names into
 # EXPERIMENTS.md, then commit baselines/ and the doc together.
 bless-bench:
-	$(GO) run ./cmd/benchgate -bless baselines bench-out
+	cp bench-out/BENCH_*.json baselines/
 
 # Ledger smoke: the benchmark driver's own one-flow form of
 # `go run ./benchmark`, at full scale, one second per workload (≈ 1 min).

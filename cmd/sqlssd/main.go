@@ -169,7 +169,7 @@ func main() {
 	}
 	if *stats {
 		printStats(sys)
-		printTelemetry(sampler)
+		printTelemetry(sampler.Summaries())
 	}
 }
 
@@ -203,8 +203,7 @@ func explainQuery(tr *trace.Tracer, biscT sim.Time) {
 
 // printTelemetry dumps the sampled series summaries (no-op without
 // -sample).
-func printTelemetry(sampler *telemetry.Sampler) {
-	sums := sampler.Summaries()
+func printTelemetry(sums []telemetry.SeriesSummary) {
 	if len(sums) == 0 {
 		return
 	}
@@ -310,11 +309,8 @@ func serveMain(devices, tenants int, rate float64, windowMs int, policy string, 
 		}
 	}
 	if len(rep.Telemetry) > 0 {
-		fmt.Println("\n-- telemetry")
-		for _, sum := range rep.Telemetry {
-			fmt.Printf("   %-28s samples=%-7d min=%-8d mean=%-8d max=%-8d digest=%s\n",
-				sum.Name, sum.Samples, sum.Min, sum.Mean, sum.Max, sum.Digest)
-		}
+		fmt.Println()
+		printTelemetry(rep.Telemetry)
 	}
 	if traceOut != "" {
 		if err := tr.WriteFile(traceOut); err != nil {

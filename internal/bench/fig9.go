@@ -46,14 +46,14 @@ func (f Fig9) WriteMarkdown(w io.Writer) {
 
 // RunFig9 measures both runs on fresh systems so traces do not overlap.
 func RunFig9(cfg Config) Fig9 {
-	out := Fig9{IdleW: power.Default().IdleW}
+	out := Fig9{IdleW: power.IdleW}
 	for _, offload := range []bool{false, true} {
 		sys := newSystem()
 		data := loadTPCH(sys, cfg.SF)
 		var trace Fig9Trace
 		sys.Run(func(h *biscuit.Host) {
 			runFig8Query(h, data, 1, offload) // warmup (module load, catalog)
-			meter := power.NewMeter(h.System().Plat, power.Default())
+			meter := power.NewMeter(h.System().Plat)
 			stop := h.System().Env.NewEvent()
 			meter.Run(500*sim.Microsecond, stop)
 			h.Proc().Sleep(2 * sim.Millisecond) // idle lead-in

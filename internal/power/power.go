@@ -16,25 +16,20 @@ import (
 	"biscuit/internal/sim"
 )
 
-// Model holds the coefficients.
-type Model struct {
-	IdleW  float64 // baseline system power
-	HostW  float64 // added watts at 100% host CPU utilization
-	SSDW   float64 // added watts at 100% SSD channel utilization
-	DevCPU float64 // added watts at 100% device-core utilization
-}
-
-// Default is calibrated to the paper's wall measurements: one busy Xeon
-// thread plus its DRAM/chipset activity lifts the wall by ~19 W (Conv
-// query execution averaged 122 W against 103 W idle), and driving the
-// SSD at full internal bandwidth adds ~30 W (Biscuit averaged 136 W).
-func Default() Model {
-	return Model{IdleW: 103, HostW: 400, SSDW: 40, DevCPU: 4}
-}
+// The coefficients are calibrated to the paper's wall measurements: one
+// busy Xeon thread plus its DRAM/chipset activity lifts the wall by
+// ~19 W (Conv query execution averaged 122 W against 103 W idle), and
+// driving the SSD at full internal bandwidth adds ~30 W (Biscuit
+// averaged 136 W).
+const (
+	IdleW   float64 = 103 // baseline system power
+	hostW   float64 = 400 // added watts at 100% host CPU utilization
+	ssdW    float64 = 40  // added watts at 100% SSD channel utilization
+	devCPUW float64 = 4   // added watts at 100% device-core utilization
+)
 
 // Meter samples a platform's resource utilization into a power trace.
 type Meter struct {
-	M    Model
 	plat *device.Platform
 
 	start    sim.Time
@@ -49,8 +44,8 @@ type Meter struct {
 
 // NewMeter attaches a meter to plat; call Sample periodically (in
 // virtual time) to build the trace.
-func NewMeter(plat *device.Platform, m Model) *Meter {
-	mt := &Meter{M: m, plat: plat, start: plat.Env.Now(), lastT: plat.Env.Now()}
+func NewMeter(plat *device.Platform) *Meter {
+	mt := &Meter{plat: plat, start: plat.Env.Now(), lastT: plat.Env.Now()}
 	mt.lastHost = plat.HostCPU.Resource().BusyTime()
 	nch := plat.Cfg.NAND.Channels
 	mt.lastChan = make([]float64, nch)
@@ -92,7 +87,7 @@ func (mt *Meter) Sample() {
 	}
 	uCore /= float64(len(mt.lastCore))
 
-	w := mt.M.IdleW + mt.M.HostW*clamp01(uHost) + mt.M.SSDW*clamp01(uSSD) + mt.M.DevCPU*clamp01(uCore)
+	w := IdleW + hostW*clamp01(uHost) + ssdW*clamp01(uSSD) + devCPUW*clamp01(uCore)
 	mt.Times = append(mt.Times, now)
 	mt.Watts = append(mt.Watts, w)
 	mt.lastT = now
@@ -133,11 +128,11 @@ func (mt *Meter) EnergyJ() float64 {
 // AvgW returns the time-weighted average power of the trace.
 func (mt *Meter) AvgW() float64 {
 	if len(mt.Times) == 0 {
-		return mt.M.IdleW
+		return IdleW
 	}
 	span := mt.Times[len(mt.Times)-1] - mt.start
 	if span <= 0 {
-		return mt.M.IdleW
+		return IdleW
 	}
 	return mt.EnergyJ() / span.Seconds()
 }

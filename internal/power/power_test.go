@@ -10,7 +10,7 @@ import (
 func TestIdleSystemDrawsIdlePower(t *testing.T) {
 	env := sim.NewEnv()
 	plat := device.New(env, device.DefaultConfig())
-	m := NewMeter(plat, Default())
+	m := NewMeter(plat)
 	env.Spawn("idle", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			p.Sleep(10 * sim.Millisecond)
@@ -19,11 +19,11 @@ func TestIdleSystemDrawsIdlePower(t *testing.T) {
 	})
 	env.Run()
 	for _, w := range m.Watts {
-		if w != Default().IdleW {
-			t.Fatalf("idle power %v, want %v", w, Default().IdleW)
+		if w != IdleW {
+			t.Fatalf("idle power %v, want %v", w, IdleW)
 		}
 	}
-	if got := m.AvgW(); got != Default().IdleW {
+	if got := m.AvgW(); got != IdleW {
 		t.Fatalf("avg %v", got)
 	}
 }
@@ -31,14 +31,14 @@ func TestIdleSystemDrawsIdlePower(t *testing.T) {
 func TestBusyHostRaisesPower(t *testing.T) {
 	env := sim.NewEnv()
 	plat := device.New(env, device.DefaultConfig())
-	m := NewMeter(plat, Default())
+	m := NewMeter(plat)
 	env.Spawn("busy", func(p *sim.Proc) {
 		// One thread busy for the whole window.
 		plat.HostCPU.ExecTime(p, 50*sim.Millisecond)
 		m.Sample()
 	})
 	env.Run()
-	want := Default().IdleW + Default().HostW/float64(plat.HostCPU.Threads())
+	want := IdleW + hostW/float64(plat.HostCPU.Threads())
 	if got := m.Watts[0]; got < want*0.99 || got > want*1.01 {
 		t.Fatalf("busy power %v, want ~%v", got, want)
 	}
@@ -47,14 +47,14 @@ func TestBusyHostRaisesPower(t *testing.T) {
 func TestEnergyIntegral(t *testing.T) {
 	env := sim.NewEnv()
 	plat := device.New(env, device.DefaultConfig())
-	m := NewMeter(plat, Default())
+	m := NewMeter(plat)
 	env.Spawn("idle", func(p *sim.Proc) {
 		p.Sleep(sim.Second)
 		m.Sample()
 	})
 	env.Run()
 	// 1 s at idle power.
-	want := Default().IdleW
+	want := IdleW
 	if e := m.EnergyJ(); e < want*0.99 || e > want*1.01 {
 		t.Fatalf("energy %v J, want ~%v", e, want)
 	}
@@ -63,7 +63,7 @@ func TestEnergyIntegral(t *testing.T) {
 func TestMeterRunSamplesUntilStop(t *testing.T) {
 	env := sim.NewEnv()
 	plat := device.New(env, device.DefaultConfig())
-	m := NewMeter(plat, Default())
+	m := NewMeter(plat)
 	stop := env.NewEvent()
 	m.Run(5*sim.Millisecond, stop)
 	env.Spawn("driver", func(p *sim.Proc) {
@@ -82,14 +82,14 @@ func TestSSDActivityRaisesPower(t *testing.T) {
 	cfg.NAND.BlocksPerDie = 64
 	cfg.NAND.PagesPerBlock = 32
 	plat := device.New(env, cfg)
-	m := NewMeter(plat, Default())
+	m := NewMeter(plat)
 	env.Spawn("io", func(p *sim.Proc) {
 		plat.FTL.WriteRange(p, 0, make([]byte, 4<<20))
 		plat.FTL.ReadRange(p, 0, 4<<20)
 		m.Sample()
 	})
 	env.Run()
-	if m.Watts[0] <= Default().IdleW {
+	if m.Watts[0] <= IdleW {
 		t.Fatalf("ssd activity power %v must exceed idle", m.Watts[0])
 	}
 }

@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"biscuit/internal/fault"
 	"biscuit/internal/sim"
+	"biscuit/internal/tracestat"
 
 	"biscuit"
 )
@@ -246,10 +249,12 @@ func TestPerShardFaultIsolation(t *testing.T) {
 
 // TestServeTraceByteIdentical pins the acceptance criterion that two
 // same-seed serving windows export byte-identical Perfetto traces —
-// devices, tenants and scheduler interleaved in one file.
+// devices, tenants and scheduler interleaved in one file — and that the
+// export passes tracestat.Parse, the one reader of the format, with
+// spans on the namespaced device and tenant tracks.
 func TestServeTraceByteIdentical(t *testing.T) {
 	export := func() []byte {
-		s, err := New(overload("edf", nil))
+		s, err := New(overload("edf", func(c *Config) { c.Devices = 2 }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,5 +273,14 @@ func TestServeTraceByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed traces differ: %d vs %d bytes", len(a), len(b))
+	}
+	parsed, err := tracestat.Parse(bytes.NewReader(a))
+	if err != nil {
+		t.Fatalf("serving trace breaks a tracestat rule:\n%v", err)
+	}
+	for _, want := range []string{"ssd0/", "ssd1/", "tenant/acme", "tenant/bolt"} {
+		if !slices.ContainsFunc(parsed.Spans, func(sp tracestat.Span) bool { return strings.HasPrefix(sp.Track, want) }) {
+			t.Errorf("no span on a %q track", want)
+		}
 	}
 }

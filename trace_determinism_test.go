@@ -3,7 +3,6 @@ package biscuit_test
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -11,6 +10,7 @@ import (
 	"biscuit/internal/db"
 	"biscuit/internal/db/planner"
 	"biscuit/internal/sql"
+	"biscuit/internal/stats"
 	"biscuit/internal/tpch"
 	"biscuit/internal/weblog"
 )
@@ -28,24 +28,21 @@ const q6 = `SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem
 const q1 = `SELECT l_orderkey, l_shipdate, l_linenumber FROM lineitem
 	WHERE l_shipdate = '1995-01-17'`
 
-// rowDigest folds a result set into an FNV-1a digest, row by row and
-// value by value. Two identically-seeded runs must produce the same
+// rowDigest folds a result set into a stats.Digest, column names first,
+// then value by value. Two identically-seeded runs must produce the same
 // digest: the trace-byte comparison pins the schedule, this pins the
 // answers.
 func rowDigest(cols []string, rows []db.Row) uint64 {
-	h := fnv.New64a()
+	var d stats.Digest
 	for _, c := range cols {
-		h.Write([]byte(c))
-		h.Write([]byte{0})
+		d.AddRecord(c)
 	}
 	for _, r := range rows {
 		for _, v := range r {
-			h.Write([]byte(v.String()))
-			h.Write([]byte{0})
+			d.AddRecord(v.String())
 		}
-		h.Write([]byte{'\n'})
 	}
-	return h.Sum64()
+	return d.Sum64()
 }
 
 // tracedSQL loads TPC-H at the given seed on a fresh system with
@@ -98,9 +95,11 @@ func tracedWeblog(t *testing.T, seed int64) ([]byte, uint64) {
 		if found < planted {
 			t.Fatalf("needle scan lost matches: found %d < planted %d", found, planted)
 		}
-		fh := fnv.New64a()
-		fmt.Fprintf(fh, "%d/%d/%d", size, planted, found)
-		digest = fh.Sum64()
+		var d stats.Digest
+		d.AddInt64(size)
+		d.AddInt64(planted)
+		d.AddInt64(found)
+		digest = d.Sum64()
 	})
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
