@@ -151,6 +151,8 @@ func cli(args []string, stderr io.Writer) int {
 			for _, c := range s.Plat.Ctrs.Snapshot() {
 				fmt.Printf("   %-24s %d\n", c.Name, c.Value)
 			}
+			fmt.Printf("   %-24s %+v\n", "ftl.rain", s.Plat.FTL.Rain())
+			fmt.Printf("   %-24s %+v\n", "ftl.rebuild", s.Plat.FTL.Rebuild())
 			fmt.Printf("-- platform %d latencies (ns)\n", i+1)
 			for _, h := range s.Plat.Hists.Snapshot() {
 				fmt.Printf("   %-24s count=%-8d p50=%-11d p95=%-11d p99=%-11d max=%d\n",

@@ -48,7 +48,6 @@ import (
 	"biscuit/internal/analysis/framework"
 	"biscuit/internal/analysis/portcheck"
 	"biscuit/internal/analysis/spanbalance"
-	"biscuit/internal/analysis/statnames"
 	"biscuit/internal/analysis/walltime"
 )
 
@@ -61,7 +60,6 @@ var analyzers = []*framework.Analyzer{
 	fiberyield.Analyzer,
 	portcheck.Analyzer,
 	spanbalance.Analyzer,
-	statnames.Analyzer,
 	walltime.Analyzer,
 }
 

@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -168,7 +169,7 @@ func main() {
 		fmt.Printf("wrote %s (load in https://ui.perfetto.dev)\n", *traceOut)
 	}
 	if *stats {
-		printStats(sys)
+		printStats(os.Stdout, sys)
 		printTelemetry(sampler.Summaries())
 	}
 }
@@ -322,15 +323,18 @@ func serveMain(devices, tenants int, rate float64, windowMs int, policy string, 
 }
 
 // printStats dumps the platform's counter and histogram registries in
-// their deterministic (name-sorted) snapshot order.
-func printStats(sys *biscuit.System) {
-	fmt.Println("-- counters")
+// their deterministic (name-sorted) snapshot order, with the FTL's RAIN
+// and rebuild statistics after the counters.
+func printStats(w io.Writer, sys *biscuit.System) {
+	fmt.Fprintln(w, "-- counters")
 	for _, c := range sys.Plat.Ctrs.Snapshot() {
-		fmt.Printf("   %-24s %d\n", c.Name, c.Value)
+		fmt.Fprintf(w, "   %-24s %d\n", c.Name, c.Value)
 	}
-	fmt.Println("-- latencies")
+	fmt.Fprintf(w, "   %-24s %+v\n", "ftl.rain", sys.Plat.FTL.Rain())
+	fmt.Fprintf(w, "   %-24s %+v\n", "ftl.rebuild", sys.Plat.FTL.Rebuild())
+	fmt.Fprintln(w, "-- latencies")
 	for _, s := range sys.Plat.Hists.Snapshot() {
-		fmt.Printf("   %-24s count=%-8d p50=%-12v p95=%-12v p99=%-12v max=%v\n",
+		fmt.Fprintf(w, "   %-24s count=%-8d p50=%-12v p95=%-12v p99=%-12v max=%v\n",
 			s.Name, s.Summary.Count,
 			time.Duration(s.Summary.P50), time.Duration(s.Summary.P95),
 			time.Duration(s.Summary.P99), time.Duration(s.Summary.Max))

@@ -9,12 +9,14 @@ import (
 	"biscuit/internal/trace"
 )
 
-// Stats accumulates execution counters; Fig. 10's I/O-reduction ratio is
-// PagesOverLink(Conv run) / PagesOverLink(Biscuit run). The scan and
-// fallback counters are mirrored onto the platform stats.Counters
-// registry ("db.scan.conv", "db.scan.ndp", "db.pages.link",
-// "db.ndp.fallback") so one observability surface covers the device and
-// DB layers.
+// Stats accumulates one query run's execution counters; Fig. 10's
+// I/O-reduction ratio is PagesOverLink(Conv run) / PagesOverLink(Biscuit
+// run). The platform's stats.Counters registry holds the run-wide sums of
+// the scan, link-page and fallback counts across every Exec — the db.*
+// family ("db.scan.conv", "db.scan.ndp", "db.pages.link",
+// "db.ndp.fallback"), the registry's only keys, which -stats dumps and
+// the benchmark ledger read. Device-side RAIN and rebuild activity is
+// counted in the FTL's RainStats and RebuildStats instead.
 type Stats struct {
 	PagesOverLink int64 // pages (equivalent) moved across the host interface
 	PagesInternal int64 // pages read inside the device (NDP scans)

@@ -115,8 +115,10 @@ type Platform struct {
 	// so one schedule covers the whole device.
 	Inj *fault.Injector
 
-	// Ctrs records operational events (fault-path events in particular)
-	// for the evaluation's counter dumps. Always non-nil.
+	// Ctrs records the query engine's operational events — the db.*
+	// family: link pages, scans by path, NDP fallbacks — for the
+	// evaluation's counter dumps. RAIN, scrub and rebuild activity is
+	// counted once, in FTL.Rain and FTL.Rebuild. Always non-nil.
 	Ctrs *stats.Counters
 
 	// Hists records latency distributions ("hostif.read", "ftl.gc.round",
@@ -180,7 +182,6 @@ func NewShared(env *sim.Env, cfg Config, hostCPU *cpu.CPU, hostMem *sim.SharedBW
 	p.DevRT = fibers.New(env, fibers.Config{Cores: devCores, Hz: devHz, CSW: fiberCSW})
 	p.HostIF.SetHists(p.Hists)
 	p.FTL.SetHists(p.Hists)
-	p.FTL.SetCounters(p.Ctrs)
 	p.DevRT.SetHists(p.Hists)
 	p.HostIF.SetGauges(p.Gauges)
 	p.FTL.SetGauges(p.Gauges)

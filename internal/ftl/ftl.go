@@ -148,7 +148,6 @@ type FTL struct {
 	fwTk   trace.TrackID // firmware fault-handling instants (retries, remaps)
 	rainTk trace.TrackID // RAIN seal/reconstruct/scrub spans (async: they overlap)
 	hists  *stats.Histograms
-	ctrs   *stats.Counters // platform mirror of RAIN/scrub counters
 
 	gFreeSB       *stats.Gauge // free superblocks (nil = telemetry off)
 	gGCDebt       *stats.Gauge // superblocks below the GC refill target
@@ -249,10 +248,6 @@ func (f *FTL) SetTracer(tr *trace.Tracer) {
 		f.rainTk = tr.Track("ftl/rain")
 	}
 }
-
-// SetCounters mirrors RAIN, scrub and recovery activity onto the
-// platform counter registry so -stats dumps include it. Nil disables.
-func (f *FTL) SetCounters(c *stats.Counters) { f.ctrs = c }
 
 // SetHists installs the registry receiving the GC-round duration
 // distribution ("ftl.gc.round"). Nil disables.
@@ -456,7 +451,6 @@ func (f *FTL) readRecover(p *sim.Proc, ppi, offset int, dst []byte) error {
 		return err
 	}
 	f.rain.DegradedReads++
-	f.ctrs.Add("ftl.rain.degraded", 1)
 	copy(dst, page[offset:])
 	return nil
 }
@@ -833,14 +827,7 @@ func (f *FTL) collect(p *sim.Proc) {
 	target := min(gcHighWater, achievable)
 	target = max(target, gcLowWater+1)
 	skipped := map[int]bool{}
-	// Aging compaction consumes frontier pages before it frees anything,
-	// so it only runs while the pool can absorb a victim relocation.
-	floor := gcLowWater + 1
 	for len(f.freeSB) < target {
-		// Half-dead stripes waste a parity page each; while there is
-		// headroom above the floor, compact them to keep parity overhead
-		// near 1/W.
-		f.compactAged(p, floor)
 		victim, bestValid := -1, -1
 		for sb := 0; sb < nc.BlocksPerDie; sb++ {
 			if skipped[sb] || f.sbFree[sb] || f.sbOpen(sb) {
@@ -986,7 +973,6 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 			f.l2p[lpn] = -1
 			f.lost[lpn] = true
 			f.rain.LostPages++
-			f.ctrs.Add("ftl.rain.lost", 1)
 			f.tr.Instant(f.fwTk, "gc.dataloss").Arg("lpn", int64(lpn))
 			return true
 		}

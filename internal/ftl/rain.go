@@ -267,12 +267,10 @@ func (f *FTL) seal(p *sim.Proc, st *openStripe) {
 		// The members stay unprotected — reads fall back to the retry
 		// ladder alone — and the accumulator is abandoned.
 		f.rain.ParityFails++
-		f.ctrs.Add("ftl.rain.parityfail", 1)
 		f.tr.Instant(f.fwTk, "rain.parityfail")
 		return
 	}
 	f.rain.StripeSeals++
-	f.ctrs.Add("ftl.rain.seal", 1)
 	// Liveness is recomputed after the blocking program: members
 	// invalidated while the parity was in flight must not inflate it.
 	rec := &stripeRec{members: st.members, parity: -1, live: f.countLive(st.members)}
@@ -301,7 +299,6 @@ func (f *FTL) dropStripe(sid int) {
 	f.stripes[sid] = nil
 	f.freeSid = append(f.freeSid, sid)
 	f.rain.StripeDrops++
-	f.ctrs.Add("ftl.rain.drop", 1)
 }
 
 // openStripeIn returns the unsealed stripe — on the write frontier or
@@ -397,7 +394,6 @@ func (f *FTL) reconstruct(p *sim.Proc, ppi int) ([]byte, error) {
 		// a protection failure: counted apart so the health monitor does
 		// not escalate on it.
 		f.rain.ReconstructUnstriped++
-		f.ctrs.Add("ftl.rain.unstriped", 1)
 		return nil, fmt.Errorf("ftl: page %v is not striped", f.ppa(ppi))
 	}
 	srcs := make([]int, 0, len(members))
@@ -420,14 +416,12 @@ func (f *FTL) reconstruct(p *sim.Proc, ppi int) ([]byte, error) {
 	if err != nil {
 		sp.End()
 		f.rain.ReconstructFails++
-		f.ctrs.Add("ftl.rain.reconstructfail", 1)
 		f.tr.Instant(f.fwTk, "rain.reconstructfail")
 		return nil, fmt.Errorf("ftl: reconstruct %v: %w", f.ppa(ppi), err)
 	}
 	out := f.fold(p, seed, pages)
 	sp.End()
 	f.rain.Reconstructs++
-	f.ctrs.Add("ftl.rain.reconstruct", 1)
 	f.hists.Observe("ftl.rain.reconstruct", int64(p.Now()-start))
 	f.arr.Injector().Record(fault.Reconstruct, "ftl.rain "+f.ppa(ppi).String())
 	return out, nil
@@ -476,7 +470,6 @@ func (f *FTL) shrinkMembers(p *sim.Proc, sid int, drop []int) bool {
 	}
 	f.setParity(sid, v.st, parity)
 	f.rain.StripeShrinks++
-	f.ctrs.Add("ftl.rain.shrink", 1)
 	return true
 }
 
@@ -594,37 +587,6 @@ func (f *FTL) compactStripes(p *sim.Proc) bool {
 	return f.compactStripe(p, best, f.stripes[best])
 }
 
-// compactAged compacts every stripe that has lost at least half its
-// members (live <= ceil(members/2)): relocating the live members costs
-// live*(1+1/W) programs but releases one parity page plus every
-// stale-member pin, and — just as important — caps the steady-state
-// parity overhead near 1/W instead of letting half-dead stripes pay a
-// full parity page for one or two live members. Run at the start of
-// each collection, it keeps stripe aging from silently eating the
-// spare. Compaction consumes frontier pages before it frees anything,
-// so it stops as soon as the free-block reserve reaches floor — the
-// caller's victim loop reclaims space the direct way first.
-func (f *FTL) compactAged(p *sim.Proc, floor int) {
-	var cands []int
-	for sid, st := range f.stripes {
-		if st != nil && st.live > 0 && 2*st.live <= len(st.members)+1 {
-			cands = append(cands, sid)
-		}
-	}
-	for _, sid := range cands {
-		if len(f.freeSB) <= floor {
-			return
-		}
-		st := f.stripes[sid]
-		// The slot may have dropped or been recycled for a fresh stripe
-		// while an earlier compaction blocked; re-qualify it.
-		if st == nil || st.live == 0 || 2*st.live > len(st.members)+1 {
-			continue
-		}
-		f.compactStripe(p, sid, st)
-	}
-}
-
 // blockStripePinned reports whether any page of the block is still a
 // tracked stripe member. An erase would destroy bytes some parity
 // still XORs over, so a pinned block must never be erased — this is
@@ -671,7 +633,6 @@ func (f *FTL) ScrubStep(p *sim.Proc) bool {
 	defer sp.End()
 	pages, _ := f.readStripePages(p, srcs) // failures are counted per page (nil) below
 	f.rain.ScrubStripes++
-	f.ctrs.Add("ftl.scrub.stripes", 1)
 	f.gScrub.Set(f.rain.ScrubStripes)
 	if v.stale() {
 		return true // mutated while reading; the next pass re-checks it
@@ -703,7 +664,6 @@ func (f *FTL) ScrubStep(p *sim.Proc) bool {
 		}
 	default:
 		f.rain.ScrubLost++
-		f.ctrs.Add("ftl.scrub.lost", 1)
 		f.tr.Instant(f.fwTk, "scrub.lost")
 	}
 	return true
@@ -735,7 +695,6 @@ func (f *FTL) repairMember(p *sim.Proc, v stripeVer, ppi int, pages [][]byte) {
 	f.invalidate(ppi)
 	f.remap(lpn, dst)
 	f.rain.ScrubRepairs++
-	f.ctrs.Add("ftl.scrub.repairs", 1)
 	f.arr.Injector().Record(fault.ScrubRepair, "ftl.scrub "+f.ppa(ppi).String())
 	f.stripeAdd(p, dst, content, gcStream)
 }
@@ -755,6 +714,5 @@ func (f *FTL) rewriteParity(p *sim.Proc, v stripeVer, members [][]byte) {
 	old := v.st.parity
 	f.setParity(v.sid, v.st, dst)
 	f.rain.ScrubParityFixes++
-	f.ctrs.Add("ftl.scrub.parityfix", 1)
 	f.arr.Injector().Record(fault.ScrubRepair, "ftl.scrub parity "+f.ppa(old).String())
 }

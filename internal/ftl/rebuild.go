@@ -95,19 +95,15 @@ func (f *FTL) RebuildStep(p *sim.Proc) bool {
 			switch {
 			case mark >= 0 && f.moveData(p, ppi):
 				f.rebuild.Pages++
-				f.ctrs.Add("ftl.rebuild.pages", 1)
 			case mark == parityMark && f.relocateParity(p, ppi):
 				f.rebuild.Parity++
-				f.ctrs.Add("ftl.rebuild.parity", 1)
 			default:
 				f.rebuild.Fails++
-				f.ctrs.Add("ftl.rebuild.fails", 1)
 			}
 			f.rebuildGauge()
 			return true
 		}
 		f.rebuild.Dies++
-		f.ctrs.Add("ftl.rebuild.dies", 1)
 		f.tr.Instant(f.fwTk, "rebuild.drained").Arg("die", int64(die))
 		f.rebuildCur = -1
 		f.rebuildPos = 0

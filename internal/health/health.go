@@ -1,9 +1,9 @@
 // Package health is the array's sim-time device-health monitor: it
-// watches each device's live gauge/counter stack — RAIN degraded reads,
+// watches each device's live gauges and RAIN statistics — degraded reads,
 // hard reconstruction failures, lost pages, GC debt, host-interface
 // queue depth — and classifies the device Healthy → Degraded →
-// Critical with hysteresis. The monitor consumes the registries'
-// existing pre-mutation OnChange hooks (the same mechanism the
+// Critical with hysteresis. The monitor consumes the gauge registry's
+// existing pre-mutation OnChange hook (the same mechanism the
 // telemetry sampler rides), so it costs zero simulation events and its
 // transitions are schedule-invariant: evaluation happens on a fixed
 // sim-time tick grid, backfilled lazily from whatever mutation crosses
@@ -19,6 +19,7 @@ package health
 import (
 	"fmt"
 
+	"biscuit/internal/ftl"
 	"biscuit/internal/sim"
 	"biscuit/internal/stats"
 	"biscuit/internal/trace"
@@ -64,13 +65,14 @@ const (
 	clearTicks int = 20
 )
 
-// Probe is one device's signal bundle. Gauges and Ctrs are the
-// device's own registries (the monitor chains onto Gauges.OnChange);
+// Probe is one device's signal bundle. Gauges is the device's own
+// registry (the monitor chains onto Gauges.OnChange); Rain, when
+// non-nil, reads the device FTL's RAIN statistics (ftl.FTL.Rain);
 // DeadDies, when non-nil, reports how many dies the fault injector has
 // killed — the strongest signal, weighted straight to Critical.
 type Probe struct {
 	Gauges   *stats.Gauges
-	Ctrs     *stats.Counters
+	Rain     func() ftl.RainStats
 	DeadDies func() int
 }
 
@@ -88,10 +90,9 @@ type devState struct {
 	name  string
 	probe Probe
 	state State
-	clean int // consecutive zero-score ticks (hysteresis)
-	// Counter left edges for per-tick deltas.
-	lastFails, lastLost, lastDegraded int64
-	tk                                trace.TrackID
+	clean int           // consecutive zero-score ticks (hysteresis)
+	last  ftl.RainStats // left edge of the per-tick RAIN deltas
+	tk    trace.TrackID
 }
 
 // Monitor classifies attached devices on a shared sim-time tick grid.
@@ -193,21 +194,19 @@ func (m *Monitor) advance() {
 // that hit a second lost member, pages lost for good — weigh straight
 // past criticalScore; degraded-read deltas and sustained GC debt /
 // queue depth accumulate toward degradedScore. Benign unstriped
-// reconstruction misses ("ftl.rain.unstriped") are deliberately not
+// reconstruction misses (ReconstructUnstriped) are deliberately not
 // consulted — see the ReconstructFails split in internal/ftl.
 func (m *Monitor) score(d *devState) int64 {
 	var s int64
 	if d.probe.DeadDies != nil && d.probe.DeadDies() > 0 {
 		s += degradedScore
 	}
-	if c := d.probe.Ctrs; c != nil {
-		fails := c.Get("ftl.rain.reconstructfail")
-		lost := c.Get("ftl.rain.lost")
-		degraded := c.Get("ftl.rain.degraded")
-		s += (fails - d.lastFails) * criticalScore
-		s += (lost - d.lastLost) * criticalScore
-		s += (degraded - d.lastDegraded) * 2
-		d.lastFails, d.lastLost, d.lastDegraded = fails, lost, degraded
+	if d.probe.Rain != nil {
+		r := d.probe.Rain()
+		s += (r.ReconstructFails - d.last.ReconstructFails) * criticalScore
+		s += (r.LostPages - d.last.LostPages) * criticalScore
+		s += (r.DegradedReads - d.last.DegradedReads) * 2
+		d.last = r
 	}
 	if g := d.probe.Gauges; g != nil {
 		s += g.Get("ftl.gc.debt")

@@ -3,23 +3,28 @@ package health
 import (
 	"testing"
 
+	"biscuit/internal/ftl"
 	"biscuit/internal/sim"
 	"biscuit/internal/stats"
 )
 
-// rig is one attached device's registries plus the monitor watching it.
+// rig is one attached device's gauges and RAIN statistics plus the
+// monitor watching it.
 type rig struct {
-	e *sim.Env
-	g *stats.Gauges
-	c *stats.Counters
-	m *Monitor
+	e    *sim.Env
+	g    *stats.Gauges
+	rain ftl.RainStats
+	m    *Monitor
 }
 
 func newRig() *rig {
-	r := &rig{e: sim.NewEnv(), g: stats.NewGauges(), c: stats.NewCounters()}
+	r := &rig{e: sim.NewEnv(), g: stats.NewGauges()}
 	r.m = NewMonitor(r.e)
 	return r
 }
+
+// rainStats reads the rig's RAIN statistics, as FTL.Rain does a device's.
+func (r *rig) rainStats() ftl.RainStats { return r.rain }
 
 // ticks is n evaluation intervals.
 func ticks(n int) sim.Time { return sim.Time(n) * interval }
@@ -32,7 +37,7 @@ func TestMonitorBackfillsTicksAtBoundaries(t *testing.T) {
 	// first tick, even though the triggering mutation lands three and a
 	// half ticks later.
 	r := newRig()
-	r.m.Attach("dev", Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("dev", Probe{Gauges: r.g, Rain: r.rainStats})
 	debt := r.g.G("ftl.gc.debt")
 	r.e.Spawn("t", func(p *sim.Proc) {
 		debt.Set(degradedScore)
@@ -61,9 +66,9 @@ func TestMonitorHysteresis(t *testing.T) {
 	// the next tick; recovery then steps down one level per clearTicks
 	// consecutive zero-score ticks: Critical -> Degraded -> Healthy.
 	r := newRig()
-	r.m.Attach("dev", Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("dev", Probe{Gauges: r.g, Rain: r.rainStats})
 	r.e.Spawn("t", func(p *sim.Proc) {
-		r.c.Add("ftl.rain.reconstructfail", 1)
+		r.rain.ReconstructFails++
 		p.Sleep(ticks(3 * clearTicks))
 	})
 	r.e.Run()
@@ -93,7 +98,7 @@ func TestMonitorDeadDiePinsDegraded(t *testing.T) {
 	// a die, rebuilt or not) — but a dead die alone is not Critical.
 	r := newRig()
 	dead := 0
-	r.m.Attach("dev", Probe{Gauges: r.g, Ctrs: r.c, DeadDies: func() int { return dead }})
+	r.m.Attach("dev", Probe{Gauges: r.g, Rain: r.rainStats, DeadDies: func() int { return dead }})
 	r.e.Spawn("t", func(p *sim.Proc) {
 		dead = 1
 		p.Sleep(ticks(3 * clearTicks))
@@ -114,7 +119,7 @@ func TestMonitorSharedGridOrdersDevices(t *testing.T) {
 	// log (and its signature) schedule-invariant.
 	r := newRig()
 	g2 := stats.NewGauges()
-	r.m.Attach("a", Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("a", Probe{Gauges: r.g, Rain: r.rainStats})
 	r.m.Attach("b", Probe{Gauges: g2})
 	r.e.Spawn("t", func(p *sim.Proc) {
 		r.g.G("ftl.gc.debt").Set(degradedScore)
@@ -136,9 +141,9 @@ func TestMonitorIgnoresUnstripedMisses(t *testing.T) {
 	// Benign reconstruction misses on pages RAIN never covered must not
 	// move the score — only real protection failures escalate.
 	r := newRig()
-	r.m.Attach("dev", Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("dev", Probe{Gauges: r.g, Rain: r.rainStats})
 	r.e.Spawn("t", func(p *sim.Proc) {
-		r.c.Add("ftl.rain.unstriped", 50)
+		r.rain.ReconstructUnstriped += 50
 		p.Sleep(ticks(10))
 	})
 	r.e.Run()
@@ -154,9 +159,9 @@ func TestMonitorIgnoresUnstripedMisses(t *testing.T) {
 // hysteresisRun drives one fixed scenario and returns the signature.
 func hysteresisRun(burst int64) uint64 {
 	r := newRig()
-	r.m.Attach("dev", Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("dev", Probe{Gauges: r.g, Rain: r.rainStats})
 	r.e.Spawn("t", func(p *sim.Proc) {
-		r.c.Add("ftl.rain.degraded", burst)
+		r.rain.DegradedReads += burst
 		p.Sleep(ticks(2))
 		r.g.G("ftl.gc.debt").Set(0)
 		p.Sleep(ticks(2 * clearTicks))
@@ -182,9 +187,9 @@ func TestMonitorSignaturePinned(t *testing.T) {
 	// health_digest has always been computed with: a change to the
 	// record format or the hash moves every heal baseline.
 	r := newRig()
-	r.m.Attach("ssd0", Probe{Gauges: r.g, Ctrs: r.c})
+	r.m.Attach("ssd0", Probe{Gauges: r.g, Rain: r.rainStats})
 	r.e.Spawn("t", func(p *sim.Proc) {
-		r.c.Add("ftl.rain.reconstructfail", 1)
+		r.rain.ReconstructFails++
 		p.Sleep(ticks(3 * clearTicks))
 	})
 	r.e.Run()

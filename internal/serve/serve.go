@@ -131,7 +131,6 @@ type Server struct {
 	MS     *biscuit.MultiSystem
 	DBs    []*db.Database
 	Datas  []*tpch.Data
-	Ctrs   *stats.Counters
 	Hists  *stats.Histograms
 	Gauges *stats.Gauges
 
@@ -162,8 +161,7 @@ type Server struct {
 	dispatchHash stats.Digest
 	dispatchSeq  []string // per-dispatch "tenant:seq", for determinism tests
 
-	migrations        []MigrationRecord
-	healthTransitions int
+	migrations []MigrationRecord
 }
 
 // MigrationRecord pins one shard-slot cutover: which tenant slot moved
@@ -209,7 +207,6 @@ type tenant struct {
 	migrations int
 	errors     int
 
-	ctrs     *stats.PrefixedCounters
 	lat      *stats.Histogram
 	gBacklog *stats.Gauge
 	track    trace.TrackID
@@ -268,7 +265,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		Cfg:    cfg,
 		MS:     biscuit.NewMultiSystemConfigs(base, cfg.Devices, per),
-		Ctrs:   stats.NewCounters(),
 		Hists:  stats.NewHistograms(),
 		Gauges: stats.NewGauges(),
 		policy: pol,
@@ -311,7 +307,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// buildMonitor attaches every device's gauge/counter stack to a fresh
+// buildMonitor attaches every device's gauges and RAIN statistics to a fresh
 // health monitor and routes its transitions into the scheduler.
 func (s *Server) buildMonitor() {
 	s.Monitor = health.NewMonitor(s.MS.Env)
@@ -320,7 +316,7 @@ func (s *Server) buildMonitor() {
 		dies := sys.Plat.Cfg.NAND.Dies()
 		s.Monitor.Attach(fmt.Sprintf("ssd%d", i), health.Probe{
 			Gauges: sys.Plat.Gauges,
-			Ctrs:   sys.Plat.Ctrs,
+			Rain:   sys.Plat.FTL.Rain,
 			DeadDies: func() int {
 				n := 0
 				for d := 0; d < dies; d++ {
@@ -341,8 +337,6 @@ func (s *Server) buildMonitor() {
 // migration; the dispatcher performs the cutover once the tenant's
 // in-flight queries drain.
 func (s *Server) onHealth(dev int, from, to health.State) {
-	s.healthTransitions++
-	s.Ctrs.Add("serve.health.transitions", 1)
 	if to < health.Degraded || !s.Cfg.Migrate {
 		return
 	}
@@ -412,7 +406,6 @@ func (s *Server) buildTenants() error {
 			idx:      ti,
 			wl:       wl,
 			devices:  devs,
-			ctrs:     s.Ctrs.Prefixed("tenant." + tc.Name + "."),
 			lat:      s.Hists.H("tenant." + tc.Name + ".sojourn_ns"),
 			gBacklog: s.Gauges.G("tenant." + tc.Name + ".backlog"),
 		}
@@ -509,7 +502,6 @@ func (s *Server) spawnDieFail(h *biscuit.MultiHost) {
 	h.Go("diefail", func(h2 *biscuit.MultiHost) {
 		h2.Proc().Sleep(s.Cfg.FailAt)
 		s.MS.Systems[s.Cfg.FailDevice].Plat.Inj.FailDie(s.Cfg.FailDie)
-		s.Ctrs.Add("serve.diefail", 1)
 		s.tr.Instant(s.schedTk, "diefail").
 			Arg("dev", int64(s.Cfg.FailDevice)).Arg("die", int64(s.Cfg.FailDie))
 	})
@@ -528,7 +520,6 @@ func (s *Server) spawnArrivals(h *biscuit.MultiHost, t *tenant) {
 				t.rejected++
 				s.rejected++
 				s.gRejected.Add(1)
-				t.ctrs.Add("rejected", 1)
 				s.tr.Instant(t.track, "reject").Arg("seq", int64(seq))
 			} else {
 				req := &request{t: t, seq: seq, arrive: p.Now(), deadline: p.Now() + t.cfg.SLO}
@@ -536,7 +527,6 @@ func (s *Server) spawnArrivals(h *biscuit.MultiHost, t *tenant) {
 				t.queue = append(t.queue, req)
 				t.gBacklog.Add(1)
 				t.admitted++
-				t.ctrs.Add("admitted", 1)
 			}
 			s.wake.Fire()
 		}
@@ -591,8 +581,6 @@ func (s *Server) cutover(p *sim.Proc, t *tenant) {
 		t.shardDev[k] = to
 		t.shardRepl[k] = true
 		t.migrations++
-		t.ctrs.Add("migrations", 1)
-		s.Ctrs.Add("serve.migrations", 1)
 		s.migrations = append(s.migrations, MigrationRecord{
 			Tenant: t.cfg.Name, Shard: k, FromDev: from, ToDev: to,
 			AtNs: int64(p.Now()), AfterSeq: len(s.dispatchSeq),
@@ -618,13 +606,10 @@ func (s *Server) dispatch(h *biscuit.MultiHost, req *request) {
 		now := h2.Now()
 		t.completed++
 		s.completed++
-		t.ctrs.Add("completed", 1)
 		if err != nil {
 			t.errors++
-			t.ctrs.Add("errors", 1)
 			t.rows.AddRecord("error:" + err.Error())
 		} else {
-			t.ctrs.Add("rows", int64(len(rows)))
 			for _, r := range rows {
 				for _, v := range r {
 					t.rows.AddRecord(v.String())
@@ -633,7 +618,6 @@ func (s *Server) dispatch(h *biscuit.MultiHost, req *request) {
 		}
 		if now > req.deadline {
 			t.misses++
-			t.ctrs.Add("deadline_miss", 1)
 		}
 		t.lat.Record(int64(now - req.arrive))
 		req.span.End()
@@ -692,7 +676,7 @@ func (s *Server) runShard(h *biscuit.MultiHost, req *request, dev int, replica b
 	rng := biscuit.SeededRand(s.Cfg.Seed ^ int64(req.t.idx+1)<<40 ^ int64(req.seq+1)<<8 ^ int64(dev+1))
 	return req.t.wl.runShard(&shardCtx{
 		host: h.Unit(dev), ex: ex, data: data, rng: rng,
-		replica: replica, ctrs: req.t.ctrs,
+		replica: replica,
 	})
 }
 
@@ -757,8 +741,8 @@ func (s *Server) report(took sim.Time) *Report {
 		DispatchOrder:  s.dispatchSeq,
 	}
 	rep.Migrations = s.migrations
-	rep.HealthTransitions = s.healthTransitions
 	if s.Monitor != nil {
+		rep.HealthTransitions = len(s.Monitor.Transitions())
 		rep.HealthDigest = s.Monitor.Signature()
 	}
 	if s.sampler != nil {

@@ -61,3 +61,41 @@ func TestServeSameSeedDeterministic(t *testing.T) {
 		t.Fatalf("same-seed reports diverged:\n a: %+v\n b: %+v", a, b)
 	}
 }
+
+// TestServeConservation holds the serving layer's conservation law on
+// a WFQ and an EDF overload that sheds load and on a self-healing
+// window that loses a die: per tenant every offered query is admitted
+// or rejected, every admitted one completes by drain, errors are a
+// subset of completions, and the report's totals are the tenant sums.
+func TestServeConservation(t *testing.T) {
+	shed := func(c *Config) {
+		c.Tenants[0].QueueCap = 0 // default (32)
+		c.Tenants[1].QueueCap = 0
+	}
+	_, heal := healWindow(t, 7, nil)
+	for _, w := range []struct {
+		name string
+		rep  *Report
+	}{
+		{"wfq", run(t, overload("wfq", shed))},
+		{"edf", run(t, overload("edf", shed))},
+		{"heal", heal},
+	} {
+		var completed, rejected int
+		for _, tr := range w.rep.Tenants {
+			if tr.Offered != tr.Admitted+tr.Rejected || tr.Completed != tr.Admitted || tr.Errors > tr.Completed {
+				t.Errorf("%s tenant %s: offered %d, admitted %d, rejected %d, completed %d, errors %d",
+					w.name, tr.Name, tr.Offered, tr.Admitted, tr.Rejected, tr.Completed, tr.Errors)
+			}
+			completed += tr.Completed
+			rejected += tr.Rejected
+		}
+		if w.rep.Completed != completed || w.rep.Rejected != rejected {
+			t.Errorf("%s: report completed %d / rejected %d, tenants sum to %d / %d",
+				w.name, w.rep.Completed, w.rep.Rejected, completed, rejected)
+		}
+		if w.name != "heal" && rejected == 0 {
+			t.Errorf("%s: the overload shed nothing", w.name)
+		}
+	}
+}

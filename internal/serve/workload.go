@@ -8,22 +8,19 @@ import (
 	"biscuit"
 	"biscuit/internal/db"
 	"biscuit/internal/db/planner"
-	"biscuit/internal/stats"
 	"biscuit/internal/tpch"
 	"biscuit/internal/weblog"
 )
 
 // shardCtx is everything a per-shard partial plan may touch: the shard's
 // host view and executor, the shard's table views — the replica tables
-// when the slot has migrated — the per-request planner stream, and the
-// tenant's counters.
+// when the slot has migrated — and the per-request planner stream.
 type shardCtx struct {
 	host    *biscuit.Host
 	ex      *db.Exec
 	data    *tpch.Data
 	rng     *rand.Rand
 	replica bool // serving from the replica copy after migration
-	ctrs    *stats.PrefixedCounters
 }
 
 // workload is one servable query: a per-shard partial plan plus the
@@ -167,7 +164,6 @@ func wlogWorkload() (*workload, error) {
 			}
 			n, err := weblog.SearchNDPIn(c.host, file, wlogNeedle)
 			if err != nil {
-				c.ctrs.Add("wlog_fallbacks", 1)
 				if n, err = weblog.SearchConvIn(c.host, file, wlogNeedle); err != nil {
 					return nil, err
 				}

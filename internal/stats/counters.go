@@ -52,43 +52,3 @@ func (c *Counters) Snapshot() []NamedCount {
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
-
-// PrefixedCounters is a view of a Counters registry that prepends a
-// fixed prefix (conventionally ending in ".") to every name, so a
-// multi-tenant component can hand each tenant its own namespace
-// ("tenant.acme.") over one shared registry. A view of a nil registry
-// is usable and ignores Add like the registry itself.
-type PrefixedCounters struct {
-	c      *Counters
-	prefix string
-}
-
-// Prefixed returns a view of c under prefix. Views nest by
-// concatenation: c.Prefixed("a.").Prefixed("b.") counts under "a.b.".
-func (c *Counters) Prefixed(prefix string) *PrefixedCounters {
-	return &PrefixedCounters{c: c, prefix: prefix}
-}
-
-// Prefixed derives a nested view.
-func (p *PrefixedCounters) Prefixed(prefix string) *PrefixedCounters {
-	if p == nil {
-		return &PrefixedCounters{prefix: prefix}
-	}
-	return &PrefixedCounters{c: p.c, prefix: p.prefix + prefix}
-}
-
-// Add increments prefix+name by n.
-func (p *PrefixedCounters) Add(name string, n int64) {
-	if p == nil {
-		return
-	}
-	p.c.Add(p.prefix+name, n)
-}
-
-// Get returns the current value of prefix+name.
-func (p *PrefixedCounters) Get(name string) int64 {
-	if p == nil {
-		return 0
-	}
-	return p.c.Get(p.prefix + name)
-}

@@ -60,29 +60,28 @@ func TestCountersSnapshotStable(t *testing.T) {
 	}
 }
 
-func TestPrefixedCounters(t *testing.T) {
+func TestCountersSnapshotStableUnderMutation(t *testing.T) {
 	c := NewCounters()
-	tenant := c.Prefixed("tenant.acme.")
-	tenant.Add("completed", 2)
-	tenant.Prefixed("q6.").Add("rows", 5)
-	if got := c.Get("tenant.acme.completed"); got != 2 {
-		t.Fatalf("prefixed add landed at %d, want 2", got)
+	c.Add("db.scan.conv", 5)
+	c.Add("db.scan.ndp", 1)
+	snap := c.Snapshot()
+	// A run keeps counting after the snapshot was taken; the snapshot
+	// must not move.
+	c.Add("db.scan.conv", 100)
+	c.Add("db.scan.ndp", 100)
+	for _, nc := range snap {
+		switch nc.Name {
+		case "db.scan.conv":
+			if nc.Value != 5 {
+				t.Fatalf("snapshot db.scan.conv moved to %d, want 5", nc.Value)
+			}
+		case "db.scan.ndp":
+			if nc.Value != 1 {
+				t.Fatalf("snapshot db.scan.ndp moved to %d, want 1", nc.Value)
+			}
+		}
 	}
-	if got := tenant.Get("completed"); got != 2 {
-		t.Fatalf("prefixed get = %d, want 2", got)
-	}
-	if got := c.Get("tenant.acme.q6.rows"); got != 5 {
-		t.Fatalf("nested prefix add landed at %d, want 5", got)
-	}
-	var nilC *Counters
-	v := nilC.Prefixed("x.")
-	v.Add("y", 1) // must not panic
-	if v.Get("y") != 0 {
-		t.Fatal("view of nil registry must read 0")
-	}
-	var nilView *PrefixedCounters
-	nilView.Add("z", 1)
-	if nilView.Get("z") != 0 || nilView.Prefixed("w.").Get("z") != 0 {
-		t.Fatal("nil view must be inert")
+	if len(snap) != 2 {
+		t.Fatalf("snapshot has %d entries, want 2", len(snap))
 	}
 }

@@ -142,3 +142,20 @@ func TestHistogramRecordNoAllocs(t *testing.T) {
 		t.Fatalf("Record allocates %v allocs/op, want 0", allocs)
 	}
 }
+
+func TestHistogramsSnapshotStableUnderMutation(t *testing.T) {
+	hs := NewHistograms()
+	hs.Observe("hostif.read", 1000)
+	hs.Observe("hostif.read", 3000)
+	snap := hs.Snapshot()
+	hs.Observe("hostif.read", 1_000_000) // the window keeps serving
+	if len(snap) != 1 {
+		t.Fatalf("snapshot has %d entries, want 1", len(snap))
+	}
+	if got := snap[0].Summary.Count; got != 2 {
+		t.Fatalf("snapshot count moved to %d, want 2", got)
+	}
+	if got := hs.Get("hostif.read").Count(); got != 3 {
+		t.Fatalf("live histogram count = %d, want 3", got)
+	}
+}

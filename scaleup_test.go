@@ -194,6 +194,13 @@ func TestOneDriveArrayIsASystem(t *testing.T) {
 	if a, b := alone.Plat.Ctrs.Snapshot(), drive.Plat.Ctrs.Snapshot(); !reflect.DeepEqual(a, b) {
 		t.Errorf("counters differ:\n alone %v\n array %v", a, b)
 	}
+	ra, rb := alone.Plat.FTL.Rain(), drive.Plat.FTL.Rain()
+	if ra.StripeSeals == 0 || ra != rb {
+		t.Errorf("RAIN statistics differ (or sealed no stripe):\n alone %+v\n array %+v", ra, rb)
+	}
+	if a, b := alone.Plat.FTL.Rebuild(), drive.Plat.FTL.Rebuild(); a != b {
+		t.Errorf("rebuild statistics differ:\n alone %+v\n array %+v", a, b)
+	}
 	a, b := alone.Plat.Hists.Snapshot(), drive.Plat.Hists.Snapshot()
 	if len(a) == 0 || !reflect.DeepEqual(a, b) {
 		t.Errorf("histograms differ (or are empty):\n alone %v\n array %v", a, b)
