@@ -3,17 +3,7 @@
 GO ?= go
 VETTOOL := bin/biscuitvet
 
-# Tier-1 packages: the deterministic kernel the rest of the repo
-# depends on (see ROADMAP.md), the two packages sitting directly on its
-# coroutine handoff (fibers, core), plus the scan path from a NAND sense
-# to a host RowBatch. `make race` runs them under the race detector;
-# sim's cooperative scheduler makes races here the most dangerous kind.
-TIER1 := ./internal/ports/... ./internal/hostif/... ./internal/sim/... \
-	./internal/fibers/... ./internal/core/... \
-	./internal/nand/... ./internal/ftl/... ./internal/isfs/... \
-	./internal/db/... ./internal/match/...
-
-.PHONY: all build test race racefault vet fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench ledgersmoke tracesmoke lines clean
+.PHONY: all build test race vet fmt check faulttest fuzzsmoke faultbench healtest benchsmoke benchgate bless-bench ledgersmoke tracesmoke lines clean
 
 all: build
 
@@ -23,18 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
+# Race detector over every package: the sim kernel's cooperative
+# scheduler makes a race anywhere in the stack a silent determinism
+# bug, and the fault, serving and trace-determinism tests are where the
+# retry/reconstruction/migration schedules run.
 race:
-	$(GO) test -race $(TIER1)
-
-# Race detector over the failure paths + trace determinism: the fault
-# suite exercises the retry/reconstruction/fallback schedules where a
-# data race would silently break determinism, and
-# TestTraceDeterministic is the end-to-end witness that the whole span
-# pipeline stays schedule-independent.
-racefault:
-	$(GO) test -race -count=2 ./internal/fault/...
-	$(GO) test -race $(FAULTPKGS)
-	$(GO) test -race -run TestTraceDeterministic .
+	$(GO) test -race ./...
 
 # Failure-path suite (DESIGN.md "Fault model"): the fault engine's own
 # tests plus every package with a fault/corruption/retry/degradation
@@ -97,11 +81,14 @@ benchsmoke:
 # experiment. Every field is simulated-time deterministic and both
 # files come from one writer (json.MarshalIndent of a typed struct), so
 # the comparison is byte equality: a file that differs or is missing
-# fails the gate, with its `diff -u` capped at 200 lines. One traced
-# serving window rides along: rerun with the same seed, compared
-# byte-for-byte, checked by tracestat. Wall clock is not gated here;
-# that is `go run ./benchmark`.
+# fails the gate, with its `diff -u` capped at 200 lines. Two traced
+# serving windows ride along, each rerun with the same seed, compared
+# byte-for-byte and checked by tracestat: the default wfq window, and
+# an edf window under -heal with RAIN stripes of 3 data pages and a
+# -fault campaign, so every sqlssd flag runs in a gated target. Wall
+# clock is not gated here; that is `go run ./benchmark`.
 SERVETRACE := -devices 2 -tenants 2 -sf 0.002 -rate 150 -window 200 -seed 7
+HEALTRACE := $(SERVETRACE) -policy edf -heal -rainW 3 -fault "seed=7 correctable=0.01 timeout=0.001"
 
 benchgate: benchsmoke
 	mkdir -p bench-out
@@ -110,6 +97,10 @@ benchgate: benchsmoke
 	$(GO) run ./cmd/sqlssd $(SERVETRACE) -trace bench-out/serve.rerun.trace.json > /dev/null
 	cmp bench-out/serve.trace.json bench-out/serve.rerun.trace.json
 	$(GO) run ./cmd/tracestat bench-out/serve.trace.json > /dev/null
+	$(GO) run ./cmd/sqlssd $(HEALTRACE) -trace bench-out/serveheal.trace.json > /dev/null
+	$(GO) run ./cmd/sqlssd $(HEALTRACE) -trace bench-out/serveheal.rerun.trace.json > /dev/null
+	cmp bench-out/serveheal.trace.json bench-out/serveheal.rerun.trace.json
+	$(GO) run ./cmd/tracestat bench-out/serveheal.trace.json > /dev/null
 	@n=0; bad=0; \
 	for base in baselines/BENCH_*.json; do \
 		fresh=bench-out/$${base#baselines/}; n=$$((n+1)); \

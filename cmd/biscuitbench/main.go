@@ -74,11 +74,11 @@ func experimentNames() string {
 	return names
 }
 
-func main() { os.Exit(cli(os.Args[1:], os.Stderr)) }
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// cli is main with its arguments and error stream as parameters so the
-// test can drive flag and name validation; it returns the exit code.
-func cli(args []string, stderr io.Writer) int {
+// cli is main with its arguments and output streams as parameters so
+// the test can drive it; it returns the exit code.
+func cli(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("biscuitbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -103,10 +103,11 @@ func cli(args []string, stderr io.Writer) int {
 		want[name] = true
 	}
 
-	// Every experiment builds its platforms through bench.newSystemWith;
-	// the hook sees each one, so tracing and counter dumps need no per-
-	// experiment plumbing. Traces are written after all runs finish —
-	// every simulation is driven to completion inside its Run function.
+	// Every experiment builds its platforms through bench.newSystemWith
+	// or, for the serving arrays, bench.serveWindow; the hook sees each
+	// one, so tracing and counter dumps need no per-experiment plumbing.
+	// Traces are written after all runs finish — every simulation is
+	// driven to completion inside its Run function.
 	var systems []*biscuit.System
 	if *traceOut != "" || *stats {
 		bench.OnSystem = func(s *biscuit.System) {
@@ -128,9 +129,9 @@ func cli(args []string, stderr io.Writer) int {
 		if want["all"] || want[e.name] {
 			r := e.run(cfg)
 			writeJSON(*jsonDir, e.name, r)
-			fmt.Printf("## %s\n\n", e.name)
-			r.WriteMarkdown(os.Stdout)
-			fmt.Println()
+			fmt.Fprintf(stdout, "## %s\n\n", e.name)
+			r.WriteMarkdown(stdout)
+			fmt.Fprintln(stdout)
 		}
 	}
 
@@ -144,18 +145,18 @@ func cli(args []string, stderr io.Writer) int {
 				fmt.Fprintln(stderr, "trace:", err)
 				return 1
 			}
-			fmt.Printf("wrote %s (load in https://ui.perfetto.dev)\n", path)
+			fmt.Fprintf(stdout, "wrote %s (load in https://ui.perfetto.dev)\n", path)
 		}
 		if *stats {
-			fmt.Printf("-- platform %d counters\n", i+1)
+			fmt.Fprintf(stdout, "-- platform %d counters\n", i+1)
 			for _, c := range s.Plat.Ctrs.Snapshot() {
-				fmt.Printf("   %-24s %d\n", c.Name, c.Value)
+				fmt.Fprintf(stdout, "   %-24s %d\n", c.Name, c.Value)
 			}
-			fmt.Printf("   %-24s %+v\n", "ftl.rain", s.Plat.FTL.Rain())
-			fmt.Printf("   %-24s %+v\n", "ftl.rebuild", s.Plat.FTL.Rebuild())
-			fmt.Printf("-- platform %d latencies (ns)\n", i+1)
+			fmt.Fprintf(stdout, "   %-24s %+v\n", "ftl.rain", s.Plat.FTL.Rain())
+			fmt.Fprintf(stdout, "   %-24s %+v\n", "ftl.rebuild", s.Plat.FTL.Rebuild())
+			fmt.Fprintf(stdout, "-- platform %d latencies (ns)\n", i+1)
 			for _, h := range s.Plat.Hists.Snapshot() {
-				fmt.Printf("   %-24s count=%-8d p50=%-11d p95=%-11d p99=%-11d max=%d\n",
+				fmt.Fprintf(stdout, "   %-24s count=%-8d p50=%-11d p95=%-11d p99=%-11d max=%d\n",
 					h.Name, h.Summary.Count, h.Summary.P50, h.Summary.P95, h.Summary.P99, h.Summary.Max)
 			}
 		}

@@ -3,9 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"biscuit/internal/bench"
 )
 
 // TestExperimentsDocIsTheBaselines closes the chain doc ← baseline ←
@@ -52,10 +55,28 @@ func TestEveryExperimentHasABaseline(t *testing.T) {
 
 func TestUnknownExperimentListsAblations(t *testing.T) {
 	var stderr bytes.Buffer
-	if code := cli([]string{"-exp", "table3,nosuch"}, &stderr); code != 2 {
+	if code := cli([]string{"-exp", "table3,nosuch"}, io.Discard, &stderr); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if msg := stderr.String(); !strings.Contains(msg, `"nosuch"`) || !strings.Contains(msg, "ablations") {
 		t.Errorf("diagnostic must name the bad experiment and list ablations among the valid ones:\n%s", msg)
+	}
+}
+
+// TestStatsCoverServingArrays: -stats dumps every drive the serving
+// arrays build, not only newSystemWith platforms. The quick servecurve
+// serves one window per (devices, policy) in {1, 2} × {wfq, edf}, six
+// drives in all.
+func TestStatsCoverServingArrays(t *testing.T) {
+	t.Cleanup(func() { bench.OnSystem = nil })
+	var stdout, stderr bytes.Buffer
+	if code := cli([]string{"-exp", "servecurve", "-quick", "-stats"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, &stderr)
+	}
+	if n := strings.Count(stdout.String(), "-- platform "); n != 2*6 {
+		t.Fatalf("%d platform counter/latency headers, want 12 (6 drives):\n%s", n, &stdout)
+	}
+	if !strings.Contains(stdout.String(), "-- platform 6 latencies") || strings.Contains(stdout.String(), "-- platform 7 ") {
+		t.Fatalf("want blocks for platforms 1..6:\n%s", &stdout)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"biscuit"
-	"biscuit/internal/loadgen"
 	"biscuit/internal/weblog"
 )
 
@@ -51,8 +50,8 @@ func main() {
 		}
 		fmt.Printf("corpus: %d bytes, %d planted needles\n", n, planted)
 
-		lg := loadgen.New(h.System().Plat)
-		lg.Start(*load)
+		plat := h.System().Plat
+		plat.SetHostLoad(*load)
 		start := h.Now()
 		convN, err := weblog.SearchConv(h, *needle)
 		if err != nil {
@@ -68,7 +67,7 @@ func main() {
 			os.Exit(1)
 		}
 		ndpT := h.Now() - start
-		lg.Stop()
+		plat.SetHostLoad(0)
 
 		fmt.Printf("Conv    (host grep):       %8d matches in %v\n", convN, convT)
 		fmt.Printf("Biscuit (pattern matcher): %8d matches in %v\n", ndpN, ndpT)

@@ -15,7 +15,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -41,8 +40,6 @@ func main() {
 		sf       = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		q        = flag.String("q", "", "query to run (default: read from stdin, ';'-separated)")
 		seed     = flag.Int64("seed", 1, "generator seed")
-		maxRows  = flag.Int("rows", 20, "max rows to print per query")
-		batch    = flag.Int("batch", 0, "executor batch size in rows (0 = default slab)")
 		traceOut = flag.String("trace", "", "write a Chrome/Perfetto trace of the whole run to this JSON file")
 		stats    = flag.Bool("stats", false, "print platform counters and latency percentiles after the run")
 		faultArg = flag.String("fault", "", "arm a fault campaign, e.g. \"seed=7 silent=1e-3 diefail=3\" (see internal/fault)")
@@ -67,20 +64,10 @@ func main() {
 	if *q != "" {
 		queries = []string{*q}
 	} else {
-		in := bufio.NewReader(os.Stdin)
-		var sb strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := in.Read(buf)
-			sb.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		for _, part := range strings.Split(sb.String(), ";") {
-			if s := strings.TrimSpace(part); s != "" {
-				queries = append(queries, s)
-			}
+		var err error
+		if queries, err = readQueries(os.Stdin); err != nil {
+			fmt.Fprintln(os.Stderr, "sqlssd: reading stdin:", err)
+			os.Exit(2)
 		}
 	}
 	if len(queries) == 0 {
@@ -121,7 +108,6 @@ func main() {
 			fmt.Printf("sql> %s\n", query)
 
 			exC := db.NewExec(h, d)
-			exC.BatchSize = *batch
 			start := h.Now()
 			conv, err := sql.Run(exC, d, nil, query)
 			if err != nil {
@@ -131,7 +117,6 @@ func main() {
 			convT := h.Now() - start
 
 			exB := db.NewExec(h, d)
-			exB.BatchSize = *batch
 			start = h.Now()
 			bisc, err := sql.Run(exB, d, planner.Default(), query)
 			if err != nil {
@@ -140,7 +125,7 @@ func main() {
 			}
 			biscT := h.Now() - start
 
-			printRows(bisc, *maxRows)
+			printRows(bisc)
 			if bisc.Decision != nil {
 				fmt.Printf("-- planner: %s\n", bisc.Decision.Reason)
 			} else {
@@ -172,6 +157,23 @@ func main() {
 		printStats(os.Stdout, sys)
 		printTelemetry(sampler.Summaries())
 	}
+}
+
+// readQueries reads r to EOF and splits it into ';'-separated queries,
+// dropping empty ones. A read error returns no queries, so a partial
+// query text never runs.
+func readQueries(r io.Reader) ([]string, error) {
+	text, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	var queries []string
+	for _, part := range strings.Split(string(text), ";") {
+		if s := strings.TrimSpace(part); s != "" {
+			queries = append(queries, s)
+		}
+	}
+	return queries, nil
 }
 
 // explainQuery parses the in-memory trace and prints the trace-derived
@@ -341,7 +343,10 @@ func printStats(w io.Writer, sys *biscuit.System) {
 	}
 }
 
-func printRows(res *sql.Result, maxRows int) {
+// maxRows caps the result rows printed per query.
+const maxRows = 20
+
+func printRows(res *sql.Result) {
 	fmt.Println(strings.Join(res.Cols, "\t"))
 	for i, r := range res.Rows {
 		if i >= maxRows {

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"biscuit"
 	"biscuit/internal/db"
@@ -66,5 +70,29 @@ func TestPrintStatsQ6(t *testing.T) {
 	wantNames := "db.scan.conv db.scan.ndp fiber.sched hostif.read"
 	if n := strings.Join(names, " "); n != wantNames {
 		t.Fatalf("latency histograms %q, want %q", n, wantNames)
+	}
+}
+
+func TestReadQueriesSplitsOnSemicolons(t *testing.T) {
+	got, err := readQueries(strings.NewReader("SELECT 1 ;\n\n; SELECT 2;  \n SELECT 3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"SELECT 1", "SELECT 2", "SELECT 3"}; !slices.Equal(got, want) {
+		t.Fatalf("queries = %q, want %q", got, want)
+	}
+}
+
+// TestReadQueriesReportsReadError: a failed stdin read must surface,
+// not run whatever partial query text arrived before it.
+func TestReadQueriesReportsReadError(t *testing.T) {
+	boom := errors.New("boom")
+	r := io.MultiReader(strings.NewReader("SELECT 1; SELECT l_orderkey FROM"), iotest.ErrReader(boom))
+	got, err := readQueries(r)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if got != nil {
+		t.Fatalf("queries = %q on a read error, want none", got)
 	}
 }

@@ -21,7 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -29,33 +29,41 @@ import (
 	"biscuit/internal/tracestat"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tracestat: ")
-	crit := flag.Bool("crit", false, "critical-path analysis of the query window instead of track aggregates")
-	root := flag.String("root", "sql.query", "root span name anchoring -crit's window")
-	nth := flag.Int("nth", 0, "which root span to analyze when several share the name (0-based; -1 = last)")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		log.Fatal("usage: tracestat [-crit [-root span] [-nth n]] trace.json...")
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main with its arguments and output streams as parameters so
+// the test can drive it; it returns the exit code.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracestat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	crit := fs.Bool("crit", false, "critical-path analysis of the query window instead of track aggregates")
+	root := fs.String("root", "sql.query", "root span name anchoring -crit's window")
+	nth := fs.Int("nth", 0, "which root span to analyze when several share the name (0-based; -1 = last)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "tracestat: usage: tracestat [-crit [-root span] [-nth n]] trace.json...")
+		return 1
 	}
 	failed := false
-	for _, path := range flag.Args() {
-		if err := analyze(path, *crit, *root, *nth); err != nil {
+	for _, path := range fs.Args() {
+		if err := analyze(stdout, path, *crit, *root, *nth); err != nil {
 			failed = true
 			for _, line := range strings.Split(err.Error(), "\n") {
-				log.Printf("%s: %s", path, line)
+				fmt.Fprintf(stderr, "tracestat: %s: %s\n", path, line)
 			}
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // analyze checks one file and prints its report; the error carries
 // every violation, one per line.
-func analyze(path string, crit bool, root string, nth int) error {
+func analyze(w io.Writer, path string, crit bool, root string, nth int) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -65,54 +73,53 @@ func analyze(path string, crit bool, root string, nth int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("== %s: %d tracks, %d spans, %d instants, %d counter series, end %v\n",
+	fmt.Fprintf(w, "== %s: %d tracks, %d spans, %d instants, %d counter series, end %v\n",
 		path, len(tr.Tracks), len(tr.Spans), tr.Instants, len(tr.Counters), sim.Time(tr.End))
 	if crit {
-		return printCrit(tr, root, nth)
+		return printCrit(w, tr, root, nth)
 	}
-	printAggregates(tr)
+	printAggregates(w, tr)
 	return nil
 }
-
-func printAggregates(tr *tracestat.Trace) {
-	fmt.Printf("%-28s %-24s %8s %14s %14s %14s\n", "track", "span", "count", "total", "min", "max")
+func printAggregates(w io.Writer, tr *tracestat.Trace) {
+	fmt.Fprintf(w, "%-28s %-24s %8s %14s %14s %14s\n", "track", "span", "count", "total", "min", "max")
 	for _, a := range tr.Aggregate() {
-		fmt.Printf("%-28s %-24s %8d %14v %14v %14v\n",
+		fmt.Fprintf(w, "%-28s %-24s %8d %14v %14v %14v\n",
 			a.Track, a.Name, a.Count, sim.Time(a.TotalNs), sim.Time(a.MinNs), sim.Time(a.MaxNs))
 	}
 	if len(tr.Counters) == 0 {
 		return
 	}
-	fmt.Printf("\n%-40s %8s %10s %10s %12s %10s\n", "counter", "samples", "min", "max", "mean", "last")
+	fmt.Fprintf(w, "\n%-40s %8s %10s %10s %12s %10s\n", "counter", "samples", "min", "max", "mean", "last")
 	for _, st := range tr.CounterStats() {
-		fmt.Printf("%-40s %8d %10d %10d %12.3f %10d\n",
+		fmt.Fprintf(w, "%-40s %8d %10d %10d %12.3f %10d\n",
 			st.Track, st.Samples, st.Min, st.Max, float64(st.MeanMilli)/1000, st.Last)
 	}
 }
 
-func printCrit(tr *tracestat.Trace, root string, nth int) error {
+func printCrit(w io.Writer, tr *tracestat.Trace, root string, nth int) error {
 	b, err := tr.CriticalPathNth(root, nth)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("query %q: %v (start %v, end %v); device-side critical path %v (%.1f%%)\n",
+	fmt.Fprintf(w, "query %q: %v (start %v, end %v); device-side critical path %v (%.1f%%)\n",
 		b.QueryName, sim.Time(b.TotalNs), sim.Time(b.QueryStart), sim.Time(b.QueryEnd),
 		sim.Time(b.DeviceNs), pct(b.DeviceNs, b.TotalNs))
-	fmt.Println("\nper-layer attribution (deepest busy layer wins each instant):")
+	fmt.Fprintln(w, "\nper-layer attribution (deepest busy layer wins each instant):")
 	for _, l := range b.Layers {
-		fmt.Printf("  %-6s %14v  %5.1f%%\n", l.Layer, sim.Time(l.Ns), pct(l.Ns, b.TotalNs))
+		fmt.Fprintf(w, "  %-6s %14v  %5.1f%%\n", l.Layer, sim.Time(l.Ns), pct(l.Ns, b.TotalNs))
 	}
-	fmt.Println("\nper-operator breakdown (sums to the query span exactly):")
+	fmt.Fprintln(w, "\nper-operator breakdown (sums to the query span exactly):")
 	for _, op := range b.Operators {
-		fmt.Printf("  %-6s %-24s %14v  %5.1f%%\n", op.Layer, op.Name, sim.Time(op.Ns), pct(op.Ns, b.TotalNs))
+		fmt.Fprintf(w, "  %-6s %-24s %14v  %5.1f%%\n", op.Layer, op.Name, sim.Time(op.Ns), pct(op.Ns, b.TotalNs))
 	}
-	fmt.Printf("\ncritical path: %d segments\n", len(b.Chain))
+	fmt.Fprintf(w, "\ncritical path: %d segments\n", len(b.Chain))
 	for i, c := range b.Chain {
 		if i >= 40 {
-			fmt.Printf("  ... %d more segments\n", len(b.Chain)-i)
+			fmt.Fprintf(w, "  ... %d more segments\n", len(b.Chain)-i)
 			break
 		}
-		fmt.Printf("  %-6s %-24s %14v\n", c.Layer, c.Name, sim.Time(c.Ns))
+		fmt.Fprintf(w, "  %-6s %-24s %14v\n", c.Layer, c.Name, sim.Time(c.Ns))
 	}
 	return nil
 }

@@ -13,7 +13,6 @@ import (
 
 	"biscuit"
 	"biscuit/internal/graph"
-	"biscuit/internal/loadgen"
 )
 
 func main() {
@@ -33,9 +32,9 @@ func main() {
 		fmt.Printf("graph: %d nodes stored as %d-byte records\n\n", nodes, graph.NodeRecordSize)
 		fmt.Printf("%-10s %14s %14s %9s\n", "#threads", "Conv", "Biscuit", "gain")
 
-		lg := loadgen.New(h.System().Plat)
+		plat := h.System().Plat
 		for _, threads := range []int{0, 6, 12, 18, 24} {
-			lg.Start(threads)
+			plat.SetHostLoad(threads)
 			t0 := h.Now()
 			cres, err := s.ChaseConv(h, walks, hops, biscuit.SeededRand(42))
 			if err != nil {
@@ -53,7 +52,7 @@ func main() {
 			}
 			fmt.Printf("%-10d %14v %14v %8.2fx\n", threads, convT, ndpT, float64(convT)/float64(ndpT))
 		}
-		lg.Stop()
+		plat.SetHostLoad(0)
 		fmt.Println("\nConv degrades with load; the in-SSD walk does not (paper Table IV).")
 	})
 }

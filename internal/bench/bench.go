@@ -68,7 +68,8 @@ func platformConfig() biscuit.Config {
 func newSystem() *biscuit.System { return newSystemWith(platformConfig()) }
 
 // newSystemWith builds a platform from cfg — every experiment's only
-// way to one, so OnSystem sees them all.
+// way to one outside the serving arrays (serveWindow), so OnSystem sees
+// them all.
 func newSystemWith(cfg biscuit.Config) *biscuit.System {
 	sys := biscuit.NewSystem(cfg)
 	if OnSystem != nil {

@@ -110,11 +110,17 @@ func runServePoint(sz serveSizes, devices int, policy string, qps float64) *serv
 // it, sampling the gauge registries throughout so the report carries
 // per-series digests and min/mean/max — telemetry drift (a gauge that
 // stops moving, a changed sampling cadence) then fails benchgate
-// exactly like a row-digest change would. what names the point in the
-// panic on a bad cfg.
+// exactly like a row-digest change would. Each drive of the array goes
+// through OnSystem like a newSystemWith platform. what names the point
+// in the panic on a bad cfg.
 func serveWindow(what string, cfg serve.Config) (*serve.Server, *serve.Report) {
 	s, err := serve.New(cfg)
 	must(what, err)
+	if OnSystem != nil {
+		for _, sys := range s.MS.Systems {
+			OnSystem(sys)
+		}
+	}
 	s.EnableTelemetry(telemetry.DefaultInterval)
 	return s, s.Run()
 }

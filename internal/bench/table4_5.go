@@ -7,7 +7,6 @@ import (
 
 	"biscuit"
 	"biscuit/internal/graph"
-	"biscuit/internal/loadgen"
 	"biscuit/internal/sim"
 	"biscuit/internal/weblog"
 )
@@ -77,9 +76,9 @@ func RunTable4(cfg Config) Table4 {
 	sys.Run(func(h *biscuit.Host) {
 		s, err := graph.Generate(h, sz.graphNodes, biscuit.SeededRand(seed))
 		must("table4: graph", err)
-		lg := loadgen.New(h.System().Plat)
+		plat := h.System().Plat
 		for _, threads := range sz.loads {
-			lg.Start(threads)
+			plat.SetHostLoad(threads)
 			row := LoadSweepRow{Threads: threads}
 			row.Conv = timeIt(h, func() {
 				_, err := s.ChaseConv(h, sz.walks, sz.hops, biscuit.SeededRand(seed))
@@ -91,7 +90,7 @@ func RunTable4(cfg Config) Table4 {
 			})
 			out.Rows = append(out.Rows, row)
 		}
-		lg.Stop()
+		plat.SetHostLoad(0)
 	})
 	return out
 }
@@ -145,14 +144,14 @@ func RunTable5(cfg Config) Table5 {
 	sys := newSystem()
 	sys.Run(func(h *biscuit.Host) {
 		genLog(h, sz.weblogBytes)
-		lg := loadgen.New(h.System().Plat)
+		plat := h.System().Plat
 		for _, threads := range sz.loads {
-			lg.Start(threads)
+			plat.SetHostLoad(threads)
 			row := LoadSweepRow{Threads: threads}
 			row.Conv, row.Biscuit, out.Matches = searchBoth(h)
 			out.Rows = append(out.Rows, row)
 		}
-		lg.Stop()
+		plat.SetHostLoad(0)
 	})
 	return out
 }

@@ -112,7 +112,7 @@ func (l *scanLife) end() {
 		return
 	}
 	l.span.End()
-	l.ex.H.System().Plat.Hists.Observe("db.scan."+l.kind, int64(l.ex.H.Now()-l.started))
+	l.ex.H.System().Plat.Hists.H("db.scan." + l.kind).Record(int64(l.ex.H.Now() - l.started))
 	*l = scanLife{}
 }
 

@@ -224,7 +224,7 @@ func (p *Platform) InternalRead(proc *sim.Proc, off int64, n int) ([]byte, error
 	start := proc.Now()
 	data, err := p.FTL.ReadRange(proc, off, n)
 	proc.Sleep(InternalReadOverhead)
-	p.Hists.Observe("dev.internal.read", int64(proc.Now()-start))
+	p.Hists.H("dev.internal.read").Record(int64(proc.Now() - start))
 	sp.End()
 	return data, err
 }
@@ -286,7 +286,13 @@ func (p *Platform) StartRebuild(interval sim.Time) {
 func (p *Platform) StopRebuild() { p.rebuildOn = false }
 
 // SetHostLoad sets the number of StreamBench-style background threads
-// contending for host memory bandwidth.
+// contending for host memory bandwidth (paper §V-C; 0 removes the load).
+// Each thread is a permanent processor-sharing claimant on HostMem, not
+// a simulated process: the same contention without flooding the event
+// queue. Only host-side paths touch HostMem, which is why Conv degrades
+// under Tables IV and V's 0–24-thread sweep while Biscuit stays flat.
+// Platforms built on one NewHost share HostMem, so on a scale-up array
+// one call loads every drive's host path.
 func (p *Platform) SetHostLoad(threads int) { p.HostMem.SetLoad(threads) }
 
 // HostLoad returns the current number of background load threads.

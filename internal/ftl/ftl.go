@@ -938,7 +938,7 @@ func (f *FTL) collect(p *sim.Proc) {
 			f.sbFree[victim] = true
 		}
 		sp.Arg("moves", moved).End()
-		f.hists.Observe("ftl.gc.round", int64(p.Now()-roundStart))
+		f.hists.H("ftl.gc.round").Record(int64(p.Now() - roundStart))
 	}
 }
 

@@ -422,7 +422,7 @@ func (f *FTL) reconstruct(p *sim.Proc, ppi int) ([]byte, error) {
 	out := f.fold(p, seed, pages)
 	sp.End()
 	f.rain.Reconstructs++
-	f.hists.Observe("ftl.rain.reconstruct", int64(p.Now()-start))
+	f.hists.H("ftl.rain.reconstruct").Record(int64(p.Now() - start))
 	f.arr.Injector().Record(fault.Reconstruct, "ftl.rain "+f.ppa(ppi).String())
 	return out, nil
 }

@@ -3,7 +3,7 @@
 // (3.2 GB/s per direction), with driver and doorbell costs on the host
 // CPU and command-handling costs in device firmware.
 //
-// Conventional ("Conv") I/O traverses this interface; Biscuit-internal
+// Conventional ("Conv") reads traverse this interface; Biscuit-internal
 // reads do not — that asymmetry is the root of both the latency gap in
 // Table III and the bandwidth gap in Fig. 7 of the paper.
 package hostif
@@ -110,8 +110,8 @@ func (i *Interface) SetTracer(tr *trace.Tracer) {
 	}
 }
 
-// SetHists installs the registry receiving per-command latency
-// distributions ("hostif.read", "hostif.write"). Nil disables.
+// SetHists installs the registry receiving the read command latency
+// distribution ("hostif.read"). Nil disables.
 func (i *Interface) SetHists(h *stats.Histograms) { i.hists = h }
 
 // SetGauges installs the telemetry gauges: "hostif.qd" tracks occupied
@@ -195,30 +195,23 @@ func (i *Interface) complete(p *sim.Proc) {
 	i.qd.Release()
 }
 
-// cmdKind names one kind of conventional block command in error text,
-// on the trace and in the latency histograms.
-type cmdKind struct{ what, span, hist string }
-
-var (
-	readCmd  = cmdKind{"read", "nvme.read", "hostif.read"}
-	writeCmd = cmdKind{"write", "nvme.write", "hostif.write"}
-)
-
-// command is the one envelope around a conventional block command: an
-// async span, the in-flight gauge and the latency histogram around once
-// run under the bounded retry policy. A failed command (timeout or
-// media error) is reissued after an exponential sim-time backoff, up to
-// cmdRetries extra attempts. Media retries at this level roll fresh FTL
-// read-retries, which is why the conventional path survives fault plans
-// that defeat a single internal read.
-func (i *Interface) command(p *sim.Proc, k cmdKind, off int64, n int, once func() error) error {
-	sp := i.tr.BeginAsync(i.cmdTk, k.span).Arg("off", off).Arg("bytes", int64(n))
+// Read performs one conventional host read of len(buf) bytes at byte
+// offset off: submit, media read (parallel across channels via the FTL),
+// DMA to host, complete. The command is one async span, one in-flight
+// gauge step and one "hostif.read" latency sample around a bounded
+// retry policy: a failed attempt (timeout or media error) is reissued
+// after an exponential sim-time backoff, up to cmdRetries extra
+// attempts. Media retries at this level roll fresh FTL read-retries,
+// which is why the conventional path survives fault plans that defeat a
+// single internal read.
+func (i *Interface) Read(p *sim.Proc, off int64, buf []byte) error {
+	sp := i.tr.BeginAsync(i.cmdTk, "nvme.read").Arg("off", off).Arg("bytes", int64(len(buf)))
 	i.gInflight.Add(1)
 	start := p.Now()
 	backoff := retryBackoff
 	var err error
 	for try := 0; ; try++ {
-		err = once()
+		err = i.readOnce(p, off, buf)
 		if err == nil || try >= cmdRetries {
 			break
 		}
@@ -227,20 +220,13 @@ func (i *Interface) command(p *sim.Proc, k cmdKind, off int64, n int, once func(
 		p.Sleep(backoff)
 		backoff *= 2
 	}
-	i.hists.Observe(k.hist, int64(p.Now()-start))
+	i.hists.H("hostif.read").Record(int64(p.Now() - start))
 	i.gInflight.Add(-1)
 	sp.End()
 	if err != nil {
-		return fmt.Errorf("hostif: %s failed after %d attempts: %w", k.what, cmdRetries+1, err)
+		return fmt.Errorf("hostif: read failed after %d attempts: %w", cmdRetries+1, err)
 	}
 	return nil
-}
-
-// Read performs one conventional host read of len(buf) bytes at byte
-// offset off: submit, media read (parallel across channels via the FTL),
-// DMA to host, complete — reissued on failure per the retry policy.
-func (i *Interface) Read(p *sim.Proc, off int64, buf []byte) error {
-	return i.command(p, readCmd, off, len(buf), func() error { return i.readOnce(p, off, buf) })
 }
 
 func (i *Interface) readOnce(p *sim.Proc, off int64, buf []byte) error {
@@ -265,24 +251,6 @@ func (i *Interface) ReadAsync(p *sim.Proc, off int64, buf []byte) *sim.Completio
 		done.Done(i.Read(rp, off, buf))
 	})
 	return done
-}
-
-// Write performs one conventional host write: submit, DMA from host,
-// media program, complete — reissued on failure per the retry policy
-// (rewriting the same logical pages is idempotent in a page-mapped FTL).
-func (i *Interface) Write(p *sim.Proc, off int64, data []byte) error {
-	return i.command(p, writeCmd, off, len(data), func() error { return i.writeOnce(p, off, data) })
-}
-
-func (i *Interface) writeOnce(p *sim.Proc, off int64, data []byte) error {
-	if err := i.submit(p); err != nil {
-		return err
-	}
-	i.xferDown(p, int64(len(data)))
-	i.bytesDown += int64(len(data))
-	err := i.ftl.WriteRange(p, off, data)
-	i.complete(p)
-	return err
 }
 
 // Message moves an opaque payload between host and device outside the

@@ -25,11 +25,14 @@ func testStack() (*sim.Env, *Interface, *ftl.FTL) {
 	return e, New(e, Config{}, f, host, dev), f
 }
 
+// TestHostWriteReadRoundTrip: a conventional read returns what the host
+// wrote. Host writes reach the media through the FTL (isfs → FTL), not
+// through an NVMe command.
 func TestHostWriteReadRoundTrip(t *testing.T) {
 	e, hi, _ := testStack()
 	want := bytes.Repeat([]byte{0x5A}, 10000)
 	e.Spawn("host", func(p *sim.Proc) {
-		hi.Write(p, 123, want)
+		hi.ftl.WriteRange(p, 123, want)
 		got := make([]byte, len(want))
 		hi.Read(p, 123, got)
 		if !bytes.Equal(got, want) {
@@ -43,7 +46,7 @@ func TestHostReadSlowerThanInternal(t *testing.T) {
 	e, hi, f := testStack()
 	var conv, internal sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		hi.Write(p, 0, make([]byte, 4096))
+		hi.ftl.WriteRange(p, 0, make([]byte, 4096))
 		start := p.Now()
 		hi.Read(p, 0, make([]byte, 4096))
 		conv = p.Now() - start
@@ -67,7 +70,7 @@ func TestAsyncReadsOverlap(t *testing.T) {
 	const n = 8
 	var syncTime, asyncTime sim.Time
 	e.Spawn("host", func(p *sim.Proc) {
-		hi.Write(p, 0, make([]byte, n*4096))
+		hi.ftl.WriteRange(p, 0, make([]byte, n*4096))
 		start := p.Now()
 		for j := 0; j < n; j++ {
 			hi.Read(p, int64(j*4096), make([]byte, 4096))

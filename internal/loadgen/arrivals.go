@@ -1,3 +1,5 @@
+// Package loadgen draws the open-loop arrival processes the serving
+// layer (internal/serve) schedules against.
 package loadgen
 
 import (

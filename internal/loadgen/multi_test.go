@@ -70,20 +70,23 @@ func TestArrayLoadSweepDegradesConvNotNDP(t *testing.T) {
 		return p.Now() - start
 	}
 
-	lg := NewMulti(ms)
 	var convIdle, convLoaded, ndpIdle, ndpLoaded sim.Time
 	var maxSlow float64 // the contention model's slowdown at 24 threads
 	ms.Run(func(h *biscuit.MultiHost) {
 		convIdle = scanAll(h, true)
 		ndpIdle = scanAll(h, false)
-		lg.Start(24)
-		if lg.Threads() != 24 {
-			panic("thread accounting lost on array generator")
+		// One host fronts the array, so loading it through drive 0
+		// loads every drive's host path.
+		ms.Systems[0].Plat.SetHostLoad(24)
+		for i, sys := range ms.Systems {
+			if got := sys.Plat.HostLoad(); got != 24 {
+				panic(fmt.Sprintf("drive %d sees host load %d, want 24", i, got))
+			}
 		}
-		maxSlow = ms.Systems[0].Plat.LoadFactor()
+		maxSlow = ms.Systems[devices-1].Plat.LoadFactor()
 		convLoaded = scanAll(h, true)
 		ndpLoaded = scanAll(h, false)
-		lg.Stop()
+		ms.Systems[0].Plat.SetHostLoad(0)
 	})
 
 	convRatio := float64(convLoaded) / float64(convIdle)

@@ -131,7 +131,6 @@ type Server struct {
 	MS     *biscuit.MultiSystem
 	DBs    []*db.Database
 	Datas  []*tpch.Data
-	Hists  *stats.Histograms
 	Gauges *stats.Gauges
 
 	// Monitor is the device-health classifier, non-nil under Cfg.Heal.
@@ -265,7 +264,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		Cfg:    cfg,
 		MS:     biscuit.NewMultiSystemConfigs(base, cfg.Devices, per),
-		Hists:  stats.NewHistograms(),
 		Gauges: stats.NewGauges(),
 		policy: pol,
 	}
@@ -406,7 +404,7 @@ func (s *Server) buildTenants() error {
 			idx:      ti,
 			wl:       wl,
 			devices:  devs,
-			lat:      s.Hists.H("tenant." + tc.Name + ".sojourn_ns"),
+			lat:      stats.NewHistogram(),
 			gBacklog: s.Gauges.G("tenant." + tc.Name + ".backlog"),
 		}
 		t.shardDev = append([]int(nil), devs...)
@@ -448,13 +446,12 @@ func (s *Server) SetTracer(tr *trace.Tracer) {
 // Call before Run; the report then carries per-series summaries, and a
 // tracer set via SetTracer additionally gains one Perfetto counter
 // track per series.
-func (s *Server) EnableTelemetry(interval sim.Time) *telemetry.Sampler {
+func (s *Server) EnableTelemetry(interval sim.Time) {
 	s.sampler = telemetry.NewSampler(s.MS.Env, interval)
 	for i, sys := range s.MS.Systems {
 		s.sampler.Attach(sys.Plat.Gauges, fmt.Sprintf("ssd%d.", i))
 	}
 	s.sampler.Attach(s.Gauges, "")
-	return s.sampler
 }
 
 // Run executes the serving window to drain and reports it. Run

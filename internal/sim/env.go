@@ -28,8 +28,7 @@ type Env struct {
 }
 
 // SchedEvent describes one scheduler dispatch: the event's firing time
-// and its global scheduling sequence number. It is the structured form
-// of the old SetTrace debug string.
+// and its global scheduling sequence number.
 type SchedEvent struct {
 	At  Time
 	Seq uint64
@@ -49,20 +48,6 @@ func (e *Env) Now() Time { return e.now }
 // scheduler dispatch. A nil fn disables the hook. The hook runs in
 // scheduler context and must not block.
 func (e *Env) SetSchedHook(fn func(SchedEvent)) { e.schedHook = fn }
-
-// SetTrace installs fn to receive one formatted line per scheduler
-// action, for debugging. A nil fn disables tracing. It is a thin
-// string adapter over SetSchedHook (and displaces any hook installed
-// there).
-func (e *Env) SetTrace(fn func(string)) {
-	if fn == nil {
-		e.schedHook = nil
-		return
-	}
-	e.schedHook = func(ev SchedEvent) {
-		fn(fmt.Sprintf("t=%v seq=%d", ev.At, ev.Seq))
-	}
-}
 
 // event is one pending queue entry. Exactly one of the three targets is
 // set: a typed wake target (start or resume a process), a typed fire

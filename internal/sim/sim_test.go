@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -417,21 +416,6 @@ func TestSharedBWConservesWork(t *testing.T) {
 	}
 }
 
-func TestTraceHookObservesEvents(t *testing.T) {
-	e := NewEnv()
-	var lines []string
-	e.SetTrace(func(s string) { lines = append(lines, s) })
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(10)
-		p.Sleep(20)
-	})
-	e.Run()
-	if len(lines) < 3 { // spawn + two sleeps
-		t.Fatalf("trace lines=%d, want >=3: %v", len(lines), lines)
-	}
-	e.SetTrace(nil)
-}
-
 func TestSchedHookStructuredEvents(t *testing.T) {
 	e := NewEnv()
 	var evs []SchedEvent
@@ -451,25 +435,6 @@ func TestSchedHookStructuredEvents(t *testing.T) {
 		}
 		if evs[i].Seq == evs[i-1].Seq {
 			t.Fatalf("duplicate seq %d", evs[i].Seq)
-		}
-	}
-	// The string adapter renders the same dispatches in the legacy
-	// format.
-	e2 := NewEnv()
-	var lines []string
-	e2.SetTrace(func(s string) { lines = append(lines, s) })
-	e2.Spawn("p", func(p *Proc) {
-		p.Sleep(10)
-		p.Sleep(20)
-	})
-	e2.Run()
-	if len(lines) != len(evs) {
-		t.Fatalf("adapter lines=%d, hook events=%d", len(lines), len(evs))
-	}
-	for i, ev := range evs {
-		want := fmt.Sprintf("t=%v seq=%d", ev.At, ev.Seq)
-		if lines[i] != want {
-			t.Fatalf("line %d = %q, want %q", i, lines[i], want)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package stats
 
-import "sort"
-
 // Gauge is a point-in-time level — queue depth, busy dies, backlog —
 // the instantaneous sibling of the monotonic Counters. Like the rest of
 // the stats family it is simulation-grade: no atomics (the sim kernel
@@ -52,8 +50,7 @@ func (g *Gauge) Value() int64 {
 // Gauges is the named-gauge registry. Unlike Counters it remembers
 // registration order — a telemetry sampler iterates gauges in that
 // order, so series order (and therefore every digest downstream) is
-// fixed by construction order, never map order. Snapshot stays
-// name-sorted like the other registries.
+// fixed by construction order, never map order.
 type Gauges struct {
 	m     map[string]*Gauge
 	order []string // registration order == sampler series order
@@ -79,12 +76,6 @@ func (gs *Gauges) G(name string) *Gauge {
 	}
 	return g
 }
-
-// Set replaces the named gauge's level, creating it if needed.
-func (gs *Gauges) Set(name string, v int64) { gs.G(name).Set(v) }
-
-// Add moves the named gauge's level by d, creating it if needed.
-func (gs *Gauges) Add(name string, d int64) { gs.G(name).Add(d) }
 
 // Get reports the named gauge's level (0 if never registered).
 func (gs *Gauges) Get(name string) int64 {
@@ -126,24 +117,4 @@ func (gs *Gauges) OnChange(fn func()) {
 		return
 	}
 	gs.hooks = append(gs.hooks, fn)
-}
-
-// NamedGauge is one (name, value) pair of a snapshot.
-type NamedGauge struct {
-	Name  string
-	Value int64
-}
-
-// Snapshot returns all gauges sorted by name. The snapshot is a copy:
-// later mutations do not alter it.
-func (gs *Gauges) Snapshot() []NamedGauge {
-	if gs == nil {
-		return nil
-	}
-	out := make([]NamedGauge, 0, len(gs.m))
-	for k, v := range gs.m {
-		out = append(out, NamedGauge{k, v.v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

@@ -17,10 +17,10 @@ func TestGaugeSetAddGet(t *testing.T) {
 	if got := gs.Get("hostif.qd"); got != 5 {
 		t.Fatalf("Get = %d, want 5", got)
 	}
-	gs.Set("hostif.qd", 2)
-	gs.Add("hostif.qd", 2)
+	gs.G("hostif.qd").Set(2)
+	gs.G("hostif.qd").Add(2)
 	if got := gs.Get("hostif.qd"); got != 4 {
-		t.Fatalf("registry Set/Add = %d, want 4", got)
+		t.Fatalf("Set/Add through G = %d, want 4", got)
 	}
 	if got := gs.Get("never.registered"); got != 0 {
 		t.Fatalf("unregistered Get = %d, want 0", got)
@@ -50,20 +50,6 @@ func TestGaugesRegistrationOrder(t *testing.T) {
 		if got, _ := gs.Ith(i); got != want {
 			t.Fatalf("Ith(%d) = %q, want %q (registration order)", i, got, want)
 		}
-	}
-}
-
-func TestGaugesSnapshotSortedAndStable(t *testing.T) {
-	gs := NewGauges()
-	gs.Set("b.level", 2)
-	gs.Set("a.level", 1)
-	snap := gs.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "a.level" || snap[1].Name != "b.level" {
-		t.Fatalf("snapshot not name-sorted: %+v", snap)
-	}
-	gs.Set("a.level", 99)
-	if snap[0].Value != 1 {
-		t.Fatalf("snapshot mutated by later Set: %+v", snap)
 	}
 }
 
@@ -103,7 +89,7 @@ func TestGaugeNilSafety(t *testing.T) {
 		t.Fatalf("nil gauge Value != 0")
 	}
 	gs.OnChange(func() {})
-	if gs.Len() != 0 || gs.Get("x") != 0 || gs.Snapshot() != nil {
+	if gs.Len() != 0 || gs.Get("x") != 0 {
 		t.Fatalf("nil registry not inert")
 	}
 }

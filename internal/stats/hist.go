@@ -175,28 +175,14 @@ func (h *Histogram) Summary() LatencySummary {
 
 // Histograms is a named-histogram registry, the distribution-valued
 // sibling of Counters. Names are free-form dotted strings
-// ("hostif.read"). A nil registry ignores Observe, so components
-// record unconditionally.
+// ("hostif.read"). A nil registry hands out nil histograms, which
+// ignore Record, so components record unconditionally.
 type Histograms struct {
 	m map[string]*Histogram
 }
 
 // NewHistograms returns an empty registry.
 func NewHistograms() *Histograms { return &Histograms{m: map[string]*Histogram{}} }
-
-// Observe records one sample into the named histogram, creating it on
-// first use. A nil registry ignores the call.
-func (hs *Histograms) Observe(name string, v int64) {
-	if hs == nil {
-		return
-	}
-	h := hs.m[name]
-	if h == nil {
-		h = NewHistogram()
-		hs.m[name] = h
-	}
-	h.Record(v)
-}
 
 // H returns the named histogram, creating it if needed, so hot paths
 // can resolve the name once and Record directly instead of paying the

@@ -111,15 +111,15 @@ func TestLatencySummaryJSONShape(t *testing.T) {
 
 func TestHistogramsRegistry(t *testing.T) {
 	var nilReg *Histograms
-	nilReg.Observe("x", 1) // must not panic
+	nilReg.H("x").Record(1) // must not panic
 	if nilReg.Get("x") != nil || nilReg.Snapshot() != nil {
 		t.Fatal("nil registry must read as empty")
 	}
 
 	hs := NewHistograms()
-	hs.Observe("b.second", 10)
-	hs.Observe("a.first", 20)
-	hs.Observe("a.first", 30)
+	hs.H("b.second").Record(10)
+	hs.H("a.first").Record(20)
+	hs.H("a.first").Record(30)
 	snap := hs.Snapshot()
 	if len(snap) != 2 || snap[0].Name != "a.first" || snap[1].Name != "b.second" {
 		t.Fatalf("snapshot order: %+v", snap)
@@ -145,10 +145,10 @@ func TestHistogramRecordNoAllocs(t *testing.T) {
 
 func TestHistogramsSnapshotStableUnderMutation(t *testing.T) {
 	hs := NewHistograms()
-	hs.Observe("hostif.read", 1000)
-	hs.Observe("hostif.read", 3000)
+	hs.H("hostif.read").Record(1000)
+	hs.H("hostif.read").Record(3000)
 	snap := hs.Snapshot()
-	hs.Observe("hostif.read", 1_000_000) // the window keeps serving
+	hs.H("hostif.read").Record(1_000_000) // the window keeps serving
 	if len(snap) != 1 {
 		t.Fatalf("snapshot has %d entries, want 1", len(snap))
 	}

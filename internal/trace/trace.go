@@ -223,17 +223,3 @@ func (t *Tracer) Len() int {
 	}
 	return len(t.st.events)
 }
-
-// AttachSched routes the sim scheduler's structured dispatch events
-// into the tracer as instants on a "sim/sched" track. This is the
-// firehose — one event per scheduler action — so it is opt-in and
-// meant for kernel debugging, not query-level traces.
-func (t *Tracer) AttachSched() {
-	if t == nil {
-		return
-	}
-	tk := t.Track("sim/sched")
-	t.st.env.SetSchedHook(func(ev sim.SchedEvent) {
-		t.Instant(tk, "dispatch").Arg("seq", int64(ev.Seq))
-	})
-}

@@ -43,7 +43,6 @@ func TestNilTracerIsInert(t *testing.T) {
 	s.End()
 	tr.BeginAsync(tk, "b").End()
 	tr.Instant(tk, "i")
-	tr.AttachSched()
 	if tr.Len() != 0 || tr.Now() != 0 {
 		t.Fatal("nil tracer must observe nothing")
 	}
@@ -176,17 +175,6 @@ func TestTrackRegistrationStable(t *testing.T) {
 	}
 	if a == b {
 		t.Fatal("distinct tracks share an id")
-	}
-}
-
-func TestAttachSchedRoutesDispatches(t *testing.T) {
-	env := sim.NewEnv()
-	tr := New(env)
-	tr.AttachSched()
-	env.Spawn("p", func(p *sim.Proc) { p.Sleep(10); p.Sleep(10) })
-	env.Run()
-	if tr.Len() < 3 {
-		t.Fatalf("sched instants = %d, want >= 3", tr.Len())
 	}
 }
 

@@ -402,19 +402,13 @@ type Breakdown struct {
 	DeviceNs int64
 }
 
-// CriticalPath attributes the window of the given root span (default:
-// the first "sql.query" span) to the deepest busy layer at every
-// instant. Every instant of the window is covered — the root span
-// itself is host work — so the layer and operator shares each sum to
-// the window exactly.
-func (t *Trace) CriticalPath(rootName string) (*Breakdown, error) {
-	return t.CriticalPathNth(rootName, 0)
-}
-
-// CriticalPathNth anchors the analysis to the n-th span (0-based, in
-// start order) named rootName; negative n counts from the end, so -1
+// CriticalPathNth attributes the window of the n-th span (0-based, in
+// start order) named rootName (default "sql.query") to the deepest busy
+// layer at every instant. Negative n counts from the end, so -1
 // analyzes the last such span — e.g. the Biscuit run when a trace
-// carries a Conv run's "sql.query" span first.
+// carries a Conv run's "sql.query" span first. Every instant of the
+// window is covered — the root span itself is host work — so the layer
+// and operator shares each sum to the window exactly.
 func (t *Trace) CriticalPathNth(rootName string, n int) (*Breakdown, error) {
 	if rootName == "" {
 		rootName = "sql.query"

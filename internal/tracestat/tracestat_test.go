@@ -128,7 +128,7 @@ func TestCounterStats(t *testing.T) {
 
 func TestCriticalPathAttribution(t *testing.T) {
 	tr := buildTrace(t)
-	b, err := tr.CriticalPath("")
+	b, err := tr.CriticalPathNth("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCriticalPathAttribution(t *testing.T) {
 
 func TestCriticalPathMissingRoot(t *testing.T) {
 	tr := buildTrace(t)
-	if _, err := tr.CriticalPath("no.such.span"); err == nil {
+	if _, err := tr.CriticalPathNth("no.such.span", 0); err == nil {
 		t.Fatal("missing root span did not error")
 	}
 }
