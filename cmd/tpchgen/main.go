@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -14,34 +15,43 @@ import (
 	"biscuit/internal/tpch"
 )
 
-func main() {
-	var (
-		sf   = flag.Float64("sf", 0.01, "scale factor (paper uses 100)")
-		seed = flag.Int64("seed", 1, "generator seed")
-	)
-	flag.Parse()
+func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// cli is main with its arguments and output streams as parameters so
+// the test can drive it; it returns the exit code.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tpchgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sf := fs.Float64("sf", 0.01, "scale factor (paper uses 100)")
+	seed := fs.Int64("seed", 1, "generator seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	sys := biscuit.NewSystem(biscuit.DefaultConfig())
 	d := db.Open(sys)
+	var err error
 	took := sys.Run(func(h *biscuit.Host) {
-		if _, err := (tpch.Gen{SF: *sf}).Load(h, d, biscuit.SeededRand(*seed)); err != nil {
-			fmt.Fprintln(os.Stderr, "load:", err)
-			os.Exit(1)
-		}
+		_, err = (tpch.Gen{SF: *sf}).Load(h, d, biscuit.SeededRand(*seed))
 	})
+	if err != nil {
+		fmt.Fprintln(stderr, "load:", err)
+		return 1
+	}
 
 	names := make([]string, 0, len(d.Tables()))
 	for n := range d.Tables() {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fmt.Printf("TPC-H SF %.3f loaded in %v (device time)\n", *sf, took)
-	fmt.Printf("%-10s %12s %8s %12s\n", "table", "rows", "pages", "bytes")
+	fmt.Fprintf(stdout, "TPC-H SF %.3f loaded in %v (device time)\n", *sf, took)
+	fmt.Fprintf(stdout, "%-10s %12s %8s %12s\n", "table", "rows", "pages", "bytes")
 	var totalB int64
 	for _, n := range names {
 		t := d.Table(n)
-		fmt.Printf("%-10s %12d %8d %12d\n", n, t.Rows, t.Pages, t.Bytes())
+		fmt.Fprintf(stdout, "%-10s %12d %8d %12d\n", n, t.Rows, t.Pages, t.Bytes())
 		totalB += t.Bytes()
 	}
-	fmt.Printf("%-10s %21s %12d\n", "total", "", totalB)
+	fmt.Fprintf(stdout, "%-10s %21s %12d\n", "total", "", totalB)
+	return 0
 }

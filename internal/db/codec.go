@@ -3,6 +3,7 @@ package db
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -19,22 +20,19 @@ import (
 // verbatim in the page — again matcher-friendly).
 const pageHeader = 4
 
-// EncodeRow appends the encoding of r (described by sch) to dst.
+// EncodeRow appends the encoding of r (described by sch) to dst. The
+// body is sized first, so the length prefix and the cells go straight
+// into dst with no intermediate buffer.
 func EncodeRow(dst []byte, sch *Schema, r Row) []byte {
-	body := encodeCells(nil, sch, r)
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...)
+	return appendRow(dst, sch, r, cellsLen(sch, r))
 }
 
-func encodeCells(dst []byte, sch *Schema, r Row) []byte {
-	if len(r) != len(sch.Cols) {
-		panic(fmt.Sprintf("db: row arity %d vs schema %d", len(r), len(sch.Cols)))
-	}
+// appendRow is EncodeRow with the body length n = cellsLen(sch, r)
+// already known.
+func appendRow(dst []byte, sch *Schema, r Row, n int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(n))
 	for i, c := range sch.Cols {
 		v := r[i]
-		if v.T != c.T {
-			panic(fmt.Sprintf("db: column %s is %v, got %v", c.Name, c.T, v.T))
-		}
 		switch c.T {
 		case TInt, TDecimal:
 			dst = binary.AppendVarint(dst, v.I)
@@ -46,6 +44,43 @@ func encodeCells(dst []byte, sch *Schema, r Row) []byte {
 		}
 	}
 	return dst
+}
+
+// cellsLen is the encoded length of r's cells — the row body, without
+// its length prefix — after checking r against sch.
+func cellsLen(sch *Schema, r Row) int {
+	if len(r) != len(sch.Cols) {
+		panic(fmt.Sprintf("db: row arity %d vs schema %d", len(r), len(sch.Cols)))
+	}
+	n := 0
+	for i, c := range sch.Cols {
+		v := r[i]
+		if v.T != c.T {
+			panic(fmt.Sprintf("db: column %s is %v, got %v", c.Name, c.T, v.T))
+		}
+		switch c.T {
+		case TInt, TDecimal:
+			n += varintLen(v.I)
+		case TDate:
+			n += dateLen(v.I)
+		case TString:
+			n += uvarintLen(uint64(len(v.S))) + len(v.S)
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of binary.AppendUvarint(nil, x).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint(nil, x): the zigzag
+// form's uvarint length.
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
 }
 
 // dateShaped is the shape check of a stored date — ten bytes, dashes at
@@ -71,7 +106,9 @@ func parseDate(b []byte) (Value, error) {
 	return DateYMD(num(b[0:4]), num(b[5:7]), num(b[8:10])), nil
 }
 
-// PageBuilder packs rows into fixed-size pages.
+// PageBuilder packs rows into fixed-size pages. It owns one page
+// buffer for its whole life: rows encode straight into it and Take
+// lends it out.
 type PageBuilder struct {
 	size int
 	sch  *Schema
@@ -81,27 +118,23 @@ type PageBuilder struct {
 
 // NewPageBuilder creates a builder for pages of size bytes.
 func NewPageBuilder(size int, sch *Schema) *PageBuilder {
-	pb := &PageBuilder{size: size, sch: sch}
-	pb.reset()
-	return pb
+	return &PageBuilder{size: size, sch: sch, buf: make([]byte, pageHeader, size)}
 }
 
 func (pb *PageBuilder) reset() {
-	pb.buf = make([]byte, pageHeader, pb.size)
+	pb.buf = pb.buf[:pageHeader]
 	pb.rows = 0
 }
 
-// Add appends a row; it reports false when the row does not fit (the
-// caller should Flush and retry).
+// Add appends a row; it reports false, leaving the page as it was, when
+// the row does not fit. The caller should Take the page and retry; a
+// row that does not fit an empty page fits no page.
 func (pb *PageBuilder) Add(r Row) bool {
-	encoded := EncodeRow(nil, pb.sch, r)
-	if len(pb.buf)+len(encoded) > pb.size {
-		if pb.rows == 0 {
-			panic(fmt.Sprintf("db: single row of %d bytes exceeds page size %d", len(encoded), pb.size))
-		}
+	n := cellsLen(pb.sch, r)
+	if len(pb.buf)+uvarintLen(uint64(n))+n > pb.size {
 		return false
 	}
-	pb.buf = append(pb.buf, encoded...)
+	pb.buf = appendRow(pb.buf, pb.sch, r, n)
 	pb.rows++
 	return true
 }
@@ -109,8 +142,9 @@ func (pb *PageBuilder) Add(r Row) bool {
 // Rows returns the number of rows buffered in the open page.
 func (pb *PageBuilder) Rows() int { return pb.rows }
 
-// Take finalizes the open page, returning a full-size page buffer, and
-// resets the builder. It returns nil if the page is empty.
+// Take finalizes the open page and resets the builder. It returns the
+// builder's own full-size buffer, valid until the next Add (copy it to
+// keep it), or nil if the page is empty.
 func (pb *PageBuilder) Take() []byte {
 	if pb.rows == 0 {
 		return nil
@@ -118,6 +152,9 @@ func (pb *PageBuilder) Take() []byte {
 	binary.LittleEndian.PutUint16(pb.buf[0:2], uint16(pb.rows))
 	binary.LittleEndian.PutUint16(pb.buf[2:4], uint16(len(pb.buf)))
 	page := pb.buf[:cap(pb.buf)]
+	// The buffer is reused page after page, so past the used bytes it
+	// still holds the previous page's rows: zeroing the tail keeps every
+	// page's bytes a function of its own rows alone.
 	for i := len(pb.buf); i < len(page); i++ {
 		page[i] = 0
 	}

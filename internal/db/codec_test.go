@@ -1,0 +1,147 @@
+package db
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"strings"
+	"testing"
+
+	"biscuit"
+)
+
+// refEncodeRow is the reference row encoding, in two passes: the cells
+// into a body of their own, then the body's length and the body.
+func refEncodeRow(dst []byte, sch *Schema, r Row) []byte {
+	var body []byte
+	for i, c := range sch.Cols {
+		v := r[i]
+		switch c.T {
+		case TInt, TDecimal:
+			body = binary.AppendVarint(body, v.I)
+		case TDate:
+			body = appendDate(body, v.I)
+		case TString:
+			body = binary.AppendUvarint(body, uint64(len(v.S)))
+			body = append(body, v.S...)
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(body)))
+	return append(dst, body...)
+}
+
+// TestEncodeRowSizesCells: EncodeRow's bytes are the two-pass
+// encoding's, and their length is cellsLen plus its prefix, over the
+// varint width steps of ints and decimals, the string lengths where the
+// length varint (and the row's prefix) grows a byte, and dates in and
+// out of four-digit years.
+func TestEncodeRowSizesCells(t *testing.T) {
+	sch := NewSchema(Column{"i", TInt}, Column{"d", TDecimal}, Column{"s", TString}, Column{"t", TDate})
+	ints := []int64{0, 1, -1, 63, -63, 64, -64, math.MinInt64, math.MaxInt64}
+	strs := []int{0, 127, 128, 16383, 16384}
+	dates := []Value{
+		DateYMD(1970, 1, 1), DateYMD(1992, 1, 1), DateYMD(1998, 8, 2), DateYMD(1, 1, 1),
+		DateYMD(9999, 12, 31), DateYMD(10000, 1, 1), DateYMD(-1, 6, 15),
+	}
+	var buf []byte
+	for i, n := range ints {
+		for j, sl := range strs {
+			for k, dt := range dates {
+				r := Row{Int(n), Dec(ints[(i+j+k)%len(ints)]), Str(strings.Repeat("x", sl)), dt}
+				got := EncodeRow(nil, sch, r)
+				body := cellsLen(sch, r)
+				if want := uvarintLen(uint64(body)) + body; len(got) != want {
+					t.Errorf("row %v/%d/%s: encoded %d bytes, cellsLen says %d", n, sl, dt.DateString(), len(got), want)
+				}
+				if want := refEncodeRow(nil, sch, r); !bytes.Equal(got, want) {
+					t.Errorf("row %v/%d/%s: bytes differ from the two-pass encoding", n, sl, dt.DateString())
+				}
+				// Appending to a non-empty dst keeps what it held.
+				buf = EncodeRow(append(buf[:0], 0xAB), sch, r)
+				if buf[0] != 0xAB || !bytes.Equal(buf[1:], got) {
+					t.Errorf("row %v/%d/%s: append to a non-empty dst", n, sl, dt.DateString())
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeAllocatesNothing: EncodeRow into a buffer with room, and a
+// PageBuilder's Add…Take cycle after its first page, allocate nothing.
+func TestEncodeAllocatesNothing(t *testing.T) {
+	sch := testSchema()
+	r := sampleRow(3)
+	buf := make([]byte, 0, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = EncodeRow(buf[:0], sch, r) }); n != 0 {
+		t.Errorf("EncodeRow into a buffer with room: %v allocs, want 0", n)
+	}
+	pb := NewPageBuilder(4096, sch)
+	cycle := func() {
+		for pb.Add(r) {
+		}
+		if pb.Take() == nil {
+			t.Fatal("Take returned no page")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Errorf("PageBuilder Add…Take after the first page: %v allocs, want 0", n)
+	}
+}
+
+// TestOversizedRowIsAnError: a row larger than a page is reported, not
+// panicked on — by PageBuilder.Add on an empty page and by Loader.Add,
+// whose table keeps exactly the rows it accepted.
+func TestOversizedRowIsAnError(t *testing.T) {
+	sch := testSchema()
+	big := Row{Int(1), Dec(1), DateYMD(1995, 1, 1), Str(strings.Repeat("y", 17<<10))}
+	if NewPageBuilder(16<<10, sch).Add(big) {
+		t.Fatal("PageBuilder.Add accepted a 17 KiB row into a 16 KiB page")
+	}
+
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		ld, err := d.NewLoader(h, "t", sch, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Row
+		add := func(r Row) {
+			if err := ld.Add(r); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r)
+		}
+		if err := ld.Add(big); err == nil || !strings.Contains(err.Error(), "does not fit a fresh page") {
+			t.Fatalf("Loader.Add(17 KiB row) on an empty loader = %v", err)
+		}
+		add(sampleRow(0))
+		add(sampleRow(1))
+		if err := ld.Add(big); err == nil {
+			t.Fatal("Loader.Add accepted a 17 KiB row after two rows")
+		}
+		add(sampleRow(2))
+		if err := ld.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tab := d.Table("t")
+		if tab.Rows != int64(len(want)) {
+			t.Fatalf("table has %d rows, want %d", tab.Rows, len(want))
+		}
+		got, err := Collect(NewExec(h, d).NewConvScan(tab, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("scan returned %d rows, want %d", len(got), len(want))
+		}
+		for i := range want {
+			for c := range want[i] {
+				if !Equal(got[i][c], want[i][c]) {
+					t.Fatalf("row %d col %d: %v, want %v", i, c, got[i][c], want[i][c])
+				}
+			}
+		}
+	})
+}

@@ -1,6 +1,8 @@
 package db
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -103,6 +105,14 @@ func TestPageBuilderRoundTrip(t *testing.T) {
 				t.Fatalf("row %d col %d mismatch", i, c)
 			}
 		}
+	}
+	// The builder reuses its buffer: a one-row page taken after the full
+	// one carries none of the full page's bytes past its own.
+	pb.Add(want[0])
+	page = pb.Take()
+	used := int(binary.LittleEndian.Uint16(page[2:4]))
+	if PageRowCount(page) != 1 || !bytes.Equal(page[used:], make([]byte, len(page)-used)) {
+		t.Fatalf("second page: %d rows, tail past byte %d not all zero", PageRowCount(page), used)
 	}
 }
 

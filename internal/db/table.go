@@ -81,18 +81,21 @@ func (d *Database) NewLoader(h *biscuit.Host, name string, sch *Schema, batchPag
 	return &Loader{d: d, t: t, h: h, pb: NewPageBuilder(ps, sch), file: f, target: batchPages * ps}, nil
 }
 
-// Add appends one row.
+// Add appends one row. A row too large for a page is an error, and the
+// table's rows stay as they were.
 func (l *Loader) Add(r Row) error {
-	if !l.pb.Add(r) {
-		l.flushPage()
-		if !l.pb.Add(r) {
+	for !l.pb.Add(r) {
+		if l.pb.Rows() == 0 {
 			return fmt.Errorf("db: row does not fit a fresh page")
 		}
+		l.flushPage()
 	}
 	l.t.Rows++
 	return nil
 }
 
+// flushPage moves the open page into the write batch: Take lends the
+// builder's buffer, so the page is copied before the next Add reuses it.
 func (l *Loader) flushPage() {
 	page := l.pb.Take()
 	if page == nil {

@@ -125,6 +125,15 @@ func appendDate(dst []byte, days int64) []byte {
 		byte('0'+d/10), byte('0'+d%10))
 }
 
+// dateLen is the length of appendDate(nil, days): ten bytes whenever
+// the year fits four digits.
+func dateLen(days int64) int {
+	if y, _, _ := civil(days); y >= 0 && y <= 9999 {
+		return 10
+	}
+	return len(appendDate(nil, days))
+}
+
 // MustDate parses "YYYY-MM-DD".
 func MustDate(s string) Value {
 	t, err := time.Parse("2006-01-02", s)

@@ -12,6 +12,7 @@ package ftl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"biscuit/internal/cpu"
@@ -98,9 +99,9 @@ type dieState struct {
 }
 
 type blockMeta struct {
-	valid int   // number of valid pages
-	lpns  []int // reverse map page -> lpn (-1 invalid)
-	bad   bool  // retired after a program/erase failure; never reused
+	valid int     // number of valid pages
+	lpns  []int32 // reverse map page -> lpn (-1 invalid); a window of one device-wide allocation
+	bad   bool    // retired after a program/erase failure; never reused
 }
 
 // FTL is a page-mapped flash translation layer over a NAND array.
@@ -109,7 +110,7 @@ type FTL struct {
 	arr      *nand.Array
 	fw       *cpu.CPU
 	dies     []*dieState
-	l2p      []int        // lpn -> physical page index, -1 unmapped
+	l2p      []int32      // lpn -> physical page index, -1 unmapped
 	lost     map[int]bool // lpns whose data is gone (unreadable + unreconstructable)
 	nLPN     int
 	dieOrder []int           // channel-major write rotation (consecutive writes hit distinct channels)
@@ -190,6 +191,12 @@ func New(env *sim.Env, arr *nand.Array, cfg Config) *FTL {
 	}
 	w = max(w, 0) // RAIN needs a parity channel distinct from every member
 	f.stripeW = w
+	// The mapping tables hold lpns and physical page indexes as int32.
+	if nc.TotalPages() > math.MaxInt32 {
+		panic("ftl: array has more pages than the int32 mapping tables address")
+	}
+	rev := slices.Repeat([]int32{-1}, nc.TotalPages())
+	ppb := nc.PagesPerBlock
 	f.dies = make([]*dieState, nc.Dies())
 	for i := range f.dies {
 		d := &dieState{
@@ -198,7 +205,8 @@ func New(env *sim.Env, arr *nand.Array, cfg Config) *FTL {
 			wlock:     env.NewResource(fmt.Sprintf("ftl-wlock%d", i), 1),
 		}
 		for b := range d.blockMeta {
-			d.blockMeta[b].lpns = slices.Repeat([]int{-1}, nc.PagesPerBlock)
+			at := f.encode(i, b, 0)
+			d.blockMeta[b].lpns = rev[at : at+ppb : at+ppb]
 		}
 		f.dies[i] = d
 	}
@@ -231,7 +239,7 @@ func New(env *sim.Env, arr *nand.Array, cfg Config) *FTL {
 		panic("ftl: configuration leaves no logical capacity (raise BlocksPerDie or lower reserves)")
 	}
 	f.nLPN = int(logical)
-	f.l2p = slices.Repeat([]int{-1}, f.nLPN)
+	f.l2p = slices.Repeat([]int32{-1}, f.nLPN)
 	return f
 }
 
@@ -405,7 +413,7 @@ func (f *FTL) lookup(p *sim.Proc, lpn int) (int, error) {
 	f.checkLPN(lpn)
 	f.fw.Exec(p, fwReadCycles)
 	f.reads++
-	ppi := f.l2p[lpn]
+	ppi := int(f.l2p[lpn])
 	if ppi < 0 && f.lost[lpn] {
 		return ppi, fmt.Errorf("ftl: lpn %d: data lost: %w", lpn, fault.ErrUncorrectable)
 	}
@@ -609,6 +617,12 @@ func (f *FTL) nextWriteDie(avoid uint64, stream int) int {
 // with its members; 0 = unconstrained); it is relaxed when no other
 // channel can take the write. The caller maps or records the returned
 // ppi before its next blocking call.
+//
+// page is handed over: nand.Program keeps it as the stored page, so it
+// must be a full page that nobody writes to again — a fresh staging
+// page, a relocation's read buffer, a fold result or a detached
+// stripe's accumulator. The caller may still read it (stripeAdd XORs
+// it into the open stripe).
 func (f *FTL) writePage(p *sim.Proc, page []byte, avoid uint64, stream int) (int, error) {
 	fails, full := 0, 0
 	var lastErr error
@@ -715,8 +729,10 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 	f.fw.Exec(p, fwWriteCycles)
 	f.writes++
 
+	// The staging page is the one copy a host write makes: callers
+	// reuse data, and the array keeps the page it is handed.
 	page := make([]byte, ps)
-	if old := f.l2p[lpn]; old >= 0 && (offset != 0 || len(data) != ps) {
+	if old := int(f.l2p[lpn]); old >= 0 && (offset != 0 || len(data) != ps) {
 		if err := f.readRecover(p, old, 0, page); err != nil {
 			return fmt.Errorf("ftl: rmw read of lpn %d: %w", lpn, err)
 		}
@@ -729,7 +745,7 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 	}
 	// Re-read the mapping: GC may have relocated the old copy while the
 	// program was in flight.
-	if old := f.l2p[lpn]; old >= 0 {
+	if old := int(f.l2p[lpn]); old >= 0 {
 		f.invalidate(old)
 	}
 	delete(f.lost, lpn) // fresh contents supersede a poisoned page
@@ -744,9 +760,9 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 func (f *FTL) remap(lpn, dst int) {
 	die, block, pg := f.decode(dst)
 	bm := &f.dies[die].blockMeta[block]
-	bm.lpns[pg] = lpn
+	bm.lpns[pg] = int32(lpn)
 	bm.valid++
-	f.l2p[lpn] = dst
+	f.l2p[lpn] = int32(dst)
 }
 
 // retire marks a block bad: it is closed as the write frontier and
@@ -770,7 +786,7 @@ func (f *FTL) retire(dieIdx, block int) {
 func (f *FTL) Trim(lpn int) {
 	f.checkLPN(lpn)
 	delete(f.lost, lpn)
-	if old := f.l2p[lpn]; old >= 0 {
+	if old := int(f.l2p[lpn]); old >= 0 {
 		f.invalidate(old)
 		f.l2p[lpn] = -1
 	}
@@ -950,7 +966,7 @@ func (f *FTL) collect(p *sim.Proc) {
 func (f *FTL) moveData(p *sim.Proc, src int) bool {
 	die, block, pg := f.decode(src)
 	bm := &f.dies[die].blockMeta[block]
-	lpn := bm.lpns[pg]
+	lpn := int(bm.lpns[pg])
 	if lpn < 0 {
 		return true // went stale before we got to it
 	}
@@ -966,7 +982,7 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 			// Poison the logical page — host reads surface
 			// ErrUncorrectable until it is rewritten — rather than pin
 			// the only (broken) copy against the erase forever.
-			if bm.lpns[pg] != lpn || f.l2p[lpn] != src {
+			if int(bm.lpns[pg]) != lpn || int(f.l2p[lpn]) != src {
 				return true // superseded while we tried; nothing lost
 			}
 			f.invalidate(src)
@@ -980,14 +996,14 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 		f.tr.Instant(f.gcTk, "gc.recover")
 		f.arr.Injector().Record(fault.GCRecover, "ftl.gc "+f.ppa(src).String())
 	}
-	if bm.lpns[pg] != lpn {
+	if int(bm.lpns[pg]) != lpn {
 		return true // overwritten or trimmed while reading: nothing to move
 	}
 	dst, err := f.writePage(p, data, 0, gcStream)
 	if err != nil {
 		return false
 	}
-	if bm.lpns[pg] != lpn {
+	if int(bm.lpns[pg]) != lpn {
 		return true // overwritten while programming: the fresh copy is garbage
 	}
 	f.invalidate(src)

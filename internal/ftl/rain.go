@@ -80,11 +80,11 @@ func xorInto(dst, src []byte) {
 // fold XORs pages into a fresh page that starts as seed (zeroes when
 // nil) and charges the firmware CPU for every page folded, the seed
 // included. Nil pages — reads that failed — are skipped and not
-// charged. The result is allocated, never a shared scratch page: every
-// caller carries it across a blocking call (a program copies its
-// argument only after its bus and array sleeps; a reconstruction hands
-// it to its reader), and under the cooperative scheduler the next
-// process to fold would alias it.
+// charged. The result is allocated, never a shared scratch page: a
+// program keeps it as the stored page (nand.Program takes the page it
+// is handed) and a reconstruction hands it to its reader, so a scratch
+// page would be overwritten by the next process to fold while the
+// media or the reader still holds it.
 func (f *FTL) fold(p *sim.Proc, seed []byte, pages [][]byte) []byte {
 	acc := make([]byte, f.PageSize())
 	n := 0
@@ -680,7 +680,7 @@ func (f *FTL) repairMember(p *sim.Proc, v stripeVer, ppi int, pages [][]byte) {
 	}
 	die, block, pg := f.decode(ppi)
 	bm := &f.dies[die].blockMeta[block]
-	lpn := bm.lpns[pg]
+	lpn := int(bm.lpns[pg])
 	if lpn < 0 {
 		f.shrinkMembers(p, v.sid, []int{ppi})
 		return
@@ -689,7 +689,7 @@ func (f *FTL) repairMember(p *sim.Proc, v stripeVer, ppi int, pages [][]byte) {
 	if err != nil {
 		return
 	}
-	if bm.lpns[pg] != lpn || f.l2p[lpn] != ppi {
+	if int(bm.lpns[pg]) != lpn || int(f.l2p[lpn]) != ppi {
 		return // moved while repairing; the fresh copy becomes garbage
 	}
 	f.invalidate(ppi)

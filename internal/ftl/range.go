@@ -90,7 +90,7 @@ func (f *FTL) Peek(off int64, dst []byte) {
 	for _, pc := range f.split(off, len(dst)) {
 		f.checkLPN(pc.lpn)
 		d := dst[pc.at : pc.at+pc.n]
-		if ppi := f.l2p[pc.lpn]; ppi >= 0 {
+		if ppi := int(f.l2p[pc.lpn]); ppi >= 0 {
 			f.arr.Peek(f.ppa(ppi), pc.pageOff, d)
 		} else {
 			clear(d)

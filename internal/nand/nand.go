@@ -370,8 +370,9 @@ func (a *Array) read(p *sim.Proc, span string, addr PPA, offset, length int, bus
 	return a.stored(addr)[offset : offset+length : offset+length], nil
 }
 
-// stored returns addr's page on the media, read-only: it never changes
-// between Program and Erase, and Erase drops it, never recycles it.
+// stored returns addr's page on the media, read-only: it is the buffer
+// its writer handed to Program, it never changes between Program and
+// Erase, and Erase drops it, never recycles it.
 func (a *Array) stored(addr PPA) []byte {
 	if page, ok := a.data[a.key(addr)]; ok {
 		return page
@@ -397,6 +398,11 @@ func (a *Array) Peek(addr PPA, offset int, dst []byte) {
 
 // Program writes a full page. Pages within a block must be programmed in
 // order and only once per erase cycle, as on real NAND.
+//
+// A full-page data is handed over: it becomes the stored page, so the
+// caller must never write to the slice again (the media lends it back
+// read-only to every later read). A short data, which only tests pass,
+// is copied into a fresh zero-padded page.
 //
 // An injected program failure pays the full command timing and returns
 // fault.ErrProgramFail, leaving the page unwritten (reads back zeroes).
@@ -437,8 +443,11 @@ func (a *Array) Program(p *sim.Proc, addr PPA, data []byte) error {
 	if fail {
 		return fmt.Errorf("nand: program %v: %w", addr, fault.ErrProgramFail)
 	}
-	page := make([]byte, a.cfg.PageSize)
-	copy(page, data)
+	page := data
+	if len(page) < a.cfg.PageSize {
+		page = make([]byte, a.cfg.PageSize)
+		copy(page, data)
+	}
 	a.data[a.key(addr)] = page
 	if a.inj.Silent(func() string { return "nand.program " + addr.String() }) {
 		// Latent damage: the program status lies. The stored bytes stay

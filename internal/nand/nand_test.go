@@ -225,6 +225,46 @@ func TestReadThroughDeliversDataAndChargesOverhead(t *testing.T) {
 	}
 }
 
+// TestProgramKeepsTheCallersPage is the handover law: a full page given
+// to Program becomes the stored page, so the view a read lends back is
+// that very slice, not a copy of it; a short page is copied into a
+// fresh page whose tail reads back zero.
+func TestProgramKeepsTheCallersPage(t *testing.T) {
+	cfg := smallConfig()
+	e := sim.NewEnv()
+	a := New(e, cfg)
+	full := bytes.Repeat([]byte{0x5A}, cfg.PageSize)
+	short := []byte{1, 2, 3}
+	fullAt, shortAt := PPA{1, 1, 2, 0}, PPA{0, 1, 0, 0}
+	e.Spawn("io", func(p *sim.Proc) {
+		if err := a.Program(p, fullAt, full); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Program(p, shortAt, short); err != nil {
+			t.Fatal(err)
+		}
+		view, err := a.read(p, "nand.read", fullAt, 0, cfg.PageSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &view[0] != &full[0] || len(view) != len(full) {
+			t.Error("the stored full page is a copy, not the slice Program was handed")
+		}
+		view, err = a.read(p, "nand.read", shortAt, 0, cfg.PageSize, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &view[0] == &short[0] {
+			t.Error("a short page was stored in place; it must be copied into a full page")
+		}
+		want := append(bytes.Clone(short), make([]byte, cfg.PageSize-len(short))...)
+		if !bytes.Equal(view, want) {
+			t.Error("a short page does not read back zero-padded")
+		}
+	})
+	e.Run()
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	e := sim.NewEnv()
 	a := New(e, smallConfig())

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"sort"
 	"testing"
 
@@ -38,12 +39,20 @@ func hashTables(t *testing.T, h *biscuit.Host, data *Data) [32]byte {
 	return sum
 }
 
+// loadDigestSF0002Seed7 is hashTables over an SF 0.002 seed 7 load. It
+// pins the generator's draw order and the row and page encoding across
+// commits: a change to either that is deterministic but different moves
+// it, which comparing two loads of one build cannot see.
+const loadDigestSF0002Seed7 = "fc963cf73f697fb6593d18f1ffd98184c6b5aa2dcddd7c6abcd347d8715748dd"
+
 // TestLoadDeterministic is the seeded-determinism regression test the
 // generator's contract points at: two loads on fresh systems with the
-// same (SF, seed) must lay down bit-identical table files, and a third
-// load with a different seed must not. Randomness enters Load only
-// through the injected *rand.Rand (the detrand analyzer enforces this),
-// so any failure here means a nondeterministic source crept in.
+// same (SF, seed) must lay down bit-identical table files, the bytes
+// pinned by loadDigestSF0002Seed7, and a third load with a different
+// seed must not. Randomness enters Load only through the injected
+// *rand.Rand (the detrand analyzer enforces this), so a failure of the
+// first check means a nondeterministic source crept in; of the second,
+// that the generator or the encoder changed the bytes they lay down.
 func TestLoadDeterministic(t *testing.T) {
 	load := func(seed int64) [32]byte {
 		var sum [32]byte
@@ -64,6 +73,9 @@ func TestLoadDeterministic(t *testing.T) {
 	a, b := load(7), load(7)
 	if a != b {
 		t.Fatalf("two SF=0.002 seed=7 loads produced different bytes: %x vs %x", a, b)
+	}
+	if got := hex.EncodeToString(a[:]); got != loadDigestSF0002Seed7 {
+		t.Fatalf("SF=0.002 seed=7 load digest %s, pinned %s: the generator or the row/page encoding changed the loaded bytes", got, loadDigestSF0002Seed7)
 	}
 	if c := load(8); c == a {
 		t.Fatalf("seed 7 and seed 8 loads produced identical bytes; rng not threaded through")

@@ -81,10 +81,12 @@ var (
 	specialComment = "special requests"
 )
 
-// StartDate and EndDate bound o_orderdate (standard TPC-H range).
+// StartDate and EndDate bound o_orderdate (standard TPC-H range);
+// currentDate splits shipped from open lineitems.
 var (
-	startDate = db.MustDate("1992-01-01")
-	endDate   = db.MustDate("1998-08-02")
+	startDate   = db.MustDate("1992-01-01")
+	endDate     = db.MustDate("1998-08-02")
+	currentDate = db.MustDate("1995-06-17")
 )
 
 // Schemas for the eight tables.
@@ -176,15 +178,18 @@ func scaled(base int, sf float64, min int) int {
 	return n
 }
 
+// comment joins `words` random comment words with spaces. They
+// gather in a stack buffer, so the string is the one allocation.
 func comment(rng *rand.Rand, words int) string {
-	s := ""
+	var buf [96]byte
+	b := buf[:0]
 	for i := 0; i < words; i++ {
 		if i > 0 {
-			s += " "
+			b = append(b, ' ')
 		}
-		s += commentWords[rng.Intn(len(commentWords))]
+		b = append(b, commentWords[rng.Intn(len(commentWords))]...)
 	}
-	return s
+	return string(b)
 }
 
 func phone(rng *rand.Rand, nation int) string {
@@ -195,6 +200,8 @@ func phone(rng *rand.Rand, nation int) string {
 // writes every table through exactly one sink, so the same generation
 // pass can feed any shard router (see LoadShards, LoadShardsReplica)
 // without disturbing the rng draw order that fixes table contents.
+// Add encodes its row before it returns and keeps no reference to it:
+// the generator refills one row for the next Add.
 type rowSink interface {
 	Add(db.Row) error
 	Close() error
@@ -234,13 +241,16 @@ func tablesOf(d *db.Database) *Data {
 // all rng draws happen here, in a fixed order independent of where the
 // rows land.
 func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
+	var row db.Row // refilled for every Add (see rowSink)
+
 	// region
 	lr, err := mk("region", RegionSchema, 4)
 	if err != nil {
 		return err
 	}
 	for i, r := range regions {
-		if err := lr.Add(db.Row{db.Int(int64(i)), db.Str(r), db.Str(comment(rng, 4))}); err != nil {
+		row = append(row[:0], db.Int(int64(i)), db.Str(r), db.Str(comment(rng, 4)))
+		if err := lr.Add(row); err != nil {
 			return err
 		}
 	}
@@ -254,7 +264,8 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 		return err
 	}
 	for i, n := range nations {
-		if err := ln.Add(db.Row{db.Int(int64(i)), db.Str(n.name), db.Int(int64(n.region)), db.Str(comment(rng, 4))}); err != nil {
+		row = append(row[:0], db.Int(int64(i)), db.Str(n.name), db.Int(int64(n.region)), db.Str(comment(rng, 4)))
+		if err := ln.Add(row); err != nil {
 			return err
 		}
 	}
@@ -274,15 +285,16 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 		if i%200 == 13 { // Q16/Q21 complaint suppliers
 			cmt += " Customer Complaints"
 		}
-		if err := ls.Add(db.Row{
-			db.Int(int64(i + 1)),
+		row = append(row[:0],
+			db.Int(int64(i+1)),
 			db.Str(fmt.Sprintf("Supplier#%09d", i+1)),
 			db.Str(fmt.Sprintf("addr %d %s", rng.Intn(999), commentWords[rng.Intn(len(commentWords))])),
 			db.Int(int64(nat)),
 			db.Str(phone(rng, nat)),
-			db.Dec(int64(rng.Intn(2000000) - 100000)),
+			db.Dec(int64(rng.Intn(2000000)-100000)),
 			db.Str(cmt),
-		}); err != nil {
+		)
+		if err := ls.Add(row); err != nil {
 			return err
 		}
 	}
@@ -301,17 +313,18 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 			colors[rng.Intn(len(colors))] + " " + colors[rng.Intn(len(colors))] + " " + colors[rng.Intn(len(colors))]
 		mfgr := 1 + rng.Intn(5)
 		brand := mfgr*10 + 1 + rng.Intn(5)
-		if err := lp.Add(db.Row{
-			db.Int(int64(i + 1)),
+		row = append(row[:0],
+			db.Int(int64(i+1)),
 			db.Str(name),
 			db.Str(fmt.Sprintf("Manufacturer#%d", mfgr)),
 			db.Str(fmt.Sprintf("Brand#%d", brand)),
-			db.Str(types1[rng.Intn(6)] + " " + types2[rng.Intn(5)] + " " + types3[rng.Intn(5)]),
-			db.Int(int64(1 + rng.Intn(50))),
-			db.Str(containers1[rng.Intn(5)] + " " + containers2[rng.Intn(8)]),
-			db.Dec(int64(90000 + (i%200)*10 + rng.Intn(1000))),
+			db.Str(types1[rng.Intn(6)]+" "+types2[rng.Intn(5)]+" "+types3[rng.Intn(5)]),
+			db.Int(int64(1+rng.Intn(50))),
+			db.Str(containers1[rng.Intn(5)]+" "+containers2[rng.Intn(8)]),
+			db.Dec(int64(90000+(i%200)*10+rng.Intn(1000))),
 			db.Str(comment(rng, 3)),
-		}); err != nil {
+		)
+		if err := lp.Add(row); err != nil {
 			return err
 		}
 	}
@@ -327,13 +340,14 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 	for i := 0; i < nPart; i++ {
 		for j := 0; j < 4; j++ {
 			supp := (i+j*(nSupp/4+1))%nSupp + 1
-			if err := lps.Add(db.Row{
-				db.Int(int64(i + 1)),
+			row = append(row[:0],
+				db.Int(int64(i+1)),
 				db.Int(int64(supp)),
-				db.Int(int64(1 + rng.Intn(9999))),
-				db.Dec(int64(100 + rng.Intn(99900))),
+				db.Int(int64(1+rng.Intn(9999))),
+				db.Dec(int64(100+rng.Intn(99900))),
 				db.Str(comment(rng, 6)),
-			}); err != nil {
+			)
+			if err := lps.Add(row); err != nil {
 				return err
 			}
 		}
@@ -350,16 +364,17 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 	}
 	for i := 0; i < nCust; i++ {
 		nat := rng.Intn(25)
-		if err := lc.Add(db.Row{
-			db.Int(int64(i + 1)),
+		row = append(row[:0],
+			db.Int(int64(i+1)),
 			db.Str(fmt.Sprintf("Customer#%09d", i+1)),
 			db.Str(fmt.Sprintf("addr %d %s", rng.Intn(999), commentWords[rng.Intn(len(commentWords))])),
 			db.Int(int64(nat)),
 			db.Str(phone(rng, nat)),
-			db.Dec(int64(rng.Intn(2000000) - 100000)),
+			db.Dec(int64(rng.Intn(2000000)-100000)),
 			db.Str(segments[rng.Intn(5)]),
 			db.Str(comment(rng, 6)),
-		}); err != nil {
+		)
+		if err := lc.Add(row); err != nil {
 			return err
 		}
 	}
@@ -379,6 +394,10 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 	if err != nil {
 		return err
 	}
+	// An order's lineitems are drawn before the order row (its total
+	// and status sum over them) and added after it; these rows hold
+	// them in between and are refilled by the next order.
+	var lines [7]db.Row
 	for i := 0; i < nOrders; i++ {
 		okey := int64(i + 1)
 		odate := startDate.I + int64(i)*totalDays/int64(nOrders)
@@ -386,7 +405,6 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 		var total int64
 		status := "O"
 		allF := true
-		rows := make([]db.Row, 0, nLines)
 		for ln := 0; ln < nLines; ln++ {
 			qty := int64(1 + rng.Intn(50))
 			price := int64(90000+rng.Intn(11000)) * qty / 10
@@ -395,9 +413,8 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 			ship := odate + int64(1+rng.Intn(121))
 			commit := odate + int64(30+rng.Intn(61))
 			receipt := ship + int64(1+rng.Intn(30))
-			cur := db.MustDate("1995-06-17").I
 			rf := "N"
-			if receipt <= cur {
+			if receipt <= currentDate.I {
 				if rng.Intn(2) == 0 {
 					rf = "R"
 				} else {
@@ -405,17 +422,17 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 				}
 			}
 			lst := "O"
-			if ship <= cur {
+			if ship <= currentDate.I {
 				lst = "F"
 			} else {
 				allF = false
 			}
 			total += price * (100 - disc) / 100
-			rows = append(rows, db.Row{
+			lines[ln] = append(lines[ln][:0],
 				db.Int(okey),
-				db.Int(int64(1 + rng.Intn(nPart))),
-				db.Int(int64(1 + rng.Intn(nSupp))),
-				db.Int(int64(ln + 1)),
+				db.Int(int64(1+rng.Intn(nPart))),
+				db.Int(int64(1+rng.Intn(nSupp))),
+				db.Int(int64(ln+1)),
 				db.Int(qty),
 				db.Dec(price),
 				db.Dec(disc),
@@ -428,7 +445,7 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 				db.Str(instructs[rng.Intn(4)]),
 				db.Str(shipmodes[rng.Intn(7)]),
 				db.Str(comment(rng, 4)),
-			})
+			)
 		}
 		if allF {
 			status = "F"
@@ -439,9 +456,9 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 		if rng.Intn(100) == 0 {
 			ocmt += " " + specialComment
 		}
-		if err := lo.Add(db.Row{
+		row = append(row[:0],
 			db.Int(okey),
-			db.Int(int64(1 + rng.Intn(nCust))),
+			db.Int(int64(1+rng.Intn(nCust))),
 			db.Str(status),
 			db.Dec(total),
 			db.Value{T: db.TDate, I: odate},
@@ -449,10 +466,11 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 			db.Str(fmt.Sprintf("Clerk#%09d", 1+rng.Intn(1000))),
 			db.Int(0),
 			db.Str(ocmt),
-		}); err != nil {
+		)
+		if err := lo.Add(row); err != nil {
 			return err
 		}
-		for _, r := range rows {
+		for _, r := range lines[:nLines] {
 			if err := ll.Add(r); err != nil {
 				return err
 			}
