@@ -51,71 +51,85 @@ func (o *joinOut) match(l, r Row, cond Expr, keep bool) bool {
 	return ok
 }
 
-// joinKey is the form a key cell takes in a joinIndex: only the field
-// Compare reads for its type, so cells that compare equal are the same
-// map key whatever their other field holds.
-func joinKey(v Value) Value {
-	if v.T == TString {
-		return Value{T: TString, S: v.S}
-	}
-	return Value{T: v.T, I: v.I}
-}
-
 // joinIndex is the hash index the two in-memory joins probe — BNLJoin
 // builds one over each block of its join buffer, HashJoin one over its
 // build side. Rows are indexed by position 0, 1, 2, ... in turn; the
 // positions of the rows carrying one key form a chain through next, in
-// ascending order, and the map holds each chain's ends.
+// ascending order, and a map holds each chain's ends. A key is hashed
+// as the one field Compare reads for its type — I for ints, decimals
+// and dates, S for strings — so cells that compare equal share a chain.
 type joinIndex struct {
-	ends map[Value]chain
-	next []int32 // next[i]: the following position with row i's key, -1 after the last
-	typ  Type    // type of the keys in ends, once there is one
+	ints map[int64]chain  // the chains of int, decimal and date keys
+	strs map[string]chain // the chains of string keys
+	next []int32          // next[i]: the following position with row i's key, -1 after the last
+	typ  Type             // type of the indexed keys, once there is one
+	size int              // the rows expected, to size a map made for them
 }
 
 // chain is the first and last position of one key's rows.
 type chain struct{ first, last int32 }
 
-// reset empties the index for the next set of rows.
-func (x *joinIndex) reset() {
-	if x.ends == nil {
-		x.ends = make(map[Value]chain)
-	}
-	clear(x.ends)
+// reset empties the index for the next set of about size rows.
+func (x *joinIndex) reset(size int) {
+	clear(x.ints)
+	clear(x.strs)
 	x.next = x.next[:0]
+	x.size = size
 }
 
 // add indexes the next row, position len(x.next), under key k.
 func (x *joinIndex) add(k Value) {
 	x.check(k)
-	k = joinKey(k)
 	x.typ = k.T
 	i := int32(len(x.next))
 	x.next = append(x.next, -1)
-	c, ok := x.ends[k]
+	if k.T == TString {
+		if x.strs == nil {
+			x.strs = make(map[string]chain, x.size)
+		}
+		link(x.strs, k.S, i, x.next)
+	} else {
+		if x.ints == nil {
+			x.ints = make(map[int64]chain, x.size)
+		}
+		link(x.ints, k.I, i, x.next)
+	}
+}
+
+// link appends position i to key k's chain in ends.
+func link[K comparable](ends map[K]chain, k K, i int32, next []int32) {
+	c, ok := ends[k]
 	if !ok {
 		c.first = i
 	} else {
-		x.next[c.last] = i
+		next[c.last] = i
 	}
 	c.last = i
-	x.ends[k] = c
+	ends[k] = c
 }
 
 // probe returns the first position of the rows keyed k, -1 if none;
 // next continues from there.
 func (x *joinIndex) probe(k Value) int32 {
 	x.check(k)
-	if c, ok := x.ends[joinKey(k)]; ok {
-		return c.first
+	var c chain
+	var ok bool
+	if k.T == TString {
+		c, ok = x.strs[k.S]
+	} else {
+		c, ok = x.ints[k.I]
 	}
-	return -1
+	if !ok {
+		return -1
+	}
+	return c.first
 }
 
 // check keeps the engine's typing rule where a map lookup would lose it:
 // a key of another type than the indexed ones would silently match
 // nothing, where the comparison it stands for — Compare — panics.
 func (x *joinIndex) check(k Value) {
-	if len(x.ends) > 0 && k.T != x.typ {
+	if len(x.next) > 0 && k.T != x.typ {
 		panic(typeMismatch(k.T, x.typ))
 	}
 }
@@ -290,7 +304,7 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 			continue
 		}
 		// Load and index the next outer block.
-		j.blockIx.reset()
+		j.blockIx.reset(j.Ex.JoinBufferRows)
 		for len(j.block) < j.Ex.JoinBufferRows {
 			or, ok, err := j.cur.next(j.Outer, j.Ex)
 			if err != nil {
@@ -384,7 +398,7 @@ func (j *HashJoin) Open() error {
 		return err
 	}
 	j.right = rows
-	j.rightIx.reset()
+	j.rightIx.reset(len(rows))
 	for _, r := range rows {
 		j.rightIx.add(j.RightKey.Eval(r))
 	}

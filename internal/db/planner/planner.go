@@ -163,6 +163,7 @@ func extractCmp(x db.Cmp) [][]string {
 // page-cover the range because dates are stored as ASCII YYYY-MM-DD.
 func extractDateRangeAnd(a db.And) [][]string {
 	var lo, hi *db.Value
+	var hiInclusive bool
 	var col int = -1
 	for _, k := range a.Kids {
 		cmp, ok := k.(db.Cmp)
@@ -183,13 +184,13 @@ func extractDateRangeAnd(a db.And) [][]string {
 			lo, col = &v, cl.Idx
 		case db.LT, db.LE:
 			v := cc.V
-			hi, col = &v, cl.Idx
+			hi, col, hiInclusive = &v, cl.Idx, cmp.Op == db.LE
 		}
 	}
 	if lo == nil || hi == nil {
 		return nil
 	}
-	return yearKeys(*lo, *hi, false)
+	return yearKeys(*lo, *hi, hiInclusive)
 }
 
 // yearKeys produces date-prefix keys spanning [lo, hi]: month prefixes

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -62,6 +63,31 @@ func TestExtractDateRangeYearPrefix(t *testing.T) {
 	keys, ok = ExtractKeys(s, db.RangeD(s, "l_shipdate", "1994-01-01", "1996-01-01"))
 	if !ok || len(keys) != 2 {
 		t.Fatalf("keys=%v ok=%v", keys, ok)
+	}
+}
+
+// An inclusive upper bound keeps its own month or year: a row dated on
+// the bound lives in a page holding that month's or year's prefix.
+func TestExtractDateRangeInclusiveUpperBound(t *testing.T) {
+	s := lineitemish()
+	between := func(lo, hi string) db.Expr {
+		return db.AndOf(db.Cmp{Op: db.GE, L: db.C(s, "l_shipdate"), R: db.Lit(db.MustDate(lo))},
+			db.Cmp{Op: db.LE, L: db.C(s, "l_shipdate"), R: db.Lit(db.MustDate(hi))})
+	}
+	for _, c := range []struct {
+		pred db.Expr
+		want string
+	}{
+		{between("1995-01-01", "1995-03-01"), "[1995-01 1995-02 1995-03]"},
+		{between("1994-01-01", "1996-01-01"), "[1994- 1995- 1996-]"},
+		{between("1995-01-01", "1995-02-28"), "[1995-01 1995-02]"},
+		{db.RangeD(s, "l_shipdate", "1995-01-01", "1995-03-01"), "[1995-01 1995-02]"},
+		{db.RangeD(s, "l_shipdate", "1994-01-01", "1996-01-01"), "[1994- 1995-]"},
+	} {
+		keys, ok := ExtractKeys(s, c.pred)
+		if got := fmt.Sprint(keys); !ok || got != c.want {
+			t.Errorf("%v: keys %s ok=%v, want %s", c.pred, got, ok, c.want)
+		}
 	}
 }
 
@@ -129,6 +155,21 @@ func TestExtractPrefersMoreSelectiveConjunct(t *testing.T) {
 
 func planFixture(t *testing.T, hitEvery int) (*biscuit.System, *db.Database, func(h *biscuit.Host) *db.Table) {
 	t.Helper()
+	return rowsFixture(t, func(i int) db.Row {
+		r := db.Row{db.Int(int64(i)), db.Int(int64(i%7 + 1)), db.DateYMD(1992+i%7, 1+i%12, 1+i%28),
+			db.Str([]string{"RAIL", "AIR", "TRUCK"}[i%3]), db.Str("regular packages deliver quickly")}
+		if hitEvery > 0 && i%hitEvery == 3 {
+			r[2] = db.MustDate("1995-01-17")
+			r[3] = db.Str("MAILX")
+		}
+		return r
+	})
+}
+
+// rowsFixture is a system whose load func fills a 60 000-row lineitemish
+// table with row(0), row(1), ...
+func rowsFixture(t *testing.T, row func(i int) db.Row) (*biscuit.System, *db.Database, func(h *biscuit.Host) *db.Table) {
+	t.Helper()
 	cfg := biscuit.DefaultConfig()
 	cfg.NAND.BlocksPerDie = 128
 	cfg.NAND.PagesPerBlock = 32
@@ -141,13 +182,7 @@ func planFixture(t *testing.T, hitEvery int) (*biscuit.System, *db.Database, fun
 			t.Fatal(err)
 		}
 		for i := 0; i < 60000; i++ {
-			r := db.Row{db.Int(int64(i)), db.Int(int64(i%7 + 1)), db.DateYMD(1992+i%7, 1+i%12, 1+i%28),
-				db.Str([]string{"RAIL", "AIR", "TRUCK"}[i%3]), db.Str("regular packages deliver quickly")}
-			if hitEvery > 0 && i%hitEvery == 3 {
-				r[2] = db.MustDate("1995-01-17")
-				r[3] = db.Str("MAILX")
-			}
-			if err := ld.Add(r); err != nil {
+			if err := ld.Add(row(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -175,6 +210,39 @@ func TestPlannerOffloadsSelectiveScan(t *testing.T) {
 		}
 		if len(rows) != 6 {
 			t.Fatalf("rows=%d, want 6", len(rows))
+		}
+	})
+}
+
+// Six rows dated on a range's inclusive upper bound, among 1992–93
+// dates: the offloaded scan must return what the Conv scan does.
+func TestPlannedInclusiveRangeEqualsConv(t *testing.T) {
+	sys, d, load := rowsFixture(t, func(i int) db.Row {
+		date := db.DateYMD(1992+i%2, 1+i%12, 1+i%28)
+		if i%10000 == 3 {
+			date = db.MustDate("1995-03-01")
+		}
+		return db.Row{db.Int(int64(i)), db.Int(int64(i%7 + 1)), date, db.Str("RAIL"), db.Str("regular packages deliver quickly")}
+	})
+	sys.Run(func(h *biscuit.Host) {
+		tab := load(h)
+		ex := db.NewExec(h, d)
+		pred := db.AndOf(db.Cmp{Op: db.GE, L: db.C(tab.Sch, "l_shipdate"), R: db.Lit(db.MustDate("1995-01-01"))},
+			db.Cmp{Op: db.LE, L: db.C(tab.Sch, "l_shipdate"), R: db.Lit(db.MustDate("1995-03-01"))})
+		it, dec := Default().PlanScan(ex, tab, pred)
+		if !dec.Offloaded {
+			t.Fatalf("expected offload, got %q (sel %.2f)", dec.Reason, dec.Selectivity)
+		}
+		planned, err := db.Collect(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv, err := db.Collect(ex.NewConvScan(tab, pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(conv) != 6 || fmt.Sprint(planned) != fmt.Sprint(conv) {
+			t.Fatalf("keys %v: planned scan %d rows, Conv %d (want 6)", dec.Keys, len(planned), len(conv))
 		}
 	})
 }

@@ -57,11 +57,11 @@ func overlapping(pat []byte) bool {
 	return false
 }
 
-// FuzzMultiKeyEqualsNaive: for one to three keys of at most 16 bytes and
-// any chunking — chunk lengths come from the fuzzer, one byte of cuts
-// per chunk, so length 1 and length 0 both occur — the stream's
-// (Pos, Key) multiset, Count and Contains equal the naive oracle's.
-// k2 and k3 may be empty (fewer keys).
+// FuzzMultiKeyEqualsNaive: for one to three keys of at most 16 bytes,
+// any calibration text (so any anchors) and any chunking — chunk lengths
+// come from the fuzzer, one byte of cuts per chunk, so length 1 and
+// length 0 both occur — the stream's (Pos, Key) multiset, Count and
+// Contains equal the naive oracle's. k2 and k3 may be empty (fewer keys).
 func FuzzMultiKeyEqualsNaive(f *testing.F) {
 	for _, c := range multiKeySeeds {
 		k := append(append([][]byte{}, c.keys...), nil, nil)
@@ -69,9 +69,9 @@ func FuzzMultiKeyEqualsNaive(f *testing.F) {
 		for i, n := range c.chunks {
 			cuts[i] = byte(n)
 		}
-		f.Add([]byte(c.text), k[0], k[1], k[2], cuts)
+		f.Add([]byte(c.calib), []byte(c.text), k[0], k[1], k[2], cuts)
 	}
-	f.Fuzz(func(t *testing.T, text, k1, k2, k3, cuts []byte) {
+	f.Fuzz(func(t *testing.T, calib, text, k1, k2, k3, cuts []byte) {
 		var keys [][]byte
 		for _, k := range [][]byte{k1, k2, k3} {
 			if len(k) > MaxKeyLen {
@@ -88,6 +88,6 @@ func FuzzMultiKeyEqualsNaive(f *testing.F) {
 		for i, c := range cuts {
 			chunks[i] = int(c)
 		}
-		checkAgainstNaive(t, keys, text, chunks)
+		checkAgainstNaive(t, keys, calib, text, chunks)
 	})
 }

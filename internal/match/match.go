@@ -52,25 +52,38 @@ func ValidateHW(keys [][]byte) error {
 }
 
 // Automaton is an Aho–Corasick multi-pattern matcher compiled to a
-// dense DFA.
+// dense DFA. Its first scan of a non-empty text calibrates it on that
+// text, so that first use must not race with another; after it, the
+// automaton is read-only and any number of goroutines may scan with it.
 type Automaton struct {
 	keys [][]byte // private copies, in the caller's order
 	// tab[state<<8|byte] is the transition function; state 0 is the
 	// root, and exactly the states with id >= acc accept.
-	tab   []uint16
-	acc   uint16
-	out   [][]int32 // out[s-acc]: indexes of the keys ending at state s
-	first []byte    // the keys' distinct first bytes: all that leaves the root
+	tab []uint16
+	acc uint16
+	out [][]int32 // out[s-acc]: indexes of the keys ending at state s
+	// anchors holds one (offset, byte) per key, duplicates dropped,
+	// rarest first: a key can only begin at s if text[s+off] is its
+	// anchor byte. Empty until the first non-empty text calibrates it.
+	anchors []anchor
+}
+
+// anchor is the key byte the root skip loop searches for: b, off bytes
+// into the key.
+type anchor struct {
+	off int
+	b   byte
 }
 
 // Compile builds an automaton over keys. Keys are matched as raw bytes
-// (case-sensitive), like the hardware IP. The key bytes are copied; the
-// caller may reuse its slices.
+// (case-sensitive), like the hardware IP. The key bytes are copied — the
+// anchors and the reported positions depend on them staying put — so
+// the caller may reuse its slices.
 func Compile(keys [][]byte) (*Automaton, error) {
 	if len(keys) == 0 {
 		return nil, ErrEmptyKey
 	}
-	a := &Automaton{keys: make([][]byte, len(keys))}
+	a := &Automaton{keys: make([][]byte, len(keys)), anchors: make([]anchor, 0, len(keys))}
 	nmax := 1 // one state per trie node: the root plus at most one per key byte
 	for i, k := range keys {
 		if len(k) == 0 {
@@ -78,9 +91,6 @@ func Compile(keys [][]byte) (*Automaton, error) {
 		}
 		nmax += len(k)
 		a.keys[i] = bytes.Clone(k)
-		if bytes.IndexByte(a.first, k[0]) < 0 {
-			a.first = append(a.first, k[0])
-		}
 	}
 	if nmax > 1<<16 {
 		return nil, fmt.Errorf("%w: %d key bytes", ErrTooLarge, nmax-1)
@@ -124,8 +134,10 @@ func Compile(keys [][]byte) (*Automaton, error) {
 	// overlaid with the node's own children (the root's stays as is).
 	fail := make([]uint16, nmax)
 	queue := make([]uint16, 0, nmax)
-	for _, c := range a.first {
-		queue = append(queue, a.tab[c])
+	for _, v := range a.tab[:256] {
+		if v != 0 {
+			queue = append(queue, v)
+		}
 	}
 	for qi := 0; qi < len(queue); qi++ {
 		u, f := int(queue[qi])<<8, int(fail[queue[qi]])<<8
@@ -176,34 +188,90 @@ func (a *Automaton) Keys() [][]byte { return a.keys }
 // next is the one scan loop under Contains, Count and Stream.Feed. It
 // runs the automaton over text[i:] from state st and returns just past
 // the first byte that enters an accepting state, with that state; or
-// len(text) and the state the text ends in. Back at the root with a
-// byte ahead that cannot leave it, it jumps to the next byte that can.
+// len(text) and the state the text ends in. Back at the root it jumps
+// to skip's position, the next one some key could begin at.
+//
+// The jump finds every match. An occurrence of a key that starts at s
+// has that key's anchor byte at s+off, so the positions skip passes
+// start no occurrence. Stepping them would only have carried prefixes
+// of occurrences starting there, and each of those has its anchor
+// mismatched already, so it could never complete; restarting from the
+// root at the position skip returns drops nothing else. The reported
+// (Pos, Key) matches, Count and Contains are therefore the unskipped
+// automaton's, though the state a Stream ends a chunk in may differ.
 func (a *Automaton) next(text []byte, i int, st uint16) (int, uint16) {
+	if len(a.anchors) == 0 && len(text) > 0 {
+		a.calibrate(text)
+	}
 	tab, acc := a.tab, a.acc
 	for i < len(text) {
+		if st == 0 {
+			if i = a.skip(text, i); i == len(text) {
+				break
+			}
+		}
 		st = tab[int(st)<<8|int(text[i])]
 		i++
 		if st >= acc {
 			return i, st
 		}
-		if st == 0 && i < len(text) && tab[text[i]] == 0 {
-			i += 1 + a.skip(text[i+1:])
-		}
 	}
 	return i, st
 }
 
-// skip returns the offset of the first byte of text that is some key's
-// first byte, or len(text). Each first byte is searched for only inside
-// the window the earlier ones bounded, so the work is at most
-// len(first) times the distance skipped.
-func (a *Automaton) skip(text []byte) int {
-	for _, c := range a.first {
-		if j := bytes.IndexByte(text, c); j >= 0 {
-			text = text[:j]
+// skip returns the least s >= i where some key could begin: where
+// text[s+off] is its anchor byte, or s+off is past the end of text (the
+// key could still complete in the next chunk of a Stream). If an anchor
+// byte is already in place it returns i without a search; otherwise
+// each anchor is searched for only inside the window the earlier ones
+// left, so the work is at most len(anchors) times the distance skipped.
+func (a *Automaton) skip(text []byte, i int) int {
+	lim := len(text) // > i throughout: next calls skip only with i < len(text)
+	for _, an := range a.anchors {
+		lo, hi := i+an.off, min(lim+an.off, len(text))
+		if lo >= hi || text[lo] == an.b {
+			return i // i+off is past the end, or the anchor byte is in place
+		}
+		if j := bytes.IndexByte(text[lo+1:hi], an.b); j >= 0 {
+			lim = i + 1 + j
+		} else {
+			lim = hi - an.off
 		}
 	}
-	return len(text)
+	return lim
+}
+
+// calibrate picks each key's anchor from one histogram pass over text:
+// its rarest byte there (the earliest of equals), unless that is not at
+// least twice as rare as its first byte, which then stays the anchor.
+// Keys that pick the same (offset, byte) share one anchor; the anchors
+// are ordered rarest first, so the first search bounds the others
+// tightest.
+func (a *Automaton) calibrate(text []byte) {
+	var h [256]int
+	for _, b := range text {
+		h[b]++
+	}
+	for _, k := range a.keys {
+		best := 0
+		for off, b := range k {
+			if h[b] < h[k[best]] {
+				best = off
+			}
+		}
+		if 2*h[k[best]] > h[k[0]] {
+			best = 0
+		}
+		an := anchor{off: best, b: k[best]}
+		if slices.Contains(a.anchors, an) {
+			continue
+		}
+		at := len(a.anchors)
+		for at > 0 && h[a.anchors[at-1].b] > h[an.b] {
+			at--
+		}
+		a.anchors = slices.Insert(a.anchors, at, an)
+	}
 }
 
 // Match is one occurrence: key Key starts at byte offset Pos of the

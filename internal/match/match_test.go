@@ -241,14 +241,19 @@ func sortMatches(ms []Match) {
 	})
 }
 
-// checkAgainstNaive feeds text in chunks of the given lengths (cycled;
-// the remainder goes in one last chunk once they run out) and holds
-// Feed's (Pos, Key) multiset, Count and Contains against the oracle.
-func checkAgainstNaive(t *testing.T, keys [][]byte, text []byte, chunks []int) {
+// checkAgainstNaive calibrates a fresh automaton on calib (with
+// Contains; an empty calib leaves that to the first chunk), feeds text in
+// chunks of the given lengths (the remainder goes in one last chunk once
+// they run out) and holds Feed's (Pos, Key) multiset, Count and Contains
+// against the oracle.
+func checkAgainstNaive(t *testing.T, keys [][]byte, calib, text []byte, chunks []int) {
 	t.Helper()
 	a, err := Compile(keys)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c := a.Contains(calib); c != (len(naive(keys, calib)) > 0) {
+		t.Fatalf("keys %q calib %q: Contains %v", keys, calib, c)
 	}
 	want := naive(keys, text)
 	var got []Match
@@ -262,17 +267,40 @@ func checkAgainstNaive(t *testing.T, keys [][]byte, text []byte, chunks []int) {
 	s.Feed(rest, func(m Match) { got = append(got, m) })
 	sortMatches(got)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("keys %q text %q chunks %v:\n got %v\nwant %v", keys, text, chunks, got, want)
+		t.Fatalf("keys %q calib %q text %q chunks %v (anchors %v):\n got %v\nwant %v", keys, calib, text, chunks, a.anchors, got, want)
 	}
 	if s.Pos() != int64(len(text)) {
 		t.Fatalf("pos %d after %d bytes", s.Pos(), len(text))
 	}
 	if n := a.Count(text); n != len(want) {
-		t.Fatalf("keys %q text %q: Count %d, oracle %d", keys, text, n, len(want))
+		t.Fatalf("keys %q calib %q text %q: Count %d, oracle %d", keys, calib, text, n, len(want))
 	}
 	if c := a.Contains(text); c != (len(want) > 0) {
-		t.Fatalf("keys %q text %q: Contains %v, oracle has %d", keys, text, c, len(want))
+		t.Fatalf("keys %q calib %q text %q: Contains %v, oracle has %d", keys, calib, text, c, len(want))
 	}
+}
+
+// rarestCalibs returns, for each distinct byte of keys, a calibration
+// text made of every other key byte: that byte is the rarest, so every
+// key holding it anchors on its first occurrence there.
+func rarestCalibs(keys [][]byte) [][]byte {
+	var distinct []byte
+	for _, k := range keys {
+		for _, b := range k {
+			if bytes.IndexByte(distinct, b) < 0 {
+				distinct = append(distinct, b)
+			}
+		}
+	}
+	out := make([][]byte, len(distinct))
+	for i, rare := range distinct {
+		for _, b := range distinct {
+			if b != rare {
+				out[i] = append(out[i], b, b)
+			}
+		}
+	}
+	return out
 }
 
 func bs(keys ...string) [][]byte {
@@ -285,33 +313,77 @@ func bs(keys ...string) [][]byte {
 
 // multiKeySeeds are the shapes the skip loop and the accept-ordered
 // numbering could get wrong; FuzzMultiKeyEqualsNaive starts from them.
+// calib, when set, is what the automaton calibrates on before text.
 var multiKeySeeds = []struct {
 	name   string
 	keys   [][]byte
+	calib  string
 	text   string
 	chunks []int
 }{
-	{"shared first byte", bs("1994-", "1995-", "19"), "x1994-1995-0199|1993-19", []int{4, 4}},
-	{"he she hers", bs("he", "she", "hers"), "ushers she hehers", []int{3}},
-	{"key is a suffix of another", bs("needle", "dle", "e"), "a needle in the needledle", []int{9, 1, 1}},
-	{"text made only of first bytes", bs("ab", "ba", "cc"), "abcabcaabbccbacbcbca", []int{1, 1, 1, 1, 1, 1, 1, 1}},
-	{"alternation", bs("1994-"), strings.Repeat("1x", 40) + "1994-" + strings.Repeat("1x", 9), []int{7, 2}},
-	{"key straddles three chunks", bs("straddle"), "xxstraddlexx", []int{4, 3, 3}},
-	{"chunk boundary inside a skip", bs("Q", "ZZ"), strings.Repeat(".", 50) + "Q" + strings.Repeat(".", 50) + "ZZ", []int{20, 20, 20, 50}},
-	{"chunks of one byte", bs("aa", "aaa"), "aaaaaa", []int{1, 1, 1, 1, 1, 1}},
-	{"duplicate keys", bs("dup", "dup"), "dupdup", nil},
-	{"accept on the last byte then more", bs("ab"), "ab" + "ab", []int{2}},
+	{"shared first byte", bs("1994-", "1995-", "19"), "", "x1994-1995-0199|1993-19", []int{4, 4}},
+	{"he she hers", bs("he", "she", "hers"), "", "ushers she hehers", []int{3}},
+	{"key is a suffix of another", bs("needle", "dle", "e"), "", "a needle in the needledle", []int{9, 1, 1}},
+	{"text made only of first bytes", bs("ab", "ba", "cc"), "", "abcabcaabbccbacbcbca", []int{1, 1, 1, 1, 1, 1, 1, 1}},
+	{"alternation", bs("1994-"), "", strings.Repeat("1x", 40) + "1994-" + strings.Repeat("1x", 9), []int{7, 2}},
+	{"key straddles three chunks", bs("straddle"), "", "xxstraddlexx", []int{4, 3, 3}},
+	{"chunk boundary inside a skip", bs("Q", "ZZ"), "", strings.Repeat(".", 50) + "Q" + strings.Repeat(".", 50) + "ZZ", []int{20, 20, 20, 50}},
+	{"chunks of one byte", bs("aa", "aaa"), "", "aaaaaa", []int{1, 1, 1, 1, 1, 1}},
+	{"duplicate keys", bs("dup", "dup"), "", "dupdup", nil},
+	{"accept on the last byte then more", bs("ab"), "", "ab" + "ab", []int{2}},
+	// The anchor ('e', the key's last byte) of the match starting in
+	// the first chunk lies two chunks further on.
+	{"anchor past the chunk end", bs("straddle"), "ssttrraadd", "xxstraddlexx", []int{4, 3, 3}},
+	{"anchors past the end, two keys", bs("1994-", "1995-06"), "11999955--00", "x1994-1995-0619", []int{2, 1, 4, 3}},
+	{"first-chunk calibration, anchor past its end", bs("abcq"), "", "aaaabbbbccccab" + "cqxx", []int{14}},
 }
 
 func TestMultiKeyEqualsNaive(t *testing.T) {
 	for _, c := range multiKeySeeds {
 		t.Run(c.name, func(t *testing.T) {
-			checkAgainstNaive(t, c.keys, []byte(c.text), c.chunks)
-			// And at every single split point.
-			for split := 0; split <= len(c.text); split++ {
-				checkAgainstNaive(t, c.keys, []byte(c.text), []int{split})
+			calibs := append([][]byte{[]byte(c.calib)}, rarestCalibs(c.keys)...)
+			for _, calib := range calibs {
+				checkAgainstNaive(t, c.keys, calib, []byte(c.text), c.chunks)
+				// And at every single split point.
+				for split := 0; split <= len(c.text); split++ {
+					checkAgainstNaive(t, c.keys, calib, []byte(c.text), []int{split})
+				}
 			}
 		})
+	}
+}
+
+// TestCalibrationPicksRareBytes pins calibrate's rule: the rarest byte
+// of each key in the first text scanned, the first byte unless another
+// is at least twice as rare, duplicates dropped, rarest first.
+func TestCalibrationPicksRareBytes(t *testing.T) {
+	for _, c := range []struct {
+		keys  []string
+		calib string
+		want  []anchor
+	}{
+		{[]string{"1994-"}, "1x1x1x", []anchor{{1, '9'}}},                        // absent bytes are the rarest
+		{[]string{"1994-"}, strings.Repeat("\x00", 64), []anchor{{0, '1'}}},      // a tie keeps the first byte
+		{[]string{"1994-"}, "11119999444----", []anchor{{0, '1'}}},               // '-' is rarer, not twice
+		{[]string{"1994-"}, "1111999944--", []anchor{{3, '4'}}},                  // the earliest of equals
+		{[]string{"1994-", "1995-"}, "111199994444555--", []anchor{{4, '-'}}},    // shared anchors merge
+		{[]string{"ab", "xyz"}, "aaaabxxxxyyyyzz", []anchor{{1, 'b'}, {2, 'z'}}}, // rarest first
+	} {
+		a := MustCompile(c.keys...)
+		a.Contains([]byte(c.calib))
+		if !reflect.DeepEqual(a.anchors, c.want) {
+			t.Errorf("keys %q calibrated on %q: anchors %v, want %v", c.keys, c.calib, a.anchors, c.want)
+		}
+	}
+	a := MustCompile("1994-")
+	a.Contains(nil)
+	if len(a.anchors) != 0 {
+		t.Fatalf("an empty text calibrated: %v", a.anchors)
+	}
+	a.Contains([]byte("1x"))
+	a.Contains([]byte("----"))
+	if want := []anchor{{1, '9'}}; !reflect.DeepEqual(a.anchors, want) {
+		t.Fatalf("anchors %v after a second text, want %v: calibration is once", a.anchors, want)
 	}
 }
 
@@ -338,7 +410,14 @@ func TestMultiKeyEqualsNaiveRandom(t *testing.T) {
 		for n := rng.Intn(8); n > 0; n-- {
 			chunks = append(chunks, rng.Intn(100))
 		}
-		checkAgainstNaive(t, keys, text, chunks)
+		var calib []byte
+		if rng.Intn(2) == 0 {
+			calib = make([]byte, rng.Intn(40))
+			for i := range calib {
+				calib[i] = byte('a' + rng.Intn(alpha+1))
+			}
+		}
+		checkAgainstNaive(t, keys, calib, text, chunks)
 	}
 }
 
@@ -384,7 +463,7 @@ func TestCompileRejectsOversizedKeySet(t *testing.T) {
 }
 
 // The scan loop sits under every simulated page read; it must not
-// allocate.
+// allocate, nor may the first scan that calibrates the automaton.
 func TestScanDoesNotAllocate(t *testing.T) {
 	a := MustCompile("1994-", "1995-", "XNEEDLEX")
 	text := []byte(strings.Repeat("10.0.0.1 - - [12/Mar/1994:10:01:02] GET /x1 200 1995-\n", 40))
@@ -404,12 +483,33 @@ func TestScanDoesNotAllocate(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("nothing matched")
 	}
+	keys := bs("1994-", "1995-", "XNEEDLEX")
+	compile := func() *Automaton {
+		a, err := Compile(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	alone := testing.AllocsPerRun(20, func() { compile() })
+	first := testing.AllocsPerRun(20, func() {
+		if !compile().Contains(text) {
+			t.Fatal("no hit")
+		}
+	})
+	if first != alone {
+		t.Fatalf("Compile + first Contains: %v allocs, Compile alone: %v", first, alone)
+	}
 }
 
-// scanShapes are BenchmarkScan's three texts (key "1994-"): rare —
-// web-log lines, a first byte every dozen bytes or so; dense —
-// TPC-H-like date/number rows, a first byte every few bytes;
-// alternating — "1x1x…", back at the root every other byte.
+// scanShapes are BenchmarkScan's texts (key "1994-"): rare — web-log
+// lines, a first byte every dozen bytes or so; dense — TPC-H-like
+// date/number rows, a first byte every few bytes; alternating —
+// "1x1x…", back at the root every other byte; uniform — uniformly
+// random bytes, so no key byte is rarer than another and the anchor
+// stays on the first; miss — "1xx1xx…" scanned by an automaton
+// calibrated on a zero page, so the anchor is the first byte and the
+// most call-heavy text for it.
 func scanShapes() map[string][]byte {
 	const size = 1 << 20
 	rng := rand.New(rand.NewSource(1))
@@ -421,6 +521,8 @@ func scanShapes() map[string][]byte {
 		return b[:size]
 	}
 	paths := []string{"/index.html", "/img/logo.png", "/api/v2/items", "/search?q=flash", "/cart/checkout"}
+	uniform := make([]byte, size)
+	rng.Read(uniform)
 	return map[string][]byte{
 		"rare": fill(func() string {
 			return fmt.Sprintf("%d.%d.%d.%d - - [%02d/Mar/2016:%02d:%02d:%02d +0000] \"GET %s HTTP/1.1\" %d %d\n",
@@ -433,24 +535,36 @@ func scanShapes() map[string][]byte {
 				2+rng.Intn(7), 1+rng.Intn(12), 1+rng.Intn(28), 2+rng.Intn(7), 1+rng.Intn(12), 1+rng.Intn(28))
 		}),
 		"alternating": []byte(strings.Repeat("1x", size/2)),
+		"uniform":     uniform,
+		"miss":        []byte(strings.Repeat("1xx", size/3+1)[:size]),
 	}
 }
 
 var benchSink int
 
+// BenchmarkScan streams each shape in 16 KiB chunks, the first of which
+// calibrates a fresh automaton (a zero page does for "miss") before the
+// timer starts.
 func BenchmarkScan(b *testing.B) {
-	a := MustCompile("1994-")
+	const chunk = 16 << 10
 	shapes := scanShapes()
-	for _, name := range []string{"rare", "dense", "alternating"} {
+	for _, name := range []string{"rare", "dense", "alternating", "uniform", "miss"} {
 		text := shapes[name]
 		b.Run(name, func(b *testing.B) {
+			a := MustCompile("1994-")
+			calib := text[:chunk]
+			if name == "miss" {
+				calib = make([]byte, chunk)
+			}
+			a.Contains(calib)
 			b.SetBytes(int64(len(text)))
 			s := a.NewStream()
 			emit := func(Match) { benchSink++ }
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Reset(0)
-				for off := 0; off < len(text); off += 16 << 10 {
-					s.Feed(text[off:off+16<<10], emit)
+				for off := 0; off < len(text); off += chunk {
+					s.Feed(text[off:off+chunk], emit)
 				}
 			}
 		})
