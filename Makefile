@@ -32,13 +32,14 @@ faulttest:
 	$(GO) test -count=2 ./internal/fault/... $(FAULTPKGS)
 
 # Fuzz smoke: 10 s each of the fault-plan parser, the two matcher
-# oracles and the page decoder under a column mask (go test -fuzz takes
-# one target and one package per run).
+# oracles, the page decoder under a column mask and the device scan's
+# row filter (go test -fuzz takes one target and one package per run).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz=FuzzStreamEqualsWholeScan -fuzztime=10s ./internal/match
 	$(GO) test -run '^$$' -fuzz=FuzzMultiKeyEqualsNaive -fuzztime=10s ./internal/match
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/db
+	$(GO) test -run '^$$' -fuzz=FuzzDeviceFilter -fuzztime=10s ./internal/db
 
 # Self-healing suite (DESIGN.md "Self-healing"): the health monitor's
 # unit tests plus every package with a rebuild/migration/replica/health
@@ -65,11 +66,11 @@ faultbench:
 	$(GO) run ./cmd/tracestat $(FAULTOUT)/faultcurve.trace.json* > /dev/null
 
 # Benchmark smoke: run the executor, join-probe, Q7-shaped join-chain,
-# row-decode, DES-core, proc-wake, fiber-switch and matcher-scan
-# benchmarks once (-benchtime=1x) so CI catches bit-rot in the benchmark
-# harness without paying for a real measurement run.
+# row-decode, device-filter, DES-core, proc-wake, fiber-switch and
+# matcher-scan benchmarks once (-benchtime=1x) so CI catches bit-rot in
+# the benchmark harness without paying for a real measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkDecodeRow|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkScan' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkDecodeRow|BenchmarkDeviceFilter|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkScan' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers ./internal/match
 
 # Bench gate (DESIGN.md "The bench gate"): regenerate every experiment

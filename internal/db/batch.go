@@ -277,7 +277,9 @@ const skipCell cellOp = 4
 // in the batch's Value arena and string bytes in its byte arena, so
 // allocations are amortized over the batch. String cells are left packed
 // until FinishStrings materializes them — callers must FinishStrings
-// before any cell is read.
+// before any cell is read. A caller that already holds buf's bytes as a
+// string passes it as src: string cells then slice src, cost no arena
+// bytes and are ready at once. An empty src is the arena.
 //
 // ops says per column what to do with its cell; nil decodes them all. A
 // skipped cell is walked, not materialized — it stays the zero Value and
@@ -285,7 +287,7 @@ const skipCell cellOp = 4
 // check a decoded cell's do, with the same error, and the row is walked
 // to its end: a corrupt row fails whatever the mask, and the consumed
 // length never depends on it.
-func (b *RowBatch) decodeRow(buf []byte, sch *Schema, ops []cellOp) (int, error) {
+func (b *RowBatch) decodeRow(buf []byte, src string, sch *Schema, ops []cellOp) (int, error) {
 	blen, n := binary.Uvarint(buf)
 	if n <= 0 || blen > uint64(len(buf)-n) {
 		return 0, fmt.Errorf("db: truncated row header")
@@ -324,10 +326,15 @@ cells:
 				err = cellErr("truncated string", sch, i)
 				break cells
 			}
-			start := len(b.str)
-			b.str = append(b.str, body[at+k:at+k+int(slen)]...)
-			r[i] = Value{T: TString, I: int64(start)<<32 | int64(slen)}
-			b.fix = append(b.fix, strFix{row: rowIdx, col: int32(i)})
+			from := n + at + k
+			if src != "" {
+				r[i] = Value{T: TString, S: src[from : from+int(slen)]}
+			} else {
+				start := len(b.str)
+				b.str = append(b.str, buf[from:from+int(slen)]...)
+				r[i] = Value{T: TString, I: int64(start)<<32 | int64(slen)}
+				b.fix = append(b.fix, strFix{row: rowIdx, col: int32(i)})
+			}
 			at += k + int(slen)
 		case skipCell | cellOp(TInt), skipCell | cellOp(TDecimal):
 			_, k := binary.Uvarint(body[at:]) // rejects what Varint rejects

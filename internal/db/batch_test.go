@@ -121,7 +121,7 @@ func TestRowBatchDecodeRoundTrip(t *testing.T) {
 	}
 	b := NewRowBatch(8)
 	for len(buf) > 0 {
-		k, err := b.decodeRow(buf, sch, nil)
+		k, err := b.decodeRow(buf, "", sch, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,10 +145,10 @@ func TestRowBatchDecodeErrorRollsBack(t *testing.T) {
 	sch := NewSchema(Column{"s", TString})
 	b := NewRowBatch(4)
 	good := EncodeRow(nil, sch, Row{Str("hello")})
-	if _, err := b.decodeRow(good, sch, nil); err != nil {
+	if _, err := b.decodeRow(good, "", sch, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.decodeRow(good[:2], sch, nil); err == nil {
+	if _, err := b.decodeRow(good[:2], "", sch, nil); err == nil {
 		t.Fatal("truncated row must error")
 	}
 	b.FinishStrings()

@@ -1,8 +1,10 @@
 package db
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"biscuit"
@@ -187,59 +189,75 @@ func TestBatchExecAllocAmortization(t *testing.T) {
 			t.Fatalf("default batch must allocate >=2x less than batch=1: got %.0f vs %.0f", one, def)
 		}
 
-		// The device scan decodes every matched page into one staging
-		// batch it owns for its lifetime. Two scans that differ only in
-		// whether the matcher lets the pages through — a key on every page
-		// against a key on none, under a predicate no row passes, so
-		// nothing is encoded or shipped either way — differ by the cost of
-		// a matched page and nothing else.
-		none := EqS(tab.Sch, "note", "NOSUCHKEY")
-		device := func(key string) float64 {
-			return testing.AllocsPerRun(3, func() {
+		// The device scan row-filters every matched page while the matcher
+		// lends it, one row at a time in a one-row stage. Two scans that
+		// differ only in whether the matcher lets the pages through — a key
+		// on every page against a key on none, under a predicate no row
+		// passes, so nothing is kept or shipped either way — differ by the
+		// cost of a matched page and nothing else.
+		device := func(key string, pred Expr) (float64, float64) {
+			return allocsAndBytesPerRun(3, func() {
 				ex := NewExec(h, d)
-				if rows, err := Collect(ex.NewNDPScan(tab, []string{key}, none)); err != nil || len(rows) != 0 {
+				if rows, err := Collect(ex.NewNDPScan(tab, []string{key}, pred)); err != nil || len(rows) != 0 {
 					t.Fatalf("device scan for %q: %d rows, err %v", key, len(rows), err)
 				}
 			})
 		}
-		perPage := (device("padding-text") - device("NOSUCHKEY")) / float64(tab.Pages)
-		// A matched page costs its buffered copy (the matcher lends the
-		// media's page only for the callback) and FinishStrings' one string
-		// for the page's cells: 2. The sorted hit list's growth and the
-		// staging arenas' first few sizings are amortized over the pages —
-		// allow 1 more. A batch per page adds at least its row slab, value
-		// arena, byte arena and fixup list: 4 on top of the 2.
-		const bound = 2 + 1
-		t.Logf("device scan: %.2f allocs per matched page over %d pages (bound %d)", perPage, tab.Pages, bound)
-		if tab.Pages < 8 || perPage <= 0 || perPage > bound {
-			t.Fatalf("device scan allocates %.2f per matched page over %d pages, want (0, %d]", perPage, tab.Pages, bound)
+		perPage := func(pred Expr) (float64, float64) {
+			a1, b1 := device("padding-text", pred)
+			a0, b0 := device("NOSUCHKEY", pred)
+			return (a1 - a0) / float64(tab.Pages), (b1 - b0) / float64(tab.Pages)
+		}
+		if tab.Pages < 8 {
+			t.Fatalf("fixture has %d pages, want at least 8", tab.Pages)
+		}
+		// A predicate over a string cell costs a matched page the one
+		// string its cells slice: 1. The hit list's and the kept buffer's
+		// growth are amortized over the pages — allow 1 more. A copy of the
+		// page, or a string per row, would break it.
+		allocs, _ := perPage(EqS(tab.Sch, "note", "NOSUCHKEY"))
+		const bound = 1 + 1
+		t.Logf("device scan, string predicate: %.2f allocs per matched page over %d pages (bound %d)", allocs, tab.Pages, bound)
+		if allocs <= 0 || allocs > bound {
+			t.Fatalf("device scan allocates %.2f per matched page over %d pages, want (0, %d]", allocs, tab.Pages, bound)
+		}
+		// A predicate that reads no string cell costs a matched page no
+		// bytes of its own: what is left is the hit list's growth. A copy
+		// of the page would cost PageSize.
+		_, size := perPage(Cmp{LT, C(tab.Sch, "id"), Lit(Int(0))})
+		t.Logf("device scan, int predicate: %.0f bytes per matched page of %d", size, tab.PageSize)
+		if size >= float64(tab.PageSize)/4 {
+			t.Fatalf("device scan allocates %.0f bytes per matched page, want < PageSize/4 = %d", size, tab.PageSize/4)
 		}
 	})
 }
 
+// allocsAndBytesPerRun is testing.AllocsPerRun that also reports the
+// bytes allocated: the mean over runs of f, after one warm-up call, with
+// GOMAXPROCS at 1.
+func allocsAndBytesPerRun(runs int, f func()) (allocs, size float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // BenchmarkDecodeRow times the one row decoder over 1024 lineitem-shaped
-// rows (TPC-H lineitem's 16 column types, in its order, and cells of its
-// sizes) under three masks: every column — the full decode DecodePage and
-// the device scan run, which must not pay for masks existing — four
-// columns as Q6 reads them, and the last column alone, where every cell
-// before it is walked. ns/row is the number to read.
+// rows under three masks: every column — the full decode DecodePage and
+// ConvScan without a mask run, which must not pay for masks existing —
+// four columns as Q6 reads them, and the last column alone, where every
+// cell before it is walked. ns/row is the number to read.
 func BenchmarkDecodeRow(b *testing.B) {
-	sch := NewSchema(
-		Column{"orderkey", TInt}, Column{"partkey", TInt}, Column{"suppkey", TInt}, Column{"linenumber", TInt},
-		Column{"quantity", TInt}, Column{"extendedprice", TDecimal}, Column{"discount", TDecimal}, Column{"tax", TDecimal},
-		Column{"returnflag", TString}, Column{"linestatus", TString},
-		Column{"shipdate", TDate}, Column{"commitdate", TDate}, Column{"receiptdate", TDate},
-		Column{"shipinstruct", TString}, Column{"shipmode", TString}, Column{"comment", TString})
 	const rows = 1024
+	sch, row := lineitemShaped()
 	var buf []byte
 	for i := 0; i < rows; i++ {
-		day := DateYMD(1992, 1, 1+i%2500)
-		buf = EncodeRow(buf, sch, Row{
-			Int(int64(i * 4)), Int(int64(i * 7919 % 200000)), Int(int64(i % 10000)), Int(int64(1 + i%7)),
-			Int(int64(1 + i%50)), Dec(int64(90000 + i*37%10000000)), Dec(int64(i % 11)), Dec(int64(i % 9)),
-			Str("NRA"[i%3 : i%3+1]), Str("OF"[i%2 : i%2+1]),
-			day, Value{T: TDate, I: day.I + 30}, Value{T: TDate, I: day.I + 41},
-			Str("DELIVER IN PERSON"), Str("TRUCK"), Str("carefully final deposits detect slyly agai"[:10+i%33])})
+		buf = EncodeRow(buf, sch, row(i))
 	}
 	mask := func(names ...string) []bool {
 		need := make([]bool, len(sch.Cols))
@@ -264,7 +282,7 @@ func BenchmarkDecodeRow(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				batch.Reset()
 				for at := 0; at < len(buf); {
-					k, err := batch.decodeRow(buf[at:], sch, ops)
+					k, err := batch.decodeRow(buf[at:], "", sch, ops)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -274,5 +292,55 @@ func BenchmarkDecodeRow(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})
+	}
+}
+
+// BenchmarkDeviceFilter times the device scan's row filter over 16 KiB
+// pages of lineitem-shaped rows under Q6's predicate (a shipdate year,
+// a discount band, quantity < 24), which reads four cells and no string.
+// One op is one matched page, so ns/op and B/op are per page; B/op is
+// what a matched page costs the Go process beyond the rows it keeps.
+func BenchmarkDeviceFilter(b *testing.B) {
+	sch, row := lineitemShaped()
+	pb := NewPageBuilder(16<<10, sch)
+	var pages [][]byte
+	for i := 0; len(pages) < 16; i++ {
+		if !pb.Add(row(i)) {
+			pages = append(pages, bytes.Clone(pb.Take()))
+			pb.Add(row(i))
+		}
+	}
+	q6 := AndOf(
+		RangeD(sch, "shipdate", "1994-01-01", "1995-01-01"),
+		Between{X: C(sch, "discount"), Lo: Dec(5), Hi: Dec(7)},
+		Cmp{LT, C(sch, "quantity"), Lit(Int(24))})
+	f := newPageFilter(NDPScanArgs{Sch: sch, Pred: q6})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.kept = f.kept[:0]
+		if h := f.page(0, pages[i%len(pages)]); h.err != nil {
+			b.Fatal(h.err)
+		}
+	}
+}
+
+// lineitemShaped is TPC-H lineitem's 16 column types, in its order, and a
+// row of cells of its sizes for each i.
+func lineitemShaped() (*Schema, func(i int) Row) {
+	sch := NewSchema(
+		Column{"orderkey", TInt}, Column{"partkey", TInt}, Column{"suppkey", TInt}, Column{"linenumber", TInt},
+		Column{"quantity", TInt}, Column{"extendedprice", TDecimal}, Column{"discount", TDecimal}, Column{"tax", TDecimal},
+		Column{"returnflag", TString}, Column{"linestatus", TString},
+		Column{"shipdate", TDate}, Column{"commitdate", TDate}, Column{"receiptdate", TDate},
+		Column{"shipinstruct", TString}, Column{"shipmode", TString}, Column{"comment", TString})
+	return sch, func(i int) Row {
+		day := DateYMD(1992, 1, 1+i%2500)
+		return Row{
+			Int(int64(i * 4)), Int(int64(i * 7919 % 200000)), Int(int64(i % 10000)), Int(int64(1 + i%7)),
+			Int(int64(1 + i%50)), Dec(int64(90000 + i*37%10000000)), Dec(int64(i % 11)), Dec(int64(i % 9)),
+			Str("NRA"[i%3 : i%3+1]), Str("OF"[i%2 : i%2+1]),
+			day, Value{T: TDate, I: day.I + 30}, Value{T: TDate, I: day.I + 41},
+			Str("DELIVER IN PERSON"), Str("TRUCK"), Str("carefully final deposits detect slyly agai"[:10+i%33])}
 	}
 }

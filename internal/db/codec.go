@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"slices"
 )
 
 // Page format (PageSize bytes, matching the device page so one DB page
@@ -22,13 +21,18 @@ const pageHeader = 4
 
 // EncodeRow appends the encoding of r (described by sch) to dst. The
 // body is sized first, so the length prefix and the cells go straight
-// into dst with no intermediate buffer.
+// into dst with no intermediate buffer. A date no cell can store (see
+// storable) panics, as a cell of the wrong type does.
 func EncodeRow(dst []byte, sch *Schema, r Row) []byte {
-	return appendRow(dst, sch, r, cellsLen(sch, r))
+	n, ok := cellsLen(sch, r)
+	if !ok {
+		panic(storable(sch, r).Error())
+	}
+	return appendRow(dst, sch, r, n)
 }
 
-// appendRow is EncodeRow with the body length n = cellsLen(sch, r)
-// already known.
+// appendRow is EncodeRow with the body length n of a storable r already
+// known.
 func appendRow(dst []byte, sch *Schema, r Row, n int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(n))
 	for i, c := range sch.Cols {
@@ -47,12 +51,13 @@ func appendRow(dst []byte, sch *Schema, r Row, n int) []byte {
 }
 
 // cellsLen is the encoded length of r's cells — the row body, without
-// its length prefix — after checking r against sch.
-func cellsLen(sch *Schema, r Row) int {
+// its length prefix — after checking r against sch. ok is false when r
+// holds a date no cell can store (see storable).
+func cellsLen(sch *Schema, r Row) (n int, ok bool) {
 	if len(r) != len(sch.Cols) {
 		panic(fmt.Sprintf("db: row arity %d vs schema %d", len(r), len(sch.Cols)))
 	}
-	n := 0
+	ok = true
 	for i, c := range sch.Cols {
 		v := r[i]
 		if v.T != c.T {
@@ -62,12 +67,25 @@ func cellsLen(sch *Schema, r Row) int {
 		case TInt, TDecimal:
 			n += varintLen(v.I)
 		case TDate:
-			n += dateLen(v.I)
+			n += 10
+			ok = ok && firstDay <= v.I && v.I <= lastDay
 		case TString:
 			n += uvarintLen(uint64(len(v.S))) + len(v.S)
 		}
 	}
-	return n
+	return n, ok
+}
+
+// storable reports, as an error naming the column, the first date of r
+// that no cell can store: a date cell is ten ASCII bytes, so its year is
+// 0000–9999. r has the arity and types of sch.
+func storable(sch *Schema, r Row) error {
+	for i, c := range sch.Cols {
+		if d := r[i].I; c.T == TDate && (d < firstDay || d > lastDay) {
+			return fmt.Errorf("db: column %s: date %s outside years 0000-9999", c.Name, r[i].DateString())
+		}
+	}
+	return nil
 }
 
 // uvarintLen is the length of binary.AppendUvarint(nil, x).
@@ -127,11 +145,12 @@ func (pb *PageBuilder) reset() {
 }
 
 // Add appends a row; it reports false, leaving the page as it was, when
-// the row does not fit. The caller should Take the page and retry; a
-// row that does not fit an empty page fits no page.
+// the row does not fit or holds a date no cell can store (see storable).
+// The caller should Take the page and retry; a row that does not fit an
+// empty page fits no page.
 func (pb *PageBuilder) Add(r Row) bool {
-	n := cellsLen(pb.sch, r)
-	if len(pb.buf)+uvarintLen(uint64(n))+n > pb.size {
+	n, ok := cellsLen(pb.sch, r)
+	if !ok || len(pb.buf)+uvarintLen(uint64(n))+n > pb.size {
 		return false
 	}
 	pb.buf = appendRow(pb.buf, pb.sch, r, n)
@@ -164,9 +183,9 @@ func (pb *PageBuilder) Take() []byte {
 
 // pageExtent validates a page header and returns the row count and the
 // used bytes (header included) it declares. It is the one header check:
-// every page decode — decodePage on the device and (as DecodePage) in
-// index builds, ConvScan on the host — goes through it, so corrupt
-// media is rejected the same way everywhere.
+// every page decode — the device scan's page filter, DecodePage in index
+// builds, ConvScan on the host — goes through it, so corrupt media is
+// rejected the same way everywhere.
 func pageExtent(page []byte) (rows, used int, err error) {
 	if len(page) < pageHeader {
 		return 0, 0, fmt.Errorf("db: short page")
@@ -182,17 +201,15 @@ func pageExtent(page []byte) (rows, used int, err error) {
 	return rows, used, nil
 }
 
-// decodePage is the one page decode: it resets b and decodes every row
-// of the page buffer into it, raising b's capacity when the page holds
-// more rows than b.Cap(). The rows live in b's arenas until its next
-// Reset. A corrupt page is an error with n = 0: nothing of it is to be read.
-func (b *RowBatch) decodePage(page []byte, sch *Schema) (n int, err error) {
-	b.Reset()
+// DecodePage invokes fn for every row in the page buffer. The rows are
+// decoded into a batch private to this call that is never Reset, so fn
+// may retain them (they share the page's arenas, not the caller's).
+// A corrupt page is reported before fn sees any of its rows.
+func DecodePage(page []byte, sch *Schema, fn func(Row) error) error {
 	n, used, err := pageExtent(page)
 	if err != nil || n == 0 {
-		return 0, err
+		return err
 	}
-	b.capacity = max(b.capacity, n)
 	// Size the batch's arenas to the page up front: its string bytes
 	// cannot exceed the used bytes, and every row has the schema's
 	// string cells.
@@ -202,31 +219,22 @@ func (b *RowBatch) decodePage(page []byte, sch *Schema) (n int, err error) {
 			strCols++
 		}
 	}
-	b.str = slices.Grow(b.str, used-pageHeader)
-	b.fix = slices.Grow(b.fix, n*strCols)
+	b := &RowBatch{capacity: n, str: make([]byte, 0, used-pageHeader), fix: make([]strFix, 0, n*strCols)}
 	at := pageHeader
 	for i := 0; i < n; i++ {
-		k, err := b.decodeRow(page[at:used], sch, nil)
+		k, err := b.decodeRow(page[at:used], "", sch, nil)
 		if err != nil {
-			return 0, fmt.Errorf("db: row %d: %w", i, err)
+			return fmt.Errorf("db: row %d: %w", i, err)
 		}
 		at += k
 	}
 	b.FinishStrings()
-	return n, nil
-}
-
-// DecodePage invokes fn for every row in the page buffer. The rows are
-// decoded into a batch private to this call that is never Reset, so fn
-// may retain them (they share the page's arenas, not the caller's).
-// A corrupt page is reported before fn sees any of its rows.
-func DecodePage(page []byte, sch *Schema, fn func(Row) error) error {
-	b := new(RowBatch)
-	n, err := b.decodePage(page, sch)
-	for i := 0; i < n && err == nil; i++ {
-		err = fn(b.Row(i))
+	for i := 0; i < n; i++ {
+		if err := fn(b.Row(i)); err != nil {
+			return err
+		}
 	}
-	return err
+	return nil
 }
 
 // PageRowCount returns the row count header of a page.

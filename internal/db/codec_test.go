@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -33,15 +34,15 @@ func refEncodeRow(dst []byte, sch *Schema, r Row) []byte {
 // TestEncodeRowSizesCells: EncodeRow's bytes are the two-pass
 // encoding's, and their length is cellsLen plus its prefix, over the
 // varint width steps of ints and decimals, the string lengths where the
-// length varint (and the row's prefix) grows a byte, and dates in and
-// out of four-digit years.
+// length varint (and the row's prefix) grows a byte, and dates out to
+// both ends of the four-digit years a cell stores.
 func TestEncodeRowSizesCells(t *testing.T) {
 	sch := NewSchema(Column{"i", TInt}, Column{"d", TDecimal}, Column{"s", TString}, Column{"t", TDate})
 	ints := []int64{0, 1, -1, 63, -63, 64, -64, math.MinInt64, math.MaxInt64}
 	strs := []int{0, 127, 128, 16383, 16384}
 	dates := []Value{
 		DateYMD(1970, 1, 1), DateYMD(1992, 1, 1), DateYMD(1998, 8, 2), DateYMD(1, 1, 1),
-		DateYMD(9999, 12, 31), DateYMD(10000, 1, 1), DateYMD(-1, 6, 15),
+		DateYMD(0, 1, 1), DateYMD(9999, 12, 31),
 	}
 	var buf []byte
 	for i, n := range ints {
@@ -49,7 +50,7 @@ func TestEncodeRowSizesCells(t *testing.T) {
 			for k, dt := range dates {
 				r := Row{Int(n), Dec(ints[(i+j+k)%len(ints)]), Str(strings.Repeat("x", sl)), dt}
 				got := EncodeRow(nil, sch, r)
-				body := cellsLen(sch, r)
+				body, _ := cellsLen(sch, r)
 				if want := uvarintLen(uint64(body)) + body; len(got) != want {
 					t.Errorf("row %v/%d/%s: encoded %d bytes, cellsLen says %d", n, sl, dt.DateString(), len(got), want)
 				}
@@ -142,6 +143,69 @@ func TestOversizedRowIsAnError(t *testing.T) {
 					t.Fatalf("row %d col %d: %v, want %v", i, c, got[i][c], want[i][c])
 				}
 			}
+		}
+	})
+}
+
+// TestUnstorableDateIsRefused: a date cell is ten ASCII bytes, so a date
+// outside years 0000–9999 has no cell. PageBuilder.Add refuses the row
+// and leaves the page as it was, Loader.Add reports an error naming the
+// column and keeps the table's rows as they were, and EncodeRow panics:
+// a row that was written with an eleven-byte date made its whole page
+// undecodable.
+func TestUnstorableDateIsRefused(t *testing.T) {
+	sch := NewSchema(Column{"d", TDate}, Column{"n", TInt})
+	for _, bad := range []Value{DateYMD(10000, 1, 1), DateYMD(-1, 12, 31), DateYMD(283305, 2, 29)} {
+		pb := NewPageBuilder(4096, sch)
+		if !pb.Add(Row{DateYMD(0, 1, 1), Int(1)}) || !pb.Add(Row{DateYMD(9999, 12, 31), Int(2)}) {
+			t.Fatal("PageBuilder.Add refused 0000-01-01 or 9999-12-31")
+		}
+		if pb.Add(Row{bad, Int(7)}) {
+			t.Fatalf("PageBuilder.Add accepted %s", bad.DateString())
+		}
+		var got []Row
+		if err := DecodePage(pb.Take(), sch, func(r Row) error { got = append(got, r); return nil }); err != nil {
+			t.Fatalf("after refusing %s: %v", bad.DateString(), err)
+		}
+		if fmt.Sprint(got) != "[[0000-01-01 1] [9999-12-31 2]]" {
+			t.Fatalf("after refusing %s: page holds %v", bad.DateString(), got)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EncodeRow encoded %s", bad.DateString())
+				}
+			}()
+			EncodeRow(nil, sch, Row{bad, Int(7)})
+		}()
+	}
+
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		ld, err := d.NewLoader(h, "t", sch, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ld.Add(Row{DateYMD(1995, 1, 17), Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ld.Add(Row{DateYMD(10000, 1, 1), Int(7)}); err == nil || !strings.Contains(err.Error(), "column d") {
+			t.Fatalf("Loader.Add(year 10000) = %v, want an error naming column d", err)
+		}
+		if err := ld.Add(Row{DateYMD(1995, 1, 18), Int(2)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ld.Close(); err != nil {
+			t.Fatal(err)
+		}
+		tab := d.Table("t")
+		rows, err := Collect(NewExec(h, d).NewConvScan(tab, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.Rows != 2 || tab.Pages != 1 || fmt.Sprint(rows) != "[[1995-01-17 1] [1995-01-18 2]]" {
+			t.Fatalf("table: %d rows in %d pages, scan %v", tab.Rows, tab.Pages, rows)
 		}
 	})
 }

@@ -28,7 +28,7 @@ func sampleRow(i int) Row {
 // RowBatch.decodeRow.
 func decodeOne(buf []byte, sch *Schema) (Row, int, error) {
 	b := NewRowBatch(1)
-	n, err := b.decodeRow(buf, sch, nil)
+	n, err := b.decodeRow(buf, "", sch, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -144,6 +144,9 @@ func TestExprEval(t *testing.T) {
 		{Like{X: C(sch, "note"), Pattern: "%UILD%"}, true},
 		{Like{X: C(sch, "note"), Pattern: "%XYZ%"}, false},
 		{Like{X: C(sch, "note"), Pattern: "%UILD%", Negate: true}, false},
+		{Like{X: C(sch, "note"), Pattern: "B_ILD%"}, true},
+		{Like{X: C(sch, "note"), Pattern: "%U_D%"}, false},
+		{Like{X: C(sch, "note"), Pattern: "%I_D_N_"}, true},
 		{In{X: C(sch, "note"), Vals: []Value{Str("A"), Str("BUILDING")}}, true},
 		{Between{X: C(sch, "price"), Lo: Dec(1000), Hi: Dec(1300)}, true},
 		{AndOf(Cmp{EQ, C(sch, "id"), Lit(Int(7))}, EqS(sch, "note", "BUILDING")), true},
@@ -153,6 +156,73 @@ func TestExprEval(t *testing.T) {
 	for i, c := range cases {
 		if got := Truthy(c.e.Eval(r)); got != c.want {
 			t.Errorf("case %d %s: got %v want %v", i, c.e, got, c.want)
+		}
+	}
+}
+
+// TestLikeWildcards: _ matches any one byte and % any run of bytes,
+// alone and together, at either end and in the middle of a pattern.
+func TestLikeWildcards(t *testing.T) {
+	for _, c := range []struct {
+		s, pattern string
+		want       bool
+	}{
+		{"abc", "a_c", true},
+		{"abcde", "%b_d%", true},
+		{"ac", "a_c", false},
+		{"abbc", "a_c", false},
+		{"abc", "___", true},
+		{"abc", "__", false},
+		{"abc", "_%", true},
+		{"", "_%", false},
+		{"", "%", true},
+		{"a_c", "a_c", true},
+		{"abXcd", "%ab_cd%", true},
+		{"abcd", "%ab_cd%", false},
+		{"xxabYcdyy", "xx%b_c%y", true},
+		{"aXbaYb", "%a_b", true},
+		{"ab", "a%b_", false},
+		{"abc", "a%_c", true},
+		{"ac", "a%_c", false},
+	} {
+		if got := likeMatch(c.s, c.pattern); got != c.want {
+			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.pattern, got, c.want)
+		}
+	}
+	// Every pattern over {a, b, _, %} up to five bytes against every
+	// string over {a, b} up to five bytes, checked against the recursive
+	// definition.
+	var naive func(s, p string) bool
+	naive = func(s, p string) bool {
+		switch {
+		case p == "":
+			return s == ""
+		case p[0] == '%':
+			return naive(s, p[1:]) || s != "" && naive(s[1:], p)
+		case s == "":
+			return false
+		}
+		return (p[0] == '_' || p[0] == s[0]) && naive(s[1:], p[1:])
+	}
+	words := func(alphabet string, n int) []string {
+		out := []string{""}
+		for prev := out; n > 0; n-- {
+			var next []string
+			for _, w := range prev {
+				for i := range alphabet {
+					next = append(next, w+alphabet[i:i+1])
+				}
+			}
+			out, prev = append(out, next...), next
+		}
+		return out
+	}
+	strs := words("ab", 5)
+	for _, p := range words("ab_%", 5) {
+		for _, s := range strs {
+			if got, want := likeMatch(s, p), naive(s, p); got != want {
+				t.Fatalf("%q LIKE %q = %v, want %v", s, p, got, want)
+			}
 		}
 	}
 }

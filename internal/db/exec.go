@@ -271,7 +271,7 @@ func (s *ConvScan) decodeRow(b *RowBatch) (bool, error) {
 			return false, err
 		}
 	}
-	k, err := b.decodeRow(s.chunk[s.pAt:s.pEnd], s.T.Sch, s.ops)
+	k, err := b.decodeRow(s.chunk[s.pAt:s.pEnd], "", s.T.Sch, s.ops)
 	if err != nil {
 		return false, fmt.Errorf("conv scan %s @%d: %w", s.T.Name, s.pOff, err)
 	}

@@ -234,7 +234,8 @@ func (in In) String() string {
 
 func (in In) cols(need []bool) { in.X.cols(need) }
 
-// Like is SQL LIKE with % wildcards (no _ support; TPC-H doesn't use it).
+// Like is SQL LIKE: % matches any run of bytes, _ any one byte. There is
+// no ESCAPE: both are always wildcards.
 type Like struct {
 	X       Expr
 	Pattern string
@@ -260,39 +261,54 @@ func (l Like) String() string {
 
 func (l Like) cols(need []bool) { l.X.cols(need) }
 
-// likeMatch implements %-wildcard matching by greedy segment search.
+// likeMatch reports whether s matches a LIKE pattern: % matches any run
+// of bytes, _ any one byte. The %s cut the pattern into segments of fixed
+// length; the first must start s, the last must end it, and each middle
+// one is matched at its leftmost place after the one before, which finds
+// a match whenever there is one.
 func likeMatch(s, pattern string) bool {
-	segs := strings.Split(pattern, "%")
-	if len(segs) == 1 {
-		return s == pattern
+	seg, rest, wild := strings.Cut(pattern, "%")
+	if !wild {
+		return len(s) == len(seg) && segMatch(s, seg)
 	}
-	// Leading segment must prefix.
-	if segs[0] != "" {
-		if !strings.HasPrefix(s, segs[0]) {
-			return false
-		}
-		s = s[len(segs[0]):]
+	if len(s) < len(seg) || !segMatch(s[:len(seg)], seg) {
+		return false
 	}
-	// Trailing segment must suffix.
-	last := segs[len(segs)-1]
-	if last != "" {
-		if !strings.HasSuffix(s, last) {
-			return false
+	s = s[len(seg):]
+	for {
+		seg, rest, wild = strings.Cut(rest, "%")
+		if !wild {
+			return len(s) >= len(seg) && segMatch(s[len(s)-len(seg):], seg)
 		}
-		s = s[:len(s)-len(last)]
-	}
-	// Middle segments must appear in order.
-	for _, seg := range segs[1 : len(segs)-1] {
-		if seg == "" {
-			continue
-		}
-		i := strings.Index(s, seg)
+		i := segIndex(s, seg)
 		if i < 0 {
 			return false
 		}
 		s = s[i+len(seg):]
 	}
+}
+
+// segMatch reports whether s, of seg's length, matches the segment seg.
+func segMatch(s, seg string) bool {
+	for i := 0; i < len(seg); i++ {
+		if seg[i] != '_' && seg[i] != s[i] {
+			return false
+		}
+	}
 	return true
+}
+
+// segIndex is the index of the leftmost place seg matches in s, or -1.
+func segIndex(s, seg string) int {
+	if strings.IndexByte(seg, '_') < 0 {
+		return strings.Index(s, seg)
+	}
+	for i := 0; i+len(seg) <= len(s); i++ {
+		if segMatch(s[i:i+len(seg)], seg) {
+			return i
+		}
+	}
+	return -1
 }
 
 // ArithOp enumerates arithmetic operators.

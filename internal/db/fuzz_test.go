@@ -19,36 +19,7 @@ import (
 // the same error and the same bytes consumed row by row, giving the full
 // decode's cells where the mask has them and zero cells elsewhere.
 func FuzzDecodePage(f *testing.F) {
-	sch := NewSchema(Column{"a", TInt}, Column{"b", TString}, Column{"c", TDate}, Column{"d", TDecimal})
-	// Seed with a valid page.
-	pb := NewPageBuilder(4096, sch)
-	for i := 0; i < 20; i++ {
-		pb.Add(Row{Int(int64(i)), Str("abc"), DateYMD(1995, 1, 17), Dec(123)})
-	}
-	valid := pb.Take()
-	for _, mask := range []uint16{0, 0b1111, 0b0101, 0b1010, 0b1000} {
-		f.Add(valid, mask)
-	}
-	f.Add([]byte{}, uint16(0b0001))
-	f.Add([]byte{0xFF, 0xFF, 0x00, 0x00}, uint16(0b0010))
-	f.Add(bytes.Repeat([]byte{0xA5}, 4096), uint16(0b0100))
-	// The shared header check's three rejections, and row decode errors
-	// past it — in a masked cell as well as a read one.
-	damaged := func(edit func(page []byte) []byte) []byte {
-		return edit(append([]byte(nil), valid...))
-	}
-	used := int(binary.LittleEndian.Uint16(valid[2:4]))
-	f.Add(damaged(func(p []byte) []byte { return p[:used-1] }), uint16(0))                                                  // used > len(page)
-	f.Add(damaged(func(p []byte) []byte { binary.LittleEndian.PutUint16(p[2:4], 2); return p }), uint16(0))                 // rows > 0, used < header
-	f.Add(damaged(func(p []byte) []byte { binary.LittleEndian.PutUint16(p[2:4], uint16(used-3)); return p }), uint16(0))    // last row truncated
-	f.Add(damaged(func(p []byte) []byte { copy(p[4:], bytes.Repeat([]byte{0xFF}, 9)); p[13] = 0x01; return p }), uint16(0)) // row length 2^63
-	rowLen := len(EncodeRow(nil, sch, Row{Int(0), Str("abc"), DateYMD(1995, 1, 17), Dec(123)}))
-	for _, mask := range []uint16{0b0100, 0b1011, 0b0001} {
-		f.Add(damaged(func(p []byte) []byte { p[pageHeader+rowLen+1+1+4+4] = 'x'; return p }), mask)                     // row 1's date lost a dash
-		f.Add(damaged(func(p []byte) []byte { p[pageHeader+rowLen+1+1] = 0x7f; return p }), mask)                        // row 1's string overruns the row
-		f.Add(damaged(func(p []byte) []byte { copy(p[pageHeader+1:], bytes.Repeat([]byte{0xFF}, 11)); return p }), mask) // row 0's varint overflows
-	}
-
+	sch := fuzzPageSeeds(f)
 	f.Fuzz(func(t *testing.T, page []byte, mask uint16) {
 		// Must never panic; errors are fine.
 		rows := 0
@@ -98,6 +69,105 @@ func FuzzDecodePage(f *testing.F) {
 	})
 }
 
+// fuzzPageSeeds seeds a (page, uint16) corpus over the schema it returns:
+// a valid page, short and garbage pages, the shared header check's three
+// rejections and row decode errors past it.
+func fuzzPageSeeds(f *testing.F) *Schema {
+	sch := NewSchema(Column{"a", TInt}, Column{"b", TString}, Column{"c", TDate}, Column{"d", TDecimal})
+	// Seed with a valid page.
+	pb := NewPageBuilder(4096, sch)
+	for i := 0; i < 20; i++ {
+		pb.Add(Row{Int(int64(i)), Str("abc"), DateYMD(1995, 1, 17), Dec(123)})
+	}
+	valid := pb.Take()
+	for _, mask := range []uint16{0, 0b1111, 0b0101, 0b1010, 0b1000} {
+		f.Add(valid, mask)
+	}
+	f.Add([]byte{}, uint16(0b0001))
+	f.Add([]byte{0xFF, 0xFF, 0x00, 0x00}, uint16(0b0010))
+	f.Add(bytes.Repeat([]byte{0xA5}, 4096), uint16(0b0100))
+	// The shared header check's three rejections, and row decode errors
+	// past it — in a masked cell as well as a read one.
+	damaged := func(edit func(page []byte) []byte) []byte {
+		return edit(append([]byte(nil), valid...))
+	}
+	used := int(binary.LittleEndian.Uint16(valid[2:4]))
+	f.Add(damaged(func(p []byte) []byte { return p[:used-1] }), uint16(0))                                                  // used > len(page)
+	f.Add(damaged(func(p []byte) []byte { binary.LittleEndian.PutUint16(p[2:4], 2); return p }), uint16(0))                 // rows > 0, used < header
+	f.Add(damaged(func(p []byte) []byte { binary.LittleEndian.PutUint16(p[2:4], uint16(used-3)); return p }), uint16(0))    // last row truncated
+	f.Add(damaged(func(p []byte) []byte { copy(p[4:], bytes.Repeat([]byte{0xFF}, 9)); p[13] = 0x01; return p }), uint16(0)) // row length 2^63
+	rowLen := len(EncodeRow(nil, sch, Row{Int(0), Str("abc"), DateYMD(1995, 1, 17), Dec(123)}))
+	for _, mask := range []uint16{0b0100, 0b1011, 0b0001} {
+		f.Add(damaged(func(p []byte) []byte { p[pageHeader+rowLen+1+1+4+4] = 'x'; return p }), mask)                     // row 1's date lost a dash
+		f.Add(damaged(func(p []byte) []byte { p[pageHeader+rowLen+1+1] = 0x7f; return p }), mask)                        // row 1's string overruns the row
+		f.Add(damaged(func(p []byte) []byte { copy(p[pageHeader+1:], bytes.Repeat([]byte{0xFF}, 11)); return p }), mask) // row 0's varint overflows
+	}
+	return sch
+}
+
+// FuzzDeviceFilter is FuzzDecodePage's twin for the device scan: on any
+// page, the device filter under the predicate sel picks accepts and
+// rejects exactly what DecodePage does, with the same error, and keeps
+// the rows DecodePage and the predicate keep. Rows are compared as
+// decoded values, not bytes: a garbage row need not be canonical.
+func FuzzDeviceFilter(f *testing.F) {
+	sch := fuzzPageSeeds(f)
+	preds := []Expr{
+		nil,
+		Cmp{LT, C(sch, "a"), Lit(Int(10))},
+		EqS(sch, "b", "abc"),
+		Like{X: C(sch, "b"), Pattern: "%b_"},
+		Cmp{GE, C(sch, "c"), Lit(MustDate("1995-01-17"))},
+		Cmp{GT, C(sch, "d"), Lit(Dec(100))},
+		AndOf(Cmp{GE, C(sch, "a"), Lit(Int(5))}, Cmp{LT, C(sch, "c"), Lit(MustDate("1996-01-01"))}),
+		OrOf(EqS(sch, "b", "x"), Cmp{EQ, C(sch, "d"), Lit(Dec(123))}),
+		Not{Cmp{EQ, C(sch, "a"), Lit(Int(3))}},
+	}
+	f.Fuzz(func(t *testing.T, page []byte, sel uint16) {
+		pred := preds[int(sel)%len(preds)]
+		n := 0
+		var want []Row
+		derr := DecodePage(page, sch, func(r Row) error {
+			if n++; pred == nil || Truthy(pred.Eval(r)) {
+				want = append(want, r)
+			}
+			return nil
+		})
+		flt := newPageFilter(NDPScanArgs{Sch: sch, Pred: pred})
+		h := flt.page(0, page)
+		if fmt.Sprint(h.err) != fmt.Sprint(derr) {
+			t.Fatalf("%v: device filter err %v, DecodePage's %v", pred, h.err, derr)
+		}
+		if derr != nil {
+			if h.hi != h.lo {
+				t.Fatalf("%v: a page that fails keeps %d bytes", pred, h.hi-h.lo)
+			}
+			return
+		}
+		if h.rows != n {
+			t.Fatalf("%v: device filter saw %d rows, DecodePage %d", pred, h.rows, n)
+		}
+		kept := flt.kept[h.lo:h.hi]
+		got := NewRowBatch(len(want) + 1)
+		for at := 0; at < len(kept); {
+			k, err := got.decodeRow(kept[at:], "", sch, nil)
+			if err != nil {
+				t.Fatalf("%v: kept row %d does not decode: %v", pred, got.Len(), err)
+			}
+			at += k
+		}
+		got.FinishStrings()
+		if got.Len() != len(want) {
+			t.Fatalf("%v: kept %d rows, want %d", pred, got.Len(), len(want))
+		}
+		for i, w := range want {
+			if r := got.Row(i); !slices.Equal(r, w) {
+				t.Fatalf("%v: kept row %d = %v, want %v", pred, i, r, w)
+			}
+		}
+	})
+}
+
 // walkPage decodes a page's rows through the row decoder with ops,
 // reporting the rows, the bytes each consumed, and the first error, which
 // ends the walk.
@@ -109,7 +179,7 @@ func walkPage(page []byte, sch *Schema, ops []cellOp) ([]Row, []int, error) {
 	b := NewRowBatch(n + 1)
 	var lens []int
 	for at := pageHeader; len(lens) < n; {
-		k, err := b.decodeRow(page[at:used], sch, ops)
+		k, err := b.decodeRow(page[at:used], "", sch, ops)
 		if err != nil {
 			return nil, lens, fmt.Errorf("row %d: %w", len(lens), err)
 		}

@@ -118,6 +118,10 @@ func (a NDPScanArgs) outSchema() *Schema {
 	return NewSchema(cols...)
 }
 
+// ndpScanLet is the device half of an NDPScan: the SSDlet that streams
+// the table through the matcher, row-filters the pages it passes with
+// the predicate's cells alone (pageFilter), and ships the survivors as
+// stored or folds them into groups (pageFold).
 type ndpScanLet struct{}
 
 func (ndpScanLet) Spec() biscuit.Spec {
@@ -142,18 +146,16 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		return err
 	}
 
-	// Phase 1: stream the whole file through the matcher IPs, buffering
-	// only the pages that contain at least one key. Row predicates are
-	// page-superset-safe by construction (the planner derives keys from
-	// literal constants of the predicate).
-	type hit struct {
-		off  int64
-		data []byte
-	}
-	var hits []hit
+	// Phase 1: stream the whole file through the matcher IPs; the device
+	// CPU row-filters each page that contains at least one key while the
+	// matcher lends it, keeping the stored bytes of the rows that pass.
+	// Row predicates are page-superset-safe by construction (the planner
+	// derives keys from literal constants of the predicate).
+	flt := newPageFilter(args)
+	var hits []pageHit
 	if args.Software {
 		// Ablation: no matcher IP. Stream the file with plain internal
-		// reads and hand every page to the CPU phase.
+		// reads and filter every page.
 		const stride = 1 << 20
 		buf := make([]byte, stride)
 		for off := int64(0); off < f.Size(); off += stride {
@@ -165,17 +167,13 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 				return err
 			}
 			for at := 0; at < n; at += args.PageSize {
-				end := at + args.PageSize
-				if end > n {
-					end = n
-				}
-				hits = append(hits, hit{off + int64(at), append([]byte(nil), buf[at:end]...)})
+				hits = append(hits, flt.page(off+int64(at), buf[at:min(at+args.PageSize, n)]))
 			}
 		}
 	} else {
 		if err := c.ScanFile(f, 0, int(f.Size()), func(off int64, data []byte) {
 			if a.Contains(data) {
-				hits = append(hits, hit{off, append([]byte(nil), data...)})
+				hits = append(hits, flt.page(off, data))
 			}
 		}); err != nil {
 			return err
@@ -183,15 +181,11 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		sort.Slice(hits, func(i, j int) bool { return hits[i].off < hits[j].off })
 	}
 
-	// Phase 2: the device CPU decodes matched pages and evaluates the
-	// exact predicate. Qualifying rows are either re-encoded for the
-	// host as they are found or, under aggregation, folded into the
+	// Phase 2: in file order, the device CPU is charged for each matched
+	// page — its decode and its predicate — and the page's survivors go
+	// out: as stored, to the host, or, under aggregation, folded into the
 	// group table whose result rows are encoded once every page is in.
-	// Either way the rows leave in NDPBatchBytes packets. Pages decode
-	// into one staging batch the scan owns for its lifetime: its rows die
-	// at the next page, so what outlives a page (a group's cells, an
-	// encoded row) leaves by value.
-	stage := new(RowBatch)
+	// Either way the rows leave in NDPBatchBytes packets.
 	var batch []byte
 	flush := func() bool {
 		if len(batch) == 0 {
@@ -201,39 +195,34 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		batch = nil
 		return out.Put(pkt)
 	}
-	var tab *groupTable
+	var fold *pageFold
 	rowCost := devEvalCPR
 	if args.aggregating() {
-		tab = newGroupTable(args.GroupBy, args.Aggs)
+		fold = newPageFold(args, flt.kept)
 		rowCost += devFoldCPR
 	}
-	for _, hchunk := range hits {
-		rows, err := stage.decodePage(hchunk.data, args.Sch)
-		if err != nil {
-			return fmt.Errorf("db: NDP scan decode @%d: %w", hchunk.off, err)
-		}
-		for i := 0; i < rows; i++ {
-			r := stage.Row(i)
-			if args.Pred != nil && !Truthy(args.Pred.Eval(r)) {
-				continue
-			}
-			if tab != nil {
-				tab.add(r)
-			} else {
-				batch = EncodeRow(batch, args.Sch, r)
-			}
+	for _, h := range hits {
+		if h.err != nil {
+			return fmt.Errorf("db: NDP scan decode @%d: %w", h.off, h.err)
 		}
 		c.Compute(devPageCheckCPP +
-			devDecodeCPB*float64(len(hchunk.data)) +
-			rowCost*float64(rows))
+			devDecodeCPB*float64(h.size) +
+			rowCost*float64(h.rows))
+		if fold != nil {
+			if err := fold.add(h.lo, h.hi); err != nil {
+				return fmt.Errorf("db: NDP scan fold @%d: %w", h.off, err)
+			}
+		} else {
+			batch = append(batch, flt.kept[h.lo:h.hi]...)
+		}
 		if len(batch) >= NDPBatchBytes && !flush() {
 			return nil
 		}
 	}
-	if tab != nil {
+	if fold != nil {
 		outSch := args.outSchema()
-		empty := len(tab.order) == 0
-		for _, row := range tab.rows() {
+		empty := len(fold.tab.order) == 0
+		for _, row := range fold.tab.rows() {
 			if empty {
 				// The one row of a scalar aggregate over no input: type
 				// its zero cells for the wire (a decimal Sum is Dec(0)).
@@ -248,6 +237,126 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		}
 	}
 	flush()
+	return nil
+}
+
+// pageHit is one page the device CPU filtered: its file offset, size and
+// row count, and where its survivors' bytes sit in the filter's kept
+// buffer — or the error its decode failed with.
+type pageHit struct {
+	off    int64
+	size   int
+	rows   int
+	lo, hi int
+	err    error
+}
+
+// pageFilter is the device CPU's row filter. Each row is decoded into a
+// one-row stage — only the cells the predicate reads, every other cell
+// walked and checked — and a row that passes is kept as stored, length
+// prefix and body, so what the host receives is the bytes PageBuilder
+// wrote. Rows PageBuilder writes are canonical (each is EncodeRow of its
+// own decode), so shipping them verbatim is shipping them re-encoded.
+type pageFilter struct {
+	sch   *Schema
+	pred  Expr
+	ops   []cellOp
+	strs  bool // the predicate reads a string cell
+	stage *RowBatch
+	kept  []byte // the survivors' stored bytes, page after page
+}
+
+func newPageFilter(args NDPScanArgs) *pageFilter {
+	ops := args.Sch.decodeOps(readCols(len(args.Sch.Cols), args.Pred))
+	return &pageFilter{sch: args.Sch, pred: args.Pred, ops: ops, strs: decodesStrings(ops), stage: NewRowBatch(1)}
+}
+
+// decodesStrings reports whether ops decode a string cell.
+func decodesStrings(ops []cellOp) bool {
+	for _, op := range ops {
+		if op == cellOp(TString) {
+			return true
+		}
+	}
+	return false
+}
+
+// page filters one page, which the caller lends for the call only. A
+// corrupt page fails as DecodePage fails it — at the same row, with the
+// same text, whatever the predicate reads — and keeps nothing. The one
+// allocation a page may cost is the string its cells slice, made only
+// when the predicate reads a string cell.
+func (f *pageFilter) page(off int64, page []byte) pageHit {
+	h := pageHit{off: off, size: len(page), lo: len(f.kept)}
+	n, used, err := pageExtent(page)
+	var src string
+	if f.strs && n > 0 {
+		src = string(page[:used])
+	}
+	for at, i := pageHeader, 0; i < n && err == nil; i++ {
+		f.stage.Reset()
+		var rowSrc string
+		if src != "" {
+			rowSrc = src[at:]
+		}
+		var k int
+		if k, err = f.stage.decodeRow(page[at:used], rowSrc, f.sch, f.ops); err != nil {
+			err = fmt.Errorf("db: row %d: %w", i, err)
+			break
+		}
+		if f.pred == nil || Truthy(f.pred.Eval(f.stage.Row(0))) {
+			f.kept = append(f.kept, page[at:at+k]...)
+		}
+		at += k
+	}
+	if err != nil {
+		f.kept, n = f.kept[:h.lo], 0
+	}
+	h.rows, h.hi, h.err = n, len(f.kept), err
+	return h
+}
+
+// pageFold is the aggregation stage: it decodes the group and aggregate
+// cells of kept rows into a one-row stage and folds them into the group
+// table, in file order. String cells slice one string of the whole kept
+// buffer, made only when a group or aggregate reads a string cell: group
+// keys and Min/Max of a string outlive the row.
+type pageFold struct {
+	sch   *Schema
+	ops   []cellOp
+	kept  []byte // the page filter's kept rows
+	src   string // kept as a string, when ops decode a string cell
+	stage *RowBatch
+	tab   *groupTable
+}
+
+func newPageFold(args NDPScanArgs, kept []byte) *pageFold {
+	need := readCols(len(args.Sch.Cols), args.GroupBy...)
+	for _, ag := range args.Aggs {
+		colsOf(need, ag.Arg)
+	}
+	fold := &pageFold{sch: args.Sch, ops: args.Sch.decodeOps(need), kept: kept, stage: NewRowBatch(1), tab: newGroupTable(args.GroupBy, args.Aggs)}
+	if decodesStrings(fold.ops) {
+		fold.src = string(kept)
+	}
+	return fold
+}
+
+// add folds the kept rows in bytes [lo, hi).
+func (f *pageFold) add(lo, hi int) error {
+	for at := lo; at < hi; {
+		f.stage.Reset()
+		var src string
+		if f.src != "" {
+			src = f.src[at:hi]
+		}
+		k, err := f.stage.decodeRow(f.kept[at:hi], src, f.sch, f.ops)
+		if err != nil {
+			return err
+		}
+		f.tab.add(f.stage.Row(0))
+		at += k
+	}
 	return nil
 }
 
@@ -284,9 +393,9 @@ type NDPScan struct {
 
 	sch *Schema // rows shipped: T.Sch, or the aggregate columns
 	// need marks the columns the plan above reads (nil: every column); narrow
-	// sets it. The device still decodes whole rows: it filters on Pred
-	// and re-encodes survivors for the link, so the bytes shipped do not
-	// depend on need; only their decode on the host does.
+	// sets it. The device decodes the cells Pred reads and ships whole
+	// survivors as stored, so the bytes shipped do not depend on need;
+	// only their decode on the host does.
 	need []bool
 
 	ndpRun
@@ -406,7 +515,7 @@ func (s *NDPScan) NextBatch(b *RowBatch) (int, error) {
 			sch := s.Schema()
 			consumed := 0
 			for len(s.batch) > 0 && !b.Full() {
-				k, err := b.decodeRow(s.batch, sch, s.ops)
+				k, err := b.decodeRow(s.batch, "", sch, s.ops)
 				if err != nil {
 					return 0, err
 				}

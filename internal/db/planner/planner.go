@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"biscuit/internal/db"
 	"biscuit/internal/match"
@@ -266,19 +267,14 @@ func literalKey(v db.Value) (string, bool) {
 	return "", false // binary-encoded ints/decimals can't be keyed
 }
 
-// likeKey picks the longest literal segment of a LIKE pattern.
+// likeKey picks the longest literal run of a LIKE pattern: a run between
+// wildcards, % or _, so every row the pattern matches holds it.
 func likeKey(pattern string) (string, bool) {
 	best := ""
-	cur := ""
-	for i := 0; i <= len(pattern); i++ {
-		if i == len(pattern) || pattern[i] == '%' {
-			if len(cur) > len(best) {
-				best = cur
-			}
-			cur = ""
-			continue
+	for lit := range strings.FieldsFuncSeq(pattern, func(r rune) bool { return r == '%' || r == '_' }) {
+		if len(lit) > len(best) {
+			best = lit
 		}
-		cur += string(pattern[i])
 	}
 	if len(best) > match.MaxKeyLen {
 		best = best[:match.MaxKeyLen]

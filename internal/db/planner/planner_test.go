@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -101,6 +102,49 @@ func TestExtractLike(t *testing.T) {
 	keys, ok = ExtractKeys(s, db.Like{X: db.C(s, "l_comment"), Pattern: "%averylongliteralsegment%"})
 	if !ok || len(keys[0]) != 16 {
 		t.Fatalf("keys=%v", keys)
+	}
+}
+
+// TestExtractLikeKeysAreLiteral: _ matches any byte, so a LIKE key is a
+// run between wildcards and never holds one; a row matching the pattern
+// — here, the pattern with each _ made 'X' and each % dropped — holds the
+// key.
+func TestExtractLikeKeysAreLiteral(t *testing.T) {
+	s := lineitemish()
+	for _, c := range []struct{ pattern, want string }{
+		{"%ab_cd%", "ab"},
+		{"%ab_cde%", "cde"},
+		{"a_bcd%", "bcd"},
+		{"%special_requests%", "requests"},
+		{"_", ""},
+		{"%__%", ""},
+	} {
+		keys, ok := ExtractKeys(s, db.Like{X: db.C(s, "l_comment"), Pattern: c.pattern})
+		if c.want == "" {
+			if ok {
+				t.Errorf("%q: keys %q, want none", c.pattern, keys)
+			}
+			continue
+		}
+		if !ok || len(keys) != 1 || keys[0] != c.want {
+			t.Errorf("%q: keys %q ok=%v, want [%s]", c.pattern, keys, ok, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for range 2000 {
+		p := make([]byte, 1+rng.Intn(12))
+		for i := range p {
+			p[i] = "ab_%"[rng.Intn(4)]
+		}
+		pattern := string(p)
+		keys, ok := ExtractKeys(s, db.Like{X: db.C(s, "l_comment"), Pattern: pattern})
+		if !ok {
+			continue
+		}
+		row := strings.NewReplacer("_", "X", "%", "").Replace(pattern)
+		if strings.ContainsAny(keys[0], "_%") || !strings.Contains(row, keys[0]) {
+			t.Fatalf("%q: key %q (a matching row: %q)", pattern, keys[0], row)
+		}
 	}
 }
 
@@ -229,6 +273,39 @@ func TestPlannedInclusiveRangeEqualsConv(t *testing.T) {
 		ex := db.NewExec(h, d)
 		pred := db.AndOf(db.Cmp{Op: db.GE, L: db.C(tab.Sch, "l_shipdate"), R: db.Lit(db.MustDate("1995-01-01"))},
 			db.Cmp{Op: db.LE, L: db.C(tab.Sch, "l_shipdate"), R: db.Lit(db.MustDate("1995-03-01"))})
+		it, dec := Default().PlanScan(ex, tab, pred)
+		if !dec.Offloaded {
+			t.Fatalf("expected offload, got %q (sel %.2f)", dec.Reason, dec.Selectivity)
+		}
+		planned, err := db.Collect(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv, err := db.Collect(ex.NewConvScan(tab, pred))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(conv) != 6 || fmt.Sprint(planned) != fmt.Sprint(conv) {
+			t.Fatalf("keys %v: planned scan %d rows, Conv %d (want 6)", dec.Keys, len(planned), len(conv))
+		}
+	})
+}
+
+// TestPlannedLikeUnderscoreEqualsConv: an offloaded LIKE with a _ finds
+// what Conv finds. Six of the rows hold "abXcd"; a key of "ab_cd" would
+// let no page through.
+func TestPlannedLikeUnderscoreEqualsConv(t *testing.T) {
+	sys, d, load := rowsFixture(t, func(i int) db.Row {
+		comment := "regular packages deliver quickly"
+		if i%10000 == 3 {
+			comment = "regular abXcd packages"
+		}
+		return db.Row{db.Int(int64(i)), db.Int(int64(i%7 + 1)), db.DateYMD(1992+i%7, 1+i%12, 1+i%28), db.Str("RAIL"), db.Str(comment)}
+	})
+	sys.Run(func(h *biscuit.Host) {
+		tab := load(h)
+		ex := db.NewExec(h, d)
+		pred := db.Like{X: db.C(tab.Sch, "l_comment"), Pattern: "%ab_cd%"}
 		it, dec := Default().PlanScan(ex, tab, pred)
 		if !dec.Offloaded {
 			t.Fatalf("expected offload, got %q (sel %.2f)", dec.Reason, dec.Selectivity)

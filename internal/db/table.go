@@ -81,10 +81,13 @@ func (d *Database) NewLoader(h *biscuit.Host, name string, sch *Schema, batchPag
 	return &Loader{d: d, t: t, h: h, pb: NewPageBuilder(ps, sch), file: f, target: batchPages * ps}, nil
 }
 
-// Add appends one row. A row too large for a page is an error, and the
-// table's rows stay as they were.
+// Add appends one row. A row too large for a page, or with a date no
+// cell can store, is an error, and the table's rows stay as they were.
 func (l *Loader) Add(r Row) error {
 	for !l.pb.Add(r) {
+		if err := storable(l.t.Sch, r); err != nil {
+			return err
+		}
 		if l.pb.Rows() == 0 {
 			return fmt.Errorf("db: row does not fit a fresh page")
 		}

@@ -125,14 +125,9 @@ func appendDate(dst []byte, days int64) []byte {
 		byte('0'+d/10), byte('0'+d%10))
 }
 
-// dateLen is the length of appendDate(nil, days): ten bytes whenever
-// the year fits four digits.
-func dateLen(days int64) int {
-	if y, _, _ := civil(days); y >= 0 && y <= 9999 {
-		return 10
-	}
-	return len(appendDate(nil, days))
-}
+// firstDay and lastDay are the day counts of 0000-01-01 and 9999-12-31,
+// the dates whose YYYY-MM-DD is ten bytes: the ones a row can store.
+var firstDay, lastDay = DateYMD(0, 1, 1).I, DateYMD(9999, 12, 31).I
 
 // MustDate parses "YYYY-MM-DD".
 func MustDate(s string) Value {
