@@ -70,7 +70,7 @@ faultbench:
 # matcher-scan benchmarks once (-benchtime=1x) so CI catches bit-rot in
 # the benchmark harness without paying for a real measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkDecodeRow|BenchmarkDeviceFilter|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkScan' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkHashJoinBuild|BenchmarkDecodeRow|BenchmarkDeviceFilter|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkScan' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers ./internal/match
 
 # Bench gate (DESIGN.md "The bench gate"): regenerate every experiment

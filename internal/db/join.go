@@ -1,6 +1,9 @@
 package db
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // joinOut is the output side the three joins share: a candidate pair is
 // built once, in the join's slab, and either stays there queued in
@@ -346,8 +349,9 @@ func (j *BNLJoin) Close() error {
 }
 
 // HashJoin is an in-memory equality join: the right (build) input is
-// materialized and indexed by key, and the left input probes it. Used
-// where MariaDB fidelity does not matter for the offload story.
+// drained into the join's buildRows and indexed by key, and the left
+// input probes it. Used where MariaDB fidelity does not matter for the
+// offload story.
 type HashJoin struct {
 	Ex          *Exec
 	Left, Right Iterator
@@ -359,8 +363,12 @@ type HashJoin struct {
 	// Residual, if non-nil, is evaluated on the concatenated row.
 	Residual Expr
 
+	// rightNeed is narrow's mask of the right columns an inner join's
+	// output and residual read; nil = every column.
+	rightNeed []bool
+
 	sch     *Schema
-	right   []Row     // the build side, materialized
+	right   buildRows // the build side, from Open to Close
 	rightIx joinIndex // over right, by RightKey
 	left    *RowBatch
 	joinOut
@@ -379,32 +387,59 @@ func (j *HashJoin) Schema() *Schema {
 	return j.sch
 }
 
-// buildCols is the mask of the right columns a semi or anti join reads:
-// RightKey's and the residual's right-hand ones.
-func (j *HashJoin) buildCols() []bool {
+// residualCols is the mask of the right columns the residual reads.
+func (j *HashJoin) residualCols() []bool {
 	nL := width(j.Left)
-	return withCols(readCols(nL+width(j.Right), j.Residual)[nL:], j.RightKey)
+	return readCols(nL+width(j.Right), j.Residual)[nL:]
 }
 
-// Open materializes and indexes the right input — narrowed to the
-// columns the join reads when it emits only left rows.
+// buildCols is the mask of the right columns a semi or anti join reads:
+// RightKey's and the residual's right-hand ones.
+func (j *HashJoin) buildCols() []bool { return withCols(j.residualCols(), j.RightKey) }
+
+// Open builds the right side — narrowed to the columns the join reads
+// when it emits only left rows — and opens the left one.
 func (j *HashJoin) Open() error {
 	j.Schema()
+	keep := j.rightNeed
 	if j.Semi || j.Anti {
 		narrow(j.Right, j.buildCols())
+		keep = j.residualCols()
 	}
-	rows, err := Collect(j.Right)
-	if err != nil {
+	if err := j.build(keep); err != nil {
 		return err
 	}
-	j.right = rows
-	j.rightIx.reset(len(rows))
-	for _, r := range rows {
-		j.rightIx.add(j.RightKey.Eval(r))
-	}
-	j.Ex.chargeHost(float64(len(rows)) * hostJoinCPR)
+	j.Ex.chargeHost(float64(j.right.n) * hostJoinCPR)
 	j.joinOut = joinOut{}
 	return j.Left.Open()
+}
+
+// build drains the right input into j.right, keeping the cells of keep's
+// columns (nil: every column), and indexes each row's key as it arrives:
+// the key cell need not be kept. The right input is opened, drained and
+// closed as Collect does it, and its errors are Collect's.
+func (j *HashJoin) build(keep []bool) error {
+	j.right.reset(keep, width(j.Right))
+	j.rightIx.reset(0)
+	if err := j.Right.Open(); err != nil {
+		return err
+	}
+	b := NewRowBatch(batchCapOf(j.Right))
+	for {
+		n, err := j.Right.NextBatch(b)
+		if err != nil {
+			_ = j.Right.Close() // the NextBatch error is the interesting one
+			return err
+		}
+		if n == 0 {
+			return j.Right.Close()
+		}
+		for i := 0; i < n; i++ {
+			r := b.Row(i)
+			j.rightIx.add(j.RightKey.Eval(r))
+			j.right.add(r)
+		}
+	}
 }
 
 // NextBatch probes with the next batch of left rows, emitting matches
@@ -430,7 +465,7 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 			// keep the left row if there was one (semi) or none (anti).
 			hit := false
 			for ri := j.rightIx.probe(j.LeftKey.Eval(lr)); ri >= 0; ri = j.rightIx.next[ri] {
-				if !j.match(lr, j.right[ri], j.Residual, pairs) {
+				if !j.match(lr, j.right.row(ri), j.Residual, pairs) {
 					continue
 				}
 				hit = true
@@ -447,6 +482,89 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 
 // Close closes the left input (right was drained in Open).
 func (j *HashJoin) Close() error {
-	j.right, j.rightIx = nil, joinIndex{}
+	j.right, j.rightIx = buildRows{}, joinIndex{}
 	return j.Left.Close()
+}
+
+// buildRows is HashJoin's build side: the right rows in arrival order,
+// each cut down to the columns kept and stored flat, w cells a row with
+// no Row header, in chunks addressed by build position. Chunk 0 holds
+// 1<<buildLo rows and every later chunk as many as all before it
+// together, up to 1<<buildHi rows — the sizes a rowSlab's chunks take —
+// so a 25-row nation costs two small chunks.
+type buildRows struct {
+	keep   []int     // the right columns kept, ascending; nil keeps every one
+	w      int       // cells stored per row
+	chunks [][]Value // chunk k holds w cells for each row chunkOf maps to it
+	n      int       // rows stored
+	wide   Row       // row's full-width row when keep is set; other cells stay zero
+}
+
+// A build chunk holds 1<<buildLo rows at first and 1<<buildHi at most.
+const buildLo, buildHi = 4, 10
+
+// reset empties the side for rows of width cells, of which it keeps
+// need's (nil: every one).
+func (s *buildRows) reset(need []bool, width int) {
+	*s = buildRows{w: width}
+	if need == nil {
+		return
+	}
+	s.keep = []int{}
+	for c, read := range need {
+		if read {
+			s.keep = append(s.keep, c)
+		}
+	}
+	s.w, s.wide = len(s.keep), make(Row, width)
+}
+
+// chunkOf returns the chunk holding build position p and p's row in it.
+// Chunk k in [1, buildHi-buildLo] starts at row 1<<(buildLo+k-1); the
+// full-size chunks after them at multiples of 1<<buildHi.
+func chunkOf(p int) (k, i int) {
+	switch {
+	case p < 1<<buildLo:
+		return 0, p
+	case p < 1<<buildHi:
+		hi := bits.Len(uint(p)) - 1 // p is in [1<<hi, 2<<hi)
+		return hi - buildLo + 1, p - 1<<hi
+	}
+	return p>>buildHi + buildHi - buildLo, p & (1<<buildHi - 1)
+}
+
+// add stores the kept cells of r as the next row.
+func (s *buildRows) add(r Row) {
+	k, i := chunkOf(s.n)
+	if k == len(s.chunks) {
+		rows := 1 << buildLo
+		if k > 0 {
+			rows = 1 << min(buildLo+k-1, buildHi)
+		}
+		s.chunks = append(s.chunks, make([]Value, rows*s.w))
+	}
+	cells := s.chunks[k][i*s.w : (i+1)*s.w]
+	if s.keep == nil {
+		copy(cells, r)
+	} else {
+		for j, c := range s.keep {
+			cells[j] = r[c]
+		}
+	}
+	s.n++
+}
+
+// row returns the row at build position p at the right input's full
+// width, its unkept cells zero — what a narrowed scan leaves there. The
+// row is valid until the next call.
+func (s *buildRows) row(p int32) Row {
+	k, i := chunkOf(int(p))
+	cells := Row(s.chunks[k][i*s.w : (i+1)*s.w : (i+1)*s.w])
+	if s.keep == nil {
+		return cells
+	}
+	for j, c := range s.keep {
+		s.wide[c] = cells[j]
+	}
+	return s.wide
 }

@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -150,8 +151,11 @@ func (f joinFixture) checkKeyed(t *testing.T, ex *Exec, what string, on, residua
 		return rows
 	}
 	hash := func(semi, anti bool) []Row {
-		return collect(&HashJoin{Ex: ex, Left: ex.NewConvScan(f.oTab, nil), Right: ex.NewConvScan(f.iTab, nil),
-			LeftKey: C(f.oTab.Sch, "ok"), RightKey: C(f.iTab.Sch, "ik"), Residual: residual, Semi: semi, Anti: anti})
+		j := &HashJoin{Ex: ex, Left: ex.NewConvScan(f.oTab, nil), Right: ex.NewConvScan(f.iTab, nil),
+			LeftKey: C(f.oTab.Sch, "ok"), RightKey: C(f.iTab.Sch, "ik"), Residual: residual, Semi: semi, Anti: anti}
+		rows := collect(j)
+		wantRows(t, "reopened hash "+what, collect(j), rows) // Close lets go of the build side
+		return rows
 	}
 	want := pairLoop(f.outer, f.inner, on, false)
 	wantRows(t, "hash "+what, hash(false, false), want)
@@ -439,6 +443,80 @@ func TestJoinRowsLiveUntilNextCall(t *testing.T) {
 					t.Fatalf("%s: %d rows, want %d\n got  %v\n want %v", what, len(got), len(want), got, want)
 				}
 			}
+		}
+	})
+}
+
+// q21Semi builds Q21's EXISTS as a semi join: a build side of nBuild
+// lineitem-shaped rows, all sixteen columns, four lines an order, and
+// nProbe probe rows of (l_orderkey, l_suppkey), the last quarter of them
+// keyed past the build side's orders. The join reads two build columns:
+// l_orderkey, its key, and l_suppkey, its residual's. want is how many
+// probe rows have a line of their order from another supplier.
+func q21Semi(ex *Exec, nBuild, nProbe int) (j *HashJoin, want int) {
+	cols := []Column{{"l_orderkey", TInt}, {"l_partkey", TInt}, {"l_suppkey", TInt}, {"l_linenumber", TInt},
+		{"l_quantity", TDecimal}, {"l_extendedprice", TDecimal}, {"l_discount", TDecimal}, {"l_tax", TDecimal},
+		{"l_returnflag", TString}, {"l_linestatus", TString}, {"l_shipdate", TDate}, {"l_commitdate", TDate},
+		{"l_receiptdate", TDate}, {"l_shipinstruct", TString}, {"l_shipmode", TString}, {"l_comment", TString}}
+	lSch := NewSchema(cols...)
+	lines := make([]Row, nBuild)
+	suppliers := map[int64]map[int64]bool{} // l_orderkey → its lines' l_suppkey
+	for i := range lines {
+		order, supp := int64(i/4), int64(i*7%100)
+		day := DateYMD(1992+i%7, 1+i%12, 1+i%28)
+		lines[i] = Row{Int(order), Int(int64(i)), Int(supp), Int(int64(1 + i%4)),
+			Dec(int64(100 * (1 + i%50))), Dec(int64(i)), Dec(int64(i % 11)), Dec(int64(i % 9)),
+			Str("N"), Str("O"), day, day, day, Str("DELIVER IN PERSON"), Str("TRUCK"), Str("carefully final deposits")}
+		if suppliers[order] == nil {
+			suppliers[order] = map[int64]bool{}
+		}
+		suppliers[order][supp] = true
+	}
+	pSch := NewSchema(Column{"p_orderkey", TInt}, Column{"p_suppkey", TInt})
+	probes := make([]Row, nProbe)
+	orders := int64(len(suppliers)) * 4 / 3
+	for i := range probes {
+		order, supp := int64(i)*orders/int64(nProbe), int64(i*7%100)
+		probes[i] = Row{Int(order), Int(supp)}
+		if s := suppliers[order]; len(s) > 1 || len(s) == 1 && !s[supp] {
+			want++
+		}
+	}
+	both := pSch.Concat(lSch)
+	return &HashJoin{Ex: ex, Left: NewMemScan(pSch, probes), Right: NewMemScan(lSch, lines), Semi: true,
+		LeftKey: C(pSch, "p_orderkey"), RightKey: C(lSch, "l_orderkey"),
+		Residual: Cmp{NE, C(both, "l_suppkey"), C(both, "p_suppkey")}}, want
+}
+
+// TestHashJoinBuildBytes: the build side keeps only the cells the plan
+// reads, flat. Q21's semi join reads two of lineitem's sixteen columns
+// and keeps one of them — its key is indexed as the row arrives — so a
+// build row costs one cell and its index entry, where a whole row cost
+// sixteen cells, a Row header and a doubling slice of them. The bound is
+// a quarter of the sixteen cells.
+func TestHashJoinBuildBytes(t *testing.T) {
+	const rows = 10_000
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		j, want := q21Semi(NewExec(h, d), rows, 3000)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := j.Open(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / rows
+		const bound = 16 * 32 / 4 // a quarter of sixteen 32-byte cells
+		t.Logf("%.1f B a build row (bound %d)", perRow, bound)
+		if perRow >= bound {
+			t.Fatalf("building %d rows of 16 columns allocated %.1f B a row, want under %d: the build keeps cells nobody reads", rows, perRow, bound)
+		}
+		if n, err := drain(j); err != nil || n != want || want == 0 {
+			t.Fatalf("semi join: %d rows, err %v, want %d", n, err, want)
 		}
 	})
 }

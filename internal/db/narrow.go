@@ -22,6 +22,14 @@ import (
 // it can never widen what an outer call decided, nor narrow it further.
 // Collect never narrows: a plan that hands its rows to Go code decodes
 // them whole.
+//
+// HashJoin applies the mask to the rows it holds as well as to the rows
+// it decodes. Its build side keeps, of each right row, only the cells
+// read once the index is built — the residual's and, for an inner join,
+// those the operators above read (rightNeed) — and indexes the key as
+// the row arrives, so the key's cell stays only if something else reads
+// it. An inner join's output carries the right row at full width with
+// the other cells zero, as a narrowed scan leaves them.
 
 // narrow hands need — a mask of the columns of the iterator's rows that
 // some operator above reads — down to it and, through each operator the
@@ -75,7 +83,8 @@ func narrow(it Iterator, need []bool) {
 		}
 		all := withCols(need, op.Residual)
 		narrow(op.Left, withCols(all[:nL], op.LeftKey))
-		narrow(op.Right, withCols(all[nL:], op.RightKey))
+		op.rightNeed = all[nL:]
+		narrow(op.Right, withCols(op.rightNeed, op.RightKey))
 	case *INLJoin:
 		// The inner rows come whole from FetchRows.
 		all := withCols(need, op.Residual)

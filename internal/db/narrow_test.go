@@ -133,20 +133,31 @@ func lawShapes() []lawShape {
 	a, b := lawSchema("", 0), lawSchema("b", 2)
 	ab := a.Concat(b)
 	c := func(name string) Col { return C(ab, name) }
-	proj := func(ex *Exec, in Iterator, names ...string) Iterator {
+	// proj is the column-dropping root. The oracle's narrows nothing
+	// below it, so a join there keeps every cell of its rows.
+	proj := func(w lawWorld, in Iterator, names ...string) Iterator {
 		sch := in.Schema()
 		exprs := make([]Expr, len(names))
 		for i, n := range names {
 			exprs[i] = C(sch, n)
 		}
-		return &ProjectOp{Ex: ex, In: in, Exprs: exprs}
+		if w.mode == lawMem {
+			in = opaque{in}
+		}
+		return &ProjectOp{Ex: w.ex, In: in, Exprs: exprs}
 	}
 	needle := EqS(a, "s1", "NEEDLE")
 	equi := Cmp{EQ, c("i1"), c("bi1")}
+	// The self shapes join the first table with itself, so that they
+	// run under the fault plan too: the right copy's columns end in "_r".
+	aa := a.Concat(a)
+	self := func(name string) Col { return C(aa, name) }
+	key := C(a, "i1")
+	below := func(col string, v int64) Expr { return Cmp{LT, C(a, col), Lit(Int(v))} }
 	return []lawShape{
 		{"filter", false, func(w lawWorld) Iterator {
 			in := w.conv(w.a, Cmp{GT, C(a, "t2"), Lit(MustDate("1994-06-01"))})
-			return proj(w.ex, &FilterOp{Ex: w.ex, In: in, Pred: Like{X: C(a, "s0"), Pattern: "%z%"}}, "d2", "i1")
+			return proj(w, &FilterOp{Ex: w.ex, In: in, Pred: Like{X: C(a, "s0"), Pattern: "%z%"}}, "d2", "i1")
 		}},
 		{"project", false, func(w lawWorld) Iterator {
 			return &ProjectOp{Ex: w.ex, In: w.conv(w.a, nil), Exprs: []Expr{
@@ -164,39 +175,39 @@ func lawShapes() []lawShape {
 		}},
 		{"sort+limit", false, func(w lawWorld) Iterator {
 			srt := &SortOp{Ex: w.ex, In: w.conv(w.a, nil), Keys: []SortKey{{E: C(a, "t1"), Desc: true}, {E: C(a, "i0")}}}
-			return proj(w.ex, &LimitOp{In: srt, N: 25}, "i0", "s2", "d1")
+			return proj(w, &LimitOp{In: srt, N: 25}, "i0", "s2", "d1")
 		}},
 		{"bnl", true, func(w lawWorld) Iterator {
 			j := &BNLJoin{Ex: w.ex, Outer: w.conv(w.a, nil), Inner: func() Iterator { return w.conv(w.b, nil) },
 				On: AndOf(equi, Cmp{LT, c("d2"), c("bd0")})}
-			return proj(w.ex, j, "t2", "bs1", "i0")
+			return proj(w, j, "t2", "bs1", "i0")
 		}},
 		{"bnl-ndp-outer", true, func(w lawWorld) Iterator {
 			j := &BNLJoin{Ex: w.ex, Outer: w.ndp(w.a, needle), Inner: func() Iterator { return w.conv(w.b, nil) }, On: equi}
-			return proj(w.ex, j, "bt2", "d1")
+			return proj(w, j, "bt2", "d1")
 		}},
 		{"hash", true, func(w lawWorld) Iterator {
 			j := &HashJoin{Ex: w.ex, Left: w.conv(w.a, nil), Right: w.conv(w.b, nil),
 				LeftKey: C(a, "i1"), RightKey: C(b, "bi1"), Residual: Cmp{LT, c("t1"), c("bt1")}}
-			return proj(w.ex, j, "s0", "bs2", "i2")
+			return proj(w, j, "s0", "bs2", "i2")
 		}},
 		{"semi", true, func(w lawWorld) Iterator {
 			j := &HashJoin{Ex: w.ex, Left: w.conv(w.a, nil), Right: w.conv(w.b, nil), Semi: true,
 				LeftKey: C(a, "i1"), RightKey: C(b, "bi1"), Residual: Cmp{GT, c("d1"), c("bd2")}}
-			return proj(w.ex, j, "s2", "t0")
+			return proj(w, j, "s2", "t0")
 		}},
 		{"anti", true, func(w lawWorld) Iterator {
 			j := &HashJoin{Ex: w.ex, Left: w.conv(w.a, nil), Right: w.conv(w.b, nil), Anti: true,
 				LeftKey: C(a, "i1"), RightKey: C(b, "bi1"), Residual: Cmp{GT, c("d1"), c("bd2")}}
-			return proj(w.ex, j, "i0", "d2")
+			return proj(w, j, "i0", "d2")
 		}},
 		{"inl", true, func(w lawWorld) Iterator {
 			outer := w.conv(w.a, Cmp{LT, C(a, "d1"), Lit(Dec(0))})
 			j := &INLJoin{Ex: w.ex, Outer: outer, Ix: w.ix, OuterKey: C(a, "i1"), Residual: Cmp{NE, c("s0"), c("bs0")}}
-			return proj(w.ex, j, "t0", "bd2", "bs0")
+			return proj(w, j, "t0", "bd2", "bs0")
 		}},
 		{"ndp", false, func(w lawWorld) Iterator {
-			return proj(w.ex, w.ndp(w.a, needle), "d0", "t2", "i1")
+			return proj(w, w.ndp(w.a, needle), "d0", "t2", "i1")
 		}},
 		{"ndp-agg", false, func(w lawWorld) Iterator {
 			return &HashAggOp{Ex: w.ex, In: w.ndp(w.a, needle), GroupBy: []Expr{YearOf{C(a, "t1")}},
@@ -204,7 +215,35 @@ func lawShapes() []lawShape {
 		}},
 		{"device-agg", false, func(w lawWorld) Iterator { // the device aggregates; narrow leaves its rows whole
 			agg := w.deviceAgg(w.a, needle, []Expr{C(a, "s0")}, []Agg{{F: Max, Arg: C(a, "t2")}, {F: Sum, Arg: C(a, "d1")}})
-			return proj(w.ex, agg, "sum1", "g0")
+			return proj(w, agg, "sum1", "g0")
+		}},
+		{"self-residual", false, func(w lawWorld) Iterator { // only the residual reads t2_r
+			j := &HashJoin{Ex: w.ex, Left: w.ndp(w.a, needle), Right: w.conv(w.a, Cmp{LT, C(a, "d0"), Lit(Dec(0))}),
+				LeftKey: key, RightKey: key, Residual: Cmp{LT, self("t1"), self("t2_r")}}
+			return proj(w, j, "s2", "i1_r", "d1_r")
+		}},
+		{"self-key", false, func(w lawWorld) Iterator { // nothing reads the key i1_r once it is indexed
+			j := &HashJoin{Ex: w.ex, Left: w.ndp(w.a, needle), Right: w.conv(w.a, Cmp{GT, C(a, "t0"), Lit(MustDate("1995-01-01"))}),
+				LeftKey: key, RightKey: key}
+			return proj(w, j, "d2", "s0_r", "t1_r")
+		}},
+		{"self-whole", false, func(w lawWorld) Iterator { // the device ships group rows, which narrow leaves whole
+			groups := w.deviceAgg(w.a, needle, []Expr{key}, []Agg{{F: Max, Arg: C(a, "t2")}, {F: Sum, Arg: C(a, "d1")}})
+			j := &HashJoin{Ex: w.ex, Left: w.ndp(w.a, needle), Right: groups, LeftKey: key, RightKey: C(groups.Schema(), "g0")}
+			return proj(w, j, "i0", "sum1")
+		}},
+		{"self-empty", false, func(w lawWorld) Iterator { // no build rows: the anti join keeps every left row
+			j := &HashJoin{Ex: w.ex, Left: w.ndp(w.a, needle), Right: w.conv(w.a, below("i0", 0)), Anti: true,
+				LeftKey: key, RightKey: key, Residual: Cmp{NE, self("s0"), self("s0_r")}}
+			return proj(w, j, "i0", "s2")
+		}},
+		{"self-reopen", false, func(w lawWorld) Iterator { // BNL opens and closes its inner HashJoin once a block
+			inner := &HashJoin{Ex: w.ex, Left: w.conv(w.a, below("i0", 40)), Right: w.conv(w.a, below("i0", 30)),
+				LeftKey: key, RightKey: key, Residual: Cmp{LE, self("d0"), self("d2_r")}}
+			j := &BNLJoin{Ex: w.ex, Outer: w.ndp(w.a, needle), Inner: func() Iterator { return inner }}
+			sch := j.Schema() // outer ++ inner ++ inner's right: "i1", "i1_r", "i1_r_r"
+			j.On = Cmp{EQ, C(sch, "i1"), C(sch, "i1_r_r")}
+			return proj(w, j, "s2", "t1_r", "d1_r_r")
 		}},
 	}
 }
@@ -295,7 +334,8 @@ var lawFaults = fault.Plan{Seed: 20, UncorrectableProb: 0.5}
 func TestNarrowedPlansMatchFullRows(t *testing.T) {
 	all := lawShapes()
 	oracle := runLaw(t, quickSys(), lawMem, 0, all)
-	for _, name := range []string{"bnl", "hash", "semi", "anti", "inl", "ndp", "ndp-agg"} {
+	for _, name := range []string{"bnl", "hash", "semi", "anti", "inl", "ndp", "ndp-agg",
+		"self-residual", "self-key", "self-whole", "self-empty", "self-reopen"} {
 		if len(oracle[name].rows) == 0 {
 			t.Fatalf("%s: the oracle returns no rows; the shape tests nothing", name)
 		}
@@ -315,10 +355,12 @@ func TestNarrowedPlansMatchFullRows(t *testing.T) {
 	}
 
 	// Under the fault plan the device scans die and fall back. The second
-	// table stays out: loading it fails under a plan this hot.
+	// table stays out: loading it fails under a plan this hot. The self
+	// joins run there too, for their build sides; whether their device
+	// scans fall back is up to the plan's draws.
 	var falling []lawShape
 	for _, s := range all {
-		if strings.HasPrefix(s.name, "ndp") {
+		if strings.HasPrefix(s.name, "ndp") || strings.HasPrefix(s.name, "self") {
 			falling = append(falling, s)
 		}
 	}
@@ -330,7 +372,7 @@ func TestNarrowedPlansMatchFullRows(t *testing.T) {
 	got := runLaw(t, faultSys(lawFaults), lawReal, 7, falling)
 	check("fault batch=7", got, runLaw(t, faultSys(lawFaults), lawOpaque, 7, falling))
 	for name, r := range got {
-		if r.st.NDPFallbacks == 0 {
+		if r.st.NDPFallbacks == 0 && strings.HasPrefix(name, "ndp") {
 			t.Fatalf("fault %s: the device scan never fell back; the fallback's mask went untested", name)
 		}
 	}

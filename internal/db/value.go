@@ -157,20 +157,17 @@ func (v Value) String() string {
 	case TInt:
 		return fmt.Sprintf("%d", v.I)
 	case TDecimal:
-		return fmt.Sprintf("%d.%02d", v.I/100, abs64(v.I%100))
+		sign, cents := "", uint64(v.I) // unsigned, so MinInt64's magnitude fits
+		if v.I < 0 {
+			sign, cents = "-", -cents
+		}
+		return fmt.Sprintf("%s%d.%02d", sign, cents/100, cents%100)
 	case TDate:
 		return v.DateString()
 	case TString:
 		return v.S
 	}
 	return "?"
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Compare orders two values of the same type: -1, 0, or 1. Comparing

@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -103,5 +104,33 @@ func TestGroupKeyBytes(t *testing.T) {
 	}
 	if rows := tab.rows(); len(rows) != len(cells) {
 		t.Fatalf("%d groups, want %d", len(rows), len(cells))
+	}
+}
+
+// TestValueString: a decimal prints its sign, then the magnitude's units
+// and two digits of cents — between -1 and 0 too, and at MinInt64, whose
+// magnitude int64 cannot hold.
+func TestValueString(t *testing.T) {
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{Int(-7), "-7"},
+		{Dec(12345), "123.45"},
+		{Dec(-12345), "-123.45"},
+		{Dec(5), "0.05"},
+		{Dec(0), "0.00"},
+		{Dec(-1), "-0.01"},
+		{Dec(-63), "-0.63"},
+		{Dec(-100), "-1.00"},
+		{Dec(-150), "-1.50"},
+		{Dec(math.MinInt64), "-92233720368547758.08"},
+		{Dec(math.MaxInt64), "92233720368547758.07"},
+		{DateYMD(1998, 9, 2), "1998-09-02"},
+		{Str("BUILDING"), "BUILDING"},
+	} {
+		if got := c.v.String(); got != c.want {
+			t.Fatalf("String of %v cells %d = %q, want %q", c.v.T, c.v.I, got, c.want)
+		}
 	}
 }
