@@ -212,15 +212,9 @@ func (a *Ablations) threshold(h *biscuit.Host, data *tpch.Data) {
 }
 
 func (a *Ablations) aggPushdown(h *biscuit.Host, data *tpch.Data) {
-	ls := data.Lineitem.Sch
-	pred := db.AndOf(
-		db.RangeD(ls, "l_shipdate", "1994-01-01", "1995-01-01"),
-		db.Between{X: db.C(ls, "l_discount"), Lo: db.Dec(5), Hi: db.Dec(7)},
-		db.Cmp{Op: db.LT, L: db.C(ls, "l_quantity"), R: db.Lit(db.Int(24))},
-	)
+	q6 := tpch.Q6(data.Lineitem.Sch)
+	pred, aggs := q6.Pred, q6.Aggs
 	keys := []string{"1994-"}
-	rev := db.Arith{Op: db.Mul, L: db.C(ls, "l_extendedprice"), R: db.C(ls, "l_discount")}
-	aggs := []db.Agg{{F: db.Sum, Arg: rev, Name: "revenue"}}
 
 	run := func(plan func(*db.Exec) db.Iterator) (db.Value, Placement) {
 		rows, took, ex := timedExec(h, data.DB, func(ex *db.Exec) ([]db.Row, error) { return db.Collect(plan(ex)) })

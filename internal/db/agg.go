@@ -241,30 +241,17 @@ func (h *HashAggOp) inCols() []bool {
 
 // Open narrows the input to the columns the groups and aggregates read,
 // then drains it, grouping and aggregating.
-func (h *HashAggOp) Open() (err error) {
+func (h *HashAggOp) Open() error {
 	narrow(h.In, h.inCols())
-	if err := h.In.Open(); err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := h.In.Close(); err == nil {
-			err = cerr
-		}
-	}()
 	tab := newGroupTable(h.GroupBy, h.Aggs)
-	in := NewRowBatch(h.Ex.batchCap())
-	for {
-		n, err := h.In.NextBatch(in)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
+	err := drain(h.In, h.Ex.batchCap(), func(in *RowBatch, n int) {
 		h.Ex.chargeHost(hostAggCPR * float64(n))
 		for ri := 0; ri < n; ri++ {
 			tab.add(in.Row(ri))
 		}
+	})
+	if err != nil {
+		return err
 	}
 	h.rows = tab.rows()
 	h.at = 0

@@ -2,7 +2,6 @@ package db
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -47,26 +46,17 @@ func BenchmarkExecBatch(b *testing.B) {
 	}
 }
 
-// drain runs an iterator to completion without retaining rows, so
+// countRows runs an iterator to completion without retaining rows, so
 // benchmarks measure executor cost rather than result storage.
-func drain(it Iterator) (int, error) {
-	if err := it.Open(); err != nil {
-		return 0, err
-	}
-	rb := NewRowBatch(batchCapOf(it))
+func countRows(it Iterator) (int, error) {
 	total := 0
-	for {
-		n, err := it.NextBatch(rb)
-		if err != nil || n == 0 {
-			return total, errors.Join(err, it.Close())
-		}
-		total += n
-	}
+	err := drain(it, batchCapOf(it), func(_ *RowBatch, n int) { total += n })
+	return total, err
 }
 
 // drainScan drains a filtered Conv scan and pays its pending cost.
 func drainScan(ex *Exec, tab *Table, pred Expr) (int, error) {
-	n, err := drain(ex.NewConvScan(tab, pred))
+	n, err := countRows(ex.NewConvScan(tab, pred))
 	ex.FlushCost()
 	return n, err
 }
@@ -87,7 +77,7 @@ func BenchmarkBNLJoin(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if n, err := drain(j); err != nil || n != inner {
+					if n, err := countRows(j); err != nil || n != inner {
 						b.Fatalf("%d rows, err %v, want %d", n, err, inner)
 					}
 				}
@@ -154,7 +144,7 @@ func BenchmarkHashJoinChain(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if n, err := drain(it); err != nil || n != lineitems {
+			if n, err := countRows(it); err != nil || n != lineitems {
 				b.Fatalf("%d rows, err %v, want %d", n, err, lineitems)
 			}
 		}
@@ -180,7 +170,7 @@ func BenchmarkHashJoinBuild(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if n, err := drain(j); err != nil || n != want {
+			if n, err := countRows(j); err != nil || n != want {
 				b.Fatalf("%d rows, err %v, want %d", n, err, want)
 			}
 		}

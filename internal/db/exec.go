@@ -144,31 +144,39 @@ func batchCapOf(it Iterator) int {
 	return DefaultBatchSize
 }
 
-// Collect drains an iterator into a slice of retained rows, copied into
-// a slab of their own. Close errors propagate: device-side scan failures
-// surface there (the stream just ends early from the host's point of
-// view).
-func Collect(it Iterator) ([]Row, error) {
+// drain opens it, hands each batch of up to size rows to each, and
+// closes it. A NextBatch error beats the Close after it; a Close error
+// otherwise propagates: device-side scan failures surface there (the
+// stream just ends early from the host's point of view).
+func drain(it Iterator, size int, each func(b *RowBatch, n int)) error {
 	if err := it.Open(); err != nil {
-		return nil, err
+		return err
 	}
-	b := NewRowBatch(batchCapOf(it))
-	var out []Row
-	var slab rowSlab
+	b := NewRowBatch(size)
 	for {
 		n, err := it.NextBatch(b)
 		if err != nil {
 			_ = it.Close() // the NextBatch error is the interesting one
-			return nil, err
+			return err
 		}
 		if n == 0 {
-			break
+			return it.Close()
 		}
+		each(b, n)
+	}
+}
+
+// Collect drains an iterator into a slice of retained rows, copied into
+// a slab of their own.
+func Collect(it Iterator) ([]Row, error) {
+	var out []Row
+	var slab rowSlab
+	err := drain(it, batchCapOf(it), func(b *RowBatch, n int) {
 		for i := 0; i < n; i++ {
 			out = append(out, slab.concat(b.Row(i), nil))
 		}
-	}
-	if err := it.Close(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

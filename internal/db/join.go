@@ -416,30 +416,17 @@ func (j *HashJoin) Open() error {
 
 // build drains the right input into j.right, keeping the cells of keep's
 // columns (nil: every column), and indexes each row's key as it arrives:
-// the key cell need not be kept. The right input is opened, drained and
-// closed as Collect does it, and its errors are Collect's.
+// the key cell need not be kept.
 func (j *HashJoin) build(keep []bool) error {
 	j.right.reset(keep, width(j.Right))
 	j.rightIx.reset(0)
-	if err := j.Right.Open(); err != nil {
-		return err
-	}
-	b := NewRowBatch(batchCapOf(j.Right))
-	for {
-		n, err := j.Right.NextBatch(b)
-		if err != nil {
-			_ = j.Right.Close() // the NextBatch error is the interesting one
-			return err
-		}
-		if n == 0 {
-			return j.Right.Close()
-		}
+	return drain(j.Right, batchCapOf(j.Right), func(b *RowBatch, n int) {
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
 			j.rightIx.add(j.RightKey.Eval(r))
 			j.right.add(r)
 		}
-	}
+	})
 }
 
 // NextBatch probes with the next batch of left rows, emitting matches

@@ -331,7 +331,7 @@ func TestBNLJoinOutputAllocation(t *testing.T) {
 		for _, matches := range []int{1000, 10000} {
 			j := bnlProbe(h, d, matches)
 			allocs := testing.AllocsPerRun(3, func() {
-				if n, err := drain(j); err != nil || n != matches {
+				if n, err := countRows(j); err != nil || n != matches {
 					t.Fatalf("%d rows, err %v, want %d", n, err, matches)
 				}
 			})
@@ -515,7 +515,7 @@ func TestHashJoinBuildBytes(t *testing.T) {
 		if perRow >= bound {
 			t.Fatalf("building %d rows of 16 columns allocated %.1f B a row, want under %d: the build keeps cells nobody reads", rows, perRow, bound)
 		}
-		if n, err := drain(j); err != nil || n != want || want == 0 {
+		if n, err := countRows(j); err != nil || n != want || want == 0 {
 			t.Fatalf("semi join: %d rows, err %v, want %d", n, err, want)
 		}
 	})

@@ -26,7 +26,6 @@ import (
 	"biscuit"
 	"biscuit/internal/db"
 	"biscuit/internal/health"
-	"biscuit/internal/loadgen"
 	"biscuit/internal/sim"
 	"biscuit/internal/stats"
 	"biscuit/internal/telemetry"
@@ -283,11 +282,7 @@ func New(cfg Config) (*Server, error) {
 			hosts[i] = h.Unit(i)
 		}
 		g := tpch.Gen{SF: cfg.SF}
-		if cfg.Migrate {
-			s.Datas, s.replicas, loadErr = g.LoadShardsReplica(hosts, s.DBs, biscuit.SeededRand(cfg.Seed))
-		} else {
-			s.Datas, loadErr = g.LoadShards(hosts, s.DBs, biscuit.SeededRand(cfg.Seed))
-		}
+		s.Datas, s.replicas, loadErr = g.LoadShards(hosts, s.DBs, biscuit.SeededRand(cfg.Seed), cfg.Migrate)
 		if loadErr == nil && cfg.WeblogBytes > 0 {
 			_, _, loadErr = weblog.GenerateShards(hosts, cfg.WeblogBytes,
 				wlogNeedle, 50, biscuit.SeededRand(cfg.Seed+77), cfg.Migrate)
@@ -409,13 +404,35 @@ func (s *Server) buildTenants() error {
 		}
 		t.shardDev = append([]int(nil), devs...)
 		t.shardRepl = make([]bool, len(devs))
-		t.arrivals = loadgen.Arrivals(
-			loadgen.ArrivalSpec{RateQPS: tc.RateQPS, Deterministic: tc.Deterministic},
-			s.Cfg.Window, tenantRand(s.Cfg.Seed, ti))
+		t.arrivals = arrivals(tc.RateQPS, tc.Deterministic, s.Cfg.Window, tenantRand(s.Cfg.Seed, ti))
 		s.tenants = append(s.tenants, t)
 		s.total += len(t.arrivals)
 	}
 	return nil
+}
+
+// arrivals pre-draws the arrival times of an open-loop process at
+// rateQPS within [0, window): Poisson interarrivals, or exactly
+// 1/rateQPS apart when deterministic. Open-loop means the offered
+// process is independent of service — drawing every arrival up front
+// both enforces that and makes the offered load a pure function of
+// (rate, window, rng), so whole windows pin in determinism tests.
+func arrivals(rateQPS float64, deterministic bool, window sim.Time, rng *rand.Rand) []sim.Time {
+	var out []sim.Time
+	period := 1.0 / rateQPS // seconds
+	at := 0.0
+	for {
+		if deterministic {
+			at += period
+		} else {
+			at += rng.ExpFloat64() * period
+		}
+		t := sim.FromSeconds(at)
+		if t >= window {
+			return out
+		}
+		out = append(out, t)
+	}
 }
 
 // tenantRand derives an independent deterministic stream per tenant.

@@ -37,9 +37,9 @@ type workload struct {
 func newWorkload(name string, ref *tpch.Data) (*workload, error) {
 	switch name {
 	case "q6":
-		return q6Workload(ref)
+		return aggWorkload(name, tpch.Q6(ref.Lineitem.Sch))
 	case "q1":
-		return q1Workload(ref)
+		return aggWorkload(name, tpch.Q1(ref.Lineitem.Sch))
 	case "qpoint":
 		return qpointWorkload(ref)
 	case "wlog":
@@ -57,60 +57,20 @@ func plannedScan(ex *db.Exec, t *db.Table, pred db.Expr, rng *rand.Rand) db.Iter
 	return it
 }
 
-// q6Workload is TPC-H Q6 sharded: the selective shipdate/discount/
-// quantity predicate offloads as an NDP scan per shard; revenue sums
-// merge by addition.
-func q6Workload(ref *tpch.Data) (*workload, error) {
-	ls := ref.Lineitem.Sch
-	pred := db.AndOf(
-		db.RangeD(ls, "l_shipdate", "1994-01-01", "1995-01-01"),
-		db.Between{X: db.C(ls, "l_discount"), Lo: db.Dec(5), Hi: db.Dec(7)},
-		db.Cmp{Op: db.LT, L: db.C(ls, "l_quantity"), R: db.Lit(db.Int(24))},
-	)
-	rev := db.Arith{Op: db.Mul, L: db.C(ls, "l_extendedprice"), R: db.C(ls, "l_discount")}
-	plan, err := db.NewShardedAggPlan(nil, nil, []db.Agg{{F: db.Sum, Arg: rev, Name: "revenue"}})
+// aggWorkload is a TPC-H aggregate query sharded: each shard runs the
+// aggregate's partials over its planned lineitem scan — Q6's selective
+// predicate offloads as an NDP scan, Q1's ~97%-selective one never
+// does — and the gather merges them by group key, Avg splitting into
+// Sum+Count.
+func aggWorkload(name string, q tpch.AggQuery) (*workload, error) {
+	plan, err := db.NewShardedAggPlan(q.GroupBy, q.GroupNms, q.Aggs)
 	if err != nil {
 		return nil, err
 	}
 	return &workload{
-		name: "q6",
+		name: name,
 		runShard: func(c *shardCtx) ([]db.Row, error) {
-			return db.Collect(plan.ShardOp(c.ex, plannedScan(c.ex, c.data.Lineitem, pred, c.rng)))
-		},
-		merge: plan.Merge,
-	}, nil
-}
-
-// q1Workload is TPC-H Q1 sharded: the ~97%-selective predicate never
-// offloads (Conv scan per shard); the eight aggregates decompose into
-// partials — Avg splitting into Sum+Count — and merge by group key.
-func q1Workload(ref *tpch.Data) (*workload, error) {
-	ls := ref.Lineitem.Sch
-	pred := db.Cmp{Op: db.LE, L: db.C(ls, "l_shipdate"), R: db.Lit(db.MustDate("1998-09-02"))}
-	disc := db.Arith{Op: db.Sub, L: db.Lit(db.Dec(100)), R: db.C(ls, "l_discount")}
-	revenue := db.Arith{Op: db.Mul, L: db.C(ls, "l_extendedprice"), R: disc}
-	charge := db.Arith{Op: db.Mul, L: revenue,
-		R: db.Arith{Op: db.Add, L: db.Lit(db.Dec(100)), R: db.C(ls, "l_tax")}}
-	plan, err := db.NewShardedAggPlan(
-		[]db.Expr{db.C(ls, "l_returnflag"), db.C(ls, "l_linestatus")},
-		[]string{"l_returnflag", "l_linestatus"},
-		[]db.Agg{
-			{F: db.Sum, Arg: db.C(ls, "l_quantity"), Name: "sum_qty"},
-			{F: db.Sum, Arg: db.C(ls, "l_extendedprice"), Name: "sum_base_price"},
-			{F: db.Sum, Arg: revenue, Name: "sum_disc_price"},
-			{F: db.Sum, Arg: charge, Name: "sum_charge"},
-			{F: db.Avg, Arg: db.C(ls, "l_quantity"), Name: "avg_qty"},
-			{F: db.Avg, Arg: db.C(ls, "l_extendedprice"), Name: "avg_price"},
-			{F: db.Avg, Arg: db.C(ls, "l_discount"), Name: "avg_disc"},
-			{F: db.CountAgg, Name: "count_order"},
-		})
-	if err != nil {
-		return nil, err
-	}
-	return &workload{
-		name: "q1",
-		runShard: func(c *shardCtx) ([]db.Row, error) {
-			return db.Collect(plan.ShardOp(c.ex, plannedScan(c.ex, c.data.Lineitem, pred, c.rng)))
+			return db.Collect(plan.ShardOp(c.ex, plannedScan(c.ex, c.data.Lineitem, q.Pred, c.rng)))
 		},
 		merge: plan.Merge,
 	}, nil

@@ -221,55 +221,63 @@ func buildOutput(ex *db.Exec, in db.Iterator, stmt *SelectStmt) (db.Iterator, []
 			hasAgg = true
 		}
 	}
-	if !hasAgg {
-		// Sort first: keys may name columns the projection drops, or
-		// aliases of projected expressions.
+	r := &resolver{sch: in.Schema()}
+	if hasAgg {
+		var err error
+		if in, r, err = buildAgg(ex, in, stmt); err != nil {
+			return nil, nil, err
+		}
+	}
+	// Sort before projecting: keys may name columns the projection
+	// drops, or aliases of projected expressions.
+	if len(stmt.OrderBy) > 0 {
 		alias := map[string]Node{}
 		for _, it := range stmt.Items {
 			if it.Alias != "" {
 				alias[it.Alias] = it.Expr
 			}
 		}
-		if len(stmt.OrderBy) > 0 {
-			r := &resolver{sch: in.Schema()}
-			var keys []db.SortKey
-			for _, oi := range stmt.OrderBy {
-				node := oi.Expr
-				if c, ok := node.(ColNode); ok && c.Table == "" {
-					if a, hit := alias[c.Name]; hit && !in.Schema().HasCol(c.Name) {
-						node = a
-					}
+		var keys []db.SortKey
+		for _, oi := range stmt.OrderBy {
+			node := oi.Expr
+			if c, ok := node.(ColNode); ok && c.Table == "" {
+				// An alias beats an input column only under aggregation.
+				if a, hit := alias[c.Name]; hit && (hasAgg || !r.sch.HasCol(c.Name)) {
+					node = a
 				}
-				e, _, err := r.expr(node)
-				if err != nil {
-					return nil, nil, err
-				}
-				keys = append(keys, db.SortKey{E: e, Desc: oi.Desc})
 			}
-			in = &db.SortOp{Ex: ex, In: in, Keys: keys}
-		}
-		if len(stmt.Items) == 1 && stmt.Items[0].Star {
-			return in, in.Schema().Names(), nil
-		}
-		r := &resolver{sch: in.Schema()}
-		var exprs []db.Expr
-		var names []string
-		for i, it := range stmt.Items {
-			if it.Star {
-				return nil, nil, fmt.Errorf("sql: * mixed with expressions is unsupported")
-			}
-			e, _, err := r.expr(it.Expr)
+			e, _, err := r.expr(node)
 			if err != nil {
 				return nil, nil, err
 			}
-			exprs = append(exprs, e)
-			names = append(names, itemName(it, i))
+			keys = append(keys, db.SortKey{E: e, Desc: oi.Desc})
 		}
-		return &db.ProjectOp{Ex: ex, In: in, Exprs: exprs, Names: names}, names, nil
+		in = &db.SortOp{Ex: ex, In: in, Keys: keys}
 	}
+	if len(stmt.Items) == 1 && stmt.Items[0].Star {
+		return in, in.Schema().Names(), nil
+	}
+	var exprs []db.Expr
+	var names []string
+	for i, it := range stmt.Items {
+		if it.Star {
+			return nil, nil, fmt.Errorf("sql: * mixed with expressions is unsupported")
+		}
+		e, _, err := r.expr(it.Expr)
+		if err != nil {
+			return nil, nil, err
+		}
+		exprs = append(exprs, e)
+		names = append(names, itemName(it, i))
+	}
+	return &db.ProjectOp{Ex: ex, In: in, Exprs: exprs, Names: names}, names, nil
+}
 
-	// Aggregate query: resolve GROUP BY and collect aggregates from the
-	// select list.
+// buildAgg resolves GROUP BY, collects the aggregates of the select list
+// and ORDER BY, and returns the aggregate over in with a resolver over
+// its output: group-by expressions and aggregate calls become column
+// references there.
+func buildAgg(ex *db.Exec, in db.Iterator, stmt *SelectStmt) (db.Iterator, *resolver, error) {
 	r := &resolver{sch: in.Schema()}
 	var groupExprs []db.Expr
 	var groupNames []string
@@ -327,56 +335,14 @@ func buildOutput(ex *db.Exec, in db.Iterator, stmt *SelectStmt) (db.Iterator, []
 		}
 	}
 	aggOp := &db.HashAggOp{Ex: ex, In: in, GroupBy: groupExprs, GroupNms: groupNames, Aggs: aggs}
-
-	// Resolve the select list over the aggregate output: group-by
-	// expressions and aggregate calls become column references.
-	outR := &resolver{
-		sch:      aggOp.Schema(),
-		rewrites: map[string]string{},
-	}
+	outR := &resolver{sch: aggOp.Schema(), rewrites: map[string]string{}}
 	for i, g := range stmt.GroupBy {
 		outR.rewrites[nodeString(g)] = groupNames[i]
 	}
 	for key, slot := range aggIndex {
 		outR.rewrites[key] = aggs[slot].Name
 	}
-	var root db.Iterator = aggOp
-	// ORDER BY over the aggregate output, with aliases from the select
-	// list resolving to their expressions.
-	if len(stmt.OrderBy) > 0 {
-		alias := map[string]Node{}
-		for _, it := range stmt.Items {
-			if it.Alias != "" {
-				alias[it.Alias] = it.Expr
-			}
-		}
-		var keys []db.SortKey
-		for _, oi := range stmt.OrderBy {
-			node := oi.Expr
-			if c, ok := node.(ColNode); ok && c.Table == "" {
-				if a, hit := alias[c.Name]; hit {
-					node = a
-				}
-			}
-			e, _, err := outR.expr(node)
-			if err != nil {
-				return nil, nil, err
-			}
-			keys = append(keys, db.SortKey{E: e, Desc: oi.Desc})
-		}
-		root = &db.SortOp{Ex: ex, In: root, Keys: keys}
-	}
-	var exprs []db.Expr
-	var names []string
-	for i, it := range stmt.Items {
-		e, _, err := outR.expr(it.Expr)
-		if err != nil {
-			return nil, nil, err
-		}
-		exprs = append(exprs, e)
-		names = append(names, itemName(it, i))
-	}
-	return &db.ProjectOp{Ex: ex, In: root, Exprs: exprs, Names: names}, names, nil
+	return aggOp, outR, nil
 }
 
 func aggFunc(a AggNode) (db.AggFunc, error) {

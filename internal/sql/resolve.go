@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
 	"biscuit/internal/db"
 )
@@ -209,23 +210,33 @@ func (r *resolver) literal(n Node, want db.Type) (db.Value, error) {
 	return db.Value{}, fmt.Errorf("sql: expected a literal, got %T", n)
 }
 
+// parseNum reads an integer literal, or a decimal one straight into
+// integer cents: a decimal takes at most two fractional digits, and no
+// literal may pass int64.
 func parseNum(x NumNode) (db.Value, error) {
-	if x.Dec {
-		f, err := strconv.ParseFloat(x.Text, 64)
+	if !x.Dec {
+		i, err := strconv.ParseInt(x.Text, 10, 64)
 		if err != nil {
 			return db.Value{}, fmt.Errorf("sql: bad number %q", x.Text)
 		}
-		return db.DecF(f), nil
+		return db.Int(i), nil
 	}
-	i, err := strconv.ParseInt(x.Text, 10, 64)
+	whole, frac, _ := strings.Cut(x.Text, ".")
+	if len(frac) > 2 {
+		return db.Value{}, fmt.Errorf("sql: decimal %q has more than two fractional digits", x.Text)
+	}
+	if whole+frac == "" {
+		return db.Value{}, fmt.Errorf("sql: bad number %q", x.Text)
+	}
+	cents, err := strconv.ParseUint(whole+frac+"00"[len(frac):], 10, 63)
 	if err != nil {
 		return db.Value{}, fmt.Errorf("sql: bad number %q", x.Text)
 	}
-	return db.Int(i), nil
+	return db.Dec(int64(cents)), nil
 }
 
 // parseDateFlex accepts yyyy-m-d with or without zero padding (the paper
-// writes '1995-1-17').
+// writes '1995-1-17'), and rejects a day past the end of its month.
 func parseDateFlex(s string) (db.Value, error) {
 	parts := strings.Split(s, "-")
 	if len(parts) != 3 {
@@ -234,7 +245,9 @@ func parseDateFlex(s string) (db.Value, error) {
 	y, err1 := strconv.Atoi(parts[0])
 	m, err2 := strconv.Atoi(parts[1])
 	d, err3 := strconv.Atoi(parts[2])
-	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > 31 {
+	// Day 0 of the next month is this month's last.
+	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > time.Date(y, time.Month(m+1), 0, 0, 0, 0, 0, time.UTC).Day() {
+
 		return db.Value{}, fmt.Errorf("sql: bad date %q", s)
 	}
 	return db.DateYMD(y, m, d), nil

@@ -347,6 +347,40 @@ func TestRunOrderByAliasAndAggInOrderBy(t *testing.T) {
 	})
 }
 
+// In a plain SELECT an ORDER BY alias substitutes only when no input
+// column has its name: here o_custkey is both an alias (of o_orderkey)
+// and a column, and the column wins; t is only an alias.
+func TestRunPlainOrderByAliasYieldsToInputColumn(t *testing.T) {
+	sys, d, _ := rig(t)
+	sys.Run(func(h *biscuit.Host) {
+		ex := db.NewExec(h, d)
+		res, err := Run(ex, d, nil, `
+			SELECT o_orderkey AS o_custkey, o_custkey AS k, o_totalprice AS t
+			FROM orders ORDER BY o_custkey, t DESC`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) < 2 {
+			t.Fatalf("%d rows", len(res.Rows))
+		}
+		unordered := false // some row must break o_orderkey order, or the alias could have won
+		for i := 1; i < len(res.Rows); i++ {
+			prev, cur := res.Rows[i-1], res.Rows[i]
+			switch {
+			case cur[1].I < prev[1].I:
+				t.Fatalf("row %d: k %d after %d, want the input o_custkey ascending", i, cur[1].I, prev[1].I)
+			case cur[1].I == prev[1].I && cur[2].I > prev[2].I:
+				t.Fatalf("row %d: t %v after %v within one k, want the alias t descending", i, cur[2], prev[2])
+			case cur[0].I < prev[0].I:
+				unordered = true
+			}
+		}
+		if !unordered {
+			t.Fatal("rows also ascend by o_orderkey: the test cannot tell the column from the alias")
+		}
+	})
+}
+
 func TestRunNotInAndDecimalCoercion(t *testing.T) {
 	sys, d, _ := rig(t)
 	sys.Run(func(h *biscuit.Host) {

@@ -198,7 +198,7 @@ func phone(rng *rand.Rand, nation int) string {
 
 // rowSink is the destination of one generated table. The generator
 // writes every table through exactly one sink, so the same generation
-// pass can feed any shard router (see LoadShards, LoadShardsReplica)
+// pass can feed any shard router (see LoadShards)
 // without disturbing the rng draw order that fixes table contents.
 // Add encodes its row before it returns and keeps no reference to it:
 // the generator refills one row for the next Add.
@@ -215,7 +215,7 @@ type sinkMaker func(name string, sch *db.Schema, batchPages int) (rowSink, error
 // (SF, rng state) — see TestLoadDeterministic. It is the 1-way
 // LoadShards.
 func (g Gen) Load(h *biscuit.Host, d *db.Database, rng *rand.Rand) (*Data, error) {
-	shards, err := g.LoadShards([]*biscuit.Host{h}, []*db.Database{d}, rng)
+	shards, _, err := g.LoadShards([]*biscuit.Host{h}, []*db.Database{d}, rng, false)
 	if err != nil {
 		return nil, err
 	}

@@ -1,4 +1,4 @@
-package loadgen
+package tpch
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"biscuit/internal/db"
 	"biscuit/internal/db/planner"
 	"biscuit/internal/sim"
-	"biscuit/internal/tpch"
 )
 
 // TestArrayLoadSweepDegradesConvNotNDP generalizes the Table IV/V
@@ -26,14 +25,14 @@ func TestArrayLoadSweepDegradesConvNotNDP(t *testing.T) {
 	for i, sys := range ms.Systems {
 		dbs[i] = db.Open(sys)
 	}
-	var datas []*tpch.Data
+	var datas []*Data
 	ms.Run(func(h *biscuit.MultiHost) {
 		hosts := make([]*biscuit.Host, devices)
 		for i := range hosts {
 			hosts[i] = h.Unit(i)
 		}
 		var err error
-		datas, err = tpch.Gen{SF: 0.002}.LoadShards(hosts, dbs, biscuit.SeededRand(3))
+		datas, _, err = Gen{SF: 0.002}.LoadShards(hosts, dbs, biscuit.SeededRand(3), false)
 		if err != nil {
 			panic(err)
 		}

@@ -8,17 +8,15 @@ import "biscuit/internal/db"
 // Offloaded queries place the NDP scan first in block-nested-loop joins
 // (via QCtx.bnlCandidate), implementing the paper's join-order heuristic.
 
-// Q1: pricing summary report. Filter l_shipdate <= 1998-09-02 keeps ~97%
-// of rows and has no equality literal, so the planner never attempts
-// NDP (matches the paper's Q1 categorization).
-func q1(q *QCtx) ([]db.Row, error) {
-	ls := q.D.Lineitem.Sch
-	pred := db.Cmp{Op: db.LE, L: db.C(ls, "l_shipdate"), R: db.Lit(db.MustDate("1998-09-02"))}
-	disc := db.Arith{Op: db.Sub, L: db.Lit(db.Dec(100)), R: db.C(ls, "l_discount")}
-	charge := db.Arith{Op: db.Mul, L: db.Arith{Op: db.Mul, L: db.C(ls, "l_extendedprice"), R: disc},
+// Q1: pricing summary report, over the lineitem schema ls: eight
+// aggregates per (l_returnflag, l_linestatus). Filter l_shipdate <=
+// 1998-09-02 keeps ~97% of rows and has no equality literal, so the
+// planner never attempts NDP (matches the paper's Q1 categorization).
+func Q1(ls *db.Schema) AggQuery {
+	charge := db.Arith{Op: db.Mul, L: revenue(ls),
 		R: db.Arith{Op: db.Add, L: db.Lit(db.Dec(100)), R: db.C(ls, "l_tax")}}
-	agg := &db.HashAggOp{
-		Ex: q.Ex, In: q.Scan(q.D.Lineitem, pred),
+	return AggQuery{
+		Pred:     db.Cmp{Op: db.LE, L: db.C(ls, "l_shipdate"), R: db.Lit(db.MustDate("1998-09-02"))},
 		GroupBy:  []db.Expr{db.C(ls, "l_returnflag"), db.C(ls, "l_linestatus")},
 		GroupNms: []string{"l_returnflag", "l_linestatus"},
 		Aggs: []db.Agg{
@@ -32,8 +30,9 @@ func q1(q *QCtx) ([]db.Row, error) {
 			{F: db.CountAgg, Name: "count_order"},
 		},
 	}
-	return db.Collect(agg)
 }
+
+func q1(q *QCtx) ([]db.Row, error) { return q.lineitemAgg(Q1(q.D.Lineitem.Sch)) }
 
 // Q2: minimum-cost supplier. Candidate: part (p_size = 15 AND p_type
 // LIKE '%BRASS'); a fifth of parts carry BRASS types, so sampling
@@ -138,19 +137,22 @@ func q5(q *QCtx) ([]db.Row, error) {
 	return db.Collect(&db.SortOp{Ex: q.Ex, In: agg, Keys: []db.SortKey{{E: db.Col{Idx: 1, Name: "revenue"}, Desc: true}}})
 }
 
-// Q6: forecasting revenue change. Candidate: lineitem over one shipdate
-// year plus discount/quantity bands — the classic offloadable filter.
-func q6(q *QCtx) ([]db.Row, error) {
-	ls := q.D.Lineitem.Sch
-	pred := db.AndOf(
-		db.RangeD(ls, "l_shipdate", "1994-01-01", "1995-01-01"),
-		db.Between{X: db.C(ls, "l_discount"), Lo: db.Dec(5), Hi: db.Dec(7)},
-		db.Cmp{Op: db.LT, L: db.C(ls, "l_quantity"), R: db.Lit(db.Int(24))},
-	)
-	scan := q.Scan(q.D.Lineitem, pred)
+// Q6: forecasting revenue change, over the lineitem schema ls: one
+// revenue sum. Candidate: lineitem over one shipdate year plus
+// discount/quantity bands — the classic offloadable filter.
+func Q6(ls *db.Schema) AggQuery {
 	rev := db.Arith{Op: db.Mul, L: db.C(ls, "l_extendedprice"), R: db.C(ls, "l_discount")}
-	return db.Collect(db.ScalarAgg(q.Ex, scan, db.Agg{F: db.Sum, Arg: rev, Name: "revenue"}))
+	return AggQuery{
+		Pred: db.AndOf(
+			db.RangeD(ls, "l_shipdate", "1994-01-01", "1995-01-01"),
+			db.Between{X: db.C(ls, "l_discount"), Lo: db.Dec(5), Hi: db.Dec(7)},
+			db.Cmp{Op: db.LT, L: db.C(ls, "l_quantity"), R: db.Lit(db.Int(24))},
+		),
+		Aggs: []db.Agg{{F: db.Sum, Arg: rev, Name: "revenue"}},
+	}
 }
+
+func q6(q *QCtx) ([]db.Row, error) { return q.lineitemAgg(Q6(q.D.Lineitem.Sch)) }
 
 // Q7: volume shipping. Candidate: lineitem over a two-year shipdate
 // window — two year keys cover too many pages, so sampling refuses.

@@ -139,6 +139,24 @@ func ByID(id int) Query {
 	panic(fmt.Sprintf("tpch: no query %d", id))
 }
 
+// AggQuery is a single-table aggregate over lineitem: the scan
+// predicate, the group keys and their names, and the aggregates. Q1 and
+// Q6 are defined once as AggQuerys, so the single-device plans, the
+// serving layer's sharded ones and the aggregate-pushdown ablation run
+// the same expressions.
+type AggQuery struct {
+	Pred     db.Expr
+	GroupBy  []db.Expr
+	GroupNms []string
+	Aggs     []db.Agg
+}
+
+// lineitemAgg runs a over the candidate scan of lineitem.
+func (q *QCtx) lineitemAgg(a AggQuery) ([]db.Row, error) {
+	return db.Collect(&db.HashAggOp{Ex: q.Ex, In: q.Scan(q.D.Lineitem, a.Pred),
+		GroupBy: a.GroupBy, GroupNms: a.GroupNms, Aggs: a.Aggs})
+}
+
 // revenue builds l_extendedprice * (1 - l_discount) over sch.
 func revenue(sch *db.Schema) db.Expr {
 	return db.Arith{Op: db.Mul, L: db.C(sch, "l_extendedprice"),

@@ -27,7 +27,7 @@ func loadReplicaArray(t *testing.T, n int) (*biscuit.MultiSystem, []*Data, []*Da
 			hosts[i] = h.Unit(i)
 		}
 		var err error
-		prim, repl, err = Gen{SF: 0.002}.LoadShardsReplica(hosts, dbs, biscuit.SeededRand(7))
+		prim, repl, err = Gen{SF: 0.002}.LoadShards(hosts, dbs, biscuit.SeededRand(7), true)
 		if err != nil {
 			t.Fatal(err)
 		}

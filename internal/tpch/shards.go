@@ -14,49 +14,36 @@ import (
 // joins stay local, while the two fact tables (orders, lineitem) are
 // co-partitioned by orderkey%N so each order's lineitems land on the
 // same shard. hosts[i] must be a host view of the device backing
-// dbs[i] (e.g. MultiHost.Unit(i)).
+// dbs[i] (e.g. MultiHost.Unit(i)). It returns one view per shard.
+//
+// With replicas, shard k's partition of orders/lineitem is also written
+// to shard (k+1)%N under "orders_r"/"lineitem_r", so when device k
+// degrades its tenants re-home to the next device and scan the replica
+// tables there; LoadShards then also returns, per device, the replica
+// view (dimension tables shared, fact tables pointing at the "_r"
+// copies of the previous device's partition); without replicas that
+// second slice is nil.
 //
 // Routing consumes no randomness, so the union of the shards is the
-// same catalog whatever the shard count (Load is the 1-way case).
-func (g Gen) LoadShards(hosts []*biscuit.Host, dbs []*db.Database, rng *rand.Rand) ([]*Data, error) {
+// same catalog whatever the shard count (Load is the 1-way case), and
+// replication leaves every primary shard byte-identical.
+func (g Gen) LoadShards(hosts []*biscuit.Host, dbs []*db.Database, rng *rand.Rand, replicas bool) ([]*Data, []*Data, error) {
 	if len(dbs) == 0 || len(hosts) != len(dbs) {
-		return nil, fmt.Errorf("tpch: LoadShards needs one host per database, got %d hosts / %d dbs", len(hosts), len(dbs))
+		return nil, nil, fmt.Errorf("tpch: LoadShards needs one host per database, got %d hosts / %d dbs", len(hosts), len(dbs))
 	}
-	if err := g.generate(shardSinks(hosts, dbs, false), rng); err != nil {
-		return nil, err
-	}
-	out := make([]*Data, len(dbs))
-	for i, d := range dbs {
-		out[i] = tablesOf(d)
-	}
-	return out, nil
-}
-
-// LoadShardsReplica is LoadShards plus fact-table replication for
-// tenant migration: shard k's partition of orders/lineitem is
-// additionally written to shard (k+1)%N under "orders_r"/"lineitem_r",
-// so when device k degrades its tenants re-home to the next device and
-// scan the replica tables there. The generation pass and rng draw
-// order are identical to LoadShards — routing consumes no randomness —
-// so every primary shard is byte-identical to what LoadShards builds.
-// It returns the primary shard views and, per device, the replica view
-// (dimension tables shared, fact tables pointing at the "_r" copies of
-// the previous device's partition).
-func (g Gen) LoadShardsReplica(hosts []*biscuit.Host, dbs []*db.Database, rng *rand.Rand) ([]*Data, []*Data, error) {
-	if len(dbs) == 0 || len(hosts) != len(dbs) {
-		return nil, nil, fmt.Errorf("tpch: LoadShardsReplica needs one host per database, got %d hosts / %d dbs", len(hosts), len(dbs))
-	}
-	if err := g.generate(shardSinks(hosts, dbs, true), rng); err != nil {
+	if err := g.generate(shardSinks(hosts, dbs, replicas), rng); err != nil {
 		return nil, nil, err
 	}
 	prim := make([]*Data, len(dbs))
-	repl := make([]*Data, len(dbs))
+	var repl []*Data
 	for i, d := range dbs {
 		prim[i] = tablesOf(d)
-		r := tablesOf(d)
-		r.Orders = d.Table("orders_r")
-		r.Lineitem = d.Table("lineitem_r")
-		repl[i] = r
+		if replicas {
+			r := tablesOf(d)
+			r.Orders = d.Table("orders_r")
+			r.Lineitem = d.Table("lineitem_r")
+			repl = append(repl, r)
+		}
 	}
 	return prim, repl, nil
 }

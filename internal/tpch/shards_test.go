@@ -29,7 +29,7 @@ func loadArray(t *testing.T, n int) (*biscuit.MultiSystem, []*Data) {
 			hosts[i] = h.Unit(i)
 		}
 		var err error
-		datas, err = Gen{SF: 0.002}.LoadShards(hosts, dbs, biscuit.SeededRand(7))
+		datas, _, err = Gen{SF: 0.002}.LoadShards(hosts, dbs, biscuit.SeededRand(7), false)
 		if err != nil {
 			t.Fatal(err)
 		}
