@@ -730,14 +730,21 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 	f.writes++
 
 	// The staging page is the one copy a host write makes: callers
-	// reuse data, and the array keeps the page it is handed.
-	page := make([]byte, ps)
-	if old := int(f.l2p[lpn]); old >= 0 && (offset != 0 || len(data) != ps) {
-		if err := f.readRecover(p, old, 0, page); err != nil {
-			return fmt.Errorf("ftl: rmw read of lpn %d: %w", lpn, err)
+	// reuse data, and the array keeps the page it is handed. A full
+	// page is cloned, so nothing is zeroed only to be overwritten; a
+	// partial one starts zeroed, or as the old contents.
+	var page []byte
+	if offset == 0 && len(data) == ps {
+		page = slices.Clone(data)
+	} else {
+		page = make([]byte, ps)
+		if old := int(f.l2p[lpn]); old >= 0 {
+			if err := f.readRecover(p, old, 0, page); err != nil {
+				return fmt.Errorf("ftl: rmw read of lpn %d: %w", lpn, err)
+			}
 		}
+		copy(page[offset:], data)
 	}
-	copy(page[offset:], data)
 
 	ppi, err := f.writePage(p, page, 0, hostStream)
 	if err != nil {

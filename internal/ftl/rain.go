@@ -218,10 +218,13 @@ func (f *FTL) stripeAdd(p *sim.Proc, ppi int, page []byte, stream int) {
 		cur = nil
 	}
 	if cur == nil {
-		cur = &openStripe{buf: make([]byte, f.PageSize()), stream: stream}
+		// The accumulator starts as a copy of its first member: the
+		// XOR of that page into zeroes.
+		cur = &openStripe{buf: bytes.Clone(page), stream: stream}
 		f.cur[stream] = cur
+	} else {
+		xorInto(cur.buf, page)
 	}
-	xorInto(cur.buf, page)
 	cur.members = append(cur.members, ppi)
 	cur.chans |= 1 << ch
 	var full *openStripe

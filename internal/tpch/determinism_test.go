@@ -3,6 +3,7 @@ package tpch
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -79,5 +80,16 @@ func TestLoadDeterministic(t *testing.T) {
 	}
 	if c := load(8); c == a {
 		t.Fatalf("seed 7 and seed 8 loads produced identical bytes; rng not threaded through")
+	}
+}
+
+// TestNumberedIsPercent09d checks the key-name formatter against the
+// fmt verb dbgen's names are defined by, at key values past the ones a
+// small-SF load reaches (SF 100 has 15 million customers).
+func TestNumberedIsPercent09d(t *testing.T) {
+	for _, v := range []int{0, 1, 9, 10, 99, 1000, 12345, 150000, 15000000, 99999999, 100000000, 999999999} {
+		if got, want := numbered("Customer#", v), fmt.Sprintf("Customer#%09d", v); got != want {
+			t.Fatalf("numbered(%d) = %q, want %q", v, got, want)
+		}
 	}
 }

@@ -15,8 +15,8 @@
 package tpch
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"biscuit"
 	"biscuit/internal/db"
@@ -192,8 +192,35 @@ func comment(rng *rand.Rand, words int) string {
 	return string(b)
 }
 
+// phone draws a nation's phone number, NN-NNN-NNN-NNNN: every field
+// already has its full width, so no digit needs padding.
 func phone(rng *rand.Rand, nation int) string {
-	return fmt.Sprintf("%02d-%03d-%03d-%04d", 10+nation, 100+rng.Intn(900), 100+rng.Intn(900), 1000+rng.Intn(9000))
+	var buf [15]byte
+	b := strconv.AppendInt(buf[:0], int64(10+nation), 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(100+rng.Intn(900)), 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(100+rng.Intn(900)), 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(1000+rng.Intn(9000)), 10)
+	return string(b)
+}
+
+// addr draws a street address: a house number, then a word.
+func addr(rng *rand.Rand) string {
+	num := rng.Intn(999)
+	return "addr " + strconv.Itoa(num) + " " + commentWords[rng.Intn(len(commentWords))]
+}
+
+// numbered is prefix then v zero-padded to nine digits, the key names
+// dbgen writes ("Supplier#000000001").
+func numbered(prefix string, v int) string {
+	var buf [32]byte
+	b := append(buf[:0], prefix...)
+	for p := 100000000; p > 1 && v < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(v), 10))
 }
 
 // rowSink is the destination of one generated table. The generator
@@ -287,8 +314,8 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 		}
 		row = append(row[:0],
 			db.Int(int64(i+1)),
-			db.Str(fmt.Sprintf("Supplier#%09d", i+1)),
-			db.Str(fmt.Sprintf("addr %d %s", rng.Intn(999), commentWords[rng.Intn(len(commentWords))])),
+			db.Str(numbered("Supplier#", i+1)),
+			db.Str(addr(rng)),
 			db.Int(int64(nat)),
 			db.Str(phone(rng, nat)),
 			db.Dec(int64(rng.Intn(2000000)-100000)),
@@ -316,8 +343,8 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 		row = append(row[:0],
 			db.Int(int64(i+1)),
 			db.Str(name),
-			db.Str(fmt.Sprintf("Manufacturer#%d", mfgr)),
-			db.Str(fmt.Sprintf("Brand#%d", brand)),
+			db.Str("Manufacturer#"+strconv.Itoa(mfgr)),
+			db.Str("Brand#"+strconv.Itoa(brand)),
 			db.Str(types1[rng.Intn(6)]+" "+types2[rng.Intn(5)]+" "+types3[rng.Intn(5)]),
 			db.Int(int64(1+rng.Intn(50))),
 			db.Str(containers1[rng.Intn(5)]+" "+containers2[rng.Intn(8)]),
@@ -366,8 +393,8 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 		nat := rng.Intn(25)
 		row = append(row[:0],
 			db.Int(int64(i+1)),
-			db.Str(fmt.Sprintf("Customer#%09d", i+1)),
-			db.Str(fmt.Sprintf("addr %d %s", rng.Intn(999), commentWords[rng.Intn(len(commentWords))])),
+			db.Str(numbered("Customer#", i+1)),
+			db.Str(addr(rng)),
 			db.Int(int64(nat)),
 			db.Str(phone(rng, nat)),
 			db.Dec(int64(rng.Intn(2000000)-100000)),
@@ -463,7 +490,7 @@ func (g Gen) generate(mk sinkMaker, rng *rand.Rand) error {
 			db.Dec(total),
 			db.Value{T: db.TDate, I: odate},
 			db.Str(priorities[rng.Intn(5)]),
-			db.Str(fmt.Sprintf("Clerk#%09d", 1+rng.Intn(1000))),
+			db.Str(numbered("Clerk#", 1+rng.Intn(1000))),
 			db.Int(0),
 			db.Str(ocmt),
 		)

@@ -69,10 +69,10 @@ const (
 	pinnedCorpusSHA     = "bac17dd31f19cd1d3975a1a2d8886ce7c2ccea51bb07a9b6ab3b9ee7b58e6e92"
 )
 
-// readCorpus returns the full contents of a host's corpus file.
-func readCorpus(t *testing.T, h *biscuit.Host) []byte {
+// readCorpus returns the full contents of one of a host's corpus files.
+func readCorpus(t *testing.T, h *biscuit.Host, name string) []byte {
 	t.Helper()
-	f, err := h.SSD().OpenFile(LogFile, true)
+	f, err := h.SSD().OpenFile(name, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestGenerateShardsMatchesGenerateDraws(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("Generate", size, planted, readCorpus(t, h))
+		check("Generate", size, planted, readCorpus(t, h, LogFile))
 	})
 	cfg := biscuit.DefaultConfig()
 	cfg.NAND.BlocksPerDie = 256
@@ -120,7 +120,7 @@ func TestGenerateShardsMatchesGenerateDraws(t *testing.T) {
 		// Line i went to shard i%n: deal the shards' lines back out.
 		var lines [n][][]byte
 		for i := range hosts {
-			lines[i] = bytes.SplitAfter(readCorpus(t, hosts[i]), []byte("\n"))
+			lines[i] = bytes.SplitAfter(readCorpus(t, hosts[i], LogFile), []byte("\n"))
 		}
 		var corpus []byte
 		for i := 0; ; i++ {

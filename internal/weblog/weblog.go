@@ -14,6 +14,7 @@ package weblog
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"biscuit"
 	"biscuit/internal/match"
@@ -89,6 +90,13 @@ func GenerateShards(hosts []*biscuit.Host, size int64, needle string, needleEver
 		s.buf = s.buf[:0]
 		return s.f.Flush(s.h.Proc())
 	}
+	// spill flushes a sink once it holds 1 MiB.
+	spill := func(s *sink) error {
+		if len(s.buf) < 1<<20 {
+			return nil
+		}
+		return flush(s)
+	}
 	prim, err := open(LogFile)
 	if err != nil {
 		return 0, 0, err
@@ -102,30 +110,60 @@ func GenerateShards(hosts []*biscuit.Host, size int64, needle string, needleEver
 	var total, planted int64
 	line := 0
 	for total < size {
+		// The draws run in the order the line's fields are written.
 		ua := agents[rng.Intn(len(agents))]
 		if needleEvery > 0 && line%needleEvery == needleEvery-1 {
 			ua = needle
 			planted++
 		}
-		rec := fmt.Sprintf("10.%d.%d.%d - - [%02d/Jul/1995:%02d:%02d:%02d] \"%s %s HTTP/1.0\" %d %d \"%s\"\n",
-			rng.Intn(256), rng.Intn(256), rng.Intn(256),
-			1+rng.Intn(28), rng.Intn(24), rng.Intn(60), rng.Intn(60),
-			methods[rng.Intn(len(methods))], paths[rng.Intn(len(paths))],
-			200+rng.Intn(4)*100, rng.Intn(100000), ua)
+		ip1, ip2, ip3 := rng.Intn(256), rng.Intn(256), rng.Intn(256)
+		day, hour, minute, sec := 1+rng.Intn(28), rng.Intn(24), rng.Intn(60), rng.Intn(60)
+		method, path := methods[rng.Intn(len(methods))], paths[rng.Intn(len(paths))]
+		status, respBytes := 200+rng.Intn(4)*100, rng.Intn(100000)
+
 		k := line % n
-		targets := []*sink{prim[k]}
+		p := prim[k]
+		start := len(p.buf)
+		b := append(p.buf, "10."...)
+		b = strconv.AppendInt(b, int64(ip1), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(ip2), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(ip3), 10)
+		b = append(b, " - - ["...)
+		b = append2(b, day)
+		b = append(b, "/Jul/1995:"...)
+		b = append2(b, hour)
+		b = append(b, ':')
+		b = append2(b, minute)
+		b = append(b, ':')
+		b = append2(b, sec)
+		b = append(b, "] \""...)
+		b = append(b, method...)
+		b = append(b, ' ')
+		b = append(b, path...)
+		b = append(b, " HTTP/1.0\" "...)
+		b = strconv.AppendInt(b, int64(status), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(respBytes), 10)
+		b = append(b, " \""...)
+		b = append(b, ua...)
+		b = append(b, "\"\n"...)
+		p.buf = b
+		var r *sink
 		if replicate {
-			targets = append(targets, repl[(k+1)%n])
+			r = repl[(k+1)%n]
+			r.buf = append(r.buf, b[start:]...)
 		}
-		for _, s := range targets {
-			s.buf = append(s.buf, rec...)
-			if len(s.buf) >= 1<<20 {
-				if err := flush(s); err != nil {
-					return 0, 0, err
-				}
+		if err := spill(p); err != nil {
+			return 0, 0, err
+		}
+		if r != nil {
+			if err := spill(r); err != nil {
+				return 0, 0, err
 			}
 		}
-		total += int64(len(rec))
+		total += int64(len(b) - start)
 		line++
 	}
 	for _, s := range prim {
@@ -141,6 +179,11 @@ func GenerateShards(hosts []*biscuit.Host, size int64, needle string, needleEver
 	return total, planted, nil
 }
 
+// append2 appends v (0 <= v < 100) as two decimal digits.
+func append2(b []byte, v int) []byte {
+	return append(b, byte('0'+v/10), byte('0'+v%10))
+}
+
 // SearchConv scans the corpus on the host like grep: chunked
 // conventional reads at queue depth, then Boyer–Moore over each chunk
 // through the contended memory system. Returns the match count.
@@ -148,15 +191,23 @@ func SearchConv(h *biscuit.Host, needle string) (int64, error) {
 	return SearchConvIn(h, LogFile, needle)
 }
 
-// SearchConvIn is SearchConv over an arbitrary corpus file.
+// SearchConvIn is SearchConv over an arbitrary corpus file. An empty
+// needle is an error wrapping match.ErrEmptyKey, as on the NDP path.
 func SearchConvIn(h *biscuit.Host, file, needle string) (int64, error) {
+	if needle == "" {
+		return 0, fmt.Errorf("weblog: conv search of %s: %w", file, match.ErrEmptyKey)
+	}
 	f, err := h.SSD().OpenFile(file, true)
 	if err != nil {
 		return 0, err
 	}
 	plat := h.System().Plat
 	const chunkSize = 1 << 20
-	buf := make([]byte, chunkSize+64)
+	// Each read lands after the previous chunk's last len(needle)-1
+	// bytes, carried to catch straddling matches. Those bytes are
+	// shorter than the needle, so no match lies wholly inside them and
+	// none is counted twice.
+	buf := make([]byte, chunkSize+len(needle)-1)
 	var count int64
 	size := f.Size()
 	bm := match.NewHorspool([]byte(needle))
@@ -166,25 +217,15 @@ func SearchConvIn(h *biscuit.Host, file, needle string) (int64, error) {
 		if rem := size - off; int64(n) > rem {
 			n = int(rem)
 		}
-		// Carry the previous chunk's tail to catch straddling matches.
 		if err := h.SSD().ReadFileConvAsync(f, off, buf[overlap:overlap+n], 256<<10, 16); err != nil {
 			return 0, err
 		}
 		data := buf[:overlap+n]
 		count += int64(bm.Count(data))
 		plat.HostScan(h.Proc(), int64(len(data)), grepCyclesPerByte)
-		keep := len(needle) - 1
-		if keep > len(data) {
-			keep = len(data)
-		}
-		copy(buf, data[len(data)-keep:])
-		overlap = keep
+		overlap = min(len(needle)-1, len(data))
+		copy(buf, data[len(data)-overlap:])
 		off += int64(n)
-		// Subtract matches that were fully inside the carried tail to
-		// avoid double counting.
-		if keep > 0 && off < size {
-			count -= int64(bm.Count(buf[:keep]))
-		}
 	}
 	return count, nil
 }

@@ -1,9 +1,12 @@
 package weblog
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"biscuit"
+	"biscuit/internal/match"
 	"biscuit/internal/sim"
 )
 
@@ -104,6 +107,52 @@ func TestSearchFindsCrossChunkMatches(t *testing.T) {
 		}
 		if conv != 1 || ndp != 1 {
 			t.Fatalf("conv=%d ndp=%d, want 1/1", conv, ndp)
+		}
+	})
+}
+
+func TestSearchEmptyNeedleIsAnError(t *testing.T) {
+	// Both engines refuse an empty needle with match.ErrEmptyKey; the
+	// Conv path used to panic the whole simulation.
+	sys := newSys()
+	sys.Run(func(h *biscuit.Host) {
+		if _, _, err := Generate(h, 64<<10, "", 0, biscuit.SeededRand(5)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := SearchConv(h, ""); !errors.Is(err, match.ErrEmptyKey) {
+			t.Fatalf("SearchConv(\"\"): %v, want %v", err, match.ErrEmptyKey)
+		}
+		if _, err := SearchNDP(h, ""); !errors.Is(err, match.ErrEmptyKey) {
+			t.Fatalf("SearchNDP(\"\"): %v, want %v", err, match.ErrEmptyKey)
+		}
+	})
+}
+
+func TestSearchConvLongNeedle(t *testing.T) {
+	// A needle longer than 65 bytes carries more than the old fixed
+	// 64-byte slack between chunks; it must still be counted once, on
+	// both sides of and across the 1 MiB chunk boundary.
+	needle := bytes.Repeat([]byte("LONGKEY-"), 25) // 200 bytes
+	data := bytes.Repeat([]byte{'x'}, 3<<20)
+	for _, at := range []int{1000, (1 << 20) - 100, (2 << 20) - 1, (3 << 20) - 4000} {
+		copy(data[at:], needle)
+	}
+	want := int64(bytes.Count(data, needle))
+	sys := newSys()
+	sys.Run(func(h *biscuit.Host) {
+		f, err := h.SSD().CreateFile(LogFile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.SSD().WriteFile(f, 0, data); err != nil {
+			t.Fatal(err)
+		}
+		got, err := SearchConv(h, string(needle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("conv counts %d, want %d", got, want)
 		}
 	})
 }
