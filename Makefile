@@ -32,14 +32,16 @@ faulttest:
 	$(GO) test -count=2 ./internal/fault/... $(FAULTPKGS)
 
 # Fuzz smoke: 10 s each of the fault-plan parser, the two matcher
-# oracles, the page decoder under a column mask, the device scan's
-# row filter, the SQL parser and the SQL decimal/date literal round
-# trip (go test -fuzz takes one target and one package per run).
+# oracles, the page decoder under a column mask, the date cell parse
+# against its digit-loop oracle, the device scan's row filter, the SQL
+# parser and the SQL decimal/date literal round trip (go test -fuzz
+# takes one target and one package per run).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz=FuzzStreamEqualsWholeScan -fuzztime=10s ./internal/match
 	$(GO) test -run '^$$' -fuzz=FuzzMultiKeyEqualsNaive -fuzztime=10s ./internal/match
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/db
+	$(GO) test -run '^$$' -fuzz=FuzzParseDate -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzDeviceFilter -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz=FuzzLiteralRoundTrip -fuzztime=10s ./internal/sql

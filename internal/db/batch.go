@@ -197,15 +197,15 @@ func emitRows(b *RowBatch, rows []Row, at *int) int {
 	return *at - from
 }
 
-// NewRow appends and returns a zero row of ncols cells carved from the
+// NewRow appends and returns a row of ncols cells carved from the
 // batch's Value arena, whose chunks grow with the rows the batch is
-// handed up to one full batch in all. The caller fills every cell.
+// handed up to one full batch in all. The cells hold whatever they last
+// held: the caller writes every one.
 func (b *RowBatch) NewRow(ncols int) Row {
 	if b.Full() {
 		panic("db: RowBatch overflow")
 	}
 	r := b.vals.carve(ncols, b.capacity)
-	clear(r)
 	b.AppendRow(r)
 	return r
 }
@@ -288,7 +288,16 @@ const skipCell cellOp = 4
 // to its end: a corrupt row fails whatever the mask, and the consumed
 // length never depends on it.
 func (b *RowBatch) decodeRow(buf []byte, src string, sch *Schema, ops []cellOp) (int, error) {
-	blen, n := binary.Uvarint(buf)
+	// Every varint takes its one-byte case (< 0x80) inline; a longer or
+	// malformed one falls through to binary.Uvarint, whose rules are the
+	// decoder's.
+	var blen uint64
+	n := 1
+	if len(buf) > 0 && buf[0] < 0x80 {
+		blen = uint64(buf[0])
+	} else {
+		blen, n = binary.Uvarint(buf)
+	}
 	if n <= 0 || blen > uint64(len(buf)-n) {
 		return 0, fmt.Errorf("db: truncated row header")
 	}
@@ -304,12 +313,15 @@ cells:
 	for i, op := range ops {
 		switch op {
 		case cellOp(TInt), cellOp(TDecimal):
-			v, k := binary.Varint(body[at:])
-			if k <= 0 {
+			var ux uint64
+			k := 1
+			if at < len(body) && body[at] < 0x80 {
+				ux = uint64(body[at])
+			} else if ux, k = binary.Uvarint(body[at:]); k <= 0 {
 				err = cellErr("bad varint", sch, i)
 				break cells
 			}
-			r[i] = Value{T: Type(op), I: v}
+			r[i] = Value{T: Type(op), I: int64(ux>>1) ^ -int64(ux&1)} // zigzag, as binary.Varint
 			at += k
 		case cellOp(TDate):
 			if at+10 > len(body) {
@@ -321,7 +333,13 @@ cells:
 			}
 			at += 10
 		case cellOp(TString):
-			slen, k := binary.Uvarint(body[at:])
+			var slen uint64
+			k := 1
+			if at < len(body) && body[at] < 0x80 {
+				slen = uint64(body[at])
+			} else {
+				slen, k = binary.Uvarint(body[at:])
+			}
 			if k <= 0 || slen > uint64(len(body)-at-k) {
 				err = cellErr("truncated string", sch, i)
 				break cells
@@ -337,11 +355,15 @@ cells:
 			}
 			at += k + int(slen)
 		case skipCell | cellOp(TInt), skipCell | cellOp(TDecimal):
-			_, k := binary.Uvarint(body[at:]) // rejects what Varint rejects
+			k := 1
+			if at >= len(body) || body[at] >= 0x80 {
+				_, k = binary.Uvarint(body[at:]) // rejects what Varint rejects
+			}
 			if k <= 0 {
 				err = cellErr("bad varint", sch, i)
 				break cells
 			}
+			r[i] = Value{}
 			at += k
 		case skipCell | cellOp(TDate):
 			if at+10 > len(body) {
@@ -352,13 +374,21 @@ cells:
 				err = badDate(d)
 				break cells
 			}
+			r[i] = Value{}
 			at += 10
 		case skipCell | cellOp(TString):
-			slen, k := binary.Uvarint(body[at:])
+			var slen uint64
+			k := 1
+			if at < len(body) && body[at] < 0x80 {
+				slen = uint64(body[at])
+			} else {
+				slen, k = binary.Uvarint(body[at:])
+			}
 			if k <= 0 || slen > uint64(len(body)-at-k) {
 				err = cellErr("truncated string", sch, i)
 				break cells
 			}
+			r[i] = Value{}
 			at += k + int(slen)
 		}
 	}

@@ -1,9 +1,13 @@
 package db
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"biscuit"
@@ -136,6 +140,131 @@ func TestRowBatchDecodeRoundTrip(t *testing.T) {
 		for c := range want[i] {
 			if !Equal(got[c], want[i][c]) {
 				t.Fatalf("row %d col %d: %v != %v", i, c, got[c], want[i][c])
+			}
+		}
+	}
+}
+
+// refDecodeRow is the row decoder spelled with encoding/binary's
+// Uvarint and Varint alone and the digit-loop date parse, every cell
+// decoded, or every cell walked and left zero with skip: the oracle of
+// decodeRow's inline one-byte varints and straight-line dates.
+func refDecodeRow(buf []byte, sch *Schema, skip bool) (Row, int, error) {
+	blen, n := binary.Uvarint(buf)
+	if n <= 0 || blen > uint64(len(buf)-n) {
+		return nil, 0, fmt.Errorf("db: truncated row header")
+	}
+	body := buf[n : n+int(blen)]
+	row := make(Row, len(sch.Cols))
+	at := 0
+	for i, c := range sch.Cols {
+		switch c.T {
+		case TInt, TDecimal:
+			v, k := binary.Varint(body[at:])
+			if k <= 0 {
+				return nil, 0, cellErr("bad varint", sch, i)
+			}
+			if !skip {
+				row[i] = Value{T: c.T, I: v}
+			}
+			at += k
+		case TDate:
+			if at+10 > len(body) {
+				return nil, 0, cellErr("truncated date", sch, i)
+			}
+			v, err := loopParseDate(body[at : at+10])
+			if err != nil {
+				return nil, 0, err
+			}
+			if !skip {
+				row[i] = v
+			}
+			at += 10
+		case TString:
+			slen, k := binary.Uvarint(body[at:])
+			if k <= 0 || slen > uint64(len(body)-at-k) {
+				return nil, 0, cellErr("truncated string", sch, i)
+			}
+			if !skip {
+				row[i] = Str(string(body[at+k : at+k+int(slen)]))
+			}
+			at += k + int(slen)
+		}
+	}
+	return row, n + int(blen), nil
+}
+
+// TestDecodeRowVarintBoundaries: decoded and skipped, the row decoder
+// gives refDecodeRow's cells, consumed length and error text where a
+// varint grows from one byte to two and from two to three (ints and
+// decimals at ±63, ±64, ±8191, ±8192), at both ends of int64, for
+// strings and row bodies of 127 and 128 bytes, and for varints and
+// dates cut off or malformed at the body's end.
+func TestDecodeRowVarintBoundaries(t *testing.T) {
+	nums := NewSchema(Column{"i", TInt}, Column{"d", TDecimal})
+	strs := NewSchema(Column{"s", TString}, Column{"i", TInt})
+	str := NewSchema(Column{"s", TString})
+	dates := NewSchema(Column{"t", TDate}, Column{"i", TInt})
+	type tc struct {
+		sch *Schema
+		buf []byte
+	}
+	var cases []tc
+	for _, v := range []int64{0, 1, -1, 63, -63, 64, -64, 65, -65, 8191, -8191, 8192, -8192,
+		math.MinInt64, math.MaxInt64} {
+		cases = append(cases, tc{nums, EncodeRow(nil, nums, Row{Int(v), Dec(-v)})})
+	}
+	for _, n := range []int{0, 1, 126, 127, 128} {
+		s := Str(strings.Repeat("x", n))
+		cases = append(cases, tc{strs, EncodeRow(nil, strs, Row{s, Int(int64(n))})},
+			tc{str, EncodeRow(nil, str, Row{s})}) // bodies of n+1 and n+2 bytes
+	}
+	row := func(body ...byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(body))), body...) }
+	overflow := append(bytes.Repeat([]byte{0xff}, 9), 0x02)
+	cases = append(cases,
+		tc{nums, nil},                                       // no header
+		tc{nums, []byte{0x80}},                              // header cut off
+		tc{nums, []byte{0x80, 0x00}},                        // a two-byte zero header: an empty body
+		tc{nums, []byte{0x05, 0x00}},                        // header past the buffer
+		tc{nums, row()},                                     // no int cell
+		tc{nums, row(0x80)},                                 // int varint cut off at the body's end
+		tc{nums, row(0x02, 0x80)},                           // decimal varint cut off
+		tc{nums, row(0x80, 0x00, 0x81, 0x00)},               // two-byte forms of 0 and -1
+		tc{nums, row(append(overflow, 0x00)...)},            // int varint past 64 bits
+		tc{nums, row(append([]byte{0x00}, overflow...)...)}, // decimal varint past 64 bits
+		tc{strs, row(0x80)},                                 // string length cut off
+		tc{strs, row(0x03, 'a', 'b')},                       // string past the body
+		tc{strs, row(0x02, 'a', 'b')},                       // int missing after the string
+		tc{dates, row([]byte("1995-01-17\x00")...)},
+		tc{dates, row([]byte("1995-02-30\x7f")...)},
+		tc{dates, row([]byte("1995/01/17\x00")...)},
+		tc{dates, row([]byte("19x5-13-00\x00")...)},
+		tc{dates, row([]byte("1995-01-1")...)}, // truncated date
+	)
+	// One batch for every decode, so a skipped cell lands on the arena
+	// cell the decode before it wrote: it must come out zero all the same.
+	b := NewRowBatch(1)
+	for _, c := range cases {
+		for _, skip := range []bool{false, true} {
+			ops := c.sch.ops
+			if skip {
+				ops = c.sch.decodeOps(make([]bool, len(c.sch.Cols)))
+			}
+			b.Reset()
+			k, err := b.decodeRow(c.buf, "", c.sch, ops)
+			want, wantK, werr := refDecodeRow(c.buf, c.sch, skip)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || k != wantK {
+				t.Fatalf("% x skip=%v: consumed %d, err %v; want %d, %v", c.buf, skip, k, err, wantK, werr)
+			}
+			if err != nil {
+				if b.Len() != 0 {
+					t.Fatalf("% x skip=%v: a failed decode left %d rows", c.buf, skip, b.Len())
+				}
+				continue
+			}
+			b.FinishStrings()
+			if got := b.Row(0); !slices.Equal(got, want) {
+				t.Fatalf("% x skip=%v: cells %v, want %v", c.buf, skip, got, want)
 			}
 		}
 	}

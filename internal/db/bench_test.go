@@ -264,10 +264,11 @@ func allocsAndBytesPerRun(runs int, f func()) (allocs, size float64) {
 }
 
 // BenchmarkDecodeRow times the one row decoder over 1024 lineitem-shaped
-// rows under three masks: every column — the full decode DecodePage and
+// rows under four masks: every column — the full decode DecodePage and
 // ConvScan without a mask run, which must not pay for masks existing —
-// four columns as Q6 reads them, and the last column alone, where every
-// cell before it is walked. ns/row is the number to read.
+// four columns as Q6 reads them, the three dates as Q12's predicate
+// reads them, and the last column alone, where every cell before it is
+// walked. ns/row is the number to read.
 func BenchmarkDecodeRow(b *testing.B) {
 	const rows = 1024
 	sch, row := lineitemShaped()
@@ -288,6 +289,7 @@ func BenchmarkDecodeRow(b *testing.B) {
 	}{
 		{"all", nil},
 		{"4of16", mask("quantity", "extendedprice", "discount", "shipdate")},
+		{"dates", mask("shipdate", "commitdate", "receiptdate")},
 		{"last", mask("comment")},
 	} {
 		b.Run("cols="+m.name, func(b *testing.B) {

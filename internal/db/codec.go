@@ -109,20 +109,33 @@ func dateShaped(b []byte) bool { return len(b) == 10 && b[4] == '-' && b[7] == '
 func badDate(b []byte) error { return fmt.Errorf("db: bad date %q", b) }
 
 // parseDate converts ASCII YYYY-MM-DD to a date value without
-// allocating.
+// allocating. Each byte counts as c-'0' in byte arithmetic, so a
+// non-digit wraps to 10–255 and the result is DateYMD of whatever
+// numbers the bytes spell. A month of 1–12 takes DateYMD's own
+// arithmetic in straight lines: the year is non-negative, so adding one
+// 400-year era keeps the March-based year non-negative too, and no floor
+// division is needed. Any other month goes through DateYMD.
 func parseDate(b []byte) (Value, error) {
 	if !dateShaped(b) {
 		return Value{}, badDate(b)
 	}
-	num := func(s []byte) int {
-		n := 0
-		for _, c := range s {
-			n = n*10 + int(c-'0')
-		}
-		return n
+	y := uint(b[0]-'0')*1000 + uint(b[1]-'0')*100 + uint(b[2]-'0')*10 + uint(b[3]-'0')
+	m := uint(b[5]-'0')*10 + uint(b[6]-'0')
+	d := uint(b[8]-'0')*10 + uint(b[9]-'0')
+	if m-1 >= 12 {
+		return DateYMD(int(y), int(m), int(d)), nil
 	}
-	return DateYMD(num(b[0:4]), num(b[5:7]), num(b[8:10])), nil
+	y += 400
+	if m <= 2 {
+		y-- // January and February close the March-based year before
+	}
+	days := y*365 + y/4 - y/100 + y/400 + marchDays[m] + d
+	return Value{T: TDate, I: int64(days) - (719468 + 146097 + 1)}, nil
 }
+
+// marchDays[m] is DateYMD's (153·mp+2)/5: the days from March 1 to the
+// first of month m.
+var marchDays = [13]uint{0, 306, 337, 0, 31, 61, 92, 122, 153, 184, 214, 245, 275}
 
 // PageBuilder packs rows into fixed-size pages. It owns one page
 // buffer for its whole life: rows encode straight into it and Take

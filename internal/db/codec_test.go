@@ -209,3 +209,39 @@ func TestUnstorableDateIsRefused(t *testing.T) {
 		}
 	})
 }
+
+// loopParseDate is parseDate as a digit loop over each field, every
+// field handed to DateYMD: the oracle of parseDate's straight-line path.
+func loopParseDate(b []byte) (Value, error) {
+	if !dateShaped(b) {
+		return Value{}, badDate(b)
+	}
+	num := func(s []byte) int {
+		n := 0
+		for _, c := range s {
+			n = n*10 + int(c-'0')
+		}
+		return n
+	}
+	return DateYMD(num(b[0:4]), num(b[5:7]), num(b[8:10])), nil
+}
+
+// TestParseDateMatchesDateYMD: every all-digit cell of years 0000–9999,
+// months 01–12 and days 00–99 parses to DateYMD's day count, day 00 and
+// days past the month's end counting on into the neighbour months.
+func TestParseDateMatchesDateYMD(t *testing.T) {
+	cell := []byte("0000-00-00")
+	for y := 0; y <= 9999; y++ {
+		cell[0], cell[1], cell[2], cell[3] = byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10)
+		for m := 1; m <= 12; m++ {
+			cell[5], cell[6] = byte('0'+m/10), byte('0'+m%10)
+			for d := 0; d <= 99; d++ {
+				cell[8], cell[9] = byte('0'+d/10), byte('0'+d%10)
+				got, err := parseDate(cell)
+				if want := DateYMD(y, m, d); err != nil || got != want {
+					t.Fatalf("parseDate(%q) = %v, %v; want %v", cell, got, err, want)
+				}
+			}
+		}
+	}
+}

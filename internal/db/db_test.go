@@ -238,6 +238,29 @@ func TestArith(t *testing.T) {
 	}
 }
 
+// TestArithIntegersAreExact: two integer operands never pass through
+// float64, whose 53-bit mantissa would round 2^53+1 and the square of
+// 3037000499; division truncates toward zero.
+func TestArithIntegersAreExact(t *testing.T) {
+	for _, c := range []struct {
+		op   ArithOp
+		l, r int64
+		want int64
+	}{
+		{Add, 9007199254740993, 0, 9007199254740993},
+		{Sub, 9007199254740993, -2, 9007199254740995},
+		{Mul, 3037000499, 3037000499, 9223372030926249001},
+		{Div, 9007199254740993, 1, 9007199254740993},
+		{Div, 7, -2, -3},
+		{Div, -7, 2, -3},
+	} {
+		e := Arith{c.op, Lit(Int(c.l)), Lit(Int(c.r))}
+		if got := e.Eval(nil); got != Int(c.want) {
+			t.Errorf("%v = %v, want %d", e, got, c.want)
+		}
+	}
+}
+
 // ---- storage + execution integration ----
 
 func quickSys() *biscuit.System {
@@ -450,6 +473,46 @@ func TestBNLJoinRescanCountScalesWithOuterBlocks(t *testing.T) {
 		// 1 outer scan + 10 inner scans.
 		if ex.St.ConvScans != 11 {
 			t.Fatalf("scans=%d, want 11", ex.St.ConvScans)
+		}
+	})
+}
+
+// TestBNLRescansReuseTheReadAheadChunk: every block of a block-nested-
+// loop join opens a new ConvScan of the inner table, and each one reads
+// through a read-ahead chunk as large as the table. A closed scan hands
+// its chunk back to the Exec, so the ten rescans that 20 blocks add to
+// 10 allocate well under half a chunk each.
+func TestBNLRescansReuseTheReadAheadChunk(t *testing.T) {
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		outer := loadFixture(t, h, d, 800, 50)
+		sch := NewSchema(Column{"bk", TInt}, Column{"v", TDecimal})
+		lb, _ := d.NewLoader(h, "tb", sch, 8)
+		for i := 0; i < 20000; i++ {
+			lb.Add(Row{Int(int64(i)), Dec(int64(i) << 20)})
+		}
+		lb.Close()
+		inner := d.Table("tb")
+		joined := outer.Sch.Concat(sch)
+		join := func(blockRows int) func() {
+			return func() {
+				ex := NewExec(h, d)
+				ex.JoinBufferRows = blockRows
+				bnl := &BNLJoin{Ex: ex, Outer: ex.NewConvScan(outer, nil),
+					Inner: func() Iterator { return ex.NewConvScan(inner, nil) },
+					On:    Cmp{EQ, C(joined, "id"), C(joined, "bk")}}
+				if rows, err := Collect(bnl); err != nil || len(rows) != 800 {
+					t.Fatalf("%d rows, err %v, want 800", len(rows), err)
+				}
+			}
+		}
+		_, ten := allocsAndBytesPerRun(3, join(80))
+		_, twenty := allocsAndBytesPerRun(3, join(40))
+		perRescan, chunk := (twenty-ten)/10, float64(inner.Bytes())
+		t.Logf("10 blocks %.0f B, 20 blocks %.0f B: %.0f B per inner rescan; one read-ahead chunk is %.0f B", ten, twenty, perRescan, chunk)
+		if perRescan > chunk/2 {
+			t.Fatalf("an inner rescan allocates %.0f B, want at most half a %.0f B chunk", perRescan, chunk)
 		}
 	})
 }

@@ -43,6 +43,10 @@ type Exec struct {
 	BatchSize int
 
 	pendingCycles float64 // batched per-row CPU cost not yet paid
+
+	// spare is the read-ahead chunk of the last ConvScan to close, for
+	// the next one to fill: a join's inner rescans reuse one chunk.
+	spare []byte
 }
 
 // NewExec builds an execution context with default knobs.
@@ -324,11 +328,15 @@ func (s *ConvScan) fill() error {
 	if rem := s.file.Size() - s.off; int64(n) > rem {
 		n = int(rem)
 	}
+	ex := s.Ex
 	if cap(s.chunk) < n {
-		s.chunk = make([]byte, n)
+		if cap(ex.spare) >= n {
+			s.chunk, ex.spare = ex.spare, nil
+		} else {
+			s.chunk = make([]byte, n)
+		}
 	}
 	chunk := s.chunk[:n]
-	ex := s.Ex
 	if err := ex.H.SSD().ReadFileConvAsync(s.file, s.off, chunk, convRequest, convQueueDepth); err != nil {
 		return err
 	}
@@ -360,9 +368,15 @@ func (s *ConvScan) fill() error {
 	return nil
 }
 
-// Close releases the scan.
+// Close releases the scan and hands its read-ahead chunk to the Exec,
+// where it replaces a smaller spare. It may run twice: the chunk goes
+// back once.
 func (s *ConvScan) Close() error {
 	s.cLen, s.cAt, s.pRows = 0, 0, 0
+	if s.chunk != nil && cap(s.chunk) > cap(s.Ex.spare) {
+		s.Ex.spare = s.chunk
+	}
+	s.chunk = nil
 	s.end()
 	return nil
 }

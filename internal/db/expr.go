@@ -330,9 +330,25 @@ type Arith struct {
 }
 
 // Eval computes with fixed-point decimal propagation: any decimal
-// operand makes the result decimal.
+// operand makes the result decimal. Two integers stay in int64, so
+// every result int64 holds is exact; division truncates toward zero.
+// A zero integer divisor takes the float path.
 func (a Arith) Eval(r Row) Value {
 	l, rr := a.L.Eval(r), a.R.Eval(r)
+	if l.T == TInt && rr.T == TInt {
+		switch a.Op {
+		case Add:
+			return Int(l.I + rr.I)
+		case Sub:
+			return Int(l.I - rr.I)
+		case Mul:
+			return Int(l.I * rr.I)
+		case Div:
+			if rr.I != 0 {
+				return Int(l.I / rr.I)
+			}
+		}
+	}
 	lf, rf := l.Float(), rr.Float()
 	var f float64
 	switch a.Op {

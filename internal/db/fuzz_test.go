@@ -69,6 +69,26 @@ func FuzzDecodePage(f *testing.F) {
 	})
 }
 
+// FuzzParseDate: any ten-byte cell — digits or not, any month, any
+// day — parses to the digit loop's value, or fails with its error text.
+func FuzzParseDate(f *testing.F) {
+	for _, s := range []string{"1995-01-17", "0000-01-01", "9999-12-31", "2000-02-29",
+		"1999-02-29", "1994-00-15", "1994-13-01", "1994-99-99", "1994-01-00", "0000-02-00",
+		"19x5-01-17", "1995-0:-17", "1995/01/17", "////-//-//", "\xff\xff\xff\xff-\xff\xff-\xff\xff"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, cell []byte) {
+		if len(cell) != 10 {
+			return
+		}
+		got, gerr := parseDate(cell)
+		want, werr := loopParseDate(cell)
+		if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("parseDate(%q) = %v, %v; digit loop %v, %v", cell, got, gerr, want, werr)
+		}
+	})
+}
+
 // fuzzPageSeeds seeds a (page, uint16) corpus over the schema it returns:
 // a valid page, short and garbage pages, the shared header check's three
 // rejections and row decode errors past it.

@@ -67,7 +67,8 @@ func Str(s string) Value { return Value{T: TString, S: s} }
 // DateYMD builds a date value from calendar components. A day outside
 // the month counts on into its neighbours, as time.Date has it (the page
 // decoder hands over whatever two digits the media held); a month outside
-// 1–12 is left to time.Date itself.
+// 1–12 is left to time.Date itself. parseDate computes the same days for
+// months 1–12 in straight lines; the two must stay equal.
 func DateYMD(y, m, d int) Value {
 	if m < 1 || m > 12 {
 		t := time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -311,6 +312,26 @@ func TestRunExpressionSelect(t *testing.T) {
 		}
 		if len(res.Rows) != 1 || res.Rows[0][0].T != db.TDecimal || res.Rows[0][0].I <= 0 {
 			t.Fatalf("revenue=%v", res.Rows)
+		}
+	})
+}
+
+// TestRunIntegerArithmeticIsExact: integer expressions keep every
+// digit int64 holds. 2^53+1 and 3037000499² are the smallest sum and
+// square a float64 would round.
+func TestRunIntegerArithmeticIsExact(t *testing.T) {
+	sys, d, _ := rig(t)
+	sys.Run(func(h *biscuit.Host) {
+		ex := db.NewExec(h, d)
+		res, err := Run(ex, d, nil, `
+			SELECT 9007199254740993 + 0, 3037000499 * 3037000499, 7 / -2, r_regionkey * 9007199254740993
+			FROM region WHERE r_regionkey = 1`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := db.Row{db.Int(9007199254740993), db.Int(9223372030926249001), db.Int(-3), db.Int(9007199254740993)}
+		if len(res.Rows) != 1 || !slices.Equal(res.Rows[0], want) {
+			t.Fatalf("rows %v, want [%v]", res.Rows, want)
 		}
 	})
 }
