@@ -47,18 +47,19 @@ type RowBatch struct {
 }
 
 // rowSlab carves rows from chunks of Value storage. It is the one row
-// allocator of the executor: RowBatch.NewRow's arena, Collect's retained
-// rows, BNLJoin's join buffer and every join's output. Each new chunk is
-// as large as all the chunks before it together, from slabMinRows rows
-// up to the owner's cap of rows per chunk, so a slab that holds a
-// handful of rows pays for a handful.
+// allocator of the executor: rows that die with their batch or their
+// Collect (RowBatch.NewRow's arena, every join's output, Collect's) and
+// heldRows, the rows a join holds. Each new chunk is as large as all the
+// chunks before it together, from slabMinRows rows up to the owner's cap
+// of rows per chunk, so a slab that holds a handful of rows pays for a
+// handful.
 //
 // rewind recycles every chunk: rows carved after it overwrite rows
 // carved before it. An owner rewinds only where its contract has let go
 // of every row it handed out — RowBatch at Reset, a join when emit finds
-// nothing pending (the consumer has called NextBatch again), BNLJoin
-// when a block's inner scan ends. A slab never rewound, Collect's, only
-// grows, and its rows live as long as somebody holds them.
+// nothing pending (the consumer has called NextBatch again), BNLJoin's
+// store when a block's inner scan ends. A slab never rewound, Collect's,
+// only grows, and its rows live as long as somebody holds them.
 type rowSlab struct {
 	cur    []Value   // chunk being carved; cur[len(cur):cap(cur)] is free
 	chunks [][]Value // every chunk so far, in carve order, each at length 0
@@ -68,6 +69,7 @@ type rowSlab struct {
 
 // A slab's first chunk holds slabMinRows rows; the joins' and Collect's
 // chunks stop growing at slabMaxRows rows, a RowBatch's at its capacity.
+// chunkOf's addressing takes both to be powers of two.
 const (
 	slabMinRows = 16
 	slabMaxRows = 1024

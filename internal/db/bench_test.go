@@ -66,14 +66,24 @@ func drainScan(ex *Exec, tab *Table, pred Expr) (int, error) {
 // number to read is ns/inner-row, which must stay flat across the
 // 10×-spaced sizes: a probe costs one bucket lookup whatever the block
 // holds, where pairing every inner row with every block row cost 512
-// concatenations and evaluations.
+// concatenations and evaluations. The lineitem case fills its block with
+// sixteen-column rows of which the plan reads two; its B/op is what the
+// join buffer keeps of them.
 func BenchmarkBNLJoin(b *testing.B) {
-	for _, inner := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("inner=%dk", inner/1000), func(b *testing.B) {
+	for _, c := range []struct {
+		inner    int
+		lineitem bool
+	}{{1_000, false}, {10_000, false}, {100_000, false}, {10_000, true}} {
+		name := fmt.Sprintf("inner=%dk", c.inner/1000)
+		if c.lineitem {
+			name = "lineitem-2of16/" + name
+		}
+		inner := c.inner
+		b.Run(name, func(b *testing.B) {
 			sys := quickSys()
 			d := Open(sys)
 			sys.Run(func(h *biscuit.Host) {
-				j := bnlProbe(h, d, inner)
+				j := bnlProbe(h, d, 512, inner, c.lineitem)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -190,14 +191,13 @@ type BNLJoin struct {
 	// On is evaluated over the concatenated row (outer columns first).
 	On Expr
 
-	innerNeed []bool // narrow's mask for every fresh Inner(); nil = all
+	outerNeed, innerNeed []bool // narrow's masks for the block and every fresh Inner(); nil = all
 
-	sch       *Schema
-	block     []Row
-	blockRows rowSlab     // block's cells, rewound with the block
-	cur       outerCursor // carries leftover outer rows across block fills
-	inner     Iterator
-	innerB    *RowBatch
+	sch    *Schema
+	block  heldRows    // the join buffer, rewound with each block
+	cur    outerCursor // carries leftover outer rows across block fills
+	inner  Iterator
+	innerB *RowBatch
 
 	// On as the probe runs it: blockIx buckets the block by column
 	// outerKey, an inner row probes with its column innerKey, and residual
@@ -221,10 +221,13 @@ func (j *BNLJoin) Schema() *Schema {
 	return j.sch
 }
 
-// Open opens the outer input.
+// Open opens the outer input; a join buffer of no rows fills no block.
 func (j *BNLJoin) Open() error {
+	if j.Ex.JoinBufferRows <= 0 {
+		return fmt.Errorf("db: BNLJoin: a join buffer of %d rows; it must hold at least one", j.Ex.JoinBufferRows)
+	}
 	j.Schema()
-	j.block, j.blockRows = nil, rowSlab{}
+	j.block.reset(j.outerNeed, width(j.Outer))
 	j.cur = outerCursor{}
 	j.joinOut = joinOut{}
 	j.outerKey, j.innerKey, j.residual = equiKey(j.On, len(j.Outer.Schema().Cols))
@@ -292,23 +295,22 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 					return 0, err
 				}
 				j.inner = nil
-				j.block = j.block[:0]
-				j.blockRows.rewind()
+				j.block.rewind()
 				continue
 			}
-			j.Ex.chargeHost(hostJoinCPR * float64(len(j.block)) * float64(m))
+			j.Ex.chargeHost(hostJoinCPR * float64(j.block.n) * float64(m))
 			for ii := 0; ii < m; ii++ {
 				// An inner row meets the block rows in its key's chain.
 				ir := j.innerB.Row(ii)
 				for bi := j.blockIx.probe(keyCell(ir, j.innerKey)); bi >= 0; bi = j.blockIx.next[bi] {
-					j.match(j.block[bi], ir, j.residual, true)
+					j.match(j.block.row(bi), ir, j.residual, true)
 				}
 			}
 			continue
 		}
 		// Load and index the next outer block.
 		j.blockIx.reset(j.Ex.JoinBufferRows)
-		for len(j.block) < j.Ex.JoinBufferRows {
+		for j.block.n < j.Ex.JoinBufferRows {
 			or, ok, err := j.cur.next(j.Outer, j.Ex)
 			if err != nil {
 				return 0, err
@@ -317,9 +319,9 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 				break
 			}
 			j.blockIx.add(keyCell(or, j.outerKey))
-			j.block = append(j.block, j.blockRows.concat(or, nil))
+			j.block.add(or)
 		}
-		if len(j.block) == 0 {
+		if j.block.n == 0 {
 			return 0, nil
 		}
 		// Rescan the inner relation for this block.
@@ -349,7 +351,7 @@ func (j *BNLJoin) Close() error {
 }
 
 // HashJoin is an in-memory equality join: the right (build) input is
-// drained into the join's buildRows and indexed by key, and the left
+// drained into the join's heldRows and indexed by key, and the left
 // input probes it. Used where MariaDB fidelity does not matter for the
 // offload story.
 type HashJoin struct {
@@ -368,7 +370,7 @@ type HashJoin struct {
 	rightNeed []bool
 
 	sch     *Schema
-	right   buildRows // the build side, from Open to Close
+	right   heldRows  // the build side, from Open to Close
 	rightIx joinIndex // over right, by RightKey
 	left    *RowBatch
 	joinOut
@@ -469,31 +471,27 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 
 // Close closes the left input (right was drained in Open).
 func (j *HashJoin) Close() error {
-	j.right, j.rightIx = buildRows{}, joinIndex{}
+	j.right, j.rightIx = heldRows{}, joinIndex{}
 	return j.Left.Close()
 }
 
-// buildRows is HashJoin's build side: the right rows in arrival order,
-// each cut down to the columns kept and stored flat, w cells a row with
-// no Row header, in chunks addressed by build position. Chunk 0 holds
-// 1<<buildLo rows and every later chunk as many as all before it
-// together, up to 1<<buildHi rows — the sizes a rowSlab's chunks take —
-// so a 25-row nation costs two small chunks.
-type buildRows struct {
-	keep   []int     // the right columns kept, ascending; nil keeps every one
-	w      int       // cells stored per row
-	chunks [][]Value // chunk k holds w cells for each row chunkOf maps to it
-	n      int       // rows stored
-	wide   Row       // row's full-width row when keep is set; other cells stay zero
+// heldRows is the one store for the rows an in-memory join holds past
+// one batch: HashJoin's build side and BNLJoin's join buffer. Rows are
+// kept in arrival order, cut down to the columns kept and stored flat,
+// w cells a row with no Row header, in a rowSlab: every carve is w cells,
+// so row p lies where chunkOf(p) says.
+type heldRows struct {
+	keep []int   // the columns kept, ascending; nil keeps every one
+	w    int     // cells stored per row
+	n    int     // rows stored
+	slab rowSlab // the cells; row p's are in chunk k of chunkOf(p)
+	wide Row     // row's full-width row when keep is set; other cells stay zero
 }
 
-// A build chunk holds 1<<buildLo rows at first and 1<<buildHi at most.
-const buildLo, buildHi = 4, 10
-
-// reset empties the side for rows of width cells, of which it keeps
+// reset empties the store for rows of width cells, of which it keeps
 // need's (nil: every one).
-func (s *buildRows) reset(need []bool, width int) {
-	*s = buildRows{w: width}
+func (s *heldRows) reset(need []bool, width int) {
+	*s = heldRows{w: width}
 	if need == nil {
 		return
 	}
@@ -506,31 +504,28 @@ func (s *buildRows) reset(need []bool, width int) {
 	s.w, s.wide = len(s.keep), make(Row, width)
 }
 
-// chunkOf returns the chunk holding build position p and p's row in it.
-// Chunk k in [1, buildHi-buildLo] starts at row 1<<(buildLo+k-1); the
-// full-size chunks after them at multiples of 1<<buildHi.
+// rewind empties the store for rows of the same shape, reusing its chunks.
+func (s *heldRows) rewind() {
+	s.n = 0
+	s.slab.rewind()
+}
+
+// chunkOf returns the slab chunk holding a store's row p and p's row in
+// it: chunk 0 holds slabMinRows rows, and each later one as many as all
+// before it together up to slabMaxRows, as rowSlab.grow makes them.
 func chunkOf(p int) (k, i int) {
-	switch {
-	case p < 1<<buildLo:
-		return 0, p
-	case p < 1<<buildHi:
-		hi := bits.Len(uint(p)) - 1 // p is in [1<<hi, 2<<hi)
-		return hi - buildLo + 1, p - 1<<hi
+	if p >= slabMaxRows {
+		return p/slabMaxRows + bits.Len(slabMaxRows/slabMinRows) - 1, p % slabMaxRows
 	}
-	return p>>buildHi + buildHi - buildLo, p & (1<<buildHi - 1)
+	if k = bits.Len(uint(p / slabMinRows)); k > 0 {
+		p -= slabMinRows << (k - 1)
+	}
+	return k, p
 }
 
 // add stores the kept cells of r as the next row.
-func (s *buildRows) add(r Row) {
-	k, i := chunkOf(s.n)
-	if k == len(s.chunks) {
-		rows := 1 << buildLo
-		if k > 0 {
-			rows = 1 << min(buildLo+k-1, buildHi)
-		}
-		s.chunks = append(s.chunks, make([]Value, rows*s.w))
-	}
-	cells := s.chunks[k][i*s.w : (i+1)*s.w]
+func (s *heldRows) add(r Row) {
+	cells := s.slab.carve(s.w, slabMaxRows)
 	if s.keep == nil {
 		copy(cells, r)
 	} else {
@@ -541,12 +536,15 @@ func (s *buildRows) add(r Row) {
 	s.n++
 }
 
-// row returns the row at build position p at the right input's full
-// width, its unkept cells zero — what a narrowed scan leaves there. The
-// row is valid until the next call.
-func (s *buildRows) row(p int32) Row {
+// row returns the row at position p at the stored rows' full width, its
+// unkept cells zero — what a narrowed scan leaves there. The row is
+// valid until the next call. A row of no cells holds no chunk.
+func (s *heldRows) row(p int32) Row {
+	if s.w == 0 {
+		return s.wide
+	}
 	k, i := chunkOf(int(p))
-	cells := Row(s.chunks[k][i*s.w : (i+1)*s.w : (i+1)*s.w])
+	cells := Row(s.slab.chunks[k][i*s.w : (i+1)*s.w : (i+1)*s.w])
 	if s.keep == nil {
 		return cells
 	}

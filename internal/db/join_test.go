@@ -297,16 +297,22 @@ func TestJoinKeysAreTyped(t *testing.T) {
 }
 
 // bnlProbe builds the probe-shaped join the allocation bound and
-// BenchmarkBNLJoin run: one full 512-row block of distinct keys, and
-// nInner inner rows with exactly one partner each.
-func bnlProbe(h *biscuit.Host, d *Database, nInner int) *BNLJoin {
-	const block = 512
-	oSch := NewSchema(Column{"ok", TInt}, Column{"ov", TString})
-	iSch := NewSchema(Column{"ik", TInt}, Column{"iv", TDecimal})
+// BenchmarkBNLJoin run: one full block of distinct keys, and nInner
+// inner rows with exactly one partner each. The block's rows are
+// two columns wide, or with lineitem set lineitem-shaped, keyed on
+// l_partkey, with only l_suppkey read above the join: the join buffer
+// keeps 2 of their 16 columns.
+func bnlProbe(h *biscuit.Host, d *Database, block, nInner int, lineitem bool) *BNLJoin {
+	oSch, key := NewSchema(Column{"ok", TInt}, Column{"ov", TString}), "ok"
 	outer := make([]Row, block)
 	for i := range outer {
 		outer[i] = Row{Int(int64(i)), Str("outer")}
 	}
+	if lineitem {
+		oSch, outer = lineitems(block)
+		key = "l_partkey"
+	}
+	iSch := NewSchema(Column{"ik", TInt}, Column{"iv", TDecimal})
 	inner := make([]Row, nInner)
 	for i := range inner {
 		inner[i] = Row{Int(int64(i * 7 % block)), Dec(int64(i))}
@@ -314,8 +320,117 @@ func bnlProbe(h *biscuit.Host, d *Database, nInner int) *BNLJoin {
 	ex := NewExec(h, d)
 	ex.JoinBufferRows = block
 	sch := oSch.Concat(iSch)
-	return &BNLJoin{Ex: ex, Outer: NewMemScan(oSch, outer), Inner: func() Iterator { return NewMemScan(iSch, inner) },
-		On: Cmp{EQ, C(sch, "ok"), C(sch, "ik")}}
+	j := &BNLJoin{Ex: ex, Outer: NewMemScan(oSch, outer), Inner: func() Iterator { return NewMemScan(iSch, inner) },
+		On: Cmp{EQ, C(sch, key), C(sch, "ik")}}
+	if lineitem {
+		narrow(j, readCols(len(sch.Cols), C(sch, "l_suppkey")))
+	}
+	return j
+}
+
+// TestBNLJoinRefusesAnEmptyBuffer: a join buffer of no rows fills no
+// block. The join used to read its first, empty block as the end of the
+// outer input, and returned no rows and no error; Open refuses it and
+// names the value.
+func TestBNLJoinRefusesAnEmptyBuffer(t *testing.T) {
+	sch := NewSchema(Column{"k", TInt})
+	rows := []Row{{Int(1)}, {Int(2)}}
+	both := sch.Concat(sch)
+	for _, buffer := range []int{0, -1} {
+		j := &BNLJoin{Ex: &Exec{JoinBufferRows: buffer}, Outer: NewMemScan(sch, rows),
+			Inner: func() Iterator { return NewMemScan(sch, rows) }, On: Cmp{EQ, C(both, "k"), C(both, "k_r")}}
+		got, err := Collect(j)
+		if want := fmt.Sprintf("join buffer of %d rows", buffer); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("JoinBufferRows=%d: %d rows, err %v, want an error naming %q", buffer, len(got), err, want)
+		}
+	}
+}
+
+// TestHeldRowsAddressing pins the joins' store to rowSlab's growth
+// schedule, which chunkOf restates and nothing else checks: at widths 0,
+// 1, 3 and 16 the row at every position — every chunk boundary among
+// them, and past three full-size chunks — reads back as the row added
+// there, and a row of no cells holds no chunk. Rewound and refilled with
+// rows of the same shape, the store reuses its chunks and allocates
+// nothing. A masked row reads back at full width, its unkept cells zero.
+func TestHeldRowsAddressing(t *testing.T) {
+	const n = 4*slabMaxRows + slabMaxRows/2
+	for _, w := range []int{0, 1, 3, 16} {
+		rows := make([]Row, n)
+		for p := range rows {
+			rows[p] = make(Row, w)
+			for c := range rows[p] {
+				rows[p][c] = Int(int64(p*w + c))
+			}
+		}
+		var s heldRows
+		s.reset(nil, w)
+		fill := func() {
+			s.rewind()
+			for _, r := range rows {
+				s.add(r)
+			}
+		}
+		fill()
+		if allocs := testing.AllocsPerRun(3, fill); allocs != 0 {
+			t.Fatalf("width %d: a rewound store refilled with %d rows allocated %.0f times, want 0", w, n, allocs)
+		}
+		for p, want := range rows {
+			if got := s.row(int32(p)); !slices.Equal(got, want) {
+				t.Fatalf("width %d: row %d reads %v, want %v", w, p, got, want)
+			}
+		}
+		if w == 0 && len(s.slab.chunks) != 0 {
+			t.Fatalf("rows of no cells took %d chunks, want none", len(s.slab.chunks))
+		}
+	}
+
+	var s heldRows
+	s.reset([]bool{false, true, false, false, true}, 5)
+	for p := range 40 {
+		s.add(Row{Int(-1), Int(int64(p)), Str("dropped"), Int(-1), Dec(int64(p))})
+	}
+	for _, p := range []int{0, 39, 15, 16} {
+		if got, want := s.row(int32(p)), (Row{{}, Int(int64(p)), {}, {}, Dec(int64(p))}); !slices.Equal(got, want) {
+			t.Fatalf("masked row %d reads %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestBNLJoinBufferBytes: the join buffer keeps only the outer cells the
+// plan reads, flat, as the build side does. A block of lineitem-shaped
+// rows of which the join reads two columns costs two cells a held row
+// and its index entry, where a whole row cost sixteen cells and a Row
+// header. What a held row costs is read as the difference between a
+// full and a half-full block under one buffer size, each run probed by
+// ten inner rows: the costs of a block as such — the key index's map,
+// sized for the buffer, and the outer batch — cancel out. The bound is a
+// quarter of the sixteen cells.
+func TestBNLJoinBufferBytes(t *testing.T) {
+	const buffer, inner = 4096, 10
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		bytes := func(rows int) int64 {
+			j := bnlProbe(h, d, rows, inner, true)
+			j.Ex.JoinBufferRows = buffer
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			n, err := countRows(j)
+			runtime.ReadMemStats(&after)
+			if err != nil || n != inner {
+				t.Fatalf("a %d-row block: %d rows, err %v, want %d", rows, n, err, inner)
+			}
+			return int64(after.TotalAlloc - before.TotalAlloc)
+		}
+		full, half := bytes(buffer), bytes(buffer/2)
+		perRow := float64(full-half) / (buffer / 2)
+		const bound = 16 * 32 / 4 // a quarter of sixteen 32-byte cells
+		t.Logf("%.1f B a held row (bound %d); a full block allocated %.1f B a row in all", perRow, bound, float64(full)/buffer)
+		if perRow >= bound {
+			t.Fatalf("a block of 16-column rows allocated %.1f B a held row, want under %d: the join buffer keeps cells nobody reads", perRow, bound)
+		}
+	})
 }
 
 // TestBNLJoinOutputAllocation: joined rows come from the join's slab,
@@ -329,7 +444,7 @@ func TestBNLJoinOutputAllocation(t *testing.T) {
 	d := Open(sys)
 	sys.Run(func(h *biscuit.Host) {
 		for _, matches := range []int{1000, 10000} {
-			j := bnlProbe(h, d, matches)
+			j := bnlProbe(h, d, 512, matches, false)
 			allocs := testing.AllocsPerRun(3, func() {
 				if n, err := countRows(j); err != nil || n != matches {
 					t.Fatalf("%d rows, err %v, want %d", n, err, matches)
@@ -447,6 +562,23 @@ func TestJoinRowsLiveUntilNextCall(t *testing.T) {
 	})
 }
 
+// lineitems returns n lineitem-shaped rows, all sixteen columns, four
+// lines an order and l_partkey unique.
+func lineitems(n int) (*Schema, []Row) {
+	cols := []Column{{"l_orderkey", TInt}, {"l_partkey", TInt}, {"l_suppkey", TInt}, {"l_linenumber", TInt},
+		{"l_quantity", TDecimal}, {"l_extendedprice", TDecimal}, {"l_discount", TDecimal}, {"l_tax", TDecimal},
+		{"l_returnflag", TString}, {"l_linestatus", TString}, {"l_shipdate", TDate}, {"l_commitdate", TDate},
+		{"l_receiptdate", TDate}, {"l_shipinstruct", TString}, {"l_shipmode", TString}, {"l_comment", TString}}
+	lines := make([]Row, n)
+	for i := range lines {
+		day := DateYMD(1992+i%7, 1+i%12, 1+i%28)
+		lines[i] = Row{Int(int64(i / 4)), Int(int64(i)), Int(int64(i * 7 % 100)), Int(int64(1 + i%4)),
+			Dec(int64(100 * (1 + i%50))), Dec(int64(i)), Dec(int64(i % 11)), Dec(int64(i % 9)),
+			Str("N"), Str("O"), day, day, day, Str("DELIVER IN PERSON"), Str("TRUCK"), Str("carefully final deposits")}
+	}
+	return NewSchema(cols...), lines
+}
+
 // q21Semi builds Q21's EXISTS as a semi join: a build side of nBuild
 // lineitem-shaped rows, all sixteen columns, four lines an order, and
 // nProbe probe rows of (l_orderkey, l_suppkey), the last quarter of them
@@ -454,19 +586,10 @@ func TestJoinRowsLiveUntilNextCall(t *testing.T) {
 // l_orderkey, its key, and l_suppkey, its residual's. want is how many
 // probe rows have a line of their order from another supplier.
 func q21Semi(ex *Exec, nBuild, nProbe int) (j *HashJoin, want int) {
-	cols := []Column{{"l_orderkey", TInt}, {"l_partkey", TInt}, {"l_suppkey", TInt}, {"l_linenumber", TInt},
-		{"l_quantity", TDecimal}, {"l_extendedprice", TDecimal}, {"l_discount", TDecimal}, {"l_tax", TDecimal},
-		{"l_returnflag", TString}, {"l_linestatus", TString}, {"l_shipdate", TDate}, {"l_commitdate", TDate},
-		{"l_receiptdate", TDate}, {"l_shipinstruct", TString}, {"l_shipmode", TString}, {"l_comment", TString}}
-	lSch := NewSchema(cols...)
-	lines := make([]Row, nBuild)
+	lSch, lines := lineitems(nBuild)
 	suppliers := map[int64]map[int64]bool{} // l_orderkey → its lines' l_suppkey
-	for i := range lines {
-		order, supp := int64(i/4), int64(i*7%100)
-		day := DateYMD(1992+i%7, 1+i%12, 1+i%28)
-		lines[i] = Row{Int(order), Int(int64(i)), Int(supp), Int(int64(1 + i%4)),
-			Dec(int64(100 * (1 + i%50))), Dec(int64(i)), Dec(int64(i % 11)), Dec(int64(i % 9)),
-			Str("N"), Str("O"), day, day, day, Str("DELIVER IN PERSON"), Str("TRUCK"), Str("carefully final deposits")}
+	for _, l := range lines {
+		order, supp := l[0].I, l[2].I
 		if suppliers[order] == nil {
 			suppliers[order] = map[int64]bool{}
 		}

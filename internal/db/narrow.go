@@ -23,13 +23,12 @@ import (
 // Collect never narrows: a plan that hands its rows to Go code decodes
 // them whole.
 //
-// HashJoin applies the mask to the rows it holds as well as to the rows
-// it decodes. Its build side keeps, of each right row, only the cells
-// read once the index is built — the residual's and, for an inner join,
-// those the operators above read (rightNeed) — and indexes the key as
-// the row arrives, so the key's cell stays only if something else reads
-// it. An inner join's output carries the right row at full width with
-// the other cells zero, as a narrowed scan leaves them.
+// The in-memory joins apply the mask to the rows they hold as well. A
+// HashJoin build row keeps only the cells read once the index is built —
+// the residual's and, for an inner join, those read above (rightNeed) —
+// as the key is indexed on arrival; a BNLJoin block row keeps those On
+// and the operators above read (outerNeed). Output rows carry the held
+// row at full width, the other cells zero, as a narrowed scan leaves them.
 
 // narrow hands need — a mask of the columns of the iterator's rows that
 // some operator above reads — down to it and, through each operator the
@@ -70,8 +69,8 @@ func narrow(it Iterator, need []bool) {
 		narrow(op.In, op.inCols())
 	case *BNLJoin:
 		all, nO := withCols(need, op.On), width(op.Outer)
-		narrow(op.Outer, all[:nO])
-		op.innerNeed = all[nO:]
+		op.outerNeed, op.innerNeed = all[:nO], all[nO:]
+		narrow(op.Outer, op.outerNeed)
 	case *HashJoin:
 		nL := width(op.Left)
 		if op.Semi || op.Anti {

@@ -154,7 +154,7 @@ func lawShapes() []lawShape {
 	self := func(name string) Col { return C(aa, name) }
 	key := C(a, "i1")
 	below := func(col string, v int64) Expr { return Cmp{LT, C(a, col), Lit(Int(v))} }
-	return []lawShape{
+	shapes := []lawShape{
 		{"filter", false, func(w lawWorld) Iterator {
 			in := w.conv(w.a, Cmp{GT, C(a, "t2"), Lit(MustDate("1994-06-01"))})
 			return proj(w, &FilterOp{Ex: w.ex, In: in, Pred: Like{X: C(a, "s0"), Pattern: "%z%"}}, "d2", "i1")
@@ -245,7 +245,25 @@ func lawShapes() []lawShape {
 			j.On = Cmp{EQ, C(sch, "i1"), C(sch, "i1_r_r")}
 			return proj(w, j, "s2", "t1_r", "d1_r_r")
 		}},
+		{"bnl-keyonly", false, func(w lawWorld) Iterator { // nothing above reads an outer column: the join buffer keeps the key alone
+			j := &BNLJoin{Ex: w.ex, Outer: w.ndp(w.a, needle), Inner: func() Iterator { return w.conv(w.a, below("i0", 60)) },
+				On: Cmp{EQ, self("i1"), self("i1_r")}}
+			return proj(w, j, "s2_r", "t1_r")
+		}},
+		{"bnl-residual", false, func(w lawWorld) Iterator { // only the residual reads the outer d0
+			j := &BNLJoin{Ex: w.ex, Outer: w.ndp(w.a, needle), Inner: func() Iterator { return w.conv(w.a, below("i0", 60)) },
+				On: AndOf(Cmp{EQ, self("i1"), self("i1_r")}, Cmp{LT, self("d0"), self("d2_r")})}
+			return proj(w, j, "s2", "t0_r")
+		}},
 	}
+	for _, past := range []int{0, 1} { // an outer of JoinBufferRows rows, and of one more: a last block full to the row, or of one
+		shapes = append(shapes, lawShape{fmt.Sprintf("bnl-boundary+%d", past), false, func(w lawWorld) Iterator {
+			j := &BNLJoin{Ex: w.ex, Outer: w.conv(w.a, below("i0", int64(w.ex.JoinBufferRows+past))),
+				Inner: func() Iterator { return w.conv(w.a, below("i0", 40)) }, On: Cmp{EQ, self("i1"), self("i1_r")}}
+			return proj(w, j, "t2", "s1_r")
+		}})
+	}
+	return shapes
 }
 
 // lawResult is what one shape did: its rows, the executor's counters,
@@ -335,7 +353,8 @@ func TestNarrowedPlansMatchFullRows(t *testing.T) {
 	all := lawShapes()
 	oracle := runLaw(t, quickSys(), lawMem, 0, all)
 	for _, name := range []string{"bnl", "hash", "semi", "anti", "inl", "ndp", "ndp-agg",
-		"self-residual", "self-key", "self-whole", "self-empty", "self-reopen"} {
+		"self-residual", "self-key", "self-whole", "self-empty", "self-reopen",
+		"bnl-keyonly", "bnl-residual", "bnl-boundary+0", "bnl-boundary+1"} {
 		if len(oracle[name].rows) == 0 {
 			t.Fatalf("%s: the oracle returns no rows; the shape tests nothing", name)
 		}
@@ -356,11 +375,11 @@ func TestNarrowedPlansMatchFullRows(t *testing.T) {
 
 	// Under the fault plan the device scans die and fall back. The second
 	// table stays out: loading it fails under a plan this hot. The self
-	// joins run there too, for their build sides; whether their device
-	// scans fall back is up to the plan's draws.
+	// joins and the one-table BNL shapes run there too, for the rows they
+	// hold; whether their device scans fall back is up to the plan's draws.
 	var falling []lawShape
 	for _, s := range all {
-		if strings.HasPrefix(s.name, "ndp") || strings.HasPrefix(s.name, "self") {
+		if !s.b && (strings.HasPrefix(s.name, "ndp") || strings.HasPrefix(s.name, "self") || strings.HasPrefix(s.name, "bnl")) {
 			falling = append(falling, s)
 		}
 	}
