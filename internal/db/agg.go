@@ -244,7 +244,7 @@ func (h *HashAggOp) inCols() []bool {
 func (h *HashAggOp) Open() error {
 	narrow(h.In, h.inCols())
 	tab := newGroupTable(h.GroupBy, h.Aggs)
-	err := drain(h.In, h.Ex.batchCap(), func(in *RowBatch, n int) {
+	err := drain(h.In, h.Ex, func(in *RowBatch, n int) {
 		h.Ex.chargeHost(hostAggCPR * float64(n))
 		for ri := 0; ri < n; ri++ {
 			tab.add(in.Row(ri))

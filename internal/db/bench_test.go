@@ -46,11 +46,58 @@ func BenchmarkExecBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkRepeatedQuery runs a serving shard query over and over on one
+// Database, each time on a fresh Exec, as serve does: the partial
+// aggregate of a sharded sum and count grouped by note, over a Conv scan
+// of every row or an NDP scan of the TARGETKEY rows. B/op and allocs/op
+// are what one query allocates once the Database's scratch holds what the
+// previous query gave back — the batches and, for Conv, the read-ahead
+// chunk. What is left on the host is the query's own: the decoded string
+// cells (one string a batch) and the groups. The NDP case's bulk is the
+// device's page filter, device memory the host's scratch never holds.
+func BenchmarkRepeatedQuery(b *testing.B) {
+	sys := quickSys()
+	d := Open(sys)
+	sys.Run(func(h *biscuit.Host) {
+		tab := loadFixture(b, h, d, 20000, 50)
+		sch := tab.Sch
+		plan, err := NewShardedAggPlan([]Expr{C(sch, "note")}, []string{"note"},
+			[]Agg{{F: Sum, Arg: C(sch, "price"), Name: "sum_price"}, {F: CountAgg, Name: "n"}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			scan func(ex *Exec) Iterator
+		}{
+			{"conv", func(ex *Exec) Iterator { return ex.NewConvScan(tab, Cmp{GE, C(sch, "id"), Lit(Int(0))}) }},
+			{"ndp", func(ex *Exec) Iterator {
+				return ex.NewNDPScan(tab, []string{"TARGETKEY"}, EqS(sch, "note", "TARGETKEY"))
+			}},
+		} {
+			b.Run(c.name, func(b *testing.B) {
+				query := func() {
+					ex := NewExec(h, d)
+					if rows, err := Collect(plan.ShardOp(ex, c.scan(ex))); err != nil || len(rows) == 0 {
+						b.Fatalf("%d groups, err %v", len(rows), err)
+					}
+				}
+				query() // the first NDP scan loads the device module
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					query()
+				}
+			})
+		}
+	})
+}
+
 // countRows runs an iterator to completion without retaining rows, so
 // benchmarks measure executor cost rather than result storage.
 func countRows(it Iterator) (int, error) {
 	total := 0
-	err := drain(it, batchCapOf(it), func(_ *RowBatch, n int) { total += n })
+	err := drain(it, execOf(it), func(_ *RowBatch, n int) { total += n })
 	return total, err
 }
 

@@ -425,5 +425,8 @@ func (j *INLJoin) NextBatch(b *RowBatch) (int, error) {
 	}
 }
 
-// Close closes the outer input.
-func (j *INLJoin) Close() error { return j.Outer.Close() }
+// Close closes the outer input and gives the outer batch back.
+func (j *INLJoin) Close() error {
+	j.cur.release(j.Ex)
+	return j.Outer.Close()
+}

@@ -43,10 +43,6 @@ type Exec struct {
 	BatchSize int
 
 	pendingCycles float64 // batched per-row CPU cost not yet paid
-
-	// spare is the read-ahead chunk of the last ConvScan to close, for
-	// the next one to fill: a join's inner rescans reuse one chunk.
-	spare []byte
 }
 
 // NewExec builds an execution context with default knobs.
@@ -133,30 +129,31 @@ type Iterator interface {
 	Schema() *Schema
 }
 
-// execHolder lets Collect and adapters size their drain batch to the
-// pipeline's configured Exec without widening the Iterator interface.
+// execHolder lets Collect and adapters find the pipeline's Exec — its
+// batch size and its Database's scratch — without widening the Iterator
+// interface.
 type execHolder interface{ exec() *Exec }
 
-// batchCapOf returns the batch capacity configured for the iterator's pipeline,
-// or the default when the iterator has no Exec (MemScan).
-func batchCapOf(it Iterator) int {
+// execOf returns the Exec of the iterator's pipeline, nil when it has
+// none (MemScan).
+func execOf(it Iterator) *Exec {
 	if h, ok := it.(execHolder); ok {
-		if ex := h.exec(); ex != nil {
-			return ex.batchCap()
-		}
+		return h.exec()
 	}
-	return DefaultBatchSize
+	return nil
 }
 
-// drain opens it, hands each batch of up to size rows to each, and
+// drain opens it, hands each batch of up to ex's batch size to each, and
 // closes it. A NextBatch error beats the Close after it; a Close error
 // otherwise propagates: device-side scan failures surface there (the
-// stream just ends early from the host's point of view).
-func drain(it Iterator, size int, each func(b *RowBatch, n int)) error {
+// stream just ends early from the host's point of view). The batch comes
+// from ex's scratch and goes back once it is closed.
+func drain(it Iterator, ex *Exec, each func(b *RowBatch, n int)) error {
 	if err := it.Open(); err != nil {
 		return err
 	}
-	b := NewRowBatch(size)
+	b := ex.scratch().batch(ex.batchCap())
+	defer ex.scratch().giveBatch(b)
 	for {
 		n, err := it.NextBatch(b)
 		if err != nil {
@@ -175,7 +172,7 @@ func drain(it Iterator, size int, each func(b *RowBatch, n int)) error {
 func Collect(it Iterator) ([]Row, error) {
 	var out []Row
 	var slab rowSlab
-	err := drain(it, batchCapOf(it), func(b *RowBatch, n int) {
+	err := drain(it, execOf(it), func(b *RowBatch, n int) {
 		for i := 0; i < n; i++ {
 			out = append(out, slab.concat(b.Row(i), nil))
 		}
@@ -330,11 +327,8 @@ func (s *ConvScan) fill() error {
 	}
 	ex := s.Ex
 	if cap(s.chunk) < n {
-		if cap(ex.spare) >= n {
-			s.chunk, ex.spare = ex.spare, nil
-		} else {
-			s.chunk = make([]byte, n)
-		}
+		ex.scratch().giveBuf(s.chunk)
+		s.chunk = ex.scratch().buf(n)
 	}
 	chunk := s.chunk[:n]
 	if err := ex.H.SSD().ReadFileConvAsync(s.file, s.off, chunk, convRequest, convQueueDepth); err != nil {
@@ -368,14 +362,12 @@ func (s *ConvScan) fill() error {
 	return nil
 }
 
-// Close releases the scan and hands its read-ahead chunk to the Exec,
-// where it replaces a smaller spare. It may run twice: the chunk goes
-// back once.
+// Close releases the scan and gives its read-ahead chunk back to the
+// scratch, where a join's next inner rescan or the next query finds it.
+// It may run twice: the chunk goes back once.
 func (s *ConvScan) Close() error {
 	s.cLen, s.cAt, s.pRows = 0, 0, 0
-	if s.chunk != nil && cap(s.chunk) > cap(s.Ex.spare) {
-		s.Ex.spare = s.chunk
-	}
+	s.Ex.scratch().giveBuf(s.chunk)
 	s.chunk = nil
 	s.end()
 	return nil
@@ -517,10 +509,11 @@ func (pr *ProjectOp) Open() error {
 func (pr *ProjectOp) inCols() []bool { return readCols(width(pr.In), pr.Exprs...) }
 
 // NextBatch projects one input batch into b; output rows are carved
-// from b's arena.
+// from b's arena. The input batch, as large as b, comes from the scratch.
 func (pr *ProjectOp) NextBatch(b *RowBatch) (int, error) {
 	if pr.in == nil || pr.in.Cap() < b.Cap() {
-		pr.in = NewRowBatch(b.Cap())
+		pr.Ex.scratch().giveBatch(pr.in)
+		pr.in = pr.Ex.scratch().batch(b.Cap())
 	}
 	n, err := pr.In.NextBatch(pr.in)
 	if err != nil || n == 0 {
@@ -541,8 +534,12 @@ func (pr *ProjectOp) NextBatch(b *RowBatch) (int, error) {
 	return n, nil
 }
 
-// Close closes the input.
-func (pr *ProjectOp) Close() error { return pr.In.Close() }
+// Close closes the input and gives the input batch back.
+func (pr *ProjectOp) Close() error {
+	pr.Ex.scratch().giveBatch(pr.in)
+	pr.in = nil
+	return pr.In.Close()
+}
 
 // LimitOp truncates the stream, cutting the final batch mid-way via
 // the selection vector.
@@ -552,12 +549,7 @@ type LimitOp struct {
 	seen int
 }
 
-func (l *LimitOp) exec() *Exec {
-	if h, ok := l.In.(execHolder); ok {
-		return h.exec()
-	}
-	return nil
-}
+func (l *LimitOp) exec() *Exec { return execOf(l.In) }
 
 // Schema passes through.
 func (l *LimitOp) Schema() *Schema { return l.In.Schema() }

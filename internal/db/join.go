@@ -147,10 +147,10 @@ type outerCursor struct {
 }
 
 // next returns the next outer row, valid until the call after it; ok is
-// false once the input is exhausted.
+// false once the input is exhausted. The batch comes from ex's scratch.
 func (c *outerCursor) next(in Iterator, ex *Exec) (r Row, ok bool, err error) {
 	if c.b == nil {
-		c.b = NewRowBatch(ex.batchCap())
+		c.b = ex.scratch().batch(ex.batchCap())
 	}
 	if c.at >= c.b.Len() {
 		if c.eof {
@@ -165,6 +165,12 @@ func (c *outerCursor) next(in Iterator, ex *Exec) (r Row, ok bool, err error) {
 	}
 	c.at++
 	return c.b.Row(c.at - 1), true, nil
+}
+
+// release gives the cursor's batch back to ex's scratch and empties it.
+func (c *outerCursor) release(ex *Exec) {
+	ex.scratch().giveBatch(c.b)
+	*c = outerCursor{}
 }
 
 // BNLJoin is a block-nested-loop join, MariaDB's index-less join method
@@ -227,7 +233,7 @@ func (j *BNLJoin) Open() error {
 		return fmt.Errorf("db: BNLJoin: a join buffer of %d rows; it must hold at least one", j.Ex.JoinBufferRows)
 	}
 	j.Schema()
-	j.block.reset(j.outerNeed, width(j.Outer))
+	j.block.reset(j.outerNeed, width(j.Outer), nil)
 	j.cur = outerCursor{}
 	j.joinOut = joinOut{}
 	j.outerKey, j.innerKey, j.residual = equiKey(j.On, len(j.Outer.Schema().Cols))
@@ -328,7 +334,7 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 		j.inner = j.Inner()
 		narrow(j.inner, j.innerNeed)
 		if j.innerB == nil {
-			j.innerB = NewRowBatch(j.Ex.batchCap())
+			j.innerB = j.Ex.scratch().batch(j.Ex.batchCap())
 		}
 		if err := j.inner.Open(); err != nil {
 			return 0, err
@@ -336,13 +342,18 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 	}
 }
 
-// Close closes both inputs, reporting the first error.
+// Close closes both inputs, reporting the first error, and gives the
+// outer and inner batches back to the scratch. The join buffer's slab,
+// one block's worth and rewound per block, stays with the join.
 func (j *BNLJoin) Close() error {
 	var ierr error
 	if j.inner != nil {
 		ierr = j.inner.Close()
 		j.inner = nil
 	}
+	j.cur.release(j.Ex)
+	j.Ex.scratch().giveBatch(j.innerB)
+	j.innerB = nil
 	oerr := j.Outer.Close()
 	if ierr != nil {
 		return ierr
@@ -420,9 +431,9 @@ func (j *HashJoin) Open() error {
 // columns (nil: every column), and indexes each row's key as it arrives:
 // the key cell need not be kept.
 func (j *HashJoin) build(keep []bool) error {
-	j.right.reset(keep, width(j.Right))
+	j.right.reset(keep, width(j.Right), j.Ex.scratch())
 	j.rightIx.reset(0)
-	return drain(j.Right, batchCapOf(j.Right), func(b *RowBatch, n int) {
+	return drain(j.Right, execOf(j.Right), func(b *RowBatch, n int) {
 		for i := 0; i < n; i++ {
 			r := b.Row(i)
 			j.rightIx.add(j.RightKey.Eval(r))
@@ -440,7 +451,7 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 			return n, nil
 		}
 		if j.left == nil {
-			j.left = NewRowBatch(j.Ex.batchCap())
+			j.left = j.Ex.scratch().batch(j.Ex.batchCap())
 		}
 		m, err := j.Left.NextBatch(j.left)
 		if err != nil || m == 0 {
@@ -469,9 +480,14 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 	}
 }
 
-// Close closes the left input (right was drained in Open).
+// Close closes the left input (right was drained in Open) and gives the
+// build side's slab and the probe batch back to the scratch.
 func (j *HashJoin) Close() error {
-	j.right, j.rightIx = heldRows{}, joinIndex{}
+	sc := j.Ex.scratch()
+	j.right.release(sc)
+	j.rightIx = joinIndex{}
+	sc.giveBatch(j.left)
+	j.left = nil
 	return j.Left.Close()
 }
 
@@ -489,19 +505,25 @@ type heldRows struct {
 }
 
 // reset empties the store for rows of width cells, of which it keeps
-// need's (nil: every one).
-func (s *heldRows) reset(need []bool, width int) {
+// need's (nil: every one), carving them from a slab of sc's.
+func (s *heldRows) reset(need []bool, width int, sc *scratch) {
 	*s = heldRows{w: width}
-	if need == nil {
-		return
-	}
-	s.keep = []int{}
-	for c, read := range need {
-		if read {
-			s.keep = append(s.keep, c)
+	if need != nil {
+		s.keep = []int{}
+		for c, read := range need {
+			if read {
+				s.keep = append(s.keep, c)
+			}
 		}
+		s.w, s.wide = len(s.keep), make(Row, width)
 	}
-	s.w, s.wide = len(s.keep), make(Row, width)
+	s.slab = sc.slab(s.w)
+}
+
+// release gives the store's slab back to sc and empties the store.
+func (s *heldRows) release(sc *scratch) {
+	sc.giveSlab(s.slab, s.w)
+	*s = heldRows{}
 }
 
 // rewind empties the store for rows of the same shape, reusing its chunks.

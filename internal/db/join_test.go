@@ -364,7 +364,7 @@ func TestHeldRowsAddressing(t *testing.T) {
 			}
 		}
 		var s heldRows
-		s.reset(nil, w)
+		s.reset(nil, w, nil)
 		fill := func() {
 			s.rewind()
 			for _, r := range rows {
@@ -386,7 +386,7 @@ func TestHeldRowsAddressing(t *testing.T) {
 	}
 
 	var s heldRows
-	s.reset([]bool{false, true, false, false, true}, 5)
+	s.reset([]bool{false, true, false, false, true}, 5, nil)
 	for p := range 40 {
 		s.add(Row{Int(-1), Int(int64(p)), Str("dropped"), Int(-1), Dec(int64(p))})
 	}

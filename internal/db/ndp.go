@@ -419,6 +419,7 @@ type ndpRun struct {
 	// mid-way through a ConvScan batch.
 	resume   []Row
 	resumeAt int
+	skip     *RowBatch // the batch resume's rows live in, from the scratch
 }
 
 func (s *NDPScan) exec() *Exec { return s.Ex }
@@ -584,7 +585,8 @@ func (s *NDPScan) engageFallback() error {
 		return err
 	}
 	if skip := s.emitted; skip > 0 {
-		rb := NewRowBatch(s.Ex.batchCap())
+		s.skip = s.Ex.scratch().batch(s.Ex.batchCap())
+		rb := s.skip
 		for skip > 0 {
 			n, err := fb.NextBatch(rb)
 			if err != nil {
@@ -598,7 +600,7 @@ func (s *NDPScan) engageFallback() error {
 				continue
 			}
 			for i := int(skip); i < n; i++ {
-				//biscuitvet:ignore arenaescape: rb is private to this scan and never Reset again, so its rows live until resume drains
+				//biscuitvet:ignore arenaescape: rb is private to this scan and not Reset again before Close gives it back, so its rows live until resume drains
 				s.resume = append(s.resume, rb.Row(i))
 			}
 			skip = 0
@@ -636,6 +638,7 @@ func (s *NDPScan) Close() error {
 	}
 	ps := int64(s.T.PageSize)
 	s.Ex.AddLinkPages((s.recvd + ps - 1) / ps)
+	s.Ex.scratch().giveBatch(s.skip)
 	s.ndpRun = ndpRun{}
 	s.end()
 	return firstErr

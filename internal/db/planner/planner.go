@@ -24,14 +24,15 @@ type Planner struct {
 	// filter conditions").
 	Threshold float64
 	// Rand drives the sampling probe. It must be an explicitly seeded
-	// source so planning decisions are reproducible; a nil Rand falls
-	// back to the calibrated default seed.
+	// source so planning decisions are reproducible; a nil Rand is seeded
+	// with the calibrated default seed at the first probe.
 	Rand *rand.Rand
 }
 
-// Default returns the calibrated policy.
+// Default returns the calibrated policy. Its Rand is nil, so a caller
+// that brings its own stream seeds nothing it throws away.
 func Default() *Planner {
-	return &Planner{Threshold: 0.25, Rand: rand.New(rand.NewSource(42))}
+	return &Planner{Threshold: 0.25}
 }
 
 // Decision records why a scan was or was not offloaded — the raw
@@ -325,7 +326,8 @@ func (pl *Planner) SampleSelectivity(ex *db.Exec, t *db.Table, keys []string) (f
 		pl.Rand = rng
 	}
 	hitPages := 0
-	buf := make([]byte, t.PageSize)
+	buf := ex.TakeBytes(t.PageSize)
+	defer ex.GiveBytes(buf)
 	for i := 0; i < n; i++ {
 		pg := rng.Int63n(t.Pages)
 		if err := ex.H.SSD().ReadFileConv(f, pg*int64(t.PageSize), buf); err != nil {

@@ -387,3 +387,41 @@ func TestPlannerNoPredicate(t *testing.T) {
 		}
 	})
 }
+
+// TestDefaultSeedsLikeAnExplicitSource: Default leaves Rand nil, and the
+// first probe seeds it with the calibrated 42, so a Default planner
+// samples the pages a planner handed rand.NewSource(42) samples — probe
+// after probe — and decides alike.
+func TestDefaultSeedsLikeAnExplicitSource(t *testing.T) {
+	sys, d, load := planFixture(t, 1500)
+	sys.Run(func(h *biscuit.Host) {
+		tab := load(h)
+		def, seeded := Default(), &Planner{Threshold: 0.25, Rand: rand.New(rand.NewSource(42))}
+		if def.Rand != nil {
+			t.Fatal("Default seeds a source its caller may throw away")
+		}
+		preds := []db.Expr{
+			db.EqS(tab.Sch, "l_shipmode", "MAILX"),
+			db.EqD(tab.Sch, "l_shipdate", "1995-01-17"),
+			db.EqS(tab.Sch, "l_shipmode", "TRUCK"),
+		}
+		partial := false // a probe whose answer depends on which pages it read
+		for round := range 3 {
+			for _, pred := range preds {
+				exA, exB := db.NewExec(h, d), db.NewExec(h, d)
+				_, a := def.PlanScan(exA, tab, pred)
+				_, b := seeded.PlanScan(exB, tab, pred)
+				if fmt.Sprint(a) != fmt.Sprint(b) || exA.St != exB.St {
+					t.Fatalf("round %d: Default decided %+v reading %+v, seeded %+v reading %+v", round, a, exA.St, b, exB.St)
+				}
+				partial = partial || (a.Selectivity > 0 && a.Selectivity < 1)
+			}
+		}
+		if !partial {
+			t.Fatal("every probe hit all pages or none: which pages were read went untested")
+		}
+		if a, b := def.Rand.Int63(), seeded.Rand.Int63(); a != b {
+			t.Fatalf("after the same probes the streams diverge: next draws %d and %d", a, b)
+		}
+	})
+}

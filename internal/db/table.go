@@ -13,6 +13,7 @@ type Database struct {
 	tables map[string]*Table
 
 	ndpModule *biscuit.Module // lazily loaded device-scan module
+	scratch   scratch         // host memory one query leaves for the next
 }
 
 // Table describes one stored relation.
