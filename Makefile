@@ -33,9 +33,10 @@ faulttest:
 
 # Fuzz smoke: 10 s each of the fault-plan parser, the two matcher
 # oracles, the page decoder under a column mask, the date cell parse
-# against its digit-loop oracle, the device scan's row filter, the SQL
-# parser and the SQL decimal/date literal round trip (go test -fuzz
-# takes one target and one package per run).
+# against its digit-loop oracle, the device scan's row filter, the row
+# codec's round trip (the canonical encoding that lets the device ship
+# stored rows verbatim), the SQL parser and the SQL decimal/date literal
+# round trip (go test -fuzz takes one target and one package per run).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz=FuzzStreamEqualsWholeScan -fuzztime=10s ./internal/match
@@ -43,6 +44,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodePage -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzParseDate -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzDeviceFilter -fuzztime=10s ./internal/db
+	$(GO) test -run '^$$' -fuzz=FuzzRowCodecRoundTrip -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz=FuzzLiteralRoundTrip -fuzztime=10s ./internal/sql
 

@@ -302,6 +302,40 @@ func TestBatchExecAllocAmortization(t *testing.T) {
 		if size >= float64(tab.PageSize)/4 {
 			t.Fatalf("device scan allocates %.0f bytes per matched page, want < PageSize/4 = %d", size, tab.PageSize/4)
 		}
+		// A predicate that keeps every row: each survivor is copied once
+		// out of the lent page and once into its packet, both at their
+		// exact sizes, so the device side allocates twice what it ships and
+		// a size-class rounding per page. The host end reads the packets
+		// and decodes none of them, and the keep-nothing scan is the
+		// baseline, so what is left is the device's.
+		ship := func(pred Expr) (size, shipped float64) {
+			_, size = allocsAndBytesPerRun(3, func() {
+				s := NewExec(h, d).NewNDPScan(tab, []string{"padding-text"}, pred)
+				if err := s.Open(); err != nil {
+					t.Fatal(err)
+				}
+				shipped = 0
+				for {
+					pkt, ok := s.port.GetPacket()
+					if !ok {
+						break
+					}
+					shipped += float64(pkt.Len())
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return size, shipped
+		}
+		all, shipped := ship(Cmp{GE, C(tab.Sch, "id"), Lit(Int(0))})
+		none, _ := ship(Cmp{LT, C(tab.Sch, "id"), Lit(Int(0))})
+		const rounding = 1 << 10
+		keepBound := 2*shipped + rounding*float64(tab.Pages)
+		t.Logf("device scan, every row kept: %.0f bytes for %.0f shipped over %d pages (bound %.0f)", all-none, shipped, tab.Pages, keepBound)
+		if shipped < float64(tab.Pages)*float64(tab.PageSize)/2 || all-none > keepBound {
+			t.Fatalf("device scan keeping every row allocates %.0f bytes for %.0f shipped over %d pages, want at most 2 x shipped + %d a page = %.0f", all-none, shipped, tab.Pages, rounding, keepBound)
+		}
 	})
 }
 
@@ -374,7 +408,8 @@ func BenchmarkDecodeRow(b *testing.B) {
 // pages of lineitem-shaped rows under Q6's predicate (a shipdate year,
 // a discount band, quantity < 24), which reads four cells and no string.
 // One op is one matched page, so ns/op and B/op are per page; B/op is
-// what a matched page costs the Go process beyond the rows it keeps.
+// what a matched page costs the Go process: the one exact copy of the
+// rows it keeps.
 func BenchmarkDeviceFilter(b *testing.B) {
 	sch, row := lineitemShaped()
 	pb := NewPageBuilder(16<<10, sch)
@@ -393,7 +428,6 @@ func BenchmarkDeviceFilter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.kept = f.kept[:0]
 		if h := f.page(0, pages[i%len(pages)]); h.err != nil {
 			b.Fatal(h.err)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // joinOut is the output side the three joins share: a candidate pair is
@@ -62,12 +63,17 @@ func (o *joinOut) match(l, r Row, cond Expr, keep bool) bool {
 // ascending order, and a map holds each chain's ends. A key is hashed
 // as the one field Compare reads for its type — I for ints, decimals
 // and dates, S for strings — so cells that compare equal share a chain.
+//
+// An index is query scratch: a join takes it at Open and gives it back at
+// Close, and its maps and chain slice serve the next join with the room
+// they grew to.
 type joinIndex struct {
 	ints map[int64]chain  // the chains of int, decimal and date keys
 	strs map[string]chain // the chains of string keys
 	next []int32          // next[i]: the following position with row i's key, -1 after the last
 	typ  Type             // type of the indexed keys, once there is one
 	size int              // the rows expected, to size a map made for them
+	room int              // the most keys a map of the index was made for or held
 }
 
 // chain is the first and last position of one key's rows.
@@ -75,10 +81,26 @@ type chain struct{ first, last int32 }
 
 // reset empties the index for the next set of about size rows.
 func (x *joinIndex) reset(size int) {
+	x.room = max(x.room, len(x.ints), len(x.strs))
 	clear(x.ints)
 	clear(x.strs)
 	x.next = x.next[:0]
 	x.size = size
+}
+
+// bytes is about the memory x holds: its chain slice and, per map, room
+// slots of key and chain at twice their size — a Go map keeps up to
+// half its table free.
+func (x *joinIndex) bytes() int {
+	n := cap(x.next) * int(unsafe.Sizeof(int32(0)))
+	room := max(x.room, len(x.ints), len(x.strs))
+	if x.ints != nil {
+		n += 2 * room * int(unsafe.Sizeof(int64(0))+unsafe.Sizeof(chain{}))
+	}
+	if x.strs != nil {
+		n += 2 * room * int(unsafe.Sizeof("")+unsafe.Sizeof(chain{}))
+	}
+	return n
 }
 
 // add indexes the next row, position len(x.next), under key k.
@@ -90,11 +112,13 @@ func (x *joinIndex) add(k Value) {
 	if k.T == TString {
 		if x.strs == nil {
 			x.strs = make(map[string]chain, x.size)
+			x.room = max(x.room, x.size)
 		}
 		link(x.strs, k.S, i, x.next)
 	} else {
 		if x.ints == nil {
 			x.ints = make(map[int64]chain, x.size)
+			x.room = max(x.room, x.size)
 		}
 		link(x.ints, k.I, i, x.next)
 	}
@@ -234,6 +258,7 @@ func (j *BNLJoin) Open() error {
 	}
 	j.Schema()
 	j.block.reset(j.outerNeed, width(j.Outer), nil)
+	j.blockIx = j.Ex.scratch().index()
 	j.cur = outerCursor{}
 	j.joinOut = joinOut{}
 	j.outerKey, j.innerKey, j.residual = equiKey(j.On, len(j.Outer.Schema().Cols))
@@ -343,8 +368,9 @@ func (j *BNLJoin) NextBatch(b *RowBatch) (int, error) {
 }
 
 // Close closes both inputs, reporting the first error, and gives the
-// outer and inner batches back to the scratch. The join buffer's slab,
-// one block's worth and rewound per block, stays with the join.
+// outer and inner batches and the block index back to the scratch. The
+// join buffer's slab, one block's worth and rewound per block, stays
+// with the join.
 func (j *BNLJoin) Close() error {
 	var ierr error
 	if j.inner != nil {
@@ -352,8 +378,10 @@ func (j *BNLJoin) Close() error {
 		j.inner = nil
 	}
 	j.cur.release(j.Ex)
-	j.Ex.scratch().giveBatch(j.innerB)
+	sc := j.Ex.scratch()
+	sc.giveBatch(j.innerB)
 	j.innerB = nil
+	sc.giveIndex(&j.blockIx)
 	oerr := j.Outer.Close()
 	if ierr != nil {
 		return ierr
@@ -431,7 +459,9 @@ func (j *HashJoin) Open() error {
 // columns (nil: every column), and indexes each row's key as it arrives:
 // the key cell need not be kept.
 func (j *HashJoin) build(keep []bool) error {
-	j.right.reset(keep, width(j.Right), j.Ex.scratch())
+	sc := j.Ex.scratch()
+	j.right.reset(keep, width(j.Right), sc)
+	j.rightIx = sc.index()
 	j.rightIx.reset(0)
 	return drain(j.Right, execOf(j.Right), func(b *RowBatch, n int) {
 		for i := 0; i < n; i++ {
@@ -481,11 +511,11 @@ func (j *HashJoin) NextBatch(b *RowBatch) (int, error) {
 }
 
 // Close closes the left input (right was drained in Open) and gives the
-// build side's slab and the probe batch back to the scratch.
+// build side's slab and index and the probe batch back to the scratch.
 func (j *HashJoin) Close() error {
 	sc := j.Ex.scratch()
 	j.right.release(sc)
-	j.rightIx = joinIndex{}
+	sc.giveIndex(&j.rightIx)
 	sc.giveBatch(j.left)
 	j.left = nil
 	return j.Left.Close()

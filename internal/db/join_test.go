@@ -399,13 +399,14 @@ func TestHeldRowsAddressing(t *testing.T) {
 
 // TestBNLJoinBufferBytes: the join buffer keeps only the outer cells the
 // plan reads, flat, as the build side does. A block of lineitem-shaped
-// rows of which the join reads two columns costs two cells a held row
-// and its index entry, where a whole row cost sixteen cells and a Row
-// header. What a held row costs is read as the difference between a
-// full and a half-full block under one buffer size, each run probed by
-// ten inner rows: the costs of a block as such — the key index's map,
-// sized for the buffer, and the outer batch — cancel out. The bound is a
-// quarter of the sixteen cells.
+// rows of which the join reads two columns costs two cells a held row,
+// where a whole row cost sixteen cells and a Row header. What a held row
+// costs is read as the difference between a full and a half-full block
+// under one buffer size, each run probed by ten inner rows: the costs of
+// a block as such — the key index, sized for the buffer, and the outer
+// batch — cancel out, as both runs take them from the scratch a first,
+// unmeasured, full block gave them back to. The bound is a quarter of
+// the sixteen cells.
 func TestBNLJoinBufferBytes(t *testing.T) {
 	const buffer, inner = 4096, 10
 	sys := quickSys()
@@ -423,6 +424,7 @@ func TestBNLJoinBufferBytes(t *testing.T) {
 			}
 			return int64(after.TotalAlloc - before.TotalAlloc)
 		}
+		bytes(buffer)
 		full, half := bytes(buffer), bytes(buffer/2)
 		perRow := float64(full-half) / (buffer / 2)
 		const bound = 16 * 32 / 4 // a quarter of sixteen 32-byte cells
@@ -642,4 +644,59 @@ func TestHashJoinBuildBytes(t *testing.T) {
 			t.Fatalf("semi join: %d rows, err %v, want %d", n, err, want)
 		}
 	})
+}
+
+// TestJoinIndexRecycledAcrossKeyTypes: a HashJoin's index comes from its
+// Database's scratch and goes back at Close, maps and all. On one
+// Database, string-keyed and int-keyed joins in turn — each order, and a
+// join of the first key type again over other keys — return what each
+// returns on a fresh Database: a recycled index holds no key or chain of
+// an earlier join, whatever type that join keyed on.
+func TestJoinIndexRecycledAcrossKeyTypes(t *testing.T) {
+	join := func(ex *Exec, typ Type, variant int) Iterator {
+		key := func(k int) Value {
+			if typ == TString {
+				return Str(fmt.Sprint(k))
+			}
+			return Int(int64(k))
+		}
+		l := NewSchema(Column{"lk", typ})
+		r := NewSchema(Column{"rk", typ}, Column{"rv", TInt})
+		var left, right []Row
+		for k := range 250 {
+			left = append(left, Row{key(k)})
+		}
+		for i := range 40 {
+			k := variant*100 + 3*i
+			right = append(right, Row{key(k), Int(int64(variant*1000 + i))})
+		}
+		return &HashJoin{Ex: ex, Left: NewMemScan(l, left), Right: NewMemScan(r, right), LeftKey: C(l, "lk"), RightKey: C(r, "rk")}
+	}
+	type step struct {
+		typ     Type
+		variant int
+	}
+	run := func(d *Database, h *biscuit.Host, s step) []Row {
+		rows, err := Collect(join(NewExec(h, d), s.typ, s.variant))
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("%v-keyed join %d: %d rows, err %v", s.typ, s.variant, len(rows), err)
+		}
+		return rows
+	}
+	for _, steps := range [][]step{
+		{{TString, 0}, {TInt, 1}, {TString, 1}},
+		{{TInt, 0}, {TString, 1}, {TInt, 1}},
+	} {
+		sys := quickSys()
+		shared := Open(sys)
+		sys.Run(func(h *biscuit.Host) {
+			for i, s := range steps {
+				got := run(shared, h, s)
+				want := run(Open(sys), h, s)
+				if !slices.EqualFunc(got, want, slices.Equal) {
+					t.Fatalf("step %d, %v-keyed join %d on a Database that ran %v: %v, want %v as on a fresh one", i, s.typ, s.variant, steps[:i], got, want)
+				}
+			}
+		})
+	}
 }

@@ -185,7 +185,10 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	// page — its decode and its predicate — and the page's survivors go
 	// out: as stored, to the host, or, under aggregation, folded into the
 	// group table whose result rows are encoded once every page is in.
-	// Either way the rows leave in NDPBatchBytes packets.
+	// Either way the rows leave in NDPBatchBytes packets. A packet of
+	// stored rows is made at its exact length when its first survivors
+	// arrive: it closes at the first hit that brings it to NDPBatchBytes,
+	// and every hit's size is known by now.
 	var batch []byte
 	flush := func() bool {
 		if len(batch) == 0 {
@@ -198,10 +201,10 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	var fold *pageFold
 	rowCost := devEvalCPR
 	if args.aggregating() {
-		fold = newPageFold(args, flt.kept)
+		fold = newPageFold(args)
 		rowCost += devFoldCPR
 	}
-	for _, h := range hits {
+	for i, h := range hits {
 		if h.err != nil {
 			return fmt.Errorf("db: NDP scan decode @%d: %w", h.off, h.err)
 		}
@@ -209,11 +212,14 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 			devDecodeCPB*float64(h.size) +
 			rowCost*float64(h.rows))
 		if fold != nil {
-			if err := fold.add(h.lo, h.hi); err != nil {
+			if err := fold.add(h.kept); err != nil {
 				return fmt.Errorf("db: NDP scan fold @%d: %w", h.off, err)
 			}
-		} else {
-			batch = append(batch, flt.kept[h.lo:h.hi]...)
+		} else if len(h.kept) > 0 {
+			if batch == nil {
+				batch = make([]byte, 0, packetLen(hits[i:]))
+			}
+			batch = append(batch, h.kept...)
 		}
 		if len(batch) >= NDPBatchBytes && !flush() {
 			return nil
@@ -240,15 +246,28 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	return nil
 }
 
+// packetLen is the length of the packet whose first survivors are
+// hits[0]'s: theirs and the following hits' up to the first that brings
+// it to NDPBatchBytes.
+func packetLen(hits []pageHit) int {
+	n := 0
+	for _, h := range hits {
+		if n += len(h.kept); n >= NDPBatchBytes {
+			break
+		}
+	}
+	return n
+}
+
 // pageHit is one page the device CPU filtered: its file offset, size and
-// row count, and where its survivors' bytes sit in the filter's kept
-// buffer — or the error its decode failed with.
+// row count, and its survivors' stored bytes — or the error its decode
+// failed with.
 type pageHit struct {
-	off    int64
-	size   int
-	rows   int
-	lo, hi int
-	err    error
+	off  int64
+	size int
+	rows int
+	kept []byte // exactly the survivors' bytes; nil when none survive
+	err  error
 }
 
 // pageFilter is the device CPU's row filter. Each row is decoded into a
@@ -263,8 +282,11 @@ type pageFilter struct {
 	ops   []cellOp
 	strs  bool // the predicate reads a string cell
 	stage *RowBatch
-	kept  []byte // the survivors' stored bytes, page after page
+	spans []span // the current page's survivors, runs of adjacent rows merged
 }
+
+// span is bytes [lo, hi) of a page.
+type span struct{ lo, hi int }
 
 func newPageFilter(args NDPScanArgs) *pageFilter {
 	ops := args.Sch.decodeOps(readCols(len(args.Sch.Cols), args.Pred))
@@ -283,16 +305,20 @@ func decodesStrings(ops []cellOp) bool {
 
 // page filters one page, which the caller lends for the call only. A
 // corrupt page fails as DecodePage fails it — at the same row, with the
-// same text, whatever the predicate reads — and keeps nothing. The one
-// allocation a page may cost is the string its cells slice, made only
+// same text, whatever the predicate reads — and keeps nothing. The
+// survivors are found first and then copied once, into a slice of
+// exactly their length that the hit owns; that copy is the only
+// allocation a page costs but for the string its cells slice, made only
 // when the predicate reads a string cell.
 func (f *pageFilter) page(off int64, page []byte) pageHit {
-	h := pageHit{off: off, size: len(page), lo: len(f.kept)}
+	h := pageHit{off: off, size: len(page)}
 	n, used, err := pageExtent(page)
 	var src string
 	if f.strs && n > 0 {
 		src = string(page[:used])
 	}
+	f.spans = f.spans[:0]
+	size := 0
 	for at, i := pageHeader, 0; i < n && err == nil; i++ {
 		f.stage.Reset()
 		var rowSrc string
@@ -305,52 +331,64 @@ func (f *pageFilter) page(off int64, page []byte) pageHit {
 			break
 		}
 		if f.pred == nil || Truthy(f.pred.Eval(f.stage.Row(0))) {
-			f.kept = append(f.kept, page[at:at+k]...)
+			if last := len(f.spans) - 1; last >= 0 && f.spans[last].hi == at {
+				f.spans[last].hi = at + k
+			} else {
+				f.spans = append(f.spans, span{at, at + k})
+			}
+			size += k
 		}
 		at += k
 	}
 	if err != nil {
-		f.kept, n = f.kept[:h.lo], 0
+		h.err = err
+		return h
 	}
-	h.rows, h.hi, h.err = n, len(f.kept), err
+	h.rows = n
+	if size > 0 {
+		h.kept = make([]byte, 0, size)
+		for _, s := range f.spans {
+			h.kept = append(h.kept, page[s.lo:s.hi]...)
+		}
+	}
 	return h
 }
 
 // pageFold is the aggregation stage: it decodes the group and aggregate
 // cells of kept rows into a one-row stage and folds them into the group
-// table, in file order. String cells slice one string of the whole kept
-// buffer, made only when a group or aggregate reads a string cell: group
+// table, in file order. String cells slice one string of a hit's kept
+// bytes, made only when a group or aggregate reads a string cell: group
 // keys and Min/Max of a string outlive the row.
 type pageFold struct {
 	sch   *Schema
 	ops   []cellOp
-	kept  []byte // the page filter's kept rows
-	src   string // kept as a string, when ops decode a string cell
+	strs  bool // ops decode a string cell
 	stage *RowBatch
 	tab   *groupTable
 }
 
-func newPageFold(args NDPScanArgs, kept []byte) *pageFold {
+func newPageFold(args NDPScanArgs) *pageFold {
 	need := readCols(len(args.Sch.Cols), args.GroupBy...)
 	for _, ag := range args.Aggs {
 		colsOf(need, ag.Arg)
 	}
-	fold := &pageFold{sch: args.Sch, ops: args.Sch.decodeOps(need), kept: kept, stage: NewRowBatch(1), tab: newGroupTable(args.GroupBy, args.Aggs)}
-	if decodesStrings(fold.ops) {
-		fold.src = string(kept)
-	}
-	return fold
+	ops := args.Sch.decodeOps(need)
+	return &pageFold{sch: args.Sch, ops: ops, strs: decodesStrings(ops), stage: NewRowBatch(1), tab: newGroupTable(args.GroupBy, args.Aggs)}
 }
 
-// add folds the kept rows in bytes [lo, hi).
-func (f *pageFold) add(lo, hi int) error {
-	for at := lo; at < hi; {
+// add folds the kept rows of one hit.
+func (f *pageFold) add(kept []byte) error {
+	var src string
+	if f.strs && len(kept) > 0 {
+		src = string(kept)
+	}
+	for at := 0; at < len(kept); {
 		f.stage.Reset()
-		var src string
-		if f.src != "" {
-			src = f.src[at:hi]
+		var rowSrc string
+		if src != "" {
+			rowSrc = src[at:]
 		}
-		k, err := f.stage.decodeRow(f.kept[at:hi], src, f.sch, f.ops)
+		k, err := f.stage.decodeRow(kept[at:], rowSrc, f.sch, f.ops)
 		if err != nil {
 			return err
 		}

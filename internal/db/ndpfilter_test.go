@@ -67,10 +67,10 @@ func TestDeviceFilterForwardsStoredRows(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if h.rows != PageRowCount(page) || !bytes.Equal(f.kept[h.lo:h.hi], enc) {
-				t.Fatalf("%v: page %d: %d rows, kept %d bytes; want %d rows, the %d bytes of EncodeRow", pred, p, h.rows, h.hi-h.lo, PageRowCount(page), len(enc))
+			if h.rows != PageRowCount(page) || !bytes.Equal(h.kept, enc) || len(h.kept) != cap(h.kept) {
+				t.Fatalf("%v: page %d: %d rows, kept %d bytes (cap %d); want %d rows, exactly the %d bytes of EncodeRow", pred, p, h.rows, len(h.kept), cap(h.kept), PageRowCount(page), len(enc))
 			}
-			kept += h.hi - h.lo
+			kept += len(h.kept)
 		}
 		t.Logf("%v: %d rows, %d bytes kept", pred, want, kept)
 	}

@@ -7,12 +7,13 @@ import (
 
 // scratch is a Database's free list of host-side query memory: the
 // RowBatches operators and drain loops exchange rows in, Conv read-ahead
-// chunks and planner sample pages, and the slabs joins hold rows in. A
-// query takes what it needs from the Database it runs on and gives it
-// back when it is done with it, so the next query reuses it instead of
-// allocating and zeroing it again. Only Go memory changes hands: the
-// simulation is charged nothing for it, and a query's rows, Stats and sim
-// time are those it would have on fresh memory.
+// chunks and planner sample pages, and the slabs joins hold rows in and
+// the indexes they find them by. A query takes what it needs from the
+// Database it runs on and gives it back when it is done with it, so the
+// next query reuses it instead of allocating and zeroing it again. Only
+// Go memory changes hands: the simulation is charged nothing for it, and
+// a query's rows, Stats and sim time are those it would have on fresh
+// memory.
 //
 // Who takes and who gives back:
 //   - drain takes its batch and gives it back after closing its input;
@@ -21,9 +22,10 @@ import (
 //     batch) takes it on first use and gives it back at Close;
 //   - ConvScan takes its read-ahead chunk at its first fill and gives it
 //     back at Close; the planner takes a sample page for one probe;
-//   - HashJoin takes its build side's slab at Open and gives it back at
-//     Close. BNLJoin's join buffer, one block rewound per block, stays
-//     with its join.
+//   - HashJoin takes its build side's slab and index at Open and gives
+//     them back at Close; BNLJoin takes its block index at Open and gives
+//     it back at Close. BNLJoin's join buffer, one block rewound per
+//     block, stays with its join.
 //
 // A giver drops its reference as it gives back, so a Close that runs
 // twice gives back once. Collect's slab is never taken from here: its rows
@@ -51,13 +53,14 @@ type scratch struct {
 // tenth of what a query allocates.
 const scratchBytes = 8 << 20
 
-// scrap is one free entry: a batch, a byte buffer, or a held-row slab
-// whose rows are w cells wide.
+// scrap is one free entry: a batch, a byte buffer, a held-row slab
+// whose rows are w cells wide, or a join index.
 type scrap struct {
 	batch *RowBatch
 	buf   []byte
 	slab  rowSlab
 	w     int
+	ix    joinIndex
 	size  int // bytes held
 }
 
@@ -174,6 +177,33 @@ func (s *scratch) slab(w int) rowSlab {
 func (s *scratch) giveSlab(slab rowSlab, w int) {
 	slab.rewind()
 	s.give(scrap{slab: slab, w: w, size: slab.size * valueBytes})
+}
+
+// index returns an empty join index, the largest free one if there is
+// one: a join given too small an index grows its maps, which is the
+// allocation recycling saves, where one given too large an index only
+// clears more of them.
+func (s *scratch) index() joinIndex {
+	best := -1
+	if s != nil {
+		for i, e := range s.free {
+			if e.ix.bytes() > 0 && (best < 0 || e.size > s.free[best].size) {
+				best = i
+			}
+		}
+	}
+	if best < 0 {
+		return joinIndex{}
+	}
+	return s.take(best).ix
+}
+
+// giveIndex empties *x and hands its maps and chain slice back; the
+// cleared maps keep no key of the join alive.
+func (s *scratch) giveIndex(x *joinIndex) {
+	x.reset(0)
+	s.give(scrap{ix: *x, size: x.bytes()})
+	*x = joinIndex{}
 }
 
 // TakeBytes returns a buffer of n bytes from the query scratch of ex's

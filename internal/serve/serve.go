@@ -160,6 +160,12 @@ type Server struct {
 	dispatchSeq  []string // per-dispatch "tenant:seq", for determinism tests
 
 	migrations []MigrationRecord
+
+	// rands are the planner-probe sources no shard holds: a shard takes
+	// one and re-seeds it, and gives it back when it returns. Shards of
+	// one query and of two in-flight queries interleave, so each holds
+	// its own.
+	rands []*rand.Rand
 }
 
 // MigrationRecord pins one shard-slot cutover: which tenant slot moved
@@ -687,11 +693,25 @@ func (s *Server) runShard(h *biscuit.MultiHost, req *request, dev int, replica b
 		data = s.replicas[dev]
 	}
 	ex := db.NewExec(h.Unit(dev), s.DBs[dev])
-	rng := biscuit.SeededRand(s.Cfg.Seed ^ int64(req.t.idx+1)<<40 ^ int64(req.seq+1)<<8 ^ int64(dev+1))
+	rng := s.takeRand(s.Cfg.Seed ^ int64(req.t.idx+1)<<40 ^ int64(req.seq+1)<<8 ^ int64(dev+1))
+	defer func() { s.rands = append(s.rands, rng) }()
 	return req.t.wl.runShard(&shardCtx{
 		host: h.Unit(dev), ex: ex, data: data, rng: rng,
 		replica: replica,
 	})
+}
+
+// takeRand returns a source seeded with seed: a free one re-seeded, whose
+// stream is a fresh source's, or a new one.
+func (s *Server) takeRand(seed int64) *rand.Rand {
+	n := len(s.rands)
+	if n == 0 {
+		return biscuit.SeededRand(seed)
+	}
+	r := s.rands[n-1]
+	s.rands = s.rands[:n-1]
+	r.Seed(seed)
+	return r
 }
 
 // TenantReport is one tenant's serving-window outcome. All fields are
