@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -66,7 +67,8 @@ func TestUnknownExperimentListsAblations(t *testing.T) {
 // TestStatsCoverServingArrays: -stats dumps every drive the serving
 // arrays build, not only newSystemWith platforms. The quick servecurve
 // serves one window per (devices, policy) in {1, 2} × {wfq, edf}, six
-// drives in all.
+// drives in all. Each drive's matcher line counts pages its automata
+// judged and pages its memo recalled: every window repeats its queries.
 func TestStatsCoverServingArrays(t *testing.T) {
 	t.Cleanup(func() { bench.OnSystem = nil })
 	var stdout, stderr bytes.Buffer
@@ -78,5 +80,9 @@ func TestStatsCoverServingArrays(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "-- platform 6 latencies") || strings.Contains(stdout.String(), "-- platform 7 ") {
 		t.Fatalf("want blocks for platforms 1..6:\n%s", &stdout)
+	}
+	memo := regexp.MustCompile(`(?m)^   match\.pages +\{Judged:[1-9]\d* Recalled:[1-9]\d* ScannedBytes:[1-9]\d*\}$`)
+	if n := len(memo.FindAllString(stdout.String(), -1)); n != 6 {
+		t.Fatalf("%d match.pages lines with pages judged and recalled, want 6:\n%s", n, &stdout)
 	}
 }

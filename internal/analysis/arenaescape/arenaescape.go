@@ -13,7 +13,8 @@
 //   - Streamed scan buffers: the data []byte handed to ScanFile /
 //     ReadThrough sink callbacks is the media's own stored page (the
 //     matcher IP taps the bus, it has no staging buffer), lent only
-//     for the duration of the callback.
+//     for the duration of the callback. Lend returns the same bytes
+//     without a read, as arena-backed memory.
 //
 // A value from any of these sources must not outlive its scope: storing
 // it in a struct field or package variable, sending it on a channel,
@@ -32,7 +33,9 @@
 //
 // Sanctioned escape hatches: Clone and Materialize calls launder taint
 // (they copy out of the arena), as do string conversions and
-// append-into-a-fresh-slice copies (append([]byte(nil), b...)).
+// append-into-a-fresh-slice copies (append([]byte(nil), b...)). A weak
+// pointer (weak.Make) keeps nothing alive, so storing one is no escape,
+// but its Value is the memory again and carries the taint back.
 // RowBatch.AppendRow is a sanctioned rescope — rows appended by
 // reference are documented to follow the caller's lifetime. Anything
 // else needs a reasoned //biscuitvet:ignore arenaescape: <reason>.
@@ -73,11 +76,14 @@ var Analyzer = &framework.Analyzer{
 // strict superset of arena's restrictions: it must not even be
 // assigned to a variable outside the callback). Higher bits track
 // which parameter a value derives from, for escape facts.
+// The top two bits are arena and borrow held through a weak pointer:
+// no sink reports them, and Value turns them back into the low two.
 const (
 	maskArena  uint64 = 1 << 0
 	maskBorrow uint64 = 1 << 1
 	paramShift        = 2
 	maxParams         = 60
+	weakShift         = paramShift + maxParams
 )
 
 func paramBit(i int) uint64 { return 1 << uint(paramShift+i) }
@@ -89,6 +95,7 @@ var sourceSeeds = map[string]string{
 	"biscuit/internal/db.RowBatch.NewRow": "batch row",
 	"biscuit/internal/mem.Block.Bytes":    "device arena window",
 	"biscuit/internal/core.Context.Bytes": "device arena window",
+	"biscuit/internal/nand.Array.Lend":    "lent stored page",
 }
 
 // borrowSeeds are the streaming-read functions whose sink callback
@@ -233,7 +240,7 @@ func (c *checker) analyze(node *framework.FuncNode, report bool) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
-					m := s.rhsMask(n.Rhs, i, len(n.Lhs))
+					m := s.keeps(lhs, s.rhsMask(n.Rhs, i, len(n.Lhs)))
 					if s.taintLocal(lhs, m) {
 						changed = true
 					}
@@ -265,7 +272,7 @@ func (c *checker) analyze(node *framework.FuncNode, report bool) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				s.checkStore(n.Pos(), lhs, s.rhsMask(n.Rhs, i, len(n.Lhs)), report)
+				s.checkStore(n.Pos(), lhs, s.keeps(lhs, s.rhsMask(n.Rhs, i, len(n.Lhs))), report)
 			}
 		case *ast.SendStmt:
 			if m := s.exprMask(n.Value); m != 0 {
@@ -345,6 +352,16 @@ func (s *fnState) rhsMask(rhs []ast.Expr, i, nlhs int) uint64 {
 	return 0
 }
 
+// keeps is the taint an assignment of a value with taint m to lhs
+// stores: the value's, and for m[k] = v the key's too, which the map
+// keeps as long as the value.
+func (s *fnState) keeps(lhs ast.Expr, m uint64) uint64 {
+	if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+		m |= s.exprMask(ix.Index)
+	}
+	return m
+}
+
 // taintLocal folds mask m into the object behind a plain local LHS
 // (ident, or index/star of a tainted-able local container), reporting
 // whether the taint set grew. Field and global stores are sinks, not
@@ -413,8 +430,10 @@ func (s *fnState) checkStore(pos token.Pos, lhs ast.Expr, m uint64, report bool)
 		}
 	case *ast.IndexExpr:
 		// s.f[i] = tainted is a field store; local[i] = tainted was
-		// already folded into the container's taint by taintLocal.
-		if inner, ok := ast.Unparen(l.X).(*ast.SelectorExpr); ok {
+		// already folded into the container's taint by taintLocal, and
+		// is an escape if the container outlives a borrow callback.
+		switch inner := ast.Unparen(l.X).(type) {
+		case *ast.SelectorExpr, *ast.Ident:
 			s.checkStore(pos, inner, m, report)
 		}
 	case *ast.StarExpr:
@@ -527,6 +546,10 @@ func (s *fnState) exprMask(e ast.Expr) uint64 {
 		return s.exprMask(e.X)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
+			// &x[i] points into x's memory, whatever the element type.
+			if ix, ok := ast.Unparen(e.X).(*ast.IndexExpr); ok {
+				return s.exprMask(ix.X)
+			}
 			return s.exprMask(e.X)
 		}
 	case *ast.SliceExpr:
@@ -612,6 +635,14 @@ func (s *fnState) callMask(call *ast.CallExpr) uint64 {
 	}
 	if sanitizers[fn.Name()] {
 		return 0
+	}
+	switch framework.FuncID(fn) {
+	case "weak.Make":
+		return (s.exprMask(call.Args[0]) & (maskArena | maskBorrow)) << weakShift
+	case "weak.Pointer.Value":
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			return s.exprMask(sel.X) >> weakShift
+		}
 	}
 	if _, ok := sourceSeeds[framework.FuncID(fn)]; ok {
 		return maskArena

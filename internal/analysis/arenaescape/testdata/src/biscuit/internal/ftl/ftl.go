@@ -2,11 +2,16 @@
 // testdata.
 package ftl
 
+import "biscuit/internal/nand"
+
 // Proc stands in for *sim.Proc.
 type Proc struct{}
 
 // FTL is the translation layer.
-type FTL struct{}
+type FTL struct{ arr *nand.Array }
+
+// Lend returns the stored bytes of a logical range, the media's own.
+func (f *FTL) Lend(off int64, n int) []byte { return f.arr.Lend(nand.PPA{}, int(off), n) }
 
 // ReadThrough streams one logical page through sink; the bytes are the
 // media's own stored page, lent for the call.

@@ -60,10 +60,12 @@ func crossEscape(b *db.RowBatch) {
 // callback — not even into a local of the enclosing function.
 func borrow(c *core.Context, f *core.File, cch *cache) error {
 	var stash []byte
+	pages := map[int64][]byte{}
 	err := c.ScanFile(f, 0, 64, func(off int64, data []byte) {
 		stash = data // want `borrowed scan buffer escapes its sink callback into stash`
 		stash = append([]byte(nil), data...)
-		cch.chunk = data // want `borrowed scan buffer stored in field chunk`
+		cch.chunk = data  // want `borrowed scan buffer stored in field chunk`
+		pages[off] = data // want `borrowed scan buffer escapes its sink callback into pages`
 	})
 	_ = stash
 	return err
@@ -81,6 +83,13 @@ func borrowPage(f *ftl.FTL, p *ftl.Proc, cch *cache) {
 		hit = append([]byte(nil), data...)
 	})
 	_ = hit
+}
+
+// lend: the stored bytes a no-charge lend returns are the media's own
+// page, like a scan's; the FTL passes the array's source on.
+func lend(f *ftl.FTL, cch *cache) {
+	cch.chunk = f.Lend(0, 64) // want `arena-backed value stored in field chunk`
+	cch.chunk = append([]byte(nil), f.Lend(0, 64)...)
 }
 
 func spawn(b *db.RowBatch) {

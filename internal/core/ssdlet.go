@@ -6,6 +6,7 @@ import (
 	"biscuit/internal/device"
 	"biscuit/internal/fibers"
 	"biscuit/internal/isfs"
+	"biscuit/internal/match"
 	"biscuit/internal/mem"
 	"biscuit/internal/ports"
 	"biscuit/internal/sim"
@@ -109,6 +110,10 @@ func (c *Context) ScanFile(f *isfs.File, off int64, n int, sink func(fileOff int
 	})
 	return err
 }
+
+// Matcher is the device's matcher IP, for judging the pages ScanFile
+// lends (match.Matcher.ContainsPage).
+func (c *Context) Matcher() *match.Matcher { return c.rt.Plat.Matcher }
 
 // connKind distinguishes the three port types of §III-C.
 type connKind int

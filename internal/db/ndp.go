@@ -9,7 +9,6 @@ import (
 	"biscuit/internal/core"
 	"biscuit/internal/fault"
 	"biscuit/internal/isfs"
-	"biscuit/internal/match"
 )
 
 // The device-side table scan: the paper's rewritten XtraDB datapath
@@ -133,7 +132,8 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 	if !ok {
 		return fmt.Errorf("db: NDP scan needs NDPScanArgs, got %T", c.Arg(0))
 	}
-	a, err := match.CompileHW(args.Keys)
+	m := c.Matcher()
+	a, err := m.Compile(args.Keys)
 	if err != nil {
 		return err
 	}
@@ -172,7 +172,7 @@ func (ndpScanLet) Run(c *biscuit.Context) error {
 		}
 	} else {
 		if err := c.ScanFile(f, 0, int(f.Size()), func(off int64, data []byte) {
-			if a.Contains(data) {
+			if m.ContainsPage(a, data) {
 				hits = append(hits, flt.page(off, data))
 			}
 		}); err != nil {

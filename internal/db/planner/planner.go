@@ -7,6 +7,7 @@
 package planner
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -307,8 +308,14 @@ func union(a, b []string) []string {
 // conventional path (the planner runs on the host) and returns the
 // fraction containing at least one key — the paper's "quick check on
 // the table to estimate selectivity using a sampling method".
+//
+// Each page read is judged as the stored page it copied, which the
+// device's matcher memo may already know; a page that lends no stored
+// copy, or whose stored copy no longer holds the bytes read, is judged
+// as read.
 func (pl *Planner) SampleSelectivity(ex *db.Exec, t *db.Table, keys []string) (float64, error) {
-	a, err := match.CompileHW(keys)
+	m := ex.H.System().Plat.Matcher
+	a, err := m.Compile(keys)
 	if err != nil {
 		return 0, err
 	}
@@ -329,12 +336,18 @@ func (pl *Planner) SampleSelectivity(ex *db.Exec, t *db.Table, keys []string) (f
 	buf := ex.TakeBytes(t.PageSize)
 	defer ex.GiveBytes(buf)
 	for i := 0; i < n; i++ {
-		pg := rng.Int63n(t.Pages)
-		if err := ex.H.SSD().ReadFileConv(f, pg*int64(t.PageSize), buf); err != nil {
+		off := rng.Int63n(t.Pages) * int64(t.PageSize)
+		if err := ex.H.SSD().ReadFileConv(f, off, buf); err != nil {
 			return 0, err
 		}
 		ex.AddLinkPages(1)
-		if a.Contains(buf) {
+		var hit bool
+		if pg := f.Lend(off, len(buf)); pg != nil && bytes.Equal(pg, buf) {
+			hit = m.ContainsPage(a, pg)
+		} else {
+			hit = m.Contains(a, buf)
+		}
+		if hit {
 			hitPages++
 		}
 	}

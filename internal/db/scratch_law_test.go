@@ -23,9 +23,10 @@ type queryRun struct {
 
 // runSuite loads TPC-H at SF 0.002 under plan and runs queries back to
 // back on one Database, planned by the offload planner at the given batch
-// size. With fresh set every query starts on an empty scratch, as on a
-// Database of its own; the simulated system is the same either way.
-func runSuite(t *testing.T, plan fault.Plan, batch int, queries []tpch.Query, fresh bool) []queryRun {
+// size. A non-nil reset runs before each query: db.DropScratch starts it
+// on an empty scratch, as on a Database of its own; the simulated system
+// is the same either way.
+func runSuite(t *testing.T, plan fault.Plan, batch int, queries []tpch.Query, reset func(*db.Database)) ([]queryRun, *db.Database) {
 	t.Helper()
 	cfg := biscuit.DefaultConfig()
 	cfg.NAND.BlocksPerDie = 256
@@ -40,8 +41,8 @@ func runSuite(t *testing.T, plan fault.Plan, batch int, queries []tpch.Query, fr
 			t.Fatalf("load under %q: %v", plan, err)
 		}
 		for _, q := range queries {
-			if fresh {
-				db.DropScratch(d)
+			if reset != nil {
+				reset(d)
 			}
 			ex := db.NewExec(h, d)
 			ex.BatchSize = batch
@@ -55,7 +56,7 @@ func runSuite(t *testing.T, plan fault.Plan, batch int, queries []tpch.Query, fr
 			out = append(out, r)
 		}
 	})
-	return out
+	return out, d
 }
 
 // TestScratchLeaksNothingAcrossQueries: the 22 TPC-H queries run back to
@@ -70,8 +71,8 @@ func TestScratchLeaksNothingAcrossQueries(t *testing.T) {
 	slices.Reverse(reversed)
 	check := func(what string, plan fault.Plan, batch int, queries []tpch.Query) (fellBack, failed int) {
 		t.Helper()
-		got := runSuite(t, plan, batch, queries, false)
-		want := runSuite(t, plan, batch, queries, true)
+		got, _ := runSuite(t, plan, batch, queries, nil)
+		want, _ := runSuite(t, plan, batch, queries, db.DropScratch)
 		for i, q := range queries {
 			g, w := got[i], want[i]
 			if g.err != w.err || g.st != w.st || g.took != w.took {

@@ -17,6 +17,7 @@ import (
 	"biscuit/internal/fibers"
 	"biscuit/internal/ftl"
 	"biscuit/internal/hostif"
+	"biscuit/internal/match"
 	"biscuit/internal/mem"
 	"biscuit/internal/nand"
 	"biscuit/internal/sim"
@@ -110,6 +111,12 @@ type Platform struct {
 	DevRT  *fibers.Runtime
 	DevMem *mem.DeviceMemory
 
+	// Matcher runs the per-channel matcher IPs' automata and remembers
+	// their verdicts per stored page (match.Matcher): the device scan and
+	// the host planner's sample both judge this array's pages through it.
+	// Nil remembers nothing.
+	Matcher *match.Matcher
+
 	// Inj is the platform's fault injector; nil when Cfg.Fault is the
 	// zero plan. It is shared by the NAND array and the host interface,
 	// so one schedule covers the whole device.
@@ -163,6 +170,7 @@ func NewShared(env *sim.Env, cfg Config, hostCPU *cpu.CPU, hostMem *sim.SharedBW
 	p.HostMem = hostMem
 	p.Array = nand.New(env, cfg.NAND)
 	p.FTL = ftl.New(env, p.Array, cfg.FTL)
+	p.Matcher = match.NewMatcher()
 	// One firmware-facing core pool handles host commands; Biscuit's two
 	// cores are managed by the fiber runtime.
 	devCmd := cpu.New(env, "dev-nvme", 1, devHz)

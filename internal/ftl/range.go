@@ -88,14 +88,25 @@ func (f *FTL) ReadRangeThrough(p *sim.Proc, off int64, length int, ipOverhead si
 // nand.Array.Peek). Unmapped pages read back as zeroes.
 func (f *FTL) Peek(off int64, dst []byte) {
 	for _, pc := range f.split(off, len(dst)) {
-		f.checkLPN(pc.lpn)
-		d := dst[pc.at : pc.at+pc.n]
-		if ppi := int(f.l2p[pc.lpn]); ppi >= 0 {
-			f.arr.Peek(f.ppa(ppi), pc.pageOff, d)
-		} else {
-			clear(d)
-		}
+		copy(dst[pc.at:pc.at+pc.n], f.Lend(off+int64(pc.at), pc.n))
 	}
+}
+
+// Lend returns the stored bytes of [off, off+n) of the logical address
+// space without advancing simulated time (nand.Array.Lend), or nil if
+// the range crosses a page boundary. Unmapped pages lend the shared zero
+// page.
+func (f *FTL) Lend(off int64, n int) []byte {
+	ps := int64(f.PageSize())
+	lpn, po := int(off/ps), int(off%ps)
+	if po+n > int(ps) {
+		return nil
+	}
+	f.checkLPN(lpn)
+	if ppi := int(f.l2p[lpn]); ppi >= 0 {
+		return f.arr.Lend(f.ppa(ppi), po, n)
+	}
+	return f.arr.Zeroes(n)
 }
 
 // WriteRange writes buf at byte offset off, one page at a time. Page-

@@ -127,6 +127,28 @@ func (f *File) Peek(off int64, buf []byte) error {
 	return nil
 }
 
+// Lend is Peek without the copy: it returns the media's own stored
+// bytes of [off, off+n), read-only, without advancing simulated time,
+// or nil if the range is out of the file or crosses a page boundary.
+func (f *File) Lend(off int64, n int) []byte {
+	if off < 0 || off+int64(n) > f.ino.Size {
+		return nil
+	}
+	ps := int64(f.fs.f.PageSize())
+	pos := int64(0) // file position of the current extent's start
+	for _, e := range f.ino.Extents {
+		elen := int64(e.Count) * ps
+		if off < pos+elen {
+			if off+int64(n) > pos+elen {
+				return nil
+			}
+			return f.fs.f.Lend(int64(e.Start)*ps+off-pos, n)
+		}
+		pos += elen
+	}
+	return nil
+}
+
 // ReadThrough streams [off, off+n) through the per-channel pattern
 // matcher path; sink receives chunks tagged with their file offset.
 func (f *File) ReadThrough(p *sim.Proc, off int64, n int, ipOverhead sim.Time, sink func(fileOff int64, data []byte)) error {

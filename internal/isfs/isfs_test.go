@@ -445,3 +445,53 @@ func TestRandomFileOperationsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLendIsTheStoredPage: Lend returns, at no sim time, the very bytes
+// ReadThrough lends for a page of a fragmented file, or a view into
+// them; nil for a range that crosses a page or leaves the file; and a
+// new buffer once the page is rewritten.
+func TestLendIsTheStoredPage(t *testing.T) {
+	e, _, fs := newFS(t)
+	rng := rand.New(rand.NewSource(3))
+	run(t, e, func(p *sim.Proc) {
+		f1, _ := fs.Create("f1")
+		f2, _ := fs.Create("f2")
+		var shadow []byte
+		for i := 0; i < 6; i++ {
+			chunk := make([]byte, 4096*(1+rng.Intn(3)))
+			rng.Read(chunk)
+			f1.Write(p, int64(len(shadow)), chunk)
+			shadow = append(shadow, chunk...)
+			f2.Write(p, int64(i)*4096, make([]byte, 4096))
+		}
+		f1.Flush(p)
+		if len(f1.ino.Extents) < 2 {
+			t.Fatalf("want a fragmented file, got extents %+v", f1.ino.Extents)
+		}
+		lent := map[int64]*byte{}
+		if err := f1.ReadThrough(p, 0, len(shadow), 0, func(off int64, b []byte) { lent[off] = &b[0] }); err != nil {
+			t.Fatal(err)
+		}
+		now := p.Now()
+		for off := int64(0); off < int64(len(shadow)); off += 4096 {
+			pg := f1.Lend(off, 4096)
+			if !bytes.Equal(pg, shadow[off:off+4096]) || &pg[0] != lent[off] {
+				t.Fatalf("page @%d: Lend is not the page ReadThrough lends", off)
+			}
+			if v := f1.Lend(off+100, 50); !bytes.Equal(v, shadow[off+100:off+150]) || &v[0] != &pg[100] {
+				t.Fatalf("page @%d: a sub-page Lend is not a view of the stored page", off)
+			}
+		}
+		if f1.Lend(4000, 200) != nil || f1.Lend(int64(len(shadow))-10, 20) != nil || f1.Lend(-1, 1) != nil {
+			t.Fatal("a range across a page or out of the file must lend nothing")
+		}
+		if p.Now() != now {
+			t.Fatalf("Lend advanced sim time by %v", p.Now()-now)
+		}
+		f1.Write(p, 0, make([]byte, 4096))
+		f1.Flush(p)
+		if pg := f1.Lend(0, 4096); &pg[0] == lent[0] || !bytes.Equal(pg, make([]byte, 4096)) {
+			t.Fatal("a rewritten page must lend a new buffer holding the new bytes")
+		}
+	})
+}

@@ -33,7 +33,9 @@ var (
 )
 
 // ValidateHW reports whether keys fit the hardware matcher's limits.
-func ValidateHW(keys [][]byte) error {
+func ValidateHW(keys [][]byte) error { return validate(keys) }
+
+func validate[K string | []byte](keys []K) error {
 	if len(keys) == 0 {
 		return ErrEmptyKey
 	}

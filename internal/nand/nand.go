@@ -372,7 +372,9 @@ func (a *Array) read(p *sim.Proc, span string, addr PPA, offset, length int, bus
 
 // stored returns addr's page on the media, read-only: it is the buffer
 // its writer handed to Program, it never changes between Program and
-// Erase, and Erase drops it, never recycles it.
+// Erase, and Erase drops it, never recycles it. The matcher's verdict
+// memo (match.Matcher) depends on that: it names a page by this buffer,
+// so a recycled buffer would inherit a stale verdict.
 func (a *Array) stored(addr PPA) []byte {
 	if page, ok := a.data[a.key(addr)]; ok {
 		return page
@@ -389,11 +391,18 @@ func (a *Array) Zeroes(n int) []byte { return a.zero[:n:n] }
 // cache hit is charged by the caller; the bytes still have to come from
 // the authoritative store.
 func (a *Array) Peek(addr PPA, offset int, dst []byte) {
+	copy(dst, a.Lend(addr, offset, len(dst)))
+}
+
+// Lend returns [offset, offset+n) of addr's stored page without
+// advancing simulated time: Peek without the copy. The bytes are the
+// media's own, read-only, like ReadThrough's sink bytes.
+func (a *Array) Lend(addr PPA, offset, n int) []byte {
 	a.check(addr)
-	if offset < 0 || offset+len(dst) > a.cfg.PageSize {
-		panic(fmt.Sprintf("nand: peek [%d,%d) out of page bounds", offset, offset+len(dst)))
+	if offset < 0 || n < 0 || offset+n > a.cfg.PageSize {
+		panic(fmt.Sprintf("nand: lend [%d,%d) out of page bounds", offset, offset+n))
 	}
-	copy(dst, a.stored(addr)[offset:])
+	return a.stored(addr)[offset : offset+n : offset+n]
 }
 
 // Program writes a full page. Pages within a block must be programmed in

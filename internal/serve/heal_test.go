@@ -17,6 +17,13 @@ import (
 // the healthy device — the clean-tenant witness.
 func healWindow(t *testing.T, seed int64, mut func(*Config)) (*Server, *Report) {
 	t.Helper()
+	s := healServer(t, seed, mut)
+	return s, s.Run()
+}
+
+// healServer builds healWindow's server without running it.
+func healServer(t *testing.T, seed int64, mut func(*Config)) *Server {
+	t.Helper()
 	cfg := Config{
 		SF:          0.002,
 		Devices:     2,
@@ -41,7 +48,7 @@ func healWindow(t *testing.T, seed int64, mut func(*Config)) (*Server, *Report) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, s.Run()
+	return s
 }
 
 // rebuildStats flattens every device's rebuild counters for comparison.
@@ -129,6 +136,34 @@ func TestHealDeterminismMatrix(t *testing.T) {
 				t.Fatalf("same-seed reports diverged:\n a: %+v\n b: %+v", a, b)
 			}
 		})
+	}
+}
+
+// TestHealWindowMatcherMemoIsInvisible: a heal window — a die failure,
+// degraded reads, the rebuild and shard migration — reports exactly the
+// same with each device's matcher memo as without one, where every page
+// the planner samples or a device scan streams runs through the
+// automaton.
+func TestHealWindowMatcherMemoIsInvisible(t *testing.T) {
+	sa, a := healWindow(t, 7, nil)
+	sb := healServer(t, 7, nil)
+	for _, sys := range sb.MS.Systems {
+		sys.Plat.Matcher = nil
+	}
+	b := sb.Run()
+	if a.HealthDigest != b.HealthDigest || a.DispatchDigest != b.DispatchDigest {
+		t.Fatalf("digests with the memo %x/%x, without %x/%x", a.HealthDigest, a.DispatchDigest, b.HealthDigest, b.DispatchDigest)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("reports diverged:\n with the memo: %+v\n without:       %+v", a, b)
+	}
+	if ra, rb := rebuildStats(sa), rebuildStats(sb); !reflect.DeepEqual(ra, rb) {
+		t.Fatalf("rebuild counters diverged:\n with the memo: %+v\n without:       %+v", ra, rb)
+	}
+	for i, sys := range sa.MS.Systems {
+		if st := sys.Plat.Matcher.Stats(); st.Recalled == 0 {
+			t.Fatalf("device %d's matcher recalled nothing (%+v): the memo went untested", i, st)
+		}
 	}
 }
 
