@@ -74,12 +74,13 @@ faultbench:
 
 # Benchmark smoke: run the executor, repeated-query (a serving shard
 # query on one Database, reusing its scratch), join-probe, Q7-shaped
-# join-chain, row-decode, device-filter, DES-core, proc-wake, fiber-switch,
+# join-chain, warm TPC-H suite (its 22 queries on one Database),
+# row-decode, device-filter, DES-core, proc-wake, fiber-switch,
 # matcher-scan and weblog corpus-generator benchmarks once
 # (-benchtime=1x) so CI catches bit-rot in the benchmark harness
 # without paying for a real measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkRepeatedQuery|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkHashJoinBuild|BenchmarkDecodeRow|BenchmarkDeviceFilter|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkScan|BenchmarkGenerate' \
+	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkRepeatedQuery|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkHashJoinBuild|BenchmarkSuiteWarm|BenchmarkDecodeRow|BenchmarkDeviceFilter|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkScan|BenchmarkGenerate' \
 		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers ./internal/match ./internal/weblog
 
 # Bench gate (DESIGN.md "The bench gate"): regenerate every experiment

@@ -29,7 +29,8 @@
 // values: slices, pointers, maps and interfaces carry taint, while
 // plain values (ints, strings, db.Value, structs of such) are safe to
 // copy anywhere — FinishStrings materializes string cells, so a string
-// pulled out of a row is an owned Go string.
+// pulled out of a row is an owned Go string. A field read carries its
+// base's taint and whatever the function stores in that field.
 //
 // Sanctioned escape hatches: Clone and Materialize calls launder taint
 // (they copy out of the arena), as do string conversions and
@@ -184,6 +185,8 @@ type fnState struct {
 	c       *checker
 	node    *framework.FuncNode
 	taint   map[types.Object]uint64
+	fields  map[*types.Var]uint64 // what the function stores in each field, whatever the base
+	self    *types.Var            // the field the store being evaluated writes, if any
 	borrows []*ast.FuncLit
 
 	// fact accumulation (non-report mode)
@@ -196,7 +199,7 @@ type fnState struct {
 // (report=false) it grows c.local[node.Obj] and reports whether the
 // fact changed; in report mode it emits diagnostics at sinks.
 func (c *checker) analyze(node *framework.FuncNode, report bool) bool {
-	s := &fnState{c: c, node: node, taint: map[types.Object]uint64{}, escParams: map[int]bool{}}
+	s := &fnState{c: c, node: node, taint: map[types.Object]uint64{}, fields: map[*types.Var]uint64{}, escParams: map[int]bool{}}
 
 	// Parameters are tracked so stores of them become escape facts.
 	sig := node.Obj.Type().(*types.Signature)
@@ -240,7 +243,7 @@ func (c *checker) analyze(node *framework.FuncNode, report bool) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
-					m := s.keeps(lhs, s.rhsMask(n.Rhs, i, len(n.Lhs)))
+					m := s.storeMask(lhs, n.Rhs, i, len(n.Lhs))
 					if s.taintLocal(lhs, m) {
 						changed = true
 					}
@@ -272,7 +275,7 @@ func (c *checker) analyze(node *framework.FuncNode, report bool) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
-				s.checkStore(n.Pos(), lhs, s.keeps(lhs, s.rhsMask(n.Rhs, i, len(n.Lhs))), report)
+				s.checkStore(n.Pos(), lhs, s.storeMask(lhs, n.Rhs, i, len(n.Lhs)), report)
 			}
 		case *ast.SendStmt:
 			if m := s.exprMask(n.Value); m != 0 {
@@ -352,6 +355,19 @@ func (s *fnState) rhsMask(rhs []ast.Expr, i, nlhs int) uint64 {
 	return 0
 }
 
+// storeMask is the taint an assignment of rhs to lhs, slot i of n,
+// stores. A read of the field being stored into carries none of what the
+// function stored there: c.rows = append(c.rows, r) stores r anew, and
+// what c.rows already held was reported where it was stored.
+func (s *fnState) storeMask(lhs ast.Expr, rhs []ast.Expr, i, n int) uint64 {
+	if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+		s.self = s.fieldOf(sel)
+	}
+	m := s.keeps(lhs, s.rhsMask(rhs, i, n))
+	s.self = nil
+	return m
+}
+
 // keeps is the taint an assignment of a value with taint m to lhs
 // stores: the value's, and for m[k] = v the key's too, which the map
 // keeps as long as the value.
@@ -363,9 +379,11 @@ func (s *fnState) keeps(lhs ast.Expr, m uint64) uint64 {
 }
 
 // taintLocal folds mask m into the object behind a plain local LHS
-// (ident, or index/star of a tainted-able local container), reporting
-// whether the taint set grew. Field and global stores are sinks, not
-// propagation, and are handled by checkStore.
+// (ident, or index/star of a tainted-able local container) or into the
+// field a field LHS names, reporting whether the taint set grew. A field
+// read later in the function carries what was stored in the field; the
+// store itself is a sink, and so are global stores, both handled by
+// checkStore.
 func (s *fnState) taintLocal(lhs ast.Expr, m uint64) bool {
 	if m == 0 {
 		return false
@@ -384,8 +402,24 @@ func (s *fnState) taintLocal(lhs ast.Expr, m uint64) bool {
 	case *ast.IndexExpr:
 		// container[i] = tainted: the container now holds the reference.
 		return s.taintLocal(lhs.X, m)
+	case *ast.SelectorExpr:
+		f := s.fieldOf(lhs)
+		if f == nil || s.fields[f]&m == m {
+			return false
+		}
+		s.fields[f] |= m
+		return true
 	}
 	return false
+}
+
+// fieldOf returns the reference-like field e reads, nil if e reads none.
+func (s *fnState) fieldOf(e *ast.SelectorExpr) *types.Var {
+	sel, ok := s.c.pass.TypesInfo.Selections[e]
+	if !ok || sel.Kind() != types.FieldVal || !refLike(sel.Type()) {
+		return nil
+	}
+	return sel.Obj().(*types.Var)
 }
 
 // checkStore classifies one assignment LHS and fires the matching sink:
@@ -563,12 +597,15 @@ func (s *fnState) exprMask(e ast.Expr) uint64 {
 			return s.exprMask(e.X)
 		}
 	case *ast.SelectorExpr:
-		// Field reads propagate the base's taint when the field is
-		// reference-like; method values and package vars do not.
-		if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			if t := info.TypeOf(e); t != nil && refLike(t) {
-				return s.exprMask(e.X)
+		// A read of a reference-like field carries the base's taint and
+		// what the function stored in the field; method values and
+		// package vars carry none.
+		if f := s.fieldOf(e); f != nil {
+			m := s.exprMask(e.X)
+			if f != s.self {
+				m |= s.fields[f]
 			}
+			return m
 		}
 	case *ast.CompositeLit:
 		var m uint64

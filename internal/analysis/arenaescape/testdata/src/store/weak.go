@@ -25,5 +25,6 @@ func weakKey(c *core.Context, f *core.File, mm *memo) error {
 		mm.strong[&data[0]] = true // want `borrowed scan buffer stored in field strong`
 		mm.ptr = &data[0]          // want `borrowed scan buffer stored in field ptr`
 		mm.ptr = w.Value()         // want `borrowed scan buffer stored in field ptr`
+		mm.ptr = mm.page.Value()   // want `borrowed scan buffer stored in field ptr`
 	})
 }

@@ -64,7 +64,7 @@ type rowSlab struct {
 	cur    []Value   // chunk being carved; cur[len(cur):cap(cur)] is free
 	chunks [][]Value // every chunk so far, in carve order, each at length 0
 	next   int       // chunks[next] is where carving goes when cur is full
-	size   int       // Values across all chunks
+	size   int       // Values in chunks[:next], the chunks carved since the last rewind
 }
 
 // A slab's first chunk holds slabMinRows rows; the joins' and Collect's
@@ -88,20 +88,22 @@ func (s *rowSlab) carve(n, maxRows int) Row {
 	return Row(s.cur[at : at+n : at+n])
 }
 
-// grow moves carving to the next recycled chunk with room for n cells,
-// or to a fresh one when none is left.
+// grow moves carving to the next chunk: the next recycled one, unless it
+// is smaller than the chunk a fresh slab would make there for rows of n
+// cells, which then takes its place. A slab carved again at its old
+// width keeps every chunk; one that serves wider rows than before
+// replaces its small chunks, so it holds no more chunks than a fresh slab
+// that served only the widest.
 func (s *rowSlab) grow(n, maxRows int) {
-	for s.next < len(s.chunks) {
-		c := s.chunks[s.next]
-		s.next++
-		if cap(c) >= n {
-			s.cur = c
-			return
-		}
+	want := max(min(max(s.size, slabMinRows*n), maxRows*n), n)
+	if s.next == len(s.chunks) {
+		s.chunks = append(s.chunks, nil)
 	}
-	s.cur = make([]Value, 0, max(min(max(s.size, slabMinRows*n), maxRows*n), n))
-	s.chunks = append(s.chunks, s.cur)
-	s.next = len(s.chunks)
+	if cap(s.chunks[s.next]) < want {
+		s.chunks[s.next] = make([]Value, 0, want)
+	}
+	s.cur = s.chunks[s.next]
+	s.next++
 	s.size += cap(s.cur)
 }
 
@@ -109,7 +111,7 @@ func (s *rowSlab) grow(n, maxRows int) {
 func (s *rowSlab) uncarve(n int) { s.cur = s.cur[:len(s.cur)-n] }
 
 // rewind recycles every chunk; see rowSlab.
-func (s *rowSlab) rewind() { s.cur, s.next = nil, 0 }
+func (s *rowSlab) rewind() { s.cur, s.next, s.size = nil, 0, 0 }
 
 // concat carves l ++ r (l's cells first) in chunks of up to slabMaxRows
 // rows.

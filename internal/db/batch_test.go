@@ -471,3 +471,34 @@ func TestSelectiveScanAllocation(t *testing.T) {
 		}
 	})
 }
+
+// TestRecycledBatchChunksBounded: a batch reset 50 times and filled in
+// turn with narrow and wide rows holds no more chunks, and no more
+// cells, than a fresh batch that served only the wide ones: a recycled
+// chunk too small for the wide rows is replaced, not kept beside a new
+// one.
+func TestRecycledBatchChunksBounded(t *testing.T) {
+	fill := func(b *RowBatch, w int) {
+		b.Reset()
+		for !b.Full() {
+			b.NewRow(w)
+		}
+	}
+	cells := func(b *RowBatch) (n int) {
+		for _, c := range b.vals.chunks {
+			n += cap(c)
+		}
+		return n
+	}
+	const narrow, wide = 1, 16
+	fresh := NewRowBatch(0)
+	fill(fresh, wide)
+	b := NewRowBatch(0)
+	for i := range 50 {
+		fill(b, []int{narrow, wide}[i%2])
+	}
+	if len(b.vals.chunks) > len(fresh.vals.chunks) || cells(b) > cells(fresh) {
+		t.Fatalf("after 50 resets the batch holds %d chunks of %d cells, a fresh one that served the wide rows %d of %d",
+			len(b.vals.chunks), cells(b), len(fresh.vals.chunks), cells(fresh))
+	}
+}

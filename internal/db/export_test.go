@@ -4,6 +4,17 @@ package db
 // fresh memory, as it would on a Database of its own.
 func DropScratch(d *Database) { d.scratch = scratch{} }
 
+// ScratchEntries returns how many batches, buffers, slabs and join
+// indexes d's scratch holds.
+func ScratchEntries(d *Database) [4]int {
+	s := &d.scratch
+	return [4]int{len(s.batches), len(s.bufs), len(s.slabs), len(s.indexes)}
+}
+
+// RunShapeMix loads a fixture table into d and runs n queries of every
+// shape that takes scratch on it.
+var RunShapeMix = runShapeMix
+
 // DropMatcherMemo takes d's device matcher away, so every page the next
 // query judges runs through the automaton, as if no query had judged it
 // before.

