@@ -35,8 +35,10 @@ faulttest:
 # oracles, the page decoder under a column mask, the date cell parse
 # against its digit-loop oracle, the device scan's row filter, the row
 # codec's round trip (the canonical encoding that lets the device ship
-# stored rows verbatim), the SQL parser and the SQL decimal/date literal
-# round trip (go test -fuzz takes one target and one package per run).
+# stored rows verbatim), the SQL parser, the SQL decimal/date literal
+# round trip and the device heap's lazy ≡ eager law, an arena grown on
+# demand against one materialized at birth (go test -fuzz takes one
+# target and one package per run).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz=FuzzStreamEqualsWholeScan -fuzztime=10s ./internal/match
@@ -47,6 +49,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzRowCodecRoundTrip -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz=FuzzLiteralRoundTrip -fuzztime=10s ./internal/sql
+	$(GO) test -run '^$$' -fuzz=FuzzArenaOps -fuzztime=10s ./internal/mem
 
 # Self-healing suite (DESIGN.md "Self-healing"): the health monitor's
 # unit tests plus every package with a rebuild/migration/replica/health
@@ -76,12 +79,12 @@ faultbench:
 # query on one Database, reusing its scratch), join-probe, Q7-shaped
 # join-chain, warm TPC-H suite (its 22 queries on one Database),
 # row-decode, device-filter, DES-core, proc-wake, fiber-switch,
-# matcher-scan and weblog corpus-generator benchmarks once
+# matcher-scan, weblog corpus-generator and device-heap benchmarks once
 # (-benchtime=1x) so CI catches bit-rot in the benchmark harness
 # without paying for a real measurement run.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkRepeatedQuery|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkHashJoinBuild|BenchmarkSuiteWarm|BenchmarkDecodeRow|BenchmarkDeviceFilter|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkScan|BenchmarkGenerate' \
-		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers ./internal/match ./internal/weblog
+	$(GO) test -run '^$$' -bench 'BenchmarkExecBatch|BenchmarkRepeatedQuery|BenchmarkBNLJoin|BenchmarkHashJoinChain|BenchmarkHashJoinBuild|BenchmarkSuiteWarm|BenchmarkDecodeRow|BenchmarkDeviceFilter|BenchmarkSimCore|BenchmarkProcWake|BenchmarkFiberSwitch|BenchmarkScan|BenchmarkGenerate|BenchmarkNewDeviceMemory' \
+		-benchtime=1x ./internal/db ./internal/sim ./internal/fibers ./internal/match ./internal/weblog ./internal/mem
 
 # Bench gate (DESIGN.md "The bench gate"): regenerate every experiment
 # biscuitbench knows (-exp all: Tables II-V, Figs. 7-10, the fault,

@@ -155,6 +155,9 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "   %-24s %+v\n", "ftl.rain", s.Plat.FTL.Rain())
 			fmt.Fprintf(stdout, "   %-24s %+v\n", "ftl.rebuild", s.Plat.FTL.Rebuild())
 			fmt.Fprintf(stdout, "   %-24s %+v\n", "match.pages", s.Plat.Matcher.Stats())
+			dm := s.Plat.DevMem
+			fmt.Fprintf(stdout, "   %-24s system=%d/%d user=%d/%d\n", "mem.arenas",
+				dm.System.Materialized(), dm.System.Size(), dm.User.Materialized(), dm.User.Size())
 			fmt.Fprintf(stdout, "-- platform %d latencies (ns)\n", i+1)
 			for _, h := range s.Plat.Hists.Snapshot() {
 				fmt.Fprintf(stdout, "   %-24s count=%-8d p50=%-11d p95=%-11d p99=%-11d max=%d\n",

@@ -69,6 +69,10 @@ func TestUnknownExperimentListsAblations(t *testing.T) {
 // serves one window per (devices, policy) in {1, 2} × {wfq, edf}, six
 // drives in all. Each drive's matcher line counts pages its automata
 // judged and pages its memo recalled: every window repeats its queries.
+// Each drive's heaps back only what they handed out: the system heap
+// holds the loaded module images, and the user heap, which no shipped
+// SSDlet allocates from, still holds only its first chunk's header and
+// links (32 bytes) of its capacity.
 func TestStatsCoverServingArrays(t *testing.T) {
 	t.Cleanup(func() { bench.OnSystem = nil })
 	var stdout, stderr bytes.Buffer
@@ -84,5 +88,9 @@ func TestStatsCoverServingArrays(t *testing.T) {
 	memo := regexp.MustCompile(`(?m)^   match\.pages +\{Judged:[1-9]\d* Recalled:[1-9]\d* ScannedBytes:[1-9]\d*\}$`)
 	if n := len(memo.FindAllString(stdout.String(), -1)); n != 6 {
 		t.Fatalf("%d match.pages lines with pages judged and recalled, want 6:\n%s", n, &stdout)
+	}
+	arenas := regexp.MustCompile(`(?m)^   mem\.arenas +system=[1-9]\d*/[1-9]\d* user=32/[1-9]\d*$`)
+	if n := len(arenas.FindAllString(stdout.String(), -1)); n != 6 {
+		t.Fatalf("%d mem.arenas lines with an untouched user heap, want 6:\n%s", n, &stdout)
 	}
 }

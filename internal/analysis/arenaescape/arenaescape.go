@@ -9,7 +9,8 @@
 //     Reset — equivalently, the next NextBatch call on the producing
 //     operator.
 //   - Arena windows: mem.Block.Bytes and core.Context.Bytes return a
-//     window of the device arena, invalid after Free.
+//     window of the device arena, invalid after Free or the next Alloc
+//     on that arena (growing the arena moves its backing).
 //   - Streamed scan buffers: the data []byte handed to ScanFile /
 //     ReadThrough sink callbacks is the media's own stored page (the
 //     matcher IP taps the bus, it has no staging buffer), lent only

@@ -12,7 +12,8 @@ type Block struct {
 	n     int
 }
 
-// Bytes returns the block's arena window; invalid after Free.
+// Bytes returns the block's arena window; invalid after Free or the
+// next Alloc.
 func (b Block) Bytes(asOwner string) ([]byte, error) {
 	return b.arena.buf[b.off : b.off+b.n], nil
 }

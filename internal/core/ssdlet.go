@@ -73,7 +73,9 @@ func (c *Context) Alloc(n int) (mem.Block, error) { return c.rt.Plat.DevMem.User
 // Free returns a user allocation.
 func (c *Context) Free(b mem.Block) error { return c.rt.Plat.DevMem.User.Free(b) }
 
-// Bytes resolves a user block's payload with the user owner tag.
+// Bytes resolves a user block's payload with the user owner tag. The
+// window is valid until the block is freed or the next Alloc, which may
+// move the user heap's backing.
 func (c *Context) Bytes(b mem.Block) ([]byte, error) { return b.Bytes(mem.UserOwner) }
 
 // OpenFile opens a file by name. Access mode is inherited from what the

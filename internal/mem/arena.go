@@ -24,6 +24,13 @@ import (
 // header and footer both hold chunkSize | inuseBit, so coalescing can
 // inspect the neighbor below via its footer without ambiguity. Sizes are
 // multiples of align.
+//
+// Like dlmalloc's top chunk, the arena backs only what it has handed
+// out: buf is a materialized prefix of the modeled capacity. It covers
+// every chunk header with its free-list links and every in-use chunk;
+// only the last chunk may extend past len(buf). The last chunk's footer
+// is never stored: coalescing reads only the footer of the chunk below
+// a freed one, and the last chunk is below none.
 const (
 	headerSize = 8
 	align      = 16
@@ -46,8 +53,9 @@ const numBins = 64
 // Arena is a contiguous heap managed with boundary tags.
 type Arena struct {
 	name  string
-	owner string // access-control tag ("" = unrestricted)
-	buf   []byte
+	owner string       // access-control tag ("" = unrestricted)
+	size  int          // modeled capacity
+	buf   []byte       // materialized prefix of the capacity, grown by Alloc
 	bins  [numBins]int // offset of first free chunk per bin, -1 empty
 
 	allocated int // current payload bytes outstanding
@@ -63,7 +71,7 @@ func NewArena(name, owner string, size int) (*Arena, error) {
 	if size < minChunk+2*headerSize {
 		return nil, ErrInvalidConfig
 	}
-	a := &Arena{name: name, owner: owner, buf: make([]byte, size)}
+	a := &Arena{name: name, owner: owner, size: size, buf: make([]byte, minChunk)}
 	for i := range a.bins {
 		a.bins[i] = -1
 	}
@@ -78,7 +86,11 @@ func NewArena(name, owner string, size int) (*Arena, error) {
 func (a *Arena) Name() string { return a.name }
 
 // Size returns the arena capacity in bytes.
-func (a *Arena) Size() int { return len(a.buf) }
+func (a *Arena) Size() int { return a.size }
+
+// Materialized returns the bytes of host memory backing the arena: the
+// prefix of its capacity that allocations have reached so far.
+func (a *Arena) Materialized() int { return len(a.buf) }
 
 // Allocated returns outstanding payload bytes.
 func (a *Arena) Allocated() int { return a.allocated }
@@ -101,11 +113,25 @@ func (a *Arena) setHeader(off, size int, inuse bool) {
 }
 
 func (a *Arena) setFooter(off, size int, inuse bool) {
+	if off+size == a.size {
+		return // the last chunk's footer is never read
+	}
 	v := uint64(size)
 	if inuse {
 		v |= inuseBit
 	}
 	a.setWord(off+size-headerSize, v)
+}
+
+// grow materializes the capacity up to end: it at least doubles the
+// prefix, caps it at the capacity and copies what is already there.
+func (a *Arena) grow(end int) {
+	if end <= len(a.buf) {
+		return
+	}
+	buf := make([]byte, min(max(end, 2*len(a.buf)), a.size))
+	copy(buf, a.buf)
+	a.buf = buf
 }
 
 func (a *Arena) chunkSize(off int) int { return int(a.word(off) &^ inuseBit) }
@@ -164,7 +190,9 @@ func (b Block) Len() int { return b.n }
 
 // Bytes returns the payload as a slice. The asOwner tag must match the
 // arena's owner (or the arena must be unrestricted); this models the
-// MPU-based isolation between system and user memory.
+// MPU-based isolation between system and user memory. The window is
+// valid until the block is freed or the next Alloc on its arena, which
+// may move the arena's backing: fetch it again after allocating.
 func (b Block) Bytes(asOwner string) ([]byte, error) {
 	if b.arena == nil {
 		return nil, ErrBadFree
@@ -198,7 +226,7 @@ func (a *Arena) Alloc(n int) (Block, error) {
 	if need < minChunk {
 		need = minChunk
 	}
-	if need > len(a.buf) {
+	if need > a.size {
 		return Block{}, ErrSizeTooLarge
 	}
 	for b := binFor(need); b < numBins; b++ {
@@ -210,12 +238,15 @@ func (a *Arena) Alloc(n int) (Block, error) {
 			a.binRemove(off, size)
 			if size-need >= minChunk {
 				// Split: tail remains free.
+				a.grow(off + need + minChunk)
 				tail := off + need
 				tsize := size - need
 				a.setHeader(tail, tsize, false)
 				a.setFooter(tail, tsize, false)
 				a.binInsert(tail, tsize)
 				size = need
+			} else {
+				a.grow(off + size)
 			}
 			a.setHeader(off, size, true)
 			a.setFooter(off, size, true)
@@ -227,7 +258,7 @@ func (a *Arena) Alloc(n int) (Block, error) {
 			return Block{arena: a, off: off, n: n}, nil
 		}
 	}
-	return Block{}, fmt.Errorf("%w: %d bytes requested, %d allocated of %d (%s)", ErrOutOfMemory, n, a.allocated, len(a.buf), a.name)
+	return Block{}, fmt.Errorf("%w: %d bytes requested, %d allocated of %d (%s)", ErrOutOfMemory, n, a.allocated, a.size, a.name)
 }
 
 // Free returns a block to the arena, coalescing with free neighbors.
@@ -244,7 +275,7 @@ func (a *Arena) Free(b Block) error {
 	a.nFree++
 
 	// Coalesce with next chunk.
-	if next := off + size; next < len(a.buf) && !a.inuse(next) {
+	if next := off + size; next < a.size && !a.inuse(next) {
 		ns := a.chunkSize(next)
 		a.binRemove(next, ns)
 		size += ns
@@ -266,15 +297,23 @@ func (a *Arena) Free(b Block) error {
 	return nil
 }
 
-// CheckInvariants walks the heap verifying chunk structure; it returns an
-// error describing the first inconsistency. Used by tests.
+// CheckInvariants walks the heap verifying chunk structure and that the
+// materialized prefix covers every header with its links, every in-use
+// chunk and every chunk but the last; it returns an error describing
+// the first inconsistency. Used by tests.
 func (a *Arena) CheckInvariants() error {
-	off, free := 0, 0
-	prevFree := false
-	for off < len(a.buf) {
+	off, prevFree := 0, false
+	for off < a.size {
+		if off+minChunk > len(a.buf) {
+			return fmt.Errorf("mem: chunk at %d past the materialized %d bytes", off, len(a.buf))
+		}
 		size := a.chunkSize(off)
-		if size < minChunk || off+size > len(a.buf) || size%align != 0 {
+		if size < minChunk || off+size > a.size || size%align != 0 {
 			return fmt.Errorf("mem: bad chunk at %d size %d", off, size)
+		}
+		last := off+size == a.size
+		if (a.inuse(off) || !last) && off+size > len(a.buf) {
+			return fmt.Errorf("mem: chunk at %d size %d past the materialized %d bytes", off, size, len(a.buf))
 		}
 		wantFooter := uint64(size)
 		if a.inuse(off) {
@@ -284,16 +323,15 @@ func (a *Arena) CheckInvariants() error {
 			if prevFree {
 				return fmt.Errorf("mem: uncoalesced free chunks at %d", off)
 			}
-			free += size
 			prevFree = true
 		}
-		if a.word(off+size-headerSize) != wantFooter {
+		if !last && a.word(off+size-headerSize) != wantFooter {
 			return fmt.Errorf("mem: footer mismatch at %d", off)
 		}
 		off += size
 	}
-	if off != len(a.buf) {
-		return fmt.Errorf("mem: heap walk ended at %d of %d", off, len(a.buf))
+	if off != a.size {
+		return fmt.Errorf("mem: heap walk ended at %d of %d", off, a.size)
 	}
 	return nil
 }
@@ -301,7 +339,7 @@ func (a *Arena) CheckInvariants() error {
 // FreeBytes returns the total bytes in free chunks (including headers).
 func (a *Arena) FreeBytes() int {
 	total := 0
-	for off := 0; off < len(a.buf); off += a.chunkSize(off) {
+	for off := 0; off < a.size; off += a.chunkSize(off) {
 		if !a.inuse(off) {
 			total += a.chunkSize(off)
 		}
