@@ -36,9 +36,10 @@ faulttest:
 # against its digit-loop oracle, the device scan's row filter, the row
 # codec's round trip (the canonical encoding that lets the device ship
 # stored rows verbatim), the SQL parser, the SQL decimal/date literal
-# round trip and the device heap's lazy ≡ eager law, an arena grown on
-# demand against one materialized at birth (go test -fuzz takes one
-# target and one package per run).
+# round trip, the device heap's lazy ≡ eager law, an arena grown on
+# demand against one materialized at birth, and the DES event queue's
+# pop order against its container/heap reference (go test -fuzz takes
+# one target and one package per run).
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzFaultPlan -fuzztime=10s ./internal/fault
 	$(GO) test -run '^$$' -fuzz=FuzzStreamEqualsWholeScan -fuzztime=10s ./internal/match
@@ -50,6 +51,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz=FuzzLiteralRoundTrip -fuzztime=10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz=FuzzArenaOps -fuzztime=10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz=FuzzEventOrder -fuzztime=10s ./internal/sim
 
 # Self-healing suite (DESIGN.md "Self-healing"): the health monitor's
 # unit tests plus every package with a rebuild/migration/replica/health

@@ -38,8 +38,3 @@ func (e *Env) NewEvent() *Event { return &Event{env: e} }
 
 // Fire fires the event now, waking all waiters.
 func (ev *Event) Fire() {}
-
-// FireAfter schedules the event to fire after delay d via a typed fire
-// target — no closure is allocated, and there is no user callback to
-// leak impurity through.
-func (ev *Event) FireAfter(d Time) {}

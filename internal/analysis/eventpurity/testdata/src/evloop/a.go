@@ -55,16 +55,12 @@ func register(env *sim.Env, g *fibers.Group) {
 		events <- sim.SchedEvent{}
 	})
 
-	// Typed wake targets: FireAfter schedules the event directly, with
-	// no user callback for impurity to hide in — the pure way to build
-	// a timeout, and nothing for this analyzer to flag.
+	// An event callback that only fires an event stays pure: the pure
+	// way to build a timeout, and nothing for this analyzer to flag.
 	done := env.NewEvent()
-	done.FireAfter(90)
-
-	// An event callback that only arms typed targets stays pure.
-	env.After(80, func() {
+	env.After(80, done.Fire)
+	env.After(90, func() {
 		done.Fire()
-		done.FireAfter(100)
 	})
 
 	// Reasoned suppression waives the check.

@@ -12,7 +12,3 @@ type Event struct{}
 
 // Fire fires the event now, waking all waiters (a scheduler entry).
 func (ev *Event) Fire() {}
-
-// FireAfter schedules the event to fire after delay d via a typed fire
-// target (a scheduler entry).
-func (ev *Event) FireAfter(d Time) {}

@@ -75,14 +75,13 @@ func nestedClosure(c *core.Context) {
 	f()
 }
 
-func fireTimeouts(c *core.Context, done *sim.Event, work []int) {
-	for { // sim.Event.FireAfter is a typed scheduler entry: a yield point, fine
-		if len(work) == 0 {
-			done.Fire()
+func fireAll(c *core.Context, evs []*sim.Event) {
+	for { // sim.Event.Fire is a scheduler entry: a yield point, fine
+		if len(evs) == 0 {
 			break
 		}
-		done.FireAfter(sim.Time(len(work)))
-		work = work[1:]
+		evs[0].Fire()
+		evs = evs[1:]
 	}
 }
 

@@ -85,13 +85,13 @@ func New(env *sim.Env, cfg Config, f *ftl.FTL, hostCPU, devCPU *cpu.CPU) *Interf
 		ftl:     f,
 		hostCPU: hostCPU,
 		devCPU:  devCPU,
-		down:    env.NewLink("pcie-h2d", linkBW, linkLatency, 0),
-		up:      env.NewLink("pcie-d2h", linkBW, linkLatency, 0),
+		down:    env.NewLink("pcie-h2d", linkBW, linkLatency),
+		up:      env.NewLink("pcie-d2h", linkBW, linkLatency),
 		qd:      env.NewResource("nvme-qd", maxQueueDepth),
 	}
 	if cfg.NetBW > 0 {
-		i.netDown = env.NewLink("net-h2d", cfg.NetBW, cfg.NetLatency, 0)
-		i.netUp = env.NewLink("net-d2h", cfg.NetBW, cfg.NetLatency, 0)
+		i.netDown = env.NewLink("net-h2d", cfg.NetBW, cfg.NetLatency)
+		i.netUp = env.NewLink("net-d2h", cfg.NetBW, cfg.NetLatency)
 	}
 	return i
 }

@@ -11,7 +11,7 @@ import (
 // 0 allocs/op.
 
 // BenchmarkSimCore/hold-N: the classic hold model (pop-advance-push at
-// constant queue depth N) on the production 4-ary index heap.
+// constant queue depth N) on the production binary value heap.
 func BenchmarkSimCore(b *testing.B) {
 	b.Run("hold-64", func(b *testing.B) { benchHold(b, 64) })
 	b.Run("hold-1024", func(b *testing.B) { benchHold(b, 1024) })

@@ -164,14 +164,6 @@ func (ev *Event) Fired() bool { return ev.fired }
 // the event fired. Firing twice is a no-op.
 func (ev *Event) Fire() { ev.fire() }
 
-// FireAfter schedules the event to fire after delay d, as a typed
-// scheduler target (no closure, no allocation). If the event fires
-// earlier by other means the delayed firing is a no-op, so FireAfter
-// composes with Fire as a deadline or timeout.
-func (ev *Event) FireAfter(d Time) {
-	ev.env.scheduleFire(ev.env.now+d, ev)
-}
-
 func (ev *Event) fire() {
 	if ev.fired {
 		return

@@ -2,18 +2,16 @@ package sim
 
 import "container/heap"
 
-// refQueue is the retained pre-optimization event queue: a binary
-// container/heap of heap-boxed *refEvent nodes, exactly as Env used
-// before the flat 4-ary index heap replaced it. It lives in a test file
-// because it is the oracle the production queue is checked against and
-// nothing else:
+// refQueue is the reference event queue: a binary container/heap of
+// heap-boxed *refEvent nodes. It lives in a test file because it is the
+// oracle the production queue is checked against and nothing else:
 //
 //   - the differential property test and FuzzEventOrder drive both
 //     queues with identical workloads and assert identical pop order;
 //   - Hold/HoldRef run the same hold-model workload on both, so
 //     TestHoldMatchesReference pins their pop-order checksums to each
 //     other and BenchmarkSimCore ÷ BenchmarkSimCoreRef reads as a
-//     machine-normalized speedup of the queue swap.
+//     machine-normalized speedup of the value heap.
 //
 // Because (at, seq) is a strict total order, both queues must pop in
 // exactly the same sequence; any divergence is a heap bug, never a

@@ -75,19 +75,9 @@ func (r *Resource) Acquire(p *Proc) {
 	// The releaser already transferred the server to us (see Release).
 }
 
-// TryAcquire takes a server if one is immediately free.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity && r.QueueLen() == 0 {
-		r.account()
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release frees one server, waking the longest waiter if any. The freed
-// server is transferred directly to that waiter so FIFO order holds even
-// against concurrent TryAcquire callers.
+// server is transferred directly to that waiter, so no Acquire made
+// before the waiter resumes can overtake it.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release of idle resource " + r.name)
@@ -118,35 +108,23 @@ func (r *Resource) Use(p *Proc, d Time) {
 // fixed byte rate plus a propagation latency that overlaps with the next
 // transfer (store-and-forward pipe).
 type Link struct {
-	r         *Resource
-	bytesPS   float64
-	latency   Time
-	perOpCost Time
+	r       *Resource
+	bytesPS float64
+	latency Time
 }
 
-// NewLink creates a link with the given serialization rate (bytes/s),
-// propagation latency, and a fixed per-operation cost charged while the
-// link is held (command/doorbell overheads).
-func (e *Env) NewLink(name string, bytesPerSec float64, latency, perOpCost Time) *Link {
-	return &Link{r: e.NewResource(name, 1), bytesPS: bytesPerSec, latency: latency, perOpCost: perOpCost}
+// NewLink creates a link with the given serialization rate (bytes/s)
+// and propagation latency.
+func (e *Env) NewLink(name string, bytesPerSec float64, latency Time) *Link {
+	return &Link{r: e.NewResource(name, 1), bytesPS: bytesPerSec, latency: latency}
 }
-
-// Bandwidth returns the serialization rate in bytes per second.
-func (l *Link) Bandwidth() float64 { return l.bytesPS }
-
-// Latency returns the propagation latency.
-func (l *Link) Latency() Time { return l.latency }
-
-// Resource exposes the underlying occupancy resource (for utilization
-// accounting by the power model).
-func (l *Link) Resource() *Resource { return l.r }
 
 // Transfer moves n bytes across the link: the caller occupies the link
-// for the per-op cost plus serialization time, then waits out the
-// propagation latency without holding the link.
+// for the serialization time, then waits out the propagation latency
+// without holding the link.
 func (l *Link) Transfer(p *Proc, n int64) {
 	l.r.Acquire(p)
-	p.Sleep(l.perOpCost + TransferTime(n, l.bytesPS))
+	p.Sleep(TransferTime(n, l.bytesPS))
 	l.r.Release()
 	p.Sleep(l.latency)
 }

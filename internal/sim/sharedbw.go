@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // SharedBW models a capacity shared by all concurrent users with exact
 // egalitarian processor sharing: at any instant each active flow (plus
 // each permanent background "load share") progresses at capacity/n.
@@ -11,9 +13,9 @@ package sim
 type SharedBW struct {
 	env      *Env
 	name     string
-	capacity float64 // bytes per second
-	load     int     // permanent background shares
-	flows    map[*psFlow]struct{}
+	capacity float64   // bytes per second
+	load     int       // permanent background shares
+	flows    []*psFlow // active flows in arrival order
 	last     Time
 	timerGen uint64
 
@@ -27,7 +29,7 @@ type psFlow struct {
 
 // NewSharedBW creates a processor-sharing bandwidth resource.
 func (e *Env) NewSharedBW(name string, bytesPerSec float64) *SharedBW {
-	return &SharedBW{env: e, name: name, capacity: bytesPerSec, flows: make(map[*psFlow]struct{}), last: e.now}
+	return &SharedBW{env: e, name: name, capacity: bytesPerSec, last: e.now}
 }
 
 // Capacity returns the total bandwidth in bytes per second.
@@ -57,7 +59,7 @@ func (s *SharedBW) advance() {
 		}
 		if r := s.rate(); r > 0 {
 			progressed := elapsed * r
-			for f := range s.flows {
+			for _, f := range s.flows {
 				f.remaining -= progressed
 			}
 		}
@@ -65,15 +67,18 @@ func (s *SharedBW) advance() {
 	s.last = now
 }
 
-// completeReady fires and removes any flow that has finished.
+// completeReady fires and removes any flow that has finished, in
+// arrival order, so tied flows wake their processes in the order they
+// started.
 func (s *SharedBW) completeReady() {
 	const eps = 0.5 // bytes; tolerate float drift
-	for f := range s.flows {
-		if f.remaining <= eps {
-			delete(s.flows, f)
-			f.done.fire()
+	s.flows = slices.DeleteFunc(s.flows, func(f *psFlow) bool {
+		if f.remaining > eps {
+			return false
 		}
-	}
+		f.done.fire()
+		return true
+	})
 }
 
 // reschedule arms a timer for the earliest flow completion.
@@ -83,7 +88,7 @@ func (s *SharedBW) reschedule() {
 		return
 	}
 	minRem := -1.0
-	for f := range s.flows {
+	for _, f := range s.flows {
 		if minRem < 0 || f.remaining < minRem {
 			minRem = f.remaining
 		}
@@ -122,7 +127,7 @@ func (s *SharedBW) Transfer(p *Proc, n int64) {
 	}
 	s.advance()
 	f := &psFlow{remaining: float64(n), done: s.env.NewEvent()}
-	s.flows[f] = struct{}{}
+	s.flows = append(s.flows, f)
 	s.reschedule()
 	p.Wait(f.done)
 }

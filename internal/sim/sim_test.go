@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -166,23 +167,6 @@ func TestResourceFIFOOrder(t *testing.T) {
 	}
 }
 
-func TestTryAcquireRespectsWaiters(t *testing.T) {
-	e := NewEnv()
-	r := e.NewResource("r", 1)
-	got := true
-	e.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(100)
-		r.Release()
-	})
-	e.SpawnAt(10, "waiter", func(p *Proc) { r.Acquire(p); r.Release() })
-	e.SpawnAt(20, "try", func(p *Proc) { got = r.TryAcquire() })
-	e.Run()
-	if got {
-		t.Fatal("TryAcquire must fail while another process waits")
-	}
-}
-
 func TestResourceBusyTime(t *testing.T) {
 	e := NewEnv()
 	r := e.NewResource("r", 1)
@@ -198,7 +182,7 @@ func TestResourceBusyTime(t *testing.T) {
 
 func TestLinkTransferTimes(t *testing.T) {
 	e := NewEnv()
-	l := e.NewLink("pcie", 1e9, 2*Microsecond, 0) // 1 GB/s, 2us latency
+	l := e.NewLink("pcie", 1e9, 2*Microsecond) // 1 GB/s, 2us latency
 	var end Time
 	e.Spawn("x", func(p *Proc) {
 		l.Transfer(p, 1e6) // 1 MB -> 1ms serialize + 2us prop
@@ -213,7 +197,7 @@ func TestLinkTransferTimes(t *testing.T) {
 
 func TestLinkSerializesButPipelinesLatency(t *testing.T) {
 	e := NewEnv()
-	l := e.NewLink("pcie", 1e9, 10*Microsecond, 0)
+	l := e.NewLink("pcie", 1e9, 10*Microsecond)
 	var ends []Time
 	for i := 0; i < 2; i++ {
 		e.Spawn("x", func(p *Proc) {
@@ -239,6 +223,27 @@ func TestSharedBWFairSharing(t *testing.T) {
 	// Two equal flows sharing 1GB/s finish together at 2ms.
 	if aEnd != 2*Millisecond || bEnd != 2*Millisecond {
 		t.Fatalf("aEnd=%v bEnd=%v, want 2ms each", aEnd, bEnd)
+	}
+}
+
+// TestSharedBWTiesCompleteInArrivalOrder: equal flows started at one
+// instant finish in the same completion round, and their processes
+// resume in the order the flows started, every run.
+func TestSharedBWTiesCompleteInArrivalOrder(t *testing.T) {
+	for run := 0; run < 200; run++ {
+		e := NewEnv()
+		s := e.NewSharedBW("mem", 1e9)
+		var order []int
+		for i := 0; i < 4; i++ {
+			e.Spawn("f", func(p *Proc) {
+				s.Transfer(p, 1e6)
+				order = append(order, i)
+			})
+		}
+		e.Run()
+		if !slices.Equal(order, []int{0, 1, 2, 3}) {
+			t.Fatalf("run %d: flows completed in order %v, want spawn order", run, order)
+		}
 	}
 }
 
@@ -306,26 +311,6 @@ func TestSpawnFromProcess(t *testing.T) {
 	e.Run()
 	if total != 30 {
 		t.Fatalf("total=%d, want 30", total)
-	}
-}
-
-func TestRunUntilStopsClock(t *testing.T) {
-	e := NewEnv()
-	fired := false
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(2 * Second)
-		fired = true
-	})
-	e.RunUntil(Second)
-	if fired {
-		t.Fatal("event past deadline must not fire")
-	}
-	if e.Now() != Second {
-		t.Fatalf("clock=%v, want 1s", e.Now())
-	}
-	e.Run()
-	if !fired {
-		t.Fatal("resuming Run should fire the event")
 	}
 }
 
