@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -158,6 +159,8 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			dm := s.Plat.DevMem
 			fmt.Fprintf(stdout, "   %-24s system=%d/%d user=%d/%d\n", "mem.arenas",
 				dm.System.Materialized(), dm.System.Size(), dm.User.Materialized(), dm.User.Size())
+			segsMade, segs, blocksMade, blocks := s.Plat.FTL.MapStats()
+			fmt.Fprintf(stdout, "   %-24s l2p=%d/%d rev=%d/%d\n", "ftl.maps", segsMade, segs, blocksMade, blocks)
 			fmt.Fprintf(stdout, "-- platform %d latencies (ns)\n", i+1)
 			for _, h := range s.Plat.Hists.Snapshot() {
 				fmt.Fprintf(stdout, "   %-24s count=%-8d p50=%-11d p95=%-11d p99=%-11d max=%d\n",
@@ -165,7 +168,29 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
+	if *stats {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		fmt.Fprintf(stdout, "-- process peak memory: rss=%s go_heap=%d kB\n", peakRSS(), ms.HeapSys>>10)
+	}
 	return 0
+}
+
+// peakRSS is the process's resident-set high-water mark as
+// /proc/self/status reports it (VmHWM), or "n/a" where there is none.
+// The Go heap's peak beside it is MemStats.HeapSys, which the runtime
+// documents as the largest size the heap has had.
+func peakRSS() string {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return "n/a"
+	}
+	for line := range strings.Lines(string(status)) {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			return strings.Join(strings.Fields(v), " ")
+		}
+	}
+	return "n/a"
 }
 
 // writeJSON marshals one experiment's result struct to

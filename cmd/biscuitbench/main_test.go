@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -72,7 +73,9 @@ func TestUnknownExperimentListsAblations(t *testing.T) {
 // Each drive's heaps back only what they handed out: the system heap
 // holds the loaded module images, and the user heap, which no shipped
 // SSDlet allocates from, still holds only its first chunk's header and
-// links (32 bytes) of its capacity.
+// links (32 bytes) of its capacity. Each drive's FTL has made only the
+// l2p segments and block maps its pages use, fewer than its geometry
+// holds, and one process line gives the run's peak memory.
 func TestStatsCoverServingArrays(t *testing.T) {
 	t.Cleanup(func() { bench.OnSystem = nil })
 	var stdout, stderr bytes.Buffer
@@ -92,5 +95,22 @@ func TestStatsCoverServingArrays(t *testing.T) {
 	arenas := regexp.MustCompile(`(?m)^   mem\.arenas +system=[1-9]\d*/[1-9]\d* user=32/[1-9]\d*$`)
 	if n := len(arenas.FindAllString(stdout.String(), -1)); n != 6 {
 		t.Fatalf("%d mem.arenas lines with an untouched user heap, want 6:\n%s", n, &stdout)
+	}
+	maps := regexp.MustCompile(`(?m)^   ftl\.maps +l2p=(\d+)/(\d+) rev=(\d+)/(\d+)$`)
+	lines := maps.FindAllStringSubmatch(stdout.String(), -1)
+	if len(lines) != 6 {
+		t.Fatalf("%d ftl.maps lines, want 6:\n%s", len(lines), &stdout)
+	}
+	for _, m := range lines {
+		var v [4]int
+		for i := range v {
+			v[i], _ = strconv.Atoi(m[i+1])
+		}
+		if v[0] == 0 || v[0] >= v[1] || v[2] == 0 || v[2] >= v[3] {
+			t.Errorf("%q: want some but not all l2p segments and block maps made", m[0])
+		}
+	}
+	if !regexp.MustCompile(`(?m)^-- process peak memory: rss=\S.* go_heap=[1-9]\d* kB$`).MatchString(stdout.String()) {
+		t.Errorf("no process peak-memory line:\n%s", &stdout)
 	}
 }

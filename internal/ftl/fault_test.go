@@ -61,6 +61,7 @@ func TestReadRetryRecoversTransientUncorrectable(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	retries, errs, _, _ := f.FaultStats()
 	if retries != 1 || errs != 0 {
 		t.Fatalf("readRetries=%d readErrors=%d, want 1,0", retries, errs)
@@ -88,6 +89,7 @@ func TestReadErrorSurfacesAfterRetriesExhausted(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	retries, errs, _, _ := f.FaultStats()
 	if retries != 2*maxReadRetries || errs != 2 {
 		t.Fatalf("readRetries=%d readErrors=%d, want %d,2 (member + parity)",
@@ -117,6 +119,7 @@ func TestReadErrorRecoversFromOpenStripe(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	if rs := f.Rain(); rs.Reconstructs != 1 || rs.DegradedReads != 1 {
 		t.Fatalf("Reconstructs=%d DegradedReads=%d, want 1,1", rs.Reconstructs, rs.DegradedReads)
 	}
@@ -138,6 +141,7 @@ func TestUnmappedReadNeverConsultsMedia(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 }
 
 func TestProgramFailureRetiresBlockAndRemaps(t *testing.T) {
@@ -153,6 +157,7 @@ func TestProgramFailureRetiresBlockAndRemaps(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	_, _, pf, _ := f.FaultStats()
 	if pf != 1 {
 		t.Fatalf("programFails=%d, want 1", pf)
@@ -174,6 +179,7 @@ func TestProgramFailureExhaustionSurfaces(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	if f.BadBlocks() != maxProgramRetries {
 		t.Fatalf("badBlocks=%d, want one per attempt (%d)", f.BadBlocks(), maxProgramRetries)
 	}
@@ -201,6 +207,7 @@ func TestRetiredBlockStaysOffFreeList(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	if f.BadBlocks() != 1 {
 		t.Fatalf("badBlocks=%d, want 1", f.BadBlocks())
 	}
@@ -248,6 +255,7 @@ func TestEraseFailureUnderGCRetiresVictim(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	if f.BadBlocks() == 0 {
 		t.Fatal("erase failures under GC must retire blocks")
 	}
@@ -307,6 +315,7 @@ func TestGCRelocationRecoversLatentPage(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	rounds, moves := f.GCStats()
 	if rounds == 0 || moves == 0 {
 		t.Fatal("workload never triggered GC relocation")
@@ -352,6 +361,7 @@ func TestFaultFTLDeterminism(t *testing.T) {
 			}
 		})
 		e.Run()
+		checkMaps(t, f)
 		rr, re, pf, gr := f.FaultStats()
 		return inj.Signature(), [4]int64{rr, re, pf, gr}, f.BadBlocks()
 	}

@@ -100,9 +100,33 @@ type dieState struct {
 
 type blockMeta struct {
 	valid int     // number of valid pages
-	lpns  []int32 // reverse map page -> lpn (-1 invalid); a window of one device-wide allocation
+	lpns  []int32 // reverse map page -> lpn (-1 invalid); nil until first programmed, kept across erase
 	bad   bool    // retired after a program/erase failure; never reused
 }
+
+// lpn reads page pg's reverse mapping: -1 on a block never programmed.
+func (bm *blockMeta) lpn(pg int) int32 {
+	if bm.lpns == nil {
+		return -1
+	}
+	return bm.lpns[pg]
+}
+
+// setLPN records the reverse mapping of bm's page pg, making the map
+// on the block's first mark that is not -1.
+func (f *FTL) setLPN(bm *blockMeta, pg int, lpn int32) {
+	if bm.lpns == nil {
+		if lpn == -1 {
+			return
+		}
+		bm.lpns = slices.Repeat([]int32{-1}, f.arr.Config().PagesPerBlock)
+		f.revMade++
+	}
+	bm.lpns[pg] = lpn
+}
+
+// l2pSegPages is how many logical pages one l2p segment maps.
+const l2pSegPages = 1024
 
 // FTL is a page-mapped flash translation layer over a NAND array.
 type FTL struct {
@@ -110,7 +134,10 @@ type FTL struct {
 	arr      *nand.Array
 	fw       *cpu.CPU
 	dies     []*dieState
-	l2p      []int32      // lpn -> physical page index, -1 unmapped
+	l2p      [][]int32    // lpn -> physical page index (-1 unmapped), in segments made on first map
+	mapped   int          // logical pages currently mapped
+	l2pMade  int          // l2p segments made
+	revMade  int          // blocks whose reverse map is made
 	lost     map[int]bool // lpns whose data is gone (unreadable + unreconstructable)
 	nLPN     int
 	dieOrder []int           // channel-major write rotation (consecutive writes hit distinct channels)
@@ -195,20 +222,13 @@ func New(env *sim.Env, arr *nand.Array, cfg Config) *FTL {
 	if nc.TotalPages() > math.MaxInt32 {
 		panic("ftl: array has more pages than the int32 mapping tables address")
 	}
-	rev := slices.Repeat([]int32{-1}, nc.TotalPages())
-	ppb := nc.PagesPerBlock
 	f.dies = make([]*dieState, nc.Dies())
 	for i := range f.dies {
-		d := &dieState{
+		f.dies[i] = &dieState{
 			open:      [numStreams]int{-1, -1},
 			blockMeta: make([]blockMeta, nc.BlocksPerDie),
 			wlock:     env.NewResource(fmt.Sprintf("ftl-wlock%d", i), 1),
 		}
-		for b := range d.blockMeta {
-			at := f.encode(i, b, 0)
-			d.blockMeta[b].lpns = rev[at : at+ppb : at+ppb]
-		}
-		f.dies[i] = d
 	}
 	f.sbFree = make([]bool, nc.BlocksPerDie)
 	for b := nc.BlocksPerDie - 1; b >= 0; b-- {
@@ -239,8 +259,37 @@ func New(env *sim.Env, arr *nand.Array, cfg Config) *FTL {
 		panic("ftl: configuration leaves no logical capacity (raise BlocksPerDie or lower reserves)")
 	}
 	f.nLPN = int(logical)
-	f.l2p = slices.Repeat([]int32{-1}, f.nLPN)
+	f.l2p = make([][]int32, (f.nLPN+l2pSegPages-1)/l2pSegPages)
 	return f
+}
+
+// l2pAt reads lpn's physical page index: -1 when unmapped.
+func (f *FTL) l2pAt(lpn int) int {
+	seg := f.l2p[lpn/l2pSegPages]
+	if seg == nil {
+		return -1
+	}
+	return int(seg[lpn%l2pSegPages])
+}
+
+// setL2P points lpn at ppi (-1 unmaps it), making lpn's segment on its
+// first map, and keeps the mapped count.
+func (f *FTL) setL2P(lpn, ppi int) {
+	seg := &f.l2p[lpn/l2pSegPages]
+	if *seg == nil {
+		if ppi < 0 {
+			return
+		}
+		*seg = slices.Repeat([]int32{-1}, l2pSegPages)
+		f.l2pMade++
+	}
+	e := &(*seg)[lpn%l2pSegPages]
+	if *e < 0 && ppi >= 0 {
+		f.mapped++
+	} else if *e >= 0 && ppi < 0 {
+		f.mapped--
+	}
+	*e = int32(ppi)
 }
 
 // Env returns the simulation environment the FTL runs in.
@@ -376,7 +425,7 @@ func (f *FTL) blockAddr(die, block int) nand.BlockAddr {
 // Mapped reports whether the logical page currently holds data.
 func (f *FTL) Mapped(lpn int) bool {
 	f.checkLPN(lpn)
-	return f.l2p[lpn] >= 0
+	return f.l2pAt(lpn) >= 0
 }
 
 // Read is readInto a fresh buffer of length bytes.
@@ -413,7 +462,7 @@ func (f *FTL) lookup(p *sim.Proc, lpn int) (int, error) {
 	f.checkLPN(lpn)
 	f.fw.Exec(p, fwReadCycles)
 	f.reads++
-	ppi := int(f.l2p[lpn])
+	ppi := f.l2pAt(lpn)
 	if ppi < 0 && f.lost[lpn] {
 		return ppi, fmt.Errorf("ftl: lpn %d: data lost: %w", lpn, fault.ErrUncorrectable)
 	}
@@ -700,10 +749,10 @@ func (f *FTL) writePage(p *sim.Proc, page []byte, avoid uint64, stream int) (int
 func (f *FTL) invalidate(ppi int) {
 	die, block, page := f.decode(ppi)
 	bm := &f.dies[die].blockMeta[block]
-	if bm.lpns[page] < 0 {
+	if bm.lpn(page) < 0 {
 		return
 	}
-	bm.lpns[page] = -1
+	f.setLPN(bm, page, -1)
 	bm.valid--
 	if sid, ok := f.memberOf[ppi]; ok {
 		st := f.stripes[sid]
@@ -738,7 +787,7 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 		page = slices.Clone(data)
 	} else {
 		page = make([]byte, ps)
-		if old := int(f.l2p[lpn]); old >= 0 {
+		if old := f.l2pAt(lpn); old >= 0 {
 			if err := f.readRecover(p, old, 0, page); err != nil {
 				return fmt.Errorf("ftl: rmw read of lpn %d: %w", lpn, err)
 			}
@@ -752,7 +801,7 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 	}
 	// Re-read the mapping: GC may have relocated the old copy while the
 	// program was in flight.
-	if old := int(f.l2p[lpn]); old >= 0 {
+	if old := f.l2pAt(lpn); old >= 0 {
 		f.invalidate(old)
 	}
 	delete(f.lost, lpn) // fresh contents supersede a poisoned page
@@ -767,9 +816,9 @@ func (f *FTL) Write(p *sim.Proc, lpn int, offset int, data []byte) error {
 func (f *FTL) remap(lpn, dst int) {
 	die, block, pg := f.decode(dst)
 	bm := &f.dies[die].blockMeta[block]
-	bm.lpns[pg] = int32(lpn)
+	f.setLPN(bm, pg, int32(lpn))
 	bm.valid++
-	f.l2p[lpn] = int32(dst)
+	f.setL2P(lpn, dst)
 }
 
 // retire marks a block bad: it is closed as the write frontier and
@@ -793,9 +842,9 @@ func (f *FTL) retire(dieIdx, block int) {
 func (f *FTL) Trim(lpn int) {
 	f.checkLPN(lpn)
 	delete(f.lost, lpn)
-	if old := int(f.l2p[lpn]); old >= 0 {
+	if old := f.l2pAt(lpn); old >= 0 {
 		f.invalidate(old)
-		f.l2p[lpn] = -1
+		f.setL2P(lpn, -1)
 	}
 }
 
@@ -808,17 +857,6 @@ func (f *FTL) sbOpen(sb int) bool {
 		}
 	}
 	return false
-}
-
-// mappedPages counts logical pages currently backed by media.
-func (f *FTL) mappedPages() int {
-	n := 0
-	for _, ppi := range f.l2p {
-		if ppi >= 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // collect refills the free-superblock pool using greedy victim
@@ -842,7 +880,7 @@ func (f *FTL) mappedPages() int {
 func (f *FTL) collect(p *sim.Proc) {
 	nc := f.arr.Config()
 	sbPages := len(f.dies) * nc.PagesPerBlock
-	content := f.mappedPages()
+	content := f.mapped
 	if f.stripeW > 0 {
 		content += content / f.stripeW // parity rides along
 	}
@@ -891,7 +929,7 @@ func (f *FTL) collect(p *sim.Proc) {
 		for dieIdx, d := range f.dies {
 			bm := &d.blockMeta[victim]
 			for pg := 0; pg < nc.PagesPerBlock; pg++ {
-				if bm.lpns[pg] < 0 {
+				if bm.lpn(pg) < 0 {
 					continue
 				}
 				if f.moveData(p, f.encode(dieIdx, victim, pg)) {
@@ -907,7 +945,7 @@ func (f *FTL) collect(p *sim.Proc) {
 		for dieIdx, d := range f.dies {
 			bm := &d.blockMeta[victim]
 			for pg := 0; pg < nc.PagesPerBlock; pg++ {
-				if bm.lpns[pg] == parityMark {
+				if bm.lpn(pg) == parityMark {
 					if !f.relocateParity(p, f.encode(dieIdx, victim, pg)) {
 						ok = false
 					}
@@ -973,7 +1011,7 @@ func (f *FTL) collect(p *sim.Proc) {
 func (f *FTL) moveData(p *sim.Proc, src int) bool {
 	die, block, pg := f.decode(src)
 	bm := &f.dies[die].blockMeta[block]
-	lpn := int(bm.lpns[pg])
+	lpn := int(bm.lpn(pg))
 	if lpn < 0 {
 		return true // went stale before we got to it
 	}
@@ -989,11 +1027,11 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 			// Poison the logical page — host reads surface
 			// ErrUncorrectable until it is rewritten — rather than pin
 			// the only (broken) copy against the erase forever.
-			if int(bm.lpns[pg]) != lpn || int(f.l2p[lpn]) != src {
+			if int(bm.lpn(pg)) != lpn || f.l2pAt(lpn) != src {
 				return true // superseded while we tried; nothing lost
 			}
 			f.invalidate(src)
-			f.l2p[lpn] = -1
+			f.setL2P(lpn, -1)
 			f.lost[lpn] = true
 			f.rain.LostPages++
 			f.tr.Instant(f.fwTk, "gc.dataloss").Arg("lpn", int64(lpn))
@@ -1003,14 +1041,14 @@ func (f *FTL) moveData(p *sim.Proc, src int) bool {
 		f.tr.Instant(f.gcTk, "gc.recover")
 		f.arr.Injector().Record(fault.GCRecover, "ftl.gc "+f.ppa(src).String())
 	}
-	if int(bm.lpns[pg]) != lpn {
+	if int(bm.lpn(pg)) != lpn {
 		return true // overwritten or trimmed while reading: nothing to move
 	}
 	dst, err := f.writePage(p, data, 0, gcStream)
 	if err != nil {
 		return false
 	}
-	if int(bm.lpns[pg]) != lpn {
+	if int(bm.lpn(pg)) != lpn {
 		return true // overwritten while programming: the fresh copy is garbage
 	}
 	f.invalidate(src)
@@ -1040,4 +1078,50 @@ func (f *FTL) MaxErase() int {
 		}
 	}
 	return maxE
+}
+
+// MapStats reports how much of the mapping tables is made: l2p segments
+// made of all, and blocks with a reverse map of all blocks.
+func (f *FTL) MapStats() (segsMade, segs, blocksMade, blocks int) {
+	return f.l2pMade, len(f.l2p), f.revMade, len(f.dies) * len(f.sbFree)
+}
+
+// CheckInvariants verifies the mapping state: l2p and the blocks'
+// reverse maps are one bijection over the mapped pages, each block's
+// valid count is its live data plus its parity marks, the mapped count
+// matches a scan, no lost page is mapped and no free superblock holds a
+// live page. It returns an error describing the first inconsistency.
+// Used by tests.
+func (f *FTL) CheckInvariants() error {
+	live, mapped := 0, 0
+	for die, d := range f.dies {
+		for b := range d.blockMeta {
+			bm, valid := &d.blockMeta[b], 0
+			for pg := range f.arr.Config().PagesPerBlock {
+				switch lpn := int(bm.lpn(pg)); {
+				case lpn == parityMark:
+					valid++
+				case lpn >= 0:
+					valid, live = valid+1, live+1
+					if ppi := f.encode(die, b, pg); f.l2pAt(lpn) != ppi {
+						return fmt.Errorf("ftl: page %d holds lpn %d, which maps to %d", ppi, lpn, f.l2pAt(lpn))
+					}
+				}
+			}
+			if valid != bm.valid || valid > 0 && f.sbFree[b] {
+				return fmt.Errorf("ftl: block %d/%d holds %d valid pages, counts %d (free: %v)", die, b, valid, bm.valid, f.sbFree[b])
+			}
+		}
+	}
+	for lpn := range f.nLPN {
+		if f.l2pAt(lpn) >= 0 {
+			if mapped++; f.lost[lpn] {
+				return fmt.Errorf("ftl: lost lpn %d is mapped", lpn)
+			}
+		}
+	}
+	if live != mapped || mapped != f.mapped {
+		return fmt.Errorf("ftl: %d pages hold an lpn, %d lpns map, the count says %d", live, mapped, f.mapped)
+	}
+	return nil
 }

@@ -67,6 +67,7 @@ func TestHandedOverPagesStayIntact(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 
 	if rounds, moves := f.GCStats(); rounds == 0 || moves == 0 {
 		t.Fatalf("GC did not relocate anything (rounds %d, moves %d)", rounds, moves)

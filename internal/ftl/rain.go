@@ -29,8 +29,8 @@ import (
 	"biscuit/internal/sim"
 )
 
-// parityMark is the blockMeta.lpns sentinel of a live parity page: not
-// a logical page (no lpn), but occupying space the GC must respect.
+// parityMark is the reverse-map sentinel of a live parity page: not a
+// logical page (no lpn), but occupying space the GC must respect.
 const parityMark = -2
 
 // openStripe accumulates one write stream's data pages until seal.
@@ -108,7 +108,7 @@ func (f *FTL) channelOf(ppi int) int { return f.ppa(ppi).Channel }
 // page.
 func (f *FTL) mappedPpi(ppi int) bool {
 	die, block, pg := f.decode(ppi)
-	return f.dies[die].blockMeta[block].lpns[pg] >= 0
+	return f.dies[die].blockMeta[block].lpn(pg) >= 0
 }
 
 // countLive counts the members still backing a logical page.
@@ -126,7 +126,7 @@ func (f *FTL) countLive(members []int) int {
 func (f *FTL) markParity(ppi int) {
 	die, block, pg := f.decode(ppi)
 	bm := &f.dies[die].blockMeta[block]
-	bm.lpns[pg] = parityMark
+	f.setLPN(bm, pg, parityMark)
 	bm.valid++
 }
 
@@ -135,8 +135,8 @@ func (f *FTL) markParity(ppi int) {
 func (f *FTL) clearParity(ppi int) {
 	die, block, pg := f.decode(ppi)
 	bm := &f.dies[die].blockMeta[block]
-	if bm.lpns[pg] == parityMark {
-		bm.lpns[pg] = -1
+	if bm.lpn(pg) == parityMark {
+		f.setLPN(bm, pg, -1)
 		bm.valid--
 	}
 }
@@ -683,7 +683,7 @@ func (f *FTL) repairMember(p *sim.Proc, v stripeVer, ppi int, pages [][]byte) {
 	}
 	die, block, pg := f.decode(ppi)
 	bm := &f.dies[die].blockMeta[block]
-	lpn := int(bm.lpns[pg])
+	lpn := int(bm.lpn(pg))
 	if lpn < 0 {
 		f.shrinkMembers(p, v.sid, []int{ppi})
 		return
@@ -692,7 +692,7 @@ func (f *FTL) repairMember(p *sim.Proc, v stripeVer, ppi int, pages [][]byte) {
 	if err != nil {
 		return
 	}
-	if int(bm.lpns[pg]) != lpn || int(f.l2p[lpn]) != ppi {
+	if int(bm.lpn(pg)) != lpn || f.l2pAt(lpn) != ppi {
 		return // moved while repairing; the fresh copy becomes garbage
 	}
 	f.invalidate(ppi)

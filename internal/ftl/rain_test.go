@@ -49,6 +49,7 @@ func TestHostReadReconstructsLatentPage(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	if inj.Count(fault.SilentCorrupt) == 0 {
 		t.Fatal("plan injected no silent corruption; test exercised nothing")
 	}
@@ -89,6 +90,7 @@ func TestDegradedReadCostsStripeReads(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	if degraded == 0 {
 		t.Skip("no degraded read under this seed")
 	}
@@ -118,6 +120,7 @@ func TestDegradedReadAfterDieFailure(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	if !f.Array().DieDead(0) {
 		t.Fatal("die 0 should be dead")
 	}
@@ -160,6 +163,7 @@ func TestScrubRepairsLatentDamage(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	if inj.Count(fault.SilentCorrupt) == 0 {
 		t.Fatal("plan injected no silent corruption; test exercised nothing")
 	}
@@ -194,6 +198,7 @@ func TestBeyondParityLossSurfaces(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	rs := f.Rain()
 	if rs.ReconstructFails == 0 {
 		t.Fatal("failed reconstruction not counted")
@@ -426,6 +431,7 @@ func TestParityLandsOffMemberChannels(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	rs := f.Rain()
 	rounds, _ := f.GCStats()
 	relocs := rs.ParityWrites - rs.StripeSeals - rs.StripeShrinks - rs.ScrubParityFixes
@@ -457,6 +463,7 @@ func TestParityPlacementRelaxesWhenNoOtherChannelLives(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	rs := f.Rain()
 	if rs.ParityFails != 0 || rs.StripeSeals == 0 {
 		t.Fatalf("relaxed placement must seal without parity failures: %+v", rs)

@@ -103,7 +103,7 @@ func (f *FTL) Lend(off int64, n int) []byte {
 		return nil
 	}
 	f.checkLPN(lpn)
-	if ppi := int(f.l2p[lpn]); ppi >= 0 {
+	if ppi := f.l2pAt(lpn); ppi >= 0 {
 		return f.arr.Lend(f.ppa(ppi), po, n)
 	}
 	return f.arr.Zeroes(n)

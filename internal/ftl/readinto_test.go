@@ -51,7 +51,7 @@ func TestReadIntoMatchesRead(t *testing.T) {
 			func(o readOutcome) bool { return o.err == nil && o.retries == 1 && o.degrad == 0 }},
 		{"reconstructed", fault.Plan{Seed: 22}, func(t *testing.T, p *sim.Proc, f *FTL, inj *fault.Injector) {
 			fillPattern(t, f, p, 64)
-			die, _, _ := f.decode(int(f.l2p[lpn]))
+			die, _, _ := f.decode(f.l2pAt(lpn))
 			inj.FailDie(die)
 		}, func(o readOutcome) bool { return o.err == nil && o.degrad == 1 }},
 		{"lost", fault.Plan{Seed: 43}, func(t *testing.T, p *sim.Proc, f *FTL, _ *fault.Injector) {

@@ -87,7 +87,7 @@ func (f *FTL) RebuildStep(p *sim.Proc) bool {
 			f.rebuildPos++
 			block, pg := pos/nc.PagesPerBlock, pos%nc.PagesPerBlock
 			ppi := f.encode(die, block, pg)
-			mark := f.dies[die].blockMeta[block].lpns[pg]
+			mark := f.dies[die].blockMeta[block].lpn(pg)
 			if mark < 0 && mark != parityMark {
 				f.rebuild.Skips++
 				continue

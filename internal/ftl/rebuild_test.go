@@ -47,6 +47,7 @@ func TestRebuildDrainsDeadDie(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	rs := f.Rebuild()
 	if rs.Dies != 1 {
 		t.Fatalf("want 1 die drained, got %+v", rs)
@@ -76,6 +77,7 @@ func TestRebuildDieEnqueueIdempotent(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 }
 
 // scrubRaceRun interleaves the patrol scrub with the rebuild walker
@@ -125,6 +127,7 @@ func scrubRaceRun(t *testing.T, seed int64) string {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	return fmt.Sprintf("content=%x rain=%+v rebuild=%+v now=%d", sum, f.Rain(), f.Rebuild(), e.Now())
 }
 
@@ -157,6 +160,7 @@ func TestScrubRacesRebuildWithoutDoubleRepair(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	rs, rain := f.Rebuild(), f.Rain()
 	// Conservation: every page of every drained die is accounted exactly
 	// once, whichever arm of the walker (or the scrub) got to it.
@@ -191,6 +195,7 @@ func TestUnstripedMissIsNotAReconstructFail(t *testing.T) {
 		}
 	})
 	e.Run()
+	checkMaps(t, f)
 	rs := f.Rain()
 	if rs.ReconstructUnstriped == 0 {
 		t.Fatalf("unstriped miss not counted: %+v", rs)
