@@ -36,14 +36,14 @@ faulttest:
 # against its digit-loop oracle, the device scan's row filter, the row
 # codec's round trip (the canonical encoding that lets the device ship
 # stored rows verbatim), the SQL parser, the SQL decimal/date literal
-# round trip, the device heap's lazy ≡ eager law, an arena grown on
-# demand against one materialized at birth, the DES event queue's
+# round trip, the device heap's lazy ≡ eager law (an arena grown on
+# demand against one materialized at birth), the DES event queue's
 # pop order against its container/heap reference, and the FTL's maps
 # made on demand against maps made at birth (go test -fuzz takes one
-# target and one package per run). The last two cap the time spent
+# target and one package per run). The last three cap the time spent
 # minimizing each input (new coverage or a crash) at 1 s: their inputs
-# are costly to run, and the default 60 s budget had FuzzEventOrder
-# minimize for its whole 10 s instead of fuzzing.
+# are costly to run, and the default 60 s budget had FuzzArenaOps and
+# FuzzEventOrder minimize for most of their 10 s instead of fuzzing.
 FUZZMIN := -fuzzminimizetime=1s
 
 fuzzsmoke:
@@ -56,7 +56,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz=FuzzRowCodecRoundTrip -fuzztime=10s ./internal/db
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/sql
 	$(GO) test -run '^$$' -fuzz=FuzzLiteralRoundTrip -fuzztime=10s ./internal/sql
-	$(GO) test -run '^$$' -fuzz=FuzzArenaOps -fuzztime=10s ./internal/mem
+	$(GO) test -run '^$$' -fuzz=FuzzArenaOps -fuzztime=10s $(FUZZMIN) ./internal/mem
 	$(GO) test -run '^$$' -fuzz=FuzzEventOrder -fuzztime=10s $(FUZZMIN) ./internal/sim
 	$(GO) test -run '^$$' -fuzz=FuzzFTLMaps -fuzztime=10s $(FUZZMIN) ./internal/ftl
 

@@ -19,7 +19,6 @@
 package biscuit
 
 import (
-	"fmt"
 	"math/rand"
 
 	"biscuit/internal/core"
@@ -148,21 +147,6 @@ func launch(env *sim.Env, name string, took *sim.Time, body func(p *sim.Proc)) {
 func (s *System) Run(program func(h *Host)) sim.Time {
 	var took sim.Time
 	launch(s.Env, "host-main", &took, func(p *sim.Proc) { program(&Host{sys: s, p: p}) })
-	s.Env.Run()
-	return took
-}
-
-// RunConcurrent executes several host programs as concurrent sessions
-// against the same SSD — the multi-user support the paper lists as
-// ongoing work (§VIII). Each session gets its own simulated host thread;
-// the runtime's applications, modules and ports are shared
-// infrastructure with per-session handles. It returns when every
-// session has finished, with the virtual time the longest one took.
-func (s *System) RunConcurrent(programs ...func(h *Host)) sim.Time {
-	var took sim.Time
-	for i, program := range programs {
-		launch(s.Env, fmt.Sprintf("session-%d", i), &took, func(p *sim.Proc) { program(&Host{sys: s, p: p}) })
-	}
 	s.Env.Run()
 	return took
 }

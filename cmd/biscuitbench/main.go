@@ -149,23 +149,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "wrote %s (load in https://ui.perfetto.dev)\n", path)
 		}
 		if *stats {
-			fmt.Fprintf(stdout, "-- platform %d counters\n", i+1)
-			for _, c := range s.Plat.Ctrs.Snapshot() {
-				fmt.Fprintf(stdout, "   %-24s %d\n", c.Name, c.Value)
-			}
-			fmt.Fprintf(stdout, "   %-24s %+v\n", "ftl.rain", s.Plat.FTL.Rain())
-			fmt.Fprintf(stdout, "   %-24s %+v\n", "ftl.rebuild", s.Plat.FTL.Rebuild())
-			fmt.Fprintf(stdout, "   %-24s %+v\n", "match.pages", s.Plat.Matcher.Stats())
-			dm := s.Plat.DevMem
-			fmt.Fprintf(stdout, "   %-24s system=%d/%d user=%d/%d\n", "mem.arenas",
-				dm.System.Materialized(), dm.System.Size(), dm.User.Materialized(), dm.User.Size())
-			segsMade, segs, blocksMade, blocks := s.Plat.FTL.MapStats()
-			fmt.Fprintf(stdout, "   %-24s l2p=%d/%d rev=%d/%d\n", "ftl.maps", segsMade, segs, blocksMade, blocks)
-			fmt.Fprintf(stdout, "-- platform %d latencies (ns)\n", i+1)
-			for _, h := range s.Plat.Hists.Snapshot() {
-				fmt.Fprintf(stdout, "   %-24s count=%-8d p50=%-11d p95=%-11d p99=%-11d max=%d\n",
-					h.Name, h.Summary.Count, h.Summary.P50, h.Summary.P95, h.Summary.P99, h.Summary.Max)
-			}
+			s.Plat.WriteStats(stdout, i+1)
 		}
 	}
 	if *stats {

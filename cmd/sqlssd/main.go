@@ -154,7 +154,7 @@ func main() {
 		fmt.Printf("wrote %s (load in https://ui.perfetto.dev)\n", *traceOut)
 	}
 	if *stats {
-		printStats(os.Stdout, sys)
+		sys.Plat.WriteStats(os.Stdout, 1)
 		printTelemetry(sampler.Summaries())
 	}
 }
@@ -321,25 +321,6 @@ func serveMain(devices, tenants int, rate float64, windowMs int, policy string, 
 			os.Exit(1)
 		}
 		fmt.Printf("\nwrote %s (load in https://ui.perfetto.dev)\n", traceOut)
-	}
-}
-
-// printStats dumps the platform's counter and histogram registries in
-// their deterministic (name-sorted) snapshot order, with the FTL's RAIN
-// and rebuild statistics after the counters.
-func printStats(w io.Writer, sys *biscuit.System) {
-	fmt.Fprintln(w, "-- counters")
-	for _, c := range sys.Plat.Ctrs.Snapshot() {
-		fmt.Fprintf(w, "   %-24s %d\n", c.Name, c.Value)
-	}
-	fmt.Fprintf(w, "   %-24s %+v\n", "ftl.rain", sys.Plat.FTL.Rain())
-	fmt.Fprintf(w, "   %-24s %+v\n", "ftl.rebuild", sys.Plat.FTL.Rebuild())
-	fmt.Fprintln(w, "-- latencies")
-	for _, s := range sys.Plat.Hists.Snapshot() {
-		fmt.Fprintf(w, "   %-24s count=%-8d p50=%-12v p95=%-12v p99=%-12v max=%v\n",
-			s.Name, s.Summary.Count,
-			time.Duration(s.Summary.P50), time.Duration(s.Summary.P95),
-			time.Duration(s.Summary.P99), time.Duration(s.Summary.Max))
 	}
 }
 

@@ -23,8 +23,9 @@ const q6 = "SELECT SUM(l_extendedprice * l_discount) AS revenue FROM lineitem " 
 
 // TestPrintStatsQ6 runs the tracesmoke's Q6 (SF 0.002, seed 7) Conv then
 // Biscuit, as `sqlssd -q` does, and pins the -stats dump: the db.*
-// counters exactly, one line each for the FTL's RAIN and rebuild
-// statistics, and the latency block by histogram name.
+// counters exactly, one line each for the FTL's RAIN, rebuild and map
+// statistics, the matcher's pages and the device heaps, and the latency
+// block by histogram name.
 func TestPrintStatsQ6(t *testing.T) {
 	sys := biscuit.NewSystem(biscuit.DefaultConfig())
 	d := db.Open(sys)
@@ -46,21 +47,24 @@ func TestPrintStatsQ6(t *testing.T) {
 		}
 	})
 	var out strings.Builder
-	printStats(&out, sys)
+	sys.Plat.WriteStats(&out, 1)
 	got := out.String()
 
-	counters, latencies, ok := strings.Cut(got, "-- latencies\n")
+	counters, latencies, ok := strings.Cut(got, "-- platform 1 latencies (ns)\n")
 	if !ok {
 		t.Fatalf("no latency block:\n%s", got)
 	}
-	want := "-- counters\n" +
+	want := "-- platform 1 counters\n" +
 		"   db.pages.link            100\n" +
 		"   db.scan.conv             1\n" +
 		"   db.scan.ndp              1\n"
 	rain := regexp.MustCompile(`^   ftl\.rain +\{StripeSeals:16 StripeDrops:2 .*\}\n` +
-		`   ftl\.rebuild +\{Pages:0 .*\}\n$`)
+		`   ftl\.rebuild +\{Pages:0 .*\}\n` +
+		`   match\.pages +\{Judged:[1-9]\d* .*\}\n` +
+		`   mem\.arenas +system=[1-9]\d*/[1-9]\d* user=\d+/[1-9]\d*\n` +
+		`   ftl\.maps +l2p=[1-9]\d*/\d+ rev=[1-9]\d*/\d+\n$`)
 	if rest, ok := strings.CutPrefix(counters, want); !ok || !rain.MatchString(rest) {
-		t.Fatalf("counter block:\n%s\nwant:\n%s   ftl.rain {StripeSeals:16 StripeDrops:2 ...}\n   ftl.rebuild {Pages:0 ...}", counters, want)
+		t.Fatalf("counter block:\n%s\nwant:\n%s   ftl.rain {StripeSeals:16 StripeDrops:2 ...}\n   ftl.rebuild {Pages:0 ...}\n   match.pages ...\n   mem.arenas ...\n   ftl.maps ...", counters, want)
 	}
 
 	var names []string

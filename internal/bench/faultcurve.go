@@ -157,7 +157,7 @@ func runFaultPoint(sz faultSizes, intensity float64, width int) (FaultCurvePoint
 	lat := stats.NewHistogram()
 	sys.Run(func(h *biscuit.Host) {
 		plat := h.System().Plat
-		plat.StartScrub(2 * sim.Millisecond)
+		plat.StartScrub()
 		defer plat.StopScrub()
 		if intensity >= dieFailIntensity && plat.Inj != nil {
 			plat.Inj.FailDie(1)

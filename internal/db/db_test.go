@@ -261,6 +261,27 @@ func TestArithIntegersAreExact(t *testing.T) {
 	}
 }
 
+// TestArithZeroDivisor: a zero divisor gives the zero of the result
+// type, whatever the dividend, never the int64 of an infinite or NaN
+// quotient.
+func TestArithZeroDivisor(t *testing.T) {
+	for _, c := range []struct{ l, r, want Value }{
+		{Int(7), Int(0), Int(0)},
+		{Int(0), Int(0), Int(0)},
+		{Int(-7), Int(0), Int(0)},
+		{Int(7), Dec(0), Dec(0)},
+		{Dec(700), Int(0), Dec(0)},
+		{Dec(700), Dec(0), Dec(0)},
+		{Dec(-700), Dec(0), Dec(0)},
+		{Dec(0), Dec(0), Dec(0)},
+	} {
+		e := Arith{Div, Lit(c.l), Lit(c.r)}
+		if got := e.Eval(nil); got != c.want {
+			t.Errorf("%v = %v (%v), want %v (%v)", e, got, got.T, c.want, c.want.T)
+		}
+	}
+}
+
 // ---- storage + execution integration ----
 
 func quickSys() *biscuit.System {

@@ -332,7 +332,9 @@ type Arith struct {
 // Eval computes with fixed-point decimal propagation: any decimal
 // operand makes the result decimal. Two integers stay in int64, so
 // every result int64 holds is exact; division truncates toward zero.
-// A zero integer divisor takes the float path.
+// A zero divisor gives the zero of the result type, on every platform:
+// converting the quotient's ±Inf or NaN to int64 would be
+// implementation-defined.
 func (a Arith) Eval(r Row) Value {
 	l, rr := a.L.Eval(r), a.R.Eval(r)
 	if l.T == TInt && rr.T == TInt {
@@ -359,7 +361,9 @@ func (a Arith) Eval(r Row) Value {
 	case Mul:
 		f = lf * rf
 	case Div:
-		f = lf / rf
+		if rf != 0 {
+			f = lf / rf
+		}
 	}
 	if l.T == TDecimal || rr.T == TDecimal {
 		return DecF(f)

@@ -5,13 +5,10 @@ import (
 	"testing"
 
 	"biscuit"
-	"biscuit/internal/fault"
 )
 
 // Failure injection: the engine must turn corrupted media content into
 // errors, never panics, on both the Conv and the device-side paths.
-// Corrupt page images are declared via fault.Corruption rather than
-// hand-rolled, so the scenarios are deterministic and self-describing.
 
 func TestConvScanSurvivesCorruptPage(t *testing.T) {
 	sys := quickSys()
@@ -24,7 +21,7 @@ func TestConvScanSurvivesCorruptPage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		garbage := fault.Corruption{Page: 1, RowCount: 0xFFFF, Seed: 31}.Render(tab.PageSize)
+		garbage := CorruptPage(tab.PageSize, 0xFFFF, "", 31)
 		if err := f.Write(h.Proc(), int64(tab.PageSize), garbage); err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +48,7 @@ func TestNDPScanSurfacesCorruptPageAsContainedFailure(t *testing.T) {
 		f, _ := h.SSD().OpenFile(tab.FileName, false)
 		// Forge a 32767-row header and plant the needle so the matcher
 		// fires on the corrupt page and the device CPU actually decodes it.
-		garbage := fault.Corruption{RowCount: 0x7FFF, Plant: "TARGETKEY", PlantOff: 100, Seed: 7}.Render(tab.PageSize)
+		garbage := CorruptPage(tab.PageSize, 0x7FFF, "TARGETKEY", 7)
 		if err := f.Write(h.Proc(), 0, garbage); err != nil {
 			t.Fatal(err)
 		}

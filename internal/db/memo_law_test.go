@@ -105,7 +105,7 @@ func TestMatcherMemoSeesRewrittenPage(t *testing.T) {
 
 		// The sample's first page: the one a same-seeded sample reads first.
 		pg := rand.New(rand.NewSource(seed)).Int63n(tab.Pages)
-		img := fault.Corruption{Page: int(pg), RowCount: 0x7FFF, Plant: key, PlantOff: 100, Seed: 3}.Render(tab.PageSize)
+		img := db.CorruptPage(tab.PageSize, 0x7FFF, key, 3)
 		f, err := h.SSD().OpenFile(tab.FileName, false)
 		if err != nil {
 			t.Fatal(err)

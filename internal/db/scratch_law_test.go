@@ -186,7 +186,8 @@ func TestScratchInterleavedShardQueries(t *testing.T) {
 	cfg := biscuit.DefaultConfig()
 	cfg.NAND.BlocksPerDie = 256
 	cfg.NAND.PagesPerBlock = 64
-	sys := biscuit.NewSystem(cfg)
+	ms := biscuit.NewMultiSystem(cfg, 1)
+	sys := ms.Systems[0]
 	d := db.Open(sys)
 	var data *tpch.Data
 	sys.Run(func(h *biscuit.Host) {
@@ -226,9 +227,11 @@ func TestScratchInterleavedShardQueries(t *testing.T) {
 	})
 	var got1, got6 []db.Row
 	var end1, start6 sim.Time
-	sys.RunConcurrent(
-		func(h *biscuit.Host) { got1, _, end1 = conv(h) },
-		func(h *biscuit.Host) { got6, start6, _ = ndp(h) })
+	ms.Run(func(h *biscuit.MultiHost) {
+		h.Wait(
+			h.Go("q1", func(h *biscuit.MultiHost) { got1, _, end1 = conv(h.Unit(0)) }),
+			h.Go("q6", func(h *biscuit.MultiHost) { got6, start6, _ = ndp(h.Unit(0)) }))
+	})
 	if start6 >= end1 {
 		t.Fatalf("Q6 started at %v, after Q1 ended at %v: the queries did not interleave", start6, end1)
 	}

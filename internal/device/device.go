@@ -12,6 +12,9 @@
 package device
 
 import (
+	"fmt"
+	"io"
+
 	"biscuit/internal/cpu"
 	"biscuit/internal/fault"
 	"biscuit/internal/fibers"
@@ -202,9 +205,28 @@ func NewShared(env *sim.Env, cfg Config, hostCPU *cpu.CPU, hostMem *sim.SharedBW
 	return p
 }
 
-// Default builds a platform with DefaultConfig in a fresh environment.
-func Default() *Platform {
-	return New(sim.NewEnv(), DefaultConfig())
+// WriteStats dumps the registries of platform number n: the counters in
+// name order, then the FTL's RAIN, rebuild and map statistics, the
+// matcher's page counts and the device heaps' materialized bytes
+// against their sizes; then each latency histogram's count and
+// percentiles in ns.
+func (p *Platform) WriteStats(w io.Writer, n int) {
+	fmt.Fprintf(w, "-- platform %d counters\n", n)
+	for _, c := range p.Ctrs.Snapshot() {
+		fmt.Fprintf(w, "   %-24s %d\n", c.Name, c.Value)
+	}
+	fmt.Fprintf(w, "   %-24s %+v\n", "ftl.rain", p.FTL.Rain())
+	fmt.Fprintf(w, "   %-24s %+v\n", "ftl.rebuild", p.FTL.Rebuild())
+	fmt.Fprintf(w, "   %-24s %+v\n", "match.pages", p.Matcher.Stats())
+	fmt.Fprintf(w, "   %-24s system=%d/%d user=%d/%d\n", "mem.arenas",
+		p.DevMem.System.Materialized(), p.DevMem.System.Size(), p.DevMem.User.Materialized(), p.DevMem.User.Size())
+	segsMade, segs, blocksMade, blocks := p.FTL.MapStats()
+	fmt.Fprintf(w, "   %-24s l2p=%d/%d rev=%d/%d\n", "ftl.maps", segsMade, segs, blocksMade, blocks)
+	fmt.Fprintf(w, "-- platform %d latencies (ns)\n", n)
+	for _, h := range p.Hists.Snapshot() {
+		fmt.Fprintf(w, "   %-24s count=%-8d p50=%-11d p95=%-11d p99=%-11d max=%d\n",
+			h.Name, h.Summary.Count, h.Summary.P50, h.Summary.P95, h.Summary.P99, h.Summary.Max)
+	}
 }
 
 // SetTracer installs (or, with nil, removes) the tracer on every
@@ -262,11 +284,14 @@ func (p *Platform) maintain(name string, on *bool, interval sim.Time, step func(
 	})
 }
 
-// StartScrub launches the patrol-scrub fiber: every interval it examines
-// one RAIN stripe, verifying parity and repairing latent damage
+// scrubEvery paces the patrol scrub: one RAIN stripe per interval.
+const scrubEvery = 2 * sim.Millisecond
+
+// StartScrub launches the patrol-scrub fiber: every scrubEvery it
+// examines one RAIN stripe, verifying parity and repairing latent damage
 // (ftl.ScrubStep).
-func (p *Platform) StartScrub(interval sim.Time) {
-	p.maintain("patrol-scrub", &p.scrubOn, interval, func(proc *sim.Proc) { p.FTL.ScrubStep(proc) })
+func (p *Platform) StartScrub() {
+	p.maintain("patrol-scrub", &p.scrubOn, scrubEvery, func(proc *sim.Proc) { p.FTL.ScrubStep(proc) })
 }
 
 // StopScrub asks the patrol-scrub fiber to exit.

@@ -415,35 +415,3 @@ func TestSilentStreamDeterministic(t *testing.T) {
 		t.Fatal("nil injector decided silent corruption")
 	}
 }
-
-func TestCorruptionRenderDeterministic(t *testing.T) {
-	c := Corruption{Page: 3, RowCount: 0x7FFF, UsedBytes: 12, Plant: "NEEDLE", PlantOff: 100, Seed: 5}
-	a, b := c.Render(4096), c.Render(4096)
-	if string(a) != string(b) {
-		t.Fatal("same corruption rendered differently")
-	}
-	if a[0] != 0xFF || a[1] != 0x7F || a[2] != 12 || a[3] != 0 {
-		t.Fatalf("forged header wrong: % x", a[:4])
-	}
-	if string(a[100:106]) != "NEEDLE" {
-		t.Fatal("plant missing")
-	}
-	c2 := c
-	c2.Page = 4
-	if string(c2.Render(4096)) == string(a) {
-		t.Fatal("different pages must render different bodies")
-	}
-}
-
-func TestCorruptionRenderPanics(t *testing.T) {
-	check := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s must panic", name)
-			}
-		}()
-		f()
-	}
-	check("short page", func() { Corruption{}.Render(2) })
-	check("plant out of range", func() { Corruption{Plant: "X", PlantOff: 4096}.Render(4096) })
-}

@@ -147,7 +147,6 @@ func (g *Group) Live() int { return g.live }
 type Fiber struct {
 	p    *sim.Proc
 	g    *Group
-	done *sim.Event
 	name string
 	span trace.Span // open run span while the fiber holds its core
 }
@@ -158,12 +157,7 @@ func (g *Group) Go(name string, fn func(f *Fiber)) *Fiber {
 	g.live++
 	f.p = g.rt.env.Spawn(name, func(p *sim.Proc) {
 		f.p = p
-		readyAt := p.Now()
-		g.core.Acquire(p) // wait for the core, then run
-		g.rt.observeSched(int64(p.Now() - readyAt))
-		f.span = g.rt.beginRun(g.id, name)
-		p.Sleep(g.rt.csw) // dispatch cost
-		g.rt.switches++
+		f.dispatch()
 		defer func() {
 			f.span.End()
 			g.core.Release()
@@ -174,15 +168,11 @@ func (g *Group) Go(name string, fn func(f *Fiber)) *Fiber {
 		}()
 		fn(f)
 	})
-	f.done = f.p.Done()
 	return f
 }
 
 // Proc returns the underlying simulation process.
 func (f *Fiber) Proc() *sim.Proc { return f.p }
-
-// Done returns the fiber's termination event.
-func (f *Fiber) Done() *sim.Event { return f.done }
 
 // Compute charges cycles of work while holding the core.
 func (f *Fiber) Compute(cycles float64) {
@@ -202,6 +192,14 @@ func (f *Fiber) Block(wait func(p *sim.Proc)) {
 	f.span.End()
 	f.g.core.Release()
 	wait(f.p)
+	f.dispatch()
+}
+
+// dispatch waits for the group's core, then runs the fiber on it: the
+// wait is a "fiber.sched" sample, the run a span on the core's track,
+// and the switch costs csw. A fiber gains its core only here, when it
+// starts and after each Block.
+func (f *Fiber) dispatch() {
 	readyAt := f.p.Now()
 	f.g.core.Acquire(f.p)
 	f.g.rt.observeSched(int64(f.p.Now() - readyAt))
@@ -213,11 +211,6 @@ func (f *Fiber) Block(wait func(p *sim.Proc)) {
 // Yield voluntarily gives other ready fibers of the core a turn.
 func (f *Fiber) Yield() {
 	f.Block(func(p *sim.Proc) { p.Yield() })
-}
-
-// Join blocks until other terminates.
-func (f *Fiber) Join(other *Fiber) {
-	f.Block(func(p *sim.Proc) { p.Wait(other.done) })
 }
 
 // WaitIdle blocks the (non-fiber) process p until every fiber of the

@@ -138,7 +138,7 @@ func TestJoinAndWaitIdle(t *testing.T) {
 	var joined, idleAt sim.Time
 	worker := g.Go("w", func(f *Fiber) { f.ComputeTime(100 * sim.Microsecond) })
 	g.Go("j", func(f *Fiber) {
-		f.Join(worker)
+		f.Block(func(p *sim.Proc) { p.Wait(worker.Proc().Done()) })
 		joined = f.Proc().Now()
 	})
 	e.Spawn("host", func(p *sim.Proc) {

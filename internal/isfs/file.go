@@ -247,66 +247,3 @@ func (f *File) Flush(p *sim.Proc) error {
 	f.fs.f.SealStripe(p)
 	return nil
 }
-
-// Truncate shrinks the file to size bytes, releasing whole pages beyond
-// it and zeroing the remainder of the final kept page so a later
-// extension reads back zeros, not stale bytes.
-func (f *File) Truncate(p *sim.Proc, size int64) error {
-	if f.mode == ReadOnly {
-		return ErrReadOnly
-	}
-	if size < 0 || size > f.ino.Size {
-		return ErrOutOfRange
-	}
-	ps := int64(f.fs.f.PageSize())
-	keepPages := int((size + ps - 1) / ps)
-	kept := 0
-	for i, e := range f.ino.Extents {
-		if kept+e.Count <= keepPages {
-			kept += e.Count
-			continue
-		}
-		keep := keepPages - kept
-		if keep > 0 {
-			if rel := (extent{Start: e.Start + keep, Count: e.Count - keep}); rel.Count > 0 {
-				for pg := 0; pg < rel.Count; pg++ {
-					f.fs.f.Trim(rel.Start + pg)
-				}
-				f.fs.release(rel)
-			}
-			// Later extents are cut entirely.
-			for j := i + 1; j < len(f.ino.Extents); j++ {
-				for pg := 0; pg < f.ino.Extents[j].Count; pg++ {
-					f.fs.f.Trim(f.ino.Extents[j].Start + pg)
-				}
-				f.fs.release(f.ino.Extents[j])
-			}
-			f.ino.Extents[i].Count = keep
-			f.ino.Extents = f.ino.Extents[:i+1]
-		} else {
-			for j := i; j < len(f.ino.Extents); j++ {
-				for pg := 0; pg < f.ino.Extents[j].Count; pg++ {
-					f.fs.f.Trim(f.ino.Extents[j].Start + pg)
-				}
-				f.fs.release(f.ino.Extents[j])
-			}
-			f.ino.Extents = f.ino.Extents[:i]
-		}
-		break
-	}
-	oldSize := f.ino.Size
-	f.ino.Size = size
-	f.fs.dirty = true
-	// Zero the tail of the last kept page (it may hold bytes of the cut
-	// region, which must not reappear if the file grows again). The kept
-	// extents end exactly at that page.
-	if tail := size % ps; tail != 0 && size < oldSize {
-		n := ps - tail
-		if n > oldSize-size {
-			n = oldSize - size
-		}
-		last := f.ino.Extents[len(f.ino.Extents)-1]
-		return f.fs.f.Write(p, last.Start+last.Count-1, int(tail), make([]byte, n))
-	}
-	return nil
-}

@@ -247,29 +247,6 @@ func TestReadThroughStreamsWholeFile(t *testing.T) {
 	})
 }
 
-func TestTruncateReleasesPages(t *testing.T) {
-	e, _, fs := newFS(t)
-	run(t, e, func(p *sim.Proc) {
-		f, _ := fs.Create("t")
-		f.Write(p, 0, make([]byte, 10*4096))
-		f.Flush(p)
-		before := fs.FreePages()
-		if err := f.Truncate(p, 2*4096); err != nil {
-			t.Fatal(err)
-		}
-		if fs.FreePages() != before+8 {
-			t.Fatalf("free pages %d, want %d", fs.FreePages(), before+8)
-		}
-		if f.Size() != 2*4096 {
-			t.Fatalf("size=%d", f.Size())
-		}
-		buf := make([]byte, 4096)
-		if _, err := f.Read(p, 4096, buf); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 func TestOutOfRangeReadRejected(t *testing.T) {
 	e, _, fs := newFS(t)
 	run(t, e, func(p *sim.Proc) {
@@ -334,7 +311,7 @@ func TestListSorted(t *testing.T) {
 }
 
 func TestRandomFileOperationsProperty(t *testing.T) {
-	// Property: an arbitrary interleaving of create/write/truncate/remove
+	// Property: an arbitrary interleaving of create/write/remove
 	// across several files always matches an in-memory shadow model, and
 	// the free-page count returns to its starting value once every file
 	// is removed.
@@ -355,7 +332,7 @@ func TestRandomFileOperationsProperty(t *testing.T) {
 			names := []string{"a", "b", "c"}
 			for op := 0; op < 60 && ok; op++ {
 				name := names[rng.Intn(len(names))]
-				switch rng.Intn(5) {
+				switch rng.Intn(4) {
 				case 0: // create
 					if _, exists := shadow[name]; !exists {
 						h, err := fs.Create(name)
@@ -385,18 +362,7 @@ func TestRandomFileOperationsProperty(t *testing.T) {
 					}
 					copy(data[off:], chunk)
 					shadow[name] = data
-				case 3: // truncate
-					h, exists := handles[name]
-					if !exists || len(shadow[name]) == 0 {
-						continue
-					}
-					to := rng.Intn(len(shadow[name]))
-					if err := h.Truncate(p, int64(to)); err != nil {
-						ok = false
-						return
-					}
-					shadow[name] = shadow[name][:to]
-				case 4: // verify full contents
+				case 3: // verify full contents
 					h, exists := handles[name]
 					if !exists {
 						continue

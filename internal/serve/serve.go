@@ -41,12 +41,8 @@ const DefaultSLO = 250 * sim.Millisecond
 const DefaultQueueCap = 32
 
 // maxInFlightPerDevice bounds concurrently dispatched queries per
-// device of the array; scrubEvery paces the patrol-scrub fiber under
-// Heal.
-const (
-	maxInFlightPerDevice = 2
-	scrubEvery           = 2 * sim.Millisecond
-)
+// device of the array.
+const maxInFlightPerDevice = 2
 
 // TenantConfig describes one tenant of the serving window.
 type TenantConfig struct {
@@ -192,7 +188,6 @@ type tenant struct {
 	cfg      TenantConfig
 	idx      int
 	wl       *workload
-	devices  []int
 	arrivals []sim.Time
 
 	queue []*request // admitted, FIFO per tenant
@@ -404,7 +399,6 @@ func (s *Server) buildTenants() error {
 			cfg:      tc,
 			idx:      ti,
 			wl:       wl,
-			devices:  devs,
 			lat:      stats.NewHistogram(),
 			gBacklog: s.Gauges.G("tenant." + tc.Name + ".backlog"),
 		}
@@ -486,7 +480,7 @@ func (s *Server) Run() *Report {
 			rebuild = 500 * sim.Microsecond
 		}
 		for _, sys := range s.MS.Systems {
-			sys.Plat.StartScrub(scrubEvery)
+			sys.Plat.StartScrub()
 			if rebuild > 0 {
 				sys.Plat.StartRebuild(rebuild)
 			}

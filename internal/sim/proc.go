@@ -143,9 +143,6 @@ func (p *Proc) Yield() {
 	p.park()
 }
 
-// Join blocks until q terminates.
-func (p *Proc) Join(q *Proc) { p.Wait(q.done) }
-
 // Event is a broadcast condition in virtual time. Once fired it stays
 // fired: later Waits return immediately.
 type Event struct {

@@ -100,7 +100,7 @@ func TestJoin(t *testing.T) {
 	child := e.Spawn("child", func(p *Proc) { p.Sleep(500) })
 	var joinedAt Time
 	e.Spawn("parent", func(p *Proc) {
-		p.Join(child)
+		p.Wait(child.Done())
 		joinedAt = p.Now()
 	})
 	e.Run()
@@ -304,7 +304,7 @@ func TestSpawnFromProcess(t *testing.T) {
 			})
 		}
 		for _, k := range kids {
-			p.Join(k)
+			p.Wait(k.Done())
 		}
 		total *= 10
 	})

@@ -3,7 +3,18 @@ package biscuit
 import (
 	"fmt"
 	"testing"
+
+	"biscuit/internal/sim"
 )
+
+// runSessions launches each program as its own simulated host thread
+// against the one SSD and drives the simulation until all have finished.
+func runSessions(sys *System, programs []func(h *Host)) {
+	for i, program := range programs {
+		launch(sys.Env, fmt.Sprintf("session-%d", i), nil, func(p *sim.Proc) { program(&Host{sys: sys, p: p}) })
+	}
+	sys.Env.Run()
+}
 
 // TestConcurrentSessions runs several independent host programs against
 // one SSD at the same time — the multi-user operation §VIII lists as an
@@ -68,7 +79,7 @@ func TestConcurrentSessions(t *testing.T) {
 			}
 		}
 	}
-	sys.RunConcurrent(programs...)
+	runSessions(sys, programs)
 	for i := 0; i < sessions; i++ {
 		if results[i] != int64(i+3) {
 			t.Errorf("session %d found %d matches, want %d", i, results[i], i+3)
@@ -111,7 +122,7 @@ func TestConcurrentSessionsShareChannelPool(t *testing.T) {
 			ssd.UnloadModule(mod)
 		}
 	}
-	sys.RunConcurrent(programs...)
+	runSessions(sys, programs)
 	if done != sessions {
 		t.Fatalf("%d of %d sessions completed", done, sessions)
 	}
